@@ -178,6 +178,8 @@ def _cmd_map_fixcheck(args) -> Tuple[Dict[str, Any], int]:
     curve = ser.decode_trihom(obj["curve"], ("curve",))
     if curve.is_zero:
         raise SchemaError("$.curve", "curve polynomial must be nonzero")
+    if curve.degree == 0:
+        raise SchemaError("$.curve", "curve polynomial must have positive degree")
     fixed = fixes_curve_pointwise(F, curve)
     payload = {
         "fixes_pointwise": fixed,

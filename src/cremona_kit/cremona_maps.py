@@ -234,10 +234,13 @@ def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:
 
     Divisibility of all three minors says F(p) is projectively equal to p
     along the curve c = 0, i.e. the map fixes the curve pointwise wherever
-    it is defined.
+    it is defined.  A nonzero constant has no zeros, so it is refused
+    rather than reported as fixed.
     """
     if c.is_zero:
         raise ValueError("curve polynomial must be nonzero")
+    if c.degree == 0:
+        raise ValueError("curve polynomial must have positive degree")
     f0, f1, f2 = F.components
     minors = (
         f0 * TRI_Y - f1 * TRI_X,

@@ -1,21 +1,31 @@
-"""Shared helpers for the test suite: random generators and sympy bridges.
+"""Shared helpers for the test suite: random generators, sympy bridges and
+the reference fixed-component search.
 
 sympy acts as the independent oracle for polynomial identities (gcd,
-divisibility, expansion); the package itself never imports it.
+divisibility, expansion); the package itself never imports it.  The
+Bezout-rule enumerator below is the oracle for the package's direct
+first-rule search.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Optional, Tuple
 
 import sympy
 
 from cremona_kit.curve_model import PlaneCurveModel, curve_from_mults
 from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
-from cremona_kit.linear_systems import LinSysData
+from cremona_kit.linear_systems import (
+    LinSysData,
+    RemovedComponent,
+    _Rule,
+    _apply_rule,
+    _finish_removal,
+)
 
 SX, SY, SZ = sympy.symbols("x y z")
 ST = sympy.Symbol("t")
@@ -120,6 +130,48 @@ def rand_usable_system(rng: random.Random, n_max: int = 9, points: int = 8) -> L
         L = rand_system(rng, n_max, points)
         if L.degree * (L.degree + 3) // 2 - sum(m * (m + 1) // 2 for _, m in L.mults) >= 1:
             return L
+
+
+def _applicable_rules(n: int, mults: Dict[str, int]) -> List[_Rule]:
+    """All Bezout rules that currently apply, lines first, lex within a kind."""
+    active = sorted(l for l, m in mults.items() if m >= 1)
+    rules: List[_Rule] = []
+    for i, j in combinations(active, 2):
+        if mults[i] + mults[j] > n:
+            rules.append(("line", (i, j)))
+    for subset in combinations(active, 5):
+        if sum(mults[l] for l in subset) > 2 * n:
+            rules.append(("conic", subset))
+    return rules
+
+
+def _removal_loop(
+    L: LinSysData, pick: Callable[[List[_Rule]], _Rule]
+) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+    n, mults = L.degree, L.as_dict()
+    counts: Dict[_Rule, int] = {}
+    while True:
+        rules = _applicable_rules(n, mults)
+        if not rules:
+            break
+        rule = pick(rules)
+        n = _apply_rule(rule, n, mults)
+        counts[rule] = counts.get(rule, 0) + 1
+    return _finish_removal(n, mults, counts)
+
+
+def remove_fixed_components_oracle(
+    L: LinSysData,
+) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+    """Reference removal loop: always the first rule of the full listing."""
+    return _removal_loop(L, lambda rules: rules[0])
+
+
+def remove_fixed_components_random_order(
+    L: LinSysData, rng: random.Random
+) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+    """Order-randomised variant used to exercise confluence of the rules."""
+    return _removal_loop(L, lambda rules: rules[rng.randrange(len(rules))])
 
 
 def rand_jonq(

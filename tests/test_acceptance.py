@@ -29,7 +29,6 @@ from cremona_kit.linear_systems import (
     adjoint_step,
     quadratic_transform,
     remove_fixed_components,
-    remove_fixed_components_random_order,
     virtual_dim,
 )
 from cremona_kit.rational_pencils import (
@@ -39,7 +38,14 @@ from cremona_kit.rational_pencils import (
     sextic_free_intersection_bound,
 )
 
-from _util import H4, H6, H8, rand_jonq, rand_usable_system
+from _util import (
+    H4,
+    H6,
+    H8,
+    rand_jonq,
+    rand_usable_system,
+    remove_fixed_components_random_order,
+)
 
 
 def sysd(n, mults):

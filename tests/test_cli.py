@@ -2,7 +2,7 @@ import json
 
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
-from cremona_kit.cremona_maps import identity_map, make_phi
+from cremona_kit.cremona_maps import CremonaMap, identity_map, make_phi
 from cremona_kit.exact_algebra import TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 
@@ -158,6 +158,15 @@ class TestMaps:
         payload_in = json.dumps({"map": phi, "curve": line})
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert code == 2 and payload["fixes_pointwise"] is False
+
+    def test_fixcheck_refuses_constant_curve(self, capsys):
+        x, y, z = (TriHomPoly.monomial(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        involution = ser.encode_map(CremonaMap.of(y * z, x * z, x * y))
+        constant = ser.encode_trihom(TriHomPoly.monomial((0, 0, 0), 3))
+        payload_in = json.dumps({"map": involution, "curve": constant})
+        code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
+        assert code == 1
+        assert payload["error"] == "schema" and payload["path"] == "$.curve"
 
 
 class TestJonq:

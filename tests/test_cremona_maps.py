@@ -229,6 +229,10 @@ class TestFixesCurvePointwise:
         with pytest.raises(ValueError):
             fixes_curve_pointwise(identity_map(), TriHomPoly.zero(1))
 
+    def test_constant_curve_rejected(self):
+        with pytest.raises(ValueError):
+            fixes_curve_pointwise(identity_map(), TriHomPoly.monomial((0, 0, 0), 3))
+
 
 class TestNonCommutativity:
     def test_witness(self):

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona_kit.curve_model import curve_from_mults, genus
 from cremona_kit.errors import (
@@ -13,6 +15,7 @@ from cremona_kit.errors import (
 from cremona_kit.linear_systems import (
     Classification,
     LinSysData,
+    _first_rule,
     adjoint_chain,
     adjoint_raw,
     adjoint_step,
@@ -20,16 +23,46 @@ from cremona_kit.linear_systems import (
     pencil_decompose,
     quadratic_transform,
     remove_fixed_components,
-    remove_fixed_components_random_order,
     self_intersection,
     virtual_dim,
 )
 
-from _util import rand_curve, rand_system, rand_usable_system
+from _util import (
+    _applicable_rules,
+    rand_curve,
+    rand_system,
+    rand_usable_system,
+    remove_fixed_components_oracle,
+    remove_fixed_components_random_order,
+)
 
 
 def sysd(n, mults):
     return LinSysData.of(n, mults)
+
+
+@st.composite
+def bezout_cases(draw):
+    """(n, mults) with n <= 30, at most 10 points, multiplicities 0..n+2.
+
+    Labels are short strings drawn in any order, so label order differs
+    from insertion order.  Uniform multiplicities almost never leave a
+    conic as the first rule, so half the cases take at least five points
+    with multiplicities near n/2, where a pair rarely exceeds n but five
+    points can exceed 2n.
+    """
+    n = draw(st.integers(0, 30))
+    near_half = draw(st.booleans())
+    labels = draw(
+        st.lists(
+            st.text("abc", min_size=1, max_size=2),
+            unique=True,
+            min_size=5 if near_half else 0,
+            max_size=10,
+        )
+    )
+    mult = st.integers(2 * n // 5, n // 2 + 1) if near_half else st.integers(0, n + 2)
+    return n, {l: draw(mult) for l in labels}
 
 
 GEISER = sysd(6, {f"p{i}": 2 for i in range(7)})
@@ -136,6 +169,25 @@ class TestRemoveFixedComponents:
             for k in range(10):
                 sub = random.Random(1000 * case + k)
                 assert remove_fixed_components_random_order(L, sub) == expected
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(bezout_cases())
+    def test_first_rule_matches_enumerator(self, case):
+        n, mults = case
+        rules = _applicable_rules(n, mults)
+        assert _first_rule(n, mults) == (rules[0] if rules else None)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(bezout_cases())
+    def test_removal_matches_oracle_loop(self, case):
+        L = sysd(*case)
+        try:
+            expected = remove_fixed_components_oracle(L)
+        except DegenerateSystem:
+            with pytest.raises(DegenerateSystem):
+                remove_fixed_components(L)
+        else:
+            assert remove_fixed_components(L) == expected
 
 
 class TestPencilDecompose:
@@ -267,6 +319,21 @@ class TestAdjointChain:
         for _ in range(100):
             L = rand_system(rng)
             assert virtual_dim(L) == self_intersection(L) - member_genus(L) + 1
+
+    @pytest.mark.parametrize(
+        "degree, mult, points, steps, classification, terminal",
+        [
+            (200, 20, 40, 66, Classification.RATIONAL_SYSTEM, sysd(2, {})),
+            (90, 10, 30, 29, Classification.EXHAUSTED, sysd(3, {})),
+        ],
+    )
+    def test_many_point_chains(self, degree, mult, points, steps, classification, terminal):
+        # Each step searches up to C(k, 5) conics for k points; listing them
+        # all made these chains take seconds.
+        report = adjoint_chain(curve_from_mults(degree, [mult] * points))
+        assert len(report.steps) == steps
+        assert report.classification == classification
+        assert report.terminal == terminal
 
 
 class TestQuadraticTransform:
