@@ -46,6 +46,7 @@ from .exact_algebra import (
     is_squarefree,
     tri_content_gcd,
     tri_divides,
+    tri_gcd,
     uni_gcd,
 )
 from .jonquieres import (

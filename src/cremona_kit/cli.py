@@ -121,7 +121,11 @@ def _load_payload(args: argparse.Namespace) -> Any:
             text = path.read_text()
         except OSError as exc:
             raise SchemaError("$", f"cannot read {args.input!r}: {exc}") from exc
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # The decoder recurses once per nesting level; report the input, not the stack.
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
 def _note(args: argparse.Namespace, message: str) -> None:

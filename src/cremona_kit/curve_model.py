@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidCurveData
-from .exact_algebra import RationalLike, TriHomPoly, _frac, _gcd_pair, lex_normalized, tri_div_exact
+from .exact_algebra import RationalLike, TriHomPoly, _frac, lex_normalized, tri_div_exact, tri_gcd
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def is_perfect_power(f: TriHomPoly) -> bool:
         for axis in range(3):
             p = w.partial(axis)
             if not p.is_zero:
-                u = _gcd_pair(u, p)
+                u = tri_gcd(u, p)
             if u.degree == 0:
                 break
         radicals.append(lex_normalized(tri_div_exact(w, u)))

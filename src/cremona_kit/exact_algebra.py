@@ -11,9 +11,14 @@ Four layers, all immutable and exact:
   maps from exponent triples to rationals.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
-birational-map code depends on.  GCDs are computed by stripping the common
-power of z, dehomogenising to Q[x, y], and running a primitive
-polynomial-remainder sequence on Q[y][x]; results are normalised so the
+birational-map code depends on.  ``tri_gcd`` strips the common power of
+z, dehomogenises to Z[x, y] and runs Brown's modular algorithm: images
+modulo word-size primes (2^61 - 1 first, then the primes below it) at
+the points y = 1000003, 1000004, ...  A univariate image of degree 0, at
+a point where the x-leading coefficients do not vanish, proves the GCD
+has no x; most content GCDs end there.  Otherwise the GCD is rebuilt by
+interpolation in y and Chinese remaindering, and accepted only after
+exact trial division of both inputs.  Results are normalised so the
 lexicographically leading term (x > y > z) has coefficient one.
 
 No floating point is used anywhere; floats are rejected on sight.
@@ -21,9 +26,11 @@ No floating point is used anywhere; floats are rejected on sight.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import SingularMatrix
 
@@ -597,109 +604,239 @@ def tri_div_exact(f: TriHomPoly, c: TriHomPoly) -> TriHomPoly:
     return q
 
 
-# -- gcd via dehomogenisation to Q[y][x] -------------------------------------
+# -- gcd: Brown's modular algorithm ------------------------------------------
 #
-# A homogeneous f factors as z^a * g with z not dividing g; g corresponds
-# bijectively (and multiplicatively) to its dehomogenisation g(x, y, 1),
-# so gcds reduce to bivariate gcds plus the shared power of z.  Bivariate
-# polynomials are handled as polynomials in x whose coefficients live in
-# Q[y]: split off the content (a univariate gcd), then run a primitive
-# pseudo-remainder sequence on the primitive parts.
+# A homogeneous f factors as z^a * F with z not dividing F, and F corresponds
+# bijectively and multiplicatively to its dehomogenisation F(x, y, 1), so
+# gcd(f, g) = z^min(a, b) * gcd(F, G): the work is a bivariate gcd.  F and G
+# are scaled by the lcm of their denominators into Z[x, y]; the scale does
+# not matter because the answer is lex-normalised.  Let H = gcd(F, G) be
+# primitive in Z[x, y].  By Gauss's lemma F = H * F1 with F1 in Z[x, y], so
+# reducing mod a prime p and evaluating are ring maps that keep H | F.
+#
+# Brown's algorithm (W. S. Brown, JACM 18, 1971) runs over the primes from
+# _P0 = 2^61 - 1 downward, skipping any that divides a lex-leading
+# coefficient (x > y) of F or G; then H mod p keeps the leading monomial of
+# H and divides the gcd mod p.  Mod p, the contents in Z_p[y] are removed
+# and the primitive parts are evaluated at y = _POINT, _POINT + 1, ..., each
+# prime continuing where the last one stopped.  A point where gamma(y), the
+# gcd of the x-leading coefficients, vanishes is skipped; at any other point
+# the image of H keeps its x-degree and divides both univariate images.  So
+# a univariate gcd of degree 0 proves that H has x-degree 0, and when the
+# contents are coprime as well the answer is z^min(a, b) with no division:
+# most content gcds end there, after one univariate Euclid.  Otherwise the
+# monic univariate gcds, scaled by gamma, are interpolated in y (Newton)
+# through deg gamma + min(deg_y) + 1 points of the lowest x-degree seen.  A
+# higher degree marks an unlucky point or prime, whose image is a proper
+# multiple of the true one; it is skipped, and a lower lex-leading monomial
+# restarts the accumulation.  The images, times the integer gcd of the
+# lex-leading coefficients, are combined by CRT into symmetric residues.
+# Once a new prime leaves them unchanged, the candidate C is accepted only
+# if it divides f and g exactly (tri_divides).  Then C | H, while the
+# leading monomial of C, that of an image mod p, is at least that of H: so
+# C is H up to a scalar.  Bad luck only costs another point or prime; the
+# answer never depends on it.
 
-_XPoly = List[UniPoly]  # coefficient i multiplies x**i
+
+_P0 = 2**61 - 1
+_POINT = 1_000_003
 
 
-def _xp_trim(a: _XPoly) -> _XPoly:
-    while a and a[-1].is_zero:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIMES: List[int] = []
+
+
+def _primes() -> Iterator[int]:
+    """The primes up to _P0 = 2^61 - 1, in decreasing order; the ones found
+    are kept in _PRIMES for later calls."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2 if _PRIMES else _P0
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+# Dense univariate polynomials mod p: lists of residues, constant term first,
+# no trailing zeros.
+
+
+def _trim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _xp_deg(a: _XPoly) -> int:
-    return len(a) - 1
+def _udivmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    inv = pow(b[-1], -1, p)
+    for s in range(len(r) - 1 - db, -1, -1):
+        c = r[s + db] * inv % p
+        q[s] = c
+        if c:
+            for i in range(db):
+                r[s + i] = (r[s + i] - c * b[i]) % p
+    return q, _trim(r[:db])
 
 
-def _xp_sub(a: _XPoly, b: _XPoly) -> _XPoly:
-    out = [UniPoly()] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return _xp_trim(out)
-
-def _xp_mul_uni(a: _XPoly, u: UniPoly) -> _XPoly:
-    return _xp_trim([c * u for c in a])
-
-
-def _xp_content(a: _XPoly) -> UniPoly:
-    g = UniPoly()
-    for c in a:
-        g = uni_gcd(g, c)
-    return g
-
-
-def _xp_primitive(a: _XPoly) -> _XPoly:
+def _ugcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd mod p; the gcd of two zero polynomials is zero."""
+    while b:
+        a, b = b, _udivmod(a, b, p)[1]
     if not a:
         return a
-    cont = _xp_content(a)
-    if cont.degree <= 0:
-        lead = a[-1].lead
-        return [c * (1 / lead) for c in a] if lead != 1 else list(a)
-    return [uni_div_exact(c, cont) for c in a]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _xp_prem(a: _XPoly, b: _XPoly) -> _XPoly:
-    """Pseudo-remainder of a by b (b nonzero) over Q[y][x]; division-free."""
-    r = list(a)
-    db, lb = _xp_deg(b), b[-1]
-    while r and _xp_deg(r) >= db:
-        s = _xp_deg(r) - db
-        lr = r[-1]
-        scaled = [c * lb for c in r]
-        shifted = [UniPoly()] * s + [c * lr for c in b]
-        r = _xp_sub(scaled, shifted)
-    return r
-
-
-def _xp_gcd(a: _XPoly, b: _XPoly) -> _XPoly:
-    """Bivariate gcd (up to a rational scalar) of two nonzero x-polynomials."""
-    ca, cb = _xp_content(a), _xp_content(b)
-    cont = uni_gcd(ca, cb)
-    pa, pb = _xp_primitive(a), _xp_primitive(b)
-    if _xp_deg(pa) < _xp_deg(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _xp_prem(pa, pb)
-        pa, pb = pb, _xp_primitive(r)
-    return _xp_mul_uni(pa, cont)
-
-
-def _tri_to_xp(f: TriHomPoly) -> Tuple[_XPoly, int]:
-    """Strip the z-power, set z = 1, return (x-polynomial over Q[y], zpow)."""
-    zpow = min(k for (_, _, k), _ in f.terms)
-    coeffs: Dict[int, Dict[int, Fraction]] = {}
-    for (i, j, _), c in f.terms:
-        coeffs.setdefault(i, {})[j] = c
-    out: _XPoly = []
-    for i in range(max(coeffs) + 1):
-        ys = coeffs.get(i, {})
-        if ys:
-            size = max(ys) + 1
-            out.append(UniPoly(tuple(ys.get(e, Fraction(0)) for e in range(size))))
-        else:
-            out.append(UniPoly())
-    return _xp_trim(out), zpow
-
-
-def _xp_to_tri(a: _XPoly) -> TriHomPoly:
-    """Homogenise a bivariate polynomial with z up to its total degree."""
-    total = max(i + c.degree for i, c in enumerate(a) if not c.is_zero)
-    acc: Dict[Exponents, Fraction] = {}
+def _umul(a: List[int], b: List[int], p: int) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
-        for j, v in enumerate(c.coeffs):
-            if v != 0:
-                acc[(i, j, total - i - j)] = v
-    return TriHomPoly(total, tuple(acc.items()))
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return [c % p for c in out]
+
+
+def _ueval(a: List[int], t: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * t + c) % p
+    return acc
+
+
+# Bivariate polynomials: over Z as {(i, j): coefficient of x^i y^j}; mod p
+# as rows, row i the univariate polynomial in y multiplying x^i.
+
+_BiPoly = Dict[Tuple[int, int], int]
+
+
+def _dehomogenize(f: TriHomPoly) -> Tuple[int, _BiPoly]:
+    """(a, F) with f = z^a * F(x, y, z) up to a rational scale, F in Z[x, y]."""
+    zpow = min(k for (_, _, k), _ in f.terms)
+    scale = math.lcm(*(c.denominator for _, c in f.terms))
+    return zpow, {(i, j): c.numerator * (scale // c.denominator) for (i, j, _), c in f.terms}
+
+
+def _homogenize(F: _BiPoly) -> TriHomPoly:
+    """Homogenise with z up to the total degree, dividing out the integer content."""
+    total = max(i + j for i, j in F)
+    content = math.gcd(*F.values())
+    terms = (((i, j, total - i - j), c // content) for (i, j), c in F.items())
+    return TriHomPoly(total, tuple(terms))
+
+
+def _rows(F: _BiPoly, p: int) -> List[List[int]]:
+    rows: List[List[int]] = [[] for _ in range(max(i for i, _ in F) + 1)]
+    for (i, j), c in F.items():
+        row = rows[i]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c % p
+    return [_trim(r) for r in rows]
+
+
+def _primitive(rows: List[List[int]], p: int) -> Tuple[List[int], List[List[int]]]:
+    """(content, primitive part) in Z_p[y][x]."""
+    content: List[int] = []
+    for r in rows:
+        content = _ugcd(content, r, p)
+        if len(content) == 1:
+            return content, rows
+    return content, [_udivmod(r, content, p)[0] for r in rows]
+
+
+def _gcd_mod(
+    A: List[List[int]], B: List[List[int]], p: int, points: Iterator[int]
+) -> List[List[int]]:
+    """gcd of A and B in Z_p[x, y] with lex-leading coefficient one, or a
+    multiple of it if every point taken from ``points`` is unlucky.  Both
+    x-leading rows are nonzero."""
+    ca, A = _primitive(A, p)
+    cb, B = _primitive(B, p)
+    content = _ugcd(ca, cb, p)
+    gamma = _ugcd(A[-1], B[-1], p)
+    bound = len(gamma) - 1 + min(max(map(len, A)), max(map(len, B))) - 1
+    used, degree = 0, None
+    while used <= bound:
+        alpha = next(points)
+        scale = _ueval(gamma, alpha, p)
+        if not scale:
+            continue
+        u = _ugcd(
+            _trim([_ueval(r, alpha, p) for r in A]), _trim([_ueval(r, alpha, p) for r in B]), p
+        )
+        if degree is None or len(u) < degree:
+            if len(u) == 1:
+                return [content]
+            degree, used, interp, modulus = len(u), 0, [[] for _ in u], [1]
+        elif len(u) > degree:
+            continue
+        inv = pow(_ueval(modulus, alpha, p), -1, p)
+        for row, v in zip(interp, u):
+            t = (v * scale - _ueval(row, alpha, p)) * inv % p
+            if t:
+                row.extend([0] * (len(modulus) - len(row)))
+                for k, m in enumerate(modulus):
+                    row[k] = (row[k] + t * m) % p
+        modulus = _umul(modulus, [-alpha % p, 1], p)
+        used += 1
+    rows = [_umul(content, r, p) for r in _primitive(interp, p)[1]]
+    inv = pow(rows[-1][-1], -1, p)
+    return [[c * inv % p for c in r] for r in rows]
+
+
+def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
+    """Integer multiples of gcd(F, G) rebuilt by CRT, each one unchanged by
+    the last prime; a constant is yielded only when proven."""
+    lf, lg = F[max(F)], G[max(G)]
+    scale = math.gcd(lf, lg)
+    lead: Optional[Tuple[int, int]] = None
+    # Each prime takes fresh points, so a point unlucky over Z is used once.
+    points = itertools.count(_POINT)
+    for p in _primes():
+        if lf % p == 0 or lg % p == 0:
+            continue
+        rows = _gcd_mod(_rows(F, p), _rows(G, p), p, points)
+        top = (len(rows) - 1, len(rows[-1]) - 1)
+        if top == (0, 0):
+            yield {(0, 0): 1}
+            return
+        if lead is None or top < lead:
+            lead, acc, modulus, last = top, {}, 1, None
+        elif top > lead:
+            continue
+        image = {(i, j): c * scale % p for i, r in enumerate(rows) for j, c in enumerate(r) if c}
+        inv = pow(modulus, -1, p)
+        for key in acc.keys() | image.keys():
+            r = acc.get(key, 0)
+            acc[key] = r + modulus * ((image.get(key, 0) - r) * inv % p)
+        modulus *= p
+        lifted = {k: v - modulus if 2 * v > modulus else v for k, v in acc.items() if v}
+        if lifted == last:
+            yield lifted
+        last = lifted
 
 
 def lex_normalized(f: TriHomPoly) -> TriHomPoly:
@@ -710,19 +847,20 @@ def lex_normalized(f: TriHomPoly) -> TriHomPoly:
     return f * (1 / lc) if lc != 1 else f
 
 
-def _gcd_pair(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
+def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
+    """GCD of two homogeneous polynomials, lex-normalised; gcd(f, 0) is f."""
     if f.is_zero:
         return lex_normalized(g)
     if g.is_zero:
         return lex_normalized(f)
-    fx, za = _tri_to_xp(f)
-    gx, zb = _tri_to_xp(g)
-    d = _xp_gcd(fx, gx)
-    result = _xp_to_tri(d)
-    zshared = min(za, zb)
-    if zshared:
-        result = result * TriHomPoly.monomial((0, 0, zshared))
-    return lex_normalized(result)
+    za, F = _dehomogenize(f)
+    zb, G = _dehomogenize(g)
+    zpow = TriHomPoly.monomial((0, 0, min(za, zb)))
+    for candidate in _candidates(F, G):
+        d = _homogenize(candidate) * zpow
+        if d.degree == zpow.degree or (tri_divides(d, f) and tri_divides(d, g)):
+            return lex_normalized(d)
+    raise AssertionError("unreachable: there is always another prime")
 
 
 def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:
@@ -734,7 +872,7 @@ def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:
     for p in polys[1:]:
         if acc.degree == 0:
             break
-        acc = _gcd_pair(acc, p)
+        acc = tri_gcd(acc, p)
     return lex_normalized(acc)
 
 

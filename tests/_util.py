@@ -15,9 +15,10 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
 import sympy
+from hypothesis import strategies as st
 
 from cremona_kit.curve_model import PlaneCurveModel, curve_from_mults
-from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
+from cremona_kit.exact_algebra import _P0, _POINT, TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 from cremona_kit.linear_systems import (
     LinSysData,
@@ -99,6 +100,34 @@ def rand_trihom(
         f = TriHomPoly(degree, tuple(terms.items()))
         if not nonzero or not f.is_zero:
             return f
+
+
+# Factors that defeat the first prime _P0 or the first evaluation point
+# _POINT: a lex-leading coefficient or a denominator divisible by _P0, an
+# x-leading coefficient vanishing at _POINT (the last one becomes constant
+# there), and pairs like x - y and x - _POINT z that are coprime but share
+# a root on the line y = _POINT.
+ADVERSARIAL = (
+    TRI_Y - TRI_Z * _POINT,
+    TRI_X - TRI_Z * _POINT,
+    TRI_X - TRI_Y,
+    TRI_X * _P0 + TRI_Y,
+    TRI_X + TRI_Y + TRI_Z * _P0,
+    TRI_X * Fraction(1, _P0) + TRI_Z,
+    TRI_X * TRI_Y * Fraction(3, 2 * _P0) - TRI_Z * TRI_Z,
+    TRI_X * (TRI_Y - TRI_Z * _POINT) + TRI_Z * TRI_Z,
+)
+
+
+@st.composite
+def trihoms(draw, max_degree=3):
+    """A nonzero homogeneous polynomial; one draw in five is an ADVERSARIAL factor."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(ADVERSARIAL))
+    degree = draw(st.integers(0, max_degree))
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    terms = draw(st.dictionaries(st.sampled_from(monomials(degree)), coeffs, min_size=1))
+    return TriHomPoly(degree, tuple(terms.items()))
 
 
 def rand_curve(

@@ -71,6 +71,14 @@ class TestErrorry:
         assert payload["error"] == "malformed-json"
         assert payload["line"] == 1 and payload["column"] >= 1
 
+    def test_deep_nesting_is_malformed_json(self, capsys):
+        deep = "[" * 200_000
+        for command in ("genus", "map-compose"):
+            code, payload = run_json(capsys, command, "--inline", deep)
+            assert code == 1
+            assert payload["error"] == "malformed-json"
+            assert payload["line"] == 1 and payload["column"] == 1
+
     def test_schema_violation_path(self, capsys):
         bad = json.dumps({"degree": 6, "singularities": [{"label": "p"}]})
         code, payload = run_json(capsys, "genus", "--inline", bad)

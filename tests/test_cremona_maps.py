@@ -1,9 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
 
+from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import (
     CremonaMap,
     compose,
@@ -268,3 +271,72 @@ class TestFreeIntersection:
         M = LinSysData.of(4, {"b": 3})
         assert free_intersection(L, M, [("a", "b")]) == 12 - 6
         assert free_intersection(L, M, []) == 12
+
+
+# The baseline workloads of the ROADMAP, built from h1, h2, phi, g and g2.
+H1 = make_H_element(RatFunc(T * T + UniPoly.constant(1)), RatFunc(T * 2 + UniPoly.constant(1)))
+H2 = make_H_element(RatFunc(T * T + UniPoly.constant(3)), RatFunc(UniPoly.constant(2) - T))
+PHI, G1, G2 = make_phi(2, 3), make_linear_G(2, 1, 3), make_linear_G(1, -2, 5)
+A = reduce(compose, (G1, PHI, G2, PHI))
+B = compose(G2, H1)
+D = reduce(compose, (G1, H1, PHI))
+F3 = reduce(compose, (G1, compose(H1, H2), PHI))
+# sha256 of serialization.dumps(encode_map(compose(F3, B))), recorded with the
+# earlier Fraction remainder-sequence GCD: the modular GCD must reproduce it.
+F3B_SHA256 = "6a3fbbfe617e4f1ce116b15256c5222a07df4e61e99d56e69a069b0f74decc11"
+
+
+def word_and_inverse(gens):
+    """W = gens[0] o gens[1] o ... and its inverse, from (map, inverse) pairs."""
+    return reduce(compose, [g for g, _ in gens]), reduce(compose, [h for _, h in reversed(gens)])
+
+
+def G_pair(a, b, c):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return make_linear_G(a, b, c), make_linear_G(1 / a, -b / a, -c / a)
+
+
+def phi_pair(mu, nu):
+    return make_phi(mu, nu), make_phi(mu, nu)
+
+
+def H_pair(alpha, beta):
+    alpha, beta = RatFunc.of(alpha), RatFunc.of(beta)
+    return make_H_element(alpha, beta), make_H_element(-alpha / beta, beta.inverse())
+
+
+class TestRoadmapBaselines:
+    def test_degrees(self):
+        assert (A.degree, B.degree, D.degree, F3.degree) == (3, 4, 5, 6)
+
+    def test_raw_BA_triple_is_coprime(self):
+        raw = [f.substitute(A.components) for f in B.components]
+        assert raw[0].degree == 12
+        assert tri_content_gcd(*raw) == TriHomPoly.monomial((0, 0, 0))
+
+    def test_DB_has_degree_18(self):
+        assert compose(D, B).degree == 18
+
+    def test_F3B_has_degree_22_and_recorded_output(self):
+        F = compose(F3, B)
+        assert F.degree == 22
+        digest = hashlib.sha256(ser.dumps(ser.encode_map(F)).encode()).hexdigest()
+        assert digest == F3B_SHA256
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [G_pair(2, 1, 3), phi_pair(2, 3)],
+            [phi_pair(1, -2), G_pair(2, 1, -1), phi_pair(2, 3)],
+            [G_pair(1, -2, 5), H_pair(RatFunc(UniPoly.of(1, 0, 1)), RatFunc(UniPoly.of(1, 2)))],
+            [phi_pair(1, 1), H_pair(RatFunc(T + UniPoly.constant(1)), 2)],
+            [H_pair(RatFunc(T), -1), phi_pair(2, -1), G_pair(-1, 2, 1)],
+        ],
+        ids=["GP", "PGP", "GH", "PH", "HPG"],
+    )
+    def test_word_times_inverse_is_identity(self, gens):
+        # The raw composite has degree deg(W)^2 and a content of degree
+        # deg(W)^2 - 1 that is not a power of z.
+        W, W_inv = word_and_inverse(gens)
+        assert is_identity(compose(W, W_inv))
+        assert is_identity(compose(W_inv, W))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
+from hypothesis import given, settings
 
 from cremona_kit.curve_model import (
     PlaneCurveModel,
@@ -18,7 +20,7 @@ from cremona_kit.curve_model import (
 from cremona_kit.errors import InvalidCurveData
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly
 
-from _util import rand_curve
+from _util import rand_curve, tri_to_sympy, trihoms
 
 # Sextic with ordinary triple points at (1:0:0) and (0:1:0): the six lines
 # x y (x^2 - z^2)(y^2 - z^2) perturbed by z^6.
@@ -108,6 +110,15 @@ class TestPerfectPower:
         assert not is_perfect_power(TRI_X * TRI_Y)
         # x^2 y: non-squarefree, still not a perfect power
         assert not is_perfect_power(TRI_X * TRI_X * TRI_Y)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trihoms(max_degree=2).filter(lambda g: g.degree > 0))
+    def test_powers_of_random_forms(self, g):
+        assert is_perfect_power(g * g)
+        assert is_perfect_power(g * g * g)
+        _, factors = sympy.factor_list(tri_to_sympy(g))
+        if all(m == 1 for _, m in factors):
+            assert not is_perfect_power(g)
 
 
 class TestMultiplicityAt:

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona_kit.errors import SingularMatrix
 from cremona_kit.exact_algebra import (
+    _P0,
+    _primes,
     Mat2RF,
     RatFunc,
     TRI_X,
@@ -20,6 +25,7 @@ from cremona_kit.exact_algebra import (
     tri_div_exact,
     tri_divides,
     tri_divrem,
+    tri_gcd,
     uni_gcd,
     uni_lcm,
 )
@@ -29,11 +35,13 @@ from _util import (
     SY,
     SZ,
     ST,
+    ADVERSARIAL,
     rand_ratfunc,
     rand_trihom,
     rand_unipoly,
     sympy_to_tri,
     tri_to_sympy,
+    trihoms,
     uni_to_sympy,
 )
 
@@ -272,6 +280,76 @@ class TestTriGcd:
 
     def test_zero_arguments_are_skipped(self):
         assert tri_content_gcd(TriHomPoly.zero(2), TRI_X * TRI_Y, TRI_X * TRI_Z) == TRI_X
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Three polynomials with a planted common factor of degree 1-3 (or none),
+    a shared power of z, extra powers of z and sometimes zero components."""
+    common = TRI_Z ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        common = common * draw(trihoms().filter(lambda f: 1 <= f.degree <= 3))
+    polys = []
+    for _ in range(3):
+        if draw(st.integers(0, 5)) == 0:
+            polys.append(TriHomPoly.zero(draw(st.integers(0, 4))))
+        else:
+            polys.append(common * draw(trihoms()) * TRI_Z ** draw(st.integers(0, 2)))
+    return polys
+
+
+def sympy_gcd(*polys):
+    g = sympy.Integer(0)
+    for f in polys:
+        g = sympy.gcd(g, tri_to_sympy(f))
+    return lex_normalized(sympy_to_tri(g))
+
+
+class TestModularGcd:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gcd_inputs())
+    def test_pair_divides_and_matches_sympy(self, polys):
+        f, g, _ = polys
+        d = tri_gcd(f, g)
+        if f.is_zero and g.is_zero:
+            assert d.is_zero
+            return
+        assert tri_divides(d, f) and tri_divides(d, g)
+        assert d == sympy_gcd(f, g)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gcd_inputs())
+    def test_triple_divides_and_matches_sympy(self, polys):
+        if all(p.is_zero for p in polys):
+            with pytest.raises(ValueError):
+                tri_content_gcd(*polys)
+            return
+        d = tri_content_gcd(*polys)
+        assert all(tri_divides(d, p) for p in polys)
+        assert d == sympy_gcd(*polys)
+
+    def test_adversarial_pairs(self):
+        one = TriHomPoly.monomial((0, 0, 0))
+        for a in ADVERSARIAL:
+            for b in ADVERSARIAL:
+                expected = lex_normalized(a) if a == b else one
+                assert tri_gcd(a, b) == expected
+                c = (TRI_X + TRI_Y * 2 - TRI_Z) * TRI_Z
+                assert tri_gcd(a * c, b * c) == lex_normalized(expected * c)
+            assert tri_gcd(a * TRI_X, a * (TRI_X + TRI_Z)) == lex_normalized(a)
+
+    def test_candidate_stable_over_two_primes_is_rejected(self):
+        # mod p1 and mod p1*p2 the coefficient 5 + p1*p2 reads 5, so the
+        # first candidate x + 5y passes the CRT test and only trial
+        # division rejects it.
+        p1, p2 = islice(_primes(), 2)
+        h = TRI_X + TRI_Y * (5 + p1 * p2)
+        assert tri_gcd(h * TRI_X, h * (TRI_X + TRI_Z)) == h
+
+    def test_primes_are_prime(self):
+        primes = list(islice(_primes(), 6))
+        assert primes[0] == _P0 == 2**61 - 1 and sympy.isprime(_P0)
+        assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
 
 
 class TestHomogenize:
