@@ -8,7 +8,8 @@ Four layers, all immutable and exact:
 * ``RatFunc``    -- reduced fractions of univariate polynomials with a
   monic denominator.
 * ``TriHomPoly`` -- homogeneous polynomials in x, y, z stored as sparse
-  maps from exponent triples to rationals.
+  maps from exponent triples to rationals.  ``substitute``, the core of
+  map composition, runs on integers under one rational scale.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of
@@ -358,10 +359,9 @@ class TriHomPoly:
             i, j, k = exps
             if min(i, j, k) < 0 or i + j + k != self.degree:
                 raise ValueError(f"monomial {exps} is not homogeneous of degree {self.degree}")
-            c = _frac(coeff)
-            if c != 0:
-                acc[(i, j, k)] = acc.get((i, j, k), Fraction(0)) + c
-        cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c != 0), reverse=True))
+            c, e = _frac(coeff), (i, j, k)
+            acc[e] = acc[e] + c if e in acc else c
+        cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
@@ -417,7 +417,7 @@ class TriHomPoly:
             raise ValueError("cannot add homogeneous polynomials of different degrees")
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc[e] + c if e in acc else c
         return TriHomPoly(self.degree, tuple(acc.items()))
 
     def __neg__(self) -> "TriHomPoly":
@@ -435,7 +435,7 @@ class TriHomPoly:
             for (i1, j1, k1), c1 in self.terms:
                 for (i2, j2, k2), c2 in other.terms:
                     e = (i1 + i2, j1 + j2, k1 + k2)
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                    acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
             return TriHomPoly(deg, tuple(acc.items()))
         scalar = _frac(other)
         return TriHomPoly(self.degree, tuple((e, c * scalar) for e, c in self.terms))
@@ -477,27 +477,33 @@ class TriHomPoly:
         return total
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
-        """Evaluate at three homogeneous polynomials of one common degree."""
+        """Evaluate at three homogeneous polynomials of one common degree.
+
+        Exact, on integers: one common ``den`` scales the images (a scale per
+        image would not scale the result uniformly), ``fden`` scales self,
+        and the sum, with terms grouped by their power of x, is divided by
+        ``fden * den**deg(self)`` once.
+        """
         g0, g1, g2 = images
         if not (g0.degree == g1.degree == g2.degree):
             raise ValueError("substitution images must share one degree")
-        e = g0.degree
-        out_deg = self.degree * e
-        if self.is_zero:
-            return TriHomPoly.zero(out_deg)
-        powers: List[Dict[int, TriHomPoly]] = [{}, {}, {}]
-
-        def power(axis: int, n: int) -> TriHomPoly:
-            cache = powers[axis]
-            if n not in cache:
-                cache[n] = (g0, g1, g2)[axis] ** n
-            return cache[n]
-
-        total = TriHomPoly.zero(out_deg)
-        for (i, j, k), coeff in self.terms:
-            term = power(0, i) * power(1, j) * power(2, k) * coeff
-            total = total + term
-        return total
+        out_deg = self.degree * g0.degree
+        den = math.lcm(*(c.denominator for g in images for _, c in g.terms))
+        fden = math.lcm(*(c.denominator for _, c in self.terms))
+        p0, p1, p2 = powers = [[{(0, 0): 1}] for _ in images]
+        for axis, g in enumerate(images):
+            base = _integral(g, den)
+            for _ in range(max((e[axis] for e, _ in self.terms), default=0)):
+                powers[axis].append(_bimul(powers[axis][-1], base, {}))
+        acc: _BiPoly = {}
+        for i, group in itertools.groupby(self.terms, key=lambda t: t[0][0]):
+            inner: _BiPoly = {}
+            for (_, j, k), c in group:
+                _bimul(p1[j], p2[k], inner, c.numerator * (fden // c.denominator))
+            _bimul(p0[i], inner, acc)
+        scale = fden * den**self.degree
+        terms = (((i, j, out_deg - i - j), Fraction(v, scale)) for (i, j), v in acc.items() if v)
+        return TriHomPoly(out_deg, tuple(terms))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -561,22 +567,21 @@ def tri_divrem(f: TriHomPoly, c: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly]:
     p = f.as_dict()
     q: Dict[Exponents, Fraction] = {}
     r: Dict[Exponents, Fraction] = {}
+    # p holds no zeros, and the popped e strictly decreases, so each m is new.
     while p:
         e = max(p)
         coeff = p.pop(e)
-        if coeff == 0:
-            continue
         if e[0] >= ce[0] and e[1] >= ce[1] and e[2] >= ce[2]:
             m = (e[0] - ce[0], e[1] - ce[1], e[2] - ce[2])
             s = coeff / cc
-            q[m] = q.get(m, Fraction(0)) + s
+            q[m] = s
             for de, dc in cdict.items():
                 if de == ce:
                     continue
                 t = (m[0] + de[0], m[1] + de[1], m[2] + de[2])
-                p[t] = p.get(t, Fraction(0)) - s * dc
-                if p[t] == 0:
-                    del p[t]
+                v = p.pop(t) - s * dc if t in p else -s * dc
+                if v:
+                    p[t] = v
         else:
             r[e] = coeff
     return (
@@ -732,11 +737,25 @@ def _ueval(a: List[int], t: int, p: int) -> int:
 _BiPoly = Dict[Tuple[int, int], int]
 
 
+def _integral(f: TriHomPoly, scale: int) -> _BiPoly:
+    """scale * f keyed by (i, j); scale must clear every denominator."""
+    return {(i, j): c.numerator * (scale // c.denominator) for (i, j, _), c in f.terms}
+
+
+def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
+    """Add scale * a * b over Z into out, and return out."""
+    for (i1, j1), c1 in a.items():
+        c1 *= scale
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
 def _dehomogenize(f: TriHomPoly) -> Tuple[int, _BiPoly]:
     """(a, F) with f = z^a * F(x, y, z) up to a rational scale, F in Z[x, y]."""
     zpow = min(k for (_, _, k), _ in f.terms)
-    scale = math.lcm(*(c.denominator for _, c in f.terms))
-    return zpow, {(i, j): c.numerator * (scale // c.denominator) for (i, j, _), c in f.terms}
+    return zpow, _integral(f, math.lcm(*(c.denominator for _, c in f.terms)))
 
 
 def _homogenize(F: _BiPoly) -> TriHomPoly:

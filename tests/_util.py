@@ -4,7 +4,8 @@ the reference fixed-component search.
 sympy acts as the independent oracle for polynomial identities (gcd,
 divisibility, expansion); the package itself never imports it.  The
 Bezout-rule enumerator below is the oracle for the package's direct
-first-rule search.
+first-rule search, and the Fraction ``substitute_oracle`` the one for the
+package's integer substitution.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import sympy
 from hypothesis import strategies as st
@@ -120,14 +121,42 @@ ADVERSARIAL = (
 
 
 @st.composite
-def trihoms(draw, max_degree=3):
-    """A nonzero homogeneous polynomial; one draw in five is an ADVERSARIAL factor."""
-    if draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from(ADVERSARIAL))
-    degree = draw(st.integers(0, max_degree))
+def trihoms(draw, max_degree=3, degree=None):
+    """A nonzero homogeneous polynomial, of ``degree`` if given; one draw in
+    five is an ADVERSARIAL factor, when one has that degree."""
+    pool = [f for f in ADVERSARIAL if degree in (None, f.degree)]
+    if pool and draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(pool))
+    if degree is None:
+        degree = draw(st.integers(0, max_degree))
     coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
     terms = draw(st.dictionaries(st.sampled_from(monomials(degree)), coeffs, min_size=1))
     return TriHomPoly(degree, tuple(terms.items()))
+
+
+def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly:
+    """The earlier Fraction implementation of ``TriHomPoly.substitute``:
+    term by term, with ``total = total + term``."""
+    g0, g1, g2 = images
+    if not (g0.degree == g1.degree == g2.degree):
+        raise ValueError("substitution images must share one degree")
+    e = g0.degree
+    out_deg = f.degree * e
+    if f.is_zero:
+        return TriHomPoly.zero(out_deg)
+    powers: List[Dict[int, TriHomPoly]] = [{}, {}, {}]
+
+    def power(axis: int, n: int) -> TriHomPoly:
+        cache = powers[axis]
+        if n not in cache:
+            cache[n] = (g0, g1, g2)[axis] ** n
+        return cache[n]
+
+    total = TriHomPoly.zero(out_deg)
+    for (i, j, k), coeff in f.terms:
+        term = power(0, i) * power(1, j) * power(2, k) * coeff
+        total = total + term
+    return total
 
 
 def rand_curve(

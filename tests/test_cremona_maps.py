@@ -284,6 +284,9 @@ F3 = reduce(compose, (G1, compose(H1, H2), PHI))
 # sha256 of serialization.dumps(encode_map(compose(F3, B))), recorded with the
 # earlier Fraction remainder-sequence GCD: the modular GCD must reproduce it.
 F3B_SHA256 = "6a3fbbfe617e4f1ce116b15256c5222a07df4e61e99d56e69a069b0f74decc11"
+# The same for compose(F3, F3), recorded with the earlier Fraction substitute:
+# the integer substitute must reproduce it.
+F3F3_SHA256 = "8e0e77fe69966ee8f4e5033ee8fb78f4bd9a0c1356815bd867196ce021135b94"
 
 
 def word_and_inverse(gens):
@@ -323,6 +326,13 @@ class TestRoadmapBaselines:
         digest = hashlib.sha256(ser.dumps(ser.encode_map(F)).encode()).hexdigest()
         assert digest == F3B_SHA256
 
+    def test_F3F3_has_degree_33_and_recorded_output(self, monkeypatch):
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "36")
+        F = compose(F3, F3)
+        assert F.degree == 33
+        digest = hashlib.sha256(ser.dumps(ser.encode_map(F)).encode()).hexdigest()
+        assert digest == F3F3_SHA256
+
     @pytest.mark.parametrize(
         "gens",
         [
@@ -338,5 +348,15 @@ class TestRoadmapBaselines:
         # The raw composite has degree deg(W)^2 and a content of degree
         # deg(W)^2 - 1 that is not a power of z.
         W, W_inv = word_and_inverse(gens)
+        assert is_identity(compose(W, W_inv))
+        assert is_identity(compose(W_inv, W))
+
+    def test_degree_8_word_times_inverse_is_identity(self, monkeypatch):
+        # H o G o phi: the raw composites have degree 64 and a content of
+        # degree 63.
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "64")
+        gens = [H_pair(RatFunc(UniPoly.of(1, 0, 1)), -1), G_pair(1, 1, 0), phi_pair(1, 1)]
+        W, W_inv = word_and_inverse(gens)
+        assert (W.degree, W_inv.degree) == (8, 8)
         assert is_identity(compose(W, W_inv))
         assert is_identity(compose(W_inv, W))

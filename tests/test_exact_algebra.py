@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit.errors import SingularMatrix
@@ -39,6 +39,7 @@ from _util import (
     rand_ratfunc,
     rand_trihom,
     rand_unipoly,
+    substitute_oracle,
     sympy_to_tri,
     tri_to_sympy,
     trihoms,
@@ -144,10 +145,48 @@ class TestRatFunc:
         assert not RatFunc(T, ONE).is_constant
 
 
+@st.composite
+def substitutions(draw):
+    """(f, images): f from trihoms() or zero; images of one degree with
+    mixed denominators, some of them ADVERSARIAL factors or zero."""
+    if draw(st.integers(0, 9)) == 0:
+        f = TriHomPoly.zero(draw(st.integers(0, 3)))
+    else:
+        f = draw(trihoms())
+    e = draw(st.integers(0, 3))
+    zero = st.integers(0, 3).map(lambda n: n == 0)
+    return f, [TriHomPoly.zero(e) if draw(zero) else draw(trihoms(degree=e)) for _ in range(3)]
+
+
 class TestTriHomPoly:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
             TriHomPoly(2, (((1, 0, 0), Fraction(1)),))
+
+    def test_repeated_exponents_are_summed(self):
+        f = TriHomPoly(2, (((1, 1, 0), Fraction(1, 2)), ((0, 2, 0), 3), ((1, 1, 0), Fraction(1, 3))))
+        assert f.terms == (((1, 1, 0), Fraction(5, 6)), ((0, 2, 0), Fraction(3)))
+        assert all(type(c) is Fraction for _, c in f.terms)
+
+    def test_cancelled_terms_are_dropped(self):
+        f = TriHomPoly(2, (((2, 0, 0), 1), ((0, 1, 1), 0), ((1, 0, 1), 4), ((2, 0, 0), -1)))
+        assert f.terms == (((1, 0, 1), Fraction(4)),)
+        zero = TriHomPoly(3, (((3, 0, 0), Fraction(2, 3)), ((3, 0, 0), Fraction(-2, 3))))
+        assert zero.is_zero and zero.degree == 3
+        assert zero == TriHomPoly.zero(3) != TriHomPoly.zero(2)
+
+    @pytest.mark.parametrize("coeff", [1.0, 0.0, True, False])
+    def test_float_and_bool_coefficients_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            TriHomPoly(1, (((1, 0, 0), coeff),))
+        with pytest.raises(TypeError):
+            TriHomPoly(1, (((1, 0, 0), 1), ((1, 0, 0), coeff)))
+
+    def test_negative_exponents_rejected(self):
+        with pytest.raises(ValueError):
+            TriHomPoly(1, (((2, -1, 0), 1),))
+        with pytest.raises(ValueError):
+            TriHomPoly(0, (((1, 0, -1), 1),))
 
     def test_homogeneity_of_products(self):
         rng = random.Random(606)
@@ -198,6 +237,23 @@ class TestTriHomPoly:
             }
             theirs = sympy.expand(tri_to_sympy(f).subs(subs, simultaneous=True))
             assert sympy.expand(tri_to_sympy(ours) - theirs) == 0
+
+    def test_substitute_rejects_images_of_mixed_degree(self):
+        with pytest.raises(ValueError):
+            TRI_X.substitute([TRI_X, TRI_Y * TRI_Z, TRI_Z * TRI_Z])
+
+    @given(substitutions())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @example((TriHomPoly.zero(2), [TRI_X * Fraction(1, 2), TRI_Y * Fraction(2, 3), TRI_Z]))
+    @example((TriHomPoly.monomial((0, 0, 0), Fraction(-3, 4)), [TRI_X, TRI_Y, TRI_Z * 5]))
+    @example((
+        TRI_X * TRI_Y * Fraction(1, 6) - TRI_Z * TRI_Z * Fraction(3, 4),
+        [TRI_X * Fraction(1, 2) + TRI_Y * Fraction(2, 3), TriHomPoly.zero(1), TRI_Z * Fraction(5, 7)],
+    ))
+    @example((TRI_X * 2 + TRI_Y - TRI_Z, [TriHomPoly.zero(2), TRI_X * TRI_Y * Fraction(1, 3), TriHomPoly.zero(2)]))
+    def test_substitute_equals_fraction_oracle(self, case):
+        f, images = case
+        assert f.substitute(images) == substitute_oracle(f, images)
 
     def test_lex_lead(self):
         f = TRI_X * TRI_Y + TRI_Z * TRI_Z * 3
