@@ -46,72 +46,11 @@ EXIT_MALFORMED = 1
 EXIT_INVALID = 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cremona-kit",
-        description="Exact arithmetic for plane birational maps, adjoint "
-        "chains of linear systems, and function-field matrix groups.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument(
-                "input",
-                nargs="?",
-                help="path of the JSON input ('-' for stdin); "
-                "alternatively pass --inline",
-            )
-            p.add_argument("--inline", help="inline JSON input")
-        p.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default="json",
-            help="output format (default json)",
-        )
-        p.add_argument("-v", "--verbose", action="store_true", help="notes on stderr")
-
-    add_io(sub.add_parser("genus", help="geometric genus of a curve model"))
-    add_io(sub.add_parser("validate", help="check curve data, report per check"))
-    add_io(sub.add_parser("adjoint-chain", help="full successive-adjoint report"))
-    add_io(sub.add_parser("classify", help="terminal classification of the chain"))
-    add_io(sub.add_parser("map-compose", help="compose two maps {outer, inner}"))
-    add_io(sub.add_parser("map-fixcheck", help="does a map fix a curve pointwise"))
-    add_io(sub.add_parser("jonq-order", help="projective order of a group element"))
-    add_io(sub.add_parser("jonq-mul", help="product of two group elements {u, v}"))
-    add_io(
-        sub.add_parser(
-            "jonq-fix-check", help="certify the hyperelliptic fixation of an element"
-        )
-    )
-
-    pc = sub.add_parser("pencil-check", help="rational-pencil equations for (n; mults)")
-    pc.add_argument("--n", type=int, required=True, help="degree of the pencil members")
-    pc.add_argument(
-        "--mults", required=True, help="comma-separated base multiplicities, e.g. 1,1,1,1"
-    )
-    add_io(pc, needs_input=False)
-
-    pe = sub.add_parser("pencil-enum", help="enumerate valid pencil types")
-    pe.add_argument("--max", type=int, required=True, help="largest degree to search")
-    pe.add_argument(
-        "--bound",
-        type=int,
-        default=DEFAULT_ENUM_LIMIT,
-        help=f"enumeration guard (default {DEFAULT_ENUM_LIMIT})",
-    )
-    add_io(pe, needs_input=False)
-
-    add_io(sub.add_parser("examples", help="run the built-in corpus"), needs_input=False)
-    return parser
-
-
 def _load_payload(args: argparse.Namespace) -> Any:
-    sources = [s for s in (getattr(args, "input", None), getattr(args, "inline", None)) if s]
-    if len(sources) != 1:
+    # An empty string is a source too: --inline '' is malformed JSON, not "no input".
+    if (args.input is None) == (args.inline is None):
         raise SchemaError("$", "exactly one input source required (path or --inline)")
-    if getattr(args, "inline", None):
+    if args.inline is not None:
         text = args.inline
     elif args.input == "-":
         text = sys.stdin.read()
@@ -260,20 +199,85 @@ def _cmd_examples(args) -> Tuple[Dict[str, Any], int]:
     return payload, EXIT_OK if payload["passed"] else EXIT_INVALID
 
 
-_HANDLERS = {
-    "genus": _cmd_genus,
-    "validate": _cmd_validate,
-    "adjoint-chain": _cmd_adjoint_chain,
-    "classify": _cmd_classify,
-    "map-compose": _cmd_map_compose,
-    "map-fixcheck": _cmd_map_fixcheck,
-    "jonq-order": _cmd_jonq_order,
-    "jonq-mul": _cmd_jonq_mul,
-    "jonq-fix-check": _cmd_jonq_fix_check,
-    "pencil-check": _cmd_pencil_check,
-    "pencil-enum": _cmd_pencil_enum,
-    "examples": _cmd_examples,
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--format", choices=("json", "text"), default="json", help="output format (default json)"
+    )
+    p.add_argument("-v", "--verbose", action="store_true", help="notes on stderr")
+
+
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "input",
+        nargs="?",
+        help="path of the JSON input ('-' for stdin); alternatively pass --inline",
+    )
+    p.add_argument("--inline", help="inline JSON input")
+    _add_output(p)
+
+
+def _add_pencil_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="degree of the pencil members")
+    p.add_argument(
+        "--mults", required=True, help="comma-separated base multiplicities, e.g. 1,1,1,1"
+    )
+    _add_output(p)
+
+
+def _add_pencil_enum(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max", type=int, required=True, help="largest degree to search")
+    guard = f"enumeration guard (default {DEFAULT_ENUM_LIMIT})"
+    p.add_argument("--bound", type=int, default=DEFAULT_ENUM_LIMIT, help=guard)
+    _add_output(p)
+
+
+# Every subcommand, once: name -> (handler, help, function adding its arguments).
+_COMMANDS = {
+    "genus": (_cmd_genus, "geometric genus of a curve model", _add_input),
+    "validate": (_cmd_validate, "check curve data, report per check", _add_input),
+    "adjoint-chain": (_cmd_adjoint_chain, "full successive-adjoint report", _add_input),
+    "classify": (_cmd_classify, "terminal classification of the chain", _add_input),
+    "map-compose": (_cmd_map_compose, "compose two maps {outer, inner}", _add_input),
+    "map-fixcheck": (_cmd_map_fixcheck, "does a map fix a curve pointwise", _add_input),
+    "jonq-order": (_cmd_jonq_order, "projective order of a group element", _add_input),
+    "jonq-mul": (_cmd_jonq_mul, "product of two group elements {u, v}", _add_input),
+    "jonq-fix-check": (
+        _cmd_jonq_fix_check, "certify the hyperelliptic fixation of an element", _add_input
+    ),
+    "pencil-check": (
+        _cmd_pencil_check, "rational-pencil equations for (n; mults)", _add_pencil_check
+    ),
+    "pencil-enum": (_cmd_pencil_enum, "enumerate valid pencil types", _add_pencil_enum),
+    "examples": (_cmd_examples, "run the built-in corpus", _add_output),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand, top-level help and --version."""
+    parser = argparse.ArgumentParser(
+        prog="cremona-kit",
+        description="Exact arithmetic for plane birational maps, adjoint "
+        "chains of linear systems, and function-field matrix groups.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone (same prog as in the full tree) when it
+    consumes every argument; the full parser takes the rest: usage errors, help, --version."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"cremona-kit {argv[0]}")
+        command[2](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _render_text(value: Any, indent: int = 0) -> List[str]:
@@ -307,11 +311,10 @@ def _emit(payload: Any, fmt: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     fmt = getattr(args, "format", "json")
     try:
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = _COMMANDS[args.command][0](args)
     except json.JSONDecodeError as exc:
         _emit(
             {
@@ -326,10 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SchemaError as exc:
         _emit({"error": "schema", "path": exc.path, "message": exc.message}, fmt)
         return EXIT_MALFORMED
-    except CremonaKitError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, fmt)
-        return EXIT_INVALID
-    except (ValueError, ZeroDivisionError) as exc:
+    except (CremonaKitError, ValueError, ZeroDivisionError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, fmt)
         return EXIT_INVALID
     _emit(payload, fmt)

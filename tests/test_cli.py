@@ -63,6 +63,20 @@ class TestGenus:
         code, payload = run_json(capsys, "genus", str(path), "--inline", GEISER_CURVE)
         assert code == 1
 
+    def test_empty_inline_is_malformed_json(self, capsys):
+        code, payload = run_json(capsys, "genus", "--inline", "")
+        assert code == 1
+        assert payload["error"] == "malformed-json"
+        assert payload["line"] == 1 and payload["column"] == 1
+
+    def test_file_and_empty_inline_are_two_sources(self, capsys, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text(GEISER_CURVE)
+        code, payload = run_json(capsys, "genus", str(path), "--inline", "")
+        assert code == 1
+        assert payload["error"] == "schema" and payload["path"] == "$"
+        assert "exactly one input source" in payload["message"]
+
 
 class TestErrorry:
     def test_malformed_json(self, capsys):

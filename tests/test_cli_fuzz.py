@@ -1,0 +1,167 @@
+"""Near-valid JSON through every JSON subcommand ends with exit 0, 1 or 2.
+
+Each payload is drawn well-formed for its subcommand, then zero to three
+of its fields are mutated: negative or oversized degrees, multiplicities
+and exponents, duplicate labels and monomials, zero denominators,
+mixed-degree or empty components, a zero ``h``, floats, booleans and
+nulls where numbers belong, dropped or emptied fields.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cremona_kit.cli import main
+
+MAX_DEGREE = 12
+MAX_TERMS = 6
+# Group elements stay smaller: the rational-function GCDs over Q take
+# seconds per call at degree 12, which would make this test slow.
+JONQ_DEGREE = 6
+
+small_degrees = st.one_of(st.integers(1, 3), st.integers(1, MAX_DEGREE))
+rationals = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.integers(-4, 4).filter(bool).map(str),
+    st.sampled_from(["1/2", "-3/4", "5/3"]),
+)
+
+
+@st.composite
+def trihoms(draw, degree):
+    terms = {}
+    for _ in range(draw(st.integers(1, MAX_TERMS))):
+        i = draw(st.integers(0, degree))
+        j = draw(st.integers(0, degree - i))
+        terms[(i, j, degree - i - j)] = draw(rationals)
+    return [[list(e), c] for e, c in sorted(terms.items(), reverse=True)]
+
+
+@st.composite
+def unipolys(draw, min_degree=0):
+    degree = draw(st.integers(min_degree, JONQ_DEGREE))
+    terms = {degree: draw(rationals)}
+    for _ in range(draw(st.integers(0, MAX_TERMS - 1))):
+        terms[draw(st.integers(0, degree))] = draw(rationals)
+    return [[[e], c] for e, c in sorted(terms.items())]
+
+
+@st.composite
+def ratfuncs(draw):
+    den = draw(st.one_of(st.just([[[0], "1"]]), unipolys()))
+    return {"num": draw(unipolys()), "den": den}
+
+
+@st.composite
+def jonq_elements(draw, h=None):
+    h = draw(unipolys(min_degree=4)) if h is None else h
+    return {"h": h, "a1": draw(ratfuncs()), "a2": draw(ratfuncs())}
+
+
+@st.composite
+def jonq_pairs(draw):
+    u = draw(jonq_elements())
+    return {"u": u, "v": draw(jonq_elements(u["h"]))}
+
+
+@st.composite
+def curves(draw):
+    degree = draw(st.integers(0, MAX_DEGREE))
+    sings = [
+        {
+            "label": f"p{i}",
+            "mult": draw(st.integers(2, max(2, degree))),
+            "coords": draw(st.one_of(st.none(), st.lists(rationals, min_size=3, max_size=3))),
+        }
+        for i in range(draw(st.integers(0, MAX_TERMS)))
+    ]
+    poly = draw(st.one_of(st.none(), trihoms(degree)))
+    return {"degree": degree, "singularities": sings, "poly": poly}
+
+
+@st.composite
+def maps(draw):
+    degree = draw(small_degrees)
+    return {"deg": degree, "components": [draw(trihoms(degree)) for _ in range(3)]}
+
+
+@st.composite
+def fixchecks(draw):
+    return {"map": draw(maps()), "curve": draw(trihoms(draw(small_degrees)))}
+
+
+def _children(node):
+    if isinstance(node, dict):
+        return list(node)
+    if isinstance(node, list):
+        return list(range(len(node)))
+    return []
+
+
+@st.composite
+def mutated(draw, payloads):
+    """A payload with up to three fields replaced, duplicated, dropped or emptied."""
+    payload = copy.deepcopy(draw(payloads))
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key, node = None, None, payload
+        while _children(node) and (parent is None or draw(st.integers(0, 7))):
+            parent, key = node, draw(st.sampled_from(_children(node)))
+            node = node[key]
+        if parent is None:
+            continue  # the top-level shape stays; a mutation needs a field
+        if isinstance(node, (bool, float)) or node is None:
+            new = draw(st.sampled_from([0, "1", [], {}]))
+        elif isinstance(node, int):
+            new = draw(st.sampled_from([-1, 0, -node, node + MAX_DEGREE + 1, 1.5, True, str(node)]))
+        elif isinstance(node, str):
+            new = draw(st.sampled_from(["1/0", "-2/0", "0", "0/5", "2/-3", "x", "", 7, 0.5]))
+        elif isinstance(node, list):
+            if node and draw(st.booleans()):
+                i = draw(st.integers(0, len(node) - 1))
+                if draw(st.booleans()):
+                    new = node + [copy.deepcopy(node[i])]  # a duplicate entry
+                else:
+                    new = node[:i] + node[i + 1:]
+            else:
+                new = draw(st.sampled_from([[], {}, None, [[]]]))
+        else:  # an object
+            new = draw(st.sampled_from([None, [], {}]))
+            if node and draw(st.booleans()):
+                new = dict(node)
+                del new[draw(st.sampled_from(sorted(node)))]
+        parent[key] = new
+    return payload
+
+
+PAYLOADS = {
+    "genus": curves(),
+    "validate": curves(),
+    "adjoint-chain": curves(),
+    "classify": curves(),
+    "map-compose": st.fixed_dictionaries({"outer": maps(), "inner": maps()}),
+    "map-fixcheck": fixchecks(),
+    "jonq-order": jonq_elements(),
+    "jonq-mul": jonq_pairs(),
+    "jonq-fix-check": jonq_elements(),
+}
+CASES = st.sampled_from(sorted(PAYLOADS)).flatmap(
+    lambda command: st.tuples(st.just(command), mutated(PAYLOADS[command]))
+)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(CASES)
+def test_near_valid_json_exits_0_1_or_2(case):
+    command, payload = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--inline", json.dumps(payload)])
+    assert code in (0, 1, 2)
