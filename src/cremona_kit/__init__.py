@@ -52,7 +52,6 @@ from .exact_algebra import (
 from .jonquieres import (
     JonqElement,
     PGL_INFINITE,
-    fixes_hyperelliptic,
     hyperelliptic_curve_poly,
     invert,
     leminv_check,

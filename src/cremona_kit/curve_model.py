@@ -130,23 +130,22 @@ def multiplicity_at(f: TriHomPoly, point: Sequence[RationalLike]) -> int:
     pt = tuple(_frac(v) for v in point)
     if len(pt) != 3 or all(v == 0 for v in pt):
         raise ValueError("expected a valid projective point")
+    # Filled order by order, so the parent of each partial is already there;
+    # a plain loop leaves no reference cycle to outlive the call.
     partials: Dict[Tuple[int, int, int], TriHomPoly] = {(0, 0, 0): f}
-
-    def derived(a: int, b: int, c: int) -> TriHomPoly:
-        key = (a, b, c)
-        if key not in partials:
-            if a > 0:
-                partials[key] = derived(a - 1, b, c).partial(0)
-            elif b > 0:
-                partials[key] = derived(a, b - 1, c).partial(1)
-            else:
-                partials[key] = derived(a, b, c - 1).partial(2)
-        return partials[key]
-
     for k in range(f.degree + 1):
         for a in range(k + 1):
             for b in range(k - a + 1):
-                if derived(a, b, k - a - b).evaluate(pt) != 0:
+                c = k - a - b
+                if a > 0:
+                    d = partials[a, b, c] = partials[a - 1, b, c].partial(0)
+                elif b > 0:
+                    d = partials[a, b, c] = partials[a, b - 1, c].partial(1)
+                elif c > 0:
+                    d = partials[a, b, c] = partials[a, b, c - 1].partial(2)
+                else:
+                    d = f
+                if d.evaluate(pt) != 0:
                     return k
     raise AssertionError("all partials vanished for a nonzero polynomial")
 

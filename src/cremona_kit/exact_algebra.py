@@ -4,7 +4,8 @@ Four layers, all immutable and exact:
 
 * ``Rational``   -- alias of :class:`fractions.Fraction` (arbitrary
   precision, always reduced, denominator positive).
-* ``UniPoly``    -- dense univariate polynomials over the rationals.
+* ``UniPoly``    -- dense univariate polynomials over the rationals;
+  products convolve integers under one rational scale.
 * ``RatFunc``    -- reduced fractions of univariate polynomials with a
   monic denominator.
 * ``TriHomPoly`` -- homogeneous polynomials in x, y, z stored as sparse
@@ -21,6 +22,8 @@ has no x; most content GCDs end there.  Otherwise the GCD is rebuilt by
 interpolation in y and Chinese remaindering, and accepted only after
 exact trial division of both inputs.  Results are normalised so the
 lexicographically leading term (x > y > z) has coefficient one.
+``uni_gcd``, which reduces every ``RatFunc``, runs the same code on Z[t]
+taken as Z[x]: an image of degree 0 proves the inputs coprime.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -133,13 +136,15 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
                 return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(tuple(out))
+            da, a = _cleared(self.coeffs)
+            db, b = _cleared(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, d in enumerate(b):
+                        out[i + j] += c * d
+            scale = da * db
+            return UniPoly(tuple(Fraction(v, scale) for v in out))
         scalar = _frac(other)
         return UniPoly(tuple(c * scalar for c in self.coeffs))
 
@@ -215,12 +220,25 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(den, ints) with coeffs = ints / den, den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; ``uni_gcd(0, 0)`` is zero."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor; ``uni_gcd(0, 0)`` is zero.  A constant
+    candidate is proven; any other must divide p and q exactly."""
+    if p.is_zero or q.is_zero:
+        return (p if q.is_zero else q).monic()
+    if p.degree == 0 or q.degree == 0:
+        return UniPoly.constant(1)
+    F, G = ({(e, 0): c for e, c in enumerate(_cleared(f.coeffs)[1]) if c} for f in (p, q))
+    for candidate in _candidates(F, G):
+        g = UniPoly(tuple(candidate.get((e, 0), 0) for e in range(max(candidate)[0] + 1))).monic()
+        if g.degree == 0 or ((p % g).is_zero and (q % g).is_zero):
+            return g
+    raise AssertionError("unreachable: there is always another prime")
 
 
 def uni_div_exact(p: UniPoly, d: UniPoly) -> UniPoly:

@@ -8,9 +8,10 @@ product: the multiplicative group of the quadratic extension Q(x)[y] /
     (x, y) -> (x, (a1 y + h a2) / (a2 y + a1)),
 
 which preserves every vertical line x = const and fixes the hyperelliptic
-curve y^2 = h(x) pointwise; the fixation is certified both by a symbolic
-expansion over Q(x) and by the exact minor-divisibility test on the
-homogenised curve.
+curve y^2 = h(x) pointwise, certified by the exact minor-divisibility
+test on the homogenised curve.  (The identity (a1 y + h a2)^2 -
+h (a2 y + a1)^2 = det (y^2 - h) holds for every (a1, a2), so it is not
+checked.)  ``RatFunc`` reduces by the modular GCD of ``exact_algebra``.
 
 Orders in the projective group are classified by lambda = trace^2 / det:
 finite order forces lambda to be a constant among {4, 0, 1, 2, 3}
@@ -24,7 +25,7 @@ so only orders 1 (a2 = 0), 2 (a1 = 0) and infinity occur.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 from .cremona_maps import CremonaMap, _check_cap
 from .errors import GroupMismatch, InvalidElement
@@ -70,8 +71,10 @@ class JonqElement:
         _check_h(self.h)
         if self.a1.is_zero and self.a2.is_zero:
             raise InvalidElement("a1 and a2 cannot both vanish")
-        if self.det().is_zero:
+        det = self.a1 * self.a1 - RatFunc.of(self.h) * (self.a2 * self.a2)
+        if det.is_zero:
             raise InvalidElement("determinant a1^2 - h a2^2 vanishes")
+        object.__setattr__(self, "_det", det)
 
     @classmethod
     def of(cls, h: UniPoly, a1, a2) -> "JonqElement":
@@ -86,8 +89,8 @@ class JonqElement:
         return (self.h.degree - 2) // 2
 
     def det(self) -> RatFunc:
-        hr = RatFunc.of(self.h)
-        return self.a1 * self.a1 - hr * (self.a2 * self.a2)
+        """a1^2 - h a2^2, as computed once by the constructor's check."""
+        return self._det
 
     def matrix(self) -> Mat2RF:
         hr = RatFunc.of(self.h)
@@ -120,15 +123,18 @@ def pgl_order(m: Mat2RF) -> PglOrder:
     unipotent of infinite order; constants 0, 1, 2, 3 give orders
     2, 3, 4, 6; every other constant is infinite order.
     """
-    tr = m.trace()
-    lam = (tr * tr) / m.det()
+    return _order(m.trace(), m.det(), m.is_scalar())[0]
+
+
+def _order(trace: RatFunc, det: RatFunc, scalar: bool) -> Tuple[PglOrder, RatFunc]:
+    """(order, lambda) of a matrix given its trace, det and scalarity."""
+    lam = (trace * trace) / det
     if not lam.is_constant:
-        return PGL_INFINITE
+        return PGL_INFINITE, lam
     value = lam.constant_value
     if value == 4:
-        return 1 if m.is_scalar() else PGL_INFINITE
-    table = {0: 2, 1: 3, 2: 4, 3: 6}
-    return table.get(value, PGL_INFINITE)
+        return (1 if scalar else PGL_INFINITE), lam
+    return {0: 2, 1: 3, 2: 4, 3: 6}.get(value, PGL_INFINITE), lam
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,8 @@ def leminv_check(u: JonqElement) -> OrderReport:
     squarefree of positive degree; the report records lambda and the
     verdict.
     """
-    m = u.matrix()
-    tr = m.trace()
-    lam = (tr * tr) / m.det()
-    order = pgl_order(m)
+    # u.matrix() has trace 2 a1 and det u.det(), and is scalar iff a2 = 0.
+    order, lam = _order(u.a1 + u.a1, u.det(), u.a2.is_zero)
     ok = order in (1, 2, PGL_INFINITE)
     if u.a1.is_zero:
         note = "a1 = 0: the element is the hyperelliptic involution, order 2"
@@ -208,23 +212,3 @@ def mat_to_cremona(m: Mat2RF) -> CremonaMap:
 def to_cremona(u: JonqElement) -> CremonaMap:
     """The plane map induced by u; preserves the pencil of lines x = const."""
     return mat_to_cremona(u.matrix())
-
-
-def fixes_hyperelliptic(u: JonqElement) -> bool:
-    """Certify (a1 y + h a2)^2 - h (a2 y + a1)^2 = det * (y^2 - h) over Q(x).
-
-    Both sides are expanded as quadratics in y with coefficients in Q(x)
-    and compared exactly; the identity is why the induced map fixes the
-    curve y^2 = h(x) pointwise.
-    """
-    hr = RatFunc.of(u.h)
-    p, q = u.a1, hr * u.a2
-    r, s = u.a2, u.a1
-    lhs = (
-        p * p - hr * (r * r),            # y^2
-        2 * (p * q) - hr * (2 * (r * s)),  # y^1
-        q * q - hr * (s * s),            # y^0
-    )
-    det = u.det()
-    rhs = (det, RatFunc.of(0), -(det * hr))
-    return lhs == rhs

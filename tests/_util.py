@@ -4,8 +4,9 @@ the reference fixed-component search.
 sympy acts as the independent oracle for polynomial identities (gcd,
 divisibility, expansion); the package itself never imports it.  The
 Bezout-rule enumerator below is the oracle for the package's direct
-first-rule search, and the Fraction ``substitute_oracle`` the one for the
-package's integer substitution.
+first-rule search, the Fraction ``substitute_oracle`` the one for the
+package's integer substitution, and the Fraction Euclid
+``uni_gcd_oracle`` the one for the modular ``uni_gcd``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,40 @@ def trihoms(draw, max_degree=3, degree=None):
     coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
     terms = draw(st.dictionaries(st.sampled_from(monomials(degree)), coeffs, min_size=1))
     return TriHomPoly(degree, tuple(terms.items()))
+
+
+# Univariate factors against the first prime _P0: leading coefficients
+# divisible by _P0 (the first one vanishes mod _P0, so skipping that prime
+# is what keeps a common factor of it visible), a denominator _P0, and
+# t + 1 + _P0, which is t + 1 mod _P0: coprime to t + 1 over Q, but not at
+# the first prime.
+UNI_ADVERSARIAL = (
+    UniPoly.of(1, _P0),
+    UniPoly.of(1 + _P0, 1),
+    UniPoly.of(1, 1),
+    UniPoly.of(Fraction(1, _P0), 0, 1),
+    UniPoly.of(-1, 0, 2 * _P0),
+)
+
+
+@st.composite
+def unipolys(draw, min_degree=0, max_degree=4):
+    """A nonzero polynomial; one draw in five is a UNI_ADVERSARIAL factor."""
+    pool = [f for f in UNI_ADVERSARIAL if min_degree <= f.degree <= max_degree]
+    if pool and draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(pool))
+    degree = draw(st.integers(min_degree, max_degree))
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    lead = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    return UniPoly(tuple(draw(st.lists(coeffs, min_size=degree, max_size=degree))) + (draw(lead),))
+
+
+def uni_gcd_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
+    """The earlier Fraction implementation of ``uni_gcd``: Euclid over Q."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly:

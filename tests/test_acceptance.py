@@ -153,10 +153,11 @@ def test_c5_hyperelliptic_fixation():
     start = time.monotonic()
     rng = random.Random(65537)
 
-    # symbolic identity, 100 random elements across three h's
+    # the minor-divisibility certificate, 100 random elements across three h's
     for i in range(100):
-        u = rand_jonq(rng, (H4, H6, H8)[i % 3])
-        assert jq.fixes_hyperelliptic(u)
+        h = (H4, H6, H8)[i % 3]
+        u = rand_jonq(rng, h)
+        assert fixes_curve_pointwise(jq.to_cremona(u), jq.hyperelliptic_curve_poly(h))
 
     # exact pointwise fixation of the induced plane maps, 20 elements
     # (degrees capped by taking small numerators/denominators)

@@ -43,7 +43,9 @@ from _util import (
     sympy_to_tri,
     tri_to_sympy,
     trihoms,
+    uni_gcd_oracle,
     uni_to_sympy,
+    unipolys,
 )
 
 T = UniPoly.variable()
@@ -109,6 +111,85 @@ class TestUniPoly:
     def test_eval(self):
         p = UniPoly.of(1, -2, 1)  # (t-1)^2
         assert p(1) == 0 and p(3) == 4
+
+
+@st.composite
+def uni_gcd_inputs(draw):
+    """(p, q) with a planted common factor of degree 1-4 (or none), and
+    sometimes a zero or constant argument."""
+    common = ONE
+    if draw(st.booleans()):
+        common = draw(unipolys(min_degree=1))
+    pair = []
+    for _ in range(2):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            pair.append(UniPoly())
+        elif kind == 1:
+            pair.append(draw(unipolys(max_degree=0)))
+        else:
+            pair.append(common * draw(unipolys(max_degree=3)))
+    return pair
+
+
+def sympy_uni_gcd(p, q):
+    if p.is_zero and q.is_zero:
+        return UniPoly()
+    g = sympy.Poly(sympy.gcd(uni_to_sympy(p), uni_to_sympy(q)), ST).monic()
+    return UniPoly(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())))
+
+
+class TestModularUniGcd:
+    @given(uni_gcd_inputs())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    # The common factor 1 + _P0 t is 1 mod _P0: a first prime that is not
+    # skipped sees coprime images.
+    @example([UniPoly.of(1, _P0) * UniPoly.of(3, 1), UniPoly.of(1, _P0) * UniPoly.of(-5, 1)])
+    # t + 1 and t + 1 + _P0 agree mod _P0, the unlucky first prime.
+    @example([UniPoly.of(1, 1), UniPoly.of(1 + _P0, 1)])
+    @example([UniPoly.of(1, 1) * UniPoly.of(2, 0, 1), UniPoly.of(1 + _P0, 1) * UniPoly.of(2, 0, 1)])
+    @example([UniPoly(), UniPoly.of(Fraction(-3, 7))])
+    @example([UniPoly.of(Fraction(-2, 3)), T * T - ONE])
+    @example([UniPoly.of(Fraction(2, 3), 0, 4), UniPoly()])
+    def test_equals_oracle_and_sympy(self, pair):
+        p, q = pair
+        g = uni_gcd(p, q)
+        assert g == uni_gcd_oracle(p, q) == sympy_uni_gcd(p, q)
+
+    def test_candidate_stable_over_two_primes_is_rejected(self):
+        # mod p1 and mod p1*p2 the constant 5 + p1*p2 reads 5, so the
+        # candidate t + 5 passes the CRT test and only trial division
+        # rejects it.
+        p1, p2 = islice(_primes(), 2)
+        h = T + UniPoly.constant(5 + p1 * p2)
+        assert uni_gcd(h * T, h * (T + ONE)) == h
+
+
+@st.composite
+def ratfuncs(draw):
+    num = UniPoly() if draw(st.integers(0, 5)) == 0 else draw(unipolys(max_degree=3))
+    return RatFunc(num, draw(unipolys(max_degree=3)))
+
+
+class TestRatFuncLaws:
+    @given(ratfuncs(), ratfuncs(), ratfuncs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_field_laws(self, f, g, h):
+        zero, one = RatFunc.of(0), RatFunc.of(1)
+        assert f + g == g + f and f * g == g * f
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert f + zero == f and f * one == f and f - f == zero
+        if not f.is_zero:
+            assert f * f.inverse() == one
+
+    @given(ratfuncs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_normal_form(self, f):
+        assert f.den.lead == 1
+        assert uni_gcd(f.num, f.den) == ONE
+        assert RatFunc(f.num * f.den, f.den * f.den) == f
 
 
 class TestRatFunc:

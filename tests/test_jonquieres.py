@@ -1,15 +1,16 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 import sympy
 
 from cremona_kit.cremona_maps import compose, fixes_curve_pointwise, is_identity
 from cremona_kit.errors import GroupMismatch, InvalidElement
-from cremona_kit.exact_algebra import Mat2RF, RatFunc, UniPoly
+from cremona_kit.exact_algebra import Mat2RF, RatFunc, UniPoly, is_squarefree
 from cremona_kit.jonquieres import (
     JonqElement,
     PGL_INFINITE,
-    fixes_hyperelliptic,
     hyperelliptic_curve_poly,
     invert,
     leminv_check,
@@ -19,7 +20,7 @@ from cremona_kit.jonquieres import (
     to_cremona,
 )
 
-from _util import H4, H6, H8, rand_jonq, uni_to_sympy
+from _util import H4, H6, H8, ST, rand_jonq, uni_to_sympy
 
 T = UniPoly.variable()
 
@@ -94,6 +95,44 @@ class TestGroupLaw:
             u = rand_jonq(rng, H6)
             assert mul(u, invert(u)).matrix().is_scalar()
 
+    def test_roadmap_degree_12_product(self):
+        # h squarefree of degree 12 with 6 terms, entries of degree 6 over 6
+        # with 4 terms; the product's entries have degrees 35/23 and 23/23.
+        # Euclid over Fraction needs about 86 s for this product.
+        rng = random.Random(5)
+
+        def sparse(deg, terms):
+            c = [0] * (deg + 1)
+            for e in rng.sample(range(deg + 1), terms):
+                c[e] = rng.randint(-9, 9) or 1
+            c[deg] = rng.randint(1, 9)
+            return UniPoly.of(*c)
+
+        h = sparse(12, 6)
+        while not is_squarefree(h):
+            h = sparse(12, 6)
+        u1, u2, v1, v2 = (RatFunc(sparse(6, 4), sparse(6, 4)) for _ in range(4))
+        u, v = JonqElement(u1, u2, h), JonqElement(v1, v2, h)
+        start = time.perf_counter()
+        w = mul(u, v)
+        assert time.perf_counter() - start < 1.0
+
+        def expr(f):
+            return uni_to_sympy(f.num) / uni_to_sympy(f.den)
+
+        def reduced(e):
+            num, den = (sympy.Poly(x, ST) for x in sympy.fraction(sympy.cancel(e)))
+            monic = ([c / den.LC() for c in reversed(x.all_coeffs())] for x in (num, den))
+            return tuple(tuple(Fraction(int(c.p), int(c.q)) for c in cs) for cs in monic)
+
+        hs = uni_to_sympy(h)
+        a1 = expr(u1) * expr(v1) + hs * expr(u2) * expr(v2)
+        a2 = expr(u1) * expr(v2) + expr(u2) * expr(v1)
+        degrees = (w.a1.num.degree, w.a1.den.degree, w.a2.num.degree, w.a2.den.degree)
+        assert degrees == (35, 23, 23, 23)
+        assert (w.a1.num.coeffs, w.a1.den.coeffs) == reduced(a1)
+        assert (w.a2.num.coeffs, w.a2.den.coeffs) == reduced(a2)
+
     def test_det_multiplicative(self):
         rng = random.Random(29)
         for _ in range(15):
@@ -157,6 +196,17 @@ class TestOrderReport:
         expected = RatFunc(UniPoly.of(0, 0, 4), UniPoly.of(1, 0, 1, 0, -1))
         assert rep.lam == expected
 
+    def test_report_shares_det_and_lambda_with_pgl_order(self):
+        rng = random.Random(32)
+        for h in (H4, H6, H8):
+            for kind in (None, "involution", "scalar"):
+                u = rand_jonq(rng, h, kind=kind)
+                m = u.matrix()
+                rep = leminv_check(u)
+                assert u.det() == m.det() == u.a1 * u.a1 - RatFunc(h) * u.a2 * u.a2
+                assert rep.order == pgl_order(m)
+                assert rep.lam == m.trace() * m.trace() / m.det()
+
     def test_classification_property(self):
         rng = random.Random(31)
         for h in (H4, H6, H8):
@@ -206,15 +256,20 @@ class TestToCremona:
         assert not fixes_curve_pointwise(F, hyperelliptic_curve_poly(H4))
 
 
+def certifies_fixation(u: JonqElement) -> bool:
+    """The minor-divisibility certificate on the curve y^2 = h(x)."""
+    return fixes_curve_pointwise(to_cremona(u), hyperelliptic_curve_poly(u.h))
+
+
 class TestHyperellipticFixation:
     def test_named_cases(self):
-        assert fixes_hyperelliptic(JonqElement.of(H4, 0, 1))
-        assert fixes_hyperelliptic(JonqElement.of(H4, 1, 0))
+        assert certifies_fixation(JonqElement.of(H4, 0, 1))
+        assert certifies_fixation(JonqElement.of(H4, 1, 0))
 
     def test_random_cases(self):
         rng = random.Random(41)
         for _ in range(20):
-            assert fixes_hyperelliptic(rand_jonq(rng, H6))
+            assert certifies_fixation(rand_jonq(rng, H6))
 
     def test_against_sympy_expansion(self):
         rng = random.Random(43)
@@ -227,7 +282,7 @@ class TestHyperellipticFixation:
             lhs = (a1 * y + h * a2) ** 2 - h * (a2 * y + a1) ** 2
             rhs = (a1**2 - h * a2**2) * (y**2 - h)
             assert sympy.simplify(lhs - rhs) == 0
-            assert fixes_hyperelliptic(u)
+            assert certifies_fixation(u)
 
     def test_curve_poly_shape(self):
         curve = hyperelliptic_curve_poly(H4)
