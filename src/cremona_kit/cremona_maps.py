@@ -3,7 +3,9 @@
 A map is three homogeneous polynomials of one degree with no common
 factor, kept in a canonical form (content removed, first nonzero
 component scaled to lex-leading coefficient one) so identity testing is
-a syntactic comparison.  Constructors cover three families:
+a syntactic comparison.  Content removal keeps the quotients that
+certified the GCD, so this module never divides by one.  Constructors
+cover three families:
 
 * ``make_linear_G``  -- the linear maps (a x : y + b x : z + c x), which
   fix the line x = 0 pointwise;
@@ -20,7 +22,8 @@ by the curve polynomial; exactness is what makes the certificate real.
 Birationality of arbitrary triples is not verified; only triples coming
 from the constructors are known maps, and foreign triples must be opted
 in with ``trusted=True``.  Degrees are capped by the environment variable
-CREMONA_KIT_MAX_DEGREE (default 24) to keep exact arithmetic bounded.
+CREMONA_KIT_MAX_DEGREE (default 24) to keep exact arithmetic bounded (map
+JSON declaring a larger degree is refused before its components are read).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeCapExceeded, MapContractsPlane, UnverifiedMap
 from .exact_algebra import (
@@ -40,12 +43,10 @@ from .exact_algebra import (
     TriHomPoly,
     UniPoly,
     _frac,
+    _primitive_parts,
+    _uni_cofactors,
     homogenize_uni,
-    tri_content_gcd,
-    tri_div_exact,
     tri_divides,
-    uni_div_exact,
-    uni_lcm,
 )
 from .linear_systems import LinSysData
 
@@ -99,17 +100,9 @@ class CremonaMap:
     @classmethod
     def of(cls, f0: TriHomPoly, f1: TriHomPoly, f2: TriHomPoly) -> "CremonaMap":
         """Canonicalise a triple produced by this package's own constructors."""
-        comps = [f0, f1, f2]
-        if all(c.is_zero for c in comps):
+        if not (f0 or f1 or f2):
             raise ValueError("map components are all zero")
-        content = tri_content_gcd(f0, f1, f2)
-        if content.degree > 0:
-            comps = [
-                TriHomPoly.zero(c.degree - content.degree)
-                if c.is_zero
-                else tri_div_exact(c, content)
-                for c in comps
-            ]
+        _, comps = _primitive_parts((f0, f1, f2))
         lead = next(c for c in comps if not c.is_zero).lex_lead()[1]
         if lead != 1:
             comps = [c * (1 / lead) for c in comps]
@@ -176,6 +169,17 @@ def linear_G_params(F: CremonaMap) -> Optional[Tuple[Fraction, Fraction, Fractio
     return (p / q, F.f1.coeff(x) / q, F.f2.coeff(x) / q)
 
 
+def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:
+    """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors."""
+    D, cofactors = dens[0], [UniPoly.constant(1)]
+    for d in dens[1:]:
+        _, a, b = _uni_cofactors(D, d)
+        if b.degree > 0:
+            D, cofactors = D * b, [c * b for c in cofactors]
+        cofactors.append(a)
+    return D, cofactors
+
+
 def make_H_element(alpha: RatFunc, beta: RatFunc) -> CremonaMap:
     """(x, y) -> (x / (alpha(y) x + beta(y)), y) homogenised; beta != 0.
 
@@ -187,9 +191,8 @@ def make_H_element(alpha: RatFunc, beta: RatFunc) -> CremonaMap:
     alpha, beta = RatFunc.of(alpha), RatFunc.of(beta)
     if beta.is_zero:
         raise ValueError("beta must be nonzero")
-    D = uni_lcm(alpha.den, beta.den)
-    A = alpha.num * uni_div_exact(D, alpha.den)
-    B = beta.num * uni_div_exact(D, beta.den)
+    D, (ca, cb) = _common_denominator((alpha.den, beta.den))
+    A, B = alpha.num * ca, beta.num * cb
     m = max(D.degree + 1, B.degree, A.degree + 1 if not A.is_zero else 1)
     _check_cap(m + 1, "homogenising the map")
     d_hom = homogenize_uni(D, 1, 2, m - 1)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidCurveData
-from .exact_algebra import RationalLike, TriHomPoly, _frac, lex_normalized, tri_div_exact, tri_gcd
+from .exact_algebra import RationalLike, TriHomPoly, _frac, tri_gcd
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,15 @@ def is_perfect_power(f: TriHomPoly) -> bool:
     """True iff f = g**k for some homogeneous g and integer k >= 2.
 
     Uses iterated gcds with the partials: writing f as a product of
-    irreducible powers prod q_i^{e_i}, the j-th iterate of
-    w -> gcd(w, w_x, w_y, w_z) is prod q_i^{max(e_i - j, 0)}, so the exact
-    multiplicities e_i are recovered without factoring.  f is a perfect
-    power iff the multiplicities that actually occur share a factor >= 2.
+    irreducible powers prod q_i^{e_i}, the j-th iterate w_j of
+    w -> gcd(w, w_x, w_y, w_z) is prod q_i^{max(e_i - j, 0)}, so the
+    factors with e_i > j have degree deg w_j - deg w_{j+1}, and a drop of
+    that at j means some e_i = j: no factoring, no division.  f is a
+    perfect power iff the multiplicities that occur share a factor >= 2.
     """
     if f.is_zero:
         raise ValueError("perfect-power test on the zero polynomial")
-    if f.degree == 0:
-        return False
-    w = lex_normalized(f)
-    radicals: List[TriHomPoly] = []
+    w, degrees = f, [f.degree]
     while w.degree > 0:
         u = w
         for axis in range(3):
@@ -173,15 +171,10 @@ def is_perfect_power(f: TriHomPoly) -> bool:
                 u = tri_gcd(u, p)
             if u.degree == 0:
                 break
-        radicals.append(lex_normalized(tri_div_exact(w, u)))
         w = u
-    radicals.append(TriHomPoly.monomial((0, 0, 0)))
-    exponents = []
-    for j in range(len(radicals) - 1):
-        level = tri_div_exact(radicals[j], radicals[j + 1])
-        if level.degree > 0:
-            exponents.append(j + 1)
-    return math.gcd(*exponents) >= 2 if exponents else False
+        degrees.append(w.degree)
+    radicals = [a - b for a, b in zip(degrees, degrees[1:])] + [0]
+    return math.gcd(*(j for j in range(1, len(radicals)) if radicals[j - 1] > radicals[j])) >= 2
 
 
 def _structural_checks(

@@ -22,8 +22,10 @@ has no x; most content GCDs end there.  Otherwise the GCD is rebuilt by
 interpolation in y and Chinese remaindering, and accepted only after
 exact trial division of both inputs.  Results are normalised so the
 lexicographically leading term (x > y > z) has coefficient one.
-``uni_gcd``, which reduces every ``RatFunc``, runs the same code on Z[t]
-taken as Z[x]: an image of degree 0 proves the inputs coprime.
+``uni_gcd`` runs the same code on Z[t] taken as Z[x]: an image of degree 0
+proves the inputs coprime.  The quotients of the accepting division come
+back with the GCD (``_primitive_parts`` for map contents, ``_uni_cofactors``
+for ``RatFunc``), so only this module divides by a GCD, and only once.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -163,12 +165,6 @@ class UniPoly:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def __divmod__(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -226,32 +222,27 @@ def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; ``uni_gcd(0, 0)`` is zero.  A constant
-    candidate is proven; any other must divide p and q exactly."""
+def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
+    """(g, p / g, q / g), g the monic gcd, (0, 0, 0) for two zeros.  A constant
+    g is proven; any other must divide p and q, and returns those quotients."""
     if p.is_zero or q.is_zero:
-        return (p if q.is_zero else q).monic()
+        return (p if q.is_zero else q).monic(), UniPoly(p.coeffs[-1:]), UniPoly(q.coeffs[-1:])
     if p.degree == 0 or q.degree == 0:
-        return UniPoly.constant(1)
+        return UniPoly.constant(1), p, q
     F, G = ({(e, 0): c for e, c in enumerate(_cleared(f.coeffs)[1]) if c} for f in (p, q))
     for candidate in _candidates(F, G):
         g = UniPoly(tuple(candidate.get((e, 0), 0) for e in range(max(candidate)[0] + 1))).monic()
-        if g.degree == 0 or ((p % g).is_zero and (q % g).is_zero):
-            return g
+        if g.degree == 0:
+            return g, p, q
+        (a, r), (b, s) = divmod(p, g), divmod(q, g)
+        if r.is_zero and s.is_zero:
+            return g, a, b
     raise AssertionError("unreachable: there is always another prime")
 
 
-def uni_div_exact(p: UniPoly, d: UniPoly) -> UniPoly:
-    q, r = divmod(p, d)
-    if not r.is_zero:
-        raise ValueError("inexact univariate division")
-    return q
-
-
-def uni_lcm(p: UniPoly, q: UniPoly) -> UniPoly:
-    if p.is_zero or q.is_zero:
-        return UniPoly()
-    return uni_div_exact(p * q, uni_gcd(p, q)).monic()
+def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic greatest common divisor; ``uni_gcd(0, 0)`` is zero."""
+    return _uni_cofactors(p, q)[0]
 
 
 def is_squarefree(h: UniPoly) -> bool:
@@ -280,14 +271,10 @@ class RatFunc:
         if num.is_zero:
             num, den = UniPoly(), UniPoly.constant(1)
         else:
-            g = uni_gcd(num, den)
-            if g.degree > 0:
-                num = uni_div_exact(num, g)
-                den = uni_div_exact(den, g)
+            _, num, den = _uni_cofactors(num, den)
             lc = den.lead
             if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+                num, den = num * (1 / lc), den * (1 / lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -620,13 +607,6 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
     return r.is_zero
 
 
-def tri_div_exact(f: TriHomPoly, c: TriHomPoly) -> TriHomPoly:
-    q, r = tri_divrem(f, c)
-    if not r.is_zero:
-        raise ValueError("inexact trivariate division")
-    return q
-
-
 # -- gcd: Brown's modular algorithm ------------------------------------------
 #
 # A homogeneous f factors as z^a * F with z not dividing F, and F corresponds
@@ -655,10 +635,10 @@ def tri_div_exact(f: TriHomPoly, c: TriHomPoly) -> TriHomPoly:
 # restarts the accumulation.  The images, times the integer gcd of the
 # lex-leading coefficients, are combined by CRT into symmetric residues.
 # Once a new prime leaves them unchanged, the candidate C is accepted only
-# if it divides f and g exactly (tri_divides).  Then C | H, while the
-# leading monomial of C, that of an image mod p, is at least that of H: so
-# C is H up to a scalar.  Bad luck only costs another point or prime; the
-# answer never depends on it.
+# if it divides f and g exactly (tri_divrem; the quotients are returned
+# with it).  Then C | H, while the leading monomial of C, that of an image
+# mod p, is at least that of H: so C is H up to a scalar.  Bad luck only
+# costs another point or prime; the answer never depends on it.
 
 
 _P0 = 2**61 - 1
@@ -878,39 +858,63 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
 
 def lex_normalized(f: TriHomPoly) -> TriHomPoly:
     """Scale so the lex-leading coefficient (x > y > z) equals one."""
-    if f.is_zero:
-        return f
-    _, lc = f.lex_lead()
+    lc = f.terms[0][1] if f.terms else 1
     return f * (1 / lc) if lc != 1 else f
+
+
+def _zdiv(f: TriHomPoly, m: int) -> TriHomPoly:
+    """f / z^m by shifting exponents (not by division); f itself if m = 0."""
+    shifted = (((i, j, k - m), c) for (i, j, k), c in f.terms)
+    return TriHomPoly(f.degree - m, tuple(shifted)) if m else f
+
+
+def _tri_cofactors(f: TriHomPoly, g: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly, TriHomPoly]:
+    """(d, f / d, g / d) for nonzero f, g; d the lex-normalised gcd.  A proven
+    z^m is divided out by _zdiv, any other d by the division that accepts it."""
+    za, F = _dehomogenize(f)
+    zb, G = _dehomogenize(g)
+    m = min(za, zb)
+    for candidate in _candidates(F, G):
+        if max(candidate) == (0, 0):
+            return TriHomPoly.monomial((0, 0, m)), _zdiv(f, m), _zdiv(g, m)
+        d = lex_normalized(_homogenize(candidate) * TriHomPoly.monomial((0, 0, m)))
+        (a, r), (b, s) = tri_divrem(f, d), tri_divrem(g, d)
+        if r.is_zero and s.is_zero:
+            return d, a, b
+    raise AssertionError("unreachable: there is always another prime")
+
+
+def _primitive_parts(polys: Sequence[TriHomPoly]) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
+    """(content, parts): the lex-normalised gcd of the nonzero polys (all zero
+    is refused) and each poly divided by it, zero for a zero poly.  A part is
+    a product of the fold's cofactors, or the poly itself when the gcd is 1."""
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        raise ValueError("gcd of three zero polynomials")
+    content, parts = nonzero[0], [None]
+    for p in nonzero[1:]:
+        if content.degree == 0:
+            break
+        content, a, b = _tri_cofactors(content, p)
+        parts = [a if q is None else q * a if a.degree else q for q in parts] + [b]
+    if content.degree == 0:
+        return TriHomPoly.monomial((0, 0, 0)), tuple(polys)
+    if parts[0] is None:  # one nonzero poly
+        lc = content.lex_lead()[1]
+        content, parts = content * (1 / lc), [TriHomPoly.monomial((0, 0, 0), lc)]
+    rest = iter(parts)
+    zero = lambda p: TriHomPoly.zero(max(p.degree - content.degree, 0))
+    return content, tuple(next(rest) if p else zero(p) for p in polys)
 
 
 def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
     """GCD of two homogeneous polynomials, lex-normalised; gcd(f, 0) is f."""
-    if f.is_zero:
-        return lex_normalized(g)
-    if g.is_zero:
-        return lex_normalized(f)
-    za, F = _dehomogenize(f)
-    zb, G = _dehomogenize(g)
-    zpow = TriHomPoly.monomial((0, 0, min(za, zb)))
-    for candidate in _candidates(F, G):
-        d = _homogenize(candidate) * zpow
-        if d.degree == zpow.degree or (tri_divides(d, f) and tri_divides(d, g)):
-            return lex_normalized(d)
-    raise AssertionError("unreachable: there is always another prime")
+    return _primitive_parts((f, g))[0] if f or g else g
 
 
 def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:
     """GCD of three homogeneous polynomials, lex-normalised; rejects (0,0,0)."""
-    polys = [p for p in (f, g, k) if not p.is_zero]
-    if not polys:
-        raise ValueError("gcd of three zero polynomials")
-    acc = polys[0]
-    for p in polys[1:]:
-        if acc.degree == 0:
-            break
-        acc = tri_gcd(acc, p)
-    return lex_normalized(acc)
+    return _primitive_parts((f, g, k))[0]
 
 
 # ---------------------------------------------------------------------------

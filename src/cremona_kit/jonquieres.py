@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .cremona_maps import CremonaMap, _check_cap
+from .cremona_maps import CremonaMap, _check_cap, _common_denominator
 from .errors import GroupMismatch, InvalidElement
 from .exact_algebra import (
     Mat2RF,
@@ -39,8 +39,6 @@ from .exact_algebra import (
     UniPoly,
     homogenize_uni,
     is_squarefree,
-    uni_div_exact,
-    uni_lcm,
 )
 
 PGL_INFINITE = "infinite"
@@ -183,26 +181,16 @@ def hyperelliptic_curve_poly(h: UniPoly) -> TriHomPoly:
 def mat_to_cremona(m: Mat2RF) -> CremonaMap:
     """Homogenise (x, y) -> (x, (a11 y + a12) / (a21 y + a22)).
 
-    All four entries are put over one monic denominator q, giving
-    polynomial entries p_ij; with M large enough the projective map is
-    (x (y P21 + P22) : z (y P11 + P12) : z (y P21 + P22)), every p_ij
-    homogenised in (x, z).  Content removal then yields the coprime form.
+    All four entries are put over their monic lcm q, built from gcd
+    cofactors, giving polynomial entries p_ij; with M large enough the
+    projective map is (x (y P21 + P22) : z (y P11 + P12) : z (y P21 + P22)),
+    every p_ij homogenised in (x, z).  Content removal then yields the
+    coprime form.
     """
-    q = uni_lcm(
-        uni_lcm(m.a11.den, m.a12.den),
-        uni_lcm(m.a21.den, m.a22.den),
-    )
-    p11 = m.a11.num * uni_div_exact(q, m.a11.den)
-    p12 = m.a12.num * uni_div_exact(q, m.a12.den)
-    p21 = m.a21.num * uni_div_exact(q, m.a21.den)
-    p22 = m.a22.num * uni_div_exact(q, m.a22.den)
-    deg = max(
-        1,
-        p11.degree + 1,
-        p12.degree,
-        p21.degree + 1,
-        p22.degree,
-    )
+    entries = (m.a11, m.a12, m.a21, m.a22)
+    _, cofactors = _common_denominator([e.den for e in entries])
+    p11, p12, p21, p22 = (e.num * c for e, c in zip(entries, cofactors))
+    deg = max(1, p11.degree + 1, p12.degree, p21.degree + 1, p22.degree)
     _check_cap(deg + 1, "homogenising the map")
     num = TRI_Y * homogenize_uni(p11, 0, 2, deg - 1) + homogenize_uni(p12, 0, 2, deg)
     den = TRI_Y * homogenize_uni(p21, 0, 2, deg - 1) + homogenize_uni(p22, 0, 2, deg)

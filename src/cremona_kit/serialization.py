@@ -28,7 +28,7 @@ from .curve_model import (
     PointSpec,
     SingularityData,
 )
-from .cremona_maps import CremonaMap
+from .cremona_maps import CremonaMap, _check_cap
 from .errors import SchemaError
 from .exact_algebra import RatFunc, TriHomPoly, UniPoly
 from .jonquieres import JonqElement, OrderReport
@@ -312,6 +312,8 @@ def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
     comps = _as_list(_get(obj, "components", path), path + ("components",))
     if len(comps) != 3:
         _fail(path + ("components",), "a plane map needs exactly three components")
+    # Checked first: CremonaMap.of would run the content gcd before the cap.
+    _check_cap(degree, "map construction")
     polys = [
         decode_trihom(c, path + ("components", i), degree) for i, c in enumerate(comps)
     ]

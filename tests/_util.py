@@ -6,7 +6,12 @@ divisibility, expansion); the package itself never imports it.  The
 Bezout-rule enumerator below is the oracle for the package's direct
 first-rule search, the Fraction ``substitute_oracle`` the one for the
 package's integer substitution, and the Fraction Euclid
-``uni_gcd_oracle`` the one for the modular ``uni_gcd``.
+``uni_gcd_oracle`` the one for the modular ``uni_gcd``.  The cofactor
+oracles divide a second time by a GCD already computed, as the package
+used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
+``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
+then ``divmod``) and ``common_denominator_oracle`` (a fold of
+``uni_lcm_oracle``, then ``divmod``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,18 @@ import sympy
 from hypothesis import strategies as st
 
 from cremona_kit.curve_model import PlaneCurveModel, curve_from_mults
-from cremona_kit.exact_algebra import _P0, _POINT, TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
+from cremona_kit.exact_algebra import (
+    _P0,
+    _POINT,
+    TRI_X,
+    TRI_Y,
+    TRI_Z,
+    RatFunc,
+    TriHomPoly,
+    UniPoly,
+    tri_content_gcd,
+    tri_divrem,
+)
 from cremona_kit.jonquieres import JonqElement
 from cremona_kit.linear_systems import (
     LinSysData,
@@ -167,6 +183,48 @@ def uni_gcd_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def _exact_quotient(p, d):
+    q, r = divmod(p, d) if isinstance(p, UniPoly) else tri_divrem(p, d)
+    assert r.is_zero, "inexact division"
+    return q
+
+
+def uni_cofactors_oracle(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
+    """(g, p / g, q / g) by ``uni_gcd_oracle`` and a second, exact division."""
+    g = uni_gcd_oracle(p, q)
+    if g.is_zero:
+        return g, p, q
+    return g, _exact_quotient(p, g), _exact_quotient(q, g)
+
+
+def uni_lcm_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
+    """The earlier ``uni_lcm``: p * q divided by their gcd, made monic."""
+    return _exact_quotient(p * q, uni_gcd_oracle(p, q)).monic()
+
+
+def common_denominator_oracle(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:
+    """The lcm D of dens, nested pairwise as the package used to, and D / d
+    for each d by a second division."""
+    level = list(dens)
+    while len(level) > 1:
+        pairs = [level[i : i + 2] for i in range(0, len(level), 2)]
+        level = [uni_lcm_oracle(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
+    D = level[0]
+    return D, [_exact_quotient(D, d) for d in dens]
+
+
+def primitive_parts_oracle(
+    polys: Sequence[TriHomPoly],
+) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
+    """The earlier content removal of ``CremonaMap.of``: ``tri_content_gcd``,
+    then ``tri_divrem`` of every nonzero component by it."""
+    content = tri_content_gcd(*polys)
+    return content, tuple(
+        _exact_quotient(p, content) if p else TriHomPoly.zero(max(p.degree - content.degree, 0))
+        for p in polys
+    )
 
 
 def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly:

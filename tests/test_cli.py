@@ -1,4 +1,5 @@
 import json
+import time
 
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
@@ -189,6 +190,19 @@ class TestMaps:
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert code == 1
         assert payload["error"] == "schema" and payload["path"] == "$.curve"
+
+
+    def test_map_above_the_cap_is_refused_before_decoding(self, capsys):
+        # Components x^E, x^(E-1) y, z^E: before the decode-time check the
+        # content gcd ran first (E = 10^6 took ~16 s and ~450 MB).
+        E = 10**9
+        terms = [[E, 0, 0], [E - 1, 1, 0], [0, 0, E]]
+        big = {"deg": E, "components": [[[t, "1"]] for t in terms]}
+        payload_in = json.dumps({"outer": big, "inner": ser.encode_map(identity_map())})
+        t0 = time.perf_counter()
+        code, payload = run_json(capsys, "map-compose", "--inline", payload_in)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and payload["error"] == "DegreeCapExceeded"
 
 
 class TestJonq:

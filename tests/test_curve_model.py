@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cremona_kit.curve_model import (
     PlaneCurveModel,
@@ -119,6 +121,40 @@ class TestPerfectPower:
         _, factors = sympy.factor_list(tri_to_sympy(g))
         if all(m == 1 for _, m in factors):
             assert not is_perfect_power(g)
+
+
+def _primitive_form(v):
+    g = math.gcd(*v)
+    v = tuple(c // g for c in v)
+    return v if next(c for c in v if c) > 0 else tuple(-c for c in v)
+
+
+@st.composite
+def planted_powers(draw):
+    """(forms, exponents, scale): one to three distinct linear forms, each
+    with an exponent of 1 to 3, times a nonzero scale."""
+    linear = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(_primitive_form)
+    forms = draw(st.lists(linear, min_size=1, max_size=3, unique=True))
+    exponents = [draw(st.integers(1, 3)) for _ in forms]
+    return forms, exponents, draw(st.sampled_from([1, -1, Fraction(3, 2)]))
+
+
+class TestPerfectPowerOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_powers())
+    @example(([(1, 0, 0), (0, 1, 0)], [2, 3], 1))  # x^2 y^3
+    @example(([(1, 0, 0), (0, 1, 0)], [2, 4], 1))
+    @example(([(1, 1, 0), (1, -1, 0), (0, 0, 1)], [3, 3, 3], -1))
+    @example(([(1, 2, 3)], [1], Fraction(3, 2)))
+    def test_planted_products(self, case):
+        forms, exponents, scale = case
+        f = TriHomPoly.monomial((0, 0, 0), scale)
+        for (a, b, c), e in zip(forms, exponents):
+            f = f * (TRI_X * a + TRI_Y * b + TRI_Z * c) ** e
+        expected = math.gcd(*exponents) >= 2
+        _, factors = sympy.factor_list(tri_to_sympy(f))
+        assert sorted(m for _, m in factors) == sorted(exponents)
+        assert is_perfect_power(f) == expected
 
 
 class TestMultiplicityAt:

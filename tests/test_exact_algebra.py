@@ -7,10 +7,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cremona_kit.cremona_maps import _common_denominator
 from cremona_kit.errors import SingularMatrix
 from cremona_kit.exact_algebra import (
     _P0,
     _primes,
+    _primitive_parts,
+    _uni_cofactors,
     Mat2RF,
     RatFunc,
     TRI_X,
@@ -22,12 +25,10 @@ from cremona_kit.exact_algebra import (
     is_squarefree,
     lex_normalized,
     tri_content_gcd,
-    tri_div_exact,
     tri_divides,
     tri_divrem,
     tri_gcd,
     uni_gcd,
-    uni_lcm,
 )
 
 from _util import (
@@ -36,6 +37,9 @@ from _util import (
     SZ,
     ST,
     ADVERSARIAL,
+    UNI_ADVERSARIAL,
+    common_denominator_oracle,
+    primitive_parts_oracle,
     rand_ratfunc,
     rand_trihom,
     rand_unipoly,
@@ -43,6 +47,7 @@ from _util import (
     sympy_to_tri,
     tri_to_sympy,
     trihoms,
+    uni_cofactors_oracle,
     uni_gcd_oracle,
     uni_to_sympy,
     unipolys,
@@ -106,7 +111,7 @@ class TestUniPoly:
             assert r.is_zero or r.degree < b.degree
 
     def test_lcm(self):
-        assert uni_lcm(T - ONE, T + ONE) == T * T - ONE
+        assert _common_denominator([T - ONE, T + ONE]) == (T * T - ONE, [T + ONE, T - ONE])
 
     def test_eval(self):
         p = UniPoly.of(1, -2, 1)  # (t-1)^2
@@ -354,7 +359,7 @@ class TestDivisibility:
             q = rand_trihom(rng, rng.randint(0, 3))
             assert tri_divides(c, c * q)
             if not q.is_zero:
-                assert tri_div_exact(c * q, c) == q
+                assert tri_divrem(c * q, c) == (q, TriHomPoly.zero(c.degree + q.degree))
 
     def test_divrem_invariant(self):
         rng = random.Random(222)
@@ -487,6 +492,128 @@ class TestModularGcd:
         primes = list(islice(_primes(), 6))
         assert primes[0] == _P0 == 2**61 - 1 and sympy.isprime(_P0)
         assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
+
+
+@st.composite
+def denominators(draw):
+    """Two to four monic polynomials, as RatFunc denominators, sometimes
+    sharing a factor."""
+    common = draw(unipolys(min_degree=1, max_degree=2)) if draw(st.booleans()) else ONE
+    count = draw(st.integers(2, 4))
+    return [(common * draw(unipolys(max_degree=2))).monic() for _ in range(count)]
+
+
+class TestCofactors:
+    """A GCD comes with the quotients its acceptance division computed; they
+    equal what the earlier code got by dividing a second time."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gcd_inputs())
+    # zero components, one of a smaller nominal degree than the content
+    @example([TriHomPoly.zero(3), TRI_X * TRI_Z, TRI_Y * TRI_Z])
+    @example([TriHomPoly.zero(0), (TRI_X + TRI_Y) * TRI_X, (TRI_X + TRI_Y) * TRI_Z])
+    @example([TriHomPoly.zero(1), TriHomPoly.zero(2), (TRI_X * 2 + TRI_Y) * Fraction(1, 3)])
+    # pure powers of z as contents
+    @example([TRI_Z**3 * TRI_X, TRI_Z**2 * (TRI_X + TRI_Y), TRI_Z**4])
+    @example([TRI_Z**2 * 5, TRI_Z**3 * TRI_Y, TriHomPoly.zero(3)])
+    # a nontrivial gcd of the first pair that the third component cancels
+    @example([(TRI_X + TRI_Y) * TRI_X * 3, (TRI_X + TRI_Y) * TRI_Y, TRI_Z * TRI_Z])
+    @example([(TRI_X - TRI_Y) * TRI_Z * TRI_X, (TRI_X - TRI_Y) * TRI_Z * TRI_Y, TRI_Z * TRI_X**2])
+    # a constant component
+    @example([TriHomPoly.monomial((0, 0, 0), Fraction(-2, 3)), TRI_X, TRI_Y])
+    def test_primitive_parts_equal_oracle(self, polys):
+        if all(p.is_zero for p in polys):
+            with pytest.raises(ValueError):
+                _primitive_parts(polys)
+            return
+        content, parts = _primitive_parts(polys)
+        assert (content, parts) == primitive_parts_oracle(polys)
+        assert isinstance(parts, tuple) and len(parts) == len(polys)
+        for p, q in zip(polys, parts):
+            assert content * q == p if p else q.is_zero
+        if content.degree == 0:
+            # coprime: the inputs are their own parts, nothing multiplied
+            assert all(q is p for p, q in zip(polys, parts))
+
+    def test_primitive_parts_adversarial(self):
+        c = (TRI_X + TRI_Y * 2 - TRI_Z) * TRI_Z
+        for a in ADVERSARIAL:
+            for b in ADVERSARIAL:
+                polys = [a * c, b * c, a * b * TRI_Z]
+                content, parts = _primitive_parts(polys)
+                assert (content, parts) == primitive_parts_oracle(polys)
+                assert all(content * q == p for p, q in zip(polys, parts))
+
+    @given(uni_gcd_inputs())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @example([UniPoly(), UniPoly()])
+    @example([UniPoly(), UniPoly.of(Fraction(-3, 7), 2)])
+    @example([UniPoly.of(Fraction(2, 3), 0, 4), UniPoly()])
+    @example([UniPoly.of(Fraction(-2, 3)), T * T - ONE])
+    @example([UniPoly.of(1, _P0) * UniPoly.of(3, 1), UniPoly.of(1, _P0) * UniPoly.of(-5, 1)])
+    @example([UniPoly.of(1, 1) * UniPoly.of(2, 0, 1), UniPoly.of(1 + _P0, 1) * UniPoly.of(2, 0, 1)])
+    def test_uni_cofactors_equal_oracle(self, pair):
+        p, q = pair
+        g, a, b = _uni_cofactors(p, q)
+        assert (g, a, b) == uni_cofactors_oracle(p, q)
+        assert g * a == p and g * b == q
+        if g.degree == 0 and p and q:
+            assert a is p and b is q
+
+    def test_uni_cofactors_adversarial(self):
+        for f in UNI_ADVERSARIAL:
+            for h in UNI_ADVERSARIAL:
+                p, q = f * h * (T - ONE), h * (T + ONE)
+                assert _uni_cofactors(p, q) == uni_cofactors_oracle(p, q)
+
+    @given(denominators())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @example([ONE, ONE, ONE, ONE])
+    @example([T - ONE, T + ONE, T * T - ONE, ONE])
+    @example([UniPoly.of(1, _P0).monic(), (UniPoly.of(1, _P0) * (T + ONE)).monic()])
+    def test_common_denominator_equals_lcm_fold(self, dens):
+        D, cofactors = _common_denominator(dens)
+        assert (D, cofactors) == common_denominator_oracle(dens)
+        assert all(c * d == D for c, d in zip(cofactors, dens))
+
+
+@st.composite
+def same_degree_trihoms(draw):
+    """Three polynomials of one degree, each zero one time in seven."""
+    d = draw(st.integers(0, 3))
+    zero = st.integers(0, 6).map(lambda n: n == 0)
+    return tuple(TriHomPoly.zero(d) if draw(zero) else draw(trihoms(degree=d)) for _ in range(3))
+
+
+maybe_zero_unipolys = st.one_of(st.just(UniPoly()), unipolys())
+maybe_zero_trihoms = st.one_of(st.builds(TriHomPoly.zero, st.integers(0, 4)), trihoms(max_degree=4))
+
+
+class TestRingLaws:
+    @given(maybe_zero_unipolys, maybe_zero_unipolys, maybe_zero_unipolys)
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_unipoly(self, p, q, r):
+        assert p + q == q + p and p * q == q * p
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+
+    @given(same_degree_trihoms())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_trihompoly(self, triple):
+        p, q, r = triple
+        assert p + q == q + p and p * q == q * p
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+
+    @given(maybe_zero_trihoms, trihoms())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_tri_divrem_rebuilds_its_input(self, f, c):
+        q, r = tri_divrem(f, c)
+        assert q * c + r == f
+        lead, _ = c.lex_lead()
+        assert not any(all(e[a] >= lead[a] for a in range(3)) for e, _ in r.terms)
 
 
 class TestHomogenize:
