@@ -33,13 +33,7 @@ from .cremona_maps import compose, fixes_curve_pointwise
 from .curve_model import genus, validate_curve_data
 from .errors import CremonaKitError, SchemaError
 from .linear_systems import adjoint_chain
-from .rational_pencils import (
-    DEFAULT_ENUM_LIMIT,
-    PencilType,
-    check_rational_pencil,
-    enumerate_pencil_types,
-    sextic_free_intersection_bound,
-)
+from .rational_pencils import DEFAULT_ENUM_LIMIT, check_rational_pencil, enumerate_pencil_types
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -148,7 +142,7 @@ def _cmd_jonq_mul(args) -> Tuple[Dict[str, Any], int]:
 
 def _cmd_jonq_fix_check(args) -> Tuple[Dict[str, Any], int]:
     u = ser.decode_jonq(_load_payload(args))
-    curve = jq.hyperelliptic_curve_poly(u.h)
+    curve = jq._curve_poly(u.h)  # u's constructor has checked h
     F = jq.to_cremona(u)
     pointwise = fixes_curve_pointwise(F, curve)
     payload = {

@@ -67,6 +67,9 @@ class JonqElement:
 
     def __post_init__(self) -> None:
         _check_h(self.h)
+        self._check_entries()
+
+    def _check_entries(self) -> None:
         if self.a1.is_zero and self.a2.is_zero:
             raise InvalidElement("a1 and a2 cannot both vanish")
         det = self.a1 * self.a1 - RatFunc.of(self.h) * (self.a2 * self.a2)
@@ -95,22 +98,26 @@ class JonqElement:
         return Mat2RF(self.a1, hr * self.a2, self.a2, self.a1)
 
 
+def _over(u: JonqElement, a1: RatFunc, a2: RatFunc) -> JonqElement:
+    """(a1, a2) over u.h, which u's constructor has checked: only a1, a2 are."""
+    w = object.__new__(JonqElement)
+    w.__dict__.update(a1=a1, a2=a2, h=u.h)
+    w._check_entries()
+    return w
+
+
 def mul(u: JonqElement, v: JonqElement) -> JonqElement:
     """Matrix product inside the group: stays of the same shape."""
     if u.h != v.h:
         raise GroupMismatch("elements built over different polynomials h")
     hr = RatFunc.of(u.h)
-    return JonqElement(
-        u.a1 * v.a1 + hr * (u.a2 * v.a2),
-        u.a1 * v.a2 + u.a2 * v.a1,
-        u.h,
-    )
+    return _over(u, u.a1 * v.a1 + hr * (u.a2 * v.a2), u.a1 * v.a2 + u.a2 * v.a1)
 
 
 def invert(u: JonqElement) -> JonqElement:
     """Inverse (a1 / det, -a2 / det); mul(u, invert(u)) is scalar."""
     d = u.det()
-    return JonqElement(u.a1 / d, -u.a2 / d, u.h)
+    return _over(u, u.a1 / d, -u.a2 / d)
 
 
 def pgl_order(m: Mat2RF) -> PglOrder:
@@ -172,6 +179,10 @@ def leminv_check(u: JonqElement) -> OrderReport:
 def hyperelliptic_curve_poly(h: UniPoly) -> TriHomPoly:
     """Plane model of y^2 = h(x): the degree-(2g+2) form y^2 z^(2g) - H(x, z)."""
     _check_h(h)
+    return _curve_poly(h)
+
+
+def _curve_poly(h: UniPoly) -> TriHomPoly:
     d = h.degree
     h_hom = homogenize_uni(h, 0, 2, d)
     y2 = TriHomPoly.monomial((0, 2, d - 2))

@@ -20,6 +20,7 @@ the two equations are the whole contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import EnumerationBoundExceeded, InvalidAssignment
@@ -99,23 +100,31 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
     return value
 
 
-def _partitions(total: int, square_total: int, max_part: int):
-    """Non-increasing tuples of parts >= 1 with the given sum and square sum."""
-    if total == 0:
-        if square_total == 0:
-            yield ()
-        return
-    top = min(max_part, total)
-    for part in range(top, 0, -1):
-        rest, rest_sq = total - part, square_total - part * part
-        if rest_sq < 0:
-            continue
-        if rest > rest_sq:  # each remaining part m >= 1 has m <= m^2
-            continue
-        if rest_sq > rest * part:  # remaining parts are bounded by `part`
-            continue
-        for tail in _partitions(rest, rest_sq, part):
-            yield (part,) + tail
+def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int, ...]]:
+    """Non-increasing tuples of parts >= 1 with the given sum and square sum,
+    in decreasing lexicographic order.  With (t, s) left to fill by parts
+    <= cap, the parts p that leave a solvable rest are one range:
+    ceil(s / t) <= p <= min(cap, t) with p(p - 1) <= s - t.  Once s == t
+    the rest is all ones."""
+    found: List[Tuple[int, ...]] = []
+    head: List[int] = []  # the part taken at each open level
+    levels: List[List[int]] = []  # per open level: [next part, lowest part, t, s]
+    t, s, cap = total, square_total, max_part
+    while True:
+        if s == t and (cap > 0 or t == 0):
+            found.append((*head,) + (1,) * t)
+        elif 0 < t < s:
+            levels.append([min(cap, t, (isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t), t, s])
+            head.append(0)
+        while levels and levels[-1][0] < levels[-1][1]:
+            levels.pop()
+            head.pop()
+        if not levels:
+            return found
+        level = levels[-1]
+        cap = head[-1] = level[0]
+        level[0] -= 1
+        t, s = level[2] - cap, level[3] - cap * cap
 
 
 def enumerate_pencil_types(
@@ -134,7 +143,9 @@ def enumerate_pencil_types(
     out: List[PencilType] = []
     for n in range(1, n_max + 1):
         for parts in _partitions(3 * n - 2, n * n, n):
-            out.append(PencilType(n, parts))
+            p = object.__new__(PencilType)  # the walk's parts are sorted and valid
+            p.__dict__.update(degree=n, mults=parts)
+            out.append(p)
     return tuple(out)
 
 

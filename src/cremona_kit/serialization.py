@@ -17,9 +17,9 @@ of the offending field.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, List, Optional, Tuple
 
 from .curve_model import (
@@ -32,13 +32,7 @@ from .cremona_maps import CremonaMap, _check_cap
 from .errors import SchemaError
 from .exact_algebra import RatFunc, TriHomPoly, UniPoly
 from .jonquieres import JonqElement, OrderReport
-from .linear_systems import (
-    ChainReport,
-    ChainStep,
-    LinSysData,
-    PencilReduction,
-    RemovedComponent,
-)
+from .linear_systems import ChainReport, ChainStep, LinSysData, RemovedComponent
 from .rational_pencils import PencilCheckReport, PencilType
 
 _Path = Tuple[Any, ...]
@@ -379,5 +373,39 @@ def encode_pencil_type(p: PencilType) -> Dict[str, Any]:
 
 
 def dumps(payload: Any) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline end.
+
+    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus a newline, for the values the encoders emit: str, int, bool, None,
+    and lists and str-keyed dicts of them.  Anything else (a float, a tuple,
+    a non-str key) raises TypeError.
+    """
+    return _write(payload, "\n") + "\n"
+
+
+def _write(v: Any, newline: str) -> str:
+    """One value; ``newline`` is a line break plus the indent of its line."""
+    kind = type(v)
+    if kind is str:
+        return _encode_str(v)
+    if kind is int:
+        return int.__repr__(v)
+    if kind is list:
+        if not v:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, v)) == {int}:  # the mults lists are most of what is written
+            body = map(int.__repr__, v)
+        else:
+            body = [_write(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if kind is dict:
+        if not v:
+            return "{}"
+        inner = newline + "  "
+        # _encode_str raises TypeError for a key that is not a str.
+        body = [_encode_str(k) + ": " + _write(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if v is None or kind is bool:
+        return "null" if v is None else "true" if v else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -5,8 +5,9 @@ sympy acts as the independent oracle for polynomial identities (gcd,
 divisibility, expansion); the package itself never imports it.  The
 Bezout-rule enumerator below is the oracle for the package's direct
 first-rule search, the Fraction ``substitute_oracle`` the one for the
-package's integer substitution, and the Fraction Euclid
-``uni_gcd_oracle`` the one for the modular ``uni_gcd``.  The cofactor
+package's integer substitution, the Fraction Euclid ``uni_gcd_oracle``
+the one for the modular ``uni_gcd``, and the recursive generator
+``partitions_oracle`` the one for the flat pencil-type walk.  The cofactor
 oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 ``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
@@ -250,6 +251,26 @@ def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly
         term = power(0, i) * power(1, j) * power(2, k) * coeff
         total = total + term
     return total
+
+
+def partitions_oracle(total: int, square_total: int, max_part: int):
+    """The recursive walk ``rational_pencils._partitions`` replaced: the same
+    tuples in the same order, each rebuilt at every level of the recursion."""
+    if total == 0:
+        if square_total == 0:
+            yield ()
+        return
+    top = min(max_part, total)
+    for part in range(top, 0, -1):
+        rest, rest_sq = total - part, square_total - part * part
+        if rest_sq < 0:
+            continue
+        if rest > rest_sq:  # each remaining part m >= 1 has m <= m^2
+            continue
+        if rest_sq > rest * part:  # remaining parts are bounded by `part`
+            continue
+        for tail in partitions_oracle(rest, rest_sq, part):
+            yield (part,) + tail
 
 
 def rand_curve(

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import time
+
+import pytest
 
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
@@ -28,6 +31,23 @@ BERTINI_CURVE = json.dumps(
         "poly": None,
     }
 )
+
+
+# sha256 of the stdout of `pencil-enum --max 16 --bound 16` and of two
+# `adjoint-chain` reports, recorded with json.dumps(indent=2, sort_keys=True)
+# and the recursive partition generator: the writer and the walk that
+# replaced them must reproduce these bytes.
+PENCIL_ENUM_16_SHA256 = "d858188755484540dae256fcd2cad2f02eb8640bb65b7b4895aca040b98ab588"
+# 13 steps, fixed lines removed, ends in a rational pencil.
+CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
+CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
+# 9 steps, ends exhausted with two warnings.
+CHAIN_55 = (55, [22, 22, 4, 22, 3, 7, 22, 9, 11, 22, 10, 13, 5, 4])
+CHAIN_55_SHA256 = "5c7a0eb7ac4b277a8db730bda6fcbde638acfc740265ad5d2bea0fed233d669a"
+
+
+# t^2 (t^2 + 1): even degree 4, not squarefree.
+T2_T2_PLUS_1 = UniPoly.of(0, 0, 1, 0, 1)
 
 
 def run(capsys, *argv):
@@ -160,6 +180,29 @@ class TestChains:
         assert first == second
 
 
+class TestGoldenOutputs:
+    def digest(self, capsys, *argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_pencil_enum_16(self, capsys):
+        assert self.digest(capsys, "pencil-enum", "--max", "16", "--bound", "16") == (
+            PENCIL_ENUM_16_SHA256
+        )
+
+    @pytest.mark.parametrize(
+        "system, want",
+        [(CHAIN_65, CHAIN_65_SHA256), (CHAIN_55, CHAIN_55_SHA256)],
+        ids=["degree-65", "degree-55"],
+    )
+    def test_adjoint_chain_reports(self, capsys, system, want):
+        degree, mults = system
+        sings = [{"label": f"p{i:02d}", "mult": m, "coords": None} for i, m in enumerate(mults)]
+        curve = json.dumps({"degree": degree, "poly": None, "singularities": sings})
+        assert self.digest(capsys, "adjoint-chain", "--inline", curve) == want
+
+
 class TestMaps:
     def test_compose_involution(self, capsys):
         phi = ser.encode_map(make_phi(1, 0))
@@ -240,6 +283,31 @@ class TestJonq:
         code, payload = run_json(capsys, "jonq-mul", "--inline", json.dumps({"u": u, "v": v}))
         assert code == 2
         assert payload["error"] == "GroupMismatch"
+
+    @pytest.mark.parametrize("command", ["jonq-order", "jonq-mul", "jonq-fix-check"])
+    def test_bad_h_exits_two(self, capsys, command):
+        for h in (UniPoly.of(-1, 0, 1), T2_T2_PLUS_1):
+            element = self.element([(1, 1)], [(0, 1)])
+            element["h"] = ser.encode_unipoly(h)
+            payload_in = {"u": element, "v": element} if command == "jonq-mul" else element
+            code, payload = run_json(capsys, command, "--inline", json.dumps(payload_in))
+            assert code == 2
+            assert payload["error"] == "InvalidElement"
+
+    @pytest.mark.parametrize(
+        "command, tests", [("jonq-order", 1), ("jonq-mul", 2), ("jonq-fix-check", 1)]
+    )
+    def test_h_is_tested_once_per_decoded_element(self, capsys, monkeypatch, command, tests):
+        import cremona_kit.jonquieres as jq
+
+        calls = []
+        real = jq.is_squarefree
+        monkeypatch.setattr(jq, "is_squarefree", lambda h: calls.append(h) or real(h))
+        element = self.element([(0, 2), (1, 1)], [(0, 1)])
+        payload_in = {"u": element, "v": element} if command == "jonq-mul" else element
+        code, _ = run(capsys, command, "--inline", json.dumps(payload_in))
+        assert code == 0
+        assert len(calls) == tests
 
     def test_fix_check(self, capsys):
         payload_in = json.dumps(self.element([(0, 2), (1, 1)], [(0, 1)]))

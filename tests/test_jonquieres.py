@@ -24,6 +24,16 @@ from _util import H4, H6, H8, ST, rand_jonq, uni_to_sympy
 
 T = UniPoly.variable()
 
+# h that no element may be built over: zero, degree 2, odd degree 5, and the
+# non-squarefree (t - 1)^2 (t^2 + 1) and t^2 (t^2 + 1).
+BAD_H = (
+    UniPoly.of(),
+    UniPoly.of(-1, 0, 1),
+    UniPoly.of(-1, 0, 0, 0, 0, 1),
+    (T - UniPoly.constant(1)) ** 2 * (T * T + UniPoly.constant(1)),
+    T * T * (T * T + UniPoly.constant(1)),
+)
+
 
 class TestElementInvariants:
     def test_rejects_bad_h(self):
@@ -33,6 +43,28 @@ class TestElementInvariants:
             JonqElement.of(UniPoly.of(-1, 0, 0, 0, 0, 1), 1, 0)  # odd degree 5
         with pytest.raises(InvalidElement):  # (t-1)^2 (t^2+1): not squarefree
             JonqElement.of((T - UniPoly.constant(1)) ** 2 * (T * T + UniPoly.constant(1)), 1, 0)
+
+    @pytest.mark.parametrize("h", BAD_H, ids=["zero", "deg2", "deg5", "sq1", "sq2"])
+    def test_bad_h_refused_by_every_constructor(self, h):
+        for build in (
+            lambda: JonqElement(RatFunc.of(1), RatFunc.of(0), h),
+            lambda: JonqElement.of(h, T, 1),
+            lambda: JonqElement.identity(h),
+            lambda: hyperelliptic_curve_poly(h),
+        ):
+            with pytest.raises(InvalidElement):
+                build()
+
+    def test_products_and_inverses_equal_checked_construction(self):
+        # mul and invert build over an h already checked; their results must
+        # equal, with the same det, the elements the constructor builds.
+        rng = random.Random(31)
+        for h in (H4, H6):
+            for _ in range(5):
+                u, v = rand_jonq(rng, h), rand_jonq(rng, h)
+                for w in (mul(u, v), invert(u)):
+                    checked = JonqElement(w.a1, w.a2, w.h)
+                    assert w == checked and w.det() == checked.det()
 
     def test_rejects_zero_element(self):
         with pytest.raises(InvalidElement):

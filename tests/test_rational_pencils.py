@@ -5,11 +5,14 @@ from cremona_kit.errors import EnumerationBoundExceeded, InvalidAssignment
 from cremona_kit.linear_systems import member_genus, self_intersection, virtual_dim
 from cremona_kit.rational_pencils import (
     PencilType,
+    _partitions,
     as_linear_system,
     check_rational_pencil,
     enumerate_pencil_types,
     sextic_free_intersection_bound,
 )
+
+from _util import partitions_oracle
 
 
 def brute_types(n):
@@ -88,6 +91,42 @@ class TestEnumerate:
 
     def test_deterministic(self):
         assert enumerate_pencil_types(6) == enumerate_pencil_types(6)
+
+    def test_types_equal_checked_construction(self):
+        # enumerate_pencil_types skips PencilType's checks; the objects must
+        # still equal, and hash like, those the constructor builds.
+        for p in enumerate_pencil_types(8):
+            q = PencilType(p.degree, tuple(reversed(p.mults)))
+            assert p == q and hash(p) == hash(q) and str(p) == str(q)
+            assert type(p.mults) is tuple
+
+
+class TestWalkOracle:
+    """The flat walk against the recursive generator it replaced."""
+
+    def test_every_degree_up_to_24(self):
+        for n in range(1, 25):
+            assert _partitions(3 * n - 2, n * n, n) == list(partitions_oracle(3 * n - 2, n * n, n))
+
+    def test_caps_below_the_degree(self):
+        for n in range(1, 17):
+            for cap in range(0, n):
+                want = list(partitions_oracle(3 * n - 2, n * n, cap))
+                assert _partitions(3 * n - 2, n * n, cap) == want, (n, cap)
+
+    def test_small_targets(self):
+        # Every (sum, square sum, cap) in a box, solvable or not.
+        for total in range(0, 10):
+            for square_total in range(0, 40):
+                for cap in range(0, 7):
+                    want = list(partitions_oracle(total, square_total, cap))
+                    assert _partitions(total, square_total, cap) == want
+
+    def test_empty_and_all_ones(self):
+        assert _partitions(0, 0, 0) == [()] == list(partitions_oracle(0, 0, 0))
+        assert _partitions(0, 1, 3) == []
+        assert _partitions(5, 5, 1) == [(1,) * 5]
+        assert _partitions(5, 5, 0) == []
 
 
 class TestSexticBound:

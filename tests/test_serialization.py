@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cremona_kit import serialization as ser
 from cremona_kit.curve_model import PlaneCurveModel, PointSpec, SingularityData, curve_from_mults
@@ -120,6 +122,58 @@ class TestSystemsAndReports:
         a = ser.dumps(ser.encode_chain_report(report))
         b = ser.dumps(ser.encode_chain_report(adjoint_chain(curve_from_mults(6, [2] * 7))))
         assert a == b
+
+
+# Strings mixing ASCII, control, non-ASCII and astral characters, lone
+# surrogates, and what json escapes specially.
+_SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'
+_TEXT = st.text(
+    st.one_of(st.characters(max_codepoint=0x7F), st.characters(), st.sampled_from(_SPECIAL)),
+    max_size=8,
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.sampled_from([0, -1, 1, True, False]),
+    _TEXT,
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.dictionaries(_TEXT, inner, max_size=6)),
+    max_leaves=20,
+)
+
+
+def _nested(depth):
+    value = {"leaf": [1, True, None, "x"]}
+    for i in range(depth):
+        value = [value, i] if i % 2 else {"k": value, "": []}
+    return value
+
+
+class TestDumps:
+    """dumps writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_JSON)
+    @example([True, 1, False, 0, None, -(2**100), 2**200])
+    @example({"a": [], "b": {}, "\u00e9\n": "\x00\u2028\U0001f600", "1": 1})
+    @example([[], {}, [[]], [{}], {"": {"": []}}])
+    @example({"mults": [2**64, -5, 0, 7], "labels": ["p0", "\udfff"]})
+    @example(_nested(60))
+    def test_matches_json(self, value):
+        assert ser.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, float("nan"), (1, 2), Fraction(1, 2), {1: "a"}, {None: 1}, [1, 2.0], {"a": (1,)},
+         {"a": 1, 2: 3}, b"bytes"],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            ser.dumps(value)
 
 
 class TestMapAndGroupElements:
