@@ -18,6 +18,8 @@ cover three families:
 ``fixes_curve_pointwise`` certifies that a map fixes a curve pointwise
 (where defined) by exact divisibility of the 2x2 minors f_i x_j - f_j x_i
 by the curve polynomial; exactness is what makes the certificate real.
+The minors are built on integers, under one scale for the map, and
+divided by the primitive curve polynomial with no Fraction arithmetic.
 
 Birationality of arbitrary triples is not verified; only triples coming
 from the constructors are known maps, and foreign triples must be opted
@@ -28,6 +30,7 @@ JSON declaring a larger degree is refused before its components are read).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,11 +45,13 @@ from .exact_algebra import (
     TRI_Z,
     TriHomPoly,
     UniPoly,
+    _BiPoly,
+    _divides,
     _frac,
+    _integral,
     _primitive_parts,
     _uni_cofactors,
     homogenize_uni,
-    tri_divides,
 )
 from .linear_systems import LinSysData
 
@@ -244,13 +249,29 @@ def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:
         raise ValueError("curve polynomial must be nonzero")
     if c.degree == 0:
         raise ValueError("curve polynomial must have positive degree")
-    f0, f1, f2 = F.components
-    minors = (
-        f0 * TRI_Y - f1 * TRI_X,
-        f0 * TRI_Z - f2 * TRI_X,
-        f1 * TRI_Z - f2 * TRI_Y,
+    # On the chart z = 1, over one integer scale of the map: multiplying by
+    # x, y or z shifts exponents by (1, 0), (0, 1) or (0, 0).
+    den = math.lcm(*(q.denominator for f in F.components for _, q in f.terms))
+    f0, f1, f2 = (_integral(f, den) for f in F.components)
+    x, y, z = (1, 0), (0, 1), (0, 0)
+    return all(
+        _divides(c, F.degree + 1, _minor(a, sa, b, sb))
+        for a, sa, b, sb in ((f0, y, f1, x), (f0, z, f2, x), (f1, z, f2, y))
     )
-    return all(tri_divides(c, m) for m in minors)
+
+
+def _minor(a: _BiPoly, sa: Tuple[int, int], b: _BiPoly, sb: Tuple[int, int]) -> _BiPoly:
+    """a * x^sa[0] y^sa[1] - b * x^sb[0] y^sb[1], with no zero coefficient."""
+    (ai, aj), (bi, bj) = sa, sb
+    out = {(i + ai, j + aj): v for (i, j), v in a.items()}
+    for (i, j), v in b.items():
+        e = (i + bi, j + bj)
+        w = out.get(e, 0) - v
+        if w:
+            out[e] = w
+        else:
+            del out[e]
+    return out
 
 
 def free_intersection(

@@ -20,7 +20,9 @@ the points y = 1000003, 1000004, ...  A univariate image of degree 0, at
 a point where the x-leading coefficients do not vanish, proves the GCD
 has no x; most content GCDs end there.  Otherwise the GCD is rebuilt by
 interpolation in y and Chinese remaindering, and accepted only after
-exact trial division of both inputs.  Results are normalised so the
+exact division on integers of both dehomogenised inputs by the primitive
+candidate (``_exact_quotient``, which ``tri_divides`` and the fixation
+certificate of ``cremona_maps`` use too).  Results are normalised so the
 lexicographically leading term (x > y > z) has coefficient one.
 ``uni_gcd`` runs the same code on Z[t] taken as Z[x]: an image of degree 0
 proves the inputs coprime.  The quotients of the accepting division come
@@ -388,6 +390,14 @@ class TriHomPoly:
         return cls(degree, ())
 
     @classmethod
+    def _sorted(cls, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...]) -> "TriHomPoly":
+        """Trusted constructor: ``terms`` as __post_init__ would leave them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "degree", degree)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def monomial(cls, exps: Exponents, coeff: RationalLike = 1) -> "TriHomPoly":
         return cls(sum(exps), ((tuple(exps), _frac(coeff)),))  # type: ignore[arg-type]
 
@@ -443,7 +453,10 @@ class TriHomPoly:
                     acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
             return TriHomPoly(deg, tuple(acc.items()))
         scalar = _frac(other)
-        return TriHomPoly(self.degree, tuple((e, c * scalar) for e, c in self.terms))
+        if not scalar:
+            return TriHomPoly.zero(self.degree)
+        # A nonzero scalar keeps the terms nonzero and in order.
+        return TriHomPoly._sorted(self.degree, tuple((e, c * scalar) for e, c in self.terms))
 
     def __rmul__(self, other: RationalLike) -> "TriHomPoly":
         return self.__mul__(other)
@@ -603,8 +616,7 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
         return True
     if f.degree < c.degree:
         return False
-    _, r = tri_divrem(f, c)
-    return r.is_zero
+    return _divides(c, f.degree, _dehomogenize(f)[2])
 
 
 # -- gcd: Brown's modular algorithm ------------------------------------------
@@ -634,11 +646,12 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
 # multiple of the true one; it is skipped, and a lower lex-leading monomial
 # restarts the accumulation.  The images, times the integer gcd of the
 # lex-leading coefficients, are combined by CRT into symmetric residues.
-# Once a new prime leaves them unchanged, the candidate C is accepted only
-# if it divides f and g exactly (tri_divrem; the quotients are returned
-# with it).  Then C | H, while the leading monomial of C, that of an image
-# mod p, is at least that of H: so C is H up to a scalar.  Bad luck only
-# costs another point or prime; the answer never depends on it.
+# Once a new prime leaves them unchanged, the candidate C, made primitive,
+# is accepted only if it divides F and G exactly in Z[x, y]
+# (_exact_quotient; by Gauss's lemma the quotients are integral, and they
+# are returned with it).  Then C | H, while the leading monomial of C, that
+# of an image mod p, is at least that of H: so C is H up to a scalar.  Bad
+# luck only costs another point or prime; the answer never depends on it.
 
 
 _P0 = 2**61 - 1
@@ -750,18 +763,68 @@ def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
     return out
 
 
-def _dehomogenize(f: TriHomPoly) -> Tuple[int, _BiPoly]:
-    """(a, F) with f = z^a * F(x, y, z) up to a rational scale, F in Z[x, y]."""
-    zpow = min(k for (_, _, k), _ in f.terms)
-    return zpow, _integral(f, math.lcm(*(c.denominator for _, c in f.terms)))
+def _dehomogenize(f: TriHomPoly) -> Tuple[int, int, _BiPoly]:
+    """(a, den, F) for nonzero f: f = z^a * F(x, y, z) / den, F in Z[x, y]
+    keyed in decreasing lex order and den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    return min(k for (_, _, k), _ in f.terms), den, _integral(f, den)
 
 
-def _homogenize(F: _BiPoly) -> TriHomPoly:
-    """Homogenise with z up to the total degree, dividing out the integer content."""
-    total = max(i + j for i, j in F)
-    content = math.gcd(*F.values())
-    terms = (((i, j, total - i - j), c // content) for (i, j), c in F.items())
-    return TriHomPoly(total, tuple(terms))
+def _content_free(F: _BiPoly) -> _BiPoly:
+    """F divided by the gcd of its coefficients."""
+    g = math.gcd(*F.values())
+    return F if g == 1 else {e: c // g for e, c in F.items()}
+
+
+def _exact_quotient(F: _BiPoly, C: _BiPoly) -> Optional[_BiPoly]:
+    """F / C for a primitive C, or None when C does not divide F.
+
+    Lex division on integers.  By Gauss's lemma a quotient of an integral F
+    by a primitive C is integral, and every leading term met while dividing
+    is a term of the quotient times the leading term of C: so the first
+    leading monomial or coefficient that C's does not divide proves the
+    division inexact.  The quotient's keys come out in decreasing lex order.
+    """
+    lead = max(C)
+    (ci, cj), cc = lead, C[lead]
+    tail = [(e, c) for e, c in C.items() if e != lead]
+    p, q = dict(F), {}
+    # p holds no zeros, and its leading monomial strictly decreases.
+    while p:
+        e = max(p)
+        i, j = e[0] - ci, e[1] - cj
+        if i < 0 or j < 0:
+            return None
+        s, r = divmod(p.pop(e), cc)
+        if r:
+            return None
+        q[i, j] = s
+        for (di, dj), dc in tail:
+            t = (i + di, j + dj)
+            v = p.get(t, 0) - s * dc
+            if v:
+                p[t] = v
+            else:
+                del p[t]
+    return q
+
+
+def _divides(c: TriHomPoly, degree: int, F: _BiPoly) -> bool:
+    """True iff the nonzero c divides the homogeneous polynomial of
+    ``degree`` that F in Z[x, y] dehomogenises (F = 0 included)."""
+    if not F:
+        return True
+    zc, _, C = _dehomogenize(c)
+    if degree - max(i + j for i, j in F) < zc:
+        return False
+    return _exact_quotient(F, _content_free(C)) is not None
+
+
+def _homogeneous(degree: int, F: _BiPoly, num: int, den: int) -> TriHomPoly:
+    """num / den * F homogenised with z to ``degree``; F keyed in decreasing
+    lex order, with no zero coefficient."""
+    terms = (((i, j, degree - i - j), Fraction(c * num, den)) for (i, j), c in F.items())
+    return TriHomPoly._sorted(degree, tuple(terms))
 
 
 def _rows(F: _BiPoly, p: int) -> List[List[int]]:
@@ -856,12 +919,6 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
         last = lifted
 
 
-def lex_normalized(f: TriHomPoly) -> TriHomPoly:
-    """Scale so the lex-leading coefficient (x > y > z) equals one."""
-    lc = f.terms[0][1] if f.terms else 1
-    return f * (1 / lc) if lc != 1 else f
-
-
 def _zdiv(f: TriHomPoly, m: int) -> TriHomPoly:
     """f / z^m by shifting exponents (not by division); f itself if m = 0."""
     shifted = (((i, j, k - m), c) for (i, j, k), c in f.terms)
@@ -870,17 +927,25 @@ def _zdiv(f: TriHomPoly, m: int) -> TriHomPoly:
 
 def _tri_cofactors(f: TriHomPoly, g: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly, TriHomPoly]:
     """(d, f / d, g / d) for nonzero f, g; d the lex-normalised gcd.  A proven
-    z^m is divided out by _zdiv, any other d by the division that accepts it."""
-    za, F = _dehomogenize(f)
-    zb, G = _dehomogenize(g)
+    z^m is divided out by _zdiv, any other d by the integer division of the
+    dehomogenised f and g that accepts it."""
+    za, fden, F = _dehomogenize(f)
+    zb, gden, G = _dehomogenize(g)
     m = min(za, zb)
     for candidate in _candidates(F, G):
         if max(candidate) == (0, 0):
             return TriHomPoly.monomial((0, 0, m)), _zdiv(f, m), _zdiv(g, m)
-        d = lex_normalized(_homogenize(candidate) * TriHomPoly.monomial((0, 0, m)))
-        (a, r), (b, s) = tri_divrem(f, d), tri_divrem(g, d)
-        if r.is_zero and s.is_zero:
-            return d, a, b
+        C = dict(sorted(_content_free(candidate).items(), reverse=True))
+        a = _exact_quotient(F, C)
+        b = _exact_quotient(G, C) if a is not None else None
+        if b is not None:
+            # f = z^za F / fden and d = z^m C / lc, so f / d = lc / fden * z^(za-m) * F / C.
+            lc, degree = next(iter(C.values())), max(i + j for i, j in C) + m
+            return (
+                _homogeneous(degree, C, 1, lc),
+                _homogeneous(f.degree - degree, a, lc, fden),
+                _homogeneous(g.degree - degree, b, lc, gden),
+            )
     raise AssertionError("unreachable: there is always another prime")
 
 

@@ -94,10 +94,12 @@ def decode_rational(v: Any, path: _Path) -> Fraction:
     if isinstance(v, str):
         if not _RATIONAL_RE.match(v):
             _fail(path, f"malformed rational {v!r}; expected \"p\" or \"p/q\"")
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
+        # Checked by the pattern, so int() reads each part as Fraction(v) would.
+        num, _, den = v.partition("/")
+        q = int(den or 1)
+        if not q:
             _fail(path, f"rational {v!r} has a zero denominator")
+        return Fraction(int(num), q)
     _fail(path, f"expected a rational, got {type(v).__name__}")
     raise AssertionError  # unreachable
 
@@ -126,6 +128,8 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
             _fail(path + (i,), f"duplicate exponent {e}")
         coeffs[e] = decode_rational(pair[1], path + (i, 1))
     size = max(coeffs) + 1 if coeffs else 0
+    # Checked before the dense tuple of ``size`` coefficients is built.
+    _check_cap(size - 1, f"the polynomial at {_pstr(path)}")
     return UniPoly(tuple(coeffs.get(e, Fraction(0)) for e in range(size)))
 
 

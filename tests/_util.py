@@ -7,7 +7,9 @@ Bezout-rule enumerator below is the oracle for the package's direct
 first-rule search, the Fraction ``substitute_oracle`` the one for the
 package's integer substitution, the Fraction Euclid ``uni_gcd_oracle``
 the one for the modular ``uni_gcd``, and the recursive generator
-``partitions_oracle`` the one for the flat pencil-type walk.  The cofactor
+``partitions_oracle`` the one for the flat pencil-type walk, and
+``fixes_curve_pointwise_oracle`` (Fraction minors, ``tri_divrem``) the one
+for the integer fixation certificate.  The cofactor
 oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 ``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
@@ -25,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import sympy
 from hypothesis import strategies as st
 
+from cremona_kit.cremona_maps import CremonaMap
 from cremona_kit.curve_model import PlaneCurveModel, curve_from_mults
 from cremona_kit.exact_algebra import (
     _P0,
@@ -178,6 +181,12 @@ def unipolys(draw, min_degree=0, max_degree=4):
     return UniPoly(tuple(draw(st.lists(coeffs, min_size=degree, max_size=degree))) + (draw(lead),))
 
 
+def lex_normalized(f: TriHomPoly) -> TriHomPoly:
+    """Scale so the lex-leading coefficient (x > y > z) equals one."""
+    lc = f.terms[0][1] if f.terms else 1
+    return f * (1 / lc) if lc != 1 else f
+
+
 def uni_gcd_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
     """The earlier Fraction implementation of ``uni_gcd``: Euclid over Q."""
     a, b = p, q
@@ -226,6 +235,23 @@ def primitive_parts_oracle(
         _exact_quotient(p, content) if p else TriHomPoly.zero(max(p.degree - content.degree, 0))
         for p in polys
     )
+
+
+def fixes_curve_pointwise_oracle(F: CremonaMap, c: TriHomPoly) -> bool:
+    """The earlier ``fixes_curve_pointwise``: the three minors as Fraction
+    ``TriHomPoly`` products, each tested by the remainder of ``tri_divrem``,
+    as the earlier ``tri_divides`` did."""
+    if c.is_zero:
+        raise ValueError("curve polynomial must be nonzero")
+    if c.degree == 0:
+        raise ValueError("curve polynomial must have positive degree")
+    f0, f1, f2 = F.components
+    minors = (
+        f0 * TRI_Y - f1 * TRI_X,
+        f0 * TRI_Z - f2 * TRI_X,
+        f1 * TRI_Z - f2 * TRI_Y,
+    )
+    return all(tri_divrem(m, c)[1].is_zero for m in minors)
 
 
 def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly:

@@ -309,6 +309,24 @@ class TestJonq:
         assert code == 0
         assert len(calls) == tests
 
+    @pytest.mark.parametrize("field", ["h", "a1"])
+    def test_exponent_above_the_cap_is_refused_before_decoding(self, capsys, field):
+        # h = t^100000 + t + 1 (or a1 = t^100000): the dense coefficient
+        # tuple alone took 2.6 s before the decode-time check.
+        element = self.element([(0, 1)], [(0, 1)])
+        big = [[[100000], "1"], [[1], "1"], [[0], "1"]]
+        if field == "h":
+            element["h"] = big
+        else:
+            element["a1"]["num"] = big
+        payload_in = json.dumps(element)
+        assert len(payload_in) < 200
+        t0 = time.perf_counter()
+        code, payload = run_json(capsys, "jonq-order", "--inline", payload_in)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and payload["error"] == "DegreeCapExceeded"
+        assert f"$.{field}" in payload["message"]
+
     def test_fix_check(self, capsys):
         payload_in = json.dumps(self.element([(0, 2), (1, 1)], [(0, 1)]))
         code, payload = run_json(capsys, "jonq-fix-check", "--inline", payload_in)

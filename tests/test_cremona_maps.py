@@ -1,12 +1,17 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cremona_kit import jonquieres as jq
 from cremona_kit import serialization as ser
+from cremona_kit.cli import main
 from cremona_kit.cremona_maps import (
     CremonaMap,
     compose,
@@ -32,7 +37,7 @@ from cremona_kit.exact_algebra import (
 )
 from cremona_kit.linear_systems import LinSysData
 
-from _util import rand_frac, tri_to_sympy
+from _util import H4, fixes_curve_pointwise_oracle, rand_frac, rand_jonq, tri_to_sympy, trihoms
 
 LINE_X = TriHomPoly.monomial((1, 0, 0))
 T = UniPoly.variable()
@@ -237,6 +242,56 @@ class TestFixesCurvePointwise:
             fixes_curve_pointwise(identity_map(), TriHomPoly.monomial((0, 0, 0), 3))
 
 
+def _fixation_maps():
+    """The identity, constructor maps with rational parameters, compositions
+    of them, two group elements over H4 and a projectivity moving x = 0."""
+    rng = random.Random(2)
+    singles = [make(rng) for make in (rand_G, rand_phi, rand_H) for _ in range(3)]
+    pairs = [compose(rng.choice(singles), rng.choice(singles)) for _ in range(5)]
+    elements = [jq.to_cremona(rand_jonq(rng, H4, max_deg=1)) for _ in range(2)]
+    moving = CremonaMap.from_components(TRI_Y, TRI_Z, TRI_X, trusted=True)
+    return [identity_map(), *singles, *pairs, *elements, moving]
+
+
+FIXATION_MAPS = _fixation_maps()
+CURVE_H4 = jq.hyperelliptic_curve_poly(H4)
+
+
+@st.composite
+def fixation_curves(draw):
+    """A rational multiple, mostly not primitive, of x times a power of z,
+    of x times a polynomial, of the curve y^2 = h(x) for H4, or of any
+    polynomial of positive degree."""
+    scale = draw(st.sampled_from([Fraction(1), Fraction(-6, 5), Fraction(4), Fraction(2, 9)]))
+    kind = draw(st.sampled_from(["line", "line times", "hyperelliptic", "any"]))
+    if kind == "line":
+        base = LINE_X * TriHomPoly.monomial((0, 0, draw(st.integers(0, 2))))
+    elif kind == "line times":
+        base = LINE_X * draw(trihoms(max_degree=2))
+    elif kind == "hyperelliptic":
+        base = CURVE_H4
+    else:
+        base = draw(trihoms(max_degree=3).filter(lambda f: f.degree > 0))
+    return base * scale
+
+
+class TestFixationOracle:
+    """The integer certificate against the Fraction minors it replaced."""
+
+    @given(st.sampled_from(FIXATION_MAPS), fixation_curves())
+    @example(identity_map(), TRI_Y * TRI_Y * Fraction(-6, 5) + TRI_Z * TRI_X * 4)
+    @example(FIXATION_MAPS[-2], CURVE_H4 * Fraction(2, 9))
+    @example(FIXATION_MAPS[-3], CURVE_H4 * Fraction(4))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_agrees_with_fraction_oracle(self, F, c):
+        assert fixes_curve_pointwise(F, c) == fixes_curve_pointwise_oracle(F, c)
+
+    def test_pool_has_both_verdicts(self):
+        verdicts = {fixes_curve_pointwise(F, c) for F in FIXATION_MAPS for c in (LINE_X, CURVE_H4)}
+        assert verdicts == {True, False}
+        assert all(fixes_curve_pointwise(F, CURVE_H4) for F in FIXATION_MAPS[-3:-1])
+
+
 class TestNonCommutativity:
     def test_witness(self):
         g = make_linear_G(2, 1, 3)
@@ -308,6 +363,53 @@ def H_pair(alpha, beta):
     return make_H_element(alpha, beta), make_H_element(-alpha / beta, beta.inverse())
 
 
+WORDS = {
+    "GP": [G_pair(2, 1, 3), phi_pair(2, 3)],
+    "PGP": [phi_pair(1, -2), G_pair(2, 1, -1), phi_pair(2, 3)],
+    "GH": [G_pair(1, -2, 5), H_pair(RatFunc(UniPoly.of(1, 0, 1)), RatFunc(UniPoly.of(1, 2)))],
+    "PH": [phi_pair(1, 1), H_pair(RatFunc(T + UniPoly.constant(1)), 2)],
+    "HPG": [H_pair(RatFunc(T), -1), phi_pair(2, -1), G_pair(-1, 2, 1)],
+}
+# H o G o phi, of degree 8: W o W^-1 needs the cap raised to 64.
+WORD_8 = [H_pair(RatFunc(UniPoly.of(1, 0, 1)), -1), G_pair(1, 1, 0), phi_pair(1, 1)]
+
+# sha256 of the exit codes and stdout of the CLI requests of word_cli_digest,
+# per word, recorded with the Fraction minors and the tri_divrem acceptance
+# of GCD candidates: the integer certificate and acceptance must reproduce them.
+WORD_CLI_SHA256 = {
+    "GP": "5984b3f78983919b12e27a9db2b3db977185b629f937901ad25dce2f4e9447f8",
+    "PGP": "71aafee6e9fe5093cec0c4274c49258a1d1506f73f2c184b73ca9f56e5d4793c",
+    "GH": "847d3310f548a7e55ca6459fce02a50ad711f0dbc6063870de24aae2ae8695b0",
+    "PH": "45aaec774b765d263560632509c08c42e186b5c1b2c9bf4660504f2b2072a1f0",
+    "HPG": "1fa5aa0d43064e23902eb457bc2929be43cf56b812e384b6b322c26e88d67cd1",
+    "HGP8": "f9cb0237515d4b3e7ff41f1bd16cf086b3985226443af90401d5a49959ddb3bf",
+}
+
+
+def word_cli_digest(gens, run):
+    """map-compose of W o W^-1, W^-1 o W and gens[0] o (the rest of W), then
+    map-fixcheck of W on x = 0, of W^-1 on 2/3 x z and of W on
+    -6/5 x (x - 5/2 y); ``run(argv)`` returns (exit code, stdout)."""
+    W, W_inv = word_and_inverse(gens)
+    rest = reduce(compose, [g for g, _ in gens[1:]])
+    enc, curve = ser.encode_map, ser.encode_trihom
+    xz = LINE_X * TRI_Z * Fraction(2, 3)
+    other = LINE_X * (TRI_X - TRI_Y * Fraction(5, 2)) * Fraction(-6, 5)
+    requests = [
+        ("map-compose", {"outer": enc(W), "inner": enc(W_inv)}),
+        ("map-compose", {"outer": enc(W_inv), "inner": enc(W)}),
+        ("map-compose", {"outer": enc(gens[0][0]), "inner": enc(rest)}),
+        ("map-fixcheck", {"map": enc(W), "curve": curve(LINE_X)}),
+        ("map-fixcheck", {"map": enc(W_inv), "curve": curve(xz)}),
+        ("map-fixcheck", {"map": enc(W), "curve": curve(other)}),
+    ]
+    digest = hashlib.sha256()
+    for command, payload in requests:
+        code, out = run([command, "--inline", json.dumps(payload)])
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
 class TestRoadmapBaselines:
     def test_degrees(self):
         assert (A.degree, B.degree, D.degree, F3.degree) == (3, 4, 5, 6)
@@ -333,17 +435,7 @@ class TestRoadmapBaselines:
         digest = hashlib.sha256(ser.dumps(ser.encode_map(F)).encode()).hexdigest()
         assert digest == F3F3_SHA256
 
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            [G_pair(2, 1, 3), phi_pair(2, 3)],
-            [phi_pair(1, -2), G_pair(2, 1, -1), phi_pair(2, 3)],
-            [G_pair(1, -2, 5), H_pair(RatFunc(UniPoly.of(1, 0, 1)), RatFunc(UniPoly.of(1, 2)))],
-            [phi_pair(1, 1), H_pair(RatFunc(T + UniPoly.constant(1)), 2)],
-            [H_pair(RatFunc(T), -1), phi_pair(2, -1), G_pair(-1, 2, 1)],
-        ],
-        ids=["GP", "PGP", "GH", "PH", "HPG"],
-    )
+    @pytest.mark.parametrize("gens", list(WORDS.values()), ids=list(WORDS))
     def test_word_times_inverse_is_identity(self, gens):
         # The raw composite has degree deg(W)^2 and a content of degree
         # deg(W)^2 - 1 that is not a power of z.
@@ -355,8 +447,13 @@ class TestRoadmapBaselines:
         # H o G o phi: the raw composites have degree 64 and a content of
         # degree 63.
         monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "64")
-        gens = [H_pair(RatFunc(UniPoly.of(1, 0, 1)), -1), G_pair(1, 1, 0), phi_pair(1, 1)]
-        W, W_inv = word_and_inverse(gens)
+        W, W_inv = word_and_inverse(WORD_8)
         assert (W.degree, W_inv.degree) == (8, 8)
         assert is_identity(compose(W, W_inv))
         assert is_identity(compose(W_inv, W))
+
+    @pytest.mark.parametrize("name", [*WORDS, "HGP8"])
+    def test_cli_outputs_are_recorded(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "64")
+        run = lambda argv: (main(argv), capsys.readouterr().out)
+        assert word_cli_digest(WORDS.get(name, WORD_8), run) == WORD_CLI_SHA256[name]

@@ -23,7 +23,6 @@ from cremona_kit.exact_algebra import (
     UniPoly,
     homogenize_uni,
     is_squarefree,
-    lex_normalized,
     tri_content_gcd,
     tri_divides,
     tri_divrem,
@@ -39,6 +38,7 @@ from _util import (
     ADVERSARIAL,
     UNI_ADVERSARIAL,
     common_denominator_oracle,
+    lex_normalized,
     primitive_parts_oracle,
     rand_ratfunc,
     rand_trihom,
@@ -377,6 +377,49 @@ class TestDivisibility:
             ours = tri_divides(c, f)
             _, rem = sympy.div(tri_to_sympy(f), tri_to_sympy(c), SX, SY, SZ)
             assert ours == (sympy.expand(rem) == 0)
+
+
+def z_power(n, coeff=1):
+    return TriHomPoly.monomial((0, 0, n), coeff)
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(c, f): c a rational multiple, mostly not primitive, of z^b times a
+    polynomial; f a multiple of c (the quotient has negative coefficients
+    one draw in two), one perturbed by a term, one short of a power of z,
+    zero, or any polynomial, of lower degree than c included."""
+    scale = draw(st.sampled_from([Fraction(1), Fraction(-6, 5), Fraction(4), Fraction(2, 9)]))
+    b = draw(st.integers(0, 2))
+    base = draw(trihoms(max_degree=2))
+    c = base * z_power(b, scale)
+    kind = draw(st.sampled_from(["multiple", "perturbed", "short of z", "zero", "any"]))
+    if kind == "zero":
+        return c, TriHomPoly.zero(draw(st.integers(0, 5)))
+    if kind == "any":
+        return c, draw(trihoms(max_degree=4))
+    q = draw(trihoms(max_degree=2)) * z_power(draw(st.integers(0, 2)))
+    if kind == "short of z":
+        return c, base * q * z_power(max(b - 1, 0))
+    f = c * q
+    if kind == "perturbed":
+        f = f + draw(trihoms(degree=f.degree))
+    return c, f
+
+
+class TestExactDivision:
+    """The integer tri_divides against the Fraction remainder of tri_divrem."""
+
+    @given(divisibility_cases())
+    @example(((TRI_X + TRI_Y * 2) * Fraction(-6, 5), (TRI_X + TRI_Y * 2) * (TRI_Y * 3 - TRI_X * 7)))
+    @example((z_power(2, 4), TRI_X * z_power(2)))
+    @example((TRI_X * z_power(2, Fraction(2, 9)), TRI_X * TRI_X * TRI_Z))
+    @example((TRI_X * TRI_Z * 4, TriHomPoly.zero(0)))
+    @example((TRI_X * TRI_Y * 6, TRI_X * 3))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_agrees_with_tri_divrem(self, case):
+        c, f = case
+        assert tri_divides(c, f) == tri_divrem(f, c)[1].is_zero
 
 
 class TestTriGcd:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cremona_kit import serialization as ser
 from cremona_kit.curve_model import PlaneCurveModel, PointSpec, SingularityData, curve_from_mults
 from cremona_kit.cremona_maps import make_phi
-from cremona_kit.errors import SchemaError
+from cremona_kit.errors import DegreeCapExceeded, SchemaError
 from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
 from cremona_kit.linear_systems import LinSysData, adjoint_chain
@@ -35,6 +35,35 @@ class TestRational:
         for q in (Fraction(3), Fraction(-1, 2), Fraction(0)):
             assert ser.decode_rational(ser.encode_rational(q), ()) == q
 
+    # Digits include a non-ASCII one, which the pattern's \d accepts; the
+    # pattern's $ also lets a trailing newline through.
+    digits = st.text("0123456789\u0663", min_size=1, max_size=8)
+
+    @given(
+        st.tuples(
+            st.sampled_from(["", "+", "-"]),
+            digits,
+            st.one_of(st.just(""), digits.map("/".__add__)),
+            st.sampled_from(["", "\n"]),
+        ).map("".join)
+    )
+    @example("+007/-0")
+    @example("-0/15")
+    @example("-36/48")
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_strings_read_as_fraction_reads_them(self, text):
+        if not ser._RATIONAL_RE.match(text):
+            with pytest.raises(SchemaError, match="malformed"):
+                ser.decode_rational(text, ())
+            return
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(SchemaError, match="zero denominator"):
+                ser.decode_rational(text, ())
+        else:
+            assert ser.decode_rational(text, ()) == expected
+
 
 class TestPolynomials:
     def test_unipoly_roundtrip(self):
@@ -42,6 +71,12 @@ class TestPolynomials:
         for _ in range(20):
             p = rand_unipoly(rng, 5)
             assert ser.decode_unipoly(ser.encode_unipoly(p), ()) == p
+
+    def test_unipoly_exponent_cap(self, monkeypatch):
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "6")
+        assert ser.decode_unipoly([[[6], "1"], [[0], "2"]], ()).degree == 6
+        with pytest.raises(DegreeCapExceeded, match=r"\$\.h needs degree 7"):
+            ser.decode_unipoly([[[0], "2"], [[7], "1"]], ("h",))
 
     def test_trihom_roundtrip(self):
         rng = random.Random(5)
