@@ -104,13 +104,15 @@ class CremonaMap:
 
     @classmethod
     def of(cls, f0: TriHomPoly, f1: TriHomPoly, f2: TriHomPoly) -> "CremonaMap":
-        """Canonicalise a triple produced by this package's own constructors."""
+        """Canonicalise a triple produced by this package's own constructors.
+
+        The content comes from one gcd on the components' integer forms; a
+        triple already canonical is kept as it is, and any other is rebuilt
+        from the quotients, scaled to lead with one, one Fraction per term.
+        """
         if not (f0 or f1 or f2):
             raise ValueError("map components are all zero")
-        _, comps = _primitive_parts((f0, f1, f2))
-        lead = next(c for c in comps if not c.is_zero).lex_lead()[1]
-        if lead != 1:
-            comps = [c * (1 / lead) for c in comps]
+        _, comps = _primitive_parts((f0, f1, f2), normalise=True)
         m = cls(*comps)
         if m.degree < 1:
             raise ValueError("map degenerates to a constant triple")

@@ -16,18 +16,23 @@ The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of
 z, dehomogenises to Z[x, y] and runs Brown's modular algorithm: images
 modulo word-size primes (2^61 - 1 first, then the primes below it) at
-the points y = 1000003, 1000004, ...  A univariate image of degree 0, at
-a point where the x-leading coefficients do not vanish, proves the GCD
-has no x; most content GCDs end there.  Otherwise the GCD is rebuilt by
-interpolation in y and Chinese remaindering, and accepted only after
-exact division on integers of both dehomogenised inputs by the primitive
-candidate (``_exact_quotient``, which ``tri_divides`` and the fixation
-certificate of ``cremona_maps`` use too).  Results are normalised so the
+the points y = 1000003, 1000004, ...  Before that, two univariate images
+at the first prime, one in x and one in y, prove most coprime pairs
+coprime (``_coprime_images``); most content GCDs end there.  Otherwise the
+GCD is rebuilt by interpolation in y and Chinese remaindering, and
+accepted only after exact division on integers of both dehomogenised
+inputs by the primitive candidate (``_exact_quotient``, which
+``tri_divides`` and the fixation certificate of ``cremona_maps`` use too).
+The content of three polynomials costs one such GCD, of the first and a
+combination of the other two (``_common``).  Results are normalised so the
 lexicographically leading term (x > y > z) has coefficient one.
 ``uni_gcd`` runs the same code on Z[t] taken as Z[x]: an image of degree 0
 proves the inputs coprime.  The quotients of the accepting division come
 back with the GCD (``_primitive_parts`` for map contents, ``_uni_cofactors``
 for ``RatFunc``), so only this module divides by a GCD, and only once.
+The dehomogenised integer form of a polynomial that ``substitute`` or the
+JSON decoder built from integers travels with it, so the GCD does not
+clear its denominators again.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -226,20 +231,26 @@ def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
 
 def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
     """(g, p / g, q / g), g the monic gcd, (0, 0, 0) for two zeros.  A constant
-    g is proven; any other must divide p and q, and returns those quotients."""
+    g is proven; any other must divide p and q exactly on integers
+    (_exact_quotient), and returns those quotients."""
     if p.is_zero or q.is_zero:
         return (p if q.is_zero else q).monic(), UniPoly(p.coeffs[-1:]), UniPoly(q.coeffs[-1:])
     if p.degree == 0 or q.degree == 0:
         return UniPoly.constant(1), p, q
-    F, G = ({(e, 0): c for e, c in enumerate(_cleared(f.coeffs)[1]) if c} for f in (p, q))
-    for candidate in _candidates(F, G):
-        g = UniPoly(tuple(candidate.get((e, 0), 0) for e in range(max(candidate)[0] + 1))).monic()
-        if g.degree == 0:
-            return g, p, q
-        (a, r), (b, s) = divmod(p, g), divmod(q, g)
-        if r.is_zero and s.is_zero:
-            return g, a, b
-    raise AssertionError("unreachable: there is always another prime")
+    (dp, P), (dq, Q) = _cleared(p.coeffs), _cleared(q.coeffs)
+    parts = _gcd_parts(*({(e, 0): c for e, c in enumerate(cs) if c} for cs in (P, Q)))
+    if parts is None:
+        return UniPoly.constant(1), p, q
+    C, a, b = parts
+    # p = P / dp and g = C / lc, so p / g = lc / dp * P / C.
+    lc = next(iter(C.values()))
+    return _dense(C, 1, lc), _dense(a, lc, dp), _dense(b, lc, dq)
+
+
+def _dense(D: _BiPoly, num: int, den: int) -> UniPoly:
+    """num / den * D for D keyed (e, 0) in decreasing order of e."""
+    top = next(iter(D))[0]
+    return UniPoly(tuple(Fraction(D.get((e, 0), 0) * num, den) for e in range(top + 1)))
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -353,10 +364,15 @@ class TriHomPoly:
     ``terms`` maps exponent triples (i, j, k), with i + j + k equal to
     ``degree``, to nonzero coefficients.  The zero polynomial keeps its
     nominal degree so graded arithmetic stays well typed.
+
+    ``_form`` is not a field: a constructor that built the terms from
+    integers (``substitute``, the JSON decoder) leaves there the form
+    ``_dehomogenize`` would compute, so the GCD reads it instead.
     """
 
     degree: int
     terms: Tuple[Tuple[Exponents, Fraction], ...] = ()
+    _form = None
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -390,12 +406,29 @@ class TriHomPoly:
         return cls(degree, ())
 
     @classmethod
-    def _sorted(cls, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...]) -> "TriHomPoly":
-        """Trusted constructor: ``terms`` as __post_init__ would leave them."""
+    def _sorted(
+        cls,
+        degree: int,
+        terms: Tuple[Tuple[Exponents, Fraction], ...],
+        form: Optional["_Form"] = None,
+    ) -> "TriHomPoly":
+        """Trusted constructor: ``terms`` as __post_init__ would leave them,
+        and ``form``, if given, their integer form (see ``_dehomogenize``)."""
         f = object.__new__(cls)
         object.__setattr__(f, "degree", degree)
         object.__setattr__(f, "terms", terms)
+        if form is not None:
+            object.__setattr__(f, "_form", form)
         return f
+
+    @classmethod
+    def _from_ratios(cls, degree: int, rows: Sequence[Tuple[Exponents, int, int]]) -> "TriHomPoly":
+        """Trusted constructor from rows (exponents, p, q), the term p/q, in
+        decreasing lex order with p nonzero and q positive; keeps their
+        integer form."""
+        den = math.lcm(*(q for _, _, q in rows))
+        form = (min(e[2] for e, _, _ in rows), den, {e[:2]: p * (den // q) for e, p, q in rows})
+        return cls._sorted(degree, tuple((e, Fraction(p, q)) for e, p, q in rows), form)
 
     @classmethod
     def monomial(cls, exps: Exponents, coeff: RationalLike = 1) -> "TriHomPoly":
@@ -500,7 +533,8 @@ class TriHomPoly:
         Exact, on integers: one common ``den`` scales the images (a scale per
         image would not scale the result uniformly), ``fden`` scales self,
         and the sum, with terms grouped by their power of x, is divided by
-        ``fden * den**deg(self)`` once.
+        ``fden * den**deg(self)`` once.  The result keeps that integer sum
+        as its form.
         """
         g0, g1, g2 = images
         if not (g0.degree == g1.degree == g2.degree):
@@ -519,9 +553,12 @@ class TriHomPoly:
             for (_, j, k), c in group:
                 _bimul(p1[j], p2[k], inner, c.numerator * (fden // c.denominator))
             _bimul(p0[i], inner, acc)
+        F = {e: acc[e] for e in sorted((e for e, v in acc.items() if v), reverse=True)}
+        if not F:
+            return TriHomPoly.zero(out_deg)
         scale = fden * den**self.degree
-        terms = (((i, j, out_deg - i - j), Fraction(v, scale)) for (i, j), v in acc.items() if v)
-        return TriHomPoly(out_deg, tuple(terms))
+        terms = tuple(((i, j, out_deg - i - j), Fraction(v, scale)) for (i, j), v in F.items())
+        return TriHomPoly._sorted(out_deg, terms, (out_deg - max(i + j for i, j in F), scale, F))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -624,15 +661,19 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
 # A homogeneous f factors as z^a * F with z not dividing F, and F corresponds
 # bijectively and multiplicatively to its dehomogenisation F(x, y, 1), so
 # gcd(f, g) = z^min(a, b) * gcd(F, G): the work is a bivariate gcd.  F and G
-# are scaled by the lcm of their denominators into Z[x, y]; the scale does
-# not matter because the answer is lex-normalised.  Let H = gcd(F, G) be
+# are scaled into Z[x, y] (by the lcm of their denominators, or by the scale
+# of the integers they were built from); the scale does not matter because
+# the answer is lex-normalised.  Let H = gcd(F, G) be
 # primitive in Z[x, y].  By Gauss's lemma F = H * F1 with F1 in Z[x, y], so
 # reducing mod a prime p and evaluating are ring maps that keep H | F.
 #
 # Brown's algorithm (W. S. Brown, JACM 18, 1971) runs over the primes from
 # _P0 = 2^61 - 1 downward, skipping any that divides a lex-leading
 # coefficient (x > y) of F or G; then H mod p keeps the leading monomial of
-# H and divides the gcd mod p.  Mod p, the contents in Z_p[y] are removed
+# H and divides the gcd mod p.  At the first such prime, when F or G has a
+# y, one image in x and one in y are tried first (_coprime_images): when
+# both pairs of images are coprime mod p, H is 1, and Brown's loop is not
+# entered.  Otherwise, mod p, the contents in Z_p[y] are removed
 # and the primitive parts are evaluated at y = _POINT, _POINT + 1, ..., each
 # prime continuing where the last one stopped.  A point where gamma(y), the
 # gcd of the x-leading coefficients, vanishes is skipped; at any other point
@@ -763,9 +804,17 @@ def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
     return out
 
 
-def _dehomogenize(f: TriHomPoly) -> Tuple[int, int, _BiPoly]:
-    """(a, den, F) for nonzero f: f = z^a * F(x, y, z) / den, F in Z[x, y]
-    keyed in decreasing lex order and den the lcm of the denominators."""
+# The integer form of a nonzero f: (a, den, F) with f = z^a * F(x, y, z) / den,
+# a the power of z dividing f, den a positive integer and F in Z[x, y] keyed
+# in decreasing lex order.  Forms are shared, so F is never mutated.
+_Form = Tuple[int, int, _BiPoly]
+
+
+def _dehomogenize(f: TriHomPoly) -> _Form:
+    """The integer form of the nonzero f: the one f carries, or one with den
+    the lcm of the denominators."""
+    if f._form is not None:
+        return f._form
     den = math.lcm(*(c.denominator for _, c in f.terms))
     return min(k for (_, _, k), _ in f.terms), den, _integral(f, den)
 
@@ -887,17 +936,54 @@ def _gcd_mod(
     return [[c * inv % p for c in r] for r in rows]
 
 
+def _image(F: _BiPoly, axis: int, t: int, p: int) -> List[int]:
+    """F mod p with the other variable set to t, dense in x (axis 0) or y (1)."""
+    out = [0] * (max(e[axis] for e in F) + 1)
+    for e, c in F.items():
+        out[e[axis]] += c * pow(t, e[1 - axis], p)
+    return _trim([v % p for v in out])
+
+
+def _coprime_images(F: _BiPoly, G: _BiPoly, p: int) -> bool:
+    """True only if gcd(F, G) is constant, for a prime p that does not divide
+    the lex-leading coefficient of F.  The test: at t = _POINT, lc_x(F)(t) is
+    nonzero mod p, F(x, t) and G(x, t) are coprime mod p, and so are F(t, y)
+    and G(t, y).
+
+    Proof.  Let c be a common factor, primitive in Z[x, y].  If c has
+    positive x-degree, lc_x(c) divides lc_x(F), so c(x, t) keeps its x-degree
+    mod p and divides both x-images.  If it has x-degree 0, it is c(y), whose
+    leading coefficient divides the lex-leading one of F, so p does not
+    divide it: c(y) keeps its degree mod p and divides both y-images.
+    """
+    t = _POINT
+    fx = _image(F, 0, t, p)
+    return (
+        len(fx) == max(F)[0] + 1
+        and len(_ugcd(fx, _image(G, 0, t, p), p)) == 1
+        and len(_ugcd(_image(F, 1, t, p), _image(G, 1, t, p), p)) == 1
+    )
+
+
 def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
     """Integer multiples of gcd(F, G) rebuilt by CRT, each one unchanged by
-    the last prime; a constant is yielded only when proven."""
+    the last prime; a constant is yielded only when proven, by the two images
+    of _coprime_images at the first usable prime or by Brown's."""
     lf, lg = F[max(F)], G[max(G)]
     scale = math.gcd(lf, lg)
     lead: Optional[Tuple[int, int]] = None
     # Each prime takes fresh points, so a point unlucky over Z is used once.
     points = itertools.count(_POINT)
+    # Without y, the two-image test is Brown's first image.
+    certify = any(j for _, j in F) or any(j for _, j in G)
     for p in _primes():
         if lf % p == 0 or lg % p == 0:
             continue
+        if certify:
+            if _coprime_images(F, G, p):
+                yield {(0, 0): 1}
+                return
+            certify = False
         rows = _gcd_mod(_rows(F, p), _rows(G, p), p, points)
         top = (len(rows) - 1, len(rows[-1]) - 1)
         if top == (0, 0):
@@ -919,57 +1005,104 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
         last = lifted
 
 
-def _zdiv(f: TriHomPoly, m: int) -> TriHomPoly:
-    """f / z^m by shifting exponents (not by division); f itself if m = 0."""
-    shifted = (((i, j, k - m), c) for (i, j, k), c in f.terms)
-    return TriHomPoly(f.degree - m, tuple(shifted)) if m else f
-
-
-def _tri_cofactors(f: TriHomPoly, g: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly, TriHomPoly]:
-    """(d, f / d, g / d) for nonzero f, g; d the lex-normalised gcd.  A proven
-    z^m is divided out by _zdiv, any other d by the integer division of the
-    dehomogenised f and g that accepts it."""
-    za, fden, F = _dehomogenize(f)
-    zb, gden, G = _dehomogenize(g)
-    m = min(za, zb)
+def _gcd_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
+    """(C, F / C, G / C) for nonzero F and G, C their gcd, primitive and keyed
+    in decreasing lex order; None when the gcd is proven constant."""
     for candidate in _candidates(F, G):
         if max(candidate) == (0, 0):
-            return TriHomPoly.monomial((0, 0, m)), _zdiv(f, m), _zdiv(g, m)
+            return None
         C = dict(sorted(_content_free(candidate).items(), reverse=True))
         a = _exact_quotient(F, C)
         b = _exact_quotient(G, C) if a is not None else None
         if b is not None:
-            # f = z^za F / fden and d = z^m C / lc, so f / d = lc / fden * z^(za-m) * F / C.
-            lc, degree = next(iter(C.values())), max(i + j for i, j in C) + m
-            return (
-                _homogeneous(degree, C, 1, lc),
-                _homogeneous(f.degree - degree, a, lc, fden),
-                _homogeneous(g.degree - degree, b, lc, gden),
-            )
+            return C, a, b
     raise AssertionError("unreachable: there is always another prime")
 
 
-def _primitive_parts(polys: Sequence[TriHomPoly]) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
+def _axpy(F: _BiPoly, s: int, G: _BiPoly) -> _BiPoly:
+    """F + s * G, with no zero coefficient."""
+    out = dict(F)
+    for e, c in G.items():
+        v = out.get(e, 0) + s * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+# The multiplier of the one-gcd content of three polynomials (_common).
+_LAMBDA = 3
+
+
+def _common(Fs: List[_BiPoly]) -> Tuple[Optional[_BiPoly], List[_BiPoly]]:
+    """(C, [F / C for F in Fs]) for one to three nonzero Fs, C their gcd,
+    primitive and keyed in decreasing lex order; (None, Fs) when it is 1.
+
+    Three cost one gcd: g = gcd(F0, F1 + lambda F2) is accepted when it also
+    divides F2.  Then it divides F1, so gcd(F0, F1, F2), which divides F0 and
+    F1 + lambda F2 and so g, is g; and F1 / g = (F1 + lambda F2) / g -
+    lambda F2 / g.  Otherwise the gcd is gcd(g, F2), one gcd more.
+    """
+    if len(Fs) == 1:
+        (F,) = Fs
+        if max(F) == (0, 0):
+            return None, Fs
+        C = _content_free(F)
+        e = next(iter(F))
+        return C, [{(0, 0): F[e] // C[e]}]
+    if len(Fs) == 2:
+        parts = _gcd_parts(*Fs)
+        return (None, Fs) if parts is None else (parts[0], list(parts[1:]))
+    F0, F1, F2 = Fs
+    g, S = F0, _axpy(F1, _LAMBDA, F2)
+    if S:
+        parts = _gcd_parts(F0, S)
+        if parts is None:
+            return None, Fs
+        g, Q0, QS = parts
+        Q2 = _exact_quotient(F2, g)
+        if Q2 is not None:
+            Q1 = dict(sorted(_axpy(QS, -_LAMBDA, Q2).items(), reverse=True))
+            return g, [Q0, Q1, Q2]
+    parts = _gcd_parts(g, F2)
+    if parts is None:
+        return None, Fs
+    C = parts[0]
+    return C, [_exact_quotient(F, C) for F in Fs]
+
+
+def _primitive_parts(
+    polys: Sequence[TriHomPoly], normalise: bool = False
+) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
     """(content, parts): the lex-normalised gcd of the nonzero polys (all zero
-    is refused) and each poly divided by it, zero for a zero poly.  A part is
-    a product of the fold's cofactors, or the poly itself when the gcd is 1."""
-    nonzero = [p for p in polys if p]
-    if not nonzero:
+    is refused) and each poly divided by it, zero for a zero poly; with
+    ``normalise``, the parts are scaled so that the first nonzero one has
+    lex-leading coefficient one.  The gcd is z^m times that of the integer
+    forms (_common); the parts are built from its quotients with one
+    Fraction per term, or are the polys themselves when the gcd is 1 (and,
+    with ``normalise``, that coefficient is already one)."""
+    live = [_dehomogenize(p) for p in polys if p]
+    if not live:
         raise ValueError("gcd of three zero polynomials")
-    content, parts = nonzero[0], [None]
-    for p in nonzero[1:]:
-        if content.degree == 0:
-            break
-        content, a, b = _tri_cofactors(content, p)
-        parts = [a if q is None else q * a if a.degree else q for q in parts] + [b]
-    if content.degree == 0:
+    C, quotients = _common([F for _, _, F in live])
+    m = min(a for a, _, _ in live)
+    first = next(p for p in polys if p)
+    if C is None and not m and not (normalise and first.terms[0][1] != 1):
         return TriHomPoly.monomial((0, 0, 0)), tuple(polys)
-    if parts[0] is None:  # one nonzero poly
-        lc = content.lex_lead()[1]
-        content, parts = content * (1 / lc), [TriHomPoly.monomial((0, 0, 0), lc)]
-    rest = iter(parts)
-    zero = lambda p: TriHomPoly.zero(max(p.degree - content.degree, 0))
-    return content, tuple(next(rest) if p else zero(p) for p in polys)
+    # f = z^a F / den and the gcd is z^m C / lc, so f / gcd = lc / den * z^(a-m) * F / C,
+    # and the part of the first nonzero poly leads with lc / den_0 * lead(F_0 / C).
+    C = C or {(0, 0): 1}
+    lc, degree = next(iter(C.values())), m + max(i + j for i, j in C)
+    num, scale = (live[0][1], next(iter(quotients[0].values()))) if normalise else (lc, 1)
+    rest, parts = zip(live, quotients), []
+    for p in polys:
+        if p:
+            (_, den, _), Q = next(rest)
+            parts.append(_homogeneous(p.degree - degree, Q, num, den * scale))
+        else:
+            parts.append(TriHomPoly.zero(max(p.degree - degree, 0)))
+    return _homogeneous(degree, C, 1, lc), tuple(parts)
 
 
 def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:

@@ -137,22 +137,47 @@ def encode_unipoly(p: UniPoly) -> List[Any]:
     return [[[e], encode_rational(c)] for e, c in enumerate(p.coeffs) if c != 0]
 
 
+def _term(item: Any, path: _Path) -> Tuple[Tuple[int, ...], Any]:
+    """The exponents and the coefficient of a term [[i, j, k], c], checked in
+    order, so the first failure names its field."""
+    pair = _as_list(item, path)
+    if len(pair) != 2:
+        _fail(path, "expected [[i, j, k], coefficient]")
+    exps = _as_list(pair[0], path + (0,))
+    if len(exps) != 3:
+        _fail(path + (0,), "trivariate terms need three exponents")
+    e = tuple(_as_int(x, path + (0, a)) for a, x in enumerate(exps))
+    if min(e) < 0:
+        _fail(path + (0,), "exponents must be >= 0")
+    return e, pair[1]
+
+
 def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPoly:
     items = _as_list(v, path)
-    terms: Dict[Tuple[int, int, int], Fraction] = {}
-    for i, item in enumerate(items):
-        pair = _as_list(item, path + (i,))
-        if len(pair) != 2:
-            _fail(path + (i,), "expected [[i, j, k], coefficient]")
-        exps = _as_list(pair[0], path + (i, 0))
-        if len(exps) != 3:
-            _fail(path + (i, 0), "trivariate terms need three exponents")
-        e = tuple(_as_int(x, path + (i, 0, a)) for a, x in enumerate(exps))
-        if min(e) < 0:
-            _fail(path + (i, 0), "exponents must be >= 0")
+    terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    for n, item in enumerate(items):
+        # One test passes a well-formed term; _term and decode_rational name
+        # what is wrong with any other.
+        try:
+            (i, j, k), c = item
+            ok = type(item) is list and type(item[0]) is list
+            ok = ok and type(i) is int and type(j) is int and type(k) is int and min(i, j, k) >= 0
+        except (TypeError, ValueError):
+            ok = False
+        if ok:
+            e = (i, j, k)
+        else:
+            e, c = _term(item, path + (n,))
         if e in terms:
-            _fail(path + (i,), f"duplicate monomial {list(e)}")
-        terms[e] = decode_rational(pair[1], path + (i, 1))
+            _fail(path + (n,), f"duplicate monomial {list(e)}")
+        if type(c) is str and _RATIONAL_RE.match(c):
+            num, _, den = c.partition("/")
+            q = int(den or 1)
+            if q:
+                terms[e] = int(num), q
+                continue
+        q = decode_rational(c, path + (n, 1))
+        terms[e] = q.numerator, q.denominator
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         _fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")
@@ -162,7 +187,10 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
         degree = degrees.pop()
     elif degrees and degrees != {degree}:
         _fail(path, f"terms have degree {degrees.pop()}, expected {degree}")
-    return TriHomPoly(degree, tuple(terms.items()))
+    if degree < 0:
+        raise ValueError("homogeneous degree must be >= 0")
+    rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)
+    return TriHomPoly._from_ratios(degree, rows) if rows else TriHomPoly.zero(degree)
 
 
 def encode_trihom(f: TriHomPoly) -> List[Any]:
@@ -310,6 +338,8 @@ def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
     comps = _as_list(_get(obj, "components", path), path + ("components",))
     if len(comps) != 3:
         _fail(path + ("components",), "a plane map needs exactly three components")
+    if degree < 0:
+        _fail(path + ("deg",), f"degree must be >= 0, got {degree}")
     # Checked first: CremonaMap.of would run the content gcd before the cap.
     _check_cap(degree, "map construction")
     polys = [

@@ -14,7 +14,9 @@ oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 ``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
 then ``divmod``) and ``common_denominator_oracle`` (a fold of
-``uni_lcm_oracle``, then ``divmod``).
+``uni_lcm_oracle``, then ``divmod``).  ``primitive_parts_fold_oracle``, the
+earlier fold of pairwise gcds with the 1/lead scaling of ``CremonaMap.of``,
+is the one for the one-gcd content of three polynomials.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from cremona_kit.exact_algebra import (
     UniPoly,
     tri_content_gcd,
     tri_divrem,
+    tri_gcd,
 )
 from cremona_kit.jonquieres import JonqElement
 from cremona_kit.linear_systems import (
@@ -235,6 +238,49 @@ def primitive_parts_oracle(
         _exact_quotient(p, content) if p else TriHomPoly.zero(max(p.degree - content.degree, 0))
         for p in polys
     )
+
+
+def assert_carries_its_form(f: TriHomPoly) -> None:
+    """The integer form a nonzero f carries is its own: f = z^a F / den, with
+    F keyed in decreasing lex order and z^a the power of z dividing f."""
+    a, den, F = f._form
+    assert list(F) == sorted(F, reverse=True) and all(F.values())
+    assert a == min(k for (_, _, k), _ in f.terms)
+    terms = (((i, j, f.degree - i - j), Fraction(c, den)) for (i, j), c in F.items())
+    assert TriHomPoly(f.degree, tuple(terms)) == f
+
+
+def primitive_parts_fold_oracle(
+    polys: Sequence[TriHomPoly], normalise: bool = False
+) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
+    """The earlier ``_primitive_parts``: a fold of pairwise gcds over the
+    nonzero polys, the cofactors of each step multiplied into the parts;
+    with ``normalise``, then the earlier 1/lead scaling of ``CremonaMap.of``.
+    The cofactors of a pair come from ``tri_gcd`` and ``tri_divrem``."""
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        raise ValueError("gcd of three zero polynomials")
+    content, parts = nonzero[0], [None]
+    for p in nonzero[1:]:
+        if content.degree == 0:
+            break
+        d = tri_gcd(content, p)
+        content, a, b = d, _exact_quotient(content, d), _exact_quotient(p, d)
+        parts = [a if q is None else q * a if a.degree else q for q in parts] + [b]
+    if content.degree == 0:
+        content, result = TriHomPoly.monomial((0, 0, 0)), tuple(polys)
+    else:
+        if parts[0] is None:  # one nonzero poly
+            lc = content.lex_lead()[1]
+            content, parts = content * (1 / lc), [TriHomPoly.monomial((0, 0, 0), lc)]
+        rest = iter(parts)
+        zero = lambda p: TriHomPoly.zero(max(p.degree - content.degree, 0))
+        result = tuple(next(rest) if p else zero(p) for p in polys)
+    if normalise:
+        lead = next(c for c in result if c).lex_lead()[1]
+        if lead != 1:
+            result = tuple(c * (1 / lead) for c in result)
+    return content, result
 
 
 def fixes_curve_pointwise_oracle(F: CremonaMap, c: TriHomPoly) -> bool:

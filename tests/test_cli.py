@@ -248,6 +248,23 @@ class TestMaps:
         assert code == 2 and payload["error"] == "DegreeCapExceeded"
 
 
+    @pytest.mark.parametrize("command, key", [("map-compose", "outer"), ("map-fixcheck", "map")])
+    def test_negative_map_degree_is_a_schema_error(self, capsys, command, key):
+        other = {
+            "map-compose": ("inner", ser.encode_map(identity_map())),
+            "map-fixcheck": ("curve", [[[1, 0, 0], "1"]]),
+        }[command]
+        bad = {"deg": -1, "components": [[], [], []]}
+        payload_in = json.dumps({key: bad, other[0]: other[1]})
+        code, payload = run_json(capsys, command, "--inline", payload_in)
+        assert code == 1
+        assert payload == {
+            "error": "schema",
+            "path": f"$.{key}.deg",
+            "message": "degree must be >= 0, got -1",
+        }
+
+
 class TestJonq:
     def element(self, a1_coeffs, a2_coeffs):
         return {

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
 import sympy
@@ -9,8 +10,13 @@ from hypothesis import strategies as st
 
 from cremona_kit.cremona_maps import _common_denominator
 from cremona_kit.errors import SingularMatrix
+from cremona_kit import exact_algebra
 from cremona_kit.exact_algebra import (
+    _LAMBDA,
     _P0,
+    _POINT,
+    _coprime_images,
+    _dehomogenize,
     _primes,
     _primitive_parts,
     _uni_cofactors,
@@ -37,8 +43,11 @@ from _util import (
     ST,
     ADVERSARIAL,
     UNI_ADVERSARIAL,
+    assert_carries_its_form,
     common_denominator_oracle,
     lex_normalized,
+    monomials,
+    primitive_parts_fold_oracle,
     primitive_parts_oracle,
     rand_ratfunc,
     rand_trihom,
@@ -339,7 +348,10 @@ class TestTriHomPoly:
     @example((TRI_X * 2 + TRI_Y - TRI_Z, [TriHomPoly.zero(2), TRI_X * TRI_Y * Fraction(1, 3), TriHomPoly.zero(2)]))
     def test_substitute_equals_fraction_oracle(self, case):
         f, images = case
-        assert f.substitute(images) == substitute_oracle(f, images)
+        g = f.substitute(images)
+        assert g == substitute_oracle(f, images)
+        if g:
+            assert_carries_its_form(g)
 
     def test_lex_lead(self):
         f = TRI_X * TRI_Y + TRI_Z * TRI_Z * 3
@@ -618,6 +630,160 @@ class TestCofactors:
         D, cofactors = _common_denominator(dens)
         assert (D, cofactors) == common_denominator_oracle(dens)
         assert all(c * d == D for c, d in zip(cofactors, dens))
+
+
+def usable_primes(F, G, count=3):
+    """The first primes that divide neither lex-leading coefficient."""
+    lf, lg = F[max(F)], G[max(G)]
+    return list(islice((p for p in _primes() if lf % p and lg % p), count))
+
+
+@st.composite
+def planted_pairs(draw):
+    """f and g with a common factor c of positive degree, in x only, in y
+    only or in both, each times a cofactor and a rational, mostly
+    non-primitive multiple."""
+    kind = draw(st.sampled_from(["x", "y", "mixed"]))
+    if kind == "mixed":
+        has = lambda f, axis: any(e[axis] for e, _ in f.terms)
+        c = draw(trihoms().filter(lambda f: has(f, 0) and has(f, 1)))
+    else:
+        u = draw(unipolys(min_degree=1, max_degree=3))
+        c = homogenize_uni(u, 0 if kind == "x" else 1, 2, u.degree + draw(st.integers(0, 1)))
+    scalars = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 10))
+    return [c * draw(trihoms(max_degree=2)) * draw(scalars) for _ in range(2)]
+
+
+# (y - _POINT z) makes lc_x vanish at the point the images are taken at.
+Y_AT_POINT = TRI_Y - TRI_Z * _POINT
+
+
+class TestCoprimeImages:
+    """The two-image certificate of coprimality (_coprime_images)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_pairs())
+    @example([TRI_X * 6, TRI_X * Fraction(4, 9) * TRI_Y])
+    @example([(TRI_Y * 2 + TRI_Z) * TRI_X, (TRI_Y * 2 + TRI_Z) * (TRI_X + TRI_Z) * Fraction(-3, 4)])
+    @example([(TRI_X + TRI_Y) * TRI_Z, (TRI_X + TRI_Y) * Fraction(1, _P0)])
+    @example([Y_AT_POINT * TRI_X, Y_AT_POINT])
+    def test_never_certifies_a_common_factor(self, pair):
+        F, G = (_dehomogenize(f)[2] for f in pair)
+        for p in usable_primes(F, G):
+            assert not _coprime_images(F, G, p)
+            assert not _coprime_images(G, F, p)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(trihoms(), trihoms())
+    @example(TRI_X, TRI_Z)
+    @example(TRI_Z * TRI_Z, TRI_X + TRI_Y)
+    def test_refused_when_the_x_leading_coefficient_vanishes(self, f, g):
+        F = _dehomogenize(f * Y_AT_POINT * TRI_X + TRI_Z ** (f.degree + 2))[2]
+        G = _dehomogenize(g)[2]
+        for p in usable_primes(F, G):
+            assert not _coprime_images(F, G, p)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(trihoms(), trihoms())
+    @example(TRI_X * TRI_Y + TRI_Z * TRI_Z, TRI_X + TRI_Y)
+    @example(TRI_X - TRI_Y, TRI_X - TRI_Z * _POINT)
+    def test_agrees_with_brown(self, f, g):
+        F, G = (_dehomogenize(h)[2] for h in (f, g))
+        certified = _coprime_images(F, G, usable_primes(F, G, 1)[0])
+        with_certificate = tri_gcd(f, g)
+        with mock.patch.object(exact_algebra, "_coprime_images", lambda *_: False):
+            brown = tri_gcd(f, g)
+        assert with_certificate == brown
+        if certified:  # the gcd of the dehomogenised pair is 1, so only z is left
+            assert list(_dehomogenize(brown)[2]) == [(0, 0)]
+
+    def test_certifies_coprime_pairs(self):
+        pairs = [
+            (TRI_X * TRI_Y + TRI_Z * TRI_Z, TRI_X + TRI_Y),
+            (TRI_X * (TRI_Y + TRI_Z * 2), TRI_Y * TRI_Z + TRI_X * TRI_X),
+            (TRI_Y - TRI_Z * 5, TRI_Y + TRI_Z * 7),
+        ]
+        for f, g in pairs:
+            F, G = (_dehomogenize(h)[2] for h in (f, g))
+            assert _coprime_images(F, G, usable_primes(F, G, 1)[0])
+
+
+@st.composite
+def content_triples(draw):
+    """Three polynomials of one degree: a planted content (1, a power of z,
+    a polynomial, or both) times cofactors, some rational; then sometimes
+    zero components, f1 = -_LAMBDA f2, or f0 sharing with f1 + _LAMBDA f2 a
+    factor e that f2 lacks (integral, so the integer forms share it too)."""
+    common = TRI_Z ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        common = common * draw(trihoms(max_degree=2).filter(lambda f: f.degree >= 1))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["plain", "zeros", "minus-lambda", "shared"]))
+    if kind == "shared":
+        coeffs = st.integers(-4, 4).filter(bool)
+        ints = st.builds(TriHomPoly.monomial, st.sampled_from(monomials(1)), coeffs)
+        e = draw(ints) + draw(ints)
+        r0, r1 = draw(trihoms(degree=d - 1)), draw(trihoms(degree=d - 1))
+        r2 = draw(trihoms(degree=d))
+        cofactors = [e * r0, e * r1 - r2 * _LAMBDA, r2]
+    else:
+        cofactors = [draw(trihoms(degree=d)) for _ in range(3)]
+    polys = [common * c for c in cofactors]
+    if kind == "zeros":
+        for i in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)):
+            polys[i] = TriHomPoly.zero(polys[i].degree)
+    if kind == "minus-lambda":
+        polys[1] = polys[2] * -_LAMBDA
+    return polys
+
+
+X, Y, Z = TRI_X, TRI_Y, TRI_Z
+L = X + Y + Z
+
+
+class TestOneGcdContent:
+    """Three polynomials cost one gcd; the parts equal the earlier fold's."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(content_triples(), st.booleans())
+    @example([TriHomPoly.zero(2)] * 3, True)
+    @example([TriHomPoly.zero(2), TriHomPoly.zero(2), X * Y * Fraction(-4, 3)], True)
+    @example([X * Z, TriHomPoly.zero(2), Y * Z * 5], True)
+    @example([TriHomPoly.zero(1), TriHomPoly.monomial((0, 0, 0), -2), TriHomPoly.zero(0)], False)
+    @example([TriHomPoly.zero(3), TriHomPoly.zero(3), Z**3 * -4], False)
+    @example([X * (X + Y), (X + Y) * Y * -_LAMBDA, (X + Y) * Y], True)
+    @example([X * Fraction(1, 2), Y * Fraction(2, 3), Z * Fraction(5, 7)], True)
+    @example([X * Z * Z, Y * Z * Z * 3, Z**3], True)
+    @example([X * (Y + Z * 2), (X - Y * _LAMBDA) * Z, Y * Z], True)
+    @example([X * (Y + Z * 2) * L, (X - Y * _LAMBDA) * Z * L, Y * Z * L], True)
+    def test_equals_the_fold(self, polys, normalise):
+        if not any(polys):
+            with pytest.raises(ValueError):
+                _primitive_parts(polys, normalise)
+            return
+        content, parts = _primitive_parts(polys, normalise)
+        assert (content, parts) == primitive_parts_fold_oracle(polys, normalise)
+        if content.degree == 0 and not normalise:
+            assert all(q is p for p, q in zip(polys, parts))
+
+    @pytest.mark.parametrize(
+        "polys, gcds",
+        [
+            ([X * (X + Y), (X + Y) * Y * 2, (X + Y) * Z], 1),
+            ([X * Y, Y * Z, X * Z], 1),
+            ([X * (X + Y), (X + Y) * Y * -_LAMBDA, (X + Y) * Y], 1),
+            # gcd(f0, f1 + lambda f2) = x does not divide f2: one gcd more
+            ([X * (Y + Z * 2), (X - Y * _LAMBDA) * Z, Y * Z], 2),
+        ],
+    )
+    def test_gcd_count(self, polys, gcds):
+        calls = []
+        real = exact_algebra._gcd_parts
+        counted = lambda F, G: calls.append(1) or real(F, G)
+        with mock.patch.object(exact_algebra, "_gcd_parts", counted):
+            parts = _primitive_parts(polys)
+        assert len(calls) == gcds
+        assert parts == primitive_parts_fold_oracle(polys)
 
 
 @st.composite
