@@ -1,0 +1,48 @@
+"""Immutable records, the base of the package's value classes.
+
+A record lists its fields in ``__slots__``; a slot named with a leading
+underscore is a private cache, outside equality, hashing and the repr.
+Assignment and deletion raise ``AttributeError``, so constructors set
+slots with ``object.__setattr__``.  No code is generated at import time.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        get = attrgetter(*cls._fields)
+        # The field tuple, a 1-tuple for one field, as equality and the hash need.
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _init(self, *values) -> None:
+        """Set the fields, in slot order, to ``values``."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        # copy and pickle restore a record through here, from (None, {slot: value}).
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from . import jonquieres as jq
 from . import serialization as ser
-from .corpus import corpus_passed, run_corpus
 from .cremona_maps import compose, fixes_curve_pointwise
 from .curve_model import genus, validate_curve_data
 from .errors import CremonaKitError, SchemaError
@@ -172,6 +171,8 @@ def _cmd_pencil_enum(args) -> Tuple[Dict[str, Any], int]:
 
 
 def _cmd_examples(args) -> Tuple[Dict[str, Any], int]:
+    from .corpus import corpus_passed, run_corpus  # only this handler pays for the corpus
+
     results = run_corpus()
     payload = {
         "passed": corpus_passed(results),

@@ -10,11 +10,11 @@ group with its order classification, and the rational-pencil arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from . import jonquieres as jq
+from ._record import Record
 from .cremona_maps import (
     compose,
     fixes_curve_pointwise,
@@ -44,12 +44,13 @@ from .rational_pencils import (
 )
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    name: str
-    description: str
-    passed: bool
-    details: Tuple[str, ...] = ()
+class EntryResult(Record):
+    __slots__ = ("name", "description", "passed", "details")
+
+    def __init__(
+        self, name: str, description: str, passed: bool, details: Tuple[str, ...] = ()
+    ) -> None:
+        self._init(name, description, passed, details)
 
 
 class _Checker:

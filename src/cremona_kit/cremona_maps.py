@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import DegreeCapExceeded, MapContractsPlane, UnverifiedMap
 from .exact_algebra import (
     RatFunc,
@@ -80,19 +80,19 @@ def _check_cap(degree: int, context: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CremonaMap:
+class CremonaMap(Record):
     """Birational self-map of the plane in canonical coprime form."""
 
-    f0: TriHomPoly
-    f1: TriHomPoly
-    f2: TriHomPoly
+    __slots__ = ("f0", "f1", "f2")
 
-    def __post_init__(self) -> None:
-        if not (self.f0.degree == self.f1.degree == self.f2.degree):
+    def __init__(self, f0: TriHomPoly, f1: TriHomPoly, f2: TriHomPoly) -> None:
+        if not (f0.degree == f1.degree == f2.degree):
             raise ValueError("map components must share one degree")
-        if self.f0.is_zero and self.f1.is_zero and self.f2.is_zero:
+        if f0.is_zero and f1.is_zero and f2.is_zero:
             raise ValueError("map components are all zero")
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
 
     @property
     def degree(self) -> int:

@@ -14,66 +14,66 @@ singularities are rejected outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import InvalidCurveData
 from .exact_algebra import RationalLike, TriHomPoly, _frac, tri_gcd
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Record):
     """A labelled point, optionally with projective coordinates."""
 
-    label: str
-    coords: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+    __slots__ = ("label", "coords")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(
+        self, label: str, coords: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+    ) -> None:
+        if not isinstance(label, str) or not label:
             raise InvalidCurveData("point labels must be nonempty strings")
-        if self.coords is not None:
-            cs = tuple(_frac(c) for c in self.coords)
-            if len(cs) != 3:
+        if coords is not None:
+            coords = tuple(_frac(c) for c in coords)
+            if len(coords) != 3:
                 raise InvalidCurveData("projective coordinates need three entries")
-            if all(c == 0 for c in cs):
-                raise InvalidCurveData(f"point {self.label!r}: coordinates are all zero")
-            object.__setattr__(self, "coords", cs)
+            if all(c == 0 for c in coords):
+                raise InvalidCurveData(f"point {label!r}: coordinates are all zero")
+        self._init(label, coords)
 
 
-@dataclass(frozen=True)
-class SingularityData:
+class SingularityData(Record):
     """An ordinary singular point of the given multiplicity."""
 
-    point: PointSpec
-    multiplicity: int
-    ordinary: bool = True
+    __slots__ = ("point", "multiplicity", "ordinary")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 2:
+    def __init__(self, point: PointSpec, multiplicity: int, ordinary: bool = True) -> None:
+        if not isinstance(multiplicity, int) or multiplicity < 2:
             raise InvalidCurveData(
-                f"point {self.point.label!r}: singular multiplicity must be an integer >= 2"
+                f"point {point.label!r}: singular multiplicity must be an integer >= 2"
             )
-        if self.ordinary is not True:
+        if ordinary is not True:
             raise InvalidCurveData(
-                f"point {self.point.label!r}: non-ordinary singularities are not modelled"
+                f"point {point.label!r}: non-ordinary singularities are not modelled"
             )
+        self._init(point, multiplicity, ordinary)
 
     @property
     def label(self) -> str:
         return self.point.label
 
 
-@dataclass(frozen=True)
-class CurveCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class CurveCheck(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self._init(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    checks: Tuple[CurveCheck, ...]
+class CurveReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Tuple[CurveCheck, ...]) -> None:
+        self._init(checks)
 
     @property
     def passed(self) -> bool:
@@ -87,16 +87,18 @@ def _genus_value(degree: int, mults: Sequence[int]) -> int:
     return (degree - 1) * (degree - 2) // 2 - sum(m * (m - 1) // 2 for m in mults)
 
 
-@dataclass(frozen=True)
-class PlaneCurveModel:
+class PlaneCurveModel(Record):
     """Degree-d plane curve with ordinary singularities in general position."""
 
-    degree: int
-    singularities: Tuple[SingularityData, ...] = ()
-    defining_poly: Optional[TriHomPoly] = None
+    __slots__ = ("degree", "singularities", "defining_poly")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "singularities", tuple(self.singularities))
+    def __init__(
+        self,
+        degree: int,
+        singularities: Tuple[SingularityData, ...] = (),
+        defining_poly: Optional[TriHomPoly] = None,
+    ) -> None:
+        self._init(degree, tuple(singularities), defining_poly)
         failures = [
             c
             for c in _structural_checks(self.degree, self.singularities, self.defining_poly)

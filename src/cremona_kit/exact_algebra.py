@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .errors import SingularMatrix
 
 Rational = Fraction
@@ -70,18 +70,17 @@ def _frac(value: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(Record):
     """Univariate polynomial over Q; ``coeffs[e]`` multiplies ``t**e``.
 
     Trailing zero coefficients are stripped, so the zero polynomial is the
     empty tuple and ``degree`` of zero is -1.
     """
 
-    coeffs: Tuple[Fraction, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = [_frac(c) for c in self.coeffs]
+    def __init__(self, coeffs: Tuple[Fraction, ...] = ()) -> None:
+        cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -270,15 +269,12 @@ def is_squarefree(h: UniPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(Record):
     """Reduced fraction of univariate polynomials; denominator monic."""
 
-    num: UniPoly = UniPoly()
-    den: UniPoly = UniPoly.constant(1)
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: UniPoly = UniPoly(), den: UniPoly = UniPoly.constant(1)) -> None:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -357,35 +353,36 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriHomPoly:
+class TriHomPoly(Record):
     """Homogeneous polynomial in x, y, z over Q.
 
     ``terms`` maps exponent triples (i, j, k), with i + j + k equal to
     ``degree``, to nonzero coefficients.  The zero polynomial keeps its
     nominal degree so graded arithmetic stays well typed.
 
-    ``_form`` is not a field: a constructor that built the terms from
-    integers (``substitute``, the JSON decoder) leaves there the form
-    ``_dehomogenize`` would compute, so the GCD reads it instead.
+    ``_form`` is a private slot that every constructor sets, outside
+    equality, hashing and the repr: a constructor that built the terms
+    from integers (``substitute``, the JSON decoder) leaves there the form
+    ``_dehomogenize`` would compute, so the GCD reads it instead; the
+    others leave None.
     """
 
-    degree: int
-    terms: Tuple[Tuple[Exponents, Fraction], ...] = ()
-    _form = None
+    __slots__ = ("degree", "terms", "_form")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
+        if degree < 0:
             raise ValueError("homogeneous degree must be >= 0")
         acc: Dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms:
+        for exps, coeff in terms:
             i, j, k = exps
-            if min(i, j, k) < 0 or i + j + k != self.degree:
-                raise ValueError(f"monomial {exps} is not homogeneous of degree {self.degree}")
+            if min(i, j, k) < 0 or i + j + k != degree:
+                raise ValueError(f"monomial {exps} is not homogeneous of degree {degree}")
             c, e = _frac(coeff), (i, j, k)
             acc[e] = acc[e] + c if e in acc else c
         cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_form", None)
 
     @classmethod
     def of(
@@ -412,13 +409,12 @@ class TriHomPoly:
         terms: Tuple[Tuple[Exponents, Fraction], ...],
         form: Optional["_Form"] = None,
     ) -> "TriHomPoly":
-        """Trusted constructor: ``terms`` as __post_init__ would leave them,
+        """Trusted constructor: ``terms`` as ``__init__`` would leave them,
         and ``form``, if given, their integer form (see ``_dehomogenize``)."""
         f = object.__new__(cls)
         object.__setattr__(f, "degree", degree)
         object.__setattr__(f, "terms", terms)
-        if form is not None:
-            object.__setattr__(f, "_form", form)
+        object.__setattr__(f, "_form", form)
         return f
 
     @classmethod
@@ -1120,16 +1116,16 @@ def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mat2RF:
+class Mat2RF(Record):
     """Invertible 2x2 matrix with entries in Q(x)."""
 
-    a11: RatFunc
-    a12: RatFunc
-    a21: RatFunc
-    a22: RatFunc
+    __slots__ = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a11: RatFunc, a12: RatFunc, a21: RatFunc, a22: RatFunc) -> None:
+        object.__setattr__(self, "a11", a11)
+        object.__setattr__(self, "a12", a12)
+        object.__setattr__(self, "a21", a21)
+        object.__setattr__(self, "a22", a22)
         if self.det().is_zero:
             raise SingularMatrix("matrix over the function field is singular")
 

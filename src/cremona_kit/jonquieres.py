@@ -24,9 +24,9 @@ so only orders 1 (a2 = 0), 2 (a1 = 0) and infinity occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple, Union
 
+from ._record import Record
 from .cremona_maps import CremonaMap, _check_cap, _common_denominator
 from .errors import GroupMismatch, InvalidElement
 from .exact_algebra import (
@@ -57,16 +57,16 @@ def _check_h(h: UniPoly) -> None:
         raise InvalidElement("h must be squarefree")
 
 
-@dataclass(frozen=True)
-class JonqElement:
+class JonqElement(Record):
     """Group element (a1, a2) over a fixed squarefree even-degree h."""
 
-    a1: RatFunc
-    a2: RatFunc
-    h: UniPoly
+    __slots__ = ("a1", "a2", "h", "_det")
 
-    def __post_init__(self) -> None:
-        _check_h(self.h)
+    def __init__(self, a1: RatFunc, a2: RatFunc, h: UniPoly) -> None:
+        _check_h(h)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "h", h)
         self._check_entries()
 
     def _check_entries(self) -> None:
@@ -101,7 +101,7 @@ class JonqElement:
 def _over(u: JonqElement, a1: RatFunc, a2: RatFunc) -> JonqElement:
     """(a1, a2) over u.h, which u's constructor has checked: only a1, a2 are."""
     w = object.__new__(JonqElement)
-    w.__dict__.update(a1=a1, a2=a2, h=u.h)
+    w._init(a1, a2, u.h)
     w._check_entries()
     return w
 
@@ -142,15 +142,16 @@ def _order(trace: RatFunc, det: RatFunc, scalar: bool) -> Tuple[PglOrder, RatFun
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(value, PGL_INFINITE), lam
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    """Outcome of the finite-order check for a group element."""
+class OrderReport(Record):
+    """Outcome of the finite-order check for a group element;
+    ``conclusion_holds`` says whether the order landed in {1, 2, infinite}."""
 
-    order: PglOrder
-    lam: RatFunc
-    lam_constant: bool
-    conclusion_holds: bool  # order landed in {1, 2, infinite}
-    note: str
+    __slots__ = ("order", "lam", "lam_constant", "conclusion_holds", "note")
+
+    def __init__(
+        self, order: PglOrder, lam: RatFunc, lam_constant: bool, conclusion_holds: bool, note: str
+    ) -> None:
+        self._init(order, lam, lam_constant, conclusion_holds, note)
 
 
 def leminv_check(u: JonqElement) -> OrderReport:

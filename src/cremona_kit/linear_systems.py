@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .curve_model import PlaneCurveModel
 from .errors import (
     AdjointDoesNotExist,
@@ -42,28 +42,27 @@ from .errors import (
 Mults = Union[Mapping[str, int], Iterable[Tuple[str, int]]]
 
 
-@dataclass(frozen=True)
-class LinSysData:
+class LinSysData(Record):
     """Numerical linear system: degree plus point multiplicities.
 
     Zero multiplicities are dropped and labels are kept sorted, so equal
     systems compare equal structurally.
     """
 
-    degree: int
-    mults: Tuple[Tuple[str, int], ...] = ()
+    __slots__ = ("degree", "mults")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 0:
-            raise DegenerateSystem(f"linear system with negative degree {self.degree}")
+    def __init__(self, degree: int, mults: Tuple[Tuple[str, int], ...] = ()) -> None:
+        if not isinstance(degree, int) or degree < 0:
+            raise DegenerateSystem(f"linear system with negative degree {degree}")
         seen: Dict[str, int] = {}
-        for label, m in self.mults:
+        for label, m in mults:
             if not isinstance(m, int) or m < 0:
                 raise DegenerateSystem(f"negative multiplicity {m} at {label!r}")
             if label in seen:
                 raise DegenerateSystem(f"duplicate label {label!r}")
             if m > 0:
                 seen[label] = m
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "mults", tuple(sorted(seen.items())))
 
     @classmethod
@@ -128,14 +127,14 @@ def adjoint_raw(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
 _Rule = Tuple[str, Tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class RemovedComponent:
-    """A line or conic subtracted from a system, with repetition count."""
+class RemovedComponent(Record):
+    """A line or conic subtracted from a system, with repetition count;
+    ``system`` is one copy of the subtracted system."""
 
-    kind: str
-    labels: Tuple[str, ...]
-    count: int
-    system: LinSysData  # one copy of the subtracted system
+    __slots__ = ("kind", "labels", "count", "system")
+
+    def __init__(self, kind: str, labels: Tuple[str, ...], count: int, system: LinSysData) -> None:
+        self._init(kind, labels, count, system)
 
     @classmethod
     def single(cls, kind: str, labels: Tuple[str, ...], count: int) -> "RemovedComponent":
@@ -229,12 +228,13 @@ def remove_fixed_components(
 # -- pencil decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilReduction:
+class PencilReduction(Record):
     """A system written as `content` copies of an irreducible pencil."""
 
-    content: int
-    pencil: LinSysData
+    __slots__ = ("content", "pencil")
+
+    def __init__(self, content: int, pencil: LinSysData) -> None:
+        self._init(content, pencil)
 
 
 def _content_split(L: LinSysData) -> Tuple[int, Optional[LinSysData]]:
@@ -264,16 +264,21 @@ def pencil_decompose(L: LinSysData) -> Optional[PencilReduction]:
 # -- one adjoint step and the full chain --------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     """One application of adjoint + fixed-part removal + pencil reduction."""
 
-    input: LinSysData
-    raw_adjoint: LinSysData
-    removed_fixed: Tuple[RemovedComponent, ...]
-    reduced: LinSysData
-    pencil_reduction: Optional[PencilReduction]
-    warnings: Tuple[str, ...] = ()
+    __slots__ = ("input", "raw_adjoint", "removed_fixed", "reduced", "pencil_reduction", "warnings")
+
+    def __init__(
+        self,
+        input: LinSysData,
+        raw_adjoint: LinSysData,
+        removed_fixed: Tuple[RemovedComponent, ...],
+        reduced: LinSysData,
+        pencil_reduction: Optional[PencilReduction],
+        warnings: Tuple[str, ...] = (),
+    ) -> None:
+        self._init(input, raw_adjoint, removed_fixed, reduced, pencil_reduction, warnings)
 
     @property
     def output(self) -> LinSysData:
@@ -290,12 +295,17 @@ class Classification(str, enum.Enum):
     EXHAUSTED = "Exhausted"
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    steps: Tuple[ChainStep, ...]
-    terminal: LinSysData
-    classification: Classification
-    warnings: Tuple[str, ...] = ()
+class ChainReport(Record):
+    __slots__ = ("steps", "terminal", "classification", "warnings")
+
+    def __init__(
+        self,
+        steps: Tuple[ChainStep, ...],
+        terminal: LinSysData,
+        classification: Classification,
+        warnings: Tuple[str, ...] = (),
+    ) -> None:
+        self._init(steps, terminal, classification, warnings)
 
 
 def adjoint_step(L: LinSysData) -> ChainStep:

@@ -19,43 +19,47 @@ the two equations are the whole contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
 
+from ._record import Record
 from .errors import EnumerationBoundExceeded, InvalidAssignment
 from .linear_systems import LinSysData
 
 DEFAULT_ENUM_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class PencilType:
+class PencilType(Record):
     """Numerical type (n; m_1, ..., m_k), multiplicities sorted descending."""
 
-    degree: int
-    mults: Tuple[int, ...] = ()
+    __slots__ = ("degree", "mults")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"pencil degree must be >= 1, got {self.degree}")
-        ms = tuple(sorted(self.mults, reverse=True))
+    def __init__(self, degree: int, mults: Tuple[int, ...] = ()) -> None:
+        if not isinstance(degree, int) or degree < 1:
+            raise ValueError(f"pencil degree must be >= 1, got {degree}")
+        ms = tuple(sorted(mults, reverse=True))
         if ms and ms[-1] < 1:
             raise ValueError("base multiplicities must be >= 1")
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "mults", ms)
 
     def __str__(self) -> str:
         return f"({self.degree}; {', '.join(map(str, self.mults)) or '-'})"
 
 
-@dataclass(frozen=True)
-class PencilCheckReport:
-    degree: int
-    mults: Tuple[int, ...]
-    genus_residual: int
-    pencil_residual: int
-    linear_residual: int
-    valid: bool
+class PencilCheckReport(Record):
+    __slots__ = ("degree", "mults", "genus_residual", "pencil_residual", "linear_residual", "valid")
+
+    def __init__(
+        self,
+        degree: int,
+        mults: Tuple[int, ...],
+        genus_residual: int,
+        pencil_residual: int,
+        linear_residual: int,
+        valid: bool,
+    ) -> None:
+        self._init(degree, mults, genus_residual, pencil_residual, linear_residual, valid)
 
 
 def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
@@ -144,7 +148,8 @@ def enumerate_pencil_types(
     for n in range(1, n_max + 1):
         for parts in _partitions(3 * n - 2, n * n, n):
             p = object.__new__(PencilType)  # the walk's parts are sorted and valid
-            p.__dict__.update(degree=n, mults=parts)
+            object.__setattr__(p, "degree", n)
+            object.__setattr__(p, "mults", parts)
             out.append(p)
     return tuple(out)
 

@@ -17,20 +17,31 @@ then ``divmod``) and ``common_denominator_oracle`` (a fold of
 ``uni_lcm_oracle``, then ``divmod``).  ``primitive_parts_fold_oracle``, the
 earlier fold of pairwise gcds with the 1/lead scaling of ``CremonaMap.of``,
 is the one for the one-gcd content of three polynomials.
+``DATACLASS_ORACLES`` holds the package's records as the frozen dataclasses
+they were, the oracle for the ``__slots__`` records that replaced them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import sympy
 from hypothesis import strategies as st
 
 from cremona_kit.cremona_maps import CremonaMap
-from cremona_kit.curve_model import PlaneCurveModel, curve_from_mults
+from cremona_kit.curve_model import (
+    CurveCheck,
+    PlaneCurveModel,
+    PointSpec,
+    SingularityData,
+    _structural_checks,
+    curve_from_mults,
+)
+from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement, SingularMatrix
 from cremona_kit.exact_algebra import (
     _P0,
     _POINT,
@@ -40,13 +51,18 @@ from cremona_kit.exact_algebra import (
     RatFunc,
     TriHomPoly,
     UniPoly,
+    _frac,
+    _uni_cofactors,
     tri_content_gcd,
     tri_divrem,
     tri_gcd,
 )
-from cremona_kit.jonquieres import JonqElement
+from cremona_kit.jonquieres import JonqElement, _check_h
 from cremona_kit.linear_systems import (
+    ChainStep,
+    Classification,
     LinSysData,
+    PencilReduction,
     RemovedComponent,
     _Rule,
     _apply_rule,
@@ -439,3 +455,269 @@ def rand_jonq(
 H4 = UniPoly.of(-1, 0, 0, 0, 1)  # t^4 - 1
 H6 = UniPoly.of(1, 1, 0, 0, 0, 0, 1)  # t^6 + t + 1
 H8 = UniPoly.of(-2, 0, 0, 0, 0, 0, 0, 0, 1)  # t^8 - 2
+
+
+# -- the records as the frozen dataclasses they were -----------------------------
+#
+# Fields, defaults and __post_init__ checks of the package's 20 records as
+# they stood when each was a @dataclass(frozen=True); the oracle for the
+# equality, hash, repr, construction and immutability of the __slots__
+# classes that replaced them.  Each is registered under the package's class
+# name, which its repr prints.
+
+DATACLASS_ORACLES: Dict[str, type] = {}
+
+
+def _dataclass_oracle(cls):
+    name = cls.__name__[len("Old") :]
+    cls.__name__ = cls.__qualname__ = name
+    DATACLASS_ORACLES[name] = dataclasses.dataclass(frozen=True)(cls)
+    return DATACLASS_ORACLES[name]
+
+
+@_dataclass_oracle
+class OldUniPoly:
+    coeffs: Tuple[Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        cs = [_frac(c) for c in self.coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+
+@_dataclass_oracle
+class OldRatFunc:
+    num: UniPoly = UniPoly()
+    den: UniPoly = UniPoly.constant(1)
+
+    def __post_init__(self) -> None:
+        num, den = self.num, self.den
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero:
+            num, den = UniPoly(), UniPoly.constant(1)
+        else:
+            _, num, den = _uni_cofactors(num, den)
+            lc = den.lead
+            if lc != 1:
+                num, den = num * (1 / lc), den * (1 / lc)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+
+@_dataclass_oracle
+class OldTriHomPoly:
+    degree: int
+    terms: Tuple[Tuple[Tuple[int, int, int], Fraction], ...] = ()
+    _form = None
+
+    def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise ValueError("homogeneous degree must be >= 0")
+        acc: Dict[Tuple[int, int, int], Fraction] = {}
+        for exps, coeff in self.terms:
+            i, j, k = exps
+            if min(i, j, k) < 0 or i + j + k != self.degree:
+                raise ValueError(f"monomial {exps} is not homogeneous of degree {self.degree}")
+            c, e = _frac(coeff), (i, j, k)
+            acc[e] = acc[e] + c if e in acc else c
+        cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+        object.__setattr__(self, "terms", cleaned)
+
+
+@_dataclass_oracle
+class OldMat2RF:
+    a11: RatFunc
+    a12: RatFunc
+    a21: RatFunc
+    a22: RatFunc
+
+    def __post_init__(self) -> None:
+        if (self.a11 * self.a22 - self.a12 * self.a21).is_zero:
+            raise SingularMatrix("matrix over the function field is singular")
+
+
+@_dataclass_oracle
+class OldPointSpec:
+    label: str
+    coords: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str) or not self.label:
+            raise InvalidCurveData("point labels must be nonempty strings")
+        if self.coords is not None:
+            cs = tuple(_frac(c) for c in self.coords)
+            if len(cs) != 3:
+                raise InvalidCurveData("projective coordinates need three entries")
+            if all(c == 0 for c in cs):
+                raise InvalidCurveData(f"point {self.label!r}: coordinates are all zero")
+            object.__setattr__(self, "coords", cs)
+
+
+@_dataclass_oracle
+class OldSingularityData:
+    point: PointSpec
+    multiplicity: int
+    ordinary: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.multiplicity, int) or self.multiplicity < 2:
+            raise InvalidCurveData(
+                f"point {self.point.label!r}: singular multiplicity must be an integer >= 2"
+            )
+        if self.ordinary is not True:
+            raise InvalidCurveData(
+                f"point {self.point.label!r}: non-ordinary singularities are not modelled"
+            )
+
+
+@_dataclass_oracle
+class OldCurveCheck:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+@_dataclass_oracle
+class OldCurveReport:
+    checks: Tuple[CurveCheck, ...]
+
+
+@_dataclass_oracle
+class OldPlaneCurveModel:
+    degree: int
+    singularities: Tuple[SingularityData, ...] = ()
+    defining_poly: Optional[TriHomPoly] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "singularities", tuple(self.singularities))
+        failures = [
+            c
+            for c in _structural_checks(self.degree, self.singularities, self.defining_poly)
+            if not c.passed
+        ]
+        if failures:
+            msgs = "; ".join(f"{c.name}: {c.detail}" for c in failures)
+            raise InvalidCurveData(msgs)
+
+
+@_dataclass_oracle
+class OldCremonaMap:
+    f0: TriHomPoly
+    f1: TriHomPoly
+    f2: TriHomPoly
+
+    def __post_init__(self) -> None:
+        if not (self.f0.degree == self.f1.degree == self.f2.degree):
+            raise ValueError("map components must share one degree")
+        if self.f0.is_zero and self.f1.is_zero and self.f2.is_zero:
+            raise ValueError("map components are all zero")
+
+
+@_dataclass_oracle
+class OldLinSysData:
+    degree: int
+    mults: Tuple[Tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.degree, int) or self.degree < 0:
+            raise DegenerateSystem(f"linear system with negative degree {self.degree}")
+        seen: Dict[str, int] = {}
+        for label, m in self.mults:
+            if not isinstance(m, int) or m < 0:
+                raise DegenerateSystem(f"negative multiplicity {m} at {label!r}")
+            if label in seen:
+                raise DegenerateSystem(f"duplicate label {label!r}")
+            if m > 0:
+                seen[label] = m
+        object.__setattr__(self, "mults", tuple(sorted(seen.items())))
+
+
+@_dataclass_oracle
+class OldRemovedComponent:
+    kind: str
+    labels: Tuple[str, ...]
+    count: int
+    system: LinSysData
+
+
+@_dataclass_oracle
+class OldPencilReduction:
+    content: int
+    pencil: LinSysData
+
+
+@_dataclass_oracle
+class OldChainStep:
+    input: LinSysData
+    raw_adjoint: LinSysData
+    removed_fixed: Tuple[RemovedComponent, ...]
+    reduced: LinSysData
+    pencil_reduction: Optional[PencilReduction]
+    warnings: Tuple[str, ...] = ()
+
+
+@_dataclass_oracle
+class OldChainReport:
+    steps: Tuple[ChainStep, ...]
+    terminal: LinSysData
+    classification: Classification
+    warnings: Tuple[str, ...] = ()
+
+
+@_dataclass_oracle
+class OldJonqElement:
+    a1: RatFunc
+    a2: RatFunc
+    h: UniPoly
+
+    def __post_init__(self) -> None:
+        _check_h(self.h)
+        if self.a1.is_zero and self.a2.is_zero:
+            raise InvalidElement("a1 and a2 cannot both vanish")
+        det = self.a1 * self.a1 - RatFunc.of(self.h) * (self.a2 * self.a2)
+        if det.is_zero:
+            raise InvalidElement("determinant a1^2 - h a2^2 vanishes")
+        object.__setattr__(self, "_det", det)
+
+
+@_dataclass_oracle
+class OldOrderReport:
+    order: Union[int, str]
+    lam: RatFunc
+    lam_constant: bool
+    conclusion_holds: bool
+    note: str
+
+
+@_dataclass_oracle
+class OldPencilType:
+    degree: int
+    mults: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.degree, int) or self.degree < 1:
+            raise ValueError(f"pencil degree must be >= 1, got {self.degree}")
+        ms = tuple(sorted(self.mults, reverse=True))
+        if ms and ms[-1] < 1:
+            raise ValueError("base multiplicities must be >= 1")
+        object.__setattr__(self, "mults", ms)
+
+
+@_dataclass_oracle
+class OldPencilCheckReport:
+    degree: int
+    mults: Tuple[int, ...]
+    genus_residual: int
+    pencil_residual: int
+    linear_residual: int
+    valid: bool
+
+
+@_dataclass_oracle
+class OldEntryResult:
+    name: str
+    description: str
+    passed: bool
+    details: Tuple[str, ...] = ()
