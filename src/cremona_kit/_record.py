@@ -1,9 +1,11 @@
 """Immutable records, the base of the package's value classes.
 
 A record lists its fields in ``__slots__``; a slot named with a leading
-underscore is a private cache, outside equality, hashing and the repr.
-Assignment and deletion raise ``AttributeError``, so constructors set
-slots with ``object.__setattr__``.  No code is generated at import time.
+underscore is private, outside equality, hashing and the repr.  A class
+whose field is a view computed from private slots names its fields in
+``_fields`` instead.  Assignment and deletion raise ``AttributeError``, so
+constructors set slots with ``object.__setattr__``.  No code is generated
+at import time.
 """
 
 from operator import attrgetter
@@ -13,14 +15,15 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        slots = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = cls.__dict__.get("_fields", slots)
         get = attrgetter(*cls._fields)
         # The field tuple, a 1-tuple for one field, as equality and the hash need.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
 
     def _init(self, *values) -> None:
-        """Set the fields, in slot order, to ``values``."""
+        """Set the public slots, in order, to ``values``."""
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
 

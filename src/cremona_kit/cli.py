@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -48,9 +47,9 @@ def _load_payload(args: argparse.Namespace) -> Any:
     elif args.input == "-":
         text = sys.stdin.read()
     else:
-        path = Path(args.input)
         try:
-            text = path.read_text()
+            with open(args.input) as source:
+                text = source.read()
         except OSError as exc:
             raise SchemaError("$", f"cannot read {args.input!r}: {exc}") from exc
     try:

@@ -48,7 +48,7 @@ from .exact_algebra import (
     _BiPoly,
     _divides,
     _frac,
-    _integral,
+    _over,
     _primitive_parts,
     _uni_cofactors,
     homogenize_uni,
@@ -108,7 +108,7 @@ class CremonaMap(Record):
 
         The content comes from one gcd on the components' integer forms; a
         triple already canonical is kept as it is, and any other is rebuilt
-        from the quotients, scaled to lead with one, one Fraction per term.
+        from the integer quotients, scaled to lead with one.
         """
         if not (f0 or f1 or f2):
             raise ValueError("map components are all zero")
@@ -253,8 +253,8 @@ def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:
         raise ValueError("curve polynomial must have positive degree")
     # On the chart z = 1, over one integer scale of the map: multiplying by
     # x, y or z shifts exponents by (1, 0), (0, 1) or (0, 0).
-    den = math.lcm(*(q.denominator for f in F.components for _, q in f.terms))
-    f0, f1, f2 = (_integral(f, den) for f in F.components)
+    den = math.lcm(*(f._den for f in F.components))
+    f0, f1, f2 = (_over(f, den) for f in F.components)
     x, y, z = (1, 0), (0, 1), (0, 0)
     return all(
         _divides(c, F.degree + 1, _minor(a, sa, b, sb))

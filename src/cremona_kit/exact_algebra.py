@@ -8,13 +8,15 @@ Four layers, all immutable and exact:
   products convolve integers under one rational scale.
 * ``RatFunc``    -- reduced fractions of univariate polynomials with a
   monic denominator.
-* ``TriHomPoly`` -- homogeneous polynomials in x, y, z stored as sparse
-  maps from exponent triples to rationals.  ``substitute``, the core of
-  map composition, runs on integers under one rational scale.
+* ``TriHomPoly`` -- homogeneous polynomials in x, y, z, each stored once,
+  as the integer form F(x, y) / den homogenised with z: F in Z[x, y] and
+  den > 0 prime to its content.  Arithmetic, ``substitute`` (the core of
+  map composition) and the GCD run on F; the rational ``terms`` are a
+  view, built when read.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of
-z, dehomogenises to Z[x, y] and runs Brown's modular algorithm: images
+z and runs Brown's modular algorithm on the bodies in Z[x, y]: images
 modulo word-size primes (2^61 - 1 first, then the primes below it) at
 the points y = 1000003, 1000004, ...  Before that, two univariate images
 at the first prime, one in x and one in y, prove most coprime pairs
@@ -30,9 +32,6 @@ lexicographically leading term (x > y > z) has coefficient one.
 proves the inputs coprime.  The quotients of the accepting division come
 back with the GCD (``_primitive_parts`` for map contents, ``_uni_cofactors``
 for ``RatFunc``), so only this module divides by a GCD, and only once.
-The dehomogenised integer form of a polynomial that ``substitute`` or the
-JSON decoder built from integers travels with it, so the GCD does not
-clear its denominators again.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -353,36 +352,64 @@ class RatFunc(Record):
 # ---------------------------------------------------------------------------
 
 
+def _lex(F: _BiPoly) -> _BiPoly:
+    """F keyed in decreasing lex order, without its zero coefficients."""
+    return {e: F[e] for e in sorted(F, reverse=True) if F[e]}
+
+
 class TriHomPoly(Record):
     """Homogeneous polynomial in x, y, z over Q.
 
-    ``terms`` maps exponent triples (i, j, k), with i + j + k equal to
-    ``degree``, to nonzero coefficients.  The zero polynomial keeps its
-    nominal degree so graded arithmetic stays well typed.
+    One integer form is stored: ``degree``, a positive integer ``_den`` and
+    ``_body``, a polynomial F in Z[x, y] as {(i, j): c} in decreasing lex
+    order with no zero coefficient, for F / den homogenised with z to
+    ``degree`` (the key (i, j) stands for x^i y^j z^(degree - i - j)).  The
+    gcd of den and the content of F is one, so the form is unique: den is
+    the lcm of the reduced denominators.  The zero polynomial has an empty
+    F and den 1; it keeps its nominal degree so graded arithmetic stays
+    well typed.
 
-    ``_form`` is a private slot that every constructor sets, outside
-    equality, hashing and the repr: a constructor that built the terms
-    from integers (``substitute``, the JSON decoder) leaves there the form
-    ``_dehomogenize`` would compute, so the GCD reads it instead; the
-    others leave None.
+    The field ``terms`` is a view of the same polynomial: exponent triples
+    (i, j, k), in decreasing lex order, paired with nonzero Fractions.  It
+    is built on first read and cached.
     """
 
-    __slots__ = ("degree", "terms", "_form")
+    __slots__ = ("degree", "_den", "_body", "_terms")
+    _fields = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
         if degree < 0:
             raise ValueError("homogeneous degree must be >= 0")
-        acc: Dict[Exponents, Fraction] = {}
+        acc: Dict[Tuple[int, int], Fraction] = {}
         for exps, coeff in terms:
             i, j, k = exps
             if min(i, j, k) < 0 or i + j + k != degree:
                 raise ValueError(f"monomial {exps} is not homogeneous of degree {degree}")
-            c, e = _frac(coeff), (i, j, k)
-            acc[e] = acc[e] + c if e in acc else c
-        cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+            c = _frac(coeff)
+            acc[i, j] = acc[i, j] + c if (i, j) in acc else c
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        body = {e: c.numerator * (den // c.denominator) for e, c in acc.items()}
+        self._store(degree, _lex(body), den)
+
+    def _store(self, degree: int, body: _BiPoly, den: int) -> None:
+        """Set the form of body / den, dividing out gcd(den, content body)."""
+        g = math.gcd(den, *body.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            body, den = {e: c // g for e, c in body.items()}, den // g
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_body", body)
+
+    @classmethod
+    def _sorted(cls, degree: int, body: _BiPoly, den: int = 1) -> "TriHomPoly":
+        """Trusted constructor of body / den homogenised to ``degree``: body
+        in Z[x, y] keyed in decreasing lex order with no zero coefficient,
+        den a nonzero integer."""
+        f = object.__new__(cls)
+        f._store(degree, body, den)
+        return f
 
     @classmethod
     def of(
@@ -403,39 +430,25 @@ class TriHomPoly(Record):
         return cls(degree, ())
 
     @classmethod
-    def _sorted(
-        cls,
-        degree: int,
-        terms: Tuple[Tuple[Exponents, Fraction], ...],
-        form: Optional["_Form"] = None,
-    ) -> "TriHomPoly":
-        """Trusted constructor: ``terms`` as ``__init__`` would leave them,
-        and ``form``, if given, their integer form (see ``_dehomogenize``)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "degree", degree)
-        object.__setattr__(f, "terms", terms)
-        object.__setattr__(f, "_form", form)
-        return f
-
-    @classmethod
-    def _from_ratios(cls, degree: int, rows: Sequence[Tuple[Exponents, int, int]]) -> "TriHomPoly":
-        """Trusted constructor from rows (exponents, p, q), the term p/q, in
-        decreasing lex order with p nonzero and q positive; keeps their
-        integer form."""
-        den = math.lcm(*(q for _, _, q in rows))
-        form = (min(e[2] for e, _, _ in rows), den, {e[:2]: p * (den // q) for e, p, q in rows})
-        return cls._sorted(degree, tuple((e, Fraction(p, q)) for e, p, q in rows), form)
-
-    @classmethod
     def monomial(cls, exps: Exponents, coeff: RationalLike = 1) -> "TriHomPoly":
         return cls(sum(exps), ((tuple(exps), _frac(coeff)),))  # type: ignore[arg-type]
 
     @property
+    def terms(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
+        try:
+            return self._terms
+        except AttributeError:
+            d, den = self.degree, self._den
+            terms = tuple(((i, j, d - i - j), Fraction(c, den)) for (i, j), c in self._body.items())
+            object.__setattr__(self, "_terms", terms)
+            return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._body
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._body)
 
     def as_dict(self) -> Dict[Exponents, Fraction]:
         return dict(self.terms)
@@ -453,39 +466,29 @@ class TriHomPoly(Record):
         return self.terms[0]
 
     def __add__(self, other: "TriHomPoly") -> "TriHomPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         if self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degrees")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc[e] + c if e in acc else c
-        return TriHomPoly(self.degree, tuple(acc.items()))
+        if not self._body:
+            return other
+        if not other._body:
+            return self
+        den = math.lcm(self._den, other._den)
+        total = _axpy(_over(self, den), den // other._den, other._body)
+        return TriHomPoly._sorted(self.degree, _lex(total), den)
 
     def __neg__(self) -> "TriHomPoly":
-        return TriHomPoly(self.degree, tuple((e, -c) for e, c in self.terms))
+        return TriHomPoly._sorted(self.degree, {e: -c for e, c in self._body.items()}, self._den)
 
     def __sub__(self, other: "TriHomPoly") -> "TriHomPoly":
         return self + (-other)
 
     def __mul__(self, other: Union["TriHomPoly", RationalLike]) -> "TriHomPoly":
         if isinstance(other, TriHomPoly):
-            deg = self.degree + other.degree
-            if self.is_zero or other.is_zero:
-                return TriHomPoly.zero(deg)
-            acc: Dict[Exponents, Fraction] = {}
-            for (i1, j1, k1), c1 in self.terms:
-                for (i2, j2, k2), c2 in other.terms:
-                    e = (i1 + i2, j1 + j2, k1 + k2)
-                    acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-            return TriHomPoly(deg, tuple(acc.items()))
-        scalar = _frac(other)
-        if not scalar:
-            return TriHomPoly.zero(self.degree)
-        # A nonzero scalar keeps the terms nonzero and in order.
-        return TriHomPoly._sorted(self.degree, tuple((e, c * scalar) for e, c in self.terms))
+            product = _lex(_bimul(self._body, other._body, {}))
+            return TriHomPoly._sorted(self.degree + other.degree, product, self._den * other._den)
+        s = _frac(other)
+        body = {e: c * s.numerator for e, c in self._body.items()} if s else {}
+        return TriHomPoly._sorted(self.degree, body, self._den * s.denominator)
 
     def __rmul__(self, other: RationalLike) -> "TriHomPoly":
         return self.__mul__(other)
@@ -493,7 +496,7 @@ class TriHomPoly(Record):
     def __pow__(self, n: int) -> "TriHomPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = TriHomPoly.monomial((0, 0, 0), 1)
+        result = TriHomPoly._sorted(0, {(0, 0): 1})
         base = self
         while n:
             if n & 1:
@@ -503,58 +506,53 @@ class TriHomPoly(Record):
         return result
 
     def partial(self, axis: int) -> "TriHomPoly":
-        """Formal partial derivative with respect to x, y or z (axis 0/1/2)."""
-        deg = max(self.degree - 1, 0)
-        acc: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms:
-            if e[axis] == 0:
-                continue
-            new = list(e)
-            new[axis] -= 1
-            acc[tuple(new)] = c * e[axis]  # type: ignore[index]
-        if self.degree == 0:
-            return TriHomPoly.zero(0)
-        return TriHomPoly(deg, tuple(acc.items()))
+        """Formal partial derivative with respect to x, y or z (axis 0/1/2).
+        Lowering one exponent keeps the decreasing lex order of the body."""
+        d = self.degree
+        di, dj = ((1, 0), (0, 1), (0, 0))[axis]
+        body: _BiPoly = {}
+        for (i, j), c in self._body.items():
+            n = (i, j, d - i - j)[axis]
+            if n:
+                body[i - di, j - dj] = c * n
+        return TriHomPoly._sorted(max(d - 1, 0), body, self._den)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         a, b, c = (_frac(v) for v in point)
-        total = Fraction(0)
-        for (i, j, k), coeff in self.terms:
-            total += coeff * a**i * b**j * c**k
-        return total
+        # Scaling the point by s scales the value by s^degree: evaluate at
+        # integers, then divide once.
+        s = math.lcm(a.denominator, b.denominator, c.denominator)
+        x, y, z = (v.numerator * (s // v.denominator) for v in (a, b, c))
+        d = self.degree
+        total = sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items())
+        return Fraction(total, self._den * s**d)
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
         """Evaluate at three homogeneous polynomials of one common degree.
 
         Exact, on integers: one common ``den`` scales the images (a scale per
-        image would not scale the result uniformly), ``fden`` scales self,
-        and the sum, with terms grouped by their power of x, is divided by
-        ``fden * den**deg(self)`` once.  The result keeps that integer sum
-        as its form.
+        image would not scale the result uniformly), and the sum over the
+        body of self, with terms grouped by their power of x, is divided by
+        ``self._den * den**deg(self)`` once.
         """
         g0, g1, g2 = images
         if not (g0.degree == g1.degree == g2.degree):
             raise ValueError("substitution images must share one degree")
-        out_deg = self.degree * g0.degree
-        den = math.lcm(*(c.denominator for g in images for _, c in g.terms))
-        fden = math.lcm(*(c.denominator for _, c in self.terms))
+        d, out_deg = self.degree, self.degree * g0.degree
+        den = math.lcm(g0._den, g1._den, g2._den)
+        exps = [(i, j, d - i - j) for i, j in self._body]
         p0, p1, p2 = powers = [[{(0, 0): 1}] for _ in images]
         for axis, g in enumerate(images):
-            base = _integral(g, den)
-            for _ in range(max((e[axis] for e, _ in self.terms), default=0)):
+            base = _over(g, den)
+            for _ in range(max((e[axis] for e in exps), default=0)):
                 powers[axis].append(_bimul(powers[axis][-1], base, {}))
         acc: _BiPoly = {}
-        for i, group in itertools.groupby(self.terms, key=lambda t: t[0][0]):
+        for i, group in itertools.groupby(self._body.items(), key=lambda t: t[0][0]):
             inner: _BiPoly = {}
-            for (_, j, k), c in group:
-                _bimul(p1[j], p2[k], inner, c.numerator * (fden // c.denominator))
+            for (_, j), c in group:
+                _bimul(p1[j], p2[d - i - j], inner, c)
             _bimul(p0[i], inner, acc)
-        F = {e: acc[e] for e in sorted((e for e, v in acc.items() if v), reverse=True)}
-        if not F:
-            return TriHomPoly.zero(out_deg)
-        scale = fden * den**self.degree
-        terms = tuple(((i, j, out_deg - i - j), Fraction(v, scale)) for (i, j), v in F.items())
-        return TriHomPoly._sorted(out_deg, terms, (out_deg - max(i + j for i, j in F), scale, F))
+        return TriHomPoly._sorted(out_deg, _lex(acc), self._den * den**d)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -591,15 +589,22 @@ def homogenize_uni(p: UniPoly, main_axis: int, aux_axis: int, degree: int) -> Tr
         return TriHomPoly.zero(degree)
     if degree < p.degree:
         raise ValueError("target degree below the degree of the polynomial")
-    acc: Dict[Exponents, Fraction] = {}
-    for e, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        exps = [0, 0, 0]
-        exps[main_axis] = e
-        exps[aux_axis] = degree - e
-        acc[tuple(exps)] = c  # type: ignore[index]
-    return TriHomPoly(degree, tuple(acc.items()))
+    den, ints = _cleared(p.coeffs)
+    body: _BiPoly = {}
+    for e, c in enumerate(ints):
+        if c:
+            exps = [0, 0, 0]
+            exps[main_axis] = e
+            exps[aux_axis] = degree - e
+            body[exps[0], exps[1]] = c
+    return TriHomPoly._sorted(degree, _lex(body), den)
+
+
+def _over(f: TriHomPoly, den: int) -> _BiPoly:
+    """The body B with f = B / den homogenised, for ``den`` a multiple of
+    f's own denominator."""
+    s = den // f._den
+    return f._body if s == 1 else {e: c * s for e, c in f._body.items()}
 
 
 # -- lex division and divisibility ------------------------------------------
@@ -649,7 +654,7 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
         return True
     if f.degree < c.degree:
         return False
-    return _divides(c, f.degree, _dehomogenize(f)[2])
+    return _divides(c, f.degree, f._body)
 
 
 # -- gcd: Brown's modular algorithm ------------------------------------------
@@ -657,8 +662,7 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
 # A homogeneous f factors as z^a * F with z not dividing F, and F corresponds
 # bijectively and multiplicatively to its dehomogenisation F(x, y, 1), so
 # gcd(f, g) = z^min(a, b) * gcd(F, G): the work is a bivariate gcd.  F and G
-# are scaled into Z[x, y] (by the lcm of their denominators, or by the scale
-# of the integers they were built from); the scale does not matter because
+# are the stored bodies, in Z[x, y]; the denominators do not matter because
 # the answer is lex-normalised.  Let H = gcd(F, G) be
 # primitive in Z[x, y].  By Gauss's lemma F = H * F1 with F1 in Z[x, y], so
 # reducing mod a prime p and evaluating are ring maps that keep H | F.
@@ -785,11 +789,6 @@ def _ueval(a: List[int], t: int, p: int) -> int:
 _BiPoly = Dict[Tuple[int, int], int]
 
 
-def _integral(f: TriHomPoly, scale: int) -> _BiPoly:
-    """scale * f keyed by (i, j); scale must clear every denominator."""
-    return {(i, j): c.numerator * (scale // c.denominator) for (i, j, _), c in f.terms}
-
-
 def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
     """Add scale * a * b over Z into out, and return out."""
     for (i1, j1), c1 in a.items():
@@ -798,21 +797,6 @@ def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
             e = (i1 + i2, j1 + j2)
             out[e] = out.get(e, 0) + c1 * c2
     return out
-
-
-# The integer form of a nonzero f: (a, den, F) with f = z^a * F(x, y, z) / den,
-# a the power of z dividing f, den a positive integer and F in Z[x, y] keyed
-# in decreasing lex order.  Forms are shared, so F is never mutated.
-_Form = Tuple[int, int, _BiPoly]
-
-
-def _dehomogenize(f: TriHomPoly) -> _Form:
-    """The integer form of the nonzero f: the one f carries, or one with den
-    the lcm of the denominators."""
-    if f._form is not None:
-        return f._form
-    den = math.lcm(*(c.denominator for _, c in f.terms))
-    return min(k for (_, _, k), _ in f.terms), den, _integral(f, den)
 
 
 def _content_free(F: _BiPoly) -> _BiPoly:
@@ -859,17 +843,11 @@ def _divides(c: TriHomPoly, degree: int, F: _BiPoly) -> bool:
     ``degree`` that F in Z[x, y] dehomogenises (F = 0 included)."""
     if not F:
         return True
-    zc, _, C = _dehomogenize(c)
-    if degree - max(i + j for i, j in F) < zc:
+    C = c._body
+    # The power of z dividing each: its degree less the top degree of its body.
+    if degree - max(i + j for i, j in F) < c.degree - max(i + j for i, j in C):
         return False
     return _exact_quotient(F, _content_free(C)) is not None
-
-
-def _homogeneous(degree: int, F: _BiPoly, num: int, den: int) -> TriHomPoly:
-    """num / den * F homogenised with z to ``degree``; F keyed in decreasing
-    lex order, with no zero coefficient."""
-    terms = (((i, j, degree - i - j), Fraction(c * num, den)) for (i, j), c in F.items())
-    return TriHomPoly._sorted(degree, tuple(terms))
 
 
 def _rows(F: _BiPoly, p: int) -> List[List[int]]:
@@ -1007,7 +985,7 @@ def _gcd_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPo
     for candidate in _candidates(F, G):
         if max(candidate) == (0, 0):
             return None
-        C = dict(sorted(_content_free(candidate).items(), reverse=True))
+        C = _lex(_content_free(candidate))
         a = _exact_quotient(F, C)
         b = _exact_quotient(G, C) if a is not None else None
         if b is not None:
@@ -1059,7 +1037,7 @@ def _common(Fs: List[_BiPoly]) -> Tuple[Optional[_BiPoly], List[_BiPoly]]:
         g, Q0, QS = parts
         Q2 = _exact_quotient(F2, g)
         if Q2 is not None:
-            Q1 = dict(sorted(_axpy(QS, -_LAMBDA, Q2).items(), reverse=True))
+            Q1 = _lex(_axpy(QS, -_LAMBDA, Q2))
             return g, [Q0, Q1, Q2]
     parts = _gcd_parts(g, F2)
     if parts is None:
@@ -1074,31 +1052,31 @@ def _primitive_parts(
     """(content, parts): the lex-normalised gcd of the nonzero polys (all zero
     is refused) and each poly divided by it, zero for a zero poly; with
     ``normalise``, the parts are scaled so that the first nonzero one has
-    lex-leading coefficient one.  The gcd is z^m times that of the integer
-    forms (_common); the parts are built from its quotients with one
-    Fraction per term, or are the polys themselves when the gcd is 1 (and,
-    with ``normalise``, that coefficient is already one)."""
-    live = [_dehomogenize(p) for p in polys if p]
+    lex-leading coefficient one.  The gcd is z^m times that of the bodies
+    (_common); the parts are built from its quotients, or are the polys
+    themselves when the gcd is 1 (and, with ``normalise``, that coefficient
+    is already one)."""
+    live = [p for p in polys if p]
     if not live:
         raise ValueError("gcd of three zero polynomials")
-    C, quotients = _common([F for _, _, F in live])
-    m = min(a for a, _, _ in live)
-    first = next(p for p in polys if p)
-    if C is None and not m and not (normalise and first.terms[0][1] != 1):
-        return TriHomPoly.monomial((0, 0, 0)), tuple(polys)
+    C, quotients = _common([p._body for p in live])
+    m = min(p.degree - max(i + j for i, j in p._body) for p in live)
+    first = live[0]
+    if C is None and not m and not (normalise and next(iter(first._body.values())) != first._den):
+        return TriHomPoly._sorted(0, {(0, 0): 1}), tuple(polys)
     # f = z^a F / den and the gcd is z^m C / lc, so f / gcd = lc / den * z^(a-m) * F / C,
     # and the part of the first nonzero poly leads with lc / den_0 * lead(F_0 / C).
     C = C or {(0, 0): 1}
     lc, degree = next(iter(C.values())), m + max(i + j for i, j in C)
-    num, scale = (live[0][1], next(iter(quotients[0].values()))) if normalise else (lc, 1)
-    rest, parts = zip(live, quotients), []
+    num, scale = (first._den, next(iter(quotients[0].values()))) if normalise else (lc, 1)
+    rest, parts = iter(quotients), []
     for p in polys:
         if p:
-            (_, den, _), Q = next(rest)
-            parts.append(_homogeneous(p.degree - degree, Q, num, den * scale))
+            body = {e: c * num for e, c in next(rest).items()}
+            parts.append(TriHomPoly._sorted(p.degree - degree, body, p._den * scale))
         else:
             parts.append(TriHomPoly.zero(max(p.degree - degree, 0)))
-    return _homogeneous(degree, C, 1, lc), tuple(parts)
+    return TriHomPoly._sorted(degree, C, lc), tuple(parts)
 
 
 def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:

@@ -17,6 +17,7 @@ of the offending field.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -190,7 +191,8 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
     if degree < 0:
         raise ValueError("homogeneous degree must be >= 0")
     rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)
-    return TriHomPoly._from_ratios(degree, rows) if rows else TriHomPoly.zero(degree)
+    den = math.lcm(*(q for _, _, q in rows))
+    return TriHomPoly._sorted(degree, {e[:2]: p * (den // q) for e, p, q in rows}, den)
 
 
 def encode_trihom(f: TriHomPoly) -> List[Any]:

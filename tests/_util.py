@@ -18,12 +18,16 @@ then ``divmod``) and ``common_denominator_oracle`` (a fold of
 earlier fold of pairwise gcds with the 1/lead scaling of ``CremonaMap.of``,
 is the one for the one-gcd content of three polynomials.
 ``DATACLASS_ORACLES`` holds the package's records as the frozen dataclasses
-they were, the oracle for the ``__slots__`` records that replaced them.
+they were, the oracle for the ``__slots__`` records that replaced them;
+``OldTriHomPoly`` also keeps the earlier Fraction arithmetic of
+``TriHomPoly``, the oracle for its arithmetic on the stored integer form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -256,14 +260,26 @@ def primitive_parts_oracle(
     )
 
 
-def assert_carries_its_form(f: TriHomPoly) -> None:
-    """The integer form a nonzero f carries is its own: f = z^a F / den, with
-    F keyed in decreasing lex order and z^a the power of z dividing f."""
-    a, den, F = f._form
-    assert list(F) == sorted(F, reverse=True) and all(F.values())
-    assert a == min(k for (_, _, k), _ in f.terms)
-    terms = (((i, j, f.degree - i - j), Fraction(c, den)) for (i, j), c in F.items())
-    assert TriHomPoly(f.degree, tuple(terms)) == f
+def assert_canonical(f: TriHomPoly, old: "OldTriHomPoly") -> None:
+    """f stores the canonical form of its polynomial, and is equal to, hashes,
+    reprs and pickles like ``old``, the same polynomial as the dataclass.
+
+    The form is F / den homogenised to the degree: den a positive integer
+    prime to the content of F, F in Z[x, y] keyed in decreasing lex order
+    with no zero coefficient.  It is the one form of its polynomial, so the
+    Fraction constructor rebuilds it from ``old``'s terms.
+    """
+    d, den, F = f.degree, f._den, f._body
+    assert type(den) is int and den > 0 and math.gcd(den, *F.values()) == 1
+    assert list(F) == sorted(F, reverse=True)
+    assert all(type(c) is int and c and i >= 0 and j >= 0 and i + j <= d for (i, j), c in F.items())
+    rebuilt = TriHomPoly(old.degree, old.terms)
+    assert (rebuilt.degree, rebuilt._den, rebuilt._body) == (d, den, F) and rebuilt == f
+    assert (d, f.terms) == (old.degree, old.terms)
+    assert hash(f) == hash(old) and repr(f) == repr(old)
+    clone = pickle.loads(pickle.dumps(f))
+    assert (clone._den, clone._body) == (den, F)
+    assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
 
 
 def primitive_parts_fold_oracle(
@@ -508,9 +524,12 @@ class OldRatFunc:
 
 @_dataclass_oracle
 class OldTriHomPoly:
+    """Also the oracle for the integer arithmetic of ``TriHomPoly``: its
+    earlier Fraction ``+``, ``-``, ``*``, ``partial`` and ``evaluate``, and a
+    term-by-term ``substitute``."""
+
     degree: int
     terms: Tuple[Tuple[Tuple[int, int, int], Fraction], ...] = ()
-    _form = None
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -524,6 +543,53 @@ class OldTriHomPoly:
             acc[e] = acc[e] + c if e in acc else c
         cleaned = tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
         object.__setattr__(self, "terms", cleaned)
+
+    def __add__(self, other):
+        if self.degree != other.degree:
+            raise ValueError("cannot add homogeneous polynomials of different degrees")
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc[e] + c if e in acc else c
+        return OldTriHomPoly(self.degree, tuple(acc.items()))
+
+    def __neg__(self):
+        return OldTriHomPoly(self.degree, tuple((e, -c) for e, c in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, OldTriHomPoly):
+            return OldTriHomPoly(self.degree, tuple((e, c * _frac(other)) for e, c in self.terms))
+        acc: Dict[Tuple[int, int, int], Fraction] = {}
+        for (i1, j1, k1), c1 in self.terms:
+            for (i2, j2, k2), c2 in other.terms:
+                e = (i1 + i2, j1 + j2, k1 + k2)
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return OldTriHomPoly(self.degree + other.degree, tuple(acc.items()))
+
+    def partial(self, axis: int):
+        acc = {}
+        for e, c in self.terms:
+            if e[axis]:
+                new = list(e)
+                new[axis] -= 1
+                acc[tuple(new)] = c * e[axis]
+        return OldTriHomPoly(max(self.degree - 1, 0), tuple(acc.items()))
+
+    def evaluate(self, point) -> Fraction:
+        a, b, c = (_frac(v) for v in point)
+        return sum((coeff * a**i * b**j * c**k for (i, j, k), coeff in self.terms), Fraction(0))
+
+    def substitute(self, images):
+        total = OldTriHomPoly(self.degree * images[0].degree)
+        for exps, coeff in self.terms:
+            term = OldTriHomPoly(0, (((0, 0, 0), coeff),))
+            for g, n in zip(images, exps):
+                for _ in range(n):
+                    term = term * g
+            total = total + term
+        return total
 
 
 @_dataclass_oracle

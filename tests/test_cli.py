@@ -78,6 +78,12 @@ class TestGenus:
         assert code == 1
         assert payload["error"] == "schema"
 
+    def test_unreadable_source_is_reported(self, capsys, tmp_path):
+        for source in (str(tmp_path / "missing.json"), str(tmp_path)):
+            code, payload = run_json(capsys, "genus", source)
+            assert code == 1 and payload["error"] == "schema"
+            assert payload["message"].startswith(f"cannot read {source!r}: ")
+
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "curve.json"
         path.write_text(GEISER_CURVE)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -410,7 +411,42 @@ def word_cli_digest(gens, run):
     return digest.hexdigest()
 
 
+def _fractions_built(fn, *args):
+    """(fn(*args), the number of Fractions built during the call)."""
+    # Python 3.12 builds the results of Fraction arithmetic in _from_coprime_ints.
+    names = ("__new__", "_from_coprime_ints")
+    codes = {getattr(Fraction, name).__code__ for name in names if hasattr(Fraction, name)}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
 class TestRoadmapBaselines:
+    def test_map_pipeline_builds_no_fraction(self):
+        """Composition, content removal and the fixation certificate run on
+        the stored integer forms, and so does the decoder: the first Fraction
+        is built when the encoder reads the terms."""
+        F, built = _fractions_built(compose, D, B)
+        assert built == 0
+        fixed, built = _fractions_built(fixes_curve_pointwise, F, TRI_X)
+        assert fixed and built == 0
+        payload = json.loads(ser.dumps(ser.encode_map(F)))
+        decoded, built = _fractions_built(ser.decode_map, payload)
+        assert decoded == F and built == 0
+        fresh = ser.decode_map(payload)
+        encoded, built = _fractions_built(ser.encode_map, fresh)
+        assert encoded == payload and built > 0
+
     def test_degrees(self):
         assert (A.degree, B.degree, D.degree, F3.degree) == (3, 4, 5, 6)
 

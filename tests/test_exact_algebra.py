@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from cremona_kit.cremona_maps import _common_denominator
 from cremona_kit.errors import SingularMatrix
 from cremona_kit import exact_algebra
+from cremona_kit import serialization as ser
 from cremona_kit.exact_algebra import (
     _LAMBDA,
     _P0,
     _POINT,
     _coprime_images,
-    _dehomogenize,
     _primes,
     _primitive_parts,
     _uni_cofactors,
@@ -43,7 +43,8 @@ from _util import (
     ST,
     ADVERSARIAL,
     UNI_ADVERSARIAL,
-    assert_carries_its_form,
+    OldTriHomPoly,
+    assert_canonical,
     common_denominator_oracle,
     lex_normalized,
     monomials,
@@ -241,6 +242,34 @@ class TestRatFunc:
 
 
 @st.composite
+def scaled_terms(draw, degree):
+    """{monomial: (p, q)} for the term p/q, not reduced: every p and q share
+    a factor k.  One draw in three has only negative coefficients; in one
+    draw of two every term is divisible by a drawn power of z.  The dict
+    may be empty."""
+    zpow = draw(st.integers(0, degree)) if draw(st.booleans()) else 0
+    k = draw(st.sampled_from([1, 2, 6]))
+    sign = draw(st.sampled_from([1, -1, None]))
+    coeffs = st.tuples(st.integers(1, 5), st.integers(1, 4), st.sampled_from([1, -1]))
+    monos = [m for m in monomials(degree) if m[2] >= zpow]
+    raw = draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=5))
+    return {m: (p * k * (sign or s), q * k) for m, (p, q, s) in raw.items()}
+
+
+@st.composite
+def canonical_cases(draw):
+    """(d, a, b, image, other, e): terms a and b of degree d, and terms image
+    and other of degree e, as scaled_terms; a is never empty."""
+    d, e = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    a = draw(scaled_terms(d).filter(bool))
+    return d, a, draw(scaled_terms(d)), draw(scaled_terms(e)), draw(scaled_terms(e)), e
+
+
+def _fractions(terms):
+    return tuple((m, Fraction(p, q)) for m, (p, q) in terms.items())
+
+
+@st.composite
 def substitutions(draw):
     """(f, images): f from trihoms() or zero; images of one degree with
     mixed denominators, some of them ADVERSARIAL factors or zero."""
@@ -289,6 +318,12 @@ class TestTriHomPoly:
             a = rand_trihom(rng, rng.randint(0, 4))
             b = rand_trihom(rng, rng.randint(0, 4))
             assert (a * b).degree == a.degree + b.degree
+        # A zero keeps its degree: sums across degrees are refused with it too.
+        for f, g in ((TriHomPoly.zero(2), TRI_X), (TRI_X, TriHomPoly.zero(3)), (TRI_X, TRI_Y * TRI_Z)):
+            with pytest.raises(ValueError, match="different degrees"):
+                f + g
+            with pytest.raises(ValueError, match="different degrees"):
+                f - g
 
     def test_distributivity(self):
         rng = random.Random(707)
@@ -349,9 +384,49 @@ class TestTriHomPoly:
     def test_substitute_equals_fraction_oracle(self, case):
         f, images = case
         g = f.substitute(images)
-        assert g == substitute_oracle(f, images)
-        if g:
-            assert_carries_its_form(g)
+        expected = substitute_oracle(f, images)
+        assert g == expected
+        assert_canonical(g, OldTriHomPoly(expected.degree, expected.terms))
+
+    @given(canonical_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @example((1, {(1, 0, 0): (2, 4), (0, 0, 1): (6, 4)}, {(0, 1, 0): (-3, 6)}, {}, {}, 1))
+    @example((2, {(1, 0, 1): (-4, 6), (0, 0, 2): (-2, 6)}, {(1, 0, 1): (4, 6)}, {}, {}, 1))
+    def test_every_constructor_stores_the_canonical_form(self, case):
+        """The Fraction constructor, the decoder, + - * (by a polynomial and
+        by a scalar), partial, substitute and the content removal of
+        _primitive_parts, against the Fraction arithmetic of the dataclass.
+        The inputs share factors between numerators and denominators, are
+        sometimes all negative and sometimes divisible by a power of z."""
+        d, a, b, image, other, e = case
+        f, g = (TriHomPoly(d, _fractions(t)) for t in (a, b))
+        old_f, old_g = (OldTriHomPoly(d, _fractions(t)) for t in (a, b))
+        decoded = ser.decode_trihom([[list(m), f"{p}/{q}"] for m, (p, q) in a.items()], (), d)
+        h, old_h = TriHomPoly(e, _fractions(image)), OldTriHomPoly(e, _fractions(image))
+        k, old_k = TriHomPoly(e, _fractions(other)), OldTriHomPoly(e, _fractions(other))
+        images = [h, h * Fraction(-2, 3) + k, TRI_Z**e]
+        old_images = [old_h, old_h * Fraction(-2, 3) + old_k, OldTriHomPoly(e, (((0, 0, e), 1),))]
+        cases = [
+            (f, old_f),
+            (decoded, old_f),
+            (f + g, old_f + old_g),
+            (f - g, old_f - old_g),
+            (f * h, old_f * old_h),
+            (f * Fraction(-4, 6), old_f * Fraction(-4, 6)),
+            (f.substitute(images), old_f.substitute(old_images)),
+        ]
+        cases += [(f.partial(axis), old_f.partial(axis)) for axis in range(3)]
+        for normalise in (False, True):
+            polys = (f * h, g * h, TriHomPoly.zero(d + e))
+            if f * h or g * h:
+                expected = primitive_parts_fold_oracle(polys, normalise)
+                for part, want in zip(_primitive_parts(polys, normalise)[1], expected[1]):
+                    cases.append((part, OldTriHomPoly(want.degree, want.terms)))
+        for new, old in cases:
+            assert_canonical(new, old)
+        point = (Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4))
+        assert f.evaluate(point) == old_f.evaluate(point)
+        assert (f * h).evaluate((1, 0, 0)) == (old_f * old_h).evaluate((1, 0, 0))
 
     def test_lex_lead(self):
         f = TRI_X * TRI_Y + TRI_Z * TRI_Z * 3
@@ -668,7 +743,7 @@ class TestCoprimeImages:
     @example([(TRI_X + TRI_Y) * TRI_Z, (TRI_X + TRI_Y) * Fraction(1, _P0)])
     @example([Y_AT_POINT * TRI_X, Y_AT_POINT])
     def test_never_certifies_a_common_factor(self, pair):
-        F, G = (_dehomogenize(f)[2] for f in pair)
+        F, G = (f._body for f in pair)
         for p in usable_primes(F, G):
             assert not _coprime_images(F, G, p)
             assert not _coprime_images(G, F, p)
@@ -678,8 +753,8 @@ class TestCoprimeImages:
     @example(TRI_X, TRI_Z)
     @example(TRI_Z * TRI_Z, TRI_X + TRI_Y)
     def test_refused_when_the_x_leading_coefficient_vanishes(self, f, g):
-        F = _dehomogenize(f * Y_AT_POINT * TRI_X + TRI_Z ** (f.degree + 2))[2]
-        G = _dehomogenize(g)[2]
+        F = (f * Y_AT_POINT * TRI_X + TRI_Z ** (f.degree + 2))._body
+        G = g._body
         for p in usable_primes(F, G):
             assert not _coprime_images(F, G, p)
 
@@ -688,14 +763,14 @@ class TestCoprimeImages:
     @example(TRI_X * TRI_Y + TRI_Z * TRI_Z, TRI_X + TRI_Y)
     @example(TRI_X - TRI_Y, TRI_X - TRI_Z * _POINT)
     def test_agrees_with_brown(self, f, g):
-        F, G = (_dehomogenize(h)[2] for h in (f, g))
+        F, G = (h._body for h in (f, g))
         certified = _coprime_images(F, G, usable_primes(F, G, 1)[0])
         with_certificate = tri_gcd(f, g)
         with mock.patch.object(exact_algebra, "_coprime_images", lambda *_: False):
             brown = tri_gcd(f, g)
         assert with_certificate == brown
         if certified:  # the gcd of the dehomogenised pair is 1, so only z is left
-            assert list(_dehomogenize(brown)[2]) == [(0, 0)]
+            assert list(brown._body) == [(0, 0)]
 
     def test_certifies_coprime_pairs(self):
         pairs = [
@@ -704,7 +779,7 @@ class TestCoprimeImages:
             (TRI_Y - TRI_Z * 5, TRI_Y + TRI_Z * 7),
         ]
         for f, g in pairs:
-            F, G = (_dehomogenize(h)[2] for h in (f, g))
+            F, G = (h._body for h in (f, g))
             assert _coprime_images(F, G, usable_primes(F, G, 1)[0])
 
 
@@ -820,7 +895,12 @@ class TestRingLaws:
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_tri_divrem_rebuilds_its_input(self, f, c):
         q, r = tri_divrem(f, c)
-        assert q * c + r == f
+        if f.degree < c.degree:
+            # No quotient has a negative degree: q is the zero of degree 0,
+            # and a sum across degrees is refused.
+            assert q.is_zero and q.degree == 0 and r == f
+        else:
+            assert q * c + r == f
         lead, _ = c.lex_lead()
         assert not any(all(e[a] >= lead[a] for a in range(3)) for e, _ in r.terms)
 

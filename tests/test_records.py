@@ -221,16 +221,6 @@ def test_equal_field_tuples_of_two_classes_stay_unequal():
         assert hash(a) == hash(old_a) and hash(b) == hash(old_b)
 
 
-def test_integer_form_stays_out_of_equality_hash_and_repr():
-    rows = [((1, 0, 0), 1, 2), ((0, 0, 1), 3, 1)]
-    with_form = TriHomPoly._from_ratios(1, rows)
-    plain = TriHomPoly(1, tuple((e, Fraction(p, q)) for e, p, q in rows))
-    assert with_form._form is not None and plain._form is None
-    assert with_form == plain and hash(with_form) == hash(plain)
-    assert repr(with_form) == repr(plain) == repr(DATACLASS_ORACLES["TriHomPoly"](1, plain.terms))
-    assert pickle.loads(pickle.dumps(with_form))._form == with_form._form
-
-
 def test_cli_import_generates_no_code():
     """A CLI process imports neither dataclasses nor inspect, nor the corpus."""
     src = Path(__file__).resolve().parents[1] / "src"
