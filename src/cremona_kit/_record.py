@@ -1,11 +1,12 @@
 """Immutable records, the base of the package's value classes.
 
 A record lists its fields in ``__slots__``; a slot named with a leading
-underscore is private, outside equality, hashing and the repr.  A class
-whose field is a view computed from private slots names its fields in
-``_fields`` instead.  Assignment and deletion raise ``AttributeError``, so
-constructors set slots with ``object.__setattr__``.  No code is generated
-at import time.
+underscore is private, outside equality, hashing and the repr, as is every
+slot of a base that is not a record.  A class whose field is a view computed
+from private slots names its fields in ``_fields`` instead, as the
+polynomial classes do over the stored form of ``exact_algebra._Poly``.
+Assignment and deletion raise ``AttributeError``, so constructors set slots
+with ``object.__setattr__``.  No code is generated at import time.
 """
 
 from operator import attrgetter

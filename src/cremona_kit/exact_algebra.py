@@ -4,15 +4,16 @@ Four layers, all immutable and exact:
 
 * ``Rational``   -- alias of :class:`fractions.Fraction` (arbitrary
   precision, always reduced, denominator positive).
-* ``UniPoly``    -- dense univariate polynomials over the rationals;
-  products convolve integers under one rational scale.
+* ``UniPoly``    -- univariate polynomials over the rationals.
 * ``RatFunc``    -- reduced fractions of univariate polynomials with a
   monic denominator.
-* ``TriHomPoly`` -- homogeneous polynomials in x, y, z, each stored once,
-  as the integer form F(x, y) / den homogenised with z: F in Z[x, y] and
-  den > 0 prime to its content.  Arithmetic, ``substitute`` (the core of
-  map composition) and the GCD run on F; the rational ``terms`` are a
-  view, built when read.
+* ``TriHomPoly`` -- homogeneous polynomials in x, y, z.
+
+Both polynomial classes store one integer form (``_Poly``): a body over Z
+and a positive denominator prime to its content.  A ``TriHomPoly`` body is
+F(x, y), for F / den homogenised with z; a ``UniPoly`` body is keyed
+(e, 0), as the GCD reads it.  Arithmetic, ``substitute`` (map composition)
+and the GCD run on the bodies; ``coeffs`` and ``terms`` are views of them.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of
@@ -64,104 +65,57 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _ratio(value: RationalLike) -> Tuple[int, int]:
+    """(numerator, denominator) of ``_frac(value)``; an int builds no Fraction."""
+    if type(value) is int:
+        return value, 1
+    q = _frac(value)
+    return q.numerator, q.denominator
+
+
 # ---------------------------------------------------------------------------
-# univariate polynomials
+# the integer form shared by UniPoly and TriHomPoly
 # ---------------------------------------------------------------------------
 
 
-class UniPoly(Record):
-    """Univariate polynomial over Q; ``coeffs[e]`` multiplies ``t**e``.
+class _Poly:
+    """The stored form of a polynomial, body / den: ``_body`` is {(i, j): c}
+    over Z in decreasing lex order with no zero coefficient, and ``_den`` a
+    positive integer prime to its content, so den is the lcm of the reduced
+    denominators and the form is unique.  Zero is the empty body over 1.  A
+    subclass says what the keys stand for, and sets ``_ONE``."""
 
-    Trailing zero coefficients are stripped, so the zero polynomial is the
-    empty tuple and ``degree`` of zero is -1.
-    """
+    __slots__ = ("_den", "_body")
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Tuple[Fraction, ...] = ()) -> None:
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def of(cls, *coeffs: RationalLike) -> "UniPoly":
-        return cls(tuple(_frac(c) for c in coeffs))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "UniPoly":
-        return cls((_frac(value),))
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def _store(self, body: _BiPoly, den: int) -> "_Poly":
+        """Set the form of body / den, dividing out gcd(den, content body),
+        and return self."""
+        g = math.gcd(den, *body.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            body, den = {e: c // g for e, c in body.items()}, den // g
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_body", body)
+        return self
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._body
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._body)
 
-    def coeff(self, e: int) -> Fraction:
-        if 0 <= e < len(self.coeffs):
-            return self.coeffs[e]
-        return Fraction(0)
-
-    @property
-    def lead(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.lead
-        return UniPoly(tuple(c / lc for c in self.coeffs))
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(tuple(out))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: Union["UniPoly", RationalLike]) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            da, a = _cleared(self.coeffs)
-            db, b = _cleared(other.coeffs)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c:
-                    for j, d in enumerate(b):
-                        out[i + j] += c * d
-            scale = da * db
-            return UniPoly(tuple(Fraction(v, scale) for v in out))
-        scalar = _frac(other)
-        return UniPoly(tuple(c * scalar for c in self.coeffs))
-
-    def __rmul__(self, other: RationalLike) -> "UniPoly":
+    def __rmul__(self, other: RationalLike):
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "UniPoly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.constant(1)
+        result = self._ONE
         base = self
         while n:
             if n & 1:
@@ -169,6 +123,108 @@ class UniPoly(Record):
             base = base * base
             n >>= 1
         return result
+
+
+def _lex(F: _BiPoly) -> _BiPoly:
+    """F keyed in decreasing lex order, without its zero coefficients."""
+    return {e: F[e] for e in sorted(F, reverse=True) if F[e]}
+
+
+def _over(f: _Poly, den: int) -> _BiPoly:
+    """The body B with f = B / den, for ``den`` a multiple of ``f._den``."""
+    s = den // f._den
+    return f._body if s == 1 else {e: c * s for e, c in f._body.items()}
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials
+# ---------------------------------------------------------------------------
+
+
+class UniPoly(_Poly, Record):
+    """Univariate polynomial over Q; ``coeffs[e]`` multiplies ``t**e``.
+
+    Stored in the integer form of ``_Poly``, the body keyed (e, 0) for t^e:
+    the form ``_gcd_parts`` reads.  The field ``coeffs`` is a view, built on
+    first read and cached: the Fractions with trailing zeros stripped, so the
+    zero polynomial is the empty tuple and ``degree`` of zero is -1.
+    """
+
+    __slots__ = ("_coeffs",)
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Fraction, ...] = ()) -> None:
+        ratios = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(q for _, q in ratios))
+        body = {(e, 0): p * (den // q) for e, (p, q) in reversed(list(enumerate(ratios))) if p}
+        self._store(body, den)
+
+    @classmethod
+    def _sorted(cls, body: _BiPoly, den: int = 1) -> "UniPoly":
+        """Trusted constructor of body / den: body keyed (e, 0) in decreasing
+        order of e with no zero coefficient, den a nonzero integer."""
+        return object.__new__(cls)._store(body, den)
+
+    @classmethod
+    def of(cls, *coeffs: RationalLike) -> "UniPoly":
+        return cls(coeffs)
+
+    @classmethod
+    def constant(cls, value: RationalLike) -> "UniPoly":
+        return cls._ONE * value
+
+    @classmethod
+    def variable(cls) -> "UniPoly":
+        return cls._sorted({(1, 0): 1})
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            body, den = self._body, self._den
+            coeffs = tuple(Fraction(body.get((e, 0), 0), den) for e in range(self.degree + 1))
+            object.__setattr__(self, "_coeffs", coeffs)
+            return coeffs
+
+    @property
+    def degree(self) -> int:
+        return next(iter(self._body))[0] if self._body else -1
+
+    def coeff(self, e: int) -> Fraction:
+        return Fraction(self._body.get((e, 0), 0), self._den)
+
+    @property
+    def lead(self) -> Fraction:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Fraction(next(iter(self._body.values())), self._den)
+
+    def monic(self) -> "UniPoly":
+        if self.is_zero:
+            return self
+        # B / den divided by its leading coefficient B_top / den is B / B_top.
+        return UniPoly._sorted(self._body, next(iter(self._body.values())))
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not self._body:
+            return other
+        if not other._body:
+            return self
+        den = math.lcm(self._den, other._den)
+        total = _axpy(_over(self, den), den // other._den, other._body)
+        return UniPoly._sorted(_lex(total), den)
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly._sorted({e: -c for e, c in self._body.items()}, self._den)
+
+    def __mul__(self, other: Union["UniPoly", RationalLike]) -> "UniPoly":
+        if isinstance(other, UniPoly):
+            product = _lex(_bimul(self._body, other._body, {}))
+            return UniPoly._sorted(product, self._den * other._den)
+        p, q = _ratio(other)
+        body = {e: c * p for e, c in self._body.items()} if p else {}
+        return UniPoly._sorted(body, self._den * q)
 
     def __divmod__(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
@@ -195,7 +251,9 @@ class UniPoly(Record):
         return divmod(self, other)[1]
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(c * e for e, c in enumerate(self.coeffs) if e >= 1))
+        # Lowering every exponent by one keeps the decreasing order.
+        body = {(e - 1, 0): c * e for (e, _), c in self._body.items() if e}
+        return UniPoly._sorted(body, self._den)
 
     def __call__(self, value: RationalLike) -> Fraction:
         x = _frac(value)
@@ -208,10 +266,8 @@ class UniPoly(Record):
         if self.is_zero:
             return "0"
         parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
+        for (e, _), c in self._body.items():
+            c = Fraction(c, self._den)
             if e == 0:
                 parts.append(str(c))
             elif e == 1:
@@ -221,10 +277,7 @@ class UniPoly(Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """(den, ints) with coeffs = ints / den, den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+UniPoly._ONE = UniPoly._sorted({(0, 0): 1})
 
 
 def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
@@ -234,21 +287,15 @@ def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
     if p.is_zero or q.is_zero:
         return (p if q.is_zero else q).monic(), UniPoly(p.coeffs[-1:]), UniPoly(q.coeffs[-1:])
     if p.degree == 0 or q.degree == 0:
-        return UniPoly.constant(1), p, q
-    (dp, P), (dq, Q) = _cleared(p.coeffs), _cleared(q.coeffs)
-    parts = _gcd_parts(*({(e, 0): c for e, c in enumerate(cs) if c} for cs in (P, Q)))
+        return UniPoly._ONE, p, q
+    parts = _gcd_parts(p._body, q._body)
     if parts is None:
-        return UniPoly.constant(1), p, q
+        return UniPoly._ONE, p, q
     C, a, b = parts
-    # p = P / dp and g = C / lc, so p / g = lc / dp * P / C.
+    # p = P / dp and g = C / lc, so p / g = lc * (P / C) / dp.
     lc = next(iter(C.values()))
-    return _dense(C, 1, lc), _dense(a, lc, dp), _dense(b, lc, dq)
-
-
-def _dense(D: _BiPoly, num: int, den: int) -> UniPoly:
-    """num / den * D for D keyed (e, 0) in decreasing order of e."""
-    top = next(iter(D))[0]
-    return UniPoly(tuple(Fraction(D.get((e, 0), 0) * num, den) for e in range(top + 1)))
+    a, b = ({e: c * lc for e, c in Q.items()} for Q in (a, b))
+    return UniPoly._sorted(C, lc), UniPoly._sorted(a, p._den), UniPoly._sorted(b, q._den)
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -277,12 +324,14 @@ class RatFunc(Record):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num, den = UniPoly(), UniPoly.constant(1)
+            den = UniPoly._ONE
         else:
             _, num, den = _uni_cofactors(num, den)
-            lc = den.lead
-            if lc != 1:
-                num, den = num * (1 / lc), den * (1 / lc)
+            # Both divided by the leading coefficient top / den._den of den.
+            top = next(iter(den._body.values()))
+            if top != den._den:
+                body = {e: c * den._den for e, c in num._body.items()}
+                num, den = UniPoly._sorted(body, num._den * top), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -292,7 +341,7 @@ class RatFunc(Record):
             return value
         if isinstance(value, UniPoly):
             return cls(value)
-        return cls(UniPoly.constant(_frac(value)))
+        return cls(UniPoly.constant(value))
 
     @property
     def is_zero(self) -> bool:
@@ -352,29 +401,20 @@ class RatFunc(Record):
 # ---------------------------------------------------------------------------
 
 
-def _lex(F: _BiPoly) -> _BiPoly:
-    """F keyed in decreasing lex order, without its zero coefficients."""
-    return {e: F[e] for e in sorted(F, reverse=True) if F[e]}
-
-
-class TriHomPoly(Record):
+class TriHomPoly(_Poly, Record):
     """Homogeneous polynomial in x, y, z over Q.
 
-    One integer form is stored: ``degree``, a positive integer ``_den`` and
-    ``_body``, a polynomial F in Z[x, y] as {(i, j): c} in decreasing lex
-    order with no zero coefficient, for F / den homogenised with z to
-    ``degree`` (the key (i, j) stands for x^i y^j z^(degree - i - j)).  The
-    gcd of den and the content of F is one, so the form is unique: den is
-    the lcm of the reduced denominators.  The zero polynomial has an empty
-    F and den 1; it keeps its nominal degree so graded arithmetic stays
-    well typed.
+    Stored as ``degree`` and the integer form of ``_Poly``: the body F in
+    Z[x, y] stands for F / den homogenised with z to ``degree`` (the key
+    (i, j) for x^i y^j z^(degree - i - j)).  The zero polynomial keeps its
+    nominal degree so graded arithmetic stays well typed.
 
     The field ``terms`` is a view of the same polynomial: exponent triples
     (i, j, k), in decreasing lex order, paired with nonzero Fractions.  It
     is built on first read and cached.
     """
 
-    __slots__ = ("degree", "_den", "_body", "_terms")
+    __slots__ = ("degree", "_terms")
     _fields = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
@@ -389,18 +429,8 @@ class TriHomPoly(Record):
             acc[i, j] = acc[i, j] + c if (i, j) in acc else c
         den = math.lcm(*(c.denominator for c in acc.values()))
         body = {e: c.numerator * (den // c.denominator) for e, c in acc.items()}
-        self._store(degree, _lex(body), den)
-
-    def _store(self, degree: int, body: _BiPoly, den: int) -> None:
-        """Set the form of body / den, dividing out gcd(den, content body)."""
-        g = math.gcd(den, *body.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            body, den = {e: c // g for e, c in body.items()}, den // g
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_body", body)
+        self._store(_lex(body), den)
 
     @classmethod
     def _sorted(cls, degree: int, body: _BiPoly, den: int = 1) -> "TriHomPoly":
@@ -408,8 +438,8 @@ class TriHomPoly(Record):
         in Z[x, y] keyed in decreasing lex order with no zero coefficient,
         den a nonzero integer."""
         f = object.__new__(cls)
-        f._store(degree, body, den)
-        return f
+        object.__setattr__(f, "degree", degree)
+        return f._store(body, den)
 
     @classmethod
     def of(
@@ -443,13 +473,6 @@ class TriHomPoly(Record):
             object.__setattr__(self, "_terms", terms)
             return terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._body
-
-    def __bool__(self) -> bool:
-        return bool(self._body)
-
     def as_dict(self) -> Dict[Exponents, Fraction]:
         return dict(self.terms)
 
@@ -479,31 +502,13 @@ class TriHomPoly(Record):
     def __neg__(self) -> "TriHomPoly":
         return TriHomPoly._sorted(self.degree, {e: -c for e, c in self._body.items()}, self._den)
 
-    def __sub__(self, other: "TriHomPoly") -> "TriHomPoly":
-        return self + (-other)
-
     def __mul__(self, other: Union["TriHomPoly", RationalLike]) -> "TriHomPoly":
         if isinstance(other, TriHomPoly):
             product = _lex(_bimul(self._body, other._body, {}))
             return TriHomPoly._sorted(self.degree + other.degree, product, self._den * other._den)
-        s = _frac(other)
-        body = {e: c * s.numerator for e, c in self._body.items()} if s else {}
-        return TriHomPoly._sorted(self.degree, body, self._den * s.denominator)
-
-    def __rmul__(self, other: RationalLike) -> "TriHomPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "TriHomPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = TriHomPoly._sorted(0, {(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        p, q = _ratio(other)
+        body = {e: c * p for e, c in self._body.items()} if p else {}
+        return TriHomPoly._sorted(self.degree, body, self._den * q)
 
     def partial(self, axis: int) -> "TriHomPoly":
         """Formal partial derivative with respect to x, y or z (axis 0/1/2).
@@ -576,6 +581,7 @@ class TriHomPoly(Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+TriHomPoly._ONE = TriHomPoly._sorted(0, {(0, 0): 1})
 TRI_X = TriHomPoly.monomial((1, 0, 0))
 TRI_Y = TriHomPoly.monomial((0, 1, 0))
 TRI_Z = TriHomPoly.monomial((0, 0, 1))
@@ -589,22 +595,13 @@ def homogenize_uni(p: UniPoly, main_axis: int, aux_axis: int, degree: int) -> Tr
         return TriHomPoly.zero(degree)
     if degree < p.degree:
         raise ValueError("target degree below the degree of the polynomial")
-    den, ints = _cleared(p.coeffs)
     body: _BiPoly = {}
-    for e, c in enumerate(ints):
-        if c:
-            exps = [0, 0, 0]
-            exps[main_axis] = e
-            exps[aux_axis] = degree - e
-            body[exps[0], exps[1]] = c
-    return TriHomPoly._sorted(degree, _lex(body), den)
-
-
-def _over(f: TriHomPoly, den: int) -> _BiPoly:
-    """The body B with f = B / den homogenised, for ``den`` a multiple of
-    f's own denominator."""
-    s = den // f._den
-    return f._body if s == 1 else {e: c * s for e, c in f._body.items()}
+    for (e, _), c in p._body.items():
+        exps = [0, 0, 0]
+        exps[main_axis] = e
+        exps[aux_axis] = degree - e
+        body[exps[0], exps[1]] = c
+    return TriHomPoly._sorted(degree, _lex(body), p._den)
 
 
 # -- lex division and divisibility ------------------------------------------
@@ -1063,7 +1060,7 @@ def _primitive_parts(
     m = min(p.degree - max(i + j for i, j in p._body) for p in live)
     first = live[0]
     if C is None and not m and not (normalise and next(iter(first._body.values())) != first._den):
-        return TriHomPoly._sorted(0, {(0, 0): 1}), tuple(polys)
+        return TriHomPoly._ONE, tuple(polys)
     # f = z^a F / den and the gcd is z^m C / lc, so f / gcd = lc / den * z^(a-m) * F / C,
     # and the part of the first nonzero poly leads with lc / den_0 * lead(F_0 / C).
     C = C or {(0, 0): 1}

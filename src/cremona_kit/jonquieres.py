@@ -94,8 +94,11 @@ class JonqElement(Record):
         return self._det
 
     def matrix(self) -> Mat2RF:
-        hr = RatFunc.of(self.h)
-        return Mat2RF(self.a1, hr * self.a2, self.a2, self.a1)
+        """[[a1, h a2], [a2, a1]], set through its slots: the element's
+        constructor has checked its determinant."""
+        m = object.__new__(Mat2RF)
+        m._init(self.a1, RatFunc.of(self.h) * self.a2, self.a2, self.a1)
+        return m
 
 
 def _over(u: JonqElement, a1: RatFunc, a2: RatFunc) -> JonqElement:
@@ -186,8 +189,7 @@ def hyperelliptic_curve_poly(h: UniPoly) -> TriHomPoly:
 def _curve_poly(h: UniPoly) -> TriHomPoly:
     d = h.degree
     h_hom = homogenize_uni(h, 0, 2, d)
-    y2 = TriHomPoly.monomial((0, 2, d - 2))
-    return y2 - h_hom
+    return TRI_Y * TRI_Y * TRI_Z ** (d - 2) - h_hom
 
 
 def mat_to_cremona(m: Mat2RF) -> CremonaMap:

@@ -85,13 +85,8 @@ def _get(obj: Dict[str, Any], key: str, path: _Path) -> Any:
 # -- rationals ----------------------------------------------------------------
 
 
-def decode_rational(v: Any, path: _Path) -> Fraction:
-    if isinstance(v, bool):
-        _fail(path, "expected a rational, got a boolean")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        _fail(path, "floats are not accepted; use exact strings like \"1/3\"")
+def _read_rational(v: Any, path: _Path) -> Tuple[int, int]:
+    """(p, q) with v = p / q and q > 0, not necessarily in lowest terms."""
     if isinstance(v, str):
         if not _RATIONAL_RE.match(v):
             _fail(path, f"malformed rational {v!r}; expected \"p\" or \"p/q\"")
@@ -100,9 +95,19 @@ def decode_rational(v: Any, path: _Path) -> Fraction:
         q = int(den or 1)
         if not q:
             _fail(path, f"rational {v!r} has a zero denominator")
-        return Fraction(int(num), q)
+        return int(num), q
+    if isinstance(v, bool):
+        _fail(path, "expected a rational, got a boolean")
+    if isinstance(v, int):
+        return v, 1
+    if isinstance(v, float):
+        _fail(path, "floats are not accepted; use exact strings like \"1/3\"")
     _fail(path, f"expected a rational, got {type(v).__name__}")
     raise AssertionError  # unreachable
+
+
+def decode_rational(v: Any, path: _Path) -> Fraction:
+    return Fraction(*_read_rational(v, path))
 
 
 def encode_rational(q: Fraction) -> str:
@@ -114,7 +119,7 @@ def encode_rational(q: Fraction) -> str:
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     items = _as_list(v, path)
-    coeffs: Dict[int, Fraction] = {}
+    terms: Dict[int, Tuple[int, int]] = {}
     for i, item in enumerate(items):
         pair = _as_list(item, path + (i,))
         if len(pair) != 2:
@@ -125,13 +130,14 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
         e = _as_int(exps[0], path + (i, 0, 0))
         if e < 0:
             _fail(path + (i, 0, 0), "exponents must be >= 0")
-        if e in coeffs:
+        if e in terms:
             _fail(path + (i,), f"duplicate exponent {e}")
-        coeffs[e] = decode_rational(pair[1], path + (i, 1))
-    size = max(coeffs) + 1 if coeffs else 0
-    # Checked before the dense tuple of ``size`` coefficients is built.
-    _check_cap(size - 1, f"the polynomial at {_pstr(path)}")
-    return UniPoly(tuple(coeffs.get(e, Fraction(0)) for e in range(size)))
+        terms[e] = _read_rational(pair[1], path + (i, 1))
+    # Checked before any body is built, zero terms included.
+    _check_cap(max(terms, default=-1), f"the polynomial at {_pstr(path)}")
+    rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)
+    den = math.lcm(*(q for _, _, q in rows))
+    return UniPoly._sorted({(e, 0): p * (den // q) for e, p, q in rows}, den)
 
 
 def encode_unipoly(p: UniPoly) -> List[Any]:
@@ -157,7 +163,7 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
     items = _as_list(v, path)
     terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for n, item in enumerate(items):
-        # One test passes a well-formed term; _term and decode_rational name
+        # One test passes a well-formed term; _term and _read_rational name
         # what is wrong with any other.
         try:
             (i, j, k), c = item
@@ -171,14 +177,7 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
             e, c = _term(item, path + (n,))
         if e in terms:
             _fail(path + (n,), f"duplicate monomial {list(e)}")
-        if type(c) is str and _RATIONAL_RE.match(c):
-            num, _, den = c.partition("/")
-            q = int(den or 1)
-            if q:
-                terms[e] = int(num), q
-                continue
-        q = decode_rational(c, path + (n, 1))
-        terms[e] = q.numerator, q.denominator
+        terms[e] = _read_rational(c, path + (n, 1))
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         _fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")

@@ -19,8 +19,9 @@ earlier fold of pairwise gcds with the 1/lead scaling of ``CremonaMap.of``,
 is the one for the one-gcd content of three polynomials.
 ``DATACLASS_ORACLES`` holds the package's records as the frozen dataclasses
 they were, the oracle for the ``__slots__`` records that replaced them;
-``OldTriHomPoly`` also keeps the earlier Fraction arithmetic of
-``TriHomPoly``, the oracle for its arithmetic on the stored integer form.
+``OldUniPoly`` and ``OldTriHomPoly`` also keep the earlier Fraction
+arithmetic of ``UniPoly`` and ``TriHomPoly``, the oracle for their
+arithmetic on the stored integer form.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -260,26 +262,56 @@ def primitive_parts_oracle(
     )
 
 
-def assert_canonical(f: TriHomPoly, old: "OldTriHomPoly") -> None:
+def assert_canonical(
+    f: Union[UniPoly, TriHomPoly], old: Union["OldUniPoly", "OldTriHomPoly"]
+) -> None:
     """f stores the canonical form of its polynomial, and is equal to, hashes,
     reprs and pickles like ``old``, the same polynomial as the dataclass.
 
-    The form is F / den homogenised to the degree: den a positive integer
-    prime to the content of F, F in Z[x, y] keyed in decreasing lex order
-    with no zero coefficient.  It is the one form of its polynomial, so the
-    Fraction constructor rebuilds it from ``old``'s terms.
+    The form is F / den, homogenised to the degree for a TriHomPoly: den a
+    positive integer prime to the content of F, F keyed in decreasing lex
+    order with no zero coefficient, in Z[x, y] for a TriHomPoly and in Z[t]
+    keyed (e, 0) for a UniPoly.  It is the one form of its polynomial, so the
+    Fraction constructor rebuilds it from ``old``'s terms or coefficients.
     """
-    d, den, F = f.degree, f._den, f._body
+    den, F = f._den, f._body
     assert type(den) is int and den > 0 and math.gcd(den, *F.values()) == 1
     assert list(F) == sorted(F, reverse=True)
-    assert all(type(c) is int and c and i >= 0 and j >= 0 and i + j <= d for (i, j), c in F.items())
-    rebuilt = TriHomPoly(old.degree, old.terms)
-    assert (rebuilt.degree, rebuilt._den, rebuilt._body) == (d, den, F) and rebuilt == f
-    assert (d, f.terms) == (old.degree, old.terms)
+    assert all(type(c) is int and c and i >= 0 and j >= 0 for (i, j), c in F.items())
+    if isinstance(f, UniPoly):
+        assert all(j == 0 for _, j in F)
+        rebuilt = UniPoly(old.coeffs)
+        assert f.coeffs == old.coeffs and f.degree == len(old.coeffs) - 1
+    else:
+        d = f.degree
+        assert all(i + j <= d for i, j in F)
+        rebuilt = TriHomPoly(old.degree, old.terms)
+        assert rebuilt.degree == d and (d, f.terms) == (old.degree, old.terms)
+    assert (rebuilt._den, rebuilt._body) == (den, F) and rebuilt == f
     assert hash(f) == hash(old) and repr(f) == repr(old)
     clone = pickle.loads(pickle.dumps(f))
     assert (clone._den, clone._body) == (den, F)
     assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
+
+
+def fractions_built(fn, *args):
+    """(fn(*args), the number of Fractions built during the call)."""
+    # Python 3.12 builds the results of Fraction arithmetic in _from_coprime_ints.
+    names = ("__new__", "_from_coprime_ints")
+    codes = {getattr(Fraction, name).__code__ for name in names if hasattr(Fraction, name)}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, count
 
 
 def primitive_parts_fold_oracle(
@@ -491,8 +523,18 @@ def _dataclass_oracle(cls):
     return DATACLASS_ORACLES[name]
 
 
+def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(den, ints) with coeffs = ints / den, den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 @_dataclass_oracle
 class OldUniPoly:
+    """Also the oracle for the integer arithmetic of ``UniPoly``: its earlier
+    Fraction ``+``, ``-``, ``*`` (integers convolved under one rational
+    scale), ``derivative`` and ``monic``."""
+
     coeffs: Tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
@@ -500,6 +542,46 @@ class OldUniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def monic(self):
+        if not self.coeffs:
+            return self
+        lc = self.coeffs[-1]
+        return OldUniPoly(tuple(c / lc for c in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return OldUniPoly(tuple(out))
+
+    def __neg__(self):
+        return OldUniPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, OldUniPoly):
+            if not self.coeffs or not other.coeffs:
+                return OldUniPoly()
+            da, a = _cleared(self.coeffs)
+            db, b = _cleared(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, d in enumerate(b):
+                        out[i + j] += c * d
+            scale = da * db
+            return OldUniPoly(tuple(Fraction(v, scale) for v in out))
+        scalar = _frac(other)
+        return OldUniPoly(tuple(c * scalar for c in self.coeffs))
+
+    def derivative(self):
+        return OldUniPoly(tuple(c * e for e, c in enumerate(self.coeffs) if e >= 1))
 
 
 @_dataclass_oracle

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -38,7 +37,15 @@ from cremona_kit.exact_algebra import (
 )
 from cremona_kit.linear_systems import LinSysData
 
-from _util import H4, fixes_curve_pointwise_oracle, rand_frac, rand_jonq, tri_to_sympy, trihoms
+from _util import (
+    H4,
+    fixes_curve_pointwise_oracle,
+    fractions_built,
+    rand_frac,
+    rand_jonq,
+    tri_to_sympy,
+    trihoms,
+)
 
 LINE_X = TriHomPoly.monomial((1, 0, 0))
 T = UniPoly.variable()
@@ -411,40 +418,20 @@ def word_cli_digest(gens, run):
     return digest.hexdigest()
 
 
-def _fractions_built(fn, *args):
-    """(fn(*args), the number of Fractions built during the call)."""
-    # Python 3.12 builds the results of Fraction arithmetic in _from_coprime_ints.
-    names = ("__new__", "_from_coprime_ints")
-    codes = {getattr(Fraction, name).__code__ for name in names if hasattr(Fraction, name)}
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code in codes:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return result, count
-
-
 class TestRoadmapBaselines:
     def test_map_pipeline_builds_no_fraction(self):
         """Composition, content removal and the fixation certificate run on
         the stored integer forms, and so does the decoder: the first Fraction
         is built when the encoder reads the terms."""
-        F, built = _fractions_built(compose, D, B)
+        F, built = fractions_built(compose, D, B)
         assert built == 0
-        fixed, built = _fractions_built(fixes_curve_pointwise, F, TRI_X)
+        fixed, built = fractions_built(fixes_curve_pointwise, F, TRI_X)
         assert fixed and built == 0
         payload = json.loads(ser.dumps(ser.encode_map(F)))
-        decoded, built = _fractions_built(ser.decode_map, payload)
+        decoded, built = fractions_built(ser.decode_map, payload)
         assert decoded == F and built == 0
         fresh = ser.decode_map(payload)
-        encoded, built = _fractions_built(ser.encode_map, fresh)
+        encoded, built = fractions_built(ser.encode_map, fresh)
         assert encoded == payload and built > 0
 
     def test_degrees(self):

@@ -1,4 +1,4 @@
-"""Map and curve JSON decode exactly as the earlier decoder did.
+"""Map, curve and group-element JSON decode exactly as the earlier decoders did.
 
 ``decode_trihom`` validates each term in one pass and names the failing
 field only when a check fails; ``CremonaMap.of`` keeps a canonical triple
@@ -369,4 +369,351 @@ RECORDED = {
     "fixcheck-map-term-term-str": "76c7f8b1aae0901c4408d01446fcc0a9b1889d5802739c760b8bde7977619bf1",
     "fixcheck-map-z-content": "15037de9a838616b0f316226eab9b798faa02a210b7bfee4d7799fa708ba1cb6",
     "fixcheck-map-zero-component": "1cc2bb482c33819de95aff8ec4f8d41930f0950a6a729b84b731ed65bd939c4b",
+}
+
+
+# -- group elements ------------------------------------------------------------
+#
+# jonq-order, jonq-mul and jonq-fix-check on elements whose univariate
+# polynomials are malformed or unusual.  The sha256 of the exit code and
+# stdout of every case was recorded with the earlier univariate decoder (a
+# dense tuple of Fractions, trailing zeros stripped by ``UniPoly``) and the
+# earlier Fraction arithmetic of ``UniPoly`` and ``RatFunc``.
+
+# u = (1 + 2t, 3) over h = t^6 + t + 1, as JSON.
+H6 = [[[0], "1"], [[1], "1"], [[6], "1"]]
+U = {
+    "h": H6,
+    "a1": {"num": [[[0], "1"], [[1], "2"]], "den": [[[0], "1"]]},
+    "a2": {"num": [[[0], "3"]], "den": [[[0], "1"]]},
+}
+
+# Replacements for the first term of a univariate polynomial.
+BAD_UNI_TERMS = {
+    "term-str": "t",
+    "term-int": 5,
+    "term-object": {"e": 1},
+    "pair-short": [[0]],
+    "pair-long": [[0], "1", "2"],
+    "exps-not-list": [0, "1"],
+    "exps-empty": [[], "1"],
+    "exps-2": [[0, 0], "1"],
+    "exp-bool": [[False], "1"],
+    "exp-float": [[0.0], "1"],
+    "exp-str": [["0"], "1"],
+    "exp-null": [[None], "1"],
+    "exp-negative": [[-1], "1"],
+    "exp-above-cap": [[25], "1"],
+    "coeff-float": [[0], 1.0],
+    "coeff-bool": [[0], True],
+    "coeff-null": [[0], None],
+    "coeff-list": [[0], [1]],
+    "coeff-word": [[0], "one"],
+    "coeff-two-slashes": [[0], "1/2/3"],
+    "coeff-zero-den": [[0], "1/0"],
+    "coeff-zero-over-zero": [[0], "0/0"],
+    "coeff-space": [[0], "1 "],
+    "coeff-unreduced": [[0], "6/4"],
+    "coeff-signed": [[0], "+007"],
+    "coeff-int": [[0], -3],
+    "coeff-zero": [[0], "-0/5"],
+}
+
+# Whole univariate polynomials, put in one place of the element.
+UNI_POLYS = {
+    "duplicate": [[[1], "1"], [[1], "2"]],
+    "duplicate-then-bad-coeff": [[[1], "1"], [[1], 1.5]],
+    "bad-coeff-then-duplicate": [[[1], 1.5], [[1], "1"]],
+    "explicit-zeros": [[[3], "0"], [[0], "2"], [[1], "0/7"]],
+    "only-zero": [[[2], "0"]],
+    "zero-above-cap": [[[30], "0"], [[0], "1"]],
+    "above-cap": [[[0], "1"], [[25], "1/2"]],
+    "at-cap": [[[24], "1"], [[0], "-1"]],
+    "unreduced": [[[2], "6/4"], [[0], "-10/15"], [[1], "+4/2"]],
+    "shared-factor": [[[0], "-2/6"], [[1], "-4/6"], [[2], "-8/6"]],
+    "unsorted": [[[2], "1"], [[0], "-1/3"], [[1], 5]],
+    "empty": [],
+    "not-a-list": {"t": 1},
+}
+
+
+def _jonq_with(path, value):
+    """U with the polynomial at ``path`` replaced by ``value``."""
+    u = json.loads(json.dumps(U))
+    target = u
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return u
+
+
+def _first_term(path, term):
+    """U with the first term of the polynomial at ``path`` replaced by ``term``."""
+    poly = U
+    for key in path:
+        poly = poly[key]
+    return _jonq_with(path, [term] + poly[1:])
+
+
+PLACES = {
+    "h": ("h",),
+    "a1-num": ("a1", "num"),
+    "a1-den": ("a1", "den"),
+    "a2-num": ("a2", "num"),
+    "a2-den": ("a2", "den"),
+}
+
+
+def _jonq_cases():
+    cases = {}
+    # A bad term in h for jonq-order, in a1.num of v for jonq-mul and in
+    # a2.den for jonq-fix-check.
+    for k, v in BAD_UNI_TERMS.items():
+        cases[f"order-h-term-{k}"] = ("jonq-order", _first_term(PLACES["h"], v))
+        cases[f"mul-a1-num-term-{k}"] = ("jonq-mul", {"u": U, "v": _first_term(PLACES["a1-num"], v)})
+        cases[f"fix-check-a2-den-term-{k}"] = ("jonq-fix-check", _first_term(PLACES["a2-den"], v))
+    elements = {
+        f"{where}-poly-{k}": _jonq_with(path, v)
+        for where, path in PLACES.items()
+        for k, v in UNI_POLYS.items()
+    }
+    elements["h-scaled"] = _jonq_with(("h",), [[[6], "2/3"], [[1], "2/3"], [[0], "2/3"]])
+    elements["a1-zero"] = _jonq_with(("a1",), {"num": [], "den": [[[0], "5"]]})
+    elements["a2-zero"] = _jonq_with(("a2",), {"num": [[[4], "0"]], "den": [[[1], "-2"], [[0], "4/3"]]})
+    elements["ratfunc-not-object"] = _jonq_with(("a1",), [[[0], "1"]])
+    elements["ratfunc-missing-den"] = _jonq_with(("a1",), {"num": [[[0], "1"]]})
+    for k, u in elements.items():
+        cases[f"order-{k}"] = ("jonq-order", u)
+        if not k.startswith(("h-poly", "a1-den", "a2-num")):
+            cases[f"fix-check-{k}"] = ("jonq-fix-check", u)
+            cases[f"mul-{k}"] = ("jonq-mul", {"u": U, "v": u})
+    h = [[[0], "1"], [[6], "1"], [[2], "1"]]
+    cases["mul-different-h"] = ("jonq-mul", {"u": U, "v": _jonq_with(("h",), h)})
+    return cases
+
+
+JONQ_CASES = _jonq_cases()
+
+
+def test_group_element_outputs_are_recorded():
+    got = {k: digest(*v) for k, v in JONQ_CASES.items()}
+    assert sorted(got) == sorted(JONQ_RECORDED)
+    assert {k: v for k, v in got.items() if JONQ_RECORDED[k] != v} == {}
+
+
+JONQ_RECORDED = {
+    "fix-check-a1-num-poly-above-cap": "47060650a98cfd7214731cc317fba80f3de07a3639f64c763b7ab5632b0025ce",
+    "fix-check-a1-num-poly-at-cap": "ce174a853a9af7689f5ba16262acc5fa52a6404ef51e8fbd435cac736a1bf928",
+    "fix-check-a1-num-poly-bad-coeff-then-duplicate": "2743c8385fe20fe6bdf6309dbc9ebd11bd8ef7b4f95e2e0ba83cbbfd1dc4f999",
+    "fix-check-a1-num-poly-duplicate": "3dc058740e862f9b429f7568af3e535034f87925870bdb789a53a48ce3e2fb58",
+    "fix-check-a1-num-poly-duplicate-then-bad-coeff": "3dc058740e862f9b429f7568af3e535034f87925870bdb789a53a48ce3e2fb58",
+    "fix-check-a1-num-poly-empty": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-explicit-zeros": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-not-a-list": "80c4cb9b1e9cb09df8b2b01a5d61e18baac0c2351c20813046a7d10115338b65",
+    "fix-check-a1-num-poly-only-zero": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-shared-factor": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-unreduced": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-unsorted": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a1-num-poly-zero-above-cap": "770463d66d0db54eea878d5f65d488aa40b64a859de368f7c8d6e9a14244abcd",
+    "fix-check-a1-zero": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-poly-above-cap": "891a53a17593a1db12b07c4de46cf2a8ab6f7f14c1e5c0aefabe2bff5f376aaf",
+    "fix-check-a2-den-poly-at-cap": "66220ebbe008674e20388bbc90d2894a7a60f0329eba38c45ed200ccc3136c85",
+    "fix-check-a2-den-poly-bad-coeff-then-duplicate": "93677dbb9d3494f3f94c83237e7b17e5ede13428f9fbf700655cd8e1020f9382",
+    "fix-check-a2-den-poly-duplicate": "b71751ffd36a3135fd6f2d850d6dccb19be628208aa75bdaa0aa11403263e3f0",
+    "fix-check-a2-den-poly-duplicate-then-bad-coeff": "b71751ffd36a3135fd6f2d850d6dccb19be628208aa75bdaa0aa11403263e3f0",
+    "fix-check-a2-den-poly-empty": "a5d680f03780d55e8e3a95f34345b202b6765ebf1529615d3e560a2a9ec27c68",
+    "fix-check-a2-den-poly-explicit-zeros": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-poly-not-a-list": "0a3a355cc5e22ae0e6ebe56e50b3b1da187678d868b93cda67b741af9fbc75c9",
+    "fix-check-a2-den-poly-only-zero": "a5d680f03780d55e8e3a95f34345b202b6765ebf1529615d3e560a2a9ec27c68",
+    "fix-check-a2-den-poly-shared-factor": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-poly-unreduced": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-poly-unsorted": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-poly-zero-above-cap": "213f135ad0bae1c10d11d3dbb7328e1e7d1bce903628de15444d799790956748",
+    "fix-check-a2-den-term-coeff-bool": "6f85314984d9645533cebb0641dab50090b49e254b2a1cb61b4f05ef0ee9a6db",
+    "fix-check-a2-den-term-coeff-float": "93677dbb9d3494f3f94c83237e7b17e5ede13428f9fbf700655cd8e1020f9382",
+    "fix-check-a2-den-term-coeff-int": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-term-coeff-list": "78ffdd8c00d18f9287eb8757907de0566ee2e4d7c62ca04010414596e3778b75",
+    "fix-check-a2-den-term-coeff-null": "939e94eb01c6e06fbe6465de74b836cc0529476e189c12a42156b577d0352dca",
+    "fix-check-a2-den-term-coeff-signed": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-term-coeff-space": "bb3d69606fb4e7a3283135aa3294337e72ffbd6437c0ce29e704d864910ca766",
+    "fix-check-a2-den-term-coeff-two-slashes": "ca6afcbdd60dcf21ac3dee539ba94a12a267fc417dea0b06173a842e05468257",
+    "fix-check-a2-den-term-coeff-unreduced": "0475825a74ac1e0086cde2f5dc6d1ea6d66b9552f75a8785979e135c86da24db",
+    "fix-check-a2-den-term-coeff-word": "b6f344096354a401f1deea3f37377ea8c2e5f1282ba699798f965ef9b00bc6ad",
+    "fix-check-a2-den-term-coeff-zero": "a5d680f03780d55e8e3a95f34345b202b6765ebf1529615d3e560a2a9ec27c68",
+    "fix-check-a2-den-term-coeff-zero-den": "830c2d63d1913e931478084f365a7d354afaaecec8ec6ef54a33a63e302e90ae",
+    "fix-check-a2-den-term-coeff-zero-over-zero": "6f21ecf31c6ee2199d50326ccbea6dfa231eeebe21c5a803a480fd7334aa127a",
+    "fix-check-a2-den-term-exp-above-cap": "891a53a17593a1db12b07c4de46cf2a8ab6f7f14c1e5c0aefabe2bff5f376aaf",
+    "fix-check-a2-den-term-exp-bool": "59c09e2d051d39316dcdffeb5d55d34c766b2bdff1a3c491faf3d9ce36b798d0",
+    "fix-check-a2-den-term-exp-float": "d5a40d99f067ee8bf7c4da4f0398a48692a0b94f7b53dfffeb3c64db35ff5e83",
+    "fix-check-a2-den-term-exp-negative": "3f369041c33d6757904c8b293b66b3f8fd71dd1aface0bb9ee8d402f0b56a698",
+    "fix-check-a2-den-term-exp-null": "8a27f61ebe0aa8294dd4cd2c10887a17d498a88cd1557684b3e53bb64f673717",
+    "fix-check-a2-den-term-exp-str": "543c8230edd1f28ff664bd67ce758110950b3b1db92ea4f8ef9e852d4dbc68b8",
+    "fix-check-a2-den-term-exps-2": "3e66205d77d816eb52937e4181939678a99fb0c8015124d9f5f807571a9a33cc",
+    "fix-check-a2-den-term-exps-empty": "3e66205d77d816eb52937e4181939678a99fb0c8015124d9f5f807571a9a33cc",
+    "fix-check-a2-den-term-exps-not-list": "7509c01d50c55c2213316581e1227002da31285e6d3014934b7c895aca32534c",
+    "fix-check-a2-den-term-pair-long": "15ce8fac3e465e57c39306e8e3674d3b9048da86021f49cc25c8951ecc445986",
+    "fix-check-a2-den-term-pair-short": "15ce8fac3e465e57c39306e8e3674d3b9048da86021f49cc25c8951ecc445986",
+    "fix-check-a2-den-term-term-int": "508d8f3271817e519f60924b098a7b8c4fbeeb6b778473f4ee918208649805a5",
+    "fix-check-a2-den-term-term-object": "5f45fb1f9b8a73dc1b6be92009d40681476d341fdff628b791c33ef5c1f272f8",
+    "fix-check-a2-den-term-term-str": "99ab2e5fcbd7574f2d57faeed0c3758a339b108e6a88011bfbc7ce517faeb6e0",
+    "fix-check-a2-zero": "51953b061c1b18154651b65c80d64bb1e638f53bdb3a7867bbb690540c52c5d8",
+    "fix-check-h-scaled": "15ffd15026b266c452a9363ced0f8d00163e5d04d1597eb3a3a6da79f88bc1dd",
+    "fix-check-ratfunc-missing-den": "1079d7effc7da73ef218c5fc74107bb195f7ef55213a9ee9f747048fb30b83df",
+    "fix-check-ratfunc-not-object": "c462aae903920fdecf7944a8d72dd268f943596f38ced213efeb40cad0d16a9f",
+    "mul-a1-num-poly-above-cap": "824634f7df1c04c2666664edf3e129e17b348269bc5aec5e23048b7af68ecc9c",
+    "mul-a1-num-poly-at-cap": "12baa4be4b5671a16e6dd78e35a457a48849996c82a48d128d5ea87642ee6e25",
+    "mul-a1-num-poly-bad-coeff-then-duplicate": "dd7a511d9e9eb0e3ebb9cc0325aa423b38ffd24cb619870bd069fac4aaf8c8bf",
+    "mul-a1-num-poly-duplicate": "cf8829aa66c839a55be0e7e4933f85ddea1738396a8db9823406f616513dad1a",
+    "mul-a1-num-poly-duplicate-then-bad-coeff": "cf8829aa66c839a55be0e7e4933f85ddea1738396a8db9823406f616513dad1a",
+    "mul-a1-num-poly-empty": "264ffff3e4f6804712570c54ab1ba84249d23f80c591a170691cf5f82aabd0ca",
+    "mul-a1-num-poly-explicit-zeros": "9369d19f392f8e8c1a84f2fe2598280a2673dc90edc589b749f21f31aaa3dca2",
+    "mul-a1-num-poly-not-a-list": "0c21c35289a5020a49ed22cdbcc5a368f326a87327ca026a563eceae9eb7ca11",
+    "mul-a1-num-poly-only-zero": "264ffff3e4f6804712570c54ab1ba84249d23f80c591a170691cf5f82aabd0ca",
+    "mul-a1-num-poly-shared-factor": "2a1625488b26e8eee5369c52f38540458dfa941ce8c96e7f358b7ed8ffdf6284",
+    "mul-a1-num-poly-unreduced": "76ce39e5f4098828f1e4afb728c93a5d67f497a51ff6e0389f554cff399ac24a",
+    "mul-a1-num-poly-unsorted": "19ee45566632a8947710c0cecf6f05241379b3befc4a373848f1d07c59b05c21",
+    "mul-a1-num-poly-zero-above-cap": "de5aba99895c402f3341264d0ffa4635e912b3cbbda1507fefed978ef12b04d8",
+    "mul-a1-num-term-coeff-bool": "6a21da2dabb130fe6efab0537d51650910964cf8275f3729c92e7b587dc9c76b",
+    "mul-a1-num-term-coeff-float": "dd7a511d9e9eb0e3ebb9cc0325aa423b38ffd24cb619870bd069fac4aaf8c8bf",
+    "mul-a1-num-term-coeff-int": "18a7c09c74eea2f6312ca45c71400eba9769fd2060dcd3d74a91c31a814154b5",
+    "mul-a1-num-term-coeff-list": "18c88b8ec8ca1d79f4368bfb300a214eceff36090e963f08b2fc357d6ef2e90c",
+    "mul-a1-num-term-coeff-null": "88ab7ed4cb81b1b77fbc9d657ec617e1f534601bc492183836f8bb1deacd1d37",
+    "mul-a1-num-term-coeff-signed": "826d7fe8e43b37a9ea0718ce46919a3f89795b97052095e7a488800b186da837",
+    "mul-a1-num-term-coeff-space": "5ae061b0fe8beb5a0ecfd3708f095adc3981308ee109fad690591d5dd21aaff7",
+    "mul-a1-num-term-coeff-two-slashes": "217fa6c6186dc463b6c04e2809aad7f7cec05fcaae2c69f73360267ead705e84",
+    "mul-a1-num-term-coeff-unreduced": "19d36a7c5184ea681544c0bc885ec0345dec86a828fbb547435795f6ec5a3133",
+    "mul-a1-num-term-coeff-word": "0051a21a60ab97bba191950a960d331d1ef32fd5f0765e6da6eaf247c0e3063d",
+    "mul-a1-num-term-coeff-zero": "2ba86c13e641312eec7ad54eb432c5d197e65d1ef736a452e3ba2532a854cf63",
+    "mul-a1-num-term-coeff-zero-den": "0108b6c14c65227dbce5cf270a60b49563d9954f2120c3d98a76c79ce88e4c48",
+    "mul-a1-num-term-coeff-zero-over-zero": "d17a41f36531c349ad65f638add905cf22143401a461034b433bdd652a34a501",
+    "mul-a1-num-term-exp-above-cap": "824634f7df1c04c2666664edf3e129e17b348269bc5aec5e23048b7af68ecc9c",
+    "mul-a1-num-term-exp-bool": "deaee19f57947a0f2a73c6e3c94097d037aa5310eff8abfa4a5754e6f4ed942d",
+    "mul-a1-num-term-exp-float": "262e3ee1d1902292d4680ddf58cd48a0eeff27a63a0cadd6a9ef8f2a95efb8aa",
+    "mul-a1-num-term-exp-negative": "98ff9ad3d5a5a9e87687f53d43548442eb0d22955a397deb985514d4f4d7a793",
+    "mul-a1-num-term-exp-null": "81ffcdcd87e49e06a39cb5ffcc1201c75e2c1b7b9c4b93549c2448fbdc7fbb4c",
+    "mul-a1-num-term-exp-str": "6d6f849f5ce4e6f03cc1208e656483ae59357c0f8ac34f905026607b11ba44d8",
+    "mul-a1-num-term-exps-2": "d205e6640dfea365edb60a1ba9ce72ea792b710223370b15893aea5b23b6a48c",
+    "mul-a1-num-term-exps-empty": "d205e6640dfea365edb60a1ba9ce72ea792b710223370b15893aea5b23b6a48c",
+    "mul-a1-num-term-exps-not-list": "9b29a3c50e11c33e9aec1289de539c327f3d9b560f90c8b4330ab79794bc31de",
+    "mul-a1-num-term-pair-long": "9bd4ffa3d34759781aca0d7f7f026ab20386a7126332bf5e4d55d27db30c81ab",
+    "mul-a1-num-term-pair-short": "9bd4ffa3d34759781aca0d7f7f026ab20386a7126332bf5e4d55d27db30c81ab",
+    "mul-a1-num-term-term-int": "fa33520b7eb8acefb0c8e2b4f312113c0269acf4d89b8dad5582f425d32f05af",
+    "mul-a1-num-term-term-object": "e99fee9391f1aa39565c769ee314494aa80e588b1ff5e16fa2f32022a5630af3",
+    "mul-a1-num-term-term-str": "22d821dfd845c177225486737ee8848ad1ba87d2eb5516d9fee2cc97846647f2",
+    "mul-a1-zero": "264ffff3e4f6804712570c54ab1ba84249d23f80c591a170691cf5f82aabd0ca",
+    "mul-a2-den-poly-above-cap": "7700e9a815631026775bf53a6e8dfc79e9e0d8d54938f48248b0736c65abcf99",
+    "mul-a2-den-poly-at-cap": "dfdfd93185481e106cf2f632f42d756cbaa049bc6bfd4c0c4bac6a3b9fe32d63",
+    "mul-a2-den-poly-bad-coeff-then-duplicate": "5ea2d9003c9cb723de751f5101cf4a0369dba7b6af40aa0355b76fcecbb9a625",
+    "mul-a2-den-poly-duplicate": "d0f1e3197eac53ad7bff284f63f0b51ecf5e38e983732f22f51801e610a5923f",
+    "mul-a2-den-poly-duplicate-then-bad-coeff": "d0f1e3197eac53ad7bff284f63f0b51ecf5e38e983732f22f51801e610a5923f",
+    "mul-a2-den-poly-empty": "242afc0fe711d16b271abe7e392911d2dabf05edc820b660321aaec9e6b20ec6",
+    "mul-a2-den-poly-explicit-zeros": "e76edf3628de15241546009242df3d5dc3bc411170b12792a332518290851b6f",
+    "mul-a2-den-poly-not-a-list": "4be14754ba624f0b7a532851181c0cacb7f08b2342c5f65697ec6c2915e91fdb",
+    "mul-a2-den-poly-only-zero": "242afc0fe711d16b271abe7e392911d2dabf05edc820b660321aaec9e6b20ec6",
+    "mul-a2-den-poly-shared-factor": "f2907cfc967ab32b6f397257d2de47c295f3edd6a7dcef9c38a79ec1cd4ec36f",
+    "mul-a2-den-poly-unreduced": "9e8a154cd1933b9615169f375f1434e0e0437ec54f8d2b20b81e0695fdc36099",
+    "mul-a2-den-poly-unsorted": "4b7a7005e60040b84d2b4a32f19f8f6317c205fd39f0e546acc655149e6a3d96",
+    "mul-a2-den-poly-zero-above-cap": "6c9ff66547839f4b6e6db932cab26d32b567ddeff8c27ebc45c7e676b93fcb34",
+    "mul-a2-zero": "d3cd55cbcd19e48b698dcc06e31326d585a7a834d3fac4a3f071aeca63fef387",
+    "mul-different-h": "260cbc3108b9015e498ec9921212e719c775e84eeecb2f21de919d90c58b03ca",
+    "mul-h-scaled": "260cbc3108b9015e498ec9921212e719c775e84eeecb2f21de919d90c58b03ca",
+    "mul-ratfunc-missing-den": "b771914fa997543465680833faa6692540cd9dbe3cbbb2ce986565a206dde3b4",
+    "mul-ratfunc-not-object": "6f761d1c828168a9411d609ee669e55115133072254709782ae2b313b93a5243",
+    "order-a1-den-poly-above-cap": "8ef7f91dde91d08caaf00c70c1c033b60e56f93e2990f98a0b7670ed9b8fe5e9",
+    "order-a1-den-poly-at-cap": "a7583b17dab0125d3bcf2042e0b77703baabd6285f91c1bda0a40d7655dd56b3",
+    "order-a1-den-poly-bad-coeff-then-duplicate": "6244ce6504162dded29b2b25c6a54bc3c7cc7b9e2809501d3b2d0ec2f0854219",
+    "order-a1-den-poly-duplicate": "464848102954b8cb3469f111099328d62c4adec527bf0f44822d90e8bde15430",
+    "order-a1-den-poly-duplicate-then-bad-coeff": "464848102954b8cb3469f111099328d62c4adec527bf0f44822d90e8bde15430",
+    "order-a1-den-poly-empty": "fc5ada8d6745c7b623f303dc0d6ff0c4f4f6e4a356bc163563eeb733171f5cac",
+    "order-a1-den-poly-explicit-zeros": "a9dc5546240d3c962b854b358ce561e65ebfbccc8b7a3f91d36b5fa5774e56ae",
+    "order-a1-den-poly-not-a-list": "930dd75b786c7c640ad8a1e65f035985095640652dcd0c76c4824a3711cd4b6d",
+    "order-a1-den-poly-only-zero": "fc5ada8d6745c7b623f303dc0d6ff0c4f4f6e4a356bc163563eeb733171f5cac",
+    "order-a1-den-poly-shared-factor": "c3743aadc2096e5fc5bbecb5c0242b205d6548dddb518baf13f6b73100a8cfd9",
+    "order-a1-den-poly-unreduced": "d672ccbef850f87a9d24cf5f38f754407a93496afc54959f16654622da18775e",
+    "order-a1-den-poly-unsorted": "5b42e913fd69bde955edbe3615923a31f9be0436070f6383d16aab5a3884bb6b",
+    "order-a1-den-poly-zero-above-cap": "b87257be4cc2effddb3626dfa3c83a225ec687a63c39203c58be68b81648824d",
+    "order-a1-num-poly-above-cap": "47060650a98cfd7214731cc317fba80f3de07a3639f64c763b7ab5632b0025ce",
+    "order-a1-num-poly-at-cap": "aed109a6c9e368c390d2e21f2d8f2d98e59628453de2043b38758bd07194a089",
+    "order-a1-num-poly-bad-coeff-then-duplicate": "2743c8385fe20fe6bdf6309dbc9ebd11bd8ef7b4f95e2e0ba83cbbfd1dc4f999",
+    "order-a1-num-poly-duplicate": "3dc058740e862f9b429f7568af3e535034f87925870bdb789a53a48ce3e2fb58",
+    "order-a1-num-poly-duplicate-then-bad-coeff": "3dc058740e862f9b429f7568af3e535034f87925870bdb789a53a48ce3e2fb58",
+    "order-a1-num-poly-empty": "c0be77f2e4eb8327a5886c920be260bc8c1491efc64377eb5c4d20d5a14e0d55",
+    "order-a1-num-poly-explicit-zeros": "a7cb2db18d6e513f5779f64b251d506034218115e3de2de13acb63d1f1f46847",
+    "order-a1-num-poly-not-a-list": "80c4cb9b1e9cb09df8b2b01a5d61e18baac0c2351c20813046a7d10115338b65",
+    "order-a1-num-poly-only-zero": "c0be77f2e4eb8327a5886c920be260bc8c1491efc64377eb5c4d20d5a14e0d55",
+    "order-a1-num-poly-shared-factor": "c43b229159caca2254297d159894ea6b46133721d377b689d732c4ccc72b69e2",
+    "order-a1-num-poly-unreduced": "a427344a1ce773e9d2da83da44db0d6a2365a8f1115d8de440d270ec6c1e2db2",
+    "order-a1-num-poly-unsorted": "4ceaa49af3a02d08b21866edaa7db254ac2465a6769a8b405257a52c1d9fc4d4",
+    "order-a1-num-poly-zero-above-cap": "770463d66d0db54eea878d5f65d488aa40b64a859de368f7c8d6e9a14244abcd",
+    "order-a1-zero": "c0be77f2e4eb8327a5886c920be260bc8c1491efc64377eb5c4d20d5a14e0d55",
+    "order-a2-den-poly-above-cap": "891a53a17593a1db12b07c4de46cf2a8ab6f7f14c1e5c0aefabe2bff5f376aaf",
+    "order-a2-den-poly-at-cap": "f12181ef3f67e875f20f7bbf12572ed61bb2dcdc53a0990aafc14d5d7f0690e4",
+    "order-a2-den-poly-bad-coeff-then-duplicate": "93677dbb9d3494f3f94c83237e7b17e5ede13428f9fbf700655cd8e1020f9382",
+    "order-a2-den-poly-duplicate": "b71751ffd36a3135fd6f2d850d6dccb19be628208aa75bdaa0aa11403263e3f0",
+    "order-a2-den-poly-duplicate-then-bad-coeff": "b71751ffd36a3135fd6f2d850d6dccb19be628208aa75bdaa0aa11403263e3f0",
+    "order-a2-den-poly-empty": "a5d680f03780d55e8e3a95f34345b202b6765ebf1529615d3e560a2a9ec27c68",
+    "order-a2-den-poly-explicit-zeros": "5ba5432e8c57d5b4efc936b638814b1f0b99086f4ab0fc43184d3da739531725",
+    "order-a2-den-poly-not-a-list": "0a3a355cc5e22ae0e6ebe56e50b3b1da187678d868b93cda67b741af9fbc75c9",
+    "order-a2-den-poly-only-zero": "a5d680f03780d55e8e3a95f34345b202b6765ebf1529615d3e560a2a9ec27c68",
+    "order-a2-den-poly-shared-factor": "7ca897b8a8fa1e510fd7c9569902aa45de3b22e0c50bd350405a2ad232cd1f71",
+    "order-a2-den-poly-unreduced": "bd5754d43bea4c350ac9dd1c7567b5ea71b82a2c173098e1e9ad0e8b52a324de",
+    "order-a2-den-poly-unsorted": "2b7008be704fab5bb121d45f5d93dc18fecbeab75962da4dac19e5568b2e4666",
+    "order-a2-den-poly-zero-above-cap": "213f135ad0bae1c10d11d3dbb7328e1e7d1bce903628de15444d799790956748",
+    "order-a2-num-poly-above-cap": "58a1c09ed62eefb154bfcc77f5eb7aafccad07db189deb5cd97690089f6869d2",
+    "order-a2-num-poly-at-cap": "74ef9e1cd42eec0d5e8710da167690c4337e9a5ea9265125e2cf51aadf24289a",
+    "order-a2-num-poly-bad-coeff-then-duplicate": "ac9002d3541358cbc92d996d2df2d456ac90b964142388c3619440e4254d6fcd",
+    "order-a2-num-poly-duplicate": "8efc3c8f0202f7b11382be5c8110a0dd71d0dcef1210e8b7688c578f956d4fcc",
+    "order-a2-num-poly-duplicate-then-bad-coeff": "8efc3c8f0202f7b11382be5c8110a0dd71d0dcef1210e8b7688c578f956d4fcc",
+    "order-a2-num-poly-empty": "72c12f6b5d54b3d6a6d1ae454cea4f769234b2e31fcc80cb10ee68a302a397b1",
+    "order-a2-num-poly-explicit-zeros": "0e725fc81d5aac5a6016e83ea6493e6b3df8defd8feb131447ac5df3246346e7",
+    "order-a2-num-poly-not-a-list": "f9195d339112c69cb8cacc963c0c7c2022e5a8723e34aa84bb5ec74d4b66aa59",
+    "order-a2-num-poly-only-zero": "72c12f6b5d54b3d6a6d1ae454cea4f769234b2e31fcc80cb10ee68a302a397b1",
+    "order-a2-num-poly-shared-factor": "323acb3ea333c8538e359eac39ad8a16647fc398b898b5b477154d5b95214069",
+    "order-a2-num-poly-unreduced": "01d2996723f76c51870d1fa05e29c2e0c919ba3699909f3901e4b080629cca1a",
+    "order-a2-num-poly-unsorted": "dbb6de3bf4c6f67aef0408d1dc0b073d8cf37fc63b6c998890d2506ce669fda5",
+    "order-a2-num-poly-zero-above-cap": "5341319dfad3f9d2ae2026b0f35948684c4031e58f6ad1e4306e636a985a4184",
+    "order-a2-zero": "72c12f6b5d54b3d6a6d1ae454cea4f769234b2e31fcc80cb10ee68a302a397b1",
+    "order-h-poly-above-cap": "506a5379ca1afb8857a106c91c937193e0bb3fb5458b8d63f578b8f18e412c1f",
+    "order-h-poly-at-cap": "89b37d3e8dd662c6fc026b47cb6243ead55984a5c367b1fbfdd5a7f5e1fda0d5",
+    "order-h-poly-bad-coeff-then-duplicate": "fbe3fcdd37cf0fe46bc96217fbfe209f737be69d02f56f777c7fe8bd970d190b",
+    "order-h-poly-duplicate": "1ebf637fd2c33114a8ffb35a759195b0ca11822fd394f10452b3b2ca8ba873fb",
+    "order-h-poly-duplicate-then-bad-coeff": "1ebf637fd2c33114a8ffb35a759195b0ca11822fd394f10452b3b2ca8ba873fb",
+    "order-h-poly-empty": "13ad68a641037cb2692ebc5f24159ce0a2323422fab30d0e00397089235cd552",
+    "order-h-poly-explicit-zeros": "e6d85e529ba6ab3f1b7fe003571006829f304670fac3f65f3004d8da2db6989c",
+    "order-h-poly-not-a-list": "f3cdb0180ca0461fdf4ce958b66e27a01983814efd01ee11190e06d53768305e",
+    "order-h-poly-only-zero": "13ad68a641037cb2692ebc5f24159ce0a2323422fab30d0e00397089235cd552",
+    "order-h-poly-shared-factor": "10df79ab5818f4f89fa1d7e1bf6448bfb91a5a3ec9de5dd8d58250d9dadcfa78",
+    "order-h-poly-unreduced": "10df79ab5818f4f89fa1d7e1bf6448bfb91a5a3ec9de5dd8d58250d9dadcfa78",
+    "order-h-poly-unsorted": "10df79ab5818f4f89fa1d7e1bf6448bfb91a5a3ec9de5dd8d58250d9dadcfa78",
+    "order-h-poly-zero-above-cap": "3fa842f220226495938f2de861cf7b414179cceb3721ba204ba9173d6f2a1cc3",
+    "order-h-scaled": "dacce431d050ce9f4d2fdd1ecc20d7d56863f7133bdb0a0cd30b7a988698e7fb",
+    "order-h-term-coeff-bool": "7e64887d1abebf54943629a79d9f54f8bf7e933a5cb28a2fc27296344a94131a",
+    "order-h-term-coeff-float": "fbe3fcdd37cf0fe46bc96217fbfe209f737be69d02f56f777c7fe8bd970d190b",
+    "order-h-term-coeff-int": "ce276c91704d7336d55845aff7b85a72a4bb4cd37db447f207f3e2311e8889eb",
+    "order-h-term-coeff-list": "283d8dabcc13ae3fd6196f497e1126cb61269c4a9eecc8e2a3bc769dbf57114b",
+    "order-h-term-coeff-null": "7fb9e59c63eff17a805bc8c1df7ce36c9fc8c9c85e0572e2cb72ba9e08fe6c13",
+    "order-h-term-coeff-signed": "14ec9ee7f5e35e4e14504fd0f00f25033ba7e2852dc03f5b11d729c4e60fa478",
+    "order-h-term-coeff-space": "c1bd2626595f37a901a29e6c3f88c36fcd42c5a331a5f3bd8b86b2c065727933",
+    "order-h-term-coeff-two-slashes": "19610965500de420d1dfd6ea44df1f9c11e8196e12e497b83cc856154c5bf754",
+    "order-h-term-coeff-unreduced": "5acd4c24919c85ac636aa0111ae3313b9dae84a9879af56d65a7c15fa1628919",
+    "order-h-term-coeff-word": "bf0503fcebcead460e0eb52f2831fdd1b604d061b71b7b3f1ca86410d68160cf",
+    "order-h-term-coeff-zero": "a2c3ea8a4e8a4772f336314a6a3026a5ce30dc8c6d419f3e55e704583f723c37",
+    "order-h-term-coeff-zero-den": "8f4615158c5f2139c5bcd5146c0115da594f3b0d9e96ff36532cdd0f9400366b",
+    "order-h-term-coeff-zero-over-zero": "cc0e604edfc4c5762bbeb73b619c9e9afbef0afae84d1b3a23e97a84c0b34869",
+    "order-h-term-exp-above-cap": "506a5379ca1afb8857a106c91c937193e0bb3fb5458b8d63f578b8f18e412c1f",
+    "order-h-term-exp-bool": "b9c713bda8a3d69de28e60c04c7e2a5040159f17c09196002a21d822b7071635",
+    "order-h-term-exp-float": "ff9fe4fc3a7ca463abb26c377dd701c86d5e40a7ff934d95ebf9da44dd0594e2",
+    "order-h-term-exp-negative": "e4e4fed68aeafea6c966590fffadcfbd539a93afd2f1c2f1c57c013114799030",
+    "order-h-term-exp-null": "4d9661ca200942c0935351ace2a1505256dd90f1350a6f0dd75158129be0e1a0",
+    "order-h-term-exp-str": "e0b444bb650240f39d6d0bdca9b612fcf9f67a386a6c7c13266befcbe719f2a1",
+    "order-h-term-exps-2": "38cfedd4340cbf0752dc02ab58cec605738ebe4bcbf01fd11055ca9693613949",
+    "order-h-term-exps-empty": "38cfedd4340cbf0752dc02ab58cec605738ebe4bcbf01fd11055ca9693613949",
+    "order-h-term-exps-not-list": "8f88051e1b767815958a64bd59241f5f641384b664663ecd64c23a97d224b123",
+    "order-h-term-pair-long": "c8701883c96360bc41c9e5c7309fbda6d03e56319e00e4773e0cdce1792a1e36",
+    "order-h-term-pair-short": "c8701883c96360bc41c9e5c7309fbda6d03e56319e00e4773e0cdce1792a1e36",
+    "order-h-term-term-int": "2de0c6ad07834d4b22f4c3fee27e532808f5c7cf219ad3979883de85132082c5",
+    "order-h-term-term-object": "508a7858deea63b44bae0cae847d91089ce8584c8c027f6da12e15e7c5721396",
+    "order-h-term-term-str": "f4565e218afeacabc0216fe030ea6956636858d35b61d190ef7862b2ea066011",
+    "order-ratfunc-missing-den": "1079d7effc7da73ef218c5fc74107bb195f7ef55213a9ee9f747048fb30b83df",
+    "order-ratfunc-not-object": "c462aae903920fdecf7944a8d72dd268f943596f38ced213efeb40cad0d16a9f",
 }

@@ -44,6 +44,7 @@ from _util import (
     ADVERSARIAL,
     UNI_ADVERSARIAL,
     OldTriHomPoly,
+    OldUniPoly,
     assert_canonical,
     common_denominator_oracle,
     lex_normalized,
@@ -67,7 +68,65 @@ T = UniPoly.variable()
 ONE = UniPoly.constant(1)
 
 
+@st.composite
+def scaled_coeffs(draw):
+    """[(p, q)] for the coefficients p/q of t^0, t^1, ..., not reduced: every
+    p and q share a factor k.  One draw in three has only negative nonzero
+    coefficients; any coefficient may be zero, the last one too, and the
+    list may be empty."""
+    k = draw(st.sampled_from([1, 2, 6]))
+    sign = draw(st.sampled_from([1, -1, None]))
+    coeffs = st.tuples(st.integers(0, 5), st.integers(1, 4), st.sampled_from([1, -1]))
+    return [(p * k * (sign or s), q * k) for p, q, s in draw(st.lists(coeffs, max_size=5))]
+
+
+def _uni_fractions(coeffs):
+    return tuple(Fraction(p, q) for p, q in coeffs)
+
+
 class TestUniPoly:
+    @given(scaled_coeffs().filter(lambda a: any(p for p, _ in a)), scaled_coeffs(), scaled_coeffs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @example([(2, 4), (6, 4)], [(-3, 6)], [])
+    @example([(-4, 6), (0, 6), (-2, 6)], [(4, 6), (0, 2)], [(-6, 6), (-6, 12)])
+    @example([(0, 1), (0, 1), (3, 1)], [(1, 1), (2, 1), (1, 1)], [(1, 1), (1, 1)])
+    def test_every_constructor_stores_the_canonical_form(self, a, b, c):
+        """The Fraction constructor, the decoder, + - * (by a polynomial and
+        by a scalar), derivative, monic, constant, homogenize_uni and the
+        parts of _uni_cofactors and of RatFunc, against the Fraction
+        arithmetic of the dataclass.  The inputs share factors between
+        numerators and denominators, are sometimes all negative, and b and c
+        are sometimes zero."""
+        f, g, h = (UniPoly(_uni_fractions(x)) for x in (a, b, c))
+        old_f, old_g, old_h = (OldUniPoly(_uni_fractions(x)) for x in (a, b, c))
+        decoded = ser.decode_unipoly([[[e], f"{p}/{q}"] for e, (p, q) in enumerate(a)], ())
+        s = Fraction(-4, 6)
+        cases = [
+            (f, old_f),
+            (decoded, old_f),
+            (f + g, old_f + old_g),
+            (f - g, old_f - old_g),
+            (f * g, old_f * old_g),
+            (f * s, old_f * s),
+            (3 * g, old_g * 3),
+            (f.derivative(), old_f.derivative()),
+            (g.monic(), old_g.monic()),
+            (UniPoly.constant(s), OldUniPoly((s,))),
+        ]
+        p, q = f * h, g * h
+        for part, want in zip(_uni_cofactors(p, q), uni_cofactors_oracle(p, q)):
+            cases.append((part, OldUniPoly(want.coeffs)))
+        if q:
+            r, (_, num, den) = RatFunc(p, q), uni_cofactors_oracle(p, q)
+            lc = den.lead
+            cases.append((r.num, OldUniPoly(num.coeffs) * (1 / lc)))
+            cases.append((r.den, OldUniPoly(den.coeffs) * (1 / lc)))
+        for new, old in cases:
+            assert_canonical(new, old)
+        d = f.degree + 1
+        old_hom = OldTriHomPoly(d, tuple(((0, e, d - e), c) for e, c in enumerate(old_f.coeffs)))
+        assert_canonical(homogenize_uni(f, 1, 2, d), old_hom)
+
     def test_zero_normal_form(self):
         assert UniPoly.of(0, 0, 0).is_zero
         assert UniPoly.of(1, 2, 0, 0).degree == 1

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -20,7 +21,7 @@ from cremona_kit.jonquieres import (
     to_cremona,
 )
 
-from _util import H4, H6, H8, ST, rand_jonq, uni_to_sympy
+from _util import H4, H6, H8, ST, fractions_built, rand_jonq, uni_to_sympy
 
 T = UniPoly.variable()
 
@@ -251,6 +252,36 @@ class TestOrderReport:
 
 
 class TestToCremona:
+    def test_matrix_is_the_checked_matrix_and_checks_no_det(self):
+        """u.matrix() is Mat2RF(a1, h a2, a2, a1), but is built without
+        checking its determinant again: the element's constructor has."""
+        rng = random.Random(53)
+        for h in (H4, H6):
+            for kind in (None, "involution", "scalar"):
+                u = rand_jonq(rng, h, kind=kind)
+                checked = Mat2RF(u.a1, RatFunc(h) * u.a2, u.a2, u.a1)
+                with mock.patch.object(Mat2RF, "det", autospec=True, side_effect=Mat2RF.det) as det:
+                    m = u.matrix()
+                    F = to_cremona(u)
+                assert det.call_count == 0
+                assert m == checked and repr(m) == repr(checked) and hash(m) == hash(checked)
+                assert F == mat_to_cremona(checked)
+
+    def test_group_pipeline_builds_no_fraction(self):
+        """The order check, the inverse, the plane map, the curve and the
+        fixation certificate run on the stored integer forms."""
+        u = JonqElement.of(H6, UniPoly.of(1, 2), 3)
+        report, built = fractions_built(leminv_check, u)
+        assert report.order == PGL_INFINITE and built == 0
+        inverse, built = fractions_built(invert, u)
+        assert mul(u, inverse).a2.is_zero and built == 0
+        F, built = fractions_built(to_cremona, u)
+        assert built == 0
+        curve, built = fractions_built(hyperelliptic_curve_poly, H6)
+        assert built == 0
+        fixed, built = fractions_built(fixes_curve_pointwise, F, curve)
+        assert fixed and built == 0
+
     def test_identity_element(self):
         assert is_identity(to_cremona(JonqElement.identity(H4)))
 
