@@ -4,6 +4,10 @@ Subcommands consume JSON (from a path, ``-`` for stdin, or ``--inline``)
 and emit a JSON report on stdout; ``--format text`` renders the same
 report as an indented key/value listing (lossy, for reading).
 
+A well-formed call is read from the argument table ``_ARGS`` with no parser built.
+argparse, built from the same table, takes every other argv: help, ``--version``, ``--``,
+``--opt=value``, abbreviated or repeated options, values that start with '-' and errors.
+
 Exit codes:
 
 * 0 -- success, report on stdout;
@@ -190,56 +194,41 @@ def _cmd_examples(args) -> Tuple[Dict[str, Any], int]:
     return payload, EXIT_OK if payload["passed"] else EXIT_INVALID
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format (default json)"
-    )
-    p.add_argument("-v", "--verbose", action="store_true", help="notes on stderr")
+# Every argument, once: dest -> (option strings, type, default, required, help). The type
+# bool is a flag that takes no value, a tuple the choices of a string; ``input`` is positional.
+_ARGS = {
+    "input": ((), str, None, False,
+              "path of the JSON input ('-' for stdin); alternatively pass --inline"),
+    "inline": (("--inline",), str, None, False, "inline JSON input"),
+    "format": (("--format",), ("json", "text"), "json", False, "output format (default json)"),
+    "verbose": (("-v", "--verbose"), bool, False, False, "notes on stderr"),
+    "n": (("--n",), int, None, True, "degree of the pencil members"),
+    "mults": (("--mults",), str, None, True, "comma-separated base multiplicities, e.g. 1,1,1,1"),
+    "max": (("--max",), int, None, True, "largest degree to search"),
+    "bound": (("--bound",), int, DEFAULT_ENUM_LIMIT, False,
+              f"enumeration guard (default {DEFAULT_ENUM_LIMIT})"),
+}
+_OUT = ("format", "verbose")
+_IN = ("input", "inline") + _OUT
 
-
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "input",
-        nargs="?",
-        help="path of the JSON input ('-' for stdin); alternatively pass --inline",
-    )
-    p.add_argument("--inline", help="inline JSON input")
-    _add_output(p)
-
-
-def _add_pencil_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="degree of the pencil members")
-    p.add_argument(
-        "--mults", required=True, help="comma-separated base multiplicities, e.g. 1,1,1,1"
-    )
-    _add_output(p)
-
-
-def _add_pencil_enum(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max", type=int, required=True, help="largest degree to search")
-    guard = f"enumeration guard (default {DEFAULT_ENUM_LIMIT})"
-    p.add_argument("--bound", type=int, default=DEFAULT_ENUM_LIMIT, help=guard)
-    _add_output(p)
-
-
-# Every subcommand, once: name -> (handler, help, function adding its arguments).
+# Every subcommand, once: name -> (handler, help, the dests of its arguments, in order).
 _COMMANDS = {
-    "genus": (_cmd_genus, "geometric genus of a curve model", _add_input),
-    "validate": (_cmd_validate, "check curve data, report per check", _add_input),
-    "adjoint-chain": (_cmd_adjoint_chain, "full successive-adjoint report", _add_input),
-    "classify": (_cmd_classify, "terminal classification of the chain", _add_input),
-    "map-compose": (_cmd_map_compose, "compose two maps {outer, inner}", _add_input),
-    "map-fixcheck": (_cmd_map_fixcheck, "does a map fix a curve pointwise", _add_input),
-    "jonq-order": (_cmd_jonq_order, "projective order of a group element", _add_input),
-    "jonq-mul": (_cmd_jonq_mul, "product of two group elements {u, v}", _add_input),
+    "genus": (_cmd_genus, "geometric genus of a curve model", _IN),
+    "validate": (_cmd_validate, "check curve data, report per check", _IN),
+    "adjoint-chain": (_cmd_adjoint_chain, "full successive-adjoint report", _IN),
+    "classify": (_cmd_classify, "terminal classification of the chain", _IN),
+    "map-compose": (_cmd_map_compose, "compose two maps {outer, inner}", _IN),
+    "map-fixcheck": (_cmd_map_fixcheck, "does a map fix a curve pointwise", _IN),
+    "jonq-order": (_cmd_jonq_order, "projective order of a group element", _IN),
+    "jonq-mul": (_cmd_jonq_mul, "product of two group elements {u, v}", _IN),
     "jonq-fix-check": (
-        _cmd_jonq_fix_check, "certify the hyperelliptic fixation of an element", _add_input
+        _cmd_jonq_fix_check, "certify the hyperelliptic fixation of an element", _IN
     ),
     "pencil-check": (
-        _cmd_pencil_check, "rational-pencil equations for (n; mults)", _add_pencil_check
+        _cmd_pencil_check, "rational-pencil equations for (n; mults)", ("n", "mults") + _OUT
     ),
-    "pencil-enum": (_cmd_pencil_enum, "enumerate valid pencil types", _add_pencil_enum),
-    "examples": (_cmd_examples, "run the built-in corpus", _add_output),
+    "pencil-enum": (_cmd_pencil_enum, "enumerate valid pencil types", ("max", "bound") + _OUT),
+    "examples": (_cmd_examples, "run the built-in corpus", _OUT),
 }
 
 
@@ -252,23 +241,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (_, help_text, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in dests:
+            flags, kind, default, required, help_text = _ARGS[dest]
+            kw = {"required": required} if flags else {"nargs": "?"}
+            key = "action" if kind is bool else "choices" if isinstance(kind, tuple) else "type"
+            kw[key] = "store_true" if kind is bool else kind
+            p.add_argument(*flags or (dest,), default=default, help=help_text, **kw)
     return parser
 
 
+def _read_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace of a well-formed call, built with no parser; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    dests = _COMMANDS[argv[0]][2]
+    options = {flag: dest for dest in dests for flag in _ARGS[dest][0]}
+    given: Dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = options.get(token)
+        if dest is None:
+            if "input" not in dests or token.startswith("-") and token != "-":
+                return None
+            dest, value = "input", token
+        elif _ARGS[dest][1] is bool:
+            value = True
+        else:
+            # "-" stands for a missing value; argparse may read "-..." as an option or number.
+            kind, value = _ARGS[dest][1], next(tokens, "-")
+            if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+                return None
+            try:
+                value = int(value) if kind is int else value
+            except ValueError:
+                return None
+        if dest in given:
+            return None
+        given[dest] = value
+    if any(_ARGS[dest][3] and dest not in given for dest in dests):
+        return None
+    return argparse.Namespace(command=argv[0], **{d: given.get(d, _ARGS[d][2]) for d in dests})
+
+
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone (same prog as in the full tree) when it
-    consumes every argument; the full parser takes the rest: usage errors, help, --version."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"cremona-kit {argv[0]}")
-        command[2](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """A well-formed call builds no parser; the full parser takes every other argv."""
+    return _read_args(argv) or build_parser().parse_args(argv)
 
 
 def _render_text(value: Any, indent: int = 0) -> List[str]:

@@ -106,6 +106,13 @@ class _Poly:
     def __bool__(self) -> bool:
         return bool(self._body)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self._den, self._body) == (other.degree, other._den, other._body)
+
+    __hash__ = Record.__hash__  # defining __eq__ clears it; the hash of the fields stays
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -524,13 +531,15 @@ class TriHomPoly(_Poly, Record):
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         a, b, c = (_frac(v) for v in point)
-        # Scaling the point by s scales the value by s^degree: evaluate at
-        # integers, then divide once.
+        # s * point is integral and scales the value by s^degree: divide once.
         s = math.lcm(a.denominator, b.denominator, c.denominator)
         x, y, z = (v.numerator * (s // v.denominator) for v in (a, b, c))
+        return Fraction(self._value_at(x, y, z), self._den * s**self.degree)
+
+    def _value_at(self, x: int, y: int, z: int) -> int:
+        """den times the value at an integer point: zero exactly where the value is."""
         d = self.degree
-        total = sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items())
-        return Fraction(total, self._den * s**d)
+        return sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items())
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
         """Evaluate at three homogeneous polynomials of one common degree.

@@ -22,7 +22,7 @@ from cremona_kit.curve_model import (
 from cremona_kit.errors import InvalidCurveData
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly
 
-from _util import rand_curve, tri_to_sympy, trihoms
+from _util import fractions_built, rand_curve, tri_to_sympy, trihoms
 
 # Sextic with ordinary triple points at (1:0:0) and (0:1:0): the six lines
 # x y (x^2 - z^2)(y^2 - z^2) perturbed by z^6.
@@ -181,6 +181,23 @@ class TestMultiplicityAt:
 
 
 class TestValidate:
+    # 2 (3y - z)^2 z = (9/4) (2x - z)^3: a cusp at (1/2, 1/3, 1), smooth at (3/2, 4/3, 1).
+    CUSPIDAL = (TRI_Y * 3 - TRI_Z) ** 2 * TRI_Z * 2 - (TRI_X * 2 - TRI_Z) ** 3 * Fraction(9, 4)
+
+    @pytest.mark.parametrize(
+        "x, y, found", [(Fraction(1, 2), Fraction(1, 3), 2), (Fraction(3, 2), Fraction(4, 3), 1)]
+    )
+    def test_multiplicities_are_tested_on_integers(self, x, y, found):
+        """multiplicity_at tests zeros on the point scaled to integers: validation
+        builds no Fraction and reports as before."""
+        sings = (SingularityData(PointSpec("p", (x, y, Fraction(1))), 2),)
+        report, built = fractions_built(validate_curve_data, 3, sings, self.CUSPIDAL)
+        assert built == 0
+        *structural, last = report.checks
+        assert all(check.passed for check in structural)
+        assert (last.name, last.passed) == ("poly-multiplicity-at-p", found == 2)
+        assert last.detail == f"declared multiplicity 2, polynomial has {found}"
+
     def test_abstract_model_passes(self):
         report = validate(curve_from_mults(6, [2] * 7))
         assert report.passed

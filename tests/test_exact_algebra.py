@@ -47,6 +47,7 @@ from _util import (
     OldUniPoly,
     assert_canonical,
     common_denominator_oracle,
+    fractions_built,
     lex_normalized,
     monomials,
     primitive_parts_fold_oracle,
@@ -126,6 +127,21 @@ class TestUniPoly:
         d = f.degree + 1
         old_hom = OldTriHomPoly(d, tuple(((0, e, d - e), c) for e, c in enumerate(old_f.coeffs)))
         assert_canonical(homogenize_uni(f, 1, 2, d), old_hom)
+
+    @given(scaled_coeffs(), scaled_coeffs())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @example([(2, 4), (6, 4)], [(1, 2), (3, 2)])
+    @example([(2, 4), (6, 4)], [(1, 2), (3, 4)])
+    def test_equality_reads_the_stored_form(self, a, b):
+        """== compares _den and _body, builds no Fraction, and agrees with the
+        coefficients; equal polynomials and fractions hash alike."""
+        f, g = UniPoly(_uni_fractions(a)), UniPoly(_uni_fractions(b))
+        r, s = RatFunc(f, T + ONE), RatFunc(g * 2, (T + ONE) * 2)
+        (same, same_ratio), built = fractions_built(lambda: (f == g, r == s))
+        assert built == 0
+        assert same == same_ratio == (f.coeffs == g.coeffs)
+        if same:
+            assert hash(f) == hash(g) and hash(r) == hash(s)
 
     def test_zero_normal_form(self):
         assert UniPoly.of(0, 0, 0).is_zero
@@ -486,6 +502,11 @@ class TestTriHomPoly:
         point = (Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4))
         assert f.evaluate(point) == old_f.evaluate(point)
         assert (f * h).evaluate((1, 0, 0)) == (old_f * old_h).evaluate((1, 0, 0))
+
+    def test_equality_compares_the_degree(self):
+        assert TriHomPoly.zero(2) != TriHomPoly.zero(3)
+        assert TRI_X * Fraction(2, 4) == TriHomPoly(1, (((1, 0, 0), Fraction(1, 2)),))
+        assert TRI_X * TRI_Z != TRI_X * TRI_Y
 
     def test_lex_lead(self):
         f = TRI_X * TRI_Y + TRI_Z * TRI_Z * 3
