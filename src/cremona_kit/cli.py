@@ -4,9 +4,9 @@ Subcommands consume JSON (from a path, ``-`` for stdin, or ``--inline``)
 and emit a JSON report on stdout; ``--format text`` renders the same
 report as an indented key/value listing (lossy, for reading).
 
-A well-formed call is read from the argument table ``_ARGS`` with no parser built.
-argparse, built from the same table, takes every other argv: help, ``--version``, ``--``,
-``--opt=value``, abbreviated or repeated options, values that start with '-' and errors.
+Every argument is described once, in ``_ARGS``. A call is parsed by its subcommand's
+parser alone, built from that table once per process; help, ``--version`` and any argv
+that parser leaves unconsumed go to the full tree of ``build_parser``.
 
 Exit codes:
 
@@ -24,6 +24,7 @@ composition, so the cap keeps runtimes bounded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -232,6 +233,15 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, dests: Sequence[str]) -> None:
+    for dest in dests:
+        flags, kind, default, required, help_text = _ARGS[dest]
+        kw = {"required": required} if flags else {"nargs": "?"}
+        key = "action" if kind is bool else "choices" if isinstance(kind, tuple) else "type"
+        kw[key] = "store_true" if kind is bool else kind
+        parser.add_argument(*flags or (dest,), default=default, help=help_text, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand, top-level help and --version."""
     parser = argparse.ArgumentParser(
@@ -242,52 +252,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, dests) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for dest in dests:
-            flags, kind, default, required, help_text = _ARGS[dest]
-            kw = {"required": required} if flags else {"nargs": "?"}
-            key = "action" if kind is bool else "choices" if isinstance(kind, tuple) else "type"
-            kw[key] = "store_true" if kind is bool else kind
-            p.add_argument(*flags or (dest,), default=default, help=help_text, **kw)
+        _add_arguments(sub.add_parser(name, help=help_text), dests)
     return parser
 
 
-def _read_args(argv: List[str]) -> Optional[argparse.Namespace]:
-    """The Namespace of a well-formed call, built with no parser; None for any other argv."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    dests = _COMMANDS[argv[0]][2]
-    options = {flag: dest for dest in dests for flag in _ARGS[dest][0]}
-    given: Dict[str, Any] = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        dest = options.get(token)
-        if dest is None:
-            if "input" not in dests or token.startswith("-") and token != "-":
-                return None
-            dest, value = "input", token
-        elif _ARGS[dest][1] is bool:
-            value = True
-        else:
-            # "-" stands for a missing value; argparse may read "-..." as an option or number.
-            kind, value = _ARGS[dest][1], next(tokens, "-")
-            if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
-                return None
-            try:
-                value = int(value) if kind is int else value
-            except ValueError:
-                return None
-        if dest in given:
-            return None
-        given[dest] = value
-    if any(_ARGS[dest][3] and dest not in given for dest in dests):
-        return None
-    return argparse.Namespace(command=argv[0], **{d: given.get(d, _ARGS[d][2]) for d in dests})
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The named subcommand's parser alone, with its prog in the full tree; built once."""
+    parser = argparse.ArgumentParser(prog=f"cremona-kit {name}")
+    _add_arguments(parser, _COMMANDS[name][2])
+    return parser
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """A well-formed call builds no parser; the full parser takes every other argv."""
-    return _read_args(argv) or build_parser().parse_args(argv)
+    """Parse with the named subcommand's parser alone when it consumes every argument;
+    the full parser takes the rest: usage errors, help, --version."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _render_text(value: Any, indent: int = 0) -> List[str]:

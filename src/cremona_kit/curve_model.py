@@ -132,8 +132,6 @@ def multiplicity_at(f: TriHomPoly, point: Sequence[RationalLike]) -> int:
     pt = tuple(_frac(v) for v in point)
     if len(pt) != 3 or all(v == 0 for v in pt):
         raise ValueError("expected a valid projective point")
-    s = math.lcm(*(v.denominator for v in pt))  # s * pt is integral, with the same zeros
-    x, y, z = (v.numerator * (s // v.denominator) for v in pt)
     # Filled order by order, so the parent of each partial is already there;
     # a plain loop leaves no reference cycle to outlive the call.
     partials: Dict[Tuple[int, int, int], TriHomPoly] = {(0, 0, 0): f}
@@ -149,7 +147,7 @@ def multiplicity_at(f: TriHomPoly, point: Sequence[RationalLike]) -> int:
                     d = partials[a, b, c] = partials[a, b, c - 1].partial(2)
                 else:
                     d = f
-                if d._value_at(x, y, z):
+                if not d.vanishes_at(pt):
                     return k
     raise AssertionError("all partials vanished for a nonzero polynomial")
 

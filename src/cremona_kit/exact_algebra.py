@@ -530,16 +530,19 @@ class TriHomPoly(_Poly, Record):
         return TriHomPoly._sorted(max(d - 1, 0), body, self._den)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
+        total, s = self._value_at(point)
+        return Fraction(total, self._den * s**self.degree)
+
+    def vanishes_at(self, point: Sequence[RationalLike]) -> bool:
+        return not self._value_at(point)[0]
+
+    def _value_at(self, point: Sequence[RationalLike]) -> Tuple[int, int]:
+        """(den * s^degree times the value, s): s * point is integral, so no Fraction is built."""
         a, b, c = (_frac(v) for v in point)
-        # s * point is integral and scales the value by s^degree: divide once.
         s = math.lcm(a.denominator, b.denominator, c.denominator)
         x, y, z = (v.numerator * (s // v.denominator) for v in (a, b, c))
-        return Fraction(self._value_at(x, y, z), self._den * s**self.degree)
-
-    def _value_at(self, x: int, y: int, z: int) -> int:
-        """den times the value at an integer point: zero exactly where the value is."""
         d = self.degree
-        return sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items())
+        return sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items()), s
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
         """Evaluate at three homogeneous polynomials of one common degree.

@@ -1,9 +1,9 @@
-"""A well-formed call is read from the argument table with no parser built.
+"""A call is parsed by its subcommand's parser alone, built once per process.
 
-``cli._read_args`` reads a call only when it is sure of argparse's answer;
-on every other argv it returns None and ``build_parser()`` takes the call.
-Each case below must give what the full tree gives: the same Namespace,
-or the same exit code, stdout and stderr.
+Both that parser and the full tree of ``build_parser()`` are built from the
+argument table ``cli._ARGS``. Each argv below, at the edges of that grammar,
+must give what the full tree gives: the same Namespace, or the same exit
+code, stdout and stderr.
 """
 
 import argparse
@@ -20,8 +20,8 @@ from cremona_kit.cremona_maps import make_phi
 
 from test_cli_parser import full_tree_parse, parse_outcome
 
-# Every kind of argv the reader leaves to argparse, by the reason it gives up.
-GIVES_UP = {
+# Argvs at the edges of the grammar, by kind.
+EDGES = {
     "inexact option name": [
         ["genus", "--inl", "{}"],
         ["genus", "--format=text", "in.json"],
@@ -84,9 +84,9 @@ GIVES_UP = {
     ],
     "no subcommand": [[], ["bogus"], ["Genus", "in.json"]],
 }
-GIVE_UP_CASES = [
-    pytest.param(argv, id=f"{reason}: {' '.join(argv) or '<empty>'}")
-    for reason, cases in GIVES_UP.items()
+EDGE_CASES = [
+    pytest.param(argv, id=f"{kind}: {' '.join(argv) or '<empty>'}")
+    for kind, cases in EDGES.items()
     for argv in cases
 ]
 
@@ -108,16 +108,15 @@ READ = [
 ]
 
 
-@pytest.mark.parametrize("argv", GIVE_UP_CASES)
-def test_reader_gives_up_and_argparse_answers(argv, monkeypatch):
+@pytest.mark.parametrize("argv", EDGE_CASES)
+def test_edge_argv_parses_as_in_the_full_tree(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    assert cli._read_args(list(argv)) is None
     assert parse_outcome(cli._parse_args, list(argv)) == parse_outcome(full_tree_parse, list(argv))
 
 
 @pytest.mark.parametrize("argv", READ, ids=" ".join)
-def test_reader_reads_what_the_full_tree_reads(argv):
-    args, want = cli._read_args(list(argv)), full_tree_parse(list(argv))
+def test_well_formed_argv_reads_as_in_the_full_tree(argv):
+    args, want = cli._parse_args(list(argv)), full_tree_parse(list(argv))
     assert args == want and list(vars(args)) == list(vars(want))
 
 
@@ -142,7 +141,8 @@ def _main(argv):
     return code, out.getvalue()
 
 
-def test_well_formed_calls_build_no_parser(tmp_path, monkeypatch):
+def test_repeated_calls_build_no_parser(tmp_path, monkeypatch):
+    """A subcommand's parser is built on its first call in a process and reused."""
     calls = _calls(tmp_path)
     expected = [_main(argv) for argv in calls]
 
@@ -157,7 +157,7 @@ def test_well_formed_calls_build_no_parser(tmp_path, monkeypatch):
 def test_well_formed_calls_leave_no_cyclic_garbage(tmp_path):
     """Each call, run once to warm up and again with the collector off,
     leaves nothing for gc.collect() to free (36-39 objects per call while
-    each call built an ArgumentParser)."""
+    each call built its own ArgumentParser)."""
     for argv in _calls(tmp_path):
         assert _main(argv)[0] == 0
         gc.collect()
