@@ -7,6 +7,11 @@ from private slots names its fields in ``_fields`` instead, as the
 polynomial classes do over the stored form of ``exact_algebra._Poly``.
 Assignment and deletion raise ``AttributeError``, so constructors set slots
 with ``object.__setattr__``.  No code is generated at import time.
+
+A record with no ``__init__`` of its own binds its arguments to its fields
+as a dataclass does: by position, then by keyword, the trailing fields
+defaulting to the class's ``_defaults``; a missing, extra or repeated
+argument raises ``TypeError``.
 """
 
 from operator import attrgetter
@@ -14,6 +19,7 @@ from operator import attrgetter
 
 class Record:
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls) -> None:
         slots = tuple(name for name in cls.__slots__ if not name.startswith("_"))
@@ -22,6 +28,31 @@ class Record:
         # The field tuple, a 1-tuple for one field, as equality and the hash need.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
         cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with ``args`` and ``kwargs``."""
+        fields, name = cls._fields, f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields[len(fields) - len(cls._defaults) :], cls._defaults))
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name} got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name} missing required arguments: {', '.join(missing)}")
+        return tuple(values[key] for key in fields)
 
     def _init(self, *values) -> None:
         """Set the public slots, in order, to ``values``."""

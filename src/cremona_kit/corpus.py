@@ -19,7 +19,6 @@ from .cremona_maps import (
     compose,
     fixes_curve_pointwise,
     free_intersection,
-    identity_map,
     is_identity,
     linear_G_params,
     make_H_element,
@@ -46,11 +45,7 @@ from .rational_pencils import (
 
 class EntryResult(Record):
     __slots__ = ("name", "description", "passed", "details")
-
-    def __init__(
-        self, name: str, description: str, passed: bool, details: Tuple[str, ...] = ()
-    ) -> None:
-        self._init(name, description, passed, details)
+    _defaults = ((),)
 
 
 class _Checker:
@@ -338,9 +333,7 @@ def run_corpus() -> Tuple[EntryResult, ...]:
             failures = tuple(checker.failures)
         except Exception as exc:  # a crash is a failure, not an abort
             failures = tuple(checker.failures) + (f"raised {type(exc).__name__}: {exc}",)
-        results.append(
-            EntryResult(name, description, passed=not failures, details=failures)
-        )
+        results.append(EntryResult(name, description, not failures, failures))
     return tuple(results)
 
 

@@ -15,6 +15,10 @@ cover three families:
 * ``make_phi``       -- the quadratic involutions
   (-x (mu y + nu z) : y (x + mu y + nu z) : z (x + mu y + nu z)).
 
+The last two, like ``jonquieres.mat_to_cremona``, move one affine
+coordinate by a Moebius transformation over the rational functions of the
+other; ``_jonquieres_map`` builds all three.
+
 ``fixes_curve_pointwise`` certifies that a map fixes a curve pointwise
 (where defined) by exact divisibility of the 2x2 minors f_i x_j - f_j x_i
 by the curve polynomial; exactness is what makes the certificate real.
@@ -187,40 +191,51 @@ def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]
     return D, cofactors
 
 
+def _jonquieres_map(entries: Sequence[RatFunc], axis: int) -> CremonaMap:
+    """Homogenise u -> (a11 u + a12) / (a21 u + a22), v -> v on the chart
+    z = 1, for u = x and v = y (axis 0) or u = y and v = x (axis 1), with
+    ``entries`` (a11, a12, a21, a22) rational functions of v.
+
+    The entries are put over their monic lcm, built from gcd cofactors,
+    giving polynomials p_ij in v; with M the least degree that holds them,
+    u, v and z go to z (u P11 + P12), v (u P21 + P22) and z (u P21 + P22),
+    each p_ij homogenised in (v, z) to degree M - 1 (P11, P21) or M (P12,
+    P22).  Content removal then yields the coprime form.
+    """
+    _, cofactors = _common_denominator([e.den for e in entries])
+    p11, p12, p21, p22 = (e.num * c for e, c in zip(entries, cofactors))
+    deg = max(1, p11.degree + 1, p12.degree, p21.degree + 1, p22.degree)
+    _check_cap(deg + 1, "homogenising the map")
+    u, v = (TRI_X, TRI_Y)[axis], 1 - axis
+    num = u * homogenize_uni(p11, v, 2, deg - 1) + homogenize_uni(p12, v, 2, deg)
+    den = u * homogenize_uni(p21, v, 2, deg - 1) + homogenize_uni(p22, v, 2, deg)
+    moved, fixed = TRI_Z * num, (TRI_X, TRI_Y)[v] * den
+    return CremonaMap.of(*((moved, fixed) if axis == 0 else (fixed, moved)), TRI_Z * den)
+
+
 def make_H_element(alpha: RatFunc, beta: RatFunc) -> CremonaMap:
     """(x, y) -> (x / (alpha(y) x + beta(y)), y) homogenised; beta != 0.
 
     alpha and beta are rational functions of the affine coordinate y.
-    Clearing the shared denominator D gives x D(y) / (A(y) x + B(y)); the
-    projective form is (z x D : y (x A + B) : z (x A + B)) with every
-    univariate factor homogenised in (y, z).
     """
     alpha, beta = RatFunc.of(alpha), RatFunc.of(beta)
     if beta.is_zero:
         raise ValueError("beta must be nonzero")
-    D, (ca, cb) = _common_denominator((alpha.den, beta.den))
-    A, B = alpha.num * ca, beta.num * cb
-    m = max(D.degree + 1, B.degree, A.degree + 1 if not A.is_zero else 1)
-    _check_cap(m + 1, "homogenising the map")
-    d_hom = homogenize_uni(D, 1, 2, m - 1)
-    a_hom = homogenize_uni(A, 1, 2, m - 1)
-    b_hom = homogenize_uni(B, 1, 2, m)
-    den = TRI_X * a_hom + b_hom
-    return CremonaMap.of(TRI_Z * TRI_X * d_hom, TRI_Y * den, TRI_Z * den)
+    return _jonquieres_map((RatFunc.of(1), RatFunc.of(0), alpha, beta), 0)
 
 
 def make_phi(mu: RationalLike, nu: RationalLike) -> CremonaMap:
     """The quadratic involution with parameters (mu, nu) != (0, 0).
 
     (x : y : z) -> (-x (mu y + nu z) : y (x + mu y + nu z) : z (x + mu y + nu z));
-    it fixes the line x = 0 pointwise.
+    it fixes the line x = 0 pointwise.  On the chart z = 1 it is
+    x -> -l x / (x + l) with l = mu y + nu.
     """
     mu, nu = _frac(mu), _frac(nu)
     if mu == 0 and nu == 0:
         raise ValueError("mu and nu cannot both vanish")
-    l = TriHomPoly.of({(0, 1, 0): mu, (0, 0, 1): nu}, degree=1)
-    m = TRI_X + l
-    return CremonaMap.of(-1 * (TRI_X * l), TRI_Y * m, TRI_Z * m)
+    l = UniPoly.of(nu, mu)
+    return _jonquieres_map((RatFunc(-l), RatFunc.of(0), RatFunc.of(1), RatFunc(l)), 0)
 
 
 def compose(F: CremonaMap, G: CremonaMap) -> CremonaMap:

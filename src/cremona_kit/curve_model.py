@@ -64,16 +64,11 @@ class SingularityData(Record):
 
 class CurveCheck(Record):
     __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        self._init(name, passed, detail)
+    _defaults = ("",)
 
 
 class CurveReport(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: Tuple[CurveCheck, ...]) -> None:
-        self._init(checks)
 
     @property
     def passed(self) -> bool:

@@ -87,6 +87,13 @@ class _Poly:
 
     __slots__ = ("_den", "_body")
 
+    @classmethod
+    def _make(cls, degree: int, body: _BiPoly, den: int) -> "_Poly":
+        """Trusted constructor of an arithmetic result of ``degree``: body in
+        decreasing lex order with no zero coefficient, den a nonzero integer.
+        A class that stores its degree overrides this one, which drops it."""
+        return object.__new__(cls)._store(body, den)
+
     def _store(self, body: _BiPoly, den: int) -> "_Poly":
         """Set the form of body / den, dividing out gcd(den, content body),
         and return self."""
@@ -113,8 +120,30 @@ class _Poly:
 
     __hash__ = Record.__hash__  # defining __eq__ clears it; the hash of the fields stays
 
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not self._body:
+            return other
+        if not other._body:
+            return self
+        den = math.lcm(self._den, other._den)
+        total = _axpy(_over(self, den), den // other._den, other._body)
+        return self._make(self.degree, _lex(total), den)
+
+    def __neg__(self):
+        return self._make(self.degree, {e: -c for e, c in self._body.items()}, self._den)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __mul__(self, other):
+        if other.__class__ is self.__class__:
+            product = _lex(_bimul(self._body, other._body, {}))
+            return self._make(self.degree + other.degree, product, self._den * other._den)
+        p, q = _ratio(other)
+        body = {e: c * p for e, c in self._body.items()} if p else {}
+        return self._make(self.degree, body, self._den * q)
 
     def __rmul__(self, other: RationalLike):
         return self.__mul__(other)
@@ -212,26 +241,6 @@ class UniPoly(_Poly, Record):
             return self
         # B / den divided by its leading coefficient B_top / den is B / B_top.
         return UniPoly._sorted(self._body, next(iter(self._body.values())))
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not self._body:
-            return other
-        if not other._body:
-            return self
-        den = math.lcm(self._den, other._den)
-        total = _axpy(_over(self, den), den // other._den, other._body)
-        return UniPoly._sorted(_lex(total), den)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._sorted({e: -c for e, c in self._body.items()}, self._den)
-
-    def __mul__(self, other: Union["UniPoly", RationalLike]) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            product = _lex(_bimul(self._body, other._body, {}))
-            return UniPoly._sorted(product, self._den * other._den)
-        p, q = _ratio(other)
-        body = {e: c * p for e, c in self._body.items()} if p else {}
-        return UniPoly._sorted(body, self._den * q)
 
     def __divmod__(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
@@ -448,6 +457,8 @@ class TriHomPoly(_Poly, Record):
         object.__setattr__(f, "degree", degree)
         return f._store(body, den)
 
+    _make = _sorted
+
     @classmethod
     def of(
         cls,
@@ -496,26 +507,9 @@ class TriHomPoly(_Poly, Record):
         return self.terms[0]
 
     def __add__(self, other: "TriHomPoly") -> "TriHomPoly":
-        if self.degree != other.degree:
+        if other.__class__ is TriHomPoly and self.degree != other.degree:
             raise ValueError("cannot add homogeneous polynomials of different degrees")
-        if not self._body:
-            return other
-        if not other._body:
-            return self
-        den = math.lcm(self._den, other._den)
-        total = _axpy(_over(self, den), den // other._den, other._body)
-        return TriHomPoly._sorted(self.degree, _lex(total), den)
-
-    def __neg__(self) -> "TriHomPoly":
-        return TriHomPoly._sorted(self.degree, {e: -c for e, c in self._body.items()}, self._den)
-
-    def __mul__(self, other: Union["TriHomPoly", RationalLike]) -> "TriHomPoly":
-        if isinstance(other, TriHomPoly):
-            product = _lex(_bimul(self._body, other._body, {}))
-            return TriHomPoly._sorted(self.degree + other.degree, product, self._den * other._den)
-        p, q = _ratio(other)
-        body = {e: c * p for e, c in self._body.items()} if p else {}
-        return TriHomPoly._sorted(self.degree, body, self._den * q)
+        return _Poly.__add__(self, other)
 
     def partial(self, axis: int) -> "TriHomPoly":
         """Formal partial derivative with respect to x, y or z (axis 0/1/2).

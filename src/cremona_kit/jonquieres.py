@@ -27,12 +27,11 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 from ._record import Record
-from .cremona_maps import CremonaMap, _check_cap, _common_denominator
+from .cremona_maps import CremonaMap, _jonquieres_map
 from .errors import GroupMismatch, InvalidElement
 from .exact_algebra import (
     Mat2RF,
     RatFunc,
-    TRI_X,
     TRI_Y,
     TRI_Z,
     TriHomPoly,
@@ -64,9 +63,7 @@ class JonqElement(Record):
 
     def __init__(self, a1: RatFunc, a2: RatFunc, h: UniPoly) -> None:
         _check_h(h)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "h", h)
+        self._init(a1, a2, h)
         self._check_entries()
 
     def _check_entries(self) -> None:
@@ -90,7 +87,8 @@ class JonqElement(Record):
         return (self.h.degree - 2) // 2
 
     def det(self) -> RatFunc:
-        """a1^2 - h a2^2, as computed once by the constructor's check."""
+        """a1^2 - h a2^2, as computed by the constructor's check, or by mul
+        and invert from the determinants of their arguments."""
         return self._det
 
     def matrix(self) -> Mat2RF:
@@ -101,26 +99,31 @@ class JonqElement(Record):
         return m
 
 
-def _over(u: JonqElement, a1: RatFunc, a2: RatFunc) -> JonqElement:
-    """(a1, a2) over u.h, which u's constructor has checked: only a1, a2 are."""
+def _over(u: JonqElement, a1: RatFunc, a2: RatFunc, det: RatFunc) -> JonqElement:
+    """(a1, a2) over u.h with determinant det, set unchecked: u's constructor
+    has checked h, and det is a product or an inverse of checked ones."""
     w = object.__new__(JonqElement)
     w._init(a1, a2, u.h)
-    w._check_entries()
+    object.__setattr__(w, "_det", det)
     return w
 
 
 def mul(u: JonqElement, v: JonqElement) -> JonqElement:
-    """Matrix product inside the group: stays of the same shape."""
+    """Matrix product inside the group: stays of the same shape.  The
+    determinant is multiplicative: (a1^2 - h a2^2)(b1^2 - h b2^2) =
+    (a1 b1 + h a2 b2)^2 - h (a1 b2 + a2 b1)^2."""
     if u.h != v.h:
         raise GroupMismatch("elements built over different polynomials h")
     hr = RatFunc.of(u.h)
-    return _over(u, u.a1 * v.a1 + hr * (u.a2 * v.a2), u.a1 * v.a2 + u.a2 * v.a1)
+    a1, a2 = u.a1 * v.a1 + hr * (u.a2 * v.a2), u.a1 * v.a2 + u.a2 * v.a1
+    return _over(u, a1, a2, u._det * v._det)
 
 
 def invert(u: JonqElement) -> JonqElement:
-    """Inverse (a1 / det, -a2 / det); mul(u, invert(u)) is scalar."""
+    """Inverse (a1 / det, -a2 / det), of determinant 1 / det; mul(u,
+    invert(u)) is scalar."""
     d = u.det()
-    return _over(u, u.a1 / d, -u.a2 / d)
+    return _over(u, u.a1 / d, -u.a2 / d, d.inverse())
 
 
 def pgl_order(m: Mat2RF) -> PglOrder:
@@ -150,11 +153,6 @@ class OrderReport(Record):
     ``conclusion_holds`` says whether the order landed in {1, 2, infinite}."""
 
     __slots__ = ("order", "lam", "lam_constant", "conclusion_holds", "note")
-
-    def __init__(
-        self, order: PglOrder, lam: RatFunc, lam_constant: bool, conclusion_holds: bool, note: str
-    ) -> None:
-        self._init(order, lam, lam_constant, conclusion_holds, note)
 
 
 def leminv_check(u: JonqElement) -> OrderReport:
@@ -193,22 +191,8 @@ def _curve_poly(h: UniPoly) -> TriHomPoly:
 
 
 def mat_to_cremona(m: Mat2RF) -> CremonaMap:
-    """Homogenise (x, y) -> (x, (a11 y + a12) / (a21 y + a22)).
-
-    All four entries are put over their monic lcm q, built from gcd
-    cofactors, giving polynomial entries p_ij; with M large enough the
-    projective map is (x (y P21 + P22) : z (y P11 + P12) : z (y P21 + P22)),
-    every p_ij homogenised in (x, z).  Content removal then yields the
-    coprime form.
-    """
-    entries = (m.a11, m.a12, m.a21, m.a22)
-    _, cofactors = _common_denominator([e.den for e in entries])
-    p11, p12, p21, p22 = (e.num * c for e, c in zip(entries, cofactors))
-    deg = max(1, p11.degree + 1, p12.degree, p21.degree + 1, p22.degree)
-    _check_cap(deg + 1, "homogenising the map")
-    num = TRI_Y * homogenize_uni(p11, 0, 2, deg - 1) + homogenize_uni(p12, 0, 2, deg)
-    den = TRI_Y * homogenize_uni(p21, 0, 2, deg - 1) + homogenize_uni(p22, 0, 2, deg)
-    return CremonaMap.of(TRI_X * den, TRI_Z * num, TRI_Z * den)
+    """Homogenise (x, y) -> (x, (a11 y + a12) / (a21 y + a22))."""
+    return _jonquieres_map((m.a11, m.a12, m.a21, m.a22), 1)
 
 
 def to_cremona(u: JonqElement) -> CremonaMap:

@@ -133,9 +133,6 @@ class RemovedComponent(Record):
 
     __slots__ = ("kind", "labels", "count", "system")
 
-    def __init__(self, kind: str, labels: Tuple[str, ...], count: int, system: LinSysData) -> None:
-        self._init(kind, labels, count, system)
-
     @classmethod
     def single(cls, kind: str, labels: Tuple[str, ...], count: int) -> "RemovedComponent":
         degree = 1 if kind == "line" else 2
@@ -233,9 +230,6 @@ class PencilReduction(Record):
 
     __slots__ = ("content", "pencil")
 
-    def __init__(self, content: int, pencil: LinSysData) -> None:
-        self._init(content, pencil)
-
 
 def _content_split(L: LinSysData) -> Tuple[int, Optional[LinSysData]]:
     c = math.gcd(L.degree, *(m for _, m in L.mults))
@@ -268,17 +262,7 @@ class ChainStep(Record):
     """One application of adjoint + fixed-part removal + pencil reduction."""
 
     __slots__ = ("input", "raw_adjoint", "removed_fixed", "reduced", "pencil_reduction", "warnings")
-
-    def __init__(
-        self,
-        input: LinSysData,
-        raw_adjoint: LinSysData,
-        removed_fixed: Tuple[RemovedComponent, ...],
-        reduced: LinSysData,
-        pencil_reduction: Optional[PencilReduction],
-        warnings: Tuple[str, ...] = (),
-    ) -> None:
-        self._init(input, raw_adjoint, removed_fixed, reduced, pencil_reduction, warnings)
+    _defaults = ((),)
 
     @property
     def output(self) -> LinSysData:
@@ -297,15 +281,7 @@ class Classification(str, enum.Enum):
 
 class ChainReport(Record):
     __slots__ = ("steps", "terminal", "classification", "warnings")
-
-    def __init__(
-        self,
-        steps: Tuple[ChainStep, ...],
-        terminal: LinSysData,
-        classification: Classification,
-        warnings: Tuple[str, ...] = (),
-    ) -> None:
-        self._init(steps, terminal, classification, warnings)
+    _defaults = ((),)
 
 
 def adjoint_step(L: LinSysData) -> ChainStep:
@@ -324,14 +300,7 @@ def adjoint_step(L: LinSysData) -> ChainStep:
             "and conics; a higher-degree fixed component was probably missed"
         )
     pr = pencil_decompose(reduced)
-    return ChainStep(
-        input=L,
-        raw_adjoint=raw,
-        removed_fixed=removed,
-        reduced=reduced,
-        pencil_reduction=pr,
-        warnings=tuple(warnings),
-    )
+    return ChainStep(L, raw, removed, reduced, pr, tuple(warnings))
 
 
 def _classify_terminal(g: int, dim: int) -> Tuple[Classification, Optional[str]]:
@@ -388,12 +357,7 @@ def adjoint_chain(source: Union[PlaneCurveModel, LinSysData]) -> ChainReport:
         if note:
             warnings.append(note)
         break
-    return ChainReport(
-        steps=tuple(steps),
-        terminal=current,
-        classification=classification,
-        warnings=tuple(warnings),
-    )
+    return ChainReport(tuple(steps), current, classification, tuple(warnings))
 
 
 # -- quadratic transformations -------------------------------------------------

@@ -50,17 +50,6 @@ class PencilType(Record):
 class PencilCheckReport(Record):
     __slots__ = ("degree", "mults", "genus_residual", "pencil_residual", "linear_residual", "valid")
 
-    def __init__(
-        self,
-        degree: int,
-        mults: Tuple[int, ...],
-        genus_residual: int,
-        pencil_residual: int,
-        linear_residual: int,
-        valid: bool,
-    ) -> None:
-        self._init(degree, mults, genus_residual, pencil_residual, linear_residual, valid)
-
 
 def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
     """Evaluate both pencil equations exactly and report the residuals.

@@ -27,6 +27,7 @@ from cremona_kit.cremona_maps import (
 )
 from cremona_kit.errors import DegreeCapExceeded, UnverifiedMap
 from cremona_kit.exact_algebra import (
+    Mat2RF,
     RatFunc,
     TRI_X,
     TRI_Y,
@@ -43,6 +44,7 @@ from _util import (
     fractions_built,
     rand_frac,
     rand_jonq,
+    rand_ratfunc,
     tri_to_sympy,
     trihoms,
 )
@@ -480,3 +482,92 @@ class TestRoadmapBaselines:
         monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "64")
         run = lambda argv: (main(argv), capsys.readouterr().out)
         assert word_cli_digest(WORDS.get(name, WORD_8), run) == WORD_CLI_SHA256[name]
+
+
+# -- the de Jonquieres map constructors on a grid, pinned by digest ----------
+
+
+def _map_outcome(build, *args):
+    """The map's JSON, or the type and message of the error it raises."""
+    try:
+        return ser.dumps(ser.encode_map(build(*args)))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}\n"
+
+
+def _phi_cases():
+    return [(mu, nu) for mu in range(-4, 5) for nu in (-3, -1, 0, Fraction(1, 2), 2)]
+
+
+def _H_cases():
+    rng = random.Random(71)
+    cases = []
+    for i in range(60):
+        alpha = RatFunc.of(0) if i % 7 == 0 else rand_ratfunc(rng, 3)
+        beta = RatFunc.of(0) if i % 10 == 0 else rand_ratfunc(rng, 3, nonzero=True)
+        cases.append((alpha, beta))
+    return cases
+
+
+def _trusted_matrix(*entries):
+    """A Mat2RF set through its slots, with no determinant check."""
+    m = object.__new__(Mat2RF)
+    m._init(*entries)
+    return m
+
+
+def _matrix_cases():
+    """Entries of random matrices; every fifth has proportional rows."""
+    rng = random.Random(73)
+    cases = []
+    for i in range(60):
+        a11, a12, a21, a22 = (rand_ratfunc(rng, 2) for _ in range(4))
+        if i % 5 == 0:
+            k = rand_ratfunc(rng, 1, nonzero=True)
+            a21, a22 = a11 * k, a12 * k
+        cases.append((a11, a12, a21, a22))
+    return cases
+
+
+# family -> (constructor, cases, degree caps, None for the default).  A cap
+# of 2 refuses make_phi with mu != 0, whose homogenisation is z times phi;
+# test_phi_under_cap_2 pins that.
+MAP_GRID = {
+    "phi": (make_phi, _phi_cases, (None, "4", "3")),
+    "H": (make_H_element, _H_cases, (None, "4", "3", "2")),
+    "matrix": (lambda *e: jq.mat_to_cremona(Mat2RF(*e)), _matrix_cases, (None, "4", "3", "2")),
+    "trusted matrix": (
+        lambda *e: jq.mat_to_cremona(_trusted_matrix(*e)),
+        _matrix_cases,
+        (None, "4", "3", "2"),
+    ),
+}
+
+# sha256 of the outcomes, cap after cap.
+MAP_GRID_SHA256 = {
+    "H": "9d0db8e05a1e64715a16c4e73de6d0d299c3dbb8b411c8168e04da47154f8bbb",
+    "matrix": "6c7818045ee81d43de34bc7e0b046b1ee7277347791a141718227af1da81afe4",
+    "phi": "467e6bba8423241870801234834692bd6062b7bc8c8cae3e39455811d24ed75c",
+    "trusted matrix": "b15f272f71b0620cba3a610bbc8d93d2d13720ce36158ccabd4b8d6e2983a847",
+}
+
+
+class TestMapGrid:
+    @pytest.mark.parametrize("family", sorted(MAP_GRID))
+    def test_outcomes_are_recorded(self, family, monkeypatch):
+        build, cases, caps = MAP_GRID[family]
+        digest = hashlib.sha256()
+        for cap in caps:
+            if cap is None:
+                monkeypatch.delenv("CREMONA_KIT_MAX_DEGREE", raising=False)
+            else:
+                monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", cap)
+            for args in cases():
+                digest.update(_map_outcome(build, *args).encode())
+        assert digest.hexdigest() == MAP_GRID_SHA256[family]
+
+    def test_phi_under_cap_2(self, monkeypatch):
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "2")
+        assert make_phi(0, 1).degree == 2
+        with pytest.raises(DegreeCapExceeded, match="homogenising the map needs degree 3"):
+            make_phi(1, 1)

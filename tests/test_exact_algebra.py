@@ -985,6 +985,66 @@ class TestRingLaws:
         assert not any(all(e[a] >= lead[a] for a in range(3)) for e, _ in r.terms)
 
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: UniPoly.of(1, 2) + TRI_X,
+            lambda: TRI_X - UniPoly.of(1, 2),
+            lambda: UniPoly.of(1, 2) + 1,
+            lambda: TRI_X + 1,
+            lambda: UniPoly.of(1, 2) - TRI_X,
+            lambda: TRI_X * 2 - 1,
+        ],
+        ids=["uni+tri", "tri-uni", "uni+int", "tri+int", "uni-tri", "tri-int"],
+    )
+    def test_sums_across_classes_are_refused(self, op):
+        with pytest.raises(TypeError):
+            op()
+
+
+class TestStr:
+    """The text forms, on coefficients +-1, constants, fractions and zero."""
+
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            (UniPoly(), "0"),
+            (UniPoly.of(0), "0"),
+            (UniPoly.of(1), "1"),
+            (UniPoly.of(-1), "-1"),
+            (UniPoly.of("-3/4"), "-3/4"),
+            (UniPoly.of(0, 1), "t"),
+            (UniPoly.of(0, -1), "-1*t"),
+            (UniPoly.of(1, 0, 1), "t^2 + 1"),
+            (UniPoly.of(-1, -1, -1), "-1*t^2 - 1*t - 1"),
+            (UniPoly.of("1/2", "-2/3", 0, 5), "5*t^3 - 2/3*t + 1/2"),
+            (UniPoly.of(0, 0, -1, 1), "t^3 - 1*t^2"),
+            (TriHomPoly.zero(2), "0"),
+            (TriHomPoly.zero(0), "0"),
+            (TriHomPoly.monomial((0, 0, 0), 7), "7"),
+            (TriHomPoly.monomial((0, 0, 0), "-1/3"), "-1/3"),
+            (TRI_X, "x"),
+            (-TRI_Y, "-y"),
+            (TRI_X * TRI_Y - TRI_Z * TRI_Z, "xy - z^2"),
+            (
+                TriHomPoly.of({(2, 0, 1): "1/2", (0, 3, 0): -1, (1, 1, 1): "-5/7", (0, 0, 3): 1}),
+                "1/2*x^2z - 5/7*xyz - y^3 + z^3",
+            ),
+            (TRI_X**3 - TRI_Y**2 * TRI_Z * Fraction(1, 3) + TRI_Z**3, "x^3 - 1/3*y^2z + z^3"),
+            (RatFunc.of(0), "0"),
+            (RatFunc.of(1), "1"),
+            (RatFunc.of("-2/5"), "-2/5"),
+            (RatFunc(UniPoly.of(0, 1)), "t"),
+            (RatFunc(UniPoly.of(1), UniPoly.of(0, 1)), "(1) / (t)"),
+            (RatFunc(UniPoly.of(-1, 0, 1), UniPoly.of(2, 2)), "1/2*t - 1/2"),
+            (RatFunc(UniPoly.of("1/2", 1), UniPoly.of(-3, 0, 0, 2)), "(1/2*t + 1/4) / (t^3 - 3/2)"),
+            (RatFunc(UniPoly.of(0, -1), UniPoly.of(1, "1/3")), "(-3*t) / (t + 3)"),
+        ],
+    )
+    def test_text(self, poly, text):
+        assert str(poly) == text
+
+
 class TestHomogenize:
     def test_roundtrip_on_chart(self):
         p = UniPoly.of(1, 0, -2, 1)  # 1 - 2t^2 + t^3

@@ -128,6 +128,23 @@ class TestGroupLaw:
             u = rand_jonq(rng, H6)
             assert mul(u, invert(u)).matrix().is_scalar()
 
+    def test_products_and_inverses_carry_their_determinant(self):
+        """mul and invert store det(u) det(v) and 1 / det(u), which equal
+        a1^2 - h a2^2 recomputed, and run no entry check."""
+        rng = random.Random(29)
+        for h in (H4, H6):
+            for kind in (None, "involution", "scalar", None):
+                u, v = rand_jonq(rng, h, kind=kind), rand_jonq(rng, h)
+                with mock.patch.object(
+                    JonqElement, "_check_entries", autospec=True, side_effect=JonqElement._check_entries
+                ) as check:
+                    w = mul(invert(u), mul(u, v))
+                    results = (mul(u, v), invert(u), invert(w), w)
+                assert check.call_count == 0
+                for r in results:
+                    assert r.det() == r.a1 * r.a1 - RatFunc(h) * (r.a2 * r.a2)
+                assert w == JonqElement(w.a1, w.a2, h)
+
     def test_roadmap_degree_12_product(self):
         # h squarefree of degree 12 with 6 terms, entries of degree 6 over 6
         # with 4 terms; the product's entries have degrees 35/23 and 23/23.
