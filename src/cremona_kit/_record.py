@@ -32,8 +32,7 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._setters):
             args = self._bind(args, kwargs)
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
+        self._init(*args)
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:

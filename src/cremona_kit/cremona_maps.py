@@ -15,9 +15,10 @@ cover three families:
 * ``make_phi``       -- the quadratic involutions
   (-x (mu y + nu z) : y (x + mu y + nu z) : z (x + mu y + nu z)).
 
-The last two, like ``jonquieres.mat_to_cremona``, move one affine
+``make_H_element``, like ``jonquieres.mat_to_cremona``, moves one affine
 coordinate by a Moebius transformation over the rational functions of the
-other; ``_jonquieres_map`` builds all three.
+other; ``_jonquieres_map`` builds both.  ``make_phi`` is built directly: the
+builder's triple for it is z times phi, which a degree cap of 2 would refuse.
 
 ``fixes_curve_pointwise`` certifies that a map fixes a curve pointwise
 (where defined) by exact divisibility of the 2x2 minors f_i x_j - f_j x_i
@@ -228,14 +229,14 @@ def make_phi(mu: RationalLike, nu: RationalLike) -> CremonaMap:
     """The quadratic involution with parameters (mu, nu) != (0, 0).
 
     (x : y : z) -> (-x (mu y + nu z) : y (x + mu y + nu z) : z (x + mu y + nu z));
-    it fixes the line x = 0 pointwise.  On the chart z = 1 it is
-    x -> -l x / (x + l) with l = mu y + nu.
+    it fixes the line x = 0 pointwise.
     """
     mu, nu = _frac(mu), _frac(nu)
     if mu == 0 and nu == 0:
         raise ValueError("mu and nu cannot both vanish")
-    l = UniPoly.of(nu, mu)
-    return _jonquieres_map((RatFunc(-l), RatFunc.of(0), RatFunc.of(1), RatFunc(l)), 0)
+    l = TriHomPoly.of({(0, 1, 0): mu, (0, 0, 1): nu}, degree=1)
+    m = TRI_X + l
+    return CremonaMap.of(-1 * (TRI_X * l), TRI_Y * m, TRI_Z * m)
 
 
 def compose(F: CremonaMap, G: CremonaMap) -> CremonaMap:

@@ -91,8 +91,9 @@ class _Poly:
     def _make(cls, degree: int, body: _BiPoly, den: int) -> "_Poly":
         """Trusted constructor of an arithmetic result of ``degree``: body in
         decreasing lex order with no zero coefficient, den a nonzero integer.
-        A class that stores its degree overrides this one, which drops it."""
-        return object.__new__(cls)._store(body, den)
+        This default drops the degree, which a UniPoly body states, and
+        calls the class's ``_sorted``; TriHomPoly stores it and overrides."""
+        return cls._sorted(body, den)
 
     def _store(self, body: _BiPoly, den: int) -> "_Poly":
         """Set the form of body / den, dividing out gcd(den, content body),

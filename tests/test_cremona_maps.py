@@ -529,11 +529,9 @@ def _matrix_cases():
     return cases
 
 
-# family -> (constructor, cases, degree caps, None for the default).  A cap
-# of 2 refuses make_phi with mu != 0, whose homogenisation is z times phi;
-# test_phi_under_cap_2 pins that.
+# family -> (constructor, cases, degree caps, None for the default).
 MAP_GRID = {
-    "phi": (make_phi, _phi_cases, (None, "4", "3")),
+    "phi": (make_phi, _phi_cases, (None, "4", "3", "2")),
     "H": (make_H_element, _H_cases, (None, "4", "3", "2")),
     "matrix": (lambda *e: jq.mat_to_cremona(Mat2RF(*e)), _matrix_cases, (None, "4", "3", "2")),
     "trusted matrix": (
@@ -547,7 +545,7 @@ MAP_GRID = {
 MAP_GRID_SHA256 = {
     "H": "9d0db8e05a1e64715a16c4e73de6d0d299c3dbb8b411c8168e04da47154f8bbb",
     "matrix": "6c7818045ee81d43de34bc7e0b046b1ee7277347791a141718227af1da81afe4",
-    "phi": "467e6bba8423241870801234834692bd6062b7bc8c8cae3e39455811d24ed75c",
+    "phi": "0affa043a38d38392528863b3152e514211fac13dfdb9af51b8bfb17ede6bc22",
     "trusted matrix": "b15f272f71b0620cba3a610bbc8d93d2d13720ce36158ccabd4b8d6e2983a847",
 }
 
@@ -565,9 +563,3 @@ class TestMapGrid:
             for args in cases():
                 digest.update(_map_outcome(build, *args).encode())
         assert digest.hexdigest() == MAP_GRID_SHA256[family]
-
-    def test_phi_under_cap_2(self, monkeypatch):
-        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "2")
-        assert make_phi(0, 1).degree == 2
-        with pytest.raises(DegreeCapExceeded, match="homogenising the map needs degree 3"):
-            make_phi(1, 1)
