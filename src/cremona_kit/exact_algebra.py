@@ -14,6 +14,10 @@ and a positive denominator prime to its content.  A ``TriHomPoly`` body is
 F(x, y), for F / den homogenised with z; a ``UniPoly`` body is keyed
 (e, 0), as the GCD reads it.  Arithmetic, ``substitute`` (map composition)
 and the GCD run on the bodies; ``coeffs`` and ``terms`` are views of them.
+Nothing in the package reads those views: a Fraction is built only when a
+caller reads ``coeffs``, ``terms`` or ``coeff()``, or calls ``tri_divrem``,
+the Fraction lex division kept as a public name.  No division, text form or
+evaluation besides ``vanishes_at`` is left: ``str()`` prints the ``repr``.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of
@@ -231,67 +235,16 @@ class UniPoly(_Poly, Record):
     def coeff(self, e: int) -> Fraction:
         return Fraction(self._body.get((e, 0), 0), self._den)
 
-    @property
-    def lead(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(next(iter(self._body.values())), self._den)
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
         # B / den divided by its leading coefficient B_top / den is B / B_top.
         return UniPoly._sorted(self._body, next(iter(self._body.values())))
 
-    def __divmod__(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.lead
-        while len(rem) - 1 >= d and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            s = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[s] = f
-            for i, c in enumerate(other.coeffs):
-                rem[s + i] -= f * c
-            rem.pop()
-        return UniPoly(tuple(q)), UniPoly(tuple(rem))
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "UniPoly":
         # Lowering every exponent by one keeps the decreasing order.
         body = {(e - 1, 0): c * e for (e, _), c in self._body.items() if e}
         return UniPoly._sorted(body, self._den)
-
-    def __call__(self, value: RationalLike) -> Fraction:
-        x = _frac(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (e, _), c in self._body.items():
-            c = Fraction(c, self._den)
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 UniPoly._ONE = UniPoly._sorted({(0, 0): 1})
@@ -302,7 +255,10 @@ def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
     g is proven; any other must divide p and q exactly on integers
     (_exact_quotient), and returns those quotients."""
     if p.is_zero or q.is_zero:
-        return (p if q.is_zero else q).monic(), UniPoly(p.coeffs[-1:]), UniPoly(q.coeffs[-1:])
+        # Each cofactor is the leading coefficient of its input, zero for zero.
+        a, b = ({(0, 0): c for c in itertools.islice(f._body.values(), 1)} for f in (p, q))
+        g = (p if q.is_zero else q).monic()
+        return g, UniPoly._sorted(a, p._den), UniPoly._sorted(b, q._den)
     if p.degree == 0 or q.degree == 0:
         return UniPoly._ONE, p, q
     parts = _gcd_parts(p._body, q._body)
@@ -393,9 +349,6 @@ class RatFunc(Record):
         other = RatFunc.of(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __rmul__(self, other: RationalLike) -> "RatFunc":
-        return self.__mul__(other)
-
     def __truediv__(self, other: Union["RatFunc", UniPoly, RationalLike]) -> "RatFunc":
         other = RatFunc.of(other)
         if other.is_zero:
@@ -406,11 +359,6 @@ class RatFunc(Record):
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero rational function")
         return RatFunc(self.den, self.num)
-
-    def __str__(self) -> str:
-        if self.den == UniPoly.constant(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +440,9 @@ class TriHomPoly(_Poly, Record):
             object.__setattr__(self, "_terms", terms)
             return terms
 
-    def as_dict(self) -> Dict[Exponents, Fraction]:
-        return dict(self.terms)
-
     def coeff(self, exps: Exponents) -> Fraction:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
-
-    def lex_lead(self) -> Tuple[Exponents, Fraction]:
-        """Leading (exponents, coefficient) in lex order with x > y > z."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        i, j, k = exps
+        return Fraction(self._body.get((i, j), 0) if i + j + k == self.degree else 0, self._den)
 
     def __add__(self, other: "TriHomPoly") -> "TriHomPoly":
         if other.__class__ is TriHomPoly and self.degree != other.degree:
@@ -523,10 +460,6 @@ class TriHomPoly(_Poly, Record):
             if n:
                 body[i - di, j - dj] = c * n
         return TriHomPoly._sorted(max(d - 1, 0), body, self._den)
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        total, s = self._value_at(point)
-        return Fraction(total, self._den * s**self.degree)
 
     def vanishes_at(self, point: Sequence[RationalLike]) -> bool:
         return not self._value_at(point)[0]
@@ -566,27 +499,6 @@ class TriHomPoly(_Poly, Record):
             _bimul(p0[i], inner, acc)
         return TriHomPoly._sorted(out_deg, _lex(acc), self._den * den**d)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        names = "xyz"
-        parts = []
-        for (i, j, k), c in self.terms:
-            mono = "".join(
-                f"{names[a]}^{e}" if e > 1 else names[a]
-                for a, e in enumerate((i, j, k))
-                if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 TriHomPoly._ONE = TriHomPoly._sorted(0, {(0, 0): 1})
 TRI_X = TriHomPoly.monomial((1, 0, 0))
@@ -622,9 +534,9 @@ def tri_divrem(f: TriHomPoly, c: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly]:
     qdeg = max(f.degree - c.degree, 0)
     if f.is_zero or f.degree < c.degree:
         return TriHomPoly.zero(qdeg), f
-    (ce, cc) = c.lex_lead()
-    cdict = c.as_dict()
-    p = f.as_dict()
+    (ce, cc) = c.terms[0]
+    cdict = dict(c.terms)
+    p = dict(f.terms)
     q: Dict[Exponents, Fraction] = {}
     r: Dict[Exponents, Fraction] = {}
     # p holds no zeros, and the popped e strictly decreases, so each m is new.

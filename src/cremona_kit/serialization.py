@@ -114,6 +114,12 @@ def encode_rational(q: Fraction) -> str:
     return str(q)
 
 
+def _ratio_str(c: int, den: int) -> str:
+    """``str(Fraction(c, den))`` for den > 0, without building the Fraction."""
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 # -- polynomials ---------------------------------------------------------------
 
 
@@ -141,7 +147,8 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
 
 
 def encode_unipoly(p: UniPoly) -> List[Any]:
-    return [[[e], encode_rational(c)] for e, c in enumerate(p.coeffs) if c != 0]
+    den = p._den
+    return [[[e], _ratio_str(c, den)] for (e, _), c in reversed(p._body.items())]
 
 
 def _term(item: Any, path: _Path) -> Tuple[Tuple[int, ...], Any]:
@@ -195,7 +202,8 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
 
 
 def encode_trihom(f: TriHomPoly) -> List[Any]:
-    return [[list(e), encode_rational(c)] for e, c in f.terms]
+    d, den = f.degree, f._den
+    return [[[i, j, d - i - j], _ratio_str(c, den)] for (i, j), c in f._body.items()]
 
 
 def decode_ratfunc(v: Any, path: _Path) -> RatFunc:

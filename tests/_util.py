@@ -13,15 +13,20 @@ for the integer fixation certificate.  The cofactor
 oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 ``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
-then ``divmod``) and ``common_denominator_oracle`` (a fold of
-``uni_lcm_oracle``, then ``divmod``).  ``primitive_parts_fold_oracle``, the
-earlier fold of pairwise gcds with the 1/lead scaling of ``CremonaMap.of``,
-is the one for the one-gcd content of three polynomials.
+then ``uni_divmod_oracle``) and ``common_denominator_oracle`` (a fold of
+``uni_lcm_oracle``, then ``uni_divmod_oracle``), ``uni_divmod_oracle``
+being the Fraction long division ``UniPoly`` had.
+``primitive_parts_fold_oracle``, the earlier fold of pairwise gcds with the
+1/lead scaling of ``CremonaMap.of``, is the one for the one-gcd content of
+three polynomials.
 ``DATACLASS_ORACLES`` holds the package's records as the frozen dataclasses
 they were, the oracle for the ``__slots__`` records that replaced them;
 ``OldUniPoly`` and ``OldTriHomPoly`` also keep the earlier Fraction
 arithmetic of ``UniPoly`` and ``TriHomPoly``, the oracle for their
-arithmetic on the stored integer form.
+arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
+``encode_trihom_oracle``, which print the Fractions of the ``coeffs`` and
+``terms`` views, are the oracles for the encoders that print the stored
+integer form.
 """
 
 from __future__ import annotations
@@ -206,6 +211,18 @@ def unipolys(draw, min_degree=0, max_degree=4):
     return UniPoly(tuple(draw(st.lists(coeffs, min_size=degree, max_size=degree))) + (draw(lead),))
 
 
+def encode_unipoly_oracle(p: UniPoly) -> list:
+    """The earlier ``serialization.encode_unipoly``: ``str`` of each nonzero
+    Fraction of the ``coeffs`` view."""
+    return [[[e], str(c)] for e, c in enumerate(p.coeffs) if c != 0]
+
+
+def encode_trihom_oracle(f: TriHomPoly) -> list:
+    """The earlier ``serialization.encode_trihom``: ``str`` of each Fraction
+    of the ``terms`` view."""
+    return [[list(e), str(c)] for e, c in f.terms]
+
+
 def lex_normalized(f: TriHomPoly) -> TriHomPoly:
     """Scale so the lex-leading coefficient (x > y > z) equals one."""
     lc = f.terms[0][1] if f.terms else 1
@@ -216,12 +233,19 @@ def uni_gcd_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
     """The earlier Fraction implementation of ``uni_gcd``: Euclid over Q."""
     a, b = p, q
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, uni_divmod_oracle(a, b)[1]
     return a.monic()
 
 
+def uni_divmod_oracle(p: UniPoly, d: UniPoly) -> Tuple[UniPoly, UniPoly]:
+    """The earlier ``divmod`` of ``UniPoly``: long division over Q, by
+    ``OldUniPoly``."""
+    q, r = divmod(OldUniPoly(p.coeffs), OldUniPoly(d.coeffs))
+    return UniPoly(q.coeffs), UniPoly(r.coeffs)
+
+
 def _exact_quotient(p, d):
-    q, r = divmod(p, d) if isinstance(p, UniPoly) else tri_divrem(p, d)
+    q, r = uni_divmod_oracle(p, d) if isinstance(p, UniPoly) else tri_divrem(p, d)
     assert r.is_zero, "inexact division"
     return q
 
@@ -335,13 +359,13 @@ def primitive_parts_fold_oracle(
         content, result = TriHomPoly.monomial((0, 0, 0)), tuple(polys)
     else:
         if parts[0] is None:  # one nonzero poly
-            lc = content.lex_lead()[1]
+            lc = content.terms[0][1]
             content, parts = content * (1 / lc), [TriHomPoly.monomial((0, 0, 0), lc)]
         rest = iter(parts)
         zero = lambda p: TriHomPoly.zero(max(p.degree - content.degree, 0))
         result = tuple(next(rest) if p else zero(p) for p in polys)
     if normalise:
-        lead = next(c for c in result if c).lex_lead()[1]
+        lead = next(c for c in result if c).terms[0][1]
         if lead != 1:
             result = tuple(c * (1 / lead) for c in result)
     return content, result
@@ -533,7 +557,8 @@ def _cleared(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
 class OldUniPoly:
     """Also the oracle for the integer arithmetic of ``UniPoly``: its earlier
     Fraction ``+``, ``-``, ``*`` (integers convolved under one rational
-    scale), ``derivative`` and ``monic``."""
+    scale), ``derivative`` and ``monic``; and the long division over Q that
+    ``UniPoly`` had, for ``uni_divmod_oracle``."""
 
     coeffs: Tuple[Fraction, ...] = ()
 
@@ -583,6 +608,24 @@ class OldUniPoly:
     def derivative(self):
         return OldUniPoly(tuple(c * e for e, c in enumerate(self.coeffs) if e >= 1))
 
+    def __divmod__(self, other):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = list(self.coeffs)
+        d, lc = len(other.coeffs) - 1, other.coeffs[-1]
+        while len(rem) - 1 >= d and rem:
+            if rem[-1] == 0:
+                rem.pop()
+                continue
+            s = len(rem) - 1 - d
+            f = rem[-1] / lc
+            q[s] = f
+            for i, c in enumerate(other.coeffs):
+                rem[s + i] -= f * c
+            rem.pop()
+        return OldUniPoly(tuple(q)), OldUniPoly(tuple(rem))
+
 
 @_dataclass_oracle
 class OldRatFunc:
@@ -597,7 +640,7 @@ class OldRatFunc:
             num, den = UniPoly(), UniPoly.constant(1)
         else:
             _, num, den = _uni_cofactors(num, den)
-            lc = den.lead
+            lc = den.coeff(den.degree)
             if lc != 1:
                 num, den = num * (1 / lc), den * (1 / lc)
         object.__setattr__(self, "num", num)

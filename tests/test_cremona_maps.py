@@ -421,10 +421,10 @@ def word_cli_digest(gens, run):
 
 
 class TestRoadmapBaselines:
-    def test_map_pipeline_builds_no_fraction(self):
+    def test_map_pipeline_builds_no_fraction(self, capsys):
         """Composition, content removal and the fixation certificate run on
-        the stored integer forms, and so does the decoder: the first Fraction
-        is built when the encoder reads the terms."""
+        the stored integer forms, and so do the decoder, the encoder and a
+        whole map-compose call."""
         F, built = fractions_built(compose, D, B)
         assert built == 0
         fixed, built = fractions_built(fixes_curve_pointwise, F, TRI_X)
@@ -434,7 +434,11 @@ class TestRoadmapBaselines:
         assert decoded == F and built == 0
         fresh = ser.decode_map(payload)
         encoded, built = fractions_built(ser.encode_map, fresh)
-        assert encoded == payload and built > 0
+        assert encoded == payload and built == 0
+        maps = {"outer": ser.encode_map(D), "inner": ser.encode_map(B)}
+        code, built = fractions_built(main, ["map-compose", "--inline", json.dumps(maps)])
+        assert code == 0 and built == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     def test_degrees(self):
         assert (A.degree, B.degree, D.degree, F3.degree) == (3, 4, 5, 6)

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 import sympy
 
+from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import compose, fixes_curve_pointwise, is_identity
 from cremona_kit.errors import GroupMismatch, InvalidElement
 from cremona_kit.exact_algebra import Mat2RF, RatFunc, UniPoly, is_squarefree
@@ -21,7 +22,7 @@ from cremona_kit.jonquieres import (
     to_cremona,
 )
 
-from _util import H4, H6, H8, ST, fractions_built, rand_jonq, uni_to_sympy
+from _util import H4, H6, H8, ST, encode_unipoly_oracle, fractions_built, rand_jonq, uni_to_sympy
 
 T = UniPoly.variable()
 
@@ -285,13 +286,19 @@ class TestToCremona:
                 assert F == mat_to_cremona(checked)
 
     def test_group_pipeline_builds_no_fraction(self):
-        """The order check, the inverse, the plane map, the curve and the
-        fixation certificate run on the stored integer forms."""
+        """The order check, the inverse, the plane map, the curve, the
+        fixation certificate and the JSON encoders run on the stored integer
+        forms."""
         u = JonqElement.of(H6, UniPoly.of(1, 2), 3)
         report, built = fractions_built(leminv_check, u)
         assert report.order == PGL_INFINITE and built == 0
         inverse, built = fractions_built(invert, u)
         assert mul(u, inverse).a2.is_zero and built == 0
+        for encode, value in ((ser.encode_jonq, inverse), (ser.encode_order_report, report)):
+            encoded, built = fractions_built(encode, value)
+            assert built == 0
+            with mock.patch.object(ser, "encode_unipoly", encode_unipoly_oracle):
+                assert encoded == encode(value)
         F, built = fractions_built(to_cremona, u)
         assert built == 0
         curve, built = fractions_built(hyperelliptic_curve_poly, H6)

@@ -14,7 +14,15 @@ from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
 from cremona_kit.linear_systems import LinSysData, adjoint_chain
 
-from _util import H4, rand_jonq, rand_trihom, rand_unipoly
+from _util import (
+    H4,
+    encode_trihom_oracle,
+    encode_unipoly_oracle,
+    monomials,
+    rand_jonq,
+    rand_trihom,
+    rand_unipoly,
+)
 
 
 class TestRational:
@@ -105,6 +113,41 @@ class TestPolynomials:
     def test_ratfunc_roundtrip(self):
         f = RatFunc(UniPoly.of(1, 2), UniPoly.of(0, 0, 3))
         assert ser.decode_ratfunc(ser.encode_ratfunc(f), ()) == f
+
+
+@st.composite
+def ratios(draw):
+    """[(p, q)] for coefficients p/q: negative, zero and integral ones, and
+    ones that share a factor with the lcm of the denominators, so that
+    c / den is not in lowest terms.  One draw in three has denominator 1
+    throughout; the list may be empty or all zero."""
+    dens = st.just(1) if draw(st.integers(0, 2)) == 0 else st.sampled_from([1, 2, 3, 4, 6, 12])
+    return draw(st.lists(st.tuples(st.integers(-12, 12), dens), max_size=6))
+
+
+class TestEncoderOracle:
+    """The encoders print each "p/q" from the stored integer form; the
+    oracles print the Fractions of the ``coeffs`` and ``terms`` views."""
+
+    @given(ratios(), st.integers(0, 3))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @example([], 2)
+    @example([(0, 4), (0, 1)], 0)
+    @example([(-3, 1), (4, 1), (-5, 1)], 1)
+    @example([(-3, 6), (4, 2), (-5, 12), (9, 4)], 2)
+    def test_encoders_equal_the_view_oracles(self, coeffs, degree):
+        text = [f"{p}/{q}" for p, q in coeffs]
+        monos = monomials(degree)
+        # A monomial drawn twice is summed, and may cancel to zero.
+        tri = [[list(monos[n % len(monos)]), c] for n, c in enumerate(text)]
+        f = TriHomPoly(degree, tuple((tuple(e), Fraction(c)) for e, c in tri))
+        p = ser.decode_unipoly([[[e], c] for e, c in enumerate(text)], ())
+        assert p == UniPoly(tuple(Fraction(c) for c in text))
+        assert ser.encode_unipoly(p) == encode_unipoly_oracle(p)
+        assert ser.encode_trihom(f) == encode_trihom_oracle(f)
+        if coeffs and len(monos) >= len(coeffs):
+            decoded = ser.decode_trihom(tri, (), degree)
+            assert decoded == f and ser.encode_trihom(decoded) == encode_trihom_oracle(f)
 
 
 class TestCurve:
