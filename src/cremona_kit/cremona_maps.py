@@ -26,9 +26,9 @@ by the curve polynomial; exactness is what makes the certificate real.
 The minors are built on integers, under one scale for the map, and
 divided by the primitive curve polynomial with no Fraction arithmetic.
 
-Birationality of arbitrary triples is not verified; only triples coming
-from the constructors are known maps, and foreign triples must be opted
-in with ``trusted=True``.  Degrees are capped by the environment variable
+``CremonaMap(f0, f1, f2)`` canonicalises any triple but does not certify
+that it is birational: only triples coming from the constructors are known
+maps.  Degrees are capped by the environment variable
 CREMONA_KIT_MAX_DEGREE (default 24) to keep exact arithmetic bounded (map
 JSON declaring a larger degree is refused before its components are read).
 """
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .errors import DegreeCapExceeded, MapContractsPlane, UnverifiedMap
+from .errors import DegreeCapExceeded, MapContractsPlane
 from .exact_algebra import (
     RatFunc,
     RationalLike,
@@ -91,13 +91,21 @@ class CremonaMap(Record):
     __slots__ = ("f0", "f1", "f2")
 
     def __init__(self, f0: TriHomPoly, f1: TriHomPoly, f2: TriHomPoly) -> None:
+        """Canonicalise the triple.
+
+        The content comes from one gcd on the components' integer forms; a
+        triple already canonical is kept as it is, and any other is rebuilt
+        from the integer quotients, scaled to lead with one.
+        """
         if not (f0.degree == f1.degree == f2.degree):
             raise ValueError("map components must share one degree")
-        if f0.is_zero and f1.is_zero and f2.is_zero:
+        if not (f0 or f1 or f2):
             raise ValueError("map components are all zero")
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
+        _, comps = _primitive_parts((f0, f1, f2), normalise=True)
+        if comps[0].degree < 1:
+            raise ValueError("map degenerates to a constant triple")
+        _check_cap(comps[0].degree, "map construction")
+        self._init(*comps)
 
     @property
     def degree(self) -> int:
@@ -109,41 +117,8 @@ class CremonaMap(Record):
 
     @classmethod
     def of(cls, f0: TriHomPoly, f1: TriHomPoly, f2: TriHomPoly) -> "CremonaMap":
-        """Canonicalise a triple produced by this package's own constructors.
-
-        The content comes from one gcd on the components' integer forms; a
-        triple already canonical is kept as it is, and any other is rebuilt
-        from the integer quotients, scaled to lead with one.
-        """
-        if not (f0 or f1 or f2):
-            raise ValueError("map components are all zero")
-        _, comps = _primitive_parts((f0, f1, f2), normalise=True)
-        m = cls(*comps)
-        if m.degree < 1:
-            raise ValueError("map degenerates to a constant triple")
-        _check_cap(m.degree, "map construction")
-        return m
-
-    @classmethod
-    def from_components(
-        cls,
-        f0: TriHomPoly,
-        f1: TriHomPoly,
-        f2: TriHomPoly,
-        *,
-        trusted: bool = False,
-    ) -> "CremonaMap":
-        """Accept a user-supplied triple.
-
-        Birationality is not checked (there is no general test here), so
-        the caller must assert it with ``trusted=True``.
-        """
-        if not trusted:
-            raise UnverifiedMap(
-                "birationality of arbitrary triples is not verified; "
-                "pass trusted=True to assert it"
-            )
-        return cls.of(f0, f1, f2)
+        """``CremonaMap(f0, f1, f2)``, under the name every producer calls."""
+        return cls(f0, f1, f2)
 
 
 def identity_map() -> CremonaMap:
@@ -252,7 +227,8 @@ def compose(F: CremonaMap, G: CremonaMap) -> CremonaMap:
 
 
 def is_identity(F: CremonaMap) -> bool:
-    return F == identity_map()
+    # Every map is canonical, so the identity is exactly the triple (x, y, z).
+    return F.components == (TRI_X, TRI_Y, TRI_Z)
 
 
 def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:

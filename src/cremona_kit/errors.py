@@ -57,10 +57,6 @@ class MapContractsPlane(CremonaKitError):
     """Composition produced the zero triple."""
 
 
-class UnverifiedMap(CremonaKitError):
-    """User-supplied map triple without the trusted flag."""
-
-
 class InvalidElement(CremonaKitError):
     """Group-element data violates an invariant (h not squarefree, ...)."""
 

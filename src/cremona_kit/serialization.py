@@ -354,8 +354,7 @@ def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
     polys = [
         decode_trihom(c, path + ("components", i), degree) for i, c in enumerate(comps)
     ]
-    # Map JSON is an explicit assertion of birationality by whoever wrote it.
-    return CremonaMap.from_components(*polys, trusted=True)
+    return CremonaMap.of(*polys)
 
 
 def encode_map(F: CremonaMap) -> Dict[str, Any]:

@@ -25,7 +25,7 @@ from cremona_kit.cremona_maps import (
     make_phi,
     max_degree_cap,
 )
-from cremona_kit.errors import DegreeCapExceeded, UnverifiedMap
+from cremona_kit.errors import DegreeCapExceeded
 from cremona_kit.exact_algebra import (
     Mat2RF,
     RatFunc,
@@ -110,12 +110,6 @@ class TestConstructors:
             TRI_X * TRI_Z, TRI_Y * (TRI_X + TRI_Z), TRI_Z * (TRI_X + TRI_Z)
         )
         assert F == expected
-
-    def test_untrusted_triples_rejected(self):
-        with pytest.raises(UnverifiedMap):
-            CremonaMap.from_components(TRI_X, TRI_Y, TRI_X + TRI_Z)
-        ok = CremonaMap.from_components(TRI_X, TRI_Y, TRI_X + TRI_Z, trusted=True)
-        assert ok.degree == 1
 
     def test_content_removed_on_construction(self):
         common = TRI_X + TRI_Y
@@ -210,6 +204,19 @@ class TestIsIdentity:
         assert is_identity(identity_map())
         assert is_identity(CremonaMap.of(TRI_X * 2, TRI_Y * 2, TRI_Z * 2))
         assert not is_identity(CremonaMap.of(TRI_X, TRI_Y, TRI_X + TRI_Z))
+        # The constructor itself removes a constant or polynomial content.
+        for F in (
+            CremonaMap(TRI_X * 2, TRI_Y * 2, TRI_Z * 2),
+            CremonaMap(TRI_X * TRI_Y, TRI_Y * TRI_Y, TRI_Z * TRI_Y),
+        ):
+            assert F.degree == 1 and is_identity(F)
+
+    def test_builds_no_map(self, monkeypatch):
+        """The verdict reads the stored components: under a degree cap of 0,
+        which refuses every map, maps built before it are still judged."""
+        maps = [identity_map(), make_phi(1, 1), make_linear_G(2, 1, 3)]
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "0")
+        assert [is_identity(F) for F in maps] == [True, False, False]
 
 
 class TestFixesCurvePointwise:
@@ -230,7 +237,7 @@ class TestFixesCurvePointwise:
 
     def test_negative_case(self):
         # a generic projectivity moves the line x = 0
-        F = CremonaMap.from_components(TRI_Y, TRI_Z, TRI_X, trusted=True)
+        F = CremonaMap(TRI_Y, TRI_Z, TRI_X)
         assert not fixes_curve_pointwise(F, LINE_X)
 
     def test_fixing_maps_form_a_group(self):
@@ -259,7 +266,7 @@ def _fixation_maps():
     singles = [make(rng) for make in (rand_G, rand_phi, rand_H) for _ in range(3)]
     pairs = [compose(rng.choice(singles), rng.choice(singles)) for _ in range(5)]
     elements = [jq.to_cremona(rand_jonq(rng, H4, max_deg=1)) for _ in range(2)]
-    moving = CremonaMap.from_components(TRI_Y, TRI_Z, TRI_X, trusted=True)
+    moving = CremonaMap(TRI_Y, TRI_Z, TRI_X)
     return [identity_map(), *singles, *pairs, *elements, moving]
 
 
@@ -418,6 +425,32 @@ def word_cli_digest(gens, run):
         code, out = run([command, "--inline", json.dumps(payload)])
         digest.update(f"{code}\n{out}".encode())
     return digest.hexdigest()
+
+
+# Maps from the constructors, and each word of WORDS with its inverse.
+_CANONICAL_MAPS = [
+    identity_map(),
+    *(make(random.Random(3)) for make in (rand_G, rand_phi, rand_H)),
+    H1,
+    PHI,
+    *(W for gens in WORDS.values() for W in word_and_inverse(gens)),
+]
+_NONZERO_RATIONALS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+class TestCanonicalConstructor:
+    """``CremonaMap(...)`` removes any content, rational or polynomial."""
+
+    @given(
+        st.sampled_from(_CANONICAL_MAPS),
+        st.one_of(_NONZERO_RATIONALS, trihoms(max_degree=2)),
+    )
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_scaled_triple_gives_the_map(self, F, g):
+        scaled = [g * f for f in F.components]
+        G = CremonaMap(*scaled)
+        assert G == F and CremonaMap.of(*scaled) == F
+        assert ser.dumps(ser.encode_map(G)) == ser.dumps(ser.encode_map(F))
 
 
 class TestRoadmapBaselines:
