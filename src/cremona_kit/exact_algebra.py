@@ -12,31 +12,30 @@ Four layers, all immutable and exact:
 Both polynomial classes store one integer form (``_Poly``): a body over Z
 and a positive denominator prime to its content.  A ``TriHomPoly`` body is
 F(x, y), for F / den homogenised with z; a ``UniPoly`` body is keyed
-(e, 0), as the GCD reads it.  Arithmetic, ``substitute`` (map composition)
-and the GCD run on the bodies; ``coeffs`` and ``terms`` are views of them.
+(e, 0), as the GCD reads it.  Arithmetic, ``substitute`` (map composition,
+a Kronecker substitution on packed integers) and the GCD run on the bodies;
+``coeffs`` and ``terms`` are views of them.
 Nothing in the package reads those views: a Fraction is built only when a
 caller reads ``coeffs``, ``terms`` or ``coeff()``, or calls ``tri_divrem``,
 the Fraction lex division kept as a public name.  No division, text form or
 evaluation besides ``vanishes_at`` is left: ``str()`` prints the ``repr``.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
-birational-map code depends on.  ``tri_gcd`` strips the common power of
-z and runs Brown's modular algorithm on the bodies in Z[x, y]: images
-modulo word-size primes (2^61 - 1 first, then the primes below it) at
-the points y = 1000003, 1000004, ...  Before that, two univariate images
-at the first prime, one in x and one in y, prove most coprime pairs
-coprime (``_coprime_images``); most content GCDs end there.  Otherwise the
-GCD is rebuilt by interpolation in y and Chinese remaindering, and
-accepted only after exact division on integers of both dehomogenised
-inputs by the primitive candidate (``_exact_quotient``, which
-``tri_divides`` and the fixation certificate of ``cremona_maps`` use too).
-The content of three polynomials costs one such GCD, of the first and a
-combination of the other two (``_common``).  Results are normalised so the
-lexicographically leading term (x > y > z) has coefficient one.
-``uni_gcd`` runs the same code on Z[t] taken as Z[x]: an image of degree 0
-proves the inputs coprime.  The quotients of the accepting division come
-back with the GCD (``_primitive_parts`` for map contents, ``_uni_cofactors``
-for ``RatFunc``), so only this module divides by a GCD, and only once.
+birational-map code depends on.  ``tri_gcd`` strips the common power of z
+and works on the bodies in Z[x, y].  A certificate from integer gcds
+(``_coprime``) proves most pairs coprime; most content GCDs end there.  Then
+the candidate read from the integer gcd of the packed bodies
+(``_packed_parts``) is tried, and Brown's modular algorithm (images modulo
+2^61 - 1 and the primes below it, interpolation in y, Chinese remaindering)
+only when that fails.  A candidate is accepted only after exact division of
+both inputs (``_exact_quotient``, which ``tri_divides`` and the fixation
+certificate of ``cremona_maps`` use too).  The content of three polynomials
+costs one GCD, of the first and a combination of the other two
+(``_common``).  Results are normalised so the lexicographically leading term
+(x > y > z) has coefficient one.  ``uni_gcd`` runs the same code on Z[t]
+taken as Z[x].  The quotients of the accepting division come back with the
+GCD (``_primitive_parts`` for map contents, ``_uni_cofactors`` for
+``RatFunc``), so only this module divides by a GCD, and only once.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -144,7 +143,7 @@ class _Poly:
 
     def __mul__(self, other):
         if other.__class__ is self.__class__:
-            product = _lex(_bimul(self._body, other._body, {}))
+            product = _lex(_bimul(self._body, other._body))
             return self._make(self.degree + other.degree, product, self._den * other._den)
         p, q = _ratio(other)
         body = {e: c * p for e, c in self._body.items()} if p else {}
@@ -478,26 +477,30 @@ class TriHomPoly(_Poly, Record):
         Exact, on integers: one common ``den`` scales the images (a scale per
         image would not scale the result uniformly), and the sum over the
         body of self, with terms grouped by their power of x, is divided by
-        ``self._den * den**deg(self)`` once.
+        ``self._den * den**deg(self)`` once.  The sum is a Kronecker
+        substitution on the packed images (``_pack``), a ring map: only the
+        result must fit the slots, and its coefficients are at most
+        sum |c| * M^deg(self), M the largest l1 norm of an image.
         """
         g0, g1, g2 = images
         if not (g0.degree == g1.degree == g2.degree):
             raise ValueError("substitution images must share one degree")
         d, out_deg = self.degree, self.degree * g0.degree
         den = math.lcm(g0._den, g1._den, g2._den)
+        bases = [_over(g, den) for g in images]
+        M = max(sum(map(abs, B.values())) for B in bases)
+        k, W = _width(sum(map(abs, self._body.values())) * M**d), out_deg + 1
         exps = [(i, j, d - i - j) for i, j in self._body]
-        p0, p1, p2 = powers = [[{(0, 0): 1}] for _ in images]
-        for axis, g in enumerate(images):
-            base = _over(g, den)
+        p0, p1, p2 = powers = [[1] for _ in images]
+        for axis, B in enumerate(bases):
+            base = _pack(B, k, W)
             for _ in range(max((e[axis] for e in exps), default=0)):
-                powers[axis].append(_bimul(powers[axis][-1], base, {}))
-        acc: _BiPoly = {}
+                powers[axis].append(powers[axis][-1] * base)
+        acc = 0
         for i, group in itertools.groupby(self._body.items(), key=lambda t: t[0][0]):
-            inner: _BiPoly = {}
-            for (_, j), c in group:
-                _bimul(p1[j], p2[d - i - j], inner, c)
-            _bimul(p0[i], inner, acc)
-        return TriHomPoly._sorted(out_deg, _lex(acc), self._den * den**d)
+            acc += p0[i] * sum(c * p1[j] * p2[d - i - j] for (_, j), c in group)
+        keys = [(i, j) for i in range(out_deg, -1, -1) for j in range(out_deg - i, -1, -1)]
+        return TriHomPoly._sorted(out_deg, _unpack(acc, k, W, keys), self._den * den**d)
 
 
 TriHomPoly._ONE = TriHomPoly._sorted(0, {(0, 0): 1})
@@ -573,42 +576,48 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
     return _divides(c, f.degree, f._body)
 
 
-# -- gcd: Brown's modular algorithm ------------------------------------------
+# -- gcd: a certificate, a packed candidate, then Brown's algorithm --------
 #
-# A homogeneous f factors as z^a * F with z not dividing F, and F corresponds
-# bijectively and multiplicatively to its dehomogenisation F(x, y, 1), so
-# gcd(f, g) = z^min(a, b) * gcd(F, G): the work is a bivariate gcd.  F and G
-# are the stored bodies, in Z[x, y]; the denominators do not matter because
-# the answer is lex-normalised.  Let H = gcd(F, G) be
-# primitive in Z[x, y].  By Gauss's lemma F = H * F1 with F1 in Z[x, y], so
-# reducing mod a prime p and evaluating are ring maps that keep H | F.
+# A homogeneous f is z^a * F with z not dividing F, and F corresponds
+# bijectively and multiplicatively to F(x, y, 1), so gcd(f, g) = z^min(a, b)
+# * gcd(F, G).  F and G are the stored bodies, in Z[x, y]; the denominators
+# do not matter because the answer is lex-normalised.  Let H = gcd(F, G) be
+# primitive.  By Gauss's lemma F = H * F1 with F1 in Z[x, y], so evaluating,
+# packing and reducing mod p are ring maps that keep H | F.  _gcd_parts
+# proves every answer, by the first of three routes that succeeds:
 #
-# Brown's algorithm (W. S. Brown, JACM 18, 1971) runs over the primes from
-# _P0 = 2^61 - 1 downward, skipping any that divides a lex-leading
-# coefficient (x > y) of F or G; then H mod p keeps the leading monomial of
-# H and divides the gcd mod p.  At the first such prime, when F or G has a
-# y, one image in x and one in y are tried first (_coprime_images): when
-# both pairs of images are coprime mod p, H is 1, and Brown's loop is not
-# entered.  Otherwise, mod p, the contents in Z_p[y] are removed
-# and the primitive parts are evaluated at y = _POINT, _POINT + 1, ..., each
-# prime continuing where the last one stopped.  A point where gamma(y), the
-# gcd of the x-leading coefficients, vanishes is skipped; at any other point
-# the image of H keeps its x-degree and divides both univariate images.  So
-# a univariate gcd of degree 0 proves that H has x-degree 0, and when the
-# contents are coprime as well the answer is z^min(a, b) with no division:
-# most content gcds end there, after one univariate Euclid.  Otherwise the
-# monic univariate gcds, scaled by gamma, are interpolated in y (Newton)
-# through deg gamma + min(deg_y) + 1 points of the lowest x-degree seen.  A
-# higher degree marks an unlucky point or prime, whose image is a proper
-# multiple of the true one; it is skipped, and a lower lex-leading monomial
-# restarts the accumulation.  The images, times the integer gcd of the
-# lex-leading coefficients, are combined by CRT into symmetric residues.
-# Once a new prime leaves them unchanged, the candidate C, made primitive,
-# is accepted only if it divides F and G exactly in Z[x, y]
-# (_exact_quotient; by Gauss's lemma the quotients are integral, and they
-# are returned with it).  Then C | H, while the leading monomial of C, that
-# of an image mod p, is at least that of H: so C is H up to a scalar.  Bad
-# luck only costs another point or prime; the answer never depends on it.
+# 1. The certificate, on integer gcds (_coprime).  The lemma of GCDHEU (Char,
+#    Geddes and Gonnet, J. Symbolic Comput. 7, 1989): for f, g in Z[x] with
+#    N = min(|f|_inf, |g|_inf), xi >= 2N + 2 and gamma = gcd(f(xi), g(xi)),
+#    0 < gamma < xi / 2 proves that f and g share no factor of positive
+#    degree.  A zero f or g gives N = 0, xi = 2 and no such gamma; otherwise
+#    a common factor c has roots below 1 + N (Cauchy), so c(xi), which
+#    divides gamma, exceeds xi - 1 - N >= xi / 2.  The lemma runs on the
+#    lines F(x, t), G(x, t) and F(t, y), G(t, y) at t = _POINT, once
+#    lc_x(F)(t) != 0: then a common factor c keeps its x-degree in c(x, t),
+#    as lc_x(c) divides lc_x(F), or is c(y).  Most content gcds end here.
+# 2. The packed candidate (_packed_parts): C, the primitive part of the
+#    integer gcd of F and G packed at (2^(kW), 2^k), read back and moved to
+#    the monomial factor of H (the packings share powers of 2), is kept when
+#    it divides F and G and the quotients pass the certificate: they are then
+#    coprime, so C = H.  It is skipped past _PACKED_BITS, since CPython's
+#    integer gcd is quadratic.
+# 3. Brown's algorithm (W. S. Brown, JACM 18, 1971) runs over the primes from
+#    _P0 = 2^61 - 1 down, skipping any that divides a lex-leading coefficient
+#    (x > y) of F or G, so that H mod p keeps its leading monomial and divides
+#    the gcd mod p.  Mod p, the contents in Z_p[y] are removed and the
+#    primitive parts evaluated at y = _POINT, _POINT + 1, ..., each prime
+#    going on where the last stopped.  Where gamma(y), the gcd of the
+#    x-leading coefficients, does not vanish, the image of H keeps its
+#    x-degree and divides both images, so a gcd of degree 0 and coprime
+#    contents prove H = 1.  Else the monic images, scaled by gamma, are
+#    interpolated in y (Newton) through deg gamma + min(deg_y) + 1 points of
+#    the lowest x-degree seen (a lower lex-leading monomial restarts), times
+#    the gcd of the lex-leading coefficients, and combined by CRT.  Once a
+#    new prime leaves them unchanged, the primitive candidate C must divide F
+#    and G exactly (_exact_quotient, which returns the quotients).  Then
+#    C | H, and the leading monomial of C, that of an image mod p, is at least
+#    that of H: so C is H up to a scalar.
 
 
 _P0 = 2**61 - 1
@@ -705,14 +714,36 @@ def _ueval(a: List[int], t: int, p: int) -> int:
 _BiPoly = Dict[Tuple[int, int], int]
 
 
-def _bimul(a: _BiPoly, b: _BiPoly, out: _BiPoly, scale: int = 1) -> _BiPoly:
-    """Add scale * a * b over Z into out, and return out."""
+def _bimul(a: _BiPoly, b: _BiPoly) -> _BiPoly:
+    """a * b over Z, keyed in no order."""
+    out: _BiPoly = {}
     for (i1, j1), c1 in a.items():
-        c1 *= scale
         for (i2, j2), c2 in b.items():
             e = (i1 + i2, j1 + j2)
             out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+def _width(bound: int) -> int:
+    """Slot bits for coefficients up to ``bound``: its bits, a sign bit, whole bytes."""
+    return (bound.bit_length() + 8) & ~7
+
+
+def _pack(F: _BiPoly, k: int, W: int) -> int:
+    """F(2^(kW), 2^k): x^i y^j, for j < W, in slot i * W + j of k bits.  A
+    slot in [-2^(k-1), 2^(k-1)) is read back by _unpack as a signed digit:
+    it adds 2^(k-1) to every slot, which carries nowhere, and slices bytes."""
+    return sum(c << k * (i * W + j) for (i, j), c in F.items())
+
+
+def _unpack(N: int, k: int, W: int, keys: Sequence[Tuple[int, int]]) -> _BiPoly:
+    """The body read from the packed N at ``keys``, which are in decreasing
+    lex order and hold every nonzero slot of N; the zeros are dropped."""
+    kb, half = k >> 3, 1 << (k - 1)
+    n = keys[0][0] * W + keys[0][1] + 1
+    raw = (N + int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")).to_bytes(kb * n, "little")
+    slots = ((e, kb * (e[0] * W + e[1])) for e in keys)
+    return {e: c for e, o in slots if (c := int.from_bytes(raw[o : o + kb], "little") - half)}
 
 
 def _content_free(F: _BiPoly) -> _BiPoly:
@@ -826,54 +857,79 @@ def _gcd_mod(
     return [[c * inv % p for c in r] for r in rows]
 
 
-def _image(F: _BiPoly, axis: int, t: int, p: int) -> List[int]:
-    """F mod p with the other variable set to t, dense in x (axis 0) or y (1)."""
-    out = [0] * (max(e[axis] for e in F) + 1)
-    for e, c in F.items():
-        out[e[axis]] += c * pow(t, e[1 - axis], p)
-    return _trim([v % p for v in out])
+def _lines(F: _BiPoly, t: int) -> Tuple[List[int], List[int]]:
+    """The coefficients of F(x, t) and of F(t, y), constant term first."""
+    fx, fy = [0] * (max(F)[0] + 1), [0] * (max(j for _, j in F) + 1)
+    powers = [t**e for e in range(max(len(fx), len(fy)))]
+    for (i, j), c in F.items():
+        fx[i] += c * powers[j]
+        fy[j] += c * powers[i]
+    return fx, fy
 
 
-def _coprime_images(F: _BiPoly, G: _BiPoly, p: int) -> bool:
-    """True only if gcd(F, G) is constant, for a prime p that does not divide
-    the lex-leading coefficient of F.  The test: at t = _POINT, lc_x(F)(t) is
-    nonzero mod p, F(x, t) and G(x, t) are coprime mod p, and so are F(t, y)
-    and G(t, y).
+def _reduced(h: List[int]) -> List[int]:
+    """h in Z[x] without its content, power of x and trailing zeros; [] for 0."""
+    g = math.gcd(*h)
+    h = _trim([c // g for c in h]) if g else []
+    return h[next((e for e, c in enumerate(h) if c), 0) :]
 
-    Proof.  Let c be a common factor, primitive in Z[x, y].  If c has
-    positive x-degree, lc_x(c) divides lc_x(F), so c(x, t) keeps its x-degree
-    mod p and divides both x-images.  If it has x-degree 0, it is c(y), whose
-    leading coefficient divides the lex-leading one of F, so p does not
-    divide it: c(y) keeps its degree mod p and divides both y-images.
-    """
-    t = _POINT
-    fx = _image(F, 0, t, p)
-    return (
-        len(fx) == max(F)[0] + 1
-        and len(_ugcd(fx, _image(G, 0, t, p), p)) == 1
-        and len(_ugcd(_image(F, 1, t, p), _image(G, 1, t, p), p)) == 1
-    )
+
+def _coprime_lines(f: List[int], g: List[int]) -> bool:
+    """True only if f and g in Z[x], by their coefficients, share no factor
+    of positive degree: not both vanish at 0, and their _reduced forms hold a
+    nonzero constant or pass the lemma at xi = 2^s >= 2N + 2, and >= 2^64 if
+    N > 0, since a larger xi makes an accidental common factor rarer."""
+    if not (f[0] or g[0]):
+        return False
+    f, g = _reduced(f), _reduced(g)
+    if len(f) == 1 or len(g) == 1:
+        return True
+    N = min(max(map(abs, h), default=0) for h in (f, g))
+    s = max((2 * N + 1).bit_length(), 64 if N else 0)
+    gamma = math.gcd(*(sum(c << s * e for e, c in enumerate(h)) for h in (f, g)))
+    return 0 < gamma < 1 << (s - 1)
+
+
+def _coprime(F: _BiPoly, G: _BiPoly) -> bool:
+    """True only if gcd(F, G) is constant: route 1, with lines at t = _POINT."""
+    (fx, fy), (gx, gy) = _lines(F, _POINT), _lines(G, _POINT)
+    return fx[-1] != 0 and _coprime_lines(fx, gx) and _coprime_lines(fy, gy)
+
+
+_PACKED_BITS = 250_000  # the largest packed operand; crossover in CHANGES.md
+
+
+def _packed_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
+    """(C, F / C, G / C) from the packed gcd, or None.  The slots fit the lesser
+    top coefficient of F and G, and 8 bits more for an integer cofactor."""
+    W = max(j for _, j in itertools.chain(F, G)) + 1
+    k = _width(min(max(map(abs, H.values())) for H in (F, G)) << 8)
+    if k * (max(i for i, _ in itertools.chain(F, G)) + 1) * W > _PACKED_BITS:
+        return None
+    N = math.gcd(_pack(F, k, W), _pack(G, k, W))
+    C = _unpack(N, k, W, [divmod(s, W) for s in range(N.bit_length() // k + 1, -1, -1)])
+    if not C:
+        return None
+    di = min(i for i, _ in itertools.chain(F, G)) - min(i for i, _ in C)
+    dj = min(j for _, j in itertools.chain(F, G)) - min(j for _, j in C)
+    s = 1 if next(iter(C.values())) > 0 else -1
+    C = _content_free({(i + di, j + dj): s * c for (i, j), c in C.items()})
+    a = _exact_quotient(F, C)
+    b = _exact_quotient(G, C) if a is not None else None
+    return (C, a, b) if b is not None and _coprime(a, b) else None
 
 
 def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
     """Integer multiples of gcd(F, G) rebuilt by CRT, each one unchanged by
-    the last prime; a constant is yielded only when proven, by the two images
-    of _coprime_images at the first usable prime or by Brown's."""
+    the last prime; a constant is yielded only when proven by Brown's."""
     lf, lg = F[max(F)], G[max(G)]
     scale = math.gcd(lf, lg)
     lead: Optional[Tuple[int, int]] = None
     # Each prime takes fresh points, so a point unlucky over Z is used once.
     points = itertools.count(_POINT)
-    # Without y, the two-image test is Brown's first image.
-    certify = any(j for _, j in F) or any(j for _, j in G)
     for p in _primes():
         if lf % p == 0 or lg % p == 0:
             continue
-        if certify:
-            if _coprime_images(F, G, p):
-                yield {(0, 0): 1}
-                return
-            certify = False
         rows = _gcd_mod(_rows(F, p), _rows(G, p), p, points)
         top = (len(rows) - 1, len(rows[-1]) - 1)
         if top == (0, 0):
@@ -897,7 +953,11 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
 
 def _gcd_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
     """(C, F / C, G / C) for nonzero F and G, C their gcd, primitive and keyed
-    in decreasing lex order; None when the gcd is proven constant."""
+    in decreasing lex order; None when the gcd is proven constant (routes 1-3)."""
+    if _coprime(F, G):
+        return None
+    if (parts := _packed_parts(F, G)) is not None:
+        return parts
     for candidate in _candidates(F, G):
         if max(candidate) == (0, 0):
             return None

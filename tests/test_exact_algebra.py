@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -16,7 +17,10 @@ from cremona_kit.exact_algebra import (
     _LAMBDA,
     _P0,
     _POINT,
-    _coprime_images,
+    _coprime,
+    _coprime_lines,
+    _packed_parts,
+    _PACKED_BITS,
     _primes,
     _primitive_parts,
     _uni_cofactors,
@@ -233,6 +237,8 @@ class TestModularUniGcd:
         p, q = pair
         g = uni_gcd(p, q)
         assert g == uni_gcd_oracle(p, q) == sympy_uni_gcd(p, q)
+        with brown_only():
+            assert uni_gcd(p, q) == g
 
     def test_candidate_stable_over_two_primes_is_rejected(self):
         # mod p1 and mod p1*p2 the constant 5 + p1*p2 reads 5, so the
@@ -241,6 +247,8 @@ class TestModularUniGcd:
         p1, p2 = islice(_primes(), 2)
         h = T + UniPoly.constant(5 + p1 * p2)
         assert uni_gcd(h * T, h * (T + ONE)) == h
+        with brown_only():
+            assert uni_gcd(h * T, h * (T + ONE)) == h
 
 
 @st.composite
@@ -442,6 +450,56 @@ class TestTriHomPoly:
         expected = substitute_oracle(f, images)
         assert g == expected
         assert_canonical(g, OldTriHomPoly(expected.degree, expected.terms))
+
+    def test_kronecker_maximal_cancellation(self):
+        """(x - y)^d at x = g + h, y = g: every power and product is large,
+        and all of it cancels down to h^d, or to 0 when h = 0."""
+        for d, e in [(1, 1), (3, 2), (6, 1), (4, 3)]:
+            f = (TRI_X - TRI_Y) ** d
+            g = (TRI_X * 7 - TRI_Y * 5 + TRI_Z * 3) ** e
+            for h in (TRI_Z**e * Fraction(-2, 3), TriHomPoly.zero(e), TRI_X**e * 97):
+                images = [g + h, g, TRI_Z**e * 11]
+                assert f.substitute(images) == substitute_oracle(f, images) == h**d
+
+    def test_kronecker_all_negative_images(self):
+        rng = random.Random(1818)
+        for d, e in [(2, 1), (3, 2), (5, 1), (2, 4)]:
+            f = sum((TriHomPoly.monomial(m, rng.randint(1, 9)) for m in monomials(d)), TriHomPoly.zero(d))
+            images = [
+                sum((TriHomPoly.monomial(m, -rng.randint(1, 2**40)) for m in monomials(e)), TriHomPoly.zero(e))
+                for _ in range(3)
+            ]
+            assert f.substitute(images) == substitute_oracle(f, images)
+            assert f.substitute([-g for g in images]) == substitute_oracle(f, images) * (-1) ** d
+
+    def test_kronecker_tight_bounds_at_byte_boundaries(self):
+        """A coefficient equal to sum |c| * M^deg, the slot bound, with the
+        bound at and next to each byte boundary of the slot width: it needs
+        the sign bit, and a value one bit short of a byte reads as negative
+        without it."""
+        for bits in (8, 16, 24, 32, 64, 128):
+            for v in (2 ** (bits - 1) - 1, 2 ** (bits - 1), 2**bits - 1, 2**bits):
+                for c in (v, -v):
+                    f = TRI_X * TRI_Y * c
+                    assert f.substitute([TRI_X, TRI_Y, TRI_Z]) == f
+                    images = [TRI_X * (TRI_Y + TRI_Z), TRI_Y * TRI_Y, TRI_Z * TRI_X]
+                    assert f.substitute(images) == substitute_oracle(f, images)
+            for m in (2 ** (bits // 2) - 1, 2 ** (bits // 2), 2 ** (bits // 2 - 1) + 1):
+                for sign in (1, -1):
+                    f, images = TRI_X * TRI_X * sign, [TRI_X * m, TRI_Y, TRI_Z]
+                    assert f.substitute(images) == TRI_X * TRI_X * (sign * m * m)
+
+    @pytest.mark.parametrize("d, e", [(0, 0), (0, 2), (2, 0), (3, 0), (0, 5)])
+    def test_kronecker_degree_zero_and_zero_images(self, d, e):
+        f = TriHomPoly.monomial((0, 0, 0), Fraction(-7, 3)) if d == 0 else (TRI_X - TRI_Y * 2 + TRI_Z) ** d
+        constants = [TriHomPoly.monomial((0, 0, 0), c) for c in (Fraction(5, 2), -3, 2**70)]
+        for images in (
+            [TriHomPoly.zero(e)] * 3,
+            [TriHomPoly.zero(e), TRI_Z**e * -4, TriHomPoly.zero(e)],
+            constants if e == 0 else [TRI_X**e * Fraction(1, 3), TRI_Y**e, TRI_Z**e * -2],
+        ):
+            g = f.substitute(images)
+            assert g == substitute_oracle(f, images) and g.degree == d * e
 
     @given(canonical_cases())
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -757,12 +815,16 @@ class TestCofactors:
         assert g * a == p and g * b == q
         if g.degree == 0 and p and q:
             assert a is p and b is q
+        with brown_only():
+            assert _uni_cofactors(p, q) == (g, a, b)
 
     def test_uni_cofactors_adversarial(self):
         for f in UNI_ADVERSARIAL:
             for h in UNI_ADVERSARIAL:
                 p, q = f * h * (T - ONE), h * (T + ONE)
                 assert _uni_cofactors(p, q) == uni_cofactors_oracle(p, q)
+                with brown_only():
+                    assert _uni_cofactors(p, q) == uni_cofactors_oracle(p, q)
 
     @given(denominators())
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -773,12 +835,6 @@ class TestCofactors:
         D, cofactors = _common_denominator(dens)
         assert (D, cofactors) == common_denominator_oracle(dens)
         assert all(c * d == D for c, d in zip(cofactors, dens))
-
-
-def usable_primes(F, G, count=3):
-    """The first primes that divide neither lex-leading coefficient."""
-    lf, lg = F[max(F)], G[max(G)]
-    return list(islice((p for p in _primes() if lf % p and lg % p), count))
 
 
 @st.composite
@@ -797,12 +853,27 @@ def planted_pairs(draw):
     return [c * draw(trihoms(max_degree=2)) * draw(scalars) for _ in range(2)]
 
 
-# (y - _POINT z) makes lc_x vanish at the point the images are taken at.
+# (y - _POINT z) makes lc_x vanish at the point the lines are taken at.
 Y_AT_POINT = TRI_Y - TRI_Z * _POINT
 
 
+@contextlib.contextmanager
+def brown_only():
+    """Patch the certificate and the packed candidate to fall back, so that
+    Brown's loop answers every GCD."""
+    with mock.patch.object(exact_algebra, "_coprime", lambda F, G: False):
+        with mock.patch.object(exact_algebra, "_packed_parts", lambda F, G: None):
+            yield
+
+
+def boundary_values(top=130):
+    """a near each power of two 2^j, where the width of xi = 2^s changes."""
+    return [a for j in range(2, top) for a in (2**j - 2, 2**j - 1, 2**j, 2**j + 1)]
+
+
 class TestCoprimeImages:
-    """The two-image certificate of coprimality (_coprime_images)."""
+    """The integer certificate of coprimality (_coprime) and its lemma
+    (_coprime_lines)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(planted_pairs())
@@ -812,9 +883,8 @@ class TestCoprimeImages:
     @example([Y_AT_POINT * TRI_X, Y_AT_POINT])
     def test_never_certifies_a_common_factor(self, pair):
         F, G = (f._body for f in pair)
-        for p in usable_primes(F, G):
-            assert not _coprime_images(F, G, p)
-            assert not _coprime_images(G, F, p)
+        assert not _coprime(F, G)
+        assert not _coprime(G, F)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(trihoms(), trihoms())
@@ -823,8 +893,7 @@ class TestCoprimeImages:
     def test_refused_when_the_x_leading_coefficient_vanishes(self, f, g):
         F = (f * Y_AT_POINT * TRI_X + TRI_Z ** (f.degree + 2))._body
         G = g._body
-        for p in usable_primes(F, G):
-            assert not _coprime_images(F, G, p)
+        assert not _coprime(F, G)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(trihoms(), trihoms())
@@ -832,9 +901,9 @@ class TestCoprimeImages:
     @example(TRI_X - TRI_Y, TRI_X - TRI_Z * _POINT)
     def test_agrees_with_brown(self, f, g):
         F, G = (h._body for h in (f, g))
-        certified = _coprime_images(F, G, usable_primes(F, G, 1)[0])
+        certified = _coprime(F, G)
         with_certificate = tri_gcd(f, g)
-        with mock.patch.object(exact_algebra, "_coprime_images", lambda *_: False):
+        with brown_only():
             brown = tri_gcd(f, g)
         assert with_certificate == brown
         if certified:  # the gcd of the dehomogenised pair is 1, so only z is left
@@ -847,8 +916,72 @@ class TestCoprimeImages:
             (TRI_Y - TRI_Z * 5, TRI_Y + TRI_Z * 7),
         ]
         for f, g in pairs:
-            F, G = (h._body for h in (f, g))
-            assert _coprime_images(F, G, usable_primes(F, G, 1)[0])
+            assert _coprime(f._body, g._body)
+
+    def test_lemma_at_the_width_boundaries(self):
+        """f = x - a and g = (x - a)(x + 1) are refused, and x - a against
+        x - a - 1 is certified, for a at each power of two: xi = 2^s must be
+        at least 2N + 2, N + 2 is not enough."""
+        for a in boundary_values():
+            f, g = [-a, 1], [-a, 1 - a, 1]
+            assert not _coprime_lines(f, g) and not _coprime_lines(g, f)
+            assert _coprime_lines(f, [-a - 1, 1])
+            F, G = ((TRI_X - TRI_Z * a) * h for h in (TRI_Z, TRI_X + TRI_Z))
+            assert not _coprime(F._body, G._body)
+            assert _coprime(F._body, (TRI_X - TRI_Z * (a + 1))._body)
+
+    def test_a_zero_line_shares_every_factor(self):
+        """A zero line is never certified against one of positive degree: xi
+        is then 2, so the gcd is a value of the other line, and 0 is refused
+        as well as 1 or more.  The three lines in ``big`` have the value 1 at
+        2^64, so a floor of 2^64 on xi would certify them against zero."""
+        big = [([-(2**64 - 1), 1], [0, 0]), ([1 - 2**128, 0, 1], [0]), ([1 - 2**128, 2**64], [0])]
+        for f, g in [([0], [0]), ([0, 0], [-2, 1]), ([0], [-4, 0, 1])] + big:
+            assert not _coprime_lines(f, g) and not _coprime_lines(g, f)
+        f = TRI_X - TRI_Z * (2**64 - 1)
+        assert not _coprime(f._body, (f * Y_AT_POINT)._body)
+
+
+class TestPackedCandidate:
+    """The candidate read from the packed integer gcd (_packed_parts)."""
+
+    def test_a_proper_factor_of_the_gcd_is_refused(self):
+        """A candidate that divides both inputs is kept only when the
+        quotients pass the certificate: here the unpacked gcd is replaced by
+        x + y, a proper factor of the gcd (x + y)(x + 2z)."""
+        h = (TRI_X + TRI_Y) * (TRI_X + TRI_Z * 2)
+        f, g = h * (TRI_X + TRI_Z), h * (TRI_Y + TRI_Z * 2)
+        F, G = f._body, g._body
+        C, a, b = _packed_parts(F, G)
+        assert TriHomPoly._sorted(2, C) == h
+        with mock.patch.object(exact_algebra, "_unpack", lambda *_: (TRI_X + TRI_Y)._body):
+            assert _packed_parts(F, G) is None
+            assert tri_gcd(f, g) == h
+
+    def test_a_shared_integer_factor_goes_to_brown(self):
+        """The packings of p and q share 2^k + 1, the packing of t + 1 at
+        slot width k, though q has no factor t + 1: the packed candidate
+        (t - 2)(t + 1) does not divide q, and Brown's loop gives t - 2."""
+        calls, real = [], exact_algebra._candidates
+        with mock.patch.object(exact_algebra, "_candidates", lambda F, G: calls.append(1) or real(F, G)):
+            for k in (8, 16, 24, 32):
+                two = UniPoly.constant(2)
+                p, q = (T - two) * (T + ONE), (T - two) * (T * T + UniPoly.constant(2**k))
+                assert uni_gcd(p, q) == T - two
+        assert calls
+
+    def test_past_the_size_limit_brown_answers(self):
+        """Operands that pack to more than _PACKED_BITS bits skip the packed
+        gcd, which a larger limit would have taken; Brown's loop gives the
+        same gcd."""
+        big = 2 ** (_PACKED_BITS // 8)
+        h = TRI_X + TRI_Y * 2 + TRI_Z * 3
+        f, g = (h * (TRI_X * (big + a) + TRI_Y - TRI_Z * (big - a)) for a in (1, 5))
+        F, G = f._body, g._body
+        assert _packed_parts(F, G) is None
+        with mock.patch.object(exact_algebra, "_PACKED_BITS", 4 * _PACKED_BITS):
+            assert _packed_parts(F, G)[0] == h._body
+        assert tri_gcd(f, g) == h
 
 
 @st.composite
@@ -908,6 +1041,8 @@ class TestOneGcdContent:
         assert (content, parts) == primitive_parts_fold_oracle(polys, normalise)
         if content.degree == 0 and not normalise:
             assert all(q is p for p, q in zip(polys, parts))
+        with brown_only():
+            assert _primitive_parts(polys, normalise) == (content, parts)
 
     @pytest.mark.parametrize(
         "polys, gcds",
