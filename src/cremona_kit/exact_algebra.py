@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -759,15 +760,26 @@ def _exact_quotient(F: _BiPoly, C: _BiPoly) -> Optional[_BiPoly]:
     by a primitive C is integral, and every leading term met while dividing
     is a term of the quotient times the leading term of C: so the first
     leading monomial or coefficient that C's does not divide proves the
-    division inexact.  The quotient's keys come out in decreasing lex order.
+    division inexact.  A one-term C divides term by term.  Otherwise each
+    leading monomial is popped off the end of the ascending list of keys
+    that entered the dividend, skipping those whose terms cancelled; a
+    canonical F, in decreasing lex order, sorts in one linear pass.  The
+    quotient's keys come out in decreasing lex order.
     """
     lead = max(C)
     (ci, cj), cc = lead, C[lead]
+    if len(C) == 1:
+        if any(i < ci or j < cj or c % cc for (i, j), c in F.items()):
+            return None
+        return {(i - ci, j - cj): c // cc for (i, j), c in sorted(F.items(), reverse=True)}
     tail = [(e, c) for e, c in C.items() if e != lead]
     p, q = dict(F), {}
+    keys = sorted(p)
     # p holds no zeros, and its leading monomial strictly decreases.
-    while p:
-        e = max(p)
+    while keys:
+        e = keys.pop()
+        if e not in p:
+            continue
         i, j = e[0] - ci, e[1] - cj
         if i < 0 or j < 0:
             return None
@@ -777,6 +789,8 @@ def _exact_quotient(F: _BiPoly, C: _BiPoly) -> Optional[_BiPoly]:
         q[i, j] = s
         for (di, dj), dc in tail:
             t = (i + di, j + dj)
+            if t not in p:
+                insort(keys, t)
             v = p.get(t, 0) - s * dc
             if v:
                 p[t] = v

@@ -9,8 +9,8 @@ here is integer arithmetic under the general-position assumption:
   multiplicity > 2n) and subtracted one at a time until no rule applies.
   Each time the first applicable rule is taken, lines before conics and
   lexicographic on the sorted labels within a kind; it is read off the
-  multiplicities in label order and the four largest of each suffix, in
-  O(k log k) for k points, without listing the pairs and 5-subsets;
+  largest multiplicities overall and of each suffix in label order,
+  without listing the pairs and 5-subsets;
 * a system whose degree and multiplicities share a content c >= 2 is
   decomposed as c copies of its primitive part when that part is
   numerically a rational pencil (genus 0, self-intersection 0, dim 1);
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import Record
@@ -46,10 +48,10 @@ class LinSysData(Record):
     """Numerical linear system: degree plus point multiplicities.
 
     Zero multiplicities are dropped and labels are kept sorted, so equal
-    systems compare equal structurally.
+    systems compare equal structurally.  ``_sums`` is a private cache.
     """
 
-    __slots__ = ("degree", "mults")
+    __slots__ = ("degree", "mults", "_sums")
 
     def __init__(self, degree: int, mults: Tuple[Tuple[str, int], ...] = ()) -> None:
         if not isinstance(degree, int) or degree < 0:
@@ -64,6 +66,19 @@ class LinSysData(Record):
                 seen[label] = m
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "mults", tuple(sorted(seen.items())))
+
+    @classmethod
+    def _sorted(cls, degree: int, mults: Tuple[Tuple[str, int], ...]) -> "LinSysData":
+        """Trusted constructor of the form ``__init__`` builds: degree >= 0,
+        labels distinct and sorted, every multiplicity >= 1."""
+        L = object.__new__(cls)
+        object.__setattr__(L, "degree", degree)
+        object.__setattr__(L, "mults", mults)
+        return L
+
+    def __getstate__(self):
+        # Copies and pickles hold the fields only, never the cached sums.
+        return None, {"degree": self.degree, "mults": self.mults}
 
     @classmethod
     def of(cls, degree: int, mults: Mults = ()) -> "LinSysData":
@@ -86,19 +101,32 @@ class LinSysData(Record):
         return f"({self.degree}; {inner})"
 
 
+def _sums(L: LinSysData) -> Tuple[int, int]:
+    """(sum mu, sum mu^2), computed once per system."""
+    try:
+        return L._sums
+    except AttributeError:
+        ms = list(map(itemgetter(1), L.mults))
+        sums = sum(ms), sum(map(mul, ms, ms))
+        object.__setattr__(L, "_sums", sums)
+        return sums
+
+
 def virtual_dim(L: LinSysData) -> int:
     """Expected projective dimension n(n+3)/2 - sum mu(mu+1)/2 (may be < 0)."""
-    return L.degree * (L.degree + 3) // 2 - sum(m * (m + 1) // 2 for _, m in L.mults)
+    s, q = _sums(L)
+    return L.degree * (L.degree + 3) // 2 - (q + s) // 2
 
 
 def member_genus(L: LinSysData) -> int:
     """Genus of a general member: (n-1)(n-2)/2 - sum mu(mu-1)/2."""
-    return (L.degree - 1) * (L.degree - 2) // 2 - sum(m * (m - 1) // 2 for _, m in L.mults)
+    s, q = _sums(L)
+    return (L.degree - 1) * (L.degree - 2) // 2 - (q - s) // 2
 
 
 def self_intersection(L: LinSysData) -> int:
     """n^2 - sum mu^2, the intersection of two general members off the base."""
-    return L.degree**2 - sum(m * m for _, m in L.mults)
+    return L.degree**2 - _sums(L)[1]
 
 
 def _numerical_data(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
@@ -117,9 +145,7 @@ def adjoint_raw(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
     g = member_genus(data)
     if g <= 1:
         raise AdjointDoesNotExist(f"adjoint requires genus > 1, got genus {g}")
-    return LinSysData.of(
-        data.degree - 3, {label: m - 1 for label, m in data.mults}
-    )
+    return LinSysData._sorted(data.degree - 3, tuple((l, m - 1) for l, m in data.mults if m > 1))
 
 
 # -- fixed-component removal --------------------------------------------------
@@ -136,22 +162,28 @@ class RemovedComponent(Record):
     @classmethod
     def single(cls, kind: str, labels: Tuple[str, ...], count: int) -> "RemovedComponent":
         degree = 1 if kind == "line" else 2
-        return cls(kind, labels, count, LinSysData.of(degree, {l: 1 for l in labels}))
+        return cls(kind, labels, count, LinSysData._sorted(degree, tuple((l, 1) for l in labels)))
 
 
-def _first_rule(n: int, mults: Mapping[str, int]) -> Optional[_Rule]:
-    """The first Bezout rule that applies, or None.
+def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> Optional[_Rule]:
+    """The first Bezout rule that applies to the sorted ``labels`` with
+    multiplicities ``m`` >= 1, or None.
 
     The order is that of listing every line (pair with m_i + m_j > n) and
     then every conic (5-subset with sum > 2n), each lexicographically on
-    the sorted labels of points with m >= 1.  A prefix of chosen points
-    extends to a rule exactly when its sum plus the largest multiplicities
-    after its last point is large enough, so the first rule is found
-    greedily, position by position, from the top four of each suffix.
+    the labels.  A line applies iff the two largest m sum to more than n,
+    and a conic iff the five largest exist and sum to more than 2n, so one
+    C-level sort of the k multiplicities settles the common case, None.
+    Otherwise some rule applies.  A prefix of chosen points extends to a
+    rule exactly when its sum plus the largest multiplicities after its
+    last point is large enough, so each pass of the conic loop breaks, and
+    the first rule is found greedily from the top four of each suffix, in
+    O(k log k).
     """
-    labels = [l for l in sorted(mults) if mults[l] >= 1]
-    m = [mults[l] for l in labels]
     k = len(m)
+    top5 = sorted(m, reverse=True)[:5]
+    if (k < 2 or top5[0] + top5[1] <= n) and (k < 5 or sum(top5) <= 2 * n):
+        return None
     top: List[Tuple[int, ...]] = [()] * (k + 1)  # top[i]: four largest of m[i:]
     for i in range(k - 1, -1, -1):
         top[i] = tuple(sorted(top[i + 1] + (m[i],), reverse=True)[:4])
@@ -167,31 +199,7 @@ def _first_rule(n: int, mults: Mapping[str, int]) -> Optional[_Rule]:
                 chosen.append(i)
                 total += m[i]
                 break
-        else:  # only when left == 5: a feasible prefix always extends
-            return None
     return "conic", tuple(labels[i] for i in chosen)
-
-
-def _apply_rule(rule: _Rule, n: int, mults: Dict[str, int]) -> int:
-    kind, labels = rule
-    n -= 1 if kind == "line" else 2
-    for l in labels:
-        mults[l] -= 1
-    if n < 0:
-        raise DegenerateSystem(
-            "fixed-component removal drove the degree negative; input numerics are inconsistent"
-        )
-    return n
-
-
-def _finish_removal(
-    n: int, mults: Dict[str, int], counts: Dict[_Rule, int]
-) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
-    removed = tuple(
-        RemovedComponent.single(kind, labels, counts[(kind, labels)])
-        for kind, labels in sorted(counts, key=lambda r: (0 if r[0] == "line" else 1, r[1]))
-    )
-    return LinSysData.of(n, mults), removed
 
 
 def remove_fixed_components(
@@ -202,8 +210,9 @@ def remove_fixed_components(
     Deterministic order: at each step the first applicable rule is taken,
     scanning lines before conics and lexicographically on the sorted
     labels within each kind.  That rule is computed directly from the
-    multiplicities in label order and the four largest of each suffix
-    (see :func:`_first_rule`), in O(k log k) per application for k points.
+    multiplicities in label order (see :func:`_first_rule`), in O(k log k)
+    per rule applied for k points, and one sort when none applies; the
+    labels are never sorted again.
 
     On usable systems (virtual dimension >= 1) the rewriting is confluent,
     so the order fixes only the trace, never the result: applying a rule
@@ -211,15 +220,26 @@ def remove_fixed_components(
     through a shared point of multiplicity 1, which forces the dimension
     negative.  Numerically empty inputs carry no such guarantee.
     """
-    n, mults = L.degree, L.as_dict()
+    n, labels, m = L.degree, list(map(itemgetter(0), L.mults)), list(map(itemgetter(1), L.mults))
     counts: Dict[_Rule, int] = {}
-    while True:
-        rule = _first_rule(n, mults)
-        if rule is None:
-            break
-        n = _apply_rule(rule, n, mults)
+    while (rule := _first_rule(n, labels, m)) is not None:
+        n -= 1 if rule[0] == "line" else 2
+        if n < 0:
+            raise DegenerateSystem(
+                "fixed-component removal drove the degree negative; input numerics are inconsistent"
+            )
+        for l in rule[1]:
+            m[bisect_left(labels, l)] -= 1
+        if 0 in m:  # drop the points that reached multiplicity 0, keeping the order
+            labels, m = [l for l, v in zip(labels, m) if v], [v for v in m if v]
         counts[rule] = counts.get(rule, 0) + 1
-    return _finish_removal(n, mults, counts)
+    if not counts:
+        return L, ()
+    removed = tuple(
+        RemovedComponent.single(kind, ls, counts[kind, ls])
+        for kind, ls in sorted(counts, key=lambda r: (0 if r[0] == "line" else 1, r[1]))
+    )
+    return LinSysData._sorted(n, tuple(zip(labels, m))), removed
 
 
 # -- pencil decomposition ------------------------------------------------------
@@ -232,10 +252,10 @@ class PencilReduction(Record):
 
 
 def _content_split(L: LinSysData) -> Tuple[int, Optional[LinSysData]]:
-    c = math.gcd(L.degree, *(m for _, m in L.mults))
+    c = math.gcd(L.degree, *map(itemgetter(1), L.mults))
     if c < 2:
         return c, None
-    return c, LinSysData.of(L.degree // c, {l: m // c for l, m in L.mults})
+    return c, LinSysData._sorted(L.degree // c, tuple((l, m // c) for l, m in L.mults))
 
 
 def pencil_decompose(L: LinSysData) -> Optional[PencilReduction]:

@@ -76,8 +76,6 @@ from cremona_kit.linear_systems import (
     PencilReduction,
     RemovedComponent,
     _Rule,
-    _apply_rule,
-    _finish_removal,
 )
 
 SX, SY, SZ = sympy.symbols("x y z")
@@ -388,6 +386,33 @@ def fixes_curve_pointwise_oracle(F: CremonaMap, c: TriHomPoly) -> bool:
     return all(tri_divrem(m, c)[1].is_zero for m in minors)
 
 
+def exact_quotient_oracle(F: Dict[Tuple[int, int], int], C: Dict[Tuple[int, int], int]):
+    """The earlier ``exact_algebra._exact_quotient``: F / C for a primitive C
+    by lex division on integers, each leading monomial found by ``max`` over
+    what remains of the dividend; None when C does not divide F."""
+    lead = max(C)
+    (ci, cj), cc = lead, C[lead]
+    tail = [(e, c) for e, c in C.items() if e != lead]
+    p, q = dict(F), {}
+    while p:
+        e = max(p)
+        i, j = e[0] - ci, e[1] - cj
+        if i < 0 or j < 0:
+            return None
+        s, r = divmod(p.pop(e), cc)
+        if r:
+            return None
+        q[i, j] = s
+        for (di, dj), dc in tail:
+            t = (i + di, j + dj)
+            v = p.get(t, 0) - s * dc
+            if v:
+                p[t] = v
+            else:
+                del p[t]
+    return q
+
+
 def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly:
     """The earlier Fraction implementation of ``TriHomPoly.substitute``:
     term by term, with ``total = total + term``."""
@@ -480,6 +505,8 @@ def _applicable_rules(n: int, mults: Dict[str, int]) -> List[_Rule]:
 def _removal_loop(
     L: LinSysData, pick: Callable[[List[_Rule]], _Rule]
 ) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+    """The earlier removal loop on a dict of multiplicities, zeros kept,
+    every system built by the validating ``LinSysData.of``."""
     n, mults = L.degree, L.as_dict()
     counts: Dict[_Rule, int] = {}
     while True:
@@ -487,9 +514,18 @@ def _removal_loop(
         if not rules:
             break
         rule = pick(rules)
-        n = _apply_rule(rule, n, mults)
+        kind, labels = rule
+        n -= 1 if kind == "line" else 2
+        for l in labels:
+            mults[l] -= 1
+        if n < 0:
+            raise DegenerateSystem("fixed-component removal drove the degree negative")
         counts[rule] = counts.get(rule, 0) + 1
-    return _finish_removal(n, mults, counts)
+    removed = []
+    for kind, labels in sorted(counts, key=lambda r: (0 if r[0] == "line" else 1, r[1])):
+        one = LinSysData.of(1 if kind == "line" else 2, dict.fromkeys(labels, 1))
+        removed.append(RemovedComponent(kind, labels, counts[kind, labels], one))
+    return LinSysData.of(n, mults), tuple(removed)
 
 
 def remove_fixed_components_oracle(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,14 +37,21 @@ BERTINI_CURVE = json.dumps(
 # sha256 of the stdout of `pencil-enum --max 16 --bound 16` and of two
 # `adjoint-chain` reports, recorded with json.dumps(indent=2, sort_keys=True)
 # and the recursive partition generator: the writer and the walk that
-# replaced them must reproduce these bytes.
+# replaced them must reproduce these bytes.  The `classify` digests of the
+# same two curves were recorded before the adjoint chain derived its
+# systems by the trusted LinSysData._sorted.
 PENCIL_ENUM_16_SHA256 = "d858188755484540dae256fcd2cad2f02eb8640bb65b7b4895aca040b98ab588"
 # 13 steps, fixed lines removed, ends in a rational pencil.
 CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
 CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
+CLASSIFY_65_SHA256 = "40f62162754c5c651c6806d9bc24b1b6ca1933ccdcc5e50cf02cb75420b7321d"
 # 9 steps, ends exhausted with two warnings.
 CHAIN_55 = (55, [22, 22, 4, 22, 3, 7, 22, 9, 11, 22, 10, 13, 5, 4])
 CHAIN_55_SHA256 = "5c7a0eb7ac4b277a8db730bda6fcbde638acfc740265ad5d2bea0fed233d669a"
+CLASSIFY_55_SHA256 = "e73be0b7b60a4fbef3f86b6f58bc5ca8f2e77697ef9ebec9cd4377ff5d186e44"
+# sha256 of the stdout of `cremona-kit examples`, kept in a file that the
+# examples job of the CI workflow also checks.
+EXAMPLES_SHA256 = (Path(__file__).parent / "examples.sha256").read_text().strip()
 
 
 # t^2 (t^2 + 1): even degree 4, not squarefree.
@@ -203,10 +211,23 @@ class TestGoldenOutputs:
         ids=["degree-65", "degree-55"],
     )
     def test_adjoint_chain_reports(self, capsys, system, want):
-        degree, mults = system
+        assert self.digest(capsys, "adjoint-chain", "--inline", self.curve(*system)) == want
+
+    @pytest.mark.parametrize(
+        "system, want",
+        [(CHAIN_65, CLASSIFY_65_SHA256), (CHAIN_55, CLASSIFY_55_SHA256)],
+        ids=["degree-65", "degree-55"],
+    )
+    def test_classify_reports(self, capsys, system, want):
+        assert self.digest(capsys, "classify", "--inline", self.curve(*system)) == want
+
+    def test_examples(self, capsys):
+        assert self.digest(capsys, "examples") == EXAMPLES_SHA256
+
+    @staticmethod
+    def curve(degree, mults):
         sings = [{"label": f"p{i:02d}", "mult": m, "coords": None} for i, m in enumerate(mults)]
-        curve = json.dumps({"degree": degree, "poly": None, "singularities": sings})
-        assert self.digest(capsys, "adjoint-chain", "--inline", curve) == want
+        return json.dumps({"degree": degree, "poly": None, "singularities": sings})
 
 
 class TestMaps:

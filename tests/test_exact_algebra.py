@@ -19,6 +19,8 @@ from cremona_kit.exact_algebra import (
     _POINT,
     _coprime,
     _coprime_lines,
+    _content_free,
+    _exact_quotient,
     _packed_parts,
     _PACKED_BITS,
     _primes,
@@ -51,6 +53,7 @@ from _util import (
     OldUniPoly,
     assert_canonical,
     common_denominator_oracle,
+    exact_quotient_oracle,
     fractions_built,
     lex_normalized,
     monomials,
@@ -633,6 +636,22 @@ class TestExactDivision:
     def test_agrees_with_tri_divrem(self, case):
         c, f = case
         assert tri_divides(c, f) == tri_divrem(f, c)[1].is_zero
+
+    @given(divisibility_cases())
+    @example((TRI_X * z_power(2, 4), (TRI_X * TRI_Y + TRI_Z * TRI_Z * 3) * TRI_X * TRI_X))
+    @example((TRI_Y * 6, TRI_X * TRI_X * 3 + TRI_Y * TRI_Z))
+    @example((TRI_X * TRI_Y, TRI_X * TRI_Y * TRI_Z))
+    @example((TRI_X - TRI_Y, (TRI_X - TRI_Y) * (TRI_X + TRI_Y) * (TRI_X * 2 + TRI_Z)))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_quotient_equals_the_max_scan(self, case):
+        # The same quotient or None, keys in decreasing lex order, for the
+        # dividend in lex order and reversed; a one-term divisor included.
+        c, f = case
+        C = _content_free(c._body)
+        for F in (f._body, dict(reversed(f._body.items()))):
+            got = _exact_quotient(F, C)
+            assert got == exact_quotient_oracle(F, C)
+            assert got is None or list(got) == sorted(got, reverse=True)
 
 
 class TestTriGcd:

@@ -1,8 +1,9 @@
+import pickle
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit.curve_model import curve_from_mults, genus
@@ -84,6 +85,13 @@ class TestNumericalInvariants:
         assert self_intersection(sysd(1, {"p": 1})) == 0
         assert self_intersection(sysd(3, {f"p{i}": 1 for i in range(9)})) == 0
         assert self_intersection(sysd(2, {"p": 1, "q": 1})) == 2
+
+    def test_cached_sums_stay_out_of_pickles(self):
+        L = sysd(6, {"p": 3, "q": 2})
+        before = pickle.dumps(L)
+        assert member_genus(L) == 6
+        assert pickle.dumps(L) == before
+        assert member_genus(pickle.loads(before)) == 6
 
     def test_zero_mults_dropped(self):
         L = sysd(3, {"a": 0, "b": 2})
@@ -172,10 +180,20 @@ class TestRemoveFixedComponents:
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(bezout_cases())
+    # The screen's boundaries: the two largest summing to n, then n + 1;
+    # the five largest summing to 2n, then 2n + 1 (the top four at most 2n);
+    # four points with a large sum, and one point above 2n, with no conic.
+    @example((6, {"a": 3, "b": 3, "c": 1, "d": 2}))
+    @example((6, {"a": 3, "b": 4, "c": 1, "d": 2}))
+    @example((5, {"a": 2, "b": 2, "c": 2, "d": 2, "e": 2, "f": 1}))
+    @example((5, {"a": 2, "b": 3, "c": 2, "d": 1, "e": 2, "f": 2}))
+    @example((4, {"a": 2, "b": 3, "c": 2, "d": 2}))
+    @example((1, {"a": 3}))
     def test_first_rule_matches_enumerator(self, case):
         n, mults = case
         rules = _applicable_rules(n, mults)
-        assert _first_rule(n, mults) == (rules[0] if rules else None)
+        labels = sorted(l for l, m in mults.items() if m >= 1)
+        assert _first_rule(n, labels, [mults[l] for l in labels]) == (rules[0] if rules else None)
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(bezout_cases())
@@ -319,6 +337,26 @@ class TestAdjointChain:
         for _ in range(100):
             L = rand_system(rng)
             assert virtual_dim(L) == self_intersection(L) - member_genus(L) + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bezout_cases())
+    @example((7, {"p": 5}))  # a pencil reduction
+    @example((6, {"p": 3, "q": 3}))  # a removed line
+    def test_report_systems_are_canonical(self, case):
+        # Each system a step derives, by the trusted LinSysData._sorted, is
+        # the one the validating constructor builds from its fields.
+        n, mults = case
+        while member_genus(sysd(n, mults)) <= 1:  # raise the degree until a chain starts
+            n += 1
+        report = adjoint_chain(sysd(n, mults))
+        systems = [report.terminal]
+        for step in report.steps:
+            systems += [step.input, step.raw_adjoint, step.reduced]
+            systems += [r.system for r in step.removed_fixed]
+            if step.pencil_reduction is not None:
+                systems.append(step.pencil_reduction.pencil)
+        for L in systems:
+            assert L == LinSysData.of(L.degree, L.mults)
 
     @pytest.mark.parametrize(
         "degree, mult, points, steps, classification, terminal",
