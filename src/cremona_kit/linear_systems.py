@@ -54,12 +54,14 @@ class LinSysData(Record):
     __slots__ = ("degree", "mults", "_sums")
 
     def __init__(self, degree: int, mults: Tuple[Tuple[str, int], ...] = ()) -> None:
-        if not isinstance(degree, int) or degree < 0:
-            raise DegenerateSystem(f"linear system with negative degree {degree}")
+        if type(degree) is not int or degree < 0:  # bool and other int subclasses refused
+            fault = "negative" if type(degree) is int else "non-integer"
+            raise DegenerateSystem(f"linear system with {fault} degree {degree!r}")
         seen: Dict[str, int] = {}
         for label, m in mults:
-            if not isinstance(m, int) or m < 0:
-                raise DegenerateSystem(f"negative multiplicity {m} at {label!r}")
+            if type(m) is not int or m < 0:
+                fault = "negative" if type(m) is int else "non-integer"
+                raise DegenerateSystem(f"{fault} multiplicity {m!r} at {label!r}")
             if label in seen:
                 raise DegenerateSystem(f"duplicate label {label!r}")
             if m > 0:

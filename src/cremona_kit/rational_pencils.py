@@ -12,6 +12,8 @@ Subtracting one from the other forces the linear relation
 ordinary double points, members of such a pencil meet the sextic in
 6n - 2 sum n_i points away from the base points, where n_i is the pencil
 multiplicity at each node; the linear relation bounds this below by 4.
+``enumerate_pencil_types`` walks the partitions of 3n - 2 with square sum
+n^2 on an explicit stack, and writes each rest of parts <= 3 in closed form.
 
 Proximity inequalities between infinitely-near points are not enforced;
 the two equations are the whole contract.
@@ -35,9 +37,13 @@ class PencilType(Record):
     __slots__ = ("degree", "mults")
 
     def __init__(self, degree: int, mults: Tuple[int, ...] = ()) -> None:
-        if not isinstance(degree, int) or degree < 1:
+        ms = tuple(mults)
+        for v in (degree, *ms):
+            if type(v) is not int:  # bool and other int subclasses included
+                raise ValueError(f"pencil degree and multiplicities must be integers, got {v!r}")
+        if degree < 1:
             raise ValueError(f"pencil degree must be >= 1, got {degree}")
-        ms = tuple(sorted(mults, reverse=True))
+        ms = tuple(sorted(ms, reverse=True))
         if ms and ms[-1] < 1:
             raise ValueError("base multiplicities must be >= 1")
         object.__setattr__(self, "degree", degree)
@@ -98,7 +104,9 @@ def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int,
     in decreasing lexicographic order.  With (t, s) left to fill by parts
     <= cap, the parts p that leave a solvable rest are one range:
     ceil(s / t) <= p <= min(cap, t) with p(p - 1) <= s - t.  Once s == t
-    the rest is all ones."""
+    the rest is all ones.  Once cap <= 3 it is a 3s, b 2s and c 1s with
+    6a + 2b = s - t and 3a + 2b + c = t: one rest per a, from the largest
+    down while c >= 0, with a = 0 under cap 2 and none under cap 1."""
     found: List[Tuple[int, ...]] = []
     head: List[int] = []  # the part taken at each open level
     levels: List[List[int]] = []  # per open level: [next part, lowest part, t, s]
@@ -106,6 +114,14 @@ def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int,
     while True:
         if s == t and (cap > 0 or t == 0):
             found.append((*head,) + (1,) * t)
+        elif cap < 4:
+            h, odd = divmod(s - t, 2)  # h = 3a + b
+            if cap > 1 and h > 0 and not odd:
+                for a in range(h // 3 if cap == 3 else 0, -1, -1):
+                    c = 2 * t - s + 3 * a
+                    if c < 0:
+                        break
+                    found.append((*head,) + (3,) * a + (2,) * (h - 3 * a) + (1,) * c)
         elif 0 < t < s:
             levels.append([min(cap, t, (isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t), t, s])
             head.append(0)
@@ -133,12 +149,13 @@ def enumerate_pencil_types(
         raise EnumerationBoundExceeded(
             f"n_max {n_max} exceeds the enumeration bound {limit}"
         )
+    set_degree, set_mults = PencilType._setters
     out: List[PencilType] = []
     for n in range(1, n_max + 1):
         for parts in _partitions(3 * n - 2, n * n, n):
             p = object.__new__(PencilType)  # the walk's parts are sorted and valid
-            object.__setattr__(p, "degree", n)
-            object.__setattr__(p, "mults", parts)
+            set_degree(p, n)
+            set_mults(p, parts)
             out.append(p)
     return tuple(out)
 

@@ -420,34 +420,40 @@ def dumps(payload: Any) -> str:
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline, for the values the encoders emit: str, int, bool, None,
     and lists and str-keyed dicts of them.  Anything else (a float, a tuple,
-    a non-str key) raises TypeError.
+    a non-str key, a subclass of int or str) raises TypeError.
     """
     return _write(payload, "\n") + "\n"
+
+
+# The scalar formatters, keyed by exact type: a list of one scalar type is
+# joined in one map, and a dict writes its scalar values inline.  repr of an
+# exact int is int.__repr__; a bool indexes the pair as 0 or 1.
+_SCALARS = {str: _encode_str, int: repr, type(None): lambda v: "null"}
+_SCALARS[bool] = ("false", "true").__getitem__
 
 
 def _write(v: Any, newline: str) -> str:
     """One value; ``newline`` is a line break plus the indent of its line."""
     kind = type(v)
-    if kind is str:
-        return _encode_str(v)
-    if kind is int:
-        return int.__repr__(v)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(v)
+    inner = newline + "  "
     if kind is list:
         if not v:
             return "[]"
-        inner = newline + "  "
-        if set(map(type, v)) == {int}:  # the mults lists are most of what is written
-            body = map(int.__repr__, v)
-        else:
-            body = [_write(x, inner) for x in v]
+        kinds = set(map(type, v))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        body = map(scalar, v) if scalar else [_write(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if kind is dict:
         if not v:
             return "{}"
-        inner = newline + "  "
-        # _encode_str raises TypeError for a key that is not a str.
-        body = [_encode_str(k) + ": " + _write(v[k], inner) for k in sorted(v)]
+        body = []
+        for k in sorted(v):
+            x = v[k]
+            scalar = _SCALARS.get(type(x))
+            # _encode_str raises TypeError for a key that is not a str.
+            body.append(_encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner)))
         return "{" + inner + ("," + inner).join(body) + newline + "}"
-    if v is None or kind is bool:
-        return "null" if v is None else "true" if v else "false"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -7,7 +7,8 @@ Bezout-rule enumerator below is the oracle for the package's direct
 first-rule search, the Fraction ``substitute_oracle`` the one for the
 package's integer substitution, the Fraction Euclid ``uni_gcd_oracle``
 the one for the modular ``uni_gcd``, and the recursive generator
-``partitions_oracle`` the one for the flat pencil-type walk, and
+``partitions_oracle`` and the explicit-stack ``partitions_walk_oracle`` the
+ones for the pencil-type walk with closed-form tails, and
 ``fixes_curve_pointwise_oracle`` (Fraction minors, ``tri_divrem``) the one
 for the integer fixation certificate.  The cofactor
 oracles divide a second time by a GCD already computed, as the package
@@ -456,6 +457,31 @@ def partitions_oracle(total: int, square_total: int, max_part: int):
             continue
         for tail in partitions_oracle(rest, rest_sq, part):
             yield (part,) + tail
+
+
+def partitions_walk_oracle(total: int, square_total: int, max_part: int):
+    """The explicit-stack walk ``rational_pencils._partitions`` had before it
+    wrote rests of parts <= 3 in closed form: every part, down to the ones,
+    is taken on the stack."""
+    found: List[Tuple[int, ...]] = []
+    head: List[int] = []  # the part taken at each open level
+    levels: List[List[int]] = []  # per open level: [next part, lowest part, t, s]
+    t, s, cap = total, square_total, max_part
+    while True:
+        if s == t and (cap > 0 or t == 0):
+            found.append((*head,) + (1,) * t)
+        elif 0 < t < s:
+            levels.append([min(cap, t, (math.isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t), t, s])
+            head.append(0)
+        while levels and levels[-1][0] < levels[-1][1]:
+            levels.pop()
+            head.pop()
+        if not levels:
+            return found
+        level = levels[-1]
+        cap = head[-1] = level[0]
+        level[0] -= 1
+        t, s = level[2] - cap, level[3] - cap * cap
 
 
 def rand_curve(

@@ -37,10 +37,15 @@ BERTINI_CURVE = json.dumps(
 # sha256 of the stdout of `pencil-enum --max 16 --bound 16` and of two
 # `adjoint-chain` reports, recorded with json.dumps(indent=2, sort_keys=True)
 # and the recursive partition generator: the writer and the walk that
-# replaced them must reproduce these bytes.  The `classify` digests of the
-# same two curves were recorded before the adjoint chain derived its
-# systems by the trusted LinSysData._sorted.
-PENCIL_ENUM_16_SHA256 = "d858188755484540dae256fcd2cad2f02eb8640bb65b7b4895aca040b98ab588"
+# replaced them must reproduce these bytes.  The first is kept in a file
+# that the examples job of the CI workflow also checks.  The `classify`
+# digests of the same two curves were recorded before the adjoint chain
+# derived its systems by the trusted LinSysData._sorted.
+PENCIL_ENUM_16_SHA256 = (Path(__file__).parent / "pencil_enum_16.sha256").read_text().strip()
+# Recorded before the walk wrote rests of parts <= 3 in closed form and the
+# writer formatted scalars through one exact-type table.
+PENCIL_ENUM_20_SHA256 = "f95950e01f41309da0d4c54827b4cd83fc3901282583bc800e6444ad674ce596"
+PENCIL_ENUM_6_TEXT_SHA256 = "fda58fa710ff8810d6aa67bdccc5c968451771d974f3b9652320622593410f29"
 # 13 steps, fixed lines removed, ends in a rational pencil.
 CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
 CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
@@ -203,6 +208,16 @@ class TestGoldenOutputs:
     def test_pencil_enum_16(self, capsys):
         assert self.digest(capsys, "pencil-enum", "--max", "16", "--bound", "16") == (
             PENCIL_ENUM_16_SHA256
+        )
+
+    def test_pencil_enum_20(self, capsys):
+        assert self.digest(capsys, "pencil-enum", "--max", "20", "--bound", "20") == (
+            PENCIL_ENUM_20_SHA256
+        )
+
+    def test_pencil_enum_6_text(self, capsys):
+        assert self.digest(capsys, "pencil-enum", "--max", "6", "--format", "text") == (
+            PENCIL_ENUM_6_TEXT_SHA256
         )
 
     @pytest.mark.parametrize(

@@ -104,6 +104,26 @@ class TestNumericalInvariants:
         with pytest.raises(DegenerateSystem):
             sysd(3, {"a": -1})
 
+    @pytest.mark.parametrize(
+        "degree, mults, message",
+        [
+            (True, {}, "linear system with non-integer degree True"),
+            ("x", {}, "linear system with non-integer degree 'x'"),
+            (2.0, {}, "linear system with non-integer degree 2.0"),
+            (-1, {}, "linear system with negative degree -1"),
+            (3, {"a": True, "b": 2}, "non-integer multiplicity True at 'a'"),
+            (3, {"a": False}, "non-integer multiplicity False at 'a'"),
+            (3, {"a": 1.0}, "non-integer multiplicity 1.0 at 'a'"),
+            (3, {"a": -2}, "negative multiplicity -2 at 'a'"),
+        ],
+    )
+    def test_fault_named(self, degree, mults, message):
+        # bool is an int subclass, yet a system of bools would encode as
+        # JSON true and false.
+        with pytest.raises(DegenerateSystem) as info:
+            LinSysData.of(degree, mults)
+        assert str(info.value) == message
+
 
 class TestAdjointRaw:
     def test_formula(self):

@@ -1,8 +1,11 @@
+import inspect
+
 import pytest
 from sympy.utilities.iterables import partitions as sympy_partitions
 
 from cremona_kit.errors import EnumerationBoundExceeded, InvalidAssignment
 from cremona_kit.linear_systems import member_genus, self_intersection, virtual_dim
+from cremona_kit import rational_pencils
 from cremona_kit.rational_pencils import (
     PencilType,
     _partitions,
@@ -12,7 +15,7 @@ from cremona_kit.rational_pencils import (
     sextic_free_intersection_bound,
 )
 
-from _util import partitions_oracle
+from _util import partitions_oracle, partitions_walk_oracle
 
 
 def brute_types(n):
@@ -92,6 +95,23 @@ class TestEnumerate:
     def test_deterministic(self):
         assert enumerate_pencil_types(6) == enumerate_pencil_types(6)
 
+    @pytest.mark.parametrize(
+        "degree, mults, message",
+        [
+            (True, (True,), "pencil degree and multiplicities must be integers, got True"),
+            (1, (True,), "pencil degree and multiplicities must be integers, got True"),
+            (2, (1, 1, 1.0, 1), "pencil degree and multiplicities must be integers, got 1.0"),
+            ("2", (1,), "pencil degree and multiplicities must be integers, got '2'"),
+            (0, (), "pencil degree must be >= 1, got 0"),
+            (2, (1, 0), "base multiplicities must be >= 1"),
+        ],
+    )
+    def test_fault_named(self, degree, mults, message):
+        # PencilType(True, (True,)) used to encode as "degree": true.
+        with pytest.raises(ValueError) as info:
+            PencilType(degree, mults)
+        assert str(info.value) == message
+
     def test_types_equal_checked_construction(self):
         # enumerate_pencil_types skips PencilType's checks; the objects must
         # still equal, and hash like, those the constructor builds.
@@ -102,7 +122,8 @@ class TestEnumerate:
 
 
 class TestWalkOracle:
-    """The flat walk against the recursive generator it replaced."""
+    """The walk against the recursive generator and the explicit-stack walk
+    it replaced, around its closed-form rests of parts <= 3."""
 
     def test_every_degree_up_to_24(self):
         for n in range(1, 25):
@@ -121,12 +142,59 @@ class TestWalkOracle:
                 for cap in range(0, 7):
                     want = list(partitions_oracle(total, square_total, cap))
                     assert _partitions(total, square_total, cap) == want
+                    assert partitions_walk_oracle(total, square_total, cap) == want
 
     def test_empty_and_all_ones(self):
         assert _partitions(0, 0, 0) == [()] == list(partitions_oracle(0, 0, 0))
         assert _partitions(0, 1, 3) == []
         assert _partitions(5, 5, 1) == [(1,) * 5]
         assert _partitions(5, 5, 0) == []
+
+    @staticmethod
+    def closed_form_mismatch(walk):
+        """The first (t, s, cap) with cap <= 4, t < 30 and s < 200 where
+        ``walk`` and the explicit-stack walk differ, or None."""
+        for cap in range(0, 5):
+            for t in range(0, 30):
+                for s in range(0, 200):
+                    if walk(t, s, cap) != partitions_walk_oracle(t, s, cap):
+                        return t, s, cap
+        return None
+
+    def test_closed_form_box(self):
+        assert self.closed_form_mismatch(_partitions) is None
+
+    def test_closed_form_cases(self):
+        # Odd s - t: no rest of 3s, 2s and 1s has s - t = 6a + 2b.
+        assert _partitions(4, 9, 3) == _partitions(4, 9, 2) == []
+        # Cap 3 from the most 3s down: 6a + 2b = 6, 3a + 2b + c = 8.
+        assert _partitions(8, 14, 3) == [(3, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1)]
+        # c < 0 stops the range: a = 1 would need c = -3.
+        assert _partitions(6, 18, 3) == [(3, 3)]
+        assert _partitions(6, 18, 2) == []
+        # Cap 2 leaves one rest; below cap 2 only s == t has one.
+        assert _partitions(7, 9, 2) == [(2, 1, 1, 1, 1, 1)]
+        assert _partitions(7, 9, 1) == _partitions(7, 9, 0) == []
+        assert _partitions(3, 9, 3) == [(3,)]
+        assert _partitions(0, 6, 3) == _partitions(2, 1, 3) == _partitions(2, 1, 2) == []
+        for t, s, cap in ((4, 9, 3), (8, 14, 3), (6, 18, 3), (7, 9, 2), (7, 9, 0), (0, 6, 3)):
+            assert _partitions(t, s, cap) == list(partitions_oracle(t, s, cap))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("if cap > 1 and h > 0", "if h > 0"),  # no cap < 2 guard
+            ("else 0, -1, -1)", "else 0, 0, -1)"),  # the range stops at a = 1
+            ("range(h // 3 if", "range(h if"),  # the range starts at (s - t) // 2
+        ],
+        ids=["no-cap-guard", "stops-at-one", "starts-at-half"],
+    )
+    def test_closed_form_mutants_fail(self, old, new):
+        source = inspect.getsource(_partitions)
+        assert source.count(old) == 1
+        namespace = dict(vars(rational_pencils))
+        exec(source.replace(old, new), namespace)
+        assert self.closed_form_mismatch(namespace["_partitions"]) is not None
 
 
 class TestSexticBound:

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 from fractions import Fraction
@@ -241,13 +242,31 @@ class TestDumps:
     @example([[], {}, [[]], [{}], {"": {"": []}}])
     @example({"mults": [2**64, -5, 0, 7], "labels": ["p0", "\udfff"]})
     @example(_nested(60))
+    @example([True, False, True])
+    @example([None, None])
+    @example(["b", "a", "\u00e9", ""])
+    @example({"b": 1, "a": "x", "c": True, "d": None, "e": False, "f": -(2**70)})
+    @example({"mults": {"p1": 3, "p0": 2}, "labels": ["p0", "p1"], "warnings": []})
     def test_matches_json(self, value):
         assert ser.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    class _Int(int):
+        pass
+
+    class _Str(str):
+        pass
+
+    class _Enum(enum.IntEnum):
+        ONE = 1
 
     @pytest.mark.parametrize(
         "value",
         [1.5, float("nan"), (1, 2), Fraction(1, 2), {1: "a"}, {None: 1}, [1, 2.0], {"a": (1,)},
-         {"a": 1, 2: 3}, b"bytes"],
+         {"a": 1, 2: 3}, b"bytes",
+         # Subclasses of int and str, which a table keyed by isinstance would take.
+         _Enum.ONE, _Int(2), _Str("s"), [_Enum.ONE], [_Int(2)], [_Str("s")], [_Int(1), _Int(2)],
+         [1, _Int(2)], ["a", _Str("s")], {"a": _Enum.ONE}, {"a": _Int(2)}, {"a": _Str("s")},
+         {"a": [_Int(2)]}],
     )
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
