@@ -38,7 +38,6 @@ from .cremona_maps import (
     make_phi,
 )
 from .exact_algebra import (
-    Mat2RF,
     RatFunc,
     Rational,
     TriHomPoly,
@@ -55,9 +54,7 @@ from .jonquieres import (
     hyperelliptic_curve_poly,
     invert,
     leminv_check,
-    mat_to_cremona,
     mul,
-    pgl_order,
     to_cremona,
 )
 from .linear_systems import (

@@ -221,7 +221,7 @@ def _function_field_torus(c: _Checker) -> None:
             fixes_curve_pointwise(jq.to_cremona(u), curve),
             f"element {i}: induced map must fix the hyperelliptic curve pointwise",
         )
-        order = jq.pgl_order(u.matrix())
+        order = jq.leminv_check(u).order
         c.expect(
             order in (1, 2, jq.PGL_INFINITE),
             f"element {i} has unexpected order {order}",

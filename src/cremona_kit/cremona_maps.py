@@ -15,7 +15,7 @@ cover three families:
 * ``make_phi``       -- the quadratic involutions
   (-x (mu y + nu z) : y (x + mu y + nu z) : z (x + mu y + nu z)).
 
-``make_H_element``, like ``jonquieres.mat_to_cremona``, moves one affine
+``make_H_element``, like ``jonquieres.to_cremona``, moves one affine
 coordinate by a Moebius transformation over the rational functions of the
 other; ``_jonquieres_map`` builds both.  ``make_phi`` is built directly: the
 builder's triple for it is z times phi, which a degree cap of 2 would refuse.

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .errors import InvalidCurveData
-from .exact_algebra import RationalLike, TriHomPoly, _frac, tri_gcd
+from .exact_algebra import TRI_X, TRI_Y, TRI_Z, RationalLike, TriHomPoly, _frac, tri_content_gcd
 
 
 class PointSpec(Record):
@@ -117,58 +117,44 @@ def genus(c: PlaneCurveModel) -> int:
 
 
 def multiplicity_at(f: TriHomPoly, point: Sequence[RationalLike]) -> int:
-    """Smallest k such that some order-k partial of f is nonzero at the point.
+    """Multiplicity of f at the point: 0 off the curve, 1 at a smooth point,
+    m >= 2 at an m-fold point.
 
-    Zero means the point is not on the curve; 1 a smooth point; m >= 2 an
-    m-fold point.
+    One substitution moves the point to (0:0:1).  With P the point scaled to
+    integers and P_r != 0, coordinate r goes to P_r z and the other two to
+    x + P_a z and y + P_b z, an invertible map (determinant +-P_r) that
+    sends (0:0:1) to P.  The multiplicity at (0:0:1) is the least total
+    degree in x and y over the body (Fulton, Algebraic Curves, 3.1).
     """
     if f.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")
     pt = tuple(_frac(v) for v in point)
     if len(pt) != 3 or all(v == 0 for v in pt):
         raise ValueError("expected a valid projective point")
-    # Filled order by order, so the parent of each partial is already there;
-    # a plain loop leaves no reference cycle to outlive the call.
-    partials: Dict[Tuple[int, int, int], TriHomPoly] = {(0, 0, 0): f}
-    for k in range(f.degree + 1):
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                c = k - a - b
-                if a > 0:
-                    d = partials[a, b, c] = partials[a - 1, b, c].partial(0)
-                elif b > 0:
-                    d = partials[a, b, c] = partials[a, b - 1, c].partial(1)
-                elif c > 0:
-                    d = partials[a, b, c] = partials[a, b, c - 1].partial(2)
-                else:
-                    d = f
-                if not d.vanishes_at(pt):
-                    return k
-    raise AssertionError("all partials vanished for a nonzero polynomial")
+    s = math.lcm(*(v.denominator for v in pt))
+    P = [v.numerator * (s // v.denominator) for v in pt]
+    r = max(i for i in range(3) if P[i])
+    moved = iter((TRI_X, TRI_Y))
+    images = [TRI_Z * c if i == r else next(moved) + TRI_Z * c for i, c in enumerate(P)]
+    return min(i + j for i, j in f.substitute(images)._body)
 
 
 def is_perfect_power(f: TriHomPoly) -> bool:
     """True iff f = g**k for some homogeneous g and integer k >= 2.
 
-    Uses iterated gcds with the partials: writing f as a product of
-    irreducible powers prod q_i^{e_i}, the j-th iterate w_j of
-    w -> gcd(w, w_x, w_y, w_z) is prod q_i^{max(e_i - j, 0)}, so the
-    factors with e_i > j have degree deg w_j - deg w_{j+1}, and a drop of
-    that at j means some e_i = j: no factoring, no division.  f is a
-    perfect power iff the multiplicities that occur share a factor >= 2.
+    Writing f as a product of irreducible powers prod q_i^{e_i}, the j-th
+    iterate w_j of w -> gcd(w_x, w_y, w_z), which is gcd(w, w_x, w_y, w_z)
+    by Euler's formula d w = x w_x + y w_y + z w_z, is
+    prod q_i^{max(e_i - j, 0)}.  So the factors with e_i > j have degree
+    deg w_j - deg w_{j+1}, and a drop of that at j means some e_i = j: no
+    factoring, no division.  f is a perfect power iff the multiplicities
+    that occur share a factor >= 2.
     """
     if f.is_zero:
         raise ValueError("perfect-power test on the zero polynomial")
     w, degrees = f, [f.degree]
     while w.degree > 0:
-        u = w
-        for axis in range(3):
-            p = w.partial(axis)
-            if not p.is_zero:
-                u = tri_gcd(u, p)
-            if u.degree == 0:
-                break
-        w = u
+        w = tri_content_gcd(w.partial(0), w.partial(1), w.partial(2))
         degrees.append(w.degree)
     radicals = [a - b for a, b in zip(degrees, degrees[1:])] + [0]
     return math.gcd(*(j for j in range(1, len(radicals)) if radicals[j - 1] > radicals[j])) >= 2

@@ -45,10 +45,6 @@ class EnumerationBoundExceeded(CremonaKitError):
     """Pencil-type enumeration requested beyond the configured bound."""
 
 
-class SingularMatrix(CremonaKitError):
-    """A 2x2 matrix over the function field has zero determinant."""
-
-
 class GroupMismatch(CremonaKitError):
     """Group operation on elements built over different polynomials h."""
 

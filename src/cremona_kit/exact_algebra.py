@@ -18,7 +18,8 @@ a Kronecker substitution on packed integers) and the GCD run on the bodies;
 Nothing in the package reads those views: a Fraction is built only when a
 caller reads ``coeffs``, ``terms`` or ``coeff()``, or calls ``tri_divrem``,
 the Fraction lex division kept as a public name.  No division, text form or
-evaluation besides ``vanishes_at`` is left: ``str()`` prints the ``repr``.
+evaluation is left (a polynomial is evaluated through ``substitute``):
+``str()`` prints the ``repr``.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of z
@@ -49,7 +50,6 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .errors import SingularMatrix
 
 Rational = Fraction
 
@@ -460,17 +460,6 @@ class TriHomPoly(_Poly, Record):
             if n:
                 body[i - di, j - dj] = c * n
         return TriHomPoly._sorted(max(d - 1, 0), body, self._den)
-
-    def vanishes_at(self, point: Sequence[RationalLike]) -> bool:
-        return not self._value_at(point)[0]
-
-    def _value_at(self, point: Sequence[RationalLike]) -> Tuple[int, int]:
-        """(den * s^degree times the value, s): s * point is integral, so no Fraction is built."""
-        a, b, c = (_frac(v) for v in point)
-        s = math.lcm(a.denominator, b.denominator, c.denominator)
-        x, y, z = (v.numerator * (s // v.denominator) for v in (a, b, c))
-        d = self.degree
-        return sum(v * x**i * y**j * z ** (d - i - j) for (i, j), v in self._body.items()), s
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
         """Evaluate at three homogeneous polynomials of one common degree.
@@ -1077,43 +1066,3 @@ def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
 def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:
     """GCD of three homogeneous polynomials, lex-normalised; rejects (0,0,0)."""
     return _primitive_parts((f, g, k))[0]
-
-
-# ---------------------------------------------------------------------------
-# 2x2 matrices over the rational function field
-# ---------------------------------------------------------------------------
-
-
-class Mat2RF(Record):
-    """Invertible 2x2 matrix with entries in Q(x)."""
-
-    __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11: RatFunc, a12: RatFunc, a21: RatFunc, a22: RatFunc) -> None:
-        object.__setattr__(self, "a11", a11)
-        object.__setattr__(self, "a12", a12)
-        object.__setattr__(self, "a21", a21)
-        object.__setattr__(self, "a22", a22)
-        if self.det().is_zero:
-            raise SingularMatrix("matrix over the function field is singular")
-
-    @classmethod
-    def of(cls, a11, a12, a21, a22) -> "Mat2RF":
-        return cls(RatFunc.of(a11), RatFunc.of(a12), RatFunc.of(a21), RatFunc.of(a22))
-
-    def det(self) -> RatFunc:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def trace(self) -> RatFunc:
-        return self.a11 + self.a22
-
-    def is_scalar(self) -> bool:
-        return self.a12.is_zero and self.a21.is_zero and self.a11 == self.a22
-
-    def __matmul__(self, other: "Mat2RF") -> "Mat2RF":
-        return Mat2RF(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )

@@ -30,7 +30,6 @@ from ._record import Record
 from .cremona_maps import CremonaMap, _jonquieres_map
 from .errors import GroupMismatch, InvalidElement
 from .exact_algebra import (
-    Mat2RF,
     RatFunc,
     TRI_Y,
     TRI_Z,
@@ -91,13 +90,6 @@ class JonqElement(Record):
         and invert from the determinants of their arguments."""
         return self._det
 
-    def matrix(self) -> Mat2RF:
-        """[[a1, h a2], [a2, a1]], set through its slots: the element's
-        constructor has checked its determinant."""
-        m = object.__new__(Mat2RF)
-        m._init(self.a1, RatFunc.of(self.h) * self.a2, self.a2, self.a1)
-        return m
-
 
 def _over(u: JonqElement, a1: RatFunc, a2: RatFunc, det: RatFunc) -> JonqElement:
     """(a1, a2) over u.h with determinant det, set unchecked: u's constructor
@@ -126,19 +118,15 @@ def invert(u: JonqElement) -> JonqElement:
     return _over(u, u.a1 / d, -u.a2 / d, d.inverse())
 
 
-def pgl_order(m: Mat2RF) -> PglOrder:
-    """Order of the image of m in the projective group over Q(x).
+def _order(trace: RatFunc, det: RatFunc, scalar: bool) -> Tuple[PglOrder, RatFunc]:
+    """(order, lambda) of a matrix in the projective group over Q(x), given
+    its trace, det and scalarity.
 
     Classified by lambda = trace^2 / det: non-constant lambda means
     infinite order; constant lambda 4 is the identity (if scalar) or a
     unipotent of infinite order; constants 0, 1, 2, 3 give orders
     2, 3, 4, 6; every other constant is infinite order.
     """
-    return _order(m.trace(), m.det(), m.is_scalar())[0]
-
-
-def _order(trace: RatFunc, det: RatFunc, scalar: bool) -> Tuple[PglOrder, RatFunc]:
-    """(order, lambda) of a matrix given its trace, det and scalarity."""
     lam = (trace * trace) / det
     if not lam.is_constant:
         return PGL_INFINITE, lam
@@ -163,7 +151,7 @@ def leminv_check(u: JonqElement) -> OrderReport:
     squarefree of positive degree; the report records lambda and the
     verdict.
     """
-    # u.matrix() has trace 2 a1 and det u.det(), and is scalar iff a2 = 0.
+    # [[a1, h a2], [a2, a1]] has trace 2 a1 and det u.det(), and is scalar iff a2 = 0.
     order, lam = _order(u.a1 + u.a1, u.det(), u.a2.is_zero)
     ok = order in (1, 2, PGL_INFINITE)
     if u.a1.is_zero:
@@ -190,11 +178,7 @@ def _curve_poly(h: UniPoly) -> TriHomPoly:
     return TRI_Y * TRI_Y * TRI_Z ** (d - 2) - h_hom
 
 
-def mat_to_cremona(m: Mat2RF) -> CremonaMap:
-    """Homogenise (x, y) -> (x, (a11 y + a12) / (a21 y + a22))."""
-    return _jonquieres_map((m.a11, m.a12, m.a21, m.a22), 1)
-
-
 def to_cremona(u: JonqElement) -> CremonaMap:
-    """The plane map induced by u; preserves the pencil of lines x = const."""
-    return mat_to_cremona(u.matrix())
+    """The plane map (x, y) -> (x, (a1 y + h a2) / (a2 y + a1)) induced by u;
+    preserves the pencil of lines x = const."""
+    return _jonquieres_map((u.a1, RatFunc.of(u.h) * u.a2, u.a2, u.a1), 1)

@@ -61,13 +61,10 @@ def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
     """Evaluate both pencil equations exactly and report the residuals.
 
     When both hold, the linear relation 3n - sum(m) = 2 must follow by
-    subtraction, and is asserted.
+    subtraction, and is asserted.  The data is validated, and the
+    multiplicities sorted, by ``PencilType``.
     """
-    ms = tuple(sorted(mults, reverse=True))
-    if n < 1:
-        raise ValueError(f"pencil degree must be >= 1, got {n}")
-    if any(m < 1 for m in ms):
-        raise ValueError("base multiplicities must be >= 1")
+    ms = PencilType(n, mults).mults
     r_genus = (n - 1) * (n - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
     r_pencil = (n + 1) * (n + 2) // 2 - sum(m * (m + 1) // 2 for m in ms) - 2
     r_linear = 3 * n - sum(ms) - 2
@@ -88,7 +85,7 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
     if not report.valid:
         raise ValueError(f"pencil type {p} does not satisfy the pencil equations")
     ns = tuple(node_mults)
-    if any(not isinstance(v, int) or v < 0 for v in ns):
+    if any(type(v) is not int or v < 0 for v in ns):  # bool and other int subclasses included
         raise InvalidAssignment("node multiplicities must be integers >= 0")
     if sum(ns) > sum(p.mults):
         raise InvalidAssignment(

@@ -10,7 +10,12 @@ the one for the modular ``uni_gcd``, and the recursive generator
 ``partitions_oracle`` and the explicit-stack ``partitions_walk_oracle`` the
 ones for the pencil-type walk with closed-form tails, and
 ``fixes_curve_pointwise_oracle`` (Fraction minors, ``tri_divrem``) the one
-for the integer fixation certificate.  The cofactor
+for the integer fixation certificate.  ``multiplicity_at_oracle`` (the
+partials at the point) and ``is_perfect_power_oracle`` (one gcd per
+partial) are the ones for the substitution and the one content GCD per
+level of ``curve_model``, and ``pgl_order_oracle`` (the order of a matrix
+given by its four entries) the one for ``leminv_check`` and ``_order``.
+The cofactor
 oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 ``tri_divrem`` per component), ``uni_cofactors_oracle`` (``uni_gcd_oracle``,
@@ -53,7 +58,7 @@ from cremona_kit.curve_model import (
     _structural_checks,
     curve_from_mults,
 )
-from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement, SingularMatrix
+from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement
 from cremona_kit.exact_algebra import (
     _P0,
     _POINT,
@@ -69,7 +74,7 @@ from cremona_kit.exact_algebra import (
     tri_divrem,
     tri_gcd,
 )
-from cremona_kit.jonquieres import JonqElement, _check_h
+from cremona_kit.jonquieres import JonqElement, _check_h, _order
 from cremona_kit.linear_systems import (
     ChainStep,
     Classification,
@@ -439,6 +444,64 @@ def substitute_oracle(f: TriHomPoly, images: Sequence[TriHomPoly]) -> TriHomPoly
     return total
 
 
+def multiplicity_at_oracle(f: TriHomPoly, point) -> int:
+    """The earlier ``curve_model.multiplicity_at``: the least k such that some
+    order-k partial of f is nonzero at the point, with the Fraction partials
+    and evaluation of ``OldTriHomPoly``."""
+    if f.is_zero:
+        raise ValueError("multiplicity of the zero polynomial is undefined")
+    level = [OldTriHomPoly(f.degree, f.terms)]
+    for k in range(f.degree + 1):
+        if any(d.evaluate(point) for d in level):
+            return k
+        level = [d.partial(axis) for d in level for axis in range(3)]
+    raise AssertionError("all partials vanished for a nonzero polynomial")
+
+
+def is_perfect_power_oracle(f: TriHomPoly) -> bool:
+    """The earlier ``curve_model.is_perfect_power``: each level is
+    gcd(w, w_x, w_y, w_z), folded one ``tri_gcd`` per nonzero partial."""
+    w, degrees = f, [f.degree]
+    while w.degree > 0:
+        u = w
+        for axis in range(3):
+            p = w.partial(axis)
+            if not p.is_zero:
+                u = tri_gcd(u, p)
+            if u.degree == 0:
+                break
+        w = u
+        degrees.append(w.degree)
+    radicals = [a - b for a, b in zip(degrees, degrees[1:])] + [0]
+    return math.gcd(*(j for j in range(1, len(radicals)) if radicals[j - 1] > radicals[j])) >= 2
+
+
+def mat_mul_oracle(m, n):
+    """Product of 2x2 matrices over Q(x), given as entry tuples (a11, a12, a21, a22)."""
+    return (
+        m[0] * n[0] + m[1] * n[2],
+        m[0] * n[1] + m[1] * n[3],
+        m[2] * n[0] + m[3] * n[2],
+        m[2] * n[1] + m[3] * n[3],
+    )
+
+
+def is_scalar_oracle(m) -> bool:
+    return m[1].is_zero and m[2].is_zero and m[0] == m[3]
+
+
+def pgl_order_oracle(*entries):
+    """The deleted ``jonquieres.pgl_order`` on four entries a11, a12, a21, a22
+    (anything ``RatFunc.of`` takes): (order, lambda) from ``_order`` on the
+    trace, determinant and scalarity that ``Mat2RF`` computed; a singular
+    matrix is refused."""
+    m = tuple(RatFunc.of(e) for e in entries)
+    det = m[0] * m[3] - m[1] * m[2]
+    if det.is_zero:
+        raise ValueError("matrix over the function field is singular")
+    return _order(m[0] + m[3], det, is_scalar_oracle(m))
+
+
 def partitions_oracle(total: int, square_total: int, max_part: int):
     """The recursive walk ``rational_pencils._partitions`` replaced: the same
     tuples in the same order, each rebuilt at every level of the recursion."""
@@ -593,7 +656,7 @@ H8 = UniPoly.of(-2, 0, 0, 0, 0, 0, 0, 0, 1)  # t^8 - 2
 
 # -- the records as the frozen dataclasses they were -----------------------------
 #
-# Fields, defaults and __post_init__ checks of the package's 20 records as
+# Fields, defaults and __post_init__ checks of the package's 19 records as
 # they stood when each was a @dataclass(frozen=True); the oracle for the
 # equality, hash, repr, construction and immutability of the __slots__
 # classes that replaced them.  Each is registered under the package's class
@@ -777,18 +840,6 @@ class OldTriHomPoly:
                     term = term * g
             total = total + term
         return total
-
-
-@_dataclass_oracle
-class OldMat2RF:
-    a11: RatFunc
-    a12: RatFunc
-    a21: RatFunc
-    a22: RatFunc
-
-    def __post_init__(self) -> None:
-        if (self.a11 * self.a22 - self.a12 * self.a21).is_zero:
-            raise SingularMatrix("matrix over the function field is singular")
 
 
 @_dataclass_oracle

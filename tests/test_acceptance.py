@@ -42,6 +42,7 @@ from _util import (
     H4,
     H6,
     H8,
+    pgl_order_oracle,
     rand_jonq,
     rand_usable_system,
     remove_fixed_components_random_order,
@@ -134,7 +135,8 @@ def test_c4_order_classification_200_elements():
         h = hs[i % 3]
         kind = ("involution", "scalar", None, None, None)[i % 5]
         u = rand_jonq(rng, h, kind=kind)
-        order = jq.pgl_order(u.matrix())
+        order = pgl_order_oracle(u.a1, RatFunc(h) * u.a2, u.a2, u.a1)[0]
+        assert jq.leminv_check(u).order == order
         assert order in (1, 2, jq.PGL_INFINITE)
         if u.a1.is_zero:
             assert order == 2

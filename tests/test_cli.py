@@ -1,6 +1,8 @@
 import hashlib
 import json
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
 from cremona_kit.cremona_maps import CremonaMap, identity_map, make_phi
-from cremona_kit.exact_algebra import TriHomPoly, UniPoly
+from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 
 from _util import H4
@@ -57,6 +59,64 @@ CLASSIFY_55_SHA256 = "e73be0b7b60a4fbef3f86b6f58bc5ca8f2e77697ef9ebec9cd4377ff5d
 # sha256 of the stdout of `cremona-kit examples`, kept in a file that the
 # examples job of the CI workflow also checks.
 EXAMPLES_SHA256 = (Path(__file__).parent / "examples.sha256").read_text().strip()
+
+
+def _curve(degree, poly, points):
+    sings = [{"label": label, "mult": m, "coords": list(coords)} for label, m, coords in points]
+    return json.dumps({"degree": degree, "poly": ser.encode_trihom(poly), "singularities": sings})
+
+
+# Curves for `validate`: an m-fold point at infinity and a tacnode at
+# (0:1:0), a cusp given by rational coordinates, a declared multiplicity
+# off by one and a perfect power.
+VALIDATE_CURVES = [
+    _curve(
+        4,
+        TRI_Z * (TRI_X - TRI_Y) * (TRI_X - TRI_Y - TRI_Z) * (TRI_X + TRI_Y),
+        [("inf", 3, ["1", "1", "0"])],
+    ),
+    _curve(4, TRI_Y**2 * TRI_Z**2 - TRI_X**4 + TRI_Z**4, [("inf", 2, ["0", "1", "0"])]),
+    _curve(
+        3,
+        (TRI_Y * 3 - TRI_Z) ** 2 * TRI_Z * 2 - (TRI_X * 2 - TRI_Z) ** 3 * Fraction(9, 4),
+        [("cusp", 2, ["3/2", "1", "3"])],
+    ),
+    _curve(
+        6,
+        TriHomPoly.of({(3, 3, 0): 1, (3, 1, 2): -1, (1, 3, 2): -1, (1, 1, 4): 1, (0, 0, 6): 1}),
+        [("p0", 3, ["1", "0", "0"]), ("p1", 2, ["0", "1", "0"])],
+    ),
+    _curve(4, (TRI_X**2 + TRI_Y * TRI_Z) ** 2, [("o", 2, ["0", "0", "1"])]),
+]
+
+
+def field_validate_payloads():
+    """The `validate` payloads of the first two blocks of the benchmark's
+    function_field workload on seeds 1 to 5: curves of degree 4, 6 and 8
+    with a (deg - 2)-fold point at (0:1:0)."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [
+        r.payload
+        for seed in range(1, 6)
+        for r in workloads.generate("function_field", seed, 2)
+        if r.kind == "validate"
+    ]
+
+
+# sha256 of the exit code and stdout of `validate` on each input in turn,
+# recorded when multiplicities were read off the partials at the point.
+VALIDATE_FIELD_SHA256 = "a66e20e1cce903a2faeebc7804dd814f58fd953c51bc223c1e28c5d373b6b714"
+VALIDATE_CURVES_SHA256 = "d69402920dfbee847f99b1981c4622f90e226328f4f4f357843a6f952951fd92"
+# A degree-8 hyperelliptic curve with a 6-fold point at (0:1:0), and the
+# sha256 of its `validate` stdout, which the examples job of the CI
+# workflow also checks.
+HYPERELLIPTIC_8 = Path(__file__).parent / "hyperelliptic_8.json"
+HYPERELLIPTIC_8_SHA256 = (Path(__file__).parent / "hyperelliptic_8.sha256").read_text().strip()
 
 
 # t^2 (t^2 + 1): even degree 4, not squarefree.
@@ -238,6 +298,25 @@ class TestGoldenOutputs:
 
     def test_examples(self, capsys):
         assert self.digest(capsys, "examples") == EXAMPLES_SHA256
+
+    @staticmethod
+    def validate_digest(capsys, payloads):
+        digest = hashlib.sha256()
+        for payload in payloads:
+            code, out = run(capsys, "validate", "--inline", payload)
+            digest.update(f"{code}\n{out}".encode())
+        return digest.hexdigest()
+
+    def test_validate_field_payloads(self, capsys):
+        payloads = field_validate_payloads()
+        assert len(payloads) == 30
+        assert self.validate_digest(capsys, payloads) == VALIDATE_FIELD_SHA256
+
+    def test_validate_hand_made_curves(self, capsys):
+        assert self.validate_digest(capsys, VALIDATE_CURVES) == VALIDATE_CURVES_SHA256
+
+    def test_validate_hyperelliptic_8(self, capsys):
+        assert self.digest(capsys, "validate", str(HYPERELLIPTIC_8)) == HYPERELLIPTIC_8_SHA256
 
     @staticmethod
     def curve(degree, mults):

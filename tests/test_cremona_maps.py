@@ -14,6 +14,7 @@ from cremona_kit import serialization as ser
 from cremona_kit.cli import main
 from cremona_kit.cremona_maps import (
     CremonaMap,
+    _jonquieres_map,
     compose,
     fixes_curve_pointwise,
     free_intersection,
@@ -27,7 +28,6 @@ from cremona_kit.cremona_maps import (
 )
 from cremona_kit.errors import DegreeCapExceeded
 from cremona_kit.exact_algebra import (
-    Mat2RF,
     RatFunc,
     TRI_X,
     TRI_Y,
@@ -546,13 +546,6 @@ def _H_cases():
     return cases
 
 
-def _trusted_matrix(*entries):
-    """A Mat2RF set through its slots, with no determinant check."""
-    m = object.__new__(Mat2RF)
-    m._init(*entries)
-    return m
-
-
 def _matrix_cases():
     """Entries of random matrices; every fifth has proportional rows."""
     rng = random.Random(73)
@@ -570,18 +563,14 @@ def _matrix_cases():
 MAP_GRID = {
     "phi": (make_phi, _phi_cases, (None, "4", "3", "2")),
     "H": (make_H_element, _H_cases, (None, "4", "3", "2")),
-    "matrix": (lambda *e: jq.mat_to_cremona(Mat2RF(*e)), _matrix_cases, (None, "4", "3", "2")),
-    "trusted matrix": (
-        lambda *e: jq.mat_to_cremona(_trusted_matrix(*e)),
-        _matrix_cases,
-        (None, "4", "3", "2"),
-    ),
+    # The entries as they are, singular ones included: the builder checks no
+    # determinant.
+    "trusted matrix": (lambda *e: _jonquieres_map(e, 1), _matrix_cases, (None, "4", "3", "2")),
 }
 
 # sha256 of the outcomes, cap after cap.
 MAP_GRID_SHA256 = {
     "H": "9d0db8e05a1e64715a16c4e73de6d0d299c3dbb8b411c8168e04da47154f8bbb",
-    "matrix": "6c7818045ee81d43de34bc7e0b046b1ee7277347791a141718227af1da81afe4",
     "phi": "0affa043a38d38392528863b3152e514211fac13dfdb9af51b8bfb17ede6bc22",
     "trusted matrix": "b15f272f71b0620cba3a610bbc8d93d2d13720ce36158ccabd4b8d6e2983a847",
 }

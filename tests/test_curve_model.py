@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit.curve_model import (
@@ -22,7 +22,15 @@ from cremona_kit.curve_model import (
 from cremona_kit.errors import InvalidCurveData
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly
 
-from _util import fractions_built, rand_curve, tri_to_sympy, trihoms
+from _util import (
+    fractions_built,
+    is_perfect_power_oracle,
+    monomials,
+    multiplicity_at_oracle,
+    rand_curve,
+    tri_to_sympy,
+    trihoms,
+)
 
 # Sextic with ordinary triple points at (1:0:0) and (0:1:0): the six lines
 # x y (x^2 - z^2)(y^2 - z^2) perturbed by z^6.
@@ -155,6 +163,90 @@ class TestPerfectPowerOracle:
         _, factors = sympy.factor_list(tri_to_sympy(f))
         assert sorted(m for _, m in factors) == sorted(exponents)
         assert is_perfect_power(f) == expected
+
+
+@st.composite
+def products(draw):
+    """A nonzero scale times one to three forms of degree 0 to 2, each to a
+    power 1 to 3, of degree at most 8: constants, non-squarefree products
+    and perfect powers."""
+    f = TriHomPoly.monomial((0, 0, 0), draw(st.sampled_from([1, -2, Fraction(3, 2)])))
+    for form in draw(st.lists(trihoms(max_degree=2), min_size=1, max_size=3)):
+        e = draw(st.integers(1, 3))
+        if f.degree + e * form.degree <= 8:
+            f = f * form**e
+    return f
+
+
+class TestPerfectPowerAgainstGcdFold:
+    """One content GCD of the three partials per level, against the fold of
+    one gcd per partial that it replaced."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(products())
+    @example(TriHomPoly.monomial((0, 0, 0), 5))
+    @example(TRI_X * TRI_Z * TRI_Z)  # w_x = z^2, w_y = 0: the level needs w_z
+    @example((TRI_X + TRI_Z) ** 2 * TRI_Z**2)
+    @example(TRI_Z**3)
+    @example((TRI_X * TRI_Y - TRI_Z * TRI_Z) ** 3 * TRI_Y**3)
+    def test_agrees_with_the_oracle(self, f):
+        assert is_perfect_power(f) == is_perfect_power_oracle(f)
+
+
+# Points with zero and with rational coordinates; (0, 0, 0) is filtered out.
+POINT_COORDS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+POINTS = st.tuples(POINT_COORDS, POINT_COORDS, POINT_COORDS).filter(any)
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _linear(row):
+    return TRI_X * row[0] + TRI_Y * row[1] + TRI_Z * row[2]
+
+
+@st.composite
+def planted_multiplicities(draw):
+    """(f, point, m).  g has degree d >= m and every term of total degree
+    >= m in x and y, some exactly m: multiplicity m at (0:0:1).  f is g
+    after the invertible change of coordinates (a.X, b.X, P.X), with P the
+    point scaled to integers and a = u x P, b = v x P orthogonal to it, so
+    f has multiplicity m at the point."""
+    m = draw(st.integers(0, 4))
+    d = m + draw(st.integers(0, 2))
+    point = draw(POINTS)
+    scale = math.lcm(*(Fraction(c).denominator for c in point))
+    P = tuple(int(c * scale) for c in point)
+    coeff = st.integers(-3, 3)
+    terms = {e: draw(coeff) for e in monomials(d) if e[0] + e[1] >= m}
+    lowest = [(i, m - i, d - m) for i in range(m + 1)]
+    terms[draw(st.sampled_from(lowest))] = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * 3)
+    u, v = draw(vector), draw(vector)
+    a, b = _cross(u, P), _cross(v, P)
+    assume(any(_cross(a, b)))  # u, v and P independent
+    f = TriHomPoly.of(terms, d).substitute([_linear(a), _linear(b), _linear(P)])
+    return f, point, m
+
+
+class TestMultiplicityAgainstPartials:
+    """The one substitution against the earlier search over the partials."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(planted_multiplicities())
+    def test_planted_multiplicity(self, case):
+        f, point, m = case
+        assert multiplicity_at(f, point) == multiplicity_at_oracle(f, point) == m
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trihoms(max_degree=4), POINTS)
+    def test_random_forms_and_points(self, f, point):
+        assert multiplicity_at(f, point) == multiplicity_at_oracle(f, point)
+
+    @pytest.mark.parametrize("point", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 3, -2)])
+    def test_degree_zero(self, point):
+        assert multiplicity_at(TriHomPoly.monomial((0, 0, 0), -7), point) == 0
 
 
 class TestMultiplicityAt:

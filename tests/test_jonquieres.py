@@ -9,20 +9,32 @@ import sympy
 from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import compose, fixes_curve_pointwise, is_identity
 from cremona_kit.errors import GroupMismatch, InvalidElement
-from cremona_kit.exact_algebra import Mat2RF, RatFunc, UniPoly, is_squarefree
+from cremona_kit.cremona_maps import _jonquieres_map
+from cremona_kit.exact_algebra import RatFunc, UniPoly, is_squarefree
 from cremona_kit.jonquieres import (
     JonqElement,
     PGL_INFINITE,
+    _order,
     hyperelliptic_curve_poly,
     invert,
     leminv_check,
-    mat_to_cremona,
     mul,
-    pgl_order,
     to_cremona,
 )
 
-from _util import H4, H6, H8, ST, encode_unipoly_oracle, fractions_built, rand_jonq, uni_to_sympy
+from _util import (
+    H4,
+    H6,
+    H8,
+    ST,
+    encode_unipoly_oracle,
+    fractions_built,
+    is_scalar_oracle,
+    mat_mul_oracle,
+    pgl_order_oracle,
+    rand_jonq,
+    uni_to_sympy,
+)
 
 T = UniPoly.variable()
 
@@ -99,7 +111,6 @@ class TestGroupLaw:
         sq = mul(u, u)
         assert sq.a1 == RatFunc(H4)
         assert sq.a2.is_zero
-        assert sq.matrix().is_scalar()
 
     def test_commutative(self):
         rng = random.Random(17)
@@ -127,7 +138,7 @@ class TestGroupLaw:
         rng = random.Random(23)
         for _ in range(10):
             u = rand_jonq(rng, H6)
-            assert mul(u, invert(u)).matrix().is_scalar()
+            assert mul(u, invert(u)).a2.is_zero
 
     def test_products_and_inverses_carry_their_determinant(self):
         """mul and invert store det(u) det(v) and 1 / det(u), which equal
@@ -191,39 +202,52 @@ class TestGroupLaw:
             assert mul(u, v).det() == u.det() * v.det()
 
 
+def _entries(*entries):
+    return tuple(RatFunc.of(e) for e in entries)
+
+
 class TestPglOrder:
+    """_order on the trace, determinant and scalarity of a matrix, as the
+    four-entry oracle computes them."""
+
     def test_identity(self):
-        assert pgl_order(Mat2RF.of(1, 0, 0, 1)) == 1
-        assert pgl_order(Mat2RF.of(RatFunc(T), 0, 0, RatFunc(T))) == 1
+        assert pgl_order_oracle(1, 0, 0, 1)[0] == 1
+        assert pgl_order_oracle(RatFunc(T), 0, 0, RatFunc(T))[0] == 1
 
     def test_involution(self):
-        m = Mat2RF.of(0, RatFunc(H4), 1, 0)
-        assert pgl_order(m) == 2
+        assert pgl_order_oracle(0, RatFunc(H4), 1, 0)[0] == 2
 
     def test_order_three(self):
         # [[0, -1], [1, 1]]: trace^2/det = 1 and the cube is -I
-        m = Mat2RF.of(0, -1, 1, 1)
-        assert pgl_order(m) == 3
-        cube = m @ m @ m
-        assert cube.is_scalar()
-        assert not (m @ m).is_scalar()
+        m = _entries(0, -1, 1, 1)
+        assert pgl_order_oracle(*m)[0] == 3
+        square = mat_mul_oracle(m, m)
+        assert is_scalar_oracle(mat_mul_oracle(square, m))
+        assert not is_scalar_oracle(square)
 
     def test_order_four_and_six(self):
-        m4 = Mat2RF.of(1, -1, 1, 1)  # trace^2/det = 2
-        assert pgl_order(m4) == 4
-        assert (m4 @ m4 @ m4 @ m4).is_scalar()
-        m6 = Mat2RF.of(2, -1, 1, 1)  # trace^2/det = 3
-        assert pgl_order(m6) == 6
+        m4 = _entries(1, -1, 1, 1)  # trace^2/det = 2
+        assert pgl_order_oracle(*m4)[0] == 4
+        square = mat_mul_oracle(m4, m4)
+        assert is_scalar_oracle(mat_mul_oracle(square, square))
+        assert pgl_order_oracle(2, -1, 1, 1)[0] == 6  # trace^2/det = 3
 
     def test_unipotent_is_infinite(self):
-        assert pgl_order(Mat2RF.of(1, 1, 0, 1)) == PGL_INFINITE
+        assert pgl_order_oracle(1, 1, 0, 1)[0] == PGL_INFINITE
 
     def test_other_constant_lambda_is_infinite(self):
-        assert pgl_order(Mat2RF.of(2, 0, 0, 1)) == PGL_INFINITE  # lambda = 9/2
+        assert pgl_order_oracle(2, 0, 0, 1)[0] == PGL_INFINITE  # lambda = 9/2
 
     def test_nonconstant_lambda_is_infinite(self):
-        m = Mat2RF.of(RatFunc(T), RatFunc(H4), 1, RatFunc(T))
-        assert pgl_order(m) == PGL_INFINITE
+        assert pgl_order_oracle(RatFunc(T), RatFunc(H4), 1, RatFunc(T))[0] == PGL_INFINITE
+
+    def test_order_reads_lambda_and_scalarity(self):
+        """lambda = trace^2 / det; lambda = 4 is the identity only when scalar."""
+        two, one = RatFunc.of(2), RatFunc.of(1)
+        assert _order(two, one, True) == (1, RatFunc.of(4))
+        assert _order(two, one, False) == (PGL_INFINITE, RatFunc.of(4))
+        for trace, det, order in ((0, 1, 2), (1, 1, 3), (2, 2, 4), (3, 3, 6), (5, 5, PGL_INFINITE)):
+            assert _order(RatFunc.of(trace), RatFunc.of(det), False)[0] == order
 
 
 class TestOrderReport:
@@ -248,43 +272,36 @@ class TestOrderReport:
         assert rep.lam == expected
 
     def test_report_shares_det_and_lambda_with_pgl_order(self):
+        """leminv_check(u) against the four-entry oracle on the matrix
+        [[a1, h a2], [a2, a1]]."""
         rng = random.Random(32)
         for h in (H4, H6, H8):
             for kind in (None, "involution", "scalar"):
                 u = rand_jonq(rng, h, kind=kind)
-                m = u.matrix()
+                m = (u.a1, RatFunc(h) * u.a2, u.a2, u.a1)
                 rep = leminv_check(u)
-                assert u.det() == m.det() == u.a1 * u.a1 - RatFunc(h) * u.a2 * u.a2
-                assert rep.order == pgl_order(m)
-                assert rep.lam == m.trace() * m.trace() / m.det()
+                assert u.det() == m[0] * m[3] - m[1] * m[2]
+                assert u.det() == u.a1 * u.a1 - RatFunc(h) * u.a2 * u.a2
+                assert (rep.order, rep.lam) == pgl_order_oracle(*m)
+                assert rep.lam == (m[0] + m[3]) * (m[0] + m[3]) / u.det()
 
     def test_classification_property(self):
         rng = random.Random(31)
+
+        def order(u):
+            want = pgl_order_oracle(u.a1, RatFunc(u.h) * u.a2, u.a2, u.a1)[0]
+            assert leminv_check(u).order == want
+            return want
+
         for h in (H4, H6, H8):
             for _ in range(15):
-                u = rand_jonq(rng, h)
-                assert pgl_order(u.matrix()) == PGL_INFINITE
+                assert order(rand_jonq(rng, h)) == PGL_INFINITE
             for _ in range(5):
-                assert pgl_order(rand_jonq(rng, h, kind="involution").matrix()) == 2
-                assert pgl_order(rand_jonq(rng, h, kind="scalar").matrix()) == 1
+                assert order(rand_jonq(rng, h, kind="involution")) == 2
+                assert order(rand_jonq(rng, h, kind="scalar")) == 1
 
 
 class TestToCremona:
-    def test_matrix_is_the_checked_matrix_and_checks_no_det(self):
-        """u.matrix() is Mat2RF(a1, h a2, a2, a1), but is built without
-        checking its determinant again: the element's constructor has."""
-        rng = random.Random(53)
-        for h in (H4, H6):
-            for kind in (None, "involution", "scalar"):
-                u = rand_jonq(rng, h, kind=kind)
-                checked = Mat2RF(u.a1, RatFunc(h) * u.a2, u.a2, u.a1)
-                with mock.patch.object(Mat2RF, "det", autospec=True, side_effect=Mat2RF.det) as det:
-                    m = u.matrix()
-                    F = to_cremona(u)
-                assert det.call_count == 0
-                assert m == checked and repr(m) == repr(checked) and hash(m) == hash(checked)
-                assert F == mat_to_cremona(checked)
-
     def test_group_pipeline_builds_no_fraction(self):
         """The order check, the inverse, the plane map, the curve, the
         fixation certificate and the JSON encoders run on the stored integer
@@ -335,7 +352,7 @@ class TestToCremona:
 
     def test_general_matrix(self):
         # a map on the pencil of vertical lines that moves the curve
-        F = mat_to_cremona(Mat2RF.of(1, 1, 0, 1))  # (x, y) -> (x, y + 1)
+        F = _jonquieres_map(_entries(1, 1, 0, 1), 1)  # (x, y) -> (x, y + 1)
         from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z
         from cremona_kit.cremona_maps import CremonaMap
 

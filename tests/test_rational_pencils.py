@@ -55,6 +55,23 @@ class TestCheck:
         with pytest.raises(ValueError):
             check_rational_pencil(2, [0, 1])
 
+    @pytest.mark.parametrize(
+        "degree, mults, message",
+        [
+            (True, [True], "pencil degree and multiplicities must be integers, got True"),
+            (2, [1.0, 1, 1, 1], "pencil degree and multiplicities must be integers, got 1.0"),
+            ("2", [1], "pencil degree and multiplicities must be integers, got '2'"),
+            (0, [], "pencil degree must be >= 1, got 0"),
+            (2, [0, 1], "base multiplicities must be >= 1"),
+        ],
+    )
+    def test_fault_named(self, degree, mults, message):
+        # check_rational_pencil(True, [True]) used to report a valid type, and
+        # check_rational_pencil(2, [1.0, 1, 1, 1]) one that dumps refused.
+        with pytest.raises(ValueError) as info:
+            check_rational_pencil(degree, mults)
+        assert str(info.value) == message
+
 
 class TestEnumerate:
     def test_degree_one(self):
@@ -212,6 +229,13 @@ class TestSexticBound:
             sextic_free_intersection_bound(PencilType(1, (1,)), (2,))
         with pytest.raises(InvalidAssignment):
             sextic_free_intersection_bound(PencilType(1, (1,)), (-1,))
+
+    @pytest.mark.parametrize("node_mults", [(True,), (1.0,), (-1,)])
+    def test_fault_named(self, node_mults):
+        # (True,) used to count as one node multiplicity and return 4.
+        with pytest.raises(InvalidAssignment) as info:
+            sextic_free_intersection_bound(PencilType(1, (1,)), node_mults)
+        assert str(info.value) == "node multiplicities must be integers >= 0"
 
     def test_invalid_type_rejected(self):
         with pytest.raises(ValueError):

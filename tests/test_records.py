@@ -24,7 +24,7 @@ from cremona_kit import corpus, cremona_maps, curve_model, exact_algebra, jonqui
 from cremona_kit import linear_systems, rational_pencils
 from cremona_kit._record import Record
 from cremona_kit.curve_model import CurveCheck, CurveReport, PointSpec, SingularityData
-from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement, SingularMatrix
+from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
 from cremona_kit.linear_systems import Classification, LinSysData, PencilReduction
 from cremona_kit.rational_pencils import PencilType
@@ -80,10 +80,6 @@ CASES = {
             ((2, X_ONLY), ValueError),
             ((1, (((1, 0, 0), 0.5),)), TypeError),
         ],
-    ),
-    "Mat2RF": (
-        [(ONE, ZERO, ZERO, ONE), (ONE, T, T, ONE), (ZERO, ONE, ONE, ZERO)],
-        [((ONE, ONE, ONE, ONE), SingularMatrix)],
     ),
     "PointSpec": (
         [("p",), ("p", (1, 0, "1/2")), ("q", None)],
