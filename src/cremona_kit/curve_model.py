@@ -168,7 +168,9 @@ def _structural_checks(
     """Constructor-level checks (everything except coordinate verification)."""
     checks: List[CurveCheck] = []
     ok = isinstance(degree, int) and degree >= 1
-    checks.append(CurveCheck("degree-positive", ok, f"degree {degree} must be >= 1"))
+    checks.append(
+        CurveCheck("degree-positive", ok, "" if ok else f"degree {degree} must be >= 1")
+    )
     if not ok:
         return checks
 
@@ -189,7 +191,7 @@ def _structural_checks(
 
     g = _genus_value(degree, [s.multiplicity for s in singularities])
     checks.append(
-        CurveCheck("genus-nonnegative", g >= 0, f"computed genus {g} is negative")
+        CurveCheck("genus-nonnegative", g >= 0, f"computed genus {g} is negative" if g < 0 else "")
     )
 
     if defining_poly is not None:
@@ -197,14 +199,10 @@ def _structural_checks(
             checks.append(CurveCheck("poly-nonzero", False, "defining polynomial is zero"))
             return checks
         checks.append(CurveCheck("poly-nonzero", True))
-        checks.append(
-            CurveCheck(
-                "poly-degree-matches",
-                defining_poly.degree == degree,
-                f"polynomial degree {defining_poly.degree} != declared degree {degree}",
-            )
-        )
-        if defining_poly.degree == degree:
+        matches = defining_poly.degree == degree
+        mismatch = f"polynomial degree {defining_poly.degree} != declared degree {degree}"
+        checks.append(CurveCheck("poly-degree-matches", matches, "" if matches else mismatch))
+        if matches:
             power = is_perfect_power(defining_poly)
             checks.append(
                 CurveCheck(

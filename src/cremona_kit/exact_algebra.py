@@ -144,7 +144,15 @@ class _Poly:
 
     def __mul__(self, other):
         if other.__class__ is self.__class__:
-            product = _lex(_bimul(self._body, other._body))
+            a, b = self._body, other._body
+            if len(a) == 1:
+                a, b = b, a
+            if len(b) == 1 and a:
+                # A one-term factor shifts the keys, which keeps their order.
+                ((di, dj), m), = b.items()
+                product = {(i + di, j + dj): c * m for (i, j), c in a.items()}
+            else:
+                product = _lex(_bimul(a, b))
             return self._make(self.degree + other.degree, product, self._den * other._den)
         p, q = _ratio(other)
         body = {e: c * p for e, c in self._body.items()} if p else {}

@@ -123,22 +123,38 @@ def _ratio_str(c: int, den: int) -> str:
 # -- polynomials ---------------------------------------------------------------
 
 
+def _uni_term(item: Any, path: _Path) -> Tuple[int, Any]:
+    """The exponent and the coefficient of a term [[e], c], checked in
+    order, so the first failure names its field."""
+    pair = _as_list(item, path)
+    if len(pair) != 2:
+        _fail(path, "expected [[exponent], coefficient]")
+    exps = _as_list(pair[0], path + (0,))
+    if len(exps) != 1:
+        _fail(path + (0,), "univariate terms have a single exponent")
+    e = _as_int(exps[0], path + (0, 0))
+    if e < 0:
+        _fail(path + (0, 0), "exponents must be >= 0")
+    return e, pair[1]
+
+
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     items = _as_list(v, path)
     terms: Dict[int, Tuple[int, int]] = {}
     for i, item in enumerate(items):
-        pair = _as_list(item, path + (i,))
-        if len(pair) != 2:
-            _fail(path + (i,), "expected [[exponent], coefficient]")
-        exps = _as_list(pair[0], path + (i, 0))
-        if len(exps) != 1:
-            _fail(path + (i, 0), "univariate terms have a single exponent")
-        e = _as_int(exps[0], path + (i, 0, 0))
-        if e < 0:
-            _fail(path + (i, 0, 0), "exponents must be >= 0")
+        # One test passes a well-formed term, as in decode_trihom; _uni_term
+        # and _read_rational name what is wrong with any other.
+        try:
+            exps, c = item
+            (e,) = exps
+            ok = type(item) is list and type(exps) is list and type(e) is int and e >= 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            e, c = _uni_term(item, path + (i,))
         if e in terms:
             _fail(path + (i,), f"duplicate exponent {e}")
-        terms[e] = _read_rational(pair[1], path + (i, 1))
+        terms[e] = _read_rational(c, path + (i, 1))
     # Checked before any body is built, zero terms included.
     _check_cap(max(terms, default=-1), f"the polynomial at {_pstr(path)}")
     rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)

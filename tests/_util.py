@@ -13,8 +13,11 @@ ones for the pencil-type walk with closed-form tails, and
 for the integer fixation certificate.  ``multiplicity_at_oracle`` (the
 partials at the point) and ``is_perfect_power_oracle`` (one gcd per
 partial) are the ones for the substitution and the one content GCD per
-level of ``curve_model``, and ``pgl_order_oracle`` (the order of a matrix
-given by its four entries) the one for ``leminv_check`` and ``_order``.
+level of ``curve_model``, ``pgl_order_oracle`` (the order of a matrix
+given by its four entries) and ``order_oracle`` (the order from the trace,
+determinant and scalarity) the ones for ``_order``, and
+``leminv_check_oracle`` (lambda = trace^2 / det by ``RatFunc`` arithmetic)
+the one for ``leminv_check``, which reads lambda in closed form.
 The cofactor
 oracles divide a second time by a GCD already computed, as the package
 used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
@@ -22,6 +25,8 @@ used to: ``primitive_parts_oracle`` (``tri_content_gcd``, then
 then ``uni_divmod_oracle``) and ``common_denominator_oracle`` (a fold of
 ``uni_lcm_oracle``, then ``uni_divmod_oracle``), ``uni_divmod_oracle``
 being the Fraction long division ``UniPoly`` had.
+``poly_mul_oracle`` (``_bimul``, then ``_lex``) is the one for the key
+shift that multiplies by a one-term factor.
 ``primitive_parts_fold_oracle``, the earlier fold of pairwise gcds with the
 1/lead scaling of ``CremonaMap.of``, is the one for the one-gcd content of
 three polynomials.
@@ -68,13 +73,15 @@ from cremona_kit.exact_algebra import (
     RatFunc,
     TriHomPoly,
     UniPoly,
+    _bimul,
     _frac,
+    _lex,
     _uni_cofactors,
     tri_content_gcd,
     tri_divrem,
     tri_gcd,
 )
-from cremona_kit.jonquieres import JonqElement, _check_h, _order
+from cremona_kit.jonquieres import PGL_INFINITE, JonqElement, OrderReport, _check_h, _order
 from cremona_kit.linear_systems import (
     ChainStep,
     Classification,
@@ -490,16 +497,57 @@ def is_scalar_oracle(m) -> bool:
     return m[1].is_zero and m[2].is_zero and m[0] == m[3]
 
 
+def order_oracle(trace: RatFunc, det: RatFunc, scalar: bool):
+    """The earlier ``jonquieres._order``: (order, lambda) of a matrix from its
+    trace, determinant and scalarity, lambda = trace^2 / det computed by
+    ``RatFunc`` arithmetic."""
+    lam = (trace * trace) / det
+    if not lam.is_constant:
+        return PGL_INFINITE, lam
+    value = lam.constant_value
+    if value == 4:
+        return (1 if scalar else PGL_INFINITE), lam
+    return {0: 2, 1: 3, 2: 4, 3: 6}.get(value, PGL_INFINITE), lam
+
+
+def leminv_check_oracle(u: JonqElement) -> OrderReport:
+    """The earlier ``jonquieres.leminv_check``: ``order_oracle`` on the trace
+    2 a1, the determinant a1^2 - h a2^2 and the scalarity a2 = 0."""
+    det = u.a1 * u.a1 - RatFunc.of(u.h) * (u.a2 * u.a2)
+    order, lam = order_oracle(u.a1 + u.a1, det, u.a2.is_zero)
+    if u.a1.is_zero:
+        note = "a1 = 0: the element is the hyperelliptic involution, order 2"
+    elif u.a2.is_zero:
+        note = "a2 = 0: the element is scalar, projectively the identity"
+    else:
+        note = (
+            "a1, a2 both nonzero: lambda = 4 a1^2 / (a1^2 - h a2^2) cannot be "
+            "constant for squarefree nonconstant h, so the order is infinite"
+        )
+    return OrderReport(order, lam, lam.is_constant, order in (1, 2, PGL_INFINITE), note)
+
+
+def poly_mul_oracle(f, g):
+    """f * g by the general path of ``_Poly.__mul__``, which a product with a
+    one-term factor no longer takes: ``_bimul`` of the bodies, sorted by
+    ``_lex``."""
+    body, den = _lex(_bimul(f._body, g._body)), f._den * g._den
+    if isinstance(f, UniPoly):
+        return UniPoly._sorted(body, den)
+    return TriHomPoly._sorted(f.degree + g.degree, body, den)
+
+
 def pgl_order_oracle(*entries):
     """The deleted ``jonquieres.pgl_order`` on four entries a11, a12, a21, a22
-    (anything ``RatFunc.of`` takes): (order, lambda) from ``_order`` on the
-    trace, determinant and scalarity that ``Mat2RF`` computed; a singular
-    matrix is refused."""
+    (anything ``RatFunc.of`` takes): (order, lambda) from ``_order`` on
+    lambda = trace^2 / det and the scalarity that ``Mat2RF`` computed; a
+    singular matrix is refused."""
     m = tuple(RatFunc.of(e) for e in entries)
     det = m[0] * m[3] - m[1] * m[2]
     if det.is_zero:
         raise ValueError("matrix over the function field is singular")
-    return _order(m[0] + m[3], det, is_scalar_oracle(m))
+    lam = (m[0] + m[3]) * (m[0] + m[3]) / det
+    return _order(lam, is_scalar_oracle(m)), lam
 
 
 def partitions_oracle(total: int, square_total: int, max_part: int):

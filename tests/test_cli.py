@@ -90,10 +90,12 @@ VALIDATE_CURVES = [
 ]
 
 
-def field_validate_payloads():
-    """The `validate` payloads of the first two blocks of the benchmark's
-    function_field workload on seeds 1 to 5: curves of degree 4, 6 and 8
-    with a (deg - 2)-fold point at (0:1:0)."""
+def field_payloads(kind):
+    """The payloads of command ``kind`` in the first two blocks of the
+    benchmark's function_field workload on seeds 1 to 5.  Those of
+    `validate` are curves of degree 4, 6 and 8 with a (deg - 2)-fold point
+    at (0:1:0); those of the group commands are elements over h of degree
+    4, 6 and 8 with entries over den = 1."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
@@ -104,19 +106,37 @@ def field_validate_payloads():
         r.payload
         for seed in range(1, 6)
         for r in workloads.generate("function_field", seed, 2)
-        if r.kind == "validate"
+        if r.kind == kind
     ]
 
 
 # sha256 of the exit code and stdout of `validate` on each input in turn,
-# recorded when multiplicities were read off the partials at the point.
-VALIDATE_FIELD_SHA256 = "a66e20e1cce903a2faeebc7804dd814f58fd953c51bc223c1e28c5d373b6b714"
-VALIDATE_CURVES_SHA256 = "d69402920dfbee847f99b1981c4622f90e226328f4f4f357843a6f952951fd92"
+# first recorded when multiplicities were read off the partials at the point,
+# and re-recorded when passing checks stopped printing failure text: the
+# passing degree-positive, genus-nonnegative and poly-degree-matches checks
+# now read "detail": "", and no other byte changed.
+VALIDATE_FIELD_SHA256 = "cddd441f281befbd6f65d3deb48a2a11cb7aefb5df3205c26ae4edacfcdfec48"
+VALIDATE_CURVES_SHA256 = "91b4bcfcfd4c48dc6f4f795f3f130d5e1aa397943d2f41387db059f72be9110f"
 # A degree-8 hyperelliptic curve with a 6-fold point at (0:1:0), and the
 # sha256 of its `validate` stdout, which the examples job of the CI
 # workflow also checks.
 HYPERELLIPTIC_8 = Path(__file__).parent / "hyperelliptic_8.json"
 HYPERELLIPTIC_8_SHA256 = (Path(__file__).parent / "hyperelliptic_8.sha256").read_text().strip()
+# sha256 of the exit code and stdout of each group command on its
+# function_field payloads in turn, recorded while every element computed its
+# determinant at construction and lambda = trace^2 / det.
+JONQ_FIELD_SHA256 = {
+    "jonq-order": "0a911c0572fcbb501b50dd178ea69bad82e6ff033e3ea5d0faa44dae78a52615",
+    "jonq-mul": "f34e14b47264aaf2b2af6781d7231cccb03f14b2048f99dadbe8a7fef9b44d12",
+    "jonq-fix-check": "3a10ffc08cd36812760089ebe39ac57eafff013e450dfed2fb10acc64e2db44f",
+}
+# An element over h of degree 6 whose entries have denominators of degree 1
+# and 3 sharing a factor, and numerators sharing a factor, so that lambda is
+# reduced by a gcd of degree 6; the sha256 of its `jonq-order` stdout, which
+# the examples job of the CI workflow also checks, was recorded with
+# lambda = trace^2 / det.
+JONQ_ORDER = Path(__file__).parent / "jonq_order.json"
+JONQ_ORDER_SHA256 = (Path(__file__).parent / "jonq_order.sha256").read_text().strip()
 
 
 # t^2 (t^2 + 1): even degree 4, not squarefree.
@@ -300,20 +320,31 @@ class TestGoldenOutputs:
         assert self.digest(capsys, "examples") == EXAMPLES_SHA256
 
     @staticmethod
-    def validate_digest(capsys, payloads):
+    def runs_digest(capsys, payloads, command="validate"):
         digest = hashlib.sha256()
         for payload in payloads:
-            code, out = run(capsys, "validate", "--inline", payload)
+            code, out = run(capsys, command, "--inline", payload)
             digest.update(f"{code}\n{out}".encode())
         return digest.hexdigest()
 
     def test_validate_field_payloads(self, capsys):
-        payloads = field_validate_payloads()
+        payloads = field_payloads("validate")
         assert len(payloads) == 30
-        assert self.validate_digest(capsys, payloads) == VALIDATE_FIELD_SHA256
+        assert self.runs_digest(capsys, payloads) == VALIDATE_FIELD_SHA256
+
+    @pytest.mark.parametrize(
+        "command, count", [("jonq-order", 60), ("jonq-mul", 30), ("jonq-fix-check", 60)]
+    )
+    def test_group_field_payloads(self, capsys, command, count):
+        payloads = field_payloads(command)
+        assert len(payloads) == count
+        assert self.runs_digest(capsys, payloads, command) == JONQ_FIELD_SHA256[command]
+
+    def test_jonq_order_rational_entries(self, capsys):
+        assert self.digest(capsys, "jonq-order", str(JONQ_ORDER)) == JONQ_ORDER_SHA256
 
     def test_validate_hand_made_curves(self, capsys):
-        assert self.validate_digest(capsys, VALIDATE_CURVES) == VALIDATE_CURVES_SHA256
+        assert self.runs_digest(capsys, VALIDATE_CURVES) == VALIDATE_CURVES_SHA256
 
     def test_validate_hyperelliptic_8(self, capsys):
         assert self.digest(capsys, "validate", str(HYPERELLIPTIC_8)) == HYPERELLIPTIC_8_SHA256

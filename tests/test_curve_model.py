@@ -307,6 +307,31 @@ class TestValidate:
         model = PlaneCurveModel(6, sings, TWO_TRIPLE_SEXTIC)
         assert validate(model).passed
 
+    def test_only_failing_structural_checks_carry_text(self):
+        """A passing structural check has detail "", a failing one names the
+        fault."""
+        sings = (
+            SingularityData(PointSpec("p", (Fraction(1), Fraction(0), Fraction(0))), 3),
+            SingularityData(PointSpec("q", (Fraction(0), Fraction(1), Fraction(0))), 3),
+        )
+        report = validate_curve_data(6, sings, TWO_TRIPLE_SEXTIC)
+        structural = [c for c in report.checks if not c.name.startswith("poly-multiplicity-at-")]
+        assert len(structural) == 7 and all(c.passed and c.detail == "" for c in structural)
+        failing = {
+            (0, (), None): ("degree-positive", "degree 0 must be >= 1"),
+            (3, (SingularityData(PointSpec("p"), 3),), None): (
+                "genus-nonnegative",
+                "computed genus -2 is negative",
+            ),
+            (5, sings, TWO_TRIPLE_SEXTIC): (
+                "poly-degree-matches",
+                "polynomial degree 6 != declared degree 5",
+            ),
+        }
+        for args, (name, detail) in failing.items():
+            (check,) = validate_curve_data(*args).failures()
+            assert (check.name, check.detail) == (name, detail)
+
     def test_wrong_declared_multiplicity_fails(self):
         sings = (
             SingularityData(PointSpec("p", (Fraction(1), Fraction(0), Fraction(0))), 2),

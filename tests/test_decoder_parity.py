@@ -417,6 +417,10 @@ BAD_UNI_TERMS = {
     "coeff-signed": [[0], "+007"],
     "coeff-int": [[0], -3],
     "coeff-zero": [[0], "-0/5"],
+    # Each unpacks into an exponent list and a coefficient, as a term does.
+    "term-str-two-chars": "t1",
+    "term-object-two-keys": {"e": [0], "c": "1"},
+    "exps-one-char-str": ["0", "1"],
 }
 
 # Whole univariate polynomials, put in one place of the element.
@@ -551,11 +555,14 @@ JONQ_RECORDED = {
     "fix-check-a2-den-term-exps-2": "3e66205d77d816eb52937e4181939678a99fb0c8015124d9f5f807571a9a33cc",
     "fix-check-a2-den-term-exps-empty": "3e66205d77d816eb52937e4181939678a99fb0c8015124d9f5f807571a9a33cc",
     "fix-check-a2-den-term-exps-not-list": "7509c01d50c55c2213316581e1227002da31285e6d3014934b7c895aca32534c",
+    "fix-check-a2-den-term-exps-one-char-str": "ae2f7b85bc69460da4f5cbc3bde56b97c181fa01155ea6dfd4178cb4287ab332",
     "fix-check-a2-den-term-pair-long": "15ce8fac3e465e57c39306e8e3674d3b9048da86021f49cc25c8951ecc445986",
     "fix-check-a2-den-term-pair-short": "15ce8fac3e465e57c39306e8e3674d3b9048da86021f49cc25c8951ecc445986",
     "fix-check-a2-den-term-term-int": "508d8f3271817e519f60924b098a7b8c4fbeeb6b778473f4ee918208649805a5",
     "fix-check-a2-den-term-term-object": "5f45fb1f9b8a73dc1b6be92009d40681476d341fdff628b791c33ef5c1f272f8",
+    "fix-check-a2-den-term-term-object-two-keys": "5f45fb1f9b8a73dc1b6be92009d40681476d341fdff628b791c33ef5c1f272f8",
     "fix-check-a2-den-term-term-str": "99ab2e5fcbd7574f2d57faeed0c3758a339b108e6a88011bfbc7ce517faeb6e0",
+    "fix-check-a2-den-term-term-str-two-chars": "99ab2e5fcbd7574f2d57faeed0c3758a339b108e6a88011bfbc7ce517faeb6e0",
     "fix-check-a2-zero": "51953b061c1b18154651b65c80d64bb1e638f53bdb3a7867bbb690540c52c5d8",
     "fix-check-h-scaled": "15ffd15026b266c452a9363ced0f8d00163e5d04d1597eb3a3a6da79f88bc1dd",
     "fix-check-ratfunc-missing-den": "1079d7effc7da73ef218c5fc74107bb195f7ef55213a9ee9f747048fb30b83df",
@@ -595,11 +602,14 @@ JONQ_RECORDED = {
     "mul-a1-num-term-exps-2": "d205e6640dfea365edb60a1ba9ce72ea792b710223370b15893aea5b23b6a48c",
     "mul-a1-num-term-exps-empty": "d205e6640dfea365edb60a1ba9ce72ea792b710223370b15893aea5b23b6a48c",
     "mul-a1-num-term-exps-not-list": "9b29a3c50e11c33e9aec1289de539c327f3d9b560f90c8b4330ab79794bc31de",
+    "mul-a1-num-term-exps-one-char-str": "c481700fc3ede7568f6704da82b0e8296dc602d84b1daf4f4d6d848529cc10b5",
     "mul-a1-num-term-pair-long": "9bd4ffa3d34759781aca0d7f7f026ab20386a7126332bf5e4d55d27db30c81ab",
     "mul-a1-num-term-pair-short": "9bd4ffa3d34759781aca0d7f7f026ab20386a7126332bf5e4d55d27db30c81ab",
     "mul-a1-num-term-term-int": "fa33520b7eb8acefb0c8e2b4f312113c0269acf4d89b8dad5582f425d32f05af",
     "mul-a1-num-term-term-object": "e99fee9391f1aa39565c769ee314494aa80e588b1ff5e16fa2f32022a5630af3",
+    "mul-a1-num-term-term-object-two-keys": "e99fee9391f1aa39565c769ee314494aa80e588b1ff5e16fa2f32022a5630af3",
     "mul-a1-num-term-term-str": "22d821dfd845c177225486737ee8848ad1ba87d2eb5516d9fee2cc97846647f2",
+    "mul-a1-num-term-term-str-two-chars": "22d821dfd845c177225486737ee8848ad1ba87d2eb5516d9fee2cc97846647f2",
     "mul-a1-zero": "264ffff3e4f6804712570c54ab1ba84249d23f80c591a170691cf5f82aabd0ca",
     "mul-a2-den-poly-above-cap": "7700e9a815631026775bf53a6e8dfc79e9e0d8d54938f48248b0736c65abcf99",
     "mul-a2-den-poly-at-cap": "dfdfd93185481e106cf2f632f42d756cbaa049bc6bfd4c0c4bac6a3b9fe32d63",
@@ -709,11 +719,14 @@ JONQ_RECORDED = {
     "order-h-term-exps-2": "38cfedd4340cbf0752dc02ab58cec605738ebe4bcbf01fd11055ca9693613949",
     "order-h-term-exps-empty": "38cfedd4340cbf0752dc02ab58cec605738ebe4bcbf01fd11055ca9693613949",
     "order-h-term-exps-not-list": "8f88051e1b767815958a64bd59241f5f641384b664663ecd64c23a97d224b123",
+    "order-h-term-exps-one-char-str": "a783ad16a96b8fddfdffdbdbd2d7ba7e19c3a5beb00352683d6bde880affa537",
     "order-h-term-pair-long": "c8701883c96360bc41c9e5c7309fbda6d03e56319e00e4773e0cdce1792a1e36",
     "order-h-term-pair-short": "c8701883c96360bc41c9e5c7309fbda6d03e56319e00e4773e0cdce1792a1e36",
     "order-h-term-term-int": "2de0c6ad07834d4b22f4c3fee27e532808f5c7cf219ad3979883de85132082c5",
     "order-h-term-term-object": "508a7858deea63b44bae0cae847d91089ce8584c8c027f6da12e15e7c5721396",
+    "order-h-term-term-object-two-keys": "508a7858deea63b44bae0cae847d91089ce8584c8c027f6da12e15e7c5721396",
     "order-h-term-term-str": "f4565e218afeacabc0216fe030ea6956636858d35b61d190ef7862b2ea066011",
+    "order-h-term-term-str-two-chars": "f4565e218afeacabc0216fe030ea6956636858d35b61d190ef7862b2ea066011",
     "order-ratfunc-missing-den": "1079d7effc7da73ef218c5fc74107bb195f7ef55213a9ee9f747048fb30b83df",
     "order-ratfunc-not-object": "c462aae903920fdecf7944a8d72dd268f943596f38ced213efeb40cad0d16a9f",
 }

@@ -55,6 +55,7 @@ from _util import (
     fractions_built,
     lex_normalized,
     monomials,
+    poly_mul_oracle,
     primitive_parts_fold_oracle,
     primitive_parts_oracle,
     rand_ratfunc,
@@ -553,6 +554,57 @@ class TestTriHomPoly:
         assert TriHomPoly.zero(2) != TriHomPoly.zero(3)
         assert TRI_X * Fraction(2, 4) == TriHomPoly(1, (((1, 0, 0), Fraction(1, 2)),))
         assert TRI_X * TRI_Z != TRI_X * TRI_Y
+
+@st.composite
+def one_term_factors(draw, kind):
+    """A UniPoly or TriHomPoly with at most one term: zero one draw in six,
+    a constant one in three, else c t^e or c x^i y^j z^k; c has a
+    denominator one draw in two."""
+    c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.sampled_from([1, 1, 2, 9])))
+    shape = draw(st.sampled_from(["zero", "constant", "constant", "term", "term", "term"]))
+    if kind == "uni":
+        if shape == "zero":
+            return UniPoly()
+        return UniPoly.of(*[0] * (0 if shape == "constant" else draw(st.integers(1, 4))), c)
+    degree = draw(st.integers(0, 3))
+    if shape == "zero":
+        return TriHomPoly.zero(degree)
+    exps = (0, 0, degree) if shape == "constant" else draw(st.sampled_from(monomials(degree)))
+    return TriHomPoly.monomial(exps, c)
+
+
+def assert_same_form(f, g):
+    """f and g are one polynomial stored in one form, the body in one order."""
+    assert (f.degree, f._den, list(f._body.items())) == (g.degree, g._den, list(g._body.items()))
+
+
+class TestMonomialProducts:
+    """A product with a one-term factor shifts the keys of the other factor,
+    on either side, against the general product (_bimul, then _lex) and the
+    Fraction arithmetic of the dataclass."""
+
+    @given(st.one_of(st.just(UniPoly()), unipolys()), one_term_factors("uni"))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @example(UniPoly(), UniPoly.of(0, Fraction(-3, 2)))
+    @example(UniPoly.of(1, 2), UniPoly())
+    @example(UniPoly.of(Fraction(2, 3), 0, Fraction(4, 9)), UniPoly.of(Fraction(9, 2)))
+    def test_unipoly(self, f, m):
+        old_f, old_m = OldUniPoly(f.coeffs), OldUniPoly(m.coeffs)
+        for product, old in ((f * m, old_f * old_m), (m * f, old_m * old_f)):
+            assert_same_form(product, poly_mul_oracle(f, m))
+            assert_canonical(product, old)
+
+    @given(st.one_of(st.integers(0, 3).map(TriHomPoly.zero), trihoms()), one_term_factors("tri"))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @example(TriHomPoly.zero(2), TRI_X * Fraction(-3, 2))
+    @example(TRI_X + TRI_Y, TriHomPoly.zero(1))
+    @example((TRI_X - TRI_Z * Fraction(2, 3)) * Fraction(4, 9), TriHomPoly.monomial((0, 0, 0), 4))
+    def test_trihompoly(self, f, m):
+        old_f, old_m = (OldTriHomPoly(p.degree, p.terms) for p in (f, m))
+        for product, old in ((f * m, old_f * old_m), (m * f, old_m * old_f)):
+            assert_same_form(product, poly_mul_oracle(f, m))
+            assert_canonical(product, old)
+
 
 class TestDivisibility:
     def test_trivial_cases(self):

@@ -5,6 +5,8 @@ from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import compose, fixes_curve_pointwise, is_identity
@@ -30,10 +32,13 @@ from _util import (
     encode_unipoly_oracle,
     fractions_built,
     is_scalar_oracle,
+    leminv_check_oracle,
     mat_mul_oracle,
+    order_oracle,
     pgl_order_oracle,
     rand_jonq,
     uni_to_sympy,
+    unipolys,
 )
 
 T = UniPoly.variable()
@@ -47,6 +52,84 @@ BAD_H = (
     (T - UniPoly.constant(1)) ** 2 * (T * T + UniPoly.constant(1)),
     T * T * (T * T + UniPoly.constant(1)),
 )
+
+
+@st.composite
+def squarefree_h(draw):
+    """A squarefree h of degree 4, 6 or 8 with rational coefficients."""
+    degree = draw(st.sampled_from((4, 6, 8)))
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    lead = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    h = UniPoly(tuple(draw(st.lists(coeffs, min_size=degree, max_size=degree))) + (draw(lead),))
+    assume(is_squarefree(h))
+    return h
+
+
+@st.composite
+def elements(draw, kind, h=None):
+    """An element over h (drawn when not given) of kind "general" (a1, a2
+    both nonzero), "involution" (a1 = 0) or "scalar" (a2 = 0).  Entries have
+    rational coefficients and non-constant denominators; the numerators share
+    a drawn factor, and so do the denominators, so that lambda and the
+    determinant have factors to cancel."""
+    h = draw(squarefree_h()) if h is None else h
+    nums, dens = (draw(unipolys(max_degree=2)) for _ in range(2))
+
+    def entry():
+        return RatFunc(draw(unipolys(max_degree=2)) * nums, draw(unipolys(1, 2)) * dens)
+
+    a1 = RatFunc.of(0) if kind == "involution" else entry()
+    a2 = RatFunc.of(0) if kind == "scalar" else entry()
+    return JonqElement(a1, a2, h)
+
+
+KINDS = ("general", "involution", "scalar")
+
+
+def assert_is_the_norm(u: JonqElement) -> None:
+    """det() is nonzero and is a1^2 - h a2^2: with a1 = p1 / q1 and
+    a2 = p2 / q2, det (q1 q2)^2 = (p1 q2)^2 - h (p2 q1)^2 over Q[x]."""
+    d = u.det()
+    assert not d.is_zero
+    (p1, q1), (p2, q2) = (u.a1.num, u.a1.den), (u.a2.num, u.a2.den)
+    assert d.num * (q1 * q2) ** 2 == d.den * ((p1 * q2) ** 2 - u.h * (p2 * q1) ** 2)
+
+
+class TestDeterminantAndLambda:
+    """det() computed on request, and lambda read in closed form, on
+    elements whose entries have denominators other than 1 (the benchmark's
+    function_field elements all have den = 1)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    def test_det_of_elements_products_and_inverses(self, kind, data):
+        u = data.draw(elements(kind))
+        v = data.draw(elements(data.draw(st.sampled_from(KINDS)), u.h))
+        decoded = ser.decode_jonq(ser.encode_jonq(u))
+        assert decoded == u
+        for w in (decoded, mul(u, v), invert(u)):
+            assert_is_the_norm(w)
+        assert mul(u, v).det() == u.det() * v.det()
+        assert invert(u).det() == u.det().inverse()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_leminv_check_matches_lambda_over_det(self, kind, data):
+        u = data.draw(elements(kind))
+        assert leminv_check(u) == leminv_check_oracle(u)
+
+    def test_lambda_is_reduced_once(self):
+        """lambda of a general element is one RatFunc construction: the
+        gcd of 4 (p1 q2)^2 and (p1 q2)^2 - h (p2 q1)^2 is taken once."""
+        a1 = RatFunc(UniPoly.of(1, 1), UniPoly.of(3, 2))
+        u = JonqElement(a1, RatFunc(UniPoly.of(-1, 0, 1), UniPoly.of(-5, 1)), H6)
+        init = mock.patch.object(RatFunc, "__init__", autospec=True, side_effect=RatFunc.__init__)
+        with init as calls:
+            report = leminv_check(u)
+        assert calls.call_count == 1
+        assert report == leminv_check_oracle(u)
 
 
 class TestElementInvariants:
@@ -141,8 +224,8 @@ class TestGroupLaw:
             assert mul(u, invert(u)).a2.is_zero
 
     def test_products_and_inverses_carry_their_determinant(self):
-        """mul and invert store det(u) det(v) and 1 / det(u), which equal
-        a1^2 - h a2^2 recomputed, and run no entry check."""
+        """mul and invert run no entry check, and the determinant of their
+        results is a1^2 - h a2^2."""
         rng = random.Random(29)
         for h in (H4, H6):
             for kind in (None, "involution", "scalar", None):
@@ -207,7 +290,7 @@ def _entries(*entries):
 
 
 class TestPglOrder:
-    """_order on the trace, determinant and scalarity of a matrix, as the
+    """_order on lambda = trace^2 / det and the scalarity of a matrix, as the
     four-entry oracle computes them."""
 
     def test_identity(self):
@@ -242,12 +325,16 @@ class TestPglOrder:
         assert pgl_order_oracle(RatFunc(T), RatFunc(H4), 1, RatFunc(T))[0] == PGL_INFINITE
 
     def test_order_reads_lambda_and_scalarity(self):
-        """lambda = trace^2 / det; lambda = 4 is the identity only when scalar."""
-        two, one = RatFunc.of(2), RatFunc.of(1)
-        assert _order(two, one, True) == (1, RatFunc.of(4))
-        assert _order(two, one, False) == (PGL_INFINITE, RatFunc.of(4))
+        """lambda = trace^2 / det; lambda = 4 is the identity only when
+        scalar.  The earlier _order on the trace and det agrees."""
+        four = RatFunc.of(4)
+        assert _order(four, True) == 1 == order_oracle(RatFunc.of(2), RatFunc.of(1), True)[0]
+        assert _order(four, False) == PGL_INFINITE
         for trace, det, order in ((0, 1, 2), (1, 1, 3), (2, 2, 4), (3, 3, 6), (5, 5, PGL_INFINITE)):
-            assert _order(RatFunc.of(trace), RatFunc.of(det), False)[0] == order
+            lam = RatFunc.of(Fraction(trace * trace, det))
+            assert _order(lam, False) == order
+            assert order_oracle(RatFunc.of(trace), RatFunc.of(det), False) == (order, lam)
+        assert _order(RatFunc(T), True) == PGL_INFINITE
 
 
 class TestOrderReport:
