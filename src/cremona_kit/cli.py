@@ -11,8 +11,8 @@ that parser leaves unconsumed go to the full tree of ``build_parser``.
 Exit codes:
 
 * 0 -- success, report on stdout;
-* 1 -- malformed input: unreadable source, bad JSON (reported with line
-  and column), or a schema violation (reported with the field path);
+* 1 -- malformed input: a source that cannot be read as UTF-8, bad JSON
+  (reported with line and column), or a schema violation (the field path);
 * 2 -- validation or computation failure: the report explains (failed
   checks, inadmissible data, degree cap exceeded, ...).
 
@@ -53,9 +53,9 @@ def _load_payload(args: argparse.Namespace) -> Any:
         text = sys.stdin.read()
     else:
         try:
-            with open(args.input) as source:
+            with open(args.input, encoding="utf-8") as source:
                 text = source.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {args.input!r}: {exc}") from exc
     try:
         return json.loads(text)

@@ -183,8 +183,8 @@ def _jonquieres_map(entries: Sequence[RatFunc], axis: int) -> CremonaMap:
     deg = max(1, p11.degree + 1, p12.degree, p21.degree + 1, p22.degree)
     _check_cap(deg + 1, "homogenising the map")
     u, v = (TRI_X, TRI_Y)[axis], 1 - axis
-    num = u * homogenize_uni(p11, v, 2, deg - 1) + homogenize_uni(p12, v, 2, deg)
-    den = u * homogenize_uni(p21, v, 2, deg - 1) + homogenize_uni(p22, v, 2, deg)
+    num = u * homogenize_uni(p11, v, deg - 1) + homogenize_uni(p12, v, deg)
+    den = u * homogenize_uni(p21, v, deg - 1) + homogenize_uni(p22, v, deg)
     moved, fixed = TRI_Z * num, (TRI_X, TRI_Y)[v] * den
     return CremonaMap.of(*((moved, fixed) if axis == 0 else (fixed, moved)), TRI_Z * den)
 

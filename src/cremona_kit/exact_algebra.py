@@ -9,17 +9,17 @@ Four layers, all immutable and exact:
   monic denominator.
 * ``TriHomPoly`` -- homogeneous polynomials in x, y, z.
 
-Both polynomial classes store one integer form (``_Poly``): a body over Z
-and a positive denominator prime to its content.  A ``TriHomPoly`` body is
-F(x, y), for F / den homogenised with z; a ``UniPoly`` body is keyed
-(e, 0), as the GCD reads it.  Arithmetic, ``substitute`` (map composition,
-a Kronecker substitution on packed integers) and the GCD run on the bodies;
-``coeffs`` and ``terms`` are views of them.
-Nothing in the package reads those views: a Fraction is built only when a
-caller reads ``coeffs``, ``terms`` or ``coeff()``, or calls ``tri_divrem``,
-the Fraction lex division kept as a public name.  No division, text form or
-evaluation is left (a polynomial is evaluated through ``substitute``):
-``str()`` prints the ``repr``.
+Both polynomial classes store one integer form (``_Poly``), built from
+rationals by ``_Poly._integer_form`` alone: a body over Z and a positive
+denominator prime to its content.  A ``TriHomPoly`` body is F(x, y), for
+F / den homogenised with z; a ``UniPoly`` body is keyed (e, 0), as the GCD
+reads it.  Arithmetic, ``substitute`` (map composition, a Kronecker
+substitution on packed integers) and the GCD run on the bodies; ``coeffs``
+and ``terms`` are views of them, computed on each read.  Nothing in the
+package reads those views: a Fraction is built only when a caller reads
+``coeffs``, ``terms`` or ``coeff()``, hashes a polynomial or calls
+``tri_divrem``, the Fraction lex division kept as a public name.  No
+division, text form or evaluation is left: ``str()`` prints the ``repr``.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of z
@@ -98,6 +98,14 @@ class _Poly:
         This default drops the degree, which a UniPoly body states, and
         calls the class's ``_sorted``; TriHomPoly stores it and overrides."""
         return cls._sorted(body, den)
+
+    @staticmethod
+    def _integer_form(terms: Mapping[Tuple[int, int], Tuple[int, int]]) -> Tuple[_BiPoly, int]:
+        """(body, den) with body / den the sum of p / q at each key e of {e: (p, q)},
+        q > 0: den is the lcm of the q of nonzero p, and the body is in decreasing
+        lex order with no zero coefficient.  ``_store`` divides out their gcd."""
+        den = math.lcm(*(q for p, q in terms.values() if p))
+        return {e: p * (den // q) for e, (p, q) in sorted(terms.items(), reverse=True) if p}, den
 
     def _store(self, body: _BiPoly, den: int) -> "_Poly":
         """Set the form of body / den, dividing out gcd(den, content body),
@@ -194,19 +202,16 @@ class UniPoly(_Poly, Record):
     """Univariate polynomial over Q; ``coeffs[e]`` multiplies ``t**e``.
 
     Stored in the integer form of ``_Poly``, the body keyed (e, 0) for t^e:
-    the form ``_gcd_parts`` reads.  The field ``coeffs`` is a view, built on
-    first read and cached: the Fractions with trailing zeros stripped, so the
-    zero polynomial is the empty tuple and ``degree`` of zero is -1.
+    the form ``_gcd_parts`` reads.  The field ``coeffs`` is a view, computed
+    on each read: the Fractions with trailing zeros stripped, so the zero
+    polynomial is the empty tuple and ``degree`` of zero is -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Tuple[Fraction, ...] = ()) -> None:
-        ratios = [_ratio(c) for c in coeffs]
-        den = math.lcm(*(q for _, q in ratios))
-        body = {(e, 0): p * (den // q) for e, (p, q) in reversed(list(enumerate(ratios))) if p}
-        self._store(body, den)
+        self._store(*self._integer_form({(e, 0): _ratio(c) for e, c in enumerate(coeffs)}))
 
     @classmethod
     def _sorted(cls, body: _BiPoly, den: int = 1) -> "UniPoly":
@@ -228,13 +233,8 @@ class UniPoly(_Poly, Record):
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        try:
-            return self._coeffs
-        except AttributeError:
-            body, den = self._body, self._den
-            coeffs = tuple(Fraction(body.get((e, 0), 0), den) for e in range(self.degree + 1))
-            object.__setattr__(self, "_coeffs", coeffs)
-            return coeffs
+        body, den = self._body, self._den
+        return tuple(Fraction(body.get((e, 0), 0), den) for e in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
@@ -382,12 +382,11 @@ class TriHomPoly(_Poly, Record):
     (i, j) for x^i y^j z^(degree - i - j)).  The zero polynomial keeps its
     nominal degree so graded arithmetic stays well typed.
 
-    The field ``terms`` is a view of the same polynomial: exponent triples
-    (i, j, k), in decreasing lex order, paired with nonzero Fractions.  It
-    is built on first read and cached.
+    The field ``terms`` is a view, computed on each read: exponent triples
+    (i, j, k), in decreasing lex order, paired with nonzero Fractions.
     """
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ("degree",)
     _fields = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
@@ -400,10 +399,8 @@ class TriHomPoly(_Poly, Record):
                 raise ValueError(f"monomial {exps} is not homogeneous of degree {degree}")
             c = _frac(coeff)
             acc[i, j] = acc[i, j] + c if (i, j) in acc else c
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        body = {e: c.numerator * (den // c.denominator) for e, c in acc.items()}
         object.__setattr__(self, "degree", degree)
-        self._store(_lex(body), den)
+        self._store(*self._integer_form({e: (c.numerator, c.denominator) for e, c in acc.items()}))
 
     @classmethod
     def _sorted(cls, degree: int, body: _BiPoly, den: int = 1) -> "TriHomPoly":
@@ -440,13 +437,8 @@ class TriHomPoly(_Poly, Record):
 
     @property
     def terms(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
-        try:
-            return self._terms
-        except AttributeError:
-            d, den = self.degree, self._den
-            terms = tuple(((i, j, d - i - j), Fraction(c, den)) for (i, j), c in self._body.items())
-            object.__setattr__(self, "_terms", terms)
-            return terms
+        d, den = self.degree, self._den
+        return tuple(((i, j, d - i - j), Fraction(c, den)) for (i, j), c in self._body.items())
 
     def coeff(self, exps: Exponents) -> Fraction:
         i, j, k = exps
@@ -507,21 +499,15 @@ TRI_Y = TriHomPoly.monomial((0, 1, 0))
 TRI_Z = TriHomPoly.monomial((0, 0, 1))
 
 
-def homogenize_uni(p: UniPoly, main_axis: int, aux_axis: int, degree: int) -> TriHomPoly:
-    """Turn sum(c_e t^e) into sum(c_e main^e aux^(degree-e)), homogeneous."""
-    if main_axis == aux_axis:
-        raise ValueError("homogenisation axes must differ")
+def homogenize_uni(p: UniPoly, axis: int, degree: int) -> TriHomPoly:
+    """sum(c_e t^e) as sum(c_e v^e z^(degree - e)), v = x (axis 0) or y (1):
+    the body keyed (e, 0) or (0, e), in decreasing e, so in decreasing lex order."""
     if p.is_zero:
         return TriHomPoly.zero(degree)
     if degree < p.degree:
         raise ValueError("target degree below the degree of the polynomial")
-    body: _BiPoly = {}
-    for (e, _), c in p._body.items():
-        exps = [0, 0, 0]
-        exps[main_axis] = e
-        exps[aux_axis] = degree - e
-        body[exps[0], exps[1]] = c
-    return TriHomPoly._sorted(degree, _lex(body), p._den)
+    body = {(0, e): c for (e, _), c in p._body.items()} if axis else p._body
+    return TriHomPoly._sorted(degree, body, p._den)
 
 
 # -- lex division and divisibility ------------------------------------------
@@ -567,10 +553,6 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
     """True iff f = c*q for some homogeneous q.  Requires c != 0."""
     if c.is_zero:
         raise ZeroDivisionError("divisibility by the zero polynomial")
-    if f.is_zero:
-        return True
-    if f.degree < c.degree:
-        return False
     return _divides(c, f.degree, f._body)
 
 

@@ -186,7 +186,7 @@ def hyperelliptic_curve_poly(h: UniPoly) -> TriHomPoly:
 
 def _curve_poly(h: UniPoly) -> TriHomPoly:
     d = h.degree
-    h_hom = homogenize_uni(h, 0, 2, d)
+    h_hom = homogenize_uni(h, 0, d)
     return TRI_Y * TRI_Y * TRI_Z ** (d - 2) - h_hom
 
 

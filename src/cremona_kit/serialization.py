@@ -140,7 +140,7 @@ def _uni_term(item: Any, path: _Path) -> Tuple[int, Any]:
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     items = _as_list(v, path)
-    terms: Dict[int, Tuple[int, int]] = {}
+    terms: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for i, item in enumerate(items):
         # One test passes a well-formed term, as in decode_trihom; _uni_term
         # and _read_rational name what is wrong with any other.
@@ -152,14 +152,12 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
             ok = False
         if not ok:
             e, c = _uni_term(item, path + (i,))
-        if e in terms:
+        if (e, 0) in terms:
             _fail(path + (i,), f"duplicate exponent {e}")
-        terms[e] = _read_rational(c, path + (i, 1))
+        terms[e, 0] = _read_rational(c, path + (i, 1))
     # Checked before any body is built, zero terms included.
-    _check_cap(max(terms, default=-1), f"the polynomial at {_pstr(path)}")
-    rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)
-    den = math.lcm(*(q for _, _, q in rows))
-    return UniPoly._sorted({(e, 0): p * (den // q) for e, p, q in rows}, den)
+    _check_cap(max(terms, default=(-1, 0))[0], f"the polynomial at {_pstr(path)}")
+    return UniPoly._sorted(*UniPoly._integer_form(terms))
 
 
 def encode_unipoly(p: UniPoly) -> List[Any]:
@@ -212,9 +210,8 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
         _fail(path, f"terms have degree {degrees.pop()}, expected {degree}")
     if degree < 0:
         raise ValueError("homogeneous degree must be >= 0")
-    rows = sorted(((e, p, q) for e, (p, q) in terms.items() if p), reverse=True)
-    den = math.lcm(*(q for _, _, q in rows))
-    return TriHomPoly._sorted(degree, {e[:2]: p * (den // q) for e, p, q in rows}, den)
+    body, den = TriHomPoly._integer_form({e[:2]: r for e, r in terms.items()})
+    return TriHomPoly._sorted(degree, body, den)
 
 
 def encode_trihom(f: TriHomPoly) -> List[Any]:

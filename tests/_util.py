@@ -27,6 +27,11 @@ then ``uni_divmod_oracle``) and ``common_denominator_oracle`` (a fold of
 being the Fraction long division ``UniPoly`` had.
 ``poly_mul_oracle`` (``_bimul``, then ``_lex``) is the one for the key
 shift that multiplies by a one-term factor.
+``uni_form_oracle`` and ``tri_form_oracle``, the integer forms that the
+``UniPoly`` and ``TriHomPoly`` constructors computed each on their own, are
+the oracles for the one builder ``_Poly._integer_form`` that the
+constructors and the JSON decoders share, and ``homogenize_uni_oracle``,
+with its aux axis and ``_lex`` sort, the one for ``homogenize_uni``.
 ``primitive_parts_fold_oracle``, the earlier fold of pairwise gcds with the
 1/lead scaling of ``CremonaMap.of``, is the one for the one-gcd content of
 three polynomials.
@@ -535,6 +540,54 @@ def poly_mul_oracle(f, g):
     if isinstance(f, UniPoly):
         return UniPoly._sorted(body, den)
     return TriHomPoly._sorted(f.degree + g.degree, body, den)
+
+
+def _stored_oracle(body: Dict[Tuple[int, int], int], den: int) -> Tuple[int, Dict]:
+    """(den, body) with gcd(den, content body) divided out, as ``_store`` does."""
+    g = math.gcd(den, *body.values())
+    if den < 0:
+        g = -g
+    return den // g, {e: c // g for e, c in body.items()}
+
+
+def uni_form_oracle(coeffs: Sequence) -> Tuple[int, Dict]:
+    """(den, body) as the earlier ``UniPoly(coeffs)`` stored them: the
+    coefficients over the lcm of their denominators, read backwards."""
+    ratios = [(_frac(c).numerator, _frac(c).denominator) for c in coeffs]
+    den = math.lcm(*(q for _, q in ratios))
+    body = {(e, 0): p * (den // q) for e, (p, q) in reversed(list(enumerate(ratios))) if p}
+    return _stored_oracle(body, den)
+
+
+def tri_form_oracle(degree: int, terms: Sequence) -> Tuple[int, Dict]:
+    """(den, body) as the earlier ``TriHomPoly(degree, terms)`` stored them:
+    repeated monomials summed as Fractions, then sorted by ``_lex``."""
+    acc: Dict[Tuple[int, int], Fraction] = {}
+    for (i, j, k), coeff in terms:
+        assert min(i, j, k) >= 0 and i + j + k == degree
+        c = _frac(coeff)
+        acc[i, j] = acc[i, j] + c if (i, j) in acc else c
+    den = math.lcm(*(c.denominator for c in acc.values()))
+    body = {e: c.numerator * (den // c.denominator) for e, c in acc.items()}
+    return _stored_oracle(_lex(body), den)
+
+
+def homogenize_uni_oracle(p: UniPoly, main_axis: int, aux_axis: int, degree: int) -> TriHomPoly:
+    """The earlier ``homogenize_uni``, with its aux axis: sum(c_e t^e) as
+    sum(c_e main^e aux^(degree - e)), the body sorted by ``_lex``."""
+    if main_axis == aux_axis:
+        raise ValueError("homogenisation axes must differ")
+    if p.is_zero:
+        return TriHomPoly.zero(degree)
+    if degree < p.degree:
+        raise ValueError("target degree below the degree of the polynomial")
+    body = {}
+    for (e, _), c in p._body.items():
+        exps = [0, 0, 0]
+        exps[main_axis] = e
+        exps[aux_axis] = degree - e
+        body[exps[0], exps[1]] = c
+    return TriHomPoly._sorted(degree, _lex(body), p._den)
 
 
 def pgl_order_oracle(*entries):

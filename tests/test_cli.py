@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -90,24 +92,25 @@ VALIDATE_CURVES = [
 ]
 
 
-def field_payloads(kind):
-    """The payloads of command ``kind`` in the first two blocks of the
-    benchmark's function_field workload on seeds 1 to 5.  Those of
-    `validate` are curves of degree 4, 6 and 8 with a (deg - 2)-fold point
-    at (0:1:0); those of the group commands are elements over h of degree
-    4, 6 and 8 with entries over den = 1."""
+def workload_requests(workload, blocks):
+    """The requests of the first ``blocks`` blocks of the benchmark's
+    ``workload`` on seeds 1 to 5, in order."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
         import workloads
     finally:
         sys.path.remove(bench)
-    return [
-        r.payload
-        for seed in range(1, 6)
-        for r in workloads.generate("function_field", seed, 2)
-        if r.kind == kind
-    ]
+    return [r for seed in range(1, 6) for r in workloads.generate(workload, seed, blocks)]
+
+
+def field_payloads(kind):
+    """The payloads of command ``kind`` in the first two blocks of the
+    benchmark's function_field workload on seeds 1 to 5.  Those of
+    `validate` are curves of degree 4, 6 and 8 with a (deg - 2)-fold point
+    at (0:1:0); those of the group commands are elements over h of degree
+    4, 6 and 8 with entries over den = 1."""
+    return [r.payload for r in workload_requests("function_field", 2) if r.kind == kind]
 
 
 # sha256 of the exit code and stdout of `validate` on each input in turn,
@@ -137,6 +140,16 @@ JONQ_FIELD_SHA256 = {
 # lambda = trace^2 / det.
 JONQ_ORDER = Path(__file__).parent / "jonq_order.json"
 JONQ_ORDER_SHA256 = (Path(__file__).parent / "jonq_order.sha256").read_text().strip()
+# sha256 of the exit code and stdout of each request of the first block of the
+# benchmark's compose_words workload on seeds 1 to 5 in turn (map-compose,
+# then map-fixcheck on its piped stdout), recorded before the polynomial
+# constructors and decoders shared one builder.
+COMPOSE_WORDS_SHA256 = "a55bb3fcf16e82d20bacd40965c562079afec04002e1224427d15fc703ae08b7"
+# F3 o B of tests/test_cremona_maps.py, of degree 24, the default cap, and
+# the sha256 of its `map-compose` stdout, which the examples job of the CI
+# workflow also checks, recorded at the same time.
+MAP_COMPOSE_24 = Path(__file__).parent / "map_compose_24.json"
+MAP_COMPOSE_24_SHA256 = (Path(__file__).parent / "map_compose_24.sha256").read_text().strip()
 
 
 # t^2 (t^2 + 1): even degree 4, not squarefree.
@@ -172,10 +185,31 @@ class TestGenus:
         assert payload["error"] == "schema"
 
     def test_unreadable_source_is_reported(self, capsys, tmp_path):
-        for source in (str(tmp_path / "missing.json"), str(tmp_path)):
+        # A missing file, a directory and a file that is not UTF-8.
+        bad_bytes = tmp_path / "bad-bytes.json"
+        bad_bytes.write_bytes(b"\xff" + GEISER_CURVE.encode())
+        for source in (str(tmp_path / "missing.json"), str(tmp_path), str(bad_bytes)):
             code, payload = run_json(capsys, "genus", source)
             assert code == 1 and payload["error"] == "schema"
             assert payload["message"].startswith(f"cannot read {source!r}: ")
+
+    def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        """A UTF-8 file with labels outside ASCII gives the same exit code
+        and stdout in the C locale without UTF-8 mode as in UTF-8 mode."""
+        path = tmp_path / "curve.json"
+        path.write_bytes(GEISER_CURVE.replace('"label": "p', '"label": "\u00e9').encode())
+        assert b"\xc3\xa9" in path.read_bytes()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-X", f"utf8={mode}", "-m", "cremona_kit.cli",
+                 "adjoint-chain", str(path)],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=src, LC_ALL="C"), timeout=60,
+            )
+            for mode in (0, 1)
+        ]
+        assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[1].stdout)] * 2
+        assert b'"\\u00e90"' in runs[0].stdout
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "curve.json"
@@ -348,6 +382,18 @@ class TestGoldenOutputs:
 
     def test_validate_hyperelliptic_8(self, capsys):
         assert self.digest(capsys, "validate", str(HYPERELLIPTIC_8)) == HYPERELLIPTIC_8_SHA256
+
+    def test_compose_words_stream(self, capsys):
+        requests = workload_requests("compose_words", 1)
+        assert len(requests) == 510
+        digest, out = hashlib.sha256(), ""
+        for request in requests:
+            code, out = run(capsys, *request.command(out))
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == COMPOSE_WORDS_SHA256
+
+    def test_map_compose_24(self, capsys):
+        assert self.digest(capsys, "map-compose", str(MAP_COMPOSE_24)) == MAP_COMPOSE_24_SHA256
 
     @staticmethod
     def curve(degree, mults):

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -53,6 +54,7 @@ from _util import (
     common_denominator_oracle,
     exact_quotient_oracle,
     fractions_built,
+    homogenize_uni_oracle,
     lex_normalized,
     monomials,
     poly_mul_oracle,
@@ -63,10 +65,12 @@ from _util import (
     rand_unipoly,
     substitute_oracle,
     sympy_to_tri,
+    tri_form_oracle,
     tri_to_sympy,
     trihoms,
     uni_cofactors_oracle,
     uni_divmod_oracle,
+    uni_form_oracle,
     uni_gcd_oracle,
     uni_to_sympy,
     unipolys,
@@ -133,7 +137,7 @@ class TestUniPoly:
             assert_canonical(new, old)
         d = f.degree + 1
         old_hom = OldTriHomPoly(d, tuple(((0, e, d - e), c) for e, c in enumerate(old_f.coeffs)))
-        assert_canonical(homogenize_uni(f, 1, 2, d), old_hom)
+        assert_canonical(homogenize_uni(f, 1, d), old_hom)
 
     @given(scaled_coeffs(), scaled_coeffs())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -676,6 +680,14 @@ class TestExactDivision:
     @example((TRI_X * z_power(2, Fraction(2, 9)), TRI_X * TRI_X * TRI_Z))
     @example((TRI_X * TRI_Z * 4, TriHomPoly.zero(0)))
     @example((TRI_X * TRI_Y * 6, TRI_X * 3))
+    # f = 0 above c's degree, deg f < deg c by a power of z, c with more or
+    # fewer powers of z than f, and a constant c.
+    @example((TRI_X * TRI_Y, TriHomPoly.zero(3)))
+    @example((z_power(2), TRI_Z))
+    @example((TRI_Z * (TRI_X + TRI_Y), (TRI_X + TRI_Y) * TRI_Y * z_power(2)))
+    @example((z_power(2) * (TRI_X + TRI_Y), (TRI_X + TRI_Y) * TRI_Y * TRI_Z))
+    @example((z_power(0, Fraction(-2, 3)), TRI_X * TRI_Y - z_power(2)))
+    @example((z_power(0, 5), TriHomPoly.zero(2)))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_agrees_with_tri_divrem(self, case):
         c, f = case
@@ -911,7 +923,7 @@ def planted_pairs(draw):
         c = draw(trihoms().filter(lambda f: has(f, 0) and has(f, 1)))
     else:
         u = draw(unipolys(min_degree=1, max_degree=3))
-        c = homogenize_uni(u, 0 if kind == "x" else 1, 2, u.degree + draw(st.integers(0, 1)))
+        c = homogenize_uni(u, 0 if kind == "x" else 1, u.degree + draw(st.integers(0, 1)))
     scalars = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 10))
     return [c * draw(trihoms(max_degree=2)) * draw(scalars) for _ in range(2)]
 
@@ -1194,14 +1206,101 @@ def test_str_is_the_record_repr(poly):
     assert str(poly) == repr(poly)
 
 
+@st.composite
+def unreduced(draw):
+    """(p, q), q > 0, mostly not in lowest terms: p of either sign, or zero
+    over a large q one draw in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return 0, draw(st.sampled_from([7, 10**12 + 39, 2**89 - 1]))
+    g = draw(st.sampled_from([1, 2, 6, 35]))
+    return draw(st.integers(-9, 9)) * g, draw(st.integers(1, 9)) * g
+
+
+def _split(draw, terms):
+    """The (exponents, "p/q") pairs of ``terms``, each nonzero one split in
+    two one draw in two, in shuffled order."""
+    out = []
+    for e, (p, q) in terms.items():
+        if p and draw(st.booleans()):
+            r = draw(st.integers(-9, 9))
+            out += [(e, f"{p - r}/{q}"), (e, f"{r}/{q}")]
+        else:
+            out.append((e, f"{p}/{q}"))
+    return draw(st.permutations(out))
+
+
+def assert_integer_form(f, form):
+    """f stores the integer form ``form`` = (den, body), body in its order,
+    and that form is canonical."""
+    den, body = form
+    assert (f._den, list(f._body.items())) == (den, list(body.items()))
+    assert den > 0 and math.gcd(den, *body.values()) == 1
+    assert list(body) == sorted(body, reverse=True) and all(body.values())
+
+
+class TestOneIntegerForm:
+    """Every door into a polynomial stores the form the constructors used to
+    compute each on their own: UniPoly(coeffs), decode_unipoly,
+    TriHomPoly(degree, terms), TriHomPoly.of and decode_trihom."""
+
+    @given(
+        st.dictionaries(st.integers(0, 5), unreduced(), max_size=6), st.integers(0, 1), st.data()
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_five_doors(self, spec, extra, data):
+        """The same polynomial, in t and as its homogenisation in x and z,
+        through all five doors: its body keyed (e, 0) is the same in both."""
+        d = max(spec, default=0) + extra
+        coeffs = tuple(f"{p}/{q}" for p, q in (spec.get(e, (0, 1)) for e in range(d + 1)))
+        want = uni_form_oracle(coeffs)
+        assert tri_form_oracle(d, [((e, 0, d - e), c) for e, c in enumerate(coeffs)]) == want
+        tri = {(e, 0, d - e): r for e, r in spec.items()}
+        unsplit = data.draw(st.permutations([(e, f"{p}/{q}") for e, (p, q) in tri.items()]))
+        doors = [
+            UniPoly(coeffs),
+            ser.decode_unipoly([[[e[0]], c] for e, c in unsplit], ()),
+            TriHomPoly(d, tuple(_split(data.draw, tri))),
+            TriHomPoly.of(dict(unsplit), d),
+            ser.decode_trihom([[list(e), c] for e, c in unsplit], (), d),
+        ]
+        for f in doors:
+            assert_integer_form(f, want)
+
+    @given(st.integers(0, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.dictionaries(st.sampled_from(monomials(d)), unreduced()))
+    ), st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_trivariate_doors(self, case, data):
+        d, spec = case
+        unsplit = data.draw(st.permutations([(e, f"{p}/{q}") for e, (p, q) in spec.items()]))
+        split = _split(data.draw, spec)
+        want = tri_form_oracle(d, split)
+        assert tri_form_oracle(d, unsplit) == want
+        for f in (
+            TriHomPoly(d, tuple(split)),
+            TriHomPoly.of(dict(unsplit), d),
+            ser.decode_trihom([[list(e), c] for e, c in unsplit], (), d),
+        ):
+            assert_integer_form(f, want)
+
+
 class TestHomogenize:
+    @given(unipolys() | st.just(UniPoly()), st.integers(0, 1), st.integers(0, 2))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_the_two_axis_oracle(self, p, axis, extra):
+        """On x and y, zero p, degree above deg p and rational coefficients."""
+        d = max(p.degree, 0) + extra
+        got, want = homogenize_uni(p, axis, d), homogenize_uni_oracle(p, axis, 2, d)
+        assert got.degree == want.degree == d
+        assert (got._den, list(got._body.items())) == (want._den, list(want._body.items()))
+
     def test_roundtrip_on_chart(self):
         p = UniPoly.of(1, 0, -2, 1)  # 1 - 2t^2 + t^3
-        f = homogenize_uni(p, 0, 2, 5)
+        f = homogenize_uni(p, 0, 5)
         assert f.degree == 5
         # setting z = 1 returns the coefficients
         assert OldTriHomPoly(f.degree, f.terms).evaluate((3, 0, 1)) == 1 - 2 * 3**2 + 3**3
 
     def test_degree_too_small(self):
         with pytest.raises(ValueError):
-            homogenize_uni(UniPoly.of(0, 0, 1), 0, 2, 1)
+            homogenize_uni(UniPoly.of(0, 0, 1), 0, 1)
