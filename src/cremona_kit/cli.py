@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands consume JSON (from a path, ``-`` for stdin, or ``--inline``)
-and emit a JSON report on stdout; ``--format text`` renders the same
-report as an indented key/value listing (lossy, for reading).
+and emit a JSON report on stdout; ``--format text`` reads that report back
+from the JSON text and renders it as an indented key/value listing (lossy,
+for reading), so both formats show the same data.
 
 Every argument is described once, in ``_ARGS``. A call is parsed by its subcommand's
 parser alone, built from that table once per process; help, ``--version`` and any argv
@@ -14,7 +15,9 @@ Exit codes:
 * 1 -- malformed input: a source that cannot be read as UTF-8, bad JSON
   (reported with line and column), or a schema violation (the field path);
 * 2 -- validation or computation failure: the report explains (failed
-  checks, inadmissible data, degree cap exceeded, ...).
+  checks, inadmissible data, degree cap exceeded, ...);
+* 141 -- stdout was closed before the report was written, the status a
+  shell reports for a process ended by SIGPIPE; nothing goes to stderr.
 
 The environment variable CREMONA_KIT_MAX_DEGREE (default 24) caps the
 degree of any constructed map; exact coefficients grow quickly under
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +45,7 @@ from .rational_pencils import DEFAULT_ENUM_LIMIT, check_rational_pencil, enumera
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INVALID = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_payload(args: argparse.Namespace) -> Any:
@@ -170,7 +175,7 @@ def _cmd_pencil_enum(args) -> Tuple[Dict[str, Any], int]:
     return {
         "max_degree": args.max,
         "count": len(types),
-        "types": [ser.encode_pencil_type(p) for p in types],
+        "types": list(types),
     }, EXIT_OK
 
 
@@ -299,36 +304,33 @@ def _render_text(value: Any, indent: int = 0) -> List[str]:
     return lines
 
 
-def _emit(payload: Any, fmt: str) -> None:
-    if fmt == "text":
-        print("\n".join(_render_text(payload)))
-    else:
-        sys.stdout.write(ser.dumps(payload))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-    fmt = getattr(args, "format", "json")
     try:
         payload, code = _COMMANDS[args.command][0](args)
     except json.JSONDecodeError as exc:
-        _emit(
-            {
-                "error": "malformed-json",
-                "message": exc.msg,
-                "line": exc.lineno,
-                "column": exc.colno,
-            },
-            fmt,
-        )
-        return EXIT_MALFORMED
+        payload, code = {
+            "error": "malformed-json",
+            "message": exc.msg,
+            "line": exc.lineno,
+            "column": exc.colno,
+        }, EXIT_MALFORMED
     except SchemaError as exc:
-        _emit({"error": "schema", "path": exc.path, "message": exc.message}, fmt)
-        return EXIT_MALFORMED
+        payload = {"error": "schema", "path": exc.path, "message": exc.message}
+        code = EXIT_MALFORMED
     except (CremonaKitError, ValueError, ZeroDivisionError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, fmt)
-        return EXIT_INVALID
-    _emit(payload, fmt)
+        payload, code = {"error": type(exc).__name__, "message": str(exc)}, EXIT_INVALID
+    try:
+        text = ser.dumps(payload)
+        if getattr(args, "format", "json") == "text":
+            text = "\n".join(_render_text(json.loads(text))) + "\n"
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  With stdout on the null device the flush at exit
+        # raises nothing; the status is the one a shell reports after SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -9,7 +9,8 @@ Conventions:
 * homogeneous trivariate polynomials are sparse ``[[i, j, k], "c"]``
   lists in descending lexicographic order (x > y > z), leading term first;
 * emitted JSON always has sorted object keys and two-space indentation,
-  so identical inputs produce byte-identical output.
+  so identical inputs produce byte-identical output;
+* ``dumps`` writes a ``PencilType`` record as ``{"degree": n, "mults": [...]}``.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.
@@ -420,10 +421,6 @@ def encode_pencil_check(r: PencilCheckReport) -> Dict[str, Any]:
     }
 
 
-def encode_pencil_type(p: PencilType) -> Dict[str, Any]:
-    return {"degree": p.degree, "mults": list(p.mults)}
-
-
 # -- top level -----------------------------------------------------------------------
 
 
@@ -432,8 +429,9 @@ def dumps(payload: Any) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline, for the values the encoders emit: str, int, bool, None,
-    and lists and str-keyed dicts of them.  Anything else (a float, a tuple,
-    a non-str key, a subclass of int or str) raises TypeError.
+    PencilType records (as {"degree": n, "mults": [...]}), and lists and
+    str-keyed dicts of them.  Anything else (a float, a tuple, a non-str key,
+    a subclass of int, str or PencilType) raises TypeError.
     """
     return _write(payload, "\n") + "\n"
 
@@ -456,8 +454,12 @@ def _write(v: Any, newline: str) -> str:
         if not v:
             return "[]"
         kinds = set(map(type, v))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        body = map(scalar, v) if scalar else [_write(x, inner) for x in v]
+        kind = kinds.pop() if len(kinds) == 1 else None
+        scalar = _SCALARS.get(kind)
+        if kind is PencilType:
+            body = _pencils(v, inner)
+        else:
+            body = map(scalar, v) if scalar else [_write(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if kind is dict:
         if not v:
@@ -469,4 +471,17 @@ def _write(v: Any, newline: str) -> str:
             # _encode_str raises TypeError for a key that is not a str.
             body.append(_encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner)))
         return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if kind is PencilType:
+        return _pencils([v], newline)[0]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _pencils(records: List[PencilType], newline: str) -> List[str]:
+    """Each record as {"degree": n, "mults": [...]}, at the indent of ``newline``."""
+    inner, sep = newline + "  ", "," + newline + "    "
+    full = '{%s"degree": %%r,%s"mults": [%s%%s%s]%s}' % (inner, inner, sep[1:], inner, newline)
+    empty = '{%s"degree": %%r,%s"mults": []%s}' % (inner, inner, newline)
+    return [
+        full % (p.degree, sep.join(map(repr, p.mults))) if p.mults else empty % p.degree
+        for p in records
+    ]

@@ -42,7 +42,9 @@ arithmetic of ``UniPoly`` and ``TriHomPoly``, the oracle for their
 arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
 ``encode_trihom_oracle``, which print the Fractions of the ``coeffs`` and
 ``terms`` views, are the oracles for the encoders that print the stored
-integer form.
+integer form.  ``encode_pencil_type_oracle``, the dict that ``pencil-enum``
+built for each pencil type, is the oracle for the template through which
+``serialization.dumps`` writes a ``PencilType`` record.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from cremona_kit.linear_systems import (
     RemovedComponent,
     _Rule,
 )
+from cremona_kit.rational_pencils import PencilType
 
 SX, SY, SZ = sympy.symbols("x y z")
 ST = sympy.Symbol("t")
@@ -237,6 +240,12 @@ def encode_trihom_oracle(f: TriHomPoly) -> list:
     """The earlier ``serialization.encode_trihom``: ``str`` of each Fraction
     of the ``terms`` view."""
     return [[list(e), str(c)] for e, c in f.terms]
+
+
+def encode_pencil_type_oracle(p: PencilType) -> dict:
+    """The earlier ``serialization.encode_pencil_type``: the plain dict that
+    ``dumps`` wrote for each type before it took the record itself."""
+    return {"degree": p.degree, "mults": list(p.mults)}
 
 
 def lex_normalized(f: TriHomPoly) -> TriHomPoly:

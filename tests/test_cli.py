@@ -49,7 +49,11 @@ PENCIL_ENUM_16_SHA256 = (Path(__file__).parent / "pencil_enum_16.sha256").read_t
 # Recorded before the walk wrote rests of parts <= 3 in closed form and the
 # writer formatted scalars through one exact-type table.
 PENCIL_ENUM_20_SHA256 = "f95950e01f41309da0d4c54827b4cd83fc3901282583bc800e6444ad674ce596"
-PENCIL_ENUM_6_TEXT_SHA256 = "fda58fa710ff8810d6aa67bdccc5c968451771d974f3b9652320622593410f29"
+# `pencil-enum --max 6 --format text`, kept in a file that the examples job of
+# the CI workflow also checks.
+PENCIL_ENUM_6_TEXT_SHA256 = (
+    (Path(__file__).parent / "pencil_enum_6_text.sha256").read_text().strip()
+)
 # 13 steps, fixed lines removed, ends in a rational pencil.
 CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
 CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
@@ -150,6 +154,46 @@ COMPOSE_WORDS_SHA256 = "a55bb3fcf16e82d20bacd40965c562079afec04002e1224427d15fc7
 # workflow also checks, recorded at the same time.
 MAP_COMPOSE_24 = Path(__file__).parent / "map_compose_24.json"
 MAP_COMPOSE_24_SHA256 = (Path(__file__).parent / "map_compose_24.sha256").read_text().strip()
+
+# The exit code and the sha256 of the `--format text` stdout of every other
+# subcommand, and of one error report, on inputs used above; recorded while
+# text mode rendered the payload itself rather than the JSON report.
+TEXT_OUTPUTS = {
+    "genus": (0, "2e65747a6c8897e56a87d8314c6c5650c21121d4047b3998db8a1ad44262004b"),
+    "validate": (0, "2b1d0e7f034e2092d3c0e4b3092b3ded9ecb41839d1aa518ad115f45373aa331"),
+    "adjoint-chain": (0, "b7be2be9d363ec24b991917042e20fd38f528a84725a3704a39dcc007d5ab552"),
+    "classify": (0, "df8abc42c450cc7349b34589f96ba2e5c4bcd4784445b5a515ba83f7ea475207"),
+    "map-compose": (0, "f06a984013ba42fe967ae9c077c409c9624362b4c215ffd7de061a0f818e3f95"),
+    "map-fixcheck": (0, "1f01167ef3b348b2f8e14bc3856e677c34f2334a35365f62745334af44957a14"),
+    "jonq-order": (0, "a2163ad6e766dc28586b62d8f28097b93eb52e68beb8017b556e829ff38f554a"),
+    "jonq-mul": (0, "c5a8dc42d16a094cf2b9e1abcd2bb40ef79ae68c983e37848a60df6d8fee015d"),
+    "jonq-fix-check": (0, "816128b033b719ce118f8aa18987e04bd11d3ab66e1f32a02a5aec96ab7d977e"),
+    "pencil-check": (0, "f7a807e5836ef495d086b831f74194df1e6c434ba32fb4b48fce6b556db7d374"),
+    "examples": (0, "e0df2a3a8a6baf2a96c747715a09654b860ac099ca9351f17e7362399ed15556"),
+    "malformed-json": (1, "0ed4160353bfdc885c601d125adad47e96aaf101f5e0660ebf86ebc73d2663d6"),
+}
+
+
+def text_argv(name):
+    """The arguments of the `--format text` run named ``name`` in TEXT_OUTPUTS."""
+    curve = TestGoldenOutputs.curve
+    line = ser.encode_trihom(TriHomPoly.monomial((1, 0, 0)))
+    fixcheck = json.dumps({"map": ser.encode_map(make_phi(2, 3)), "curve": line})
+    element = json.loads(JONQ_ORDER.read_text())
+    return {
+        "genus": ["genus", "--inline", GEISER_CURVE],
+        "validate": ["validate", str(HYPERELLIPTIC_8)],
+        "adjoint-chain": ["adjoint-chain", "--inline", curve(*CHAIN_65)],
+        "classify": ["classify", "--inline", curve(*CHAIN_55)],
+        "map-compose": ["map-compose", str(MAP_COMPOSE_24)],
+        "map-fixcheck": ["map-fixcheck", "--inline", fixcheck],
+        "jonq-order": ["jonq-order", str(JONQ_ORDER)],
+        "jonq-mul": ["jonq-mul", "--inline", json.dumps({"u": element, "v": element})],
+        "jonq-fix-check": ["jonq-fix-check", str(JONQ_ORDER)],
+        "pencil-check": ["pencil-check", "--n", "2", "--mults", "1,1,1,1"],
+        "examples": ["examples"],
+        "malformed-json": ["genus", "--inline", "{not json"],
+    }[name]
 
 
 # t^2 (t^2 + 1): even degree 4, not squarefree.
@@ -352,6 +396,11 @@ class TestGoldenOutputs:
 
     def test_examples(self, capsys):
         assert self.digest(capsys, "examples") == EXAMPLES_SHA256
+
+    @pytest.mark.parametrize("name", TEXT_OUTPUTS)
+    def test_text_outputs(self, capsys, name):
+        code, out = run(capsys, *text_argv(name), "--format", "text")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == TEXT_OUTPUTS[name]
 
     @staticmethod
     def runs_digest(capsys, payloads, command="validate"):
@@ -593,3 +642,20 @@ class TestExamplesAndFormats:
         captured = capsys.readouterr()
         assert code == 0
         assert "degree 6" in captured.err
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        """A reader that takes 1 byte of the 397 KB report and closes the
+        pipe sees status 141, as after SIGPIPE, and nothing on stderr.  Run
+        with stdout buffered: unbuffered, the text layer drops the short write
+        that the closed pipe ends, and no error is raised."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cremona_kit.cli", "pencil-enum", "--max", "16", "--bound", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")

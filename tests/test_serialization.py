@@ -14,9 +14,11 @@ from cremona_kit.errors import DegreeCapExceeded, SchemaError
 from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
 from cremona_kit.linear_systems import LinSysData, adjoint_chain
+from cremona_kit.rational_pencils import PencilType, enumerate_pencil_types
 
 from _util import (
     H4,
+    encode_pencil_type_oracle,
     encode_trihom_oracle,
     encode_unipoly_oracle,
     monomials,
@@ -269,6 +271,63 @@ class TestDumps:
          {"a": [_Int(2)]}],
     )
     def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            ser.dumps(value)
+
+
+# Pencil types with empty and large multiplicities, the leaves of values that
+# hold them at the top level, as dict values, in lists of pencil types alone
+# and in lists next to dicts and scalars, at several depths.
+_PENCILS = st.builds(
+    PencilType, st.integers(1, 2**70), st.lists(st.integers(1, 2**70), max_size=4)
+)
+_WITH_PENCILS = st.recursive(
+    st.one_of(_SCALARS, _PENCILS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(_PENCILS, min_size=1, max_size=6),
+        st.dictionaries(_TEXT, inner, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+def _plain(value):
+    """``value`` with each pencil type replaced by the dict of the oracle."""
+    if type(value) is PencilType:
+        return encode_pencil_type_oracle(value)
+    if type(value) is list:
+        return [_plain(x) for x in value]
+    if type(value) is dict:
+        return {k: _plain(x) for k, x in value.items()}
+    return value
+
+
+class _Pencil(PencilType):
+    pass
+
+
+class TestDumpsPencilTypes:
+    """dumps writes a PencilType as json.dumps writes the oracle's dict."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_WITH_PENCILS)
+    @example(PencilType(1))
+    @example([PencilType(1), PencilType(2, (1, 1, 1, 1))])
+    @example({"types": [PencilType(3, (2, 1, 1, 1, 1))], "one": PencilType(1, (2**200,))})
+    @example([PencilType(2, (1,)), {"a": PencilType(1)}, 3, [PencilType(4, (3,))], "x"])
+    @example([[[{"k": [PencilType(5, (2, 2, 1))]}]], PencilType(1, ())])
+    @example({"count": 3, "types": list(enumerate_pencil_types(3))})
+    def test_matches_json_of_oracle(self, value):
+        plain = json.dumps(_plain(value), indent=2, sort_keys=True)
+        assert ser.dumps(value) == plain + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [_Pencil(2, (1, 1, 1, 1)), [_Pencil(1)], [PencilType(1), _Pencil(1)],
+         {"a": _Pencil(1)}, [1, _Pencil(1)], [{"a": _Pencil(1)}]],
+    )
+    def test_subclass_raises(self, value):
         with pytest.raises(TypeError):
             ser.dumps(value)
 
