@@ -69,6 +69,14 @@ def _load_payload(args: argparse.Namespace) -> Any:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
+def _load_object(args: argparse.Namespace, a: str, b: str) -> Dict[str, Any]:
+    """The payload, which must be an object with fields ``a`` and ``b``."""
+    obj = _load_payload(args)
+    if not isinstance(obj, dict) or a not in obj or b not in obj:
+        raise SchemaError("$", f"expected an object with fields {a!r} and {b!r}")
+    return obj
+
+
 def _note(args: argparse.Namespace, message: str) -> None:
     if getattr(args, "verbose", False):
         print(message, file=sys.stderr)
@@ -107,18 +115,14 @@ def _cmd_classify(args) -> Tuple[Dict[str, Any], int]:
 
 
 def _cmd_map_compose(args) -> Tuple[Dict[str, Any], int]:
-    obj = _load_payload(args)
-    if not isinstance(obj, dict) or "outer" not in obj or "inner" not in obj:
-        raise SchemaError("$", "expected an object with fields 'outer' and 'inner'")
+    obj = _load_object(args, "outer", "inner")
     outer = ser.decode_map(obj["outer"], ("outer",))
     inner = ser.decode_map(obj["inner"], ("inner",))
     return ser.encode_map(compose(outer, inner)), EXIT_OK
 
 
 def _cmd_map_fixcheck(args) -> Tuple[Dict[str, Any], int]:
-    obj = _load_payload(args)
-    if not isinstance(obj, dict) or "map" not in obj or "curve" not in obj:
-        raise SchemaError("$", "expected an object with fields 'map' and 'curve'")
+    obj = _load_object(args, "map", "curve")
     F = ser.decode_map(obj["map"], ("map",))
     curve = ser.decode_trihom(obj["curve"], ("curve",))
     if curve.is_zero:
@@ -140,9 +144,7 @@ def _cmd_jonq_order(args) -> Tuple[Dict[str, Any], int]:
 
 
 def _cmd_jonq_mul(args) -> Tuple[Dict[str, Any], int]:
-    obj = _load_payload(args)
-    if not isinstance(obj, dict) or "u" not in obj or "v" not in obj:
-        raise SchemaError("$", "expected an object with fields 'u' and 'v'")
+    obj = _load_object(args, "u", "v")
     u = ser.decode_jonq(obj["u"], ("u",))
     v = ser.decode_jonq(obj["v"], ("v",))
     return ser.encode_jonq(jq.mul(u, v)), EXIT_OK
@@ -292,15 +294,13 @@ def _render_text(value: Any, indent: int = 0) -> List[str]:
                 lines.extend(_render_text(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {inner}")
-    elif isinstance(value, list):
+    else:  # a list: the report is an object, and scalars are written by their parent
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(item, indent + 1))
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 
@@ -324,8 +324,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = ser.dumps(payload)
         if getattr(args, "format", "json") == "text":
             text = "\n".join(_render_text(json.loads(text))) + "\n"
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        raw = getattr(sys.stdout, "buffer", None)
+        if raw is None:  # a text stream, such as io.StringIO
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            # An unbuffered stream takes part of a write that the reader's exit cuts
+            # short, and its text layer drops the rest: writing it makes the pipe raise.
+            sys.stdout.flush()
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[raw.write(data) :]
+            raw.flush()
     except BrokenPipeError:
         # The reader has gone.  With stdout on the null device the flush at exit
         # raises nothing; the status is the one a shell reports after SIGPIPE.

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .errors import DegreeCapExceeded, MapContractsPlane
+from .errors import DegreeCapExceeded
 from .exact_algebra import (
     RatFunc,
     RationalLike,
@@ -151,7 +151,8 @@ def linear_G_params(F: CremonaMap) -> Optional[Tuple[Fraction, Fraction, Fractio
     if F.f1.coeff(z) != 0 or F.f2.coeff(y) != 0:
         return None
     p, q = F.f0.coeff(x), F.f1.coeff(y)
-    if p == 0 or q == 0 or F.f2.coeff(z) != q:
+    # q = 0 fails the last test: else x would divide all three components.
+    if p == 0 or F.f2.coeff(z) != q:
         return None
     return (p / q, F.f1.coeff(x) / q, F.f2.coeff(x) / q)
 
@@ -215,14 +216,11 @@ def make_phi(mu: RationalLike, nu: RationalLike) -> CremonaMap:
 
 
 def compose(F: CremonaMap, G: CremonaMap) -> CremonaMap:
-    """F after G: substitute G's components into F, then remove content."""
+    """F after G: substitute G's components into F, then remove content.  Never
+    the zero triple: G's coprime components do not map the plane to a point,
+    and F's have finitely many common zeros."""
     _check_cap(F.degree * G.degree, "composition")
     comps = [f.substitute(G.components) for f in F.components]
-    if all(c.is_zero for c in comps):
-        raise MapContractsPlane(
-            "composition produced the zero triple; the second map contracts "
-            "the locus the first map needs"
-        )
     return CremonaMap.of(*comps)
 
 

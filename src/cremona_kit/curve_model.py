@@ -103,10 +103,6 @@ class PlaneCurveModel(Record):
             msgs = "; ".join(f"{c.name}: {c.detail}" for c in failures)
             raise InvalidCurveData(msgs)
 
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(s.label for s in self.singularities)
-
     def mult_map(self) -> Dict[str, int]:
         return {s.label: s.multiplicity for s in self.singularities}
 

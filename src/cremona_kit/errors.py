@@ -49,10 +49,6 @@ class GroupMismatch(CremonaKitError):
     """Group operation on elements built over different polynomials h."""
 
 
-class MapContractsPlane(CremonaKitError):
-    """Composition produced the zero triple."""
-
-
 class InvalidElement(CremonaKitError):
     """Group-element data violates an invariant (h not squarefree, ...)."""
 

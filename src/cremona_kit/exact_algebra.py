@@ -339,8 +339,6 @@ class RatFunc(Record):
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("rational function is not constant")
-        if self.is_zero:
-            return Fraction(0)
         return self.num.coeff(0)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -894,15 +892,14 @@ _PACKED_BITS = 250_000  # the largest packed operand; crossover in CHANGES.md
 
 def _packed_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
     """(C, F / C, G / C) from the packed gcd, or None.  The slots fit the lesser
-    top coefficient of F and G, and 8 bits more for an integer cofactor."""
+    top coefficient of F and G, and 8 bits more for an integer cofactor: so
+    N >= 1, and C, read at every slot up to N's top digit, is nonzero."""
     W = max(j for _, j in itertools.chain(F, G)) + 1
     k = _width(min(max(map(abs, H.values())) for H in (F, G)) << 8)
     if k * (max(i for i, _ in itertools.chain(F, G)) + 1) * W > _PACKED_BITS:
         return None
     N = math.gcd(_pack(F, k, W), _pack(G, k, W))
     C = _unpack(N, k, W, [divmod(s, W) for s in range(N.bit_length() // k + 1, -1, -1)])
-    if not C:
-        return None
     di = min(i for i, _ in itertools.chain(F, G)) - min(i for i, _ in C)
     dj = min(j for _, j in itertools.chain(F, G)) - min(j for _, j in C)
     s = 1 if next(iter(C.values())) > 0 else -1

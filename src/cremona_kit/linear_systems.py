@@ -13,10 +13,13 @@ here is integer arithmetic under the general-position assumption:
   without listing the pairs and 5-subsets;
 * a system whose degree and multiplicities share a content c >= 2 is
   decomposed as c copies of its primitive part when that part is
-  numerically a rational pencil (genus 0, self-intersection 0, dim 1);
+  numerically a rational pencil (genus 0, self-intersection 0, so dim 1);
 * the adjoint of a system lowers the degree by 3 and every multiplicity
   by 1, and exists only above genus 1, so chains terminate after at most
-  degree/3 steps in a rational or elliptic terminal system.
+  degree/3 steps, at a system of genus <= 1.  No system of a chain is
+  empty: the adjoint of a genus-g system has dimension g - 1 >= 1, as
+  d(d - 3) = (d - 1)(d - 2) - 2, no line or conic rule lowers it, and a
+  rational pencil has dimension 1.
 
 Line/conic detection suffices for every configuration this package is
 used on; should a higher-degree fixed component survive, the numbers turn
@@ -253,26 +256,20 @@ class PencilReduction(Record):
     __slots__ = ("content", "pencil")
 
 
-def _content_split(L: LinSysData) -> Tuple[int, Optional[LinSysData]]:
-    c = math.gcd(L.degree, *map(itemgetter(1), L.mults))
-    if c < 2:
-        return c, None
-    return c, LinSysData._sorted(L.degree // c, tuple((l, m // c) for l, m in L.mults))
-
-
 def pencil_decompose(L: LinSysData) -> Optional[PencilReduction]:
     """Detect a system composed of a rational pencil, numerically.
 
     Returns (c, P) when degree and multiplicities share a content c >= 2
     and the primitive part P is a rational pencil by the numbers: member
-    genus 0, self-intersection 0, virtual dimension 1.  Otherwise None and
-    the system is treated as irreducible.  Assumes fixed components were
-    already removed.
+    genus 0 and self-intersection 0, so virtual dimension 1, since
+    vdim = selfint - genus + 1.  Otherwise None and the system is treated
+    as irreducible.  Assumes fixed components were already removed.
     """
-    c, P = _content_split(L)
-    if P is None:
+    c = math.gcd(L.degree, *map(itemgetter(1), L.mults))
+    if c < 2:
         return None
-    if member_genus(P) == 0 and self_intersection(P) == 0 and virtual_dim(P) == 1:
+    P = LinSysData._sorted(L.degree // c, tuple((l, m // c) for l, m in L.mults))
+    if member_genus(P) == 0 and self_intersection(P) == 0:
         return PencilReduction(c, P)
     return None
 
@@ -311,12 +308,11 @@ def adjoint_step(L: LinSysData) -> ChainStep:
     raw = adjoint_raw(L)
     reduced, removed = remove_fixed_components(raw)
     warnings: List[str] = []
-    # A fixed-part-free system meets itself nonnegatively off the base
-    # points; a negative count here means a fixed component beyond lines
-    # and conics escaped the Bezout rules.  (Composites of a non-rational
-    # pencil need no extra guard: vdim = selfint - genus + 1, so they land
-    # at vdim <= 0 and terminate the chain as Exhausted.)
-    if virtual_dim(reduced) >= 1 and self_intersection(reduced) < 0:
+    # The reduced system has dimension >= 1 (see the module docstring), and
+    # a fixed-part-free one meets itself nonnegatively off the base points;
+    # a negative count here means a fixed component beyond lines and conics
+    # escaped the Bezout rules.
+    if self_intersection(reduced) < 0:
         warnings.append(
             f"system {reduced} has negative self-intersection after removing lines "
             "and conics; a higher-degree fixed component was probably missed"
@@ -332,7 +328,7 @@ def _classify_terminal(g: int, dim: int) -> Tuple[Classification, Optional[str]]
         return Classification.ELLIPTIC_PENCIL, None
     if g == 1 and dim == 2:
         return Classification.ELLIPTIC_NET, None
-    if g == 0 and dim >= 2:
+    if g == 0:  # dim >= 2, as no system of a chain is empty
         return Classification.RATIONAL_SYSTEM, None
     return (
         Classification.EXHAUSTED,
@@ -345,40 +341,30 @@ def adjoint_chain(source: Union[PlaneCurveModel, LinSysData]) -> ChainReport:
     """Iterate the adjoint until the general member has genus <= 1.
 
     The chain starts from the numerical data of a curve (or system) of
-    genus > 1, applies :func:`adjoint_step` repeatedly, and stops as soon
-    as the current system is numerically empty (virtual dimension <= 0,
-    classified Exhausted) or its member genus drops to 1 or 0, in which
-    case the terminal is classified by (genus, dimension).
+    genus > 1 and applies :func:`adjoint_step` while the member genus of
+    the current system is above 1.  Every system it meets has dimension
+    >= 1 (see the module docstring).  The terminal is classified by
+    (genus, dimension); Exhausted, with a warning, when that pair fits
+    none of the rational and elliptic cases.
     """
     current = _numerical_data(source)
-    if member_genus(current) <= 1:
-        raise AdjointDoesNotExist(
-            f"adjoint chain requires genus > 1, got genus {member_genus(current)}"
-        )
+    g = member_genus(current)
+    if g <= 1:
+        raise AdjointDoesNotExist(f"adjoint chain requires genus > 1, got genus {g}")
     max_steps = current.degree // 3 + 1
     steps: List[ChainStep] = []
     warnings: List[str] = []
-    while True:
+    while g > 1:
+        if len(steps) > max_steps:
+            raise AssertionError("adjoint chain failed to terminate")
         step = adjoint_step(current)
         steps.append(step)
         warnings.extend(step.warnings)
         current = step.output
-        if virtual_dim(current) <= 0:
-            classification = Classification.EXHAUSTED
-            warnings.append(
-                f"chain reached the numerically empty system {current} "
-                f"(virtual dimension {virtual_dim(current)})"
-            )
-            break
         g = member_genus(current)
-        if g > 1:
-            if len(steps) > max_steps:
-                raise AssertionError("adjoint chain failed to terminate")
-            continue
-        classification, note = _classify_terminal(g, virtual_dim(current))
-        if note:
-            warnings.append(note)
-        break
+    classification, note = _classify_terminal(g, virtual_dim(current))
+    if note:
+        warnings.append(note)
     return ChainReport(tuple(steps), current, classification, tuple(warnings))
 
 

@@ -60,8 +60,8 @@ class PencilCheckReport(Record):
 def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
     """Evaluate both pencil equations exactly and report the residuals.
 
-    When both hold, the linear relation 3n - sum(m) = 2 must follow by
-    subtraction, and is asserted.  The data is validated, and the
+    The linear residual 3n - sum(m) - 2 is r_pencil - r_genus, so it is 0
+    whenever both equations hold.  The data is validated, and the
     multiplicities sorted, by ``PencilType``.
     """
     ms = PencilType(n, mults).mults
@@ -69,8 +69,6 @@ def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
     r_pencil = (n + 1) * (n + 2) // 2 - sum(m * (m + 1) // 2 for m in ms) - 2
     r_linear = 3 * n - sum(ms) - 2
     valid = r_genus == 0 and r_pencil == 0
-    if valid:
-        assert r_linear == 0, "linear relation must follow from the two equations"
     return PencilCheckReport(n, ms, r_genus, r_pencil, r_linear, valid)
 
 
@@ -79,7 +77,8 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
 
     ``node_mults`` assigns the pencil's multiplicity at each double point
     of the sextic (zero where the node is not a base point); the total may
-    not exceed the pencil's total base multiplicity.
+    not exceed the pencil's total base multiplicity 3n - 2, which gives
+    the bound.
     """
     report = check_rational_pencil(p.degree, p.mults)
     if not report.valid:
@@ -91,9 +90,7 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
         raise InvalidAssignment(
             f"node multiplicities total {sum(ns)}, above the pencil's base total {sum(p.mults)}"
         )
-    value = 6 * p.degree - 2 * sum(ns)
-    assert value >= 4, "the linear relation bounds the free intersection below by 4"
-    return value
+    return 6 * p.degree - 2 * sum(ns)
 
 
 def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int, ...]]:

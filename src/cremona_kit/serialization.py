@@ -22,7 +22,7 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 from .curve_model import (
     CurveReport,
@@ -49,7 +49,7 @@ def _pstr(path: _Path) -> str:
     return out
 
 
-def _fail(path: _Path, message: str) -> None:
+def _fail(path: _Path, message: str) -> NoReturn:
     raise SchemaError(_pstr(path), message)
 
 
@@ -104,7 +104,6 @@ def _read_rational(v: Any, path: _Path) -> Tuple[int, int]:
     if isinstance(v, float):
         _fail(path, "floats are not accepted; use exact strings like \"1/3\"")
     _fail(path, f"expected a rational, got {type(v).__name__}")
-    raise AssertionError  # unreachable
 
 
 def decode_rational(v: Any, path: _Path) -> Fraction:
@@ -399,7 +398,7 @@ def encode_jonq(u: JonqElement) -> Dict[str, Any]:
 
 def encode_order_report(r: OrderReport) -> Dict[str, Any]:
     return {
-        "order": r.order if isinstance(r.order, int) else str(r.order),
+        "order": r.order,
         "lambda": encode_ratfunc(r.lam),
         "lambda_constant": r.lam_constant,
         "conclusion_holds": r.conclusion_holds,

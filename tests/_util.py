@@ -26,7 +26,11 @@ then ``uni_divmod_oracle``) and ``common_denominator_oracle`` (a fold of
 ``uni_lcm_oracle``, then ``uni_divmod_oracle``), ``uni_divmod_oracle``
 being the Fraction long division ``UniPoly`` had.
 ``poly_mul_oracle`` (``_bimul``, then ``_lex``) is the one for the key
-shift that multiplies by a one-term factor.
+shift that multiplies by a one-term factor.  ``pencil_decompose_oracle``,
+which also tested the primitive part for dimension 1, is the one for
+``pencil_decompose``, which reads a rational pencil off genus 0 and
+self-intersection 0 alone, and ``render_text_oracle``, with a branch for a
+scalar at the top, the one for ``cli._render_text``.
 ``uni_form_oracle`` and ``tri_form_oracle``, the integer forms that the
 ``UniPoly`` and ``TriHomPoly`` constructors computed each on their own, are
 the oracles for the one builder ``_Poly._integer_form`` that the
@@ -739,6 +743,46 @@ def remove_fixed_components_random_order(
 ) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
     """Order-randomised variant used to exercise confluence of the rules."""
     return _removal_loop(L, lambda rules: rules[rng.randrange(len(rules))])
+
+
+def pencil_decompose_oracle(L: LinSysData) -> Optional[PencilReduction]:
+    """The earlier ``pencil_decompose``, which also asked the primitive part
+    for virtual dimension 1 besides genus 0 and self-intersection 0."""
+    c = math.gcd(L.degree, *(m for _, m in L.mults))
+    if c < 2:
+        return None
+    P = LinSysData.of(L.degree // c, {l: m // c for l, m in L.mults})
+    n, ms = P.degree, [m for _, m in P.mults]
+    genus = (n - 1) * (n - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
+    dim = n * (n + 3) // 2 - sum(m * (m + 1) // 2 for m in ms)
+    if genus == 0 and n * n == sum(m * m for m in ms) and dim == 1:
+        return PencilReduction(c, P)
+    return None
+
+
+def render_text_oracle(value, indent: int = 0) -> List[str]:
+    """The earlier ``cli._render_text``, with a branch for a scalar at the
+    top, which no report reached."""
+    pad = "  " * indent
+    lines: List[str] = []
+    if isinstance(value, dict):
+        for key in sorted(value):
+            inner = value[key]
+            if isinstance(inner, (dict, list)):
+                lines.append(f"{pad}{key}:")
+                lines.extend(render_text_oracle(inner, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {inner}")
+    elif isinstance(value, list):
+        for item in value:
+            if isinstance(item, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.extend(render_text_oracle(item, indent + 1))
+            else:
+                lines.append(f"{pad}- {item}")
+    else:
+        lines.append(f"{pad}{value}")
+    return lines
 
 
 def rand_jonq(

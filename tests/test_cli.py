@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from cremona_kit import serialization as ser
-from cremona_kit.cli import main
+from cremona_kit.cli import _render_text, main
 from cremona_kit.cremona_maps import CremonaMap, identity_map, make_phi
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 
-from _util import H4
+from _util import H4, render_text_oracle
 
 GEISER_CURVE = json.dumps(
     {
@@ -599,6 +601,38 @@ class TestJonq:
         assert payload["fixes_pointwise"] is True
 
 
+def schema_error(path, message):
+    """The stdout of a refusal with exit code 1."""
+    return '{\n  "error": "schema",\n  "message": %s,\n  "path": %s\n}\n' % (
+        json.dumps(message),
+        json.dumps(path),
+    )
+
+
+class TestSchemaRefusals:
+    @pytest.mark.parametrize(
+        "command, a, b",
+        [("map-compose", "outer", "inner"), ("map-fixcheck", "map", "curve"), ("jonq-mul", "u", "v")],
+    )
+    def test_an_object_with_two_fields_is_required(self, capsys, command, a, b):
+        want = schema_error("$", f"expected an object with fields '{a}' and '{b}'")
+        for payload in ([], "x", {}, {a: 1}, {b: 1}):
+            assert run(capsys, command, "--inline", json.dumps(payload)) == (1, want)
+
+    def test_pencil_check_needs_integer_multiplicities(self, capsys):
+        want = schema_error("$.mults", "expected comma-separated integers, got '1,x'")
+        assert run(capsys, "pencil-check", "--n", "2", "--mults", "1,x") == (1, want)
+
+    def test_zero_polynomial_fails_validation(self, capsys):
+        curve = json.dumps({"degree": 4, "singularities": [], "poly": []})
+        code, payload = run_json(capsys, "validate", "--inline", curve)
+        assert (code, payload["passed"], payload["checks"][-1]) == (
+            2,
+            False,
+            {"name": "poly-nonzero", "passed": False, "detail": "defining polynomial is zero"},
+        )
+
+
 class TestPencils:
     def test_check_valid(self, capsys):
         code, payload = run_json(capsys, "pencil-check", "--n", "2", "--mults", "1,1,1,1")
@@ -646,16 +680,46 @@ class TestExamplesAndFormats:
     def test_closed_stdout_exits_141_without_traceback(self):
         """A reader that takes 1 byte of the 397 KB report and closes the
         pipe sees status 141, as after SIGPIPE, and nothing on stderr.  Run
-        with stdout buffered: unbuffered, the text layer drops the short write
-        that the closed pipe ends, and no error is raised."""
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cremona_kit.cli", "pencil-enum", "--max", "16", "--bound", "16"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
-        )
-        assert len(proc.stdout.read(1)) == 1
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+        with stdout buffered; the next test runs it unbuffered."""
+        assert closed_stdout_run(unbuffered=False) == (141, b"")
+
+    def test_closed_stdout_exits_141_when_stdout_is_unbuffered(self):
+        """Under PYTHONUNBUFFERED=1 a write that the reader's exit cuts short
+        takes part of the bytes, and the text layer would drop the rest and
+        exit 0 with the report truncated; the CLI writes the rest itself, so
+        the closed pipe raises."""
+        assert closed_stdout_run(unbuffered=True) == (141, b"")
+
+    def test_a_text_stream_gets_the_bytes_of_the_binary_layer(self, capsys):
+        # In process, stdout may be a text stream with no binary layer.
+        argv = ["pencil-enum", "--max", "6", "--format", "text"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert (code, out.getvalue()) == run(capsys, *argv)
+
+    def test_text_rendering_of_nested_reports(self):
+        # Reports are objects, and their scalars are written by their parent:
+        # the renderer has no branch for a scalar of its own.
+        scalars = [None, True, False, 0, -7, "", "a b"]
+        nested = [[], {}, [scalars, {"k": scalars}], {"x": [[1], {"y": {}}]}]
+        for report in ({}, {"s": scalars}, {"n": nested, "m": dict(zip("abcd", nested))}):
+            assert _render_text(report) == render_text_oracle(report)
+
+
+def closed_stdout_run(unbuffered):
+    """(status, stderr) of `pencil-enum --max 16 --bound 16` in a subprocess
+    whose reader takes one byte of stdout and closes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cremona_kit.cli", "pencil-enum", "--max", "16", "--bound", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err

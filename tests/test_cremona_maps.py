@@ -3,10 +3,11 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit import jonquieres as jq
@@ -42,6 +43,7 @@ from _util import (
     H4,
     fixes_curve_pointwise_oracle,
     fractions_built,
+    monomials,
     rand_frac,
     rand_jonq,
     rand_ratfunc,
@@ -197,6 +199,104 @@ class TestComposition:
         monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "many")
         with pytest.raises(DegreeCapExceeded):
             max_degree_cap()
+
+
+ZERO_1 = TriHomPoly.of({}, degree=1)
+# Canonical maps that are not birational: onto a conic, onto the line y = 0
+# and onto the line z = 0.
+NON_BIRATIONAL = (
+    CremonaMap(TRI_X * TRI_X, TRI_X * TRI_Y, TRI_Y * TRI_Y),
+    CremonaMap(TRI_X, ZERO_1, TRI_Z),
+    CremonaMap(TRI_X, TRI_Y, ZERO_1),
+)
+
+
+# Per degree d, the coefficients of three forms of degree d, zero in half.
+_MAP_COEFFS = {
+    d: st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=n, max_size=n)
+    for d, n in ((1, 9), (2, 18))
+}
+
+
+@st.composite
+def canonical_maps(draw):
+    """A canonical map of degree 1 or 2, birational or not: one of
+    NON_BIRATIONAL, or drawn components, often sparse or zero, with the
+    content removed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(NON_BIRATIONAL))
+    degree = draw(st.integers(1, 2))
+    coeffs = draw(_MAP_COEFFS[degree])
+    terms = monomials(degree)
+    components = [TriHomPoly.of(dict(zip(terms, coeffs[i::3])), degree=degree) for i in (0, 1, 2)]
+    try:
+        return CremonaMap(*components)
+    except ValueError:  # all zero, or a content of the full degree
+        assume(False)
+
+
+class TestComposeNeverZero:
+    """``compose`` has no branch for the zero triple.  G's components are
+    coprime of degree >= 1, so G's image is not a point, and F's coprime
+    components have finitely many common zeros: some F_i(G) is nonzero."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(canonical_maps(), canonical_maps())
+    @example(NON_BIRATIONAL[0], NON_BIRATIONAL[1])
+    @example(NON_BIRATIONAL[1], NON_BIRATIONAL[2])
+    @example(NON_BIRATIONAL[2], NON_BIRATIONAL[0])
+    def test_substituted_triple_is_nonzero(self, F, G):
+        assert not all(f.substitute(G.components).is_zero for f in F.components)
+        # A composite of maps that are not birational may still be a point.
+        try:
+            compose(F, G)
+        except ValueError as exc:
+            assert str(exc) == "map degenerates to a constant triple"
+
+    def test_zero_triple_is_refused(self):
+        zero = TriHomPoly.of({}, degree=2)
+        with pytest.raises(ValueError) as info:
+            CremonaMap.of(zero, zero, zero)
+        assert str(info.value) == "map components are all zero"
+
+
+class TestLinearGParams:
+    @pytest.mark.parametrize(
+        "F",
+        [
+            make_phi(1, 1),  # degree 2
+            CremonaMap(TRI_X + TRI_Y, TRI_Y, TRI_Z),  # y in the first component
+            CremonaMap(TRI_X + TRI_Z, TRI_Y, TRI_Z),  # z in the first component
+            CremonaMap(TRI_X, TRI_Y + TRI_Z, TRI_Z),  # z in the second component
+            CremonaMap(TRI_X, TRI_Y, TRI_Z + TRI_Y),  # y in the third component
+            CremonaMap(ZERO_1, TRI_Y, TRI_Z),  # a = 0
+            CremonaMap(TRI_X, TRI_Y * 2, TRI_Z),  # y and z scaled apart
+            CremonaMap(TRI_X, TRI_X, TRI_Z),  # no y in the second component
+        ],
+    )
+    def test_none_outside_the_family(self, F):
+        assert linear_G_params(F) is None
+
+    def test_every_map_with_coefficients_zero_and_one(self):
+        # With no y in the second component, the third needs z, or x would
+        # divide all three: so the z-coefficient test refuses it, and no
+        # separate test of the y-coefficient is needed.
+        forms = [
+            TriHomPoly.of(dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), c)), degree=1)
+            for c in product((0, 1), repeat=3)
+        ]
+        family = {make_linear_G(1, b, c) for b, c in product((0, 1), repeat=2)}
+        for components in product(forms, repeat=3):
+            try:
+                F = CremonaMap(*components)
+            except ValueError:
+                continue
+            params = linear_G_params(F)
+            assert (params is not None) == (F in family)
+            if params is not None:
+                assert make_linear_G(*params) == F
+            if F.f1.coeff((0, 1, 0)) == 0:
+                assert params is None
 
 
 class TestIsIdentity:

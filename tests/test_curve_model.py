@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit.curve_model import (
+    CurveCheck,
     PlaneCurveModel,
     PointSpec,
     SingularityData,
@@ -340,3 +341,44 @@ class TestValidate:
         report = validate_curve_data(6, sings, TWO_TRIPLE_SEXTIC)
         assert not report.passed
         assert any(c.name == "poly-multiplicity-at-p" for c in report.failures())
+
+    def test_zero_polynomial_fails_and_ends_the_checks(self):
+        report = validate_curve_data(4, (), TriHomPoly.zero(4))
+        assert not report.passed
+        assert report.checks[-1] == CurveCheck("poly-nonzero", False, "defining polynomial is zero")
+        assert report.failures() == (report.checks[-1],)
+
+
+class TestRefusals:
+    """The exact type and message of each refusal of bad input."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: multiplicity_at(TriHomPoly.zero(2), (0, 0, 1)), ValueError,
+             "multiplicity of the zero polynomial is undefined"),
+            (lambda: multiplicity_at(TRI_X, (0, 0, 0)), ValueError,
+             "expected a valid projective point"),
+            (lambda: multiplicity_at(TRI_X, (0, 1)), ValueError,
+             "expected a valid projective point"),
+            (lambda: multiplicity_at(TRI_X, (0.5, 1, 1)), TypeError,
+             "expected an exact rational, got float"),
+            (lambda: is_perfect_power(TriHomPoly.zero(2)), ValueError,
+             "perfect-power test on the zero polynomial"),
+            (lambda: PointSpec(3), InvalidCurveData, "point labels must be nonempty strings"),
+            (lambda: PointSpec(""), InvalidCurveData, "point labels must be nonempty strings"),
+        ],
+        ids=[
+            "multiplicity-of-zero",
+            "multiplicity-at-zero-point",
+            "multiplicity-at-two-coordinates",
+            "multiplicity-at-float-point",
+            "perfect-power-of-zero",
+            "non-string-label",
+            "empty-label",
+        ],
+    )
+    def test_message(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)

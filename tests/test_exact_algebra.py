@@ -317,6 +317,49 @@ class TestRatFunc:
         assert RatFunc.of(Fraction(3, 4)).constant_value == Fraction(3, 4)
         assert not RatFunc(T, ONE).is_constant
 
+    def test_constant_value_of_zero(self):
+        # The zero function has no zero branch: coeff(0) of the zero
+        # numerator, whose body is empty over den 1, is Fraction(0).
+        zero = RatFunc.of(0)
+        assert zero.is_constant
+        assert (type(zero.constant_value), zero.constant_value) == (Fraction, 0)
+
+
+class TestRefusals:
+    """The exact type and message of each refusal of the polynomial layer."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: TRI_X**-1, ValueError, "negative power of a polynomial"),
+            (lambda: T**-1, ValueError, "negative power of a polynomial"),
+            (lambda: RatFunc(T) / RatFunc.of(0), ZeroDivisionError,
+             "division by the zero rational function"),
+            (lambda: RatFunc.of(0).inverse(), ZeroDivisionError,
+             "inverse of the zero rational function"),
+            (lambda: RatFunc(T).constant_value, ValueError, "rational function is not constant"),
+            (lambda: TriHomPoly.of({}), ValueError, "degree required for the zero polynomial"),
+            (lambda: tri_divrem(TRI_X, TriHomPoly.zero(1)), ZeroDivisionError,
+             "division by the zero polynomial"),
+            (lambda: tri_divides(TriHomPoly.zero(1), TRI_X), ZeroDivisionError,
+             "divisibility by the zero polynomial"),
+        ],
+        ids=[
+            "trihom-negative-power",
+            "unipoly-negative-power",
+            "ratfunc-division-by-zero",
+            "ratfunc-inverse-of-zero",
+            "ratfunc-not-constant",
+            "trihom-of-empty-without-degree",
+            "tri-divrem-by-zero",
+            "tri-divides-by-zero",
+        ],
+    )
+    def test_message(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
 
 @st.composite
 def scaled_terms(draw, degree):
@@ -1017,6 +1060,23 @@ class TestCoprimeImages:
         assert not _coprime(f._body, (f * Y_AT_POINT)._body)
 
 
+# Per degree, one to five terms with small integer coefficients.
+_SMALL_TERMS = [
+    st.dictionaries(
+        st.sampled_from(monomials(d)), st.integers(-9, 9).filter(bool), min_size=1, max_size=5
+    )
+    for d in range(4)
+]
+
+
+@st.composite
+def small_trihoms(draw, max_degree):
+    """A nonzero polynomial of degree <= max_degree with one to five integer
+    terms, cheaper to draw than trihoms()."""
+    degree = draw(st.integers(0, max_degree))
+    return TriHomPoly.of(draw(_SMALL_TERMS[degree]), degree=degree)
+
+
 class TestPackedCandidate:
     """The candidate read from the packed integer gcd (_packed_parts)."""
 
@@ -1044,6 +1104,25 @@ class TestPackedCandidate:
                 p, q = (T - two) * (T + ONE), (T - two) * (T * T + UniPoly.constant(2**k))
                 assert uni_gcd(p, q) == T - two
         assert calls
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_trihoms(3), small_trihoms(3), small_trihoms(2))
+    def test_the_unpacked_gcd_is_never_zero(self, f, g, h):
+        """_packed_parts has no branch for an empty candidate.  The slots fit
+        the lesser top coefficient, so that operand packs to a nonzero
+        integer and N >= 1; the keys reach past N's top digit, so the
+        candidate C read back packs to N again, and is not empty."""
+        seen, real = [], exact_algebra._unpack
+
+        def unpack(N, k, W, keys):
+            C = real(N, k, W, keys)
+            seen.append((N, k, W, C))
+            return C
+
+        with mock.patch.object(exact_algebra, "_unpack", unpack):
+            _packed_parts((f * h)._body, (g * h)._body)
+        [(N, k, W, C)] = seen
+        assert N >= 1 and C and exact_algebra._pack(C, k, W) == N
 
     def test_past_the_size_limit_brown_answers(self):
         """Operands that pack to more than _PACKED_BITS bits skip the packed

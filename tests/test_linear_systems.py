@@ -16,6 +16,7 @@ from cremona_kit.errors import (
 from cremona_kit.linear_systems import (
     Classification,
     LinSysData,
+    PencilReduction,
     _first_rule,
     adjoint_chain,
     adjoint_raw,
@@ -27,9 +28,11 @@ from cremona_kit.linear_systems import (
     self_intersection,
     virtual_dim,
 )
+from cremona_kit.rational_pencils import as_linear_system, enumerate_pencil_types
 
 from _util import (
     _applicable_rules,
+    pencil_decompose_oracle,
     rand_curve,
     rand_system,
     rand_usable_system,
@@ -265,6 +268,44 @@ class TestPencilDecompose:
             assert virtual_dim(P) == 1
 
 
+PENCIL_TYPES_10 = enumerate_pencil_types(10, 10)
+
+
+@st.composite
+def pencil_multiples(draw):
+    """c copies of a rational pencil type of degree <= 10, for c in 2..4;
+    one draw in three moves one multiplicity by c, leaving a primitive part
+    that is no pencil."""
+    p = draw(st.sampled_from(PENCIL_TYPES_10))
+    c = draw(st.integers(2, 4))
+    mults = {l: c * m for l, m in as_linear_system(p).mults}
+    if draw(st.integers(0, 2)) == 0:
+        label = draw(st.sampled_from(sorted(mults)))
+        mults[label] += draw(st.sampled_from((-c, c)))
+    return sysd(c * p.degree, mults)
+
+
+class TestPencilDimension:
+    """Genus 0 and self-intersection 0 give dimension 1, since
+    vdim = selfint - genus + 1 (``TestAdjointChain.test_dimension_identity``):
+    so ``pencil_decompose`` tests the first two only."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(pencil_multiples(), bezout_cases().map(lambda case: sysd(*case))))
+    def test_decomposition_equals_the_three_condition_test(self, L):
+        result = pencil_decompose(L)
+        assert result == pencil_decompose_oracle(L)
+        if result is not None:
+            assert virtual_dim(result.pencil) == 1
+
+    def test_every_pencil_type_is_reduced(self):
+        for p in enumerate_pencil_types(12, 12):
+            P = as_linear_system(p)
+            assert virtual_dim(P) == 1
+            L = sysd(3 * p.degree, {l: 3 * m for l, m in P.mults})
+            assert pencil_decompose(L) == PencilReduction(3, P)
+
+
 class TestAdjointStep:
     def test_two_triple_point_sextic(self):
         step = adjoint_step(sysd(6, {"p": 3, "q": 3}))
@@ -377,6 +418,23 @@ class TestAdjointChain:
                 systems.append(step.pencil_reduction.pencil)
         for L in systems:
             assert L == LinSysData.of(L.degree, L.mults)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(bezout_cases())
+    @example((7, {"p": 5}))  # a pencil reduction
+    @example((6, {"p": 3, "q": 3}))  # a removed line
+    @example((6, {f"p{i}": 2 for i in range(6)}))  # Exhausted: genus 1, dimension 3
+    def test_no_system_of_a_chain_is_empty(self, case):
+        # The adjoint of a genus-g system has dimension g - 1 >= 1, no line or
+        # conic rule lowers it, and a pencil has dimension 1: the chain needs
+        # no branch for a system of dimension <= 0.
+        n, mults = case
+        while member_genus(sysd(n, mults)) <= 1:  # raise the degree until a chain starts
+            n += 1
+        for step in adjoint_chain(sysd(n, mults)).steps:
+            assert virtual_dim(step.raw_adjoint) == member_genus(step.input) - 1 >= 1
+            assert virtual_dim(step.reduced) >= virtual_dim(step.raw_adjoint)
+            assert virtual_dim(step.output) >= 1
 
     @pytest.mark.parametrize(
         "degree, mult, points, steps, classification, terminal",

@@ -1,6 +1,8 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.utilities.iterables import partitions as sympy_partitions
 
 from cremona_kit.errors import EnumerationBoundExceeded, InvalidAssignment
@@ -71,6 +73,14 @@ class TestCheck:
         with pytest.raises(ValueError) as info:
             check_rational_pencil(degree, mults)
         assert str(info.value) == message
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 60), st.lists(st.integers(1, 60), max_size=12))
+    def test_linear_residual_is_the_difference(self, n, mults):
+        # So a valid type has linear residual 0, with no check of its own.
+        rep = check_rational_pencil(n, mults)
+        assert rep.linear_residual == rep.pencil_residual - rep.genus_residual
+        assert rep.valid == (rep.genus_residual == rep.pencil_residual == 0)
 
 
 class TestEnumerate:

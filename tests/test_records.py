@@ -210,6 +210,19 @@ def test_record_matches_its_dataclass(name):
         assert clone == record and repr(clone) == repr(record)
 
 
+def test_a_field_given_twice_is_refused_as_the_dataclass_refused_it():
+    # By position and by keyword, with and without a default left over.
+    message = "{}.__init__() got multiple values for argument {!r}"
+    for name, args, key in (
+        ("PencilReduction", (2, L3), "content"),
+        ("ChainReport", ((), L3, Classification.EXHAUSTED), "terminal"),
+    ):
+        new, old = RECORDS[name], DATACLASS_ORACLES[name]
+        raised = _raised(lambda: new(*args, **{key: None}))
+        assert raised == _raised(lambda: old(*args, **{key: None}))
+        assert raised == (TypeError, message.format(name, key))
+
+
 def test_equal_field_tuples_of_two_classes_stay_unequal():
     for a, b in ((UniPoly(()), CurveReport(())), (LinSysData(3), PencilType(3))):
         old_a, old_b = (DATACLASS_ORACLES[type(r).__name__](*r._values(r)) for r in (a, b))

@@ -46,6 +46,20 @@ class TestRational:
         for q in (Fraction(3), Fraction(-1, 2), Fraction(0)):
             assert ser.decode_rational(ser.encode_rational(q), ()) == q
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "expected a rational, got NoneType"),
+            ([1, 2], "expected a rational, got list"),
+            ({"p": 1}, "expected a rational, got dict"),
+        ],
+    )
+    def test_other_types_named(self, value, message):
+        # _fail never returns, so the last refusal needs no statement after it.
+        with pytest.raises(SchemaError) as err:
+            ser.decode_rational(value, ("c",))
+        assert (err.value.path, err.value.message) == ("$.c", message)
+
     # Digits include a non-ASCII one, which the pattern's \d accepts; the
     # pattern's $ also lets a trailing newline through.
     digits = st.text("0123456789\u0663", min_size=1, max_size=8)
@@ -180,11 +194,31 @@ class TestCurve:
                 {"degree": 6, "singularities": [{"label": "p", "mult": 1, "coords": None}]}
             )
 
+    def test_non_string_label(self):
+        with pytest.raises(SchemaError) as err:
+            ser.decode_curve({"degree": 6, "singularities": [{"label": 3, "mult": 2}]})
+        assert (err.value.path, err.value.message) == (
+            "$.singularities[0].label",
+            "expected a string, got int",
+        )
+
 
 class TestSystemsAndReports:
     def test_linsys_roundtrip(self):
         L = LinSysData.of(6, {"a": 2, "b": 3})
         assert ser.decode_linsys(ser.encode_linsys(L)) == L
+
+    @pytest.mark.parametrize(
+        "payload, path, message",
+        [
+            ({"degree": -1, "mults": {}}, "$.degree", "degree must be >= 0, got -1"),
+            ({"degree": 2, "mults": {"p": -1}}, "$.mults.p", "multiplicity must be >= 0, got -1"),
+        ],
+    )
+    def test_linsys_negative_fields(self, payload, path, message):
+        with pytest.raises(SchemaError) as err:
+            ser.decode_linsys(payload)
+        assert (err.value.path, err.value.message) == (path, message)
 
     def test_chain_report_reparses(self):
         report = adjoint_chain(curve_from_mults(9, [3] * 8))
@@ -347,6 +381,20 @@ class TestMapAndGroupElements:
         for _ in range(10):
             u = rand_jonq(rng, H4)
             assert ser.decode_jonq(ser.encode_jonq(u)) == u
+
+    def test_order_is_written_as_computed(self):
+        # leminv_check's order is an int or the string "infinite", both
+        # written as they are.
+        rng = random.Random(17)
+        elements = [JonqElement.of(H4, 0, 1), JonqElement.of(H4, 1, 0)]
+        elements += [rand_jonq(rng, H4) for _ in range(20)]
+        orders = set()
+        for u in elements:
+            rep = leminv_check(u)
+            assert type(rep.order) is int or rep.order == "infinite"
+            assert ser.encode_order_report(rep)["order"] is rep.order
+            orders.add(rep.order)
+        assert orders == {1, 2, "infinite"}
 
     def test_order_report_encodes(self):
         rep = leminv_check(JonqElement.of(H4, 0, 1))
