@@ -51,11 +51,11 @@ from .exact_algebra import (
     TriHomPoly,
     UniPoly,
     _BiPoly,
+    _axpy,
     _divides,
     _frac,
     _over,
     _primitive_parts,
-    _uni_cofactors,
     homogenize_uni,
 )
 from .linear_systems import LinSysData
@@ -161,7 +161,7 @@ def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]
     """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors."""
     D, cofactors = dens[0], [UniPoly.constant(1)]
     for d in dens[1:]:
-        _, a, b = _uni_cofactors(D, d)
+        _, (a, b) = _primitive_parts((D, d))
         if b.degree > 0:
             D, cofactors = D * b, [c * b for c in cofactors]
         cofactors.append(a)
@@ -255,15 +255,8 @@ def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:
 def _minor(a: _BiPoly, sa: Tuple[int, int], b: _BiPoly, sb: Tuple[int, int]) -> _BiPoly:
     """a * x^sa[0] y^sa[1] - b * x^sb[0] y^sb[1], with no zero coefficient."""
     (ai, aj), (bi, bj) = sa, sb
-    out = {(i + ai, j + aj): v for (i, j), v in a.items()}
-    for (i, j), v in b.items():
-        e = (i + bi, j + bj)
-        w = out.get(e, 0) - v
-        if w:
-            out[e] = w
-        else:
-            del out[e]
-    return out
+    shifted_a = {(i + ai, j + aj): v for (i, j), v in a.items()}
+    return _axpy(shifted_a, -1, {(i + bi, j + bj): v for (i, j), v in b.items()})
 
 
 def free_intersection(

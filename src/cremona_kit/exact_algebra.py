@@ -34,9 +34,9 @@ certificate of ``cremona_maps`` use too).  The content of three polynomials
 costs one GCD, of the first and a combination of the other two
 (``_common``).  Results are normalised so the lexicographically leading term
 (x > y > z) has coefficient one.  ``uni_gcd`` runs the same code on Z[t]
-taken as Z[x].  The quotients of the accepting division come back with the
-GCD (``_primitive_parts`` for map contents, ``_uni_cofactors`` for
-``RatFunc``), so only this module divides by a GCD, and only once.
+taken as Z[x].  One front end, ``_primitive_parts``, returns the GCD with the
+quotients of the accepting division, for map contents, ``RatFunc`` and the
+common denominator, so only this module divides by a GCD, and only once.
 
 No floating point is used anywhere; floats are rejected on sight.
 """
@@ -258,30 +258,9 @@ class UniPoly(_Poly, Record):
 UniPoly._ONE = UniPoly._sorted({(0, 0): 1})
 
 
-def _uni_cofactors(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """(g, p / g, q / g), g the monic gcd, (0, 0, 0) for two zeros.  A constant
-    g is proven; any other must divide p and q exactly on integers
-    (_exact_quotient), and returns those quotients."""
-    if p.is_zero or q.is_zero:
-        # Each cofactor is the leading coefficient of its input, zero for zero.
-        a, b = ({(0, 0): c for c in itertools.islice(f._body.values(), 1)} for f in (p, q))
-        g = (p if q.is_zero else q).monic()
-        return g, UniPoly._sorted(a, p._den), UniPoly._sorted(b, q._den)
-    if p.degree == 0 or q.degree == 0:
-        return UniPoly._ONE, p, q
-    parts = _gcd_parts(p._body, q._body)
-    if parts is None:
-        return UniPoly._ONE, p, q
-    C, a, b = parts
-    # p = P / dp and g = C / lc, so p / g = lc * (P / C) / dp.
-    lc = next(iter(C.values()))
-    a, b = ({e: c * lc for e, c in Q.items()} for Q in (a, b))
-    return UniPoly._sorted(C, lc), UniPoly._sorted(a, p._den), UniPoly._sorted(b, q._den)
-
-
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor; ``uni_gcd(0, 0)`` is zero."""
-    return _uni_cofactors(p, q)[0]
+    return _primitive_parts((p, q))[0] if p or q else q
 
 
 def is_squarefree(h: UniPoly) -> bool:
@@ -304,15 +283,9 @@ class RatFunc(Record):
     def __init__(self, num: UniPoly = UniPoly(), den: UniPoly = UniPoly.constant(1)) -> None:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = UniPoly._ONE
-        else:
-            _, num, den = _uni_cofactors(num, den)
-            # Both divided by the leading coefficient top / den._den of den.
-            top = next(iter(den._body.values()))
-            if top != den._den:
-                body = {e: c * den._den for e, c in num._body.items()}
-                num, den = UniPoly._sorted(body, num._den * top), den.monic()
+        if den != UniPoly._ONE:
+            # den first: the part scaled to lead with one is the denominator.
+            _, (den, num) = _primitive_parts((den, num), normalise=True)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -943,8 +916,10 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
 
 def _gcd_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
     """(C, F / C, G / C) for nonzero F and G, C their gcd, primitive and keyed
-    in decreasing lex order; None when the gcd is proven constant (routes 1-3)."""
-    if _coprime(F, G):
+    in decreasing lex order; None when the gcd is proven constant: by a
+    constant F or G, or routes 1-3.  The test reads no key order, as _common
+    passes an _axpy sum, whose first key need not lead."""
+    if len(F) == 1 and (0, 0) in F or len(G) == 1 and (0, 0) in G or _coprime(F, G):
         return None
     if (parts := _packed_parts(F, G)) is not None:
         return parts
@@ -1013,12 +988,13 @@ def _common(Fs: List[_BiPoly]) -> Tuple[Optional[_BiPoly], List[_BiPoly]]:
 
 
 def _primitive_parts(
-    polys: Sequence[TriHomPoly], normalise: bool = False
-) -> Tuple[TriHomPoly, Tuple[TriHomPoly, ...]]:
-    """(content, parts): the lex-normalised gcd of the nonzero polys (all zero
-    is refused) and each poly divided by it, zero for a zero poly; with
-    ``normalise``, the parts are scaled so that the first nonzero one has
-    lex-leading coefficient one.  The gcd is z^m times that of the bodies
+    polys: Sequence[_Poly], normalise: bool = False
+) -> Tuple[_Poly, Tuple[_Poly, ...]]:
+    """(content, parts) of UniPolys or of TriHomPolys, the front end of every
+    gcd with cofactors: the lex-normalised (for UniPolys, monic) gcd of the
+    nonzero polys (all zero is refused) and each poly divided by it, zero for
+    a zero poly.  With ``normalise``, the parts are scaled so that the first
+    nonzero one leads with one.  The gcd is z^m times that of the bodies
     (_common); the parts are built from its quotients, or are the polys
     themselves when the gcd is 1 (and, with ``normalise``, that coefficient
     is already one)."""
@@ -1026,23 +1002,26 @@ def _primitive_parts(
     if not live:
         raise ValueError("gcd of three zero polynomials")
     C, quotients = _common([p._body for p in live])
-    m = min(p.degree - max(i + j for i, j in p._body) for p in live)
     first = live[0]
+    # z^m divides every poly; m = 0 when the first leads free of z, as a UniPoly does.
+    z_free = sum(next(iter(first._body))) == first.degree
+    m = 0 if z_free else min(p.degree - max(map(sum, p._body)) for p in live)
     if C is None and not m and not (normalise and next(iter(first._body.values())) != first._den):
-        return TriHomPoly._ONE, tuple(polys)
+        return first._ONE, tuple(polys)
     # f = z^a F / den and the gcd is z^m C / lc, so f / gcd = lc / den * z^(a-m) * F / C,
     # and the part of the first nonzero poly leads with lc / den_0 * lead(F_0 / C).
     C = C or {(0, 0): 1}
-    lc, degree = next(iter(C.values())), m + max(i + j for i, j in C)
+    lc, degree = next(iter(C.values())), m + max(map(sum, C))
     num, scale = (first._den, next(iter(quotients[0].values()))) if normalise else (lc, 1)
     rest, parts = iter(quotients), []
     for p in polys:
         if p:
-            body = {e: c * num for e, c in next(rest).items()}
-            parts.append(TriHomPoly._sorted(p.degree - degree, body, p._den * scale))
+            Q = next(rest)
+            body = Q if num == 1 else {e: c * num for e, c in Q.items()}
+            parts.append(first._make(p.degree - degree, body, p._den * scale))
         else:
-            parts.append(TriHomPoly.zero(max(p.degree - degree, 0)))
-    return TriHomPoly._sorted(degree, C, lc), tuple(parts)
+            parts.append(first._make(max(p.degree - degree, 0), {}, 1))
+    return first._make(degree, C, lc), tuple(parts)
 
 
 def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:

@@ -54,6 +54,7 @@ built for each pencil type, is the oracle for the template through which
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import pickle
 import random
@@ -87,7 +88,6 @@ from cremona_kit.exact_algebra import (
     _bimul,
     _frac,
     _lex,
-    _uni_cofactors,
     tri_content_gcd,
     tri_divrem,
     tri_gcd,
@@ -194,17 +194,39 @@ ADVERSARIAL = (
 )
 
 
+# The strategies that trihoms and unipolys draw from, each built once (per
+# degree where it depends on one): a strategy built once draws the same
+# examples as one rebuilt on every draw, and the rebuilding was a large
+# share of the drawing time.
+_ONE_IN_FIVE = st.integers(0, 4)
+_COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_NONZERO_COEFF = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def _tri_factors(degree: Optional[int]):
+    """The ADVERSARIAL factors of ``degree`` (of any degree for None) to
+    sample from, or None when there is none."""
+    pool = [f for f in ADVERSARIAL if degree in (None, f.degree)]
+    return st.sampled_from(pool) if pool else None
+
+
+@functools.lru_cache(maxsize=None)
+def _tri_terms(degree: int):
+    """Nonempty {exponents: nonzero coefficient} of homogeneous ``degree``."""
+    return st.dictionaries(st.sampled_from(monomials(degree)), _NONZERO_COEFF, min_size=1)
+
+
 @st.composite
 def trihoms(draw, max_degree=3, degree=None):
     """A nonzero homogeneous polynomial, of ``degree`` if given; one draw in
     five is an ADVERSARIAL factor, when one has that degree."""
-    pool = [f for f in ADVERSARIAL if degree in (None, f.degree)]
-    if pool and draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from(pool))
+    factors = _tri_factors(degree)
+    if factors is not None and draw(_ONE_IN_FIVE) == 0:
+        return draw(factors)
     if degree is None:
         degree = draw(st.integers(0, max_degree))
-    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
-    terms = draw(st.dictionaries(st.sampled_from(monomials(degree)), coeffs, min_size=1))
+    terms = draw(_tri_terms(degree))
     return TriHomPoly(degree, tuple(terms.items()))
 
 
@@ -222,16 +244,28 @@ UNI_ADVERSARIAL = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _uni_factors(min_degree: int, max_degree: int):
+    """The UNI_ADVERSARIAL factors of degree in [min_degree, max_degree] to
+    sample from, or None when there is none."""
+    pool = [f for f in UNI_ADVERSARIAL if min_degree <= f.degree <= max_degree]
+    return st.sampled_from(pool) if pool else None
+
+
+@functools.lru_cache(maxsize=None)
+def _uni_tail(degree: int):
+    """The ``degree`` coefficients below the leading one."""
+    return st.lists(_COEFF, min_size=degree, max_size=degree)
+
+
 @st.composite
 def unipolys(draw, min_degree=0, max_degree=4):
     """A nonzero polynomial; one draw in five is a UNI_ADVERSARIAL factor."""
-    pool = [f for f in UNI_ADVERSARIAL if min_degree <= f.degree <= max_degree]
-    if pool and draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from(pool))
+    factors = _uni_factors(min_degree, max_degree)
+    if factors is not None and draw(_ONE_IN_FIVE) == 0:
+        return draw(factors)
     degree = draw(st.integers(min_degree, max_degree))
-    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    lead = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
-    return UniPoly(tuple(draw(st.lists(coeffs, min_size=degree, max_size=degree))) + (draw(lead),))
+    return UniPoly(tuple(draw(_uni_tail(degree))) + (draw(_NONZERO_COEFF),))
 
 
 def encode_unipoly_oracle(p: UniPoly) -> list:
@@ -918,7 +952,7 @@ class OldRatFunc:
         if num.is_zero:
             num, den = UniPoly(), UniPoly.constant(1)
         else:
-            _, num, den = _uni_cofactors(num, den)
+            _, num, den = uni_cofactors_oracle(num, den)
             lc = den.coeff(den.degree)
             if lc != 1:
                 num, den = num * (1 / lc), den * (1 / lc)

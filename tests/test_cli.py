@@ -146,6 +146,12 @@ JONQ_FIELD_SHA256 = {
 # lambda = trace^2 / det.
 JONQ_ORDER = Path(__file__).parent / "jonq_order.json"
 JONQ_ORDER_SHA256 = (Path(__file__).parent / "jonq_order.sha256").read_text().strip()
+# That element times one whose a1 has a non-monic constant denominator and
+# whose a2 has a denominator sharing a factor with its numerator; the sha256
+# of its `jonq-mul` stdout, which the examples job of the CI workflow also
+# checks, was recorded while RatFunc reduced by its own gcd front end.
+JONQ_MUL = Path(__file__).parent / "jonq_mul.json"
+JONQ_MUL_SHA256 = (Path(__file__).parent / "jonq_mul.sha256").read_text().strip()
 # sha256 of the exit code and stdout of each request of the first block of the
 # benchmark's compose_words workload on seeds 1 to 5 in turn (map-compose,
 # then map-fixcheck on its piped stdout), recorded before the polynomial
@@ -427,6 +433,9 @@ class TestGoldenOutputs:
 
     def test_jonq_order_rational_entries(self, capsys):
         assert self.digest(capsys, "jonq-order", str(JONQ_ORDER)) == JONQ_ORDER_SHA256
+
+    def test_jonq_mul_rational_entries(self, capsys):
+        assert self.digest(capsys, "jonq-mul", str(JONQ_MUL)) == JONQ_MUL_SHA256
 
     def test_validate_hand_made_curves(self, capsys):
         assert self.runs_digest(capsys, VALIDATE_CURVES) == VALIDATE_CURVES_SHA256

@@ -25,7 +25,6 @@ from cremona_kit.exact_algebra import (
     _PACKED_BITS,
     _primes,
     _primitive_parts,
-    _uni_cofactors,
     RatFunc,
     TRI_X,
     TRI_Y,
@@ -105,8 +104,8 @@ class TestUniPoly:
     def test_every_constructor_stores_the_canonical_form(self, a, b, c):
         """The Fraction constructor, the decoder, + - * (by a polynomial and
         by a scalar), derivative, monic, constant, homogenize_uni and the
-        parts of _uni_cofactors and of RatFunc, against the Fraction
-        arithmetic of the dataclass.  The inputs share factors between
+        parts of _primitive_parts on UniPolys and of RatFunc, against the
+        Fraction arithmetic of the dataclass.  The inputs share factors between
         numerators and denominators, are sometimes all negative, and b and c
         are sometimes zero."""
         f, g, h = (UniPoly(_uni_fractions(x)) for x in (a, b, c))
@@ -126,8 +125,10 @@ class TestUniPoly:
             (UniPoly.constant(s), OldUniPoly((s,))),
         ]
         p, q = f * h, g * h
-        for part, want in zip(_uni_cofactors(p, q), uni_cofactors_oracle(p, q)):
-            cases.append((part, OldUniPoly(want.coeffs)))
+        if p or q:
+            content, parts = _primitive_parts((p, q))
+            for part, want in zip((content, *parts), uni_cofactors_oracle(p, q)):
+                cases.append((part, OldUniPoly(want.coeffs)))
         if q:
             r, (_, num, den) = RatFunc(p, q), uni_cofactors_oracle(p, q)
             lc = den.coeff(den.degree)
@@ -257,6 +258,11 @@ class TestModularUniGcd:
             assert uni_gcd(h * T, h * (T + ONE)) == h
 
 
+def value(p: UniPoly, t: Fraction) -> Fraction:
+    """p(t) in Fractions, from the coefficients."""
+    return sum((c * t**e for e, c in enumerate(p.coeffs)), Fraction(0))
+
+
 @st.composite
 def ratfuncs(draw):
     num = UniPoly() if draw(st.integers(0, 5)) == 0 else draw(unipolys(max_degree=3))
@@ -283,6 +289,25 @@ class TestRatFuncLaws:
         assert uni_gcd(f.num, f.den) == ONE
         assert RatFunc(f.num * f.den, f.den * f.den) == f
 
+    @given(unipolys(max_degree=2), unipolys(max_degree=3), unipolys(max_degree=3), st.booleans())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    # a non-monic constant denominator; a zero numerator over a cubic
+    @example(ONE, T - ONE, UniPoly.of(Fraction(-2, 3)), False)
+    @example(T * 3 + ONE, ONE, UniPoly.of(5, 0, 2), True)
+    def test_reduced_monic_and_equal_in_value(self, common, a, b, zero):
+        """RatFunc(num, den), for num and den sharing a factor, has a monic
+        denominator prime to its numerator, by the Fraction Euclid of the
+        oracle, and takes the value num(t) / den(t) in Fractions wherever
+        den(t) != 0: at 12 or more points, more than the degree of
+        num * r.den - den * r.num, which is at most 10."""
+        num, den = (UniPoly() if zero else common * a), common * b
+        r = RatFunc(num, den)
+        assert r.den.coeffs[-1] == 1
+        assert uni_gcd_oracle(r.num, r.den) == ONE
+        points = [t for t in map(Fraction, range(-8, 9)) if value(den, t)]
+        assert len(points) >= 12
+        for t in points:
+            assert value(r.num, t) / value(r.den, t) == value(num, t) / value(den, t)
 
 class TestRatFunc:
     def test_normalization_idempotent(self):
@@ -928,21 +953,27 @@ class TestCofactors:
     @example([UniPoly.of(1, 1) * UniPoly.of(2, 0, 1), UniPoly.of(1 + _P0, 1) * UniPoly.of(2, 0, 1)])
     def test_uni_cofactors_equal_oracle(self, pair):
         p, q = pair
-        g, a, b = _uni_cofactors(p, q)
-        assert (g, a, b) == uni_cofactors_oracle(p, q)
+        g, a, b = uni_cofactors_oracle(p, q)
+        if not (p or q):
+            with pytest.raises(ValueError):
+                _primitive_parts((p, q))
+            return
+        content, parts = _primitive_parts((p, q))
+        assert (content, parts) == (g, (a, b))
         assert g * a == p and g * b == q
         if g.degree == 0 and p and q:
-            assert a is p and b is q
+            assert parts[0] is p and parts[1] is q
         with brown_only():
-            assert _uni_cofactors(p, q) == (g, a, b)
+            assert _primitive_parts((p, q)) == (g, (a, b))
 
     def test_uni_cofactors_adversarial(self):
         for f in UNI_ADVERSARIAL:
             for h in UNI_ADVERSARIAL:
                 p, q = f * h * (T - ONE), h * (T + ONE)
-                assert _uni_cofactors(p, q) == uni_cofactors_oracle(p, q)
+                g, a, b = uni_cofactors_oracle(p, q)
+                assert _primitive_parts((p, q)) == (g, (a, b))
                 with brown_only():
-                    assert _uni_cofactors(p, q) == uni_cofactors_oracle(p, q)
+                    assert _primitive_parts((p, q)) == (g, (a, b))
 
     @given(denominators())
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -1186,6 +1217,9 @@ class TestOneGcdContent:
     @example([X * Z * Z, Y * Z * Z * 3, Z**3], True)
     @example([X * (Y + Z * 2), (X - Y * _LAMBDA) * Z, Y * Z], True)
     @example([X * (Y + Z * 2) * L, (X - Y * _LAMBDA) * Z * L, Y * Z * L], True)
+    # f1 + lambda f2 keeps no key of f1 but (0, 0): the sum's first key is
+    # (0, 0), yet it is not constant, and the content is y + z.
+    @example([(Y + Z) * X * X, (Y + Z) * (X + Z) * Z * 3, (Y + Z) * (X * X - X * Z - Y * Z)], False)
     def test_equals_the_fold(self, polys, normalise):
         if not any(polys):
             with pytest.raises(ValueError):
