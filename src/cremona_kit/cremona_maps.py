@@ -56,6 +56,7 @@ from .exact_algebra import (
     _frac,
     _over,
     _primitive_parts,
+    _substitute,
     homogenize_uni,
 )
 from .linear_systems import LinSysData
@@ -158,12 +159,15 @@ def linear_G_params(F: CremonaMap) -> Optional[Tuple[Fraction, Fraction, Fractio
 
 
 def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:
-    """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors."""
+    """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors;
+    a unit d, of degree 0, takes no gcd: its cofactor is D, and D stays."""
     D, cofactors = dens[0], [UniPoly.constant(1)]
     for d in dens[1:]:
-        _, (a, b) = _primitive_parts((D, d))
-        if b.degree > 0:
-            D, cofactors = D * b, [c * b for c in cofactors]
+        a = D
+        if d.degree:
+            _, (a, b) = _primitive_parts((D, d))
+            if b.degree > 0:
+                D, cofactors = D * b, [c * b for c in cofactors]
         cofactors.append(a)
     return D, cofactors
 
@@ -216,12 +220,12 @@ def make_phi(mu: RationalLike, nu: RationalLike) -> CremonaMap:
 
 
 def compose(F: CremonaMap, G: CremonaMap) -> CremonaMap:
-    """F after G: substitute G's components into F, then remove content.  Never
-    the zero triple: G's coprime components do not map the plane to a point,
-    and F's have finitely many common zeros."""
+    """F after G: G's components substituted into F's three by one pass of
+    the substitution kernel, then content removed.  Never the zero triple:
+    G's coprime components do not map the plane to a point, and F's have
+    finitely many common zeros."""
     _check_cap(F.degree * G.degree, "composition")
-    comps = [f.substitute(G.components) for f in F.components]
-    return CremonaMap.of(*comps)
+    return CremonaMap.of(*_substitute(F.components, G.components))
 
 
 def is_identity(F: CremonaMap) -> bool:

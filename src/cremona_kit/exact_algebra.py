@@ -13,13 +13,18 @@ Both polynomial classes store one integer form (``_Poly``), built from
 rationals by ``_Poly._integer_form`` alone: a body over Z and a positive
 denominator prime to its content.  A ``TriHomPoly`` body is F(x, y), for
 F / den homogenised with z; a ``UniPoly`` body is keyed (e, 0), as the GCD
-reads it.  Arithmetic, ``substitute`` (map composition, a Kronecker
-substitution on packed integers) and the GCD run on the bodies; ``coeffs``
-and ``terms`` are views of them, computed on each read.  Nothing in the
-package reads those views: a Fraction is built only when a caller reads
-``coeffs``, ``terms`` or ``coeff()``, hashes a polynomial or calls
-``tri_divrem``, the Fraction lex division kept as a public name.  No
+reads it.  Arithmetic, the substitution kernel and the GCD run on the
+bodies; ``coeffs`` and ``terms`` are views of them, computed on each read.
+Nothing in the package reads those views: a Fraction is built only when a
+caller reads ``coeffs``, ``terms`` or ``coeff()``, hashes a polynomial or
+calls ``tri_divrem``, the Fraction lex division kept as a public name.  No
 division, text form or evaluation is left: ``str()`` prints the ``repr``.
+
+The substitution kernel, ``_substitute``, evaluates one to three
+polynomials of one degree at one image triple by a Kronecker substitution on
+packed integers: each image is packed, and its powers and monomial products
+are built, once for all of them.  ``compose`` runs it once on a map's three
+components, and ``TriHomPoly.substitute`` on one polynomial.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
 birational-map code depends on.  ``tri_gcd`` strips the common power of z
@@ -45,8 +50,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from bisect import insort
 from fractions import Fraction
+from operator import sub
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import Record
@@ -243,12 +250,6 @@ class UniPoly(_Poly, Record):
     def coeff(self, e: int) -> Fraction:
         return Fraction(self._body.get((e, 0), 0), self._den)
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        # B / den divided by its leading coefficient B_top / den is B / B_top.
-        return UniPoly._sorted(self._body, next(iter(self._body.values())))
-
     def derivative(self) -> "UniPoly":
         # Lowering every exponent by one keeps the decreasing order.
         body = {(e - 1, 0): c * e for (e, _), c in self._body.items() if e}
@@ -433,35 +434,49 @@ class TriHomPoly(_Poly, Record):
         return TriHomPoly._sorted(max(d - 1, 0), body, self._den)
 
     def substitute(self, images: Sequence["TriHomPoly"]) -> "TriHomPoly":
-        """Evaluate at three homogeneous polynomials of one common degree.
+        """Evaluate at three homogeneous polynomials of one common degree:
+        the substitution kernel (``_substitute``) on this polynomial alone."""
+        return _substitute((self,), images)[0]
 
-        Exact, on integers: one common ``den`` scales the images (a scale per
-        image would not scale the result uniformly), and the sum over the
-        body of self, with terms grouped by their power of x, is divided by
-        ``self._den * den**deg(self)`` once.  The sum is a Kronecker
-        substitution on the packed images (``_pack``), a ring map: only the
-        result must fit the slots, and its coefficients are at most
-        sum |c| * M^deg(self), M the largest l1 norm of an image.
-        """
-        g0, g1, g2 = images
-        if not (g0.degree == g1.degree == g2.degree):
-            raise ValueError("substitution images must share one degree")
-        d, out_deg = self.degree, self.degree * g0.degree
-        den = math.lcm(g0._den, g1._den, g2._den)
-        bases = [_over(g, den) for g in images]
-        M = max(sum(map(abs, B.values())) for B in bases)
-        k, W = _width(sum(map(abs, self._body.values())) * M**d), out_deg + 1
-        exps = [(i, j, d - i - j) for i, j in self._body]
-        p0, p1, p2 = powers = [[1] for _ in images]
-        for axis, B in enumerate(bases):
-            base = _pack(B, k, W)
-            for _ in range(max((e[axis] for e in exps), default=0)):
-                powers[axis].append(powers[axis][-1] * base)
+
+def _substitute(polys: Sequence[TriHomPoly], images: Sequence[TriHomPoly]) -> List[TriHomPoly]:
+    """Each of one to three polynomials of one degree d evaluated at three
+    homogeneous images of one common degree.
+
+    Exact, on integers: one common ``den`` scales the images (a scale per
+    image would not scale the results uniformly), and each result is the sum
+    over the body of its polynomial, divided by ``f._den * den**d`` once.
+    The sum is a Kronecker substitution on the packed images (``_pack``), a
+    ring map, so the polynomials share it: each image is packed, and its
+    powers built, once, and each product G1^j G2^k of the union of their
+    monomials is formed once, a polynomial's terms grouped by their power of
+    x then multiplied by G0^i.  Only the results must fit the slots, whose
+    one width holds the largest bound sum |c| * M^d, M the largest l1 norm
+    of an image.
+    """
+    g0, g1, g2 = images
+    if not (g0.degree == g1.degree == g2.degree):
+        raise ValueError("substitution images must share one degree")
+    d, out_deg = polys[0].degree, polys[0].degree * g0.degree
+    den = math.lcm(g0._den, g1._den, g2._den)
+    bases = [_over(g, den) for g in images]
+    M = max(sum(map(abs, B.values())) for B in bases)
+    bound = max(sum(map(abs, f._body.values())) for f in polys)
+    k, W = _width(bound * M**d), out_deg + 1
+    exps = [(i, j, d - i - j) for i, j in set().union(*(f._body for f in polys))]
+    p0, p1, p2 = powers = [[1] for _ in images]
+    for axis, B in enumerate(bases):
+        base = _pack(B, k, W)
+        for _ in range(max((e[axis] for e in exps), default=0)):
+            powers[axis].append(powers[axis][-1] * base)
+    yz = {(i, j): p1[j] * p2[m] for i, j, m in exps}
+    out = []
+    for f in polys:
         acc = 0
-        for i, group in itertools.groupby(self._body.items(), key=lambda t: t[0][0]):
-            acc += p0[i] * sum(c * p1[j] * p2[d - i - j] for (_, j), c in group)
-        keys = [(i, j) for i in range(out_deg, -1, -1) for j in range(out_deg - i, -1, -1)]
-        return TriHomPoly._sorted(out_deg, _unpack(acc, k, W, keys), self._den * den**d)
+        for i, group in itertools.groupby(f._body.items(), key=lambda t: t[0][0]):
+            acc += p0[i] * sum(c * yz[e] for e, c in group)
+        out.append(TriHomPoly._sorted(out_deg, _unpack(acc, k, W, out_deg * W + 1), f._den * den**d))
+    return out
 
 
 TriHomPoly._ONE = TriHomPoly._sorted(0, {(0, 0): 1})
@@ -683,18 +698,21 @@ def _width(bound: int) -> int:
 def _pack(F: _BiPoly, k: int, W: int) -> int:
     """F(2^(kW), 2^k): x^i y^j, for j < W, in slot i * W + j of k bits.  A
     slot in [-2^(k-1), 2^(k-1)) is read back by _unpack as a signed digit:
-    it adds 2^(k-1) to every slot, which carries nowhere, and slices bytes."""
+    it adds 2^(k-1) to every slot, which carries nowhere, and splits bytes."""
     return sum(c << k * (i * W + j) for (i, j), c in F.items())
 
 
-def _unpack(N: int, k: int, W: int, keys: Sequence[Tuple[int, int]]) -> _BiPoly:
-    """The body read from the packed N at ``keys``, which are in decreasing
-    lex order and hold every nonzero slot of N; the zeros are dropped."""
+def _unpack(N: int, k: int, W: int, n: int) -> _BiPoly:
+    """The body read from the packed N, whose nonzero slots are among its
+    first n, keyed in decreasing lex order with the zeros dropped.  All n
+    slots are split, read and shifted back at once, top slot first; only
+    the nonzero ones get a key, (s // W, s % W) for slot s."""
     kb, half = k >> 3, 1 << (k - 1)
-    n = keys[0][0] * W + keys[0][1] + 1
-    raw = (N + int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")).to_bytes(kb * n, "little")
-    slots = ((e, kb * (e[0] * W + e[1])) for e in keys)
-    return {e: c for e, o in slots if (c := int.from_bytes(raw[o : o + kb], "little") - half)}
+    raw = (N + int.from_bytes((b"\x80" + bytes(kb - 1)) * n, "big")).to_bytes(kb * n, "big")
+    slots = struct.unpack("%ds" % kb * n, raw)
+    digits = list(map(sub, map(int.from_bytes, slots, itertools.repeat("big")), itertools.repeat(half)))
+    keys = map(divmod, itertools.compress(range(n - 1, -1, -1), digits), itertools.repeat(W))
+    return dict(zip(keys, filter(None, digits)))
 
 
 def _content_free(F: _BiPoly) -> _BiPoly:
@@ -872,7 +890,7 @@ def _packed_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _B
     if k * (max(i for i, _ in itertools.chain(F, G)) + 1) * W > _PACKED_BITS:
         return None
     N = math.gcd(_pack(F, k, W), _pack(G, k, W))
-    C = _unpack(N, k, W, [divmod(s, W) for s in range(N.bit_length() // k + 1, -1, -1)])
+    C = _unpack(N, k, W, N.bit_length() // k + 2)
     di = min(i for i, _ in itertools.chain(F, G)) - min(i for i, _ in C)
     dj = min(j for _, j in itertools.chain(F, G)) - min(j for _, j in C)
     s = 1 if next(iter(C.values())) > 0 else -1

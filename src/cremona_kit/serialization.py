@@ -10,7 +10,9 @@ Conventions:
   lists in descending lexicographic order (x > y > z), leading term first;
 * emitted JSON always has sorted object keys and two-space indentation,
   so identical inputs produce byte-identical output;
-* ``dumps`` writes a ``PencilType`` record as ``{"degree": n, "mults": [...]}``.
+* ``dumps`` writes a list of ``[[e, ...], "c"]`` terms from one template
+  per indent, and a ``PencilType`` record as
+  ``{"degree": n, "mults": [...]}``.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
@@ -457,6 +460,8 @@ def _write(v: Any, newline: str) -> str:
         scalar = _SCALARS.get(kind)
         if kind is PencilType:
             body = _pencils(v, inner)
+        elif kind is list and (terms := _terms(v, inner)) is not None:
+            body = terms
         else:
             body = map(scalar, v) if scalar else [_write(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
@@ -484,3 +489,24 @@ def _pencils(records: List[PencilType], newline: str) -> List[str]:
         full % (p.degree, sep.join(map(repr, p.mults))) if p.mults else empty % p.degree
         for p in records
     ]
+
+
+def _terms(items: List[list], newline: str) -> Optional[List[str]]:
+    """Each [[e, ...], "c"] of ``items`` from one template, at the indent of
+    ``newline``; None unless every item is such a pair, its exponents exact
+    ints of one arity and its coefficient an exact str."""
+    if set(map(len, items)) != {2}:
+        return None
+    exps, coeffs = zip(*items)
+    if set(map(type, exps)) != {list} or set(map(type, coeffs)) != {str}:
+        return None
+    arity = set(map(len, exps))
+    if len(arity) != 1:
+        return None
+    (n,) = arity
+    if n and set(map(type, chain.from_iterable(exps))) != {int}:
+        return None
+    inner, leaf = newline + "  ", newline + "    "
+    head = "[" + leaf + ("," + leaf).join(["%r"] * n) + inner + "]" if n else "[]"
+    template = "[" + inner + head + "," + inner + "%s" + newline + "]"
+    return [template % (*e, c) for e, c in zip(exps, map(_encode_str, coeffs))]

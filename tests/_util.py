@@ -292,12 +292,17 @@ def lex_normalized(f: TriHomPoly) -> TriHomPoly:
     return f * (1 / lc) if lc != 1 else f
 
 
+def monic(p: UniPoly) -> UniPoly:
+    """p divided by its leading coefficient; zero stays zero."""
+    return p * (1 / p.coeff(p.degree)) if p else p
+
+
 def uni_gcd_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
     """The earlier Fraction implementation of ``uni_gcd``: Euclid over Q."""
     a, b = p, q
     while not b.is_zero:
         a, b = b, uni_divmod_oracle(a, b)[1]
-    return a.monic()
+    return monic(a)
 
 
 def uni_divmod_oracle(p: UniPoly, d: UniPoly) -> Tuple[UniPoly, UniPoly]:
@@ -323,7 +328,7 @@ def uni_cofactors_oracle(p: UniPoly, q: UniPoly) -> Tuple[UniPoly, UniPoly, UniP
 
 def uni_lcm_oracle(p: UniPoly, q: UniPoly) -> UniPoly:
     """The earlier ``uni_lcm``: p * q divided by their gcd, made monic."""
-    return _exact_quotient(p * q, uni_gcd_oracle(p, q)).monic()
+    return monic(_exact_quotient(p * q, uni_gcd_oracle(p, q)))
 
 
 def common_denominator_oracle(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:

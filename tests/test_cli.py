@@ -162,6 +162,14 @@ COMPOSE_WORDS_SHA256 = "a55bb3fcf16e82d20bacd40965c562079afec04002e1224427d15fc7
 # workflow also checks, recorded at the same time.
 MAP_COMPOSE_24 = Path(__file__).parent / "map_compose_24.json"
 MAP_COMPOSE_24_SHA256 = (Path(__file__).parent / "map_compose_24.sha256").read_text().strip()
+# An H element with rational alpha and beta after a phi o G with large rational
+# parameters: the substitution packs into slots of 224 bits, wider than 8
+# bytes, and the composite of degree 5 has fractional coefficients.  The
+# sha256 of its `map-compose` stdout, which the examples job of the CI
+# workflow also checks, was recorded before the three components shared one
+# substitution.
+MAP_COMPOSE_WIDE = Path(__file__).parent / "map_compose_wide.json"
+MAP_COMPOSE_WIDE_SHA256 = (Path(__file__).parent / "map_compose_wide.sha256").read_text().strip()
 
 # The exit code and the sha256 of the `--format text` stdout of every other
 # subcommand, and of one error report, on inputs used above; recorded while
@@ -454,6 +462,9 @@ class TestGoldenOutputs:
 
     def test_map_compose_24(self, capsys):
         assert self.digest(capsys, "map-compose", str(MAP_COMPOSE_24)) == MAP_COMPOSE_24_SHA256
+
+    def test_map_compose_wide_slots(self, capsys):
+        assert self.digest(capsys, "map-compose", str(MAP_COMPOSE_WIDE)) == MAP_COMPOSE_WIDE_SHA256
 
     @staticmethod
     def curve(degree, mults):

@@ -21,10 +21,13 @@ from cremona_kit.exact_algebra import (
     _coprime_lines,
     _content_free,
     _exact_quotient,
+    _pack,
     _packed_parts,
     _PACKED_BITS,
     _primes,
     _primitive_parts,
+    _substitute,
+    _unpack,
     RatFunc,
     TRI_X,
     TRI_Y,
@@ -55,6 +58,7 @@ from _util import (
     fractions_built,
     homogenize_uni_oracle,
     lex_normalized,
+    monic,
     monomials,
     poly_mul_oracle,
     primitive_parts_fold_oracle,
@@ -103,9 +107,9 @@ class TestUniPoly:
     @example([(0, 1), (0, 1), (3, 1)], [(1, 1), (2, 1), (1, 1)], [(1, 1), (1, 1)])
     def test_every_constructor_stores_the_canonical_form(self, a, b, c):
         """The Fraction constructor, the decoder, + - * (by a polynomial and
-        by a scalar), derivative, monic, constant, homogenize_uni and the
-        parts of _primitive_parts on UniPolys and of RatFunc, against the
-        Fraction arithmetic of the dataclass.  The inputs share factors between
+        by a scalar, as in the monic multiple), derivative, constant,
+        homogenize_uni and the parts of _primitive_parts on UniPolys and of
+        RatFunc, against the Fraction arithmetic of the dataclass.  The inputs share factors between
         numerators and denominators, are sometimes all negative, and b and c
         are sometimes zero."""
         f, g, h = (UniPoly(_uni_fractions(x)) for x in (a, b, c))
@@ -121,7 +125,7 @@ class TestUniPoly:
             (f * s, old_f * s),
             (3 * g, old_g * 3),
             (f.derivative(), old_f.derivative()),
-            (g.monic(), old_g.monic()),
+            (monic(g), old_g.monic()),
             (UniPoly.constant(s), OldUniPoly((s,))),
         ]
         p, q = f * h, g * h
@@ -650,6 +654,93 @@ def assert_same_form(f, g):
     assert (f.degree, f._den, list(f._body.items())) == (g.degree, g._den, list(g._body.items()))
 
 
+_SCALE = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(polys, images): one to three polynomials of one degree d <= 3, each
+    a trihoms() draw, a one-term polynomial or zero, scaled by a rational so
+    that their denominators differ; images as in substitutions()."""
+    d = draw(st.integers(0, 3))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            f = TriHomPoly.zero(d)
+        elif kind == 1:
+            f = TriHomPoly.monomial(draw(st.sampled_from(monomials(d))), draw(_SCALE))
+        else:
+            f = draw(trihoms(degree=d))
+        polys.append(f * draw(_SCALE))
+    return polys, draw(substitutions())[1]
+
+
+class TestSubstitutionKernel:
+    """_substitute, on one to three polynomials that share one packing of
+    the images, gives what the Fraction oracle gives for each alone."""
+
+    @given(kernel_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @example((
+        [TRI_X * Fraction(1, 2), TRI_Y * Fraction(3, 7) + TRI_Z, TRI_Z * Fraction(-5, 9)],
+        [TRI_X * Fraction(2, 3), TRI_Y + TRI_Z * Fraction(1, 5), TRI_Z * 11],
+    ))
+    @example((
+        [TriHomPoly.monomial((0, 0, 0), Fraction(-3, 4)), TriHomPoly.monomial((0, 0, 0), 5),
+         TriHomPoly.zero(0)],
+        [TRI_X * TRI_Y, TRI_Z * TRI_Z * Fraction(7, 2), TRI_X * TRI_Z - TRI_Y * TRI_Y],
+    ))
+    @example((
+        [TriHomPoly.monomial((1, 1, 1), Fraction(2, 3)), TriHomPoly.monomial((3, 0, 0), -7),
+         TriHomPoly.monomial((0, 0, 3), Fraction(1, 11))],
+        [TRI_X - TRI_Z * 2**40, TRI_Y * Fraction(1, 3), TRI_Z],
+    ))
+    @example(([TRI_X * 2**100 + TRI_Y, TRI_X], [TRI_X * 2**60, TRI_Y * -(2**60), TRI_Z * 3]))
+    def test_equals_fraction_oracle(self, case):
+        polys, images = case
+        got = _substitute(polys, images)
+        assert got == [substitute_oracle(f, images) for f in polys]
+        for g in got:
+            assert_canonical(g, OldTriHomPoly(g.degree, g.terms))
+
+
+class TestUnpack:
+    """_unpack(_pack(F)) is F, keyed in decreasing lex order, at slot widths
+    of 8 to 200 bits, byte counts that are a power of two or not alike."""
+
+    @given(st.sampled_from(range(8, 201, 8)), st.integers(1, 6), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @example(24, 3, None)
+    @example(40, 5, None)
+    @example(72, 1, None)
+    def test_round_trip(self, k, W, data):
+        half = 1 << (k - 1)
+        if data is None:
+            # Every digit at an end of [-2^(k-1), 2^(k-1)), each next to the other.
+            F = {divmod(s, W): (-half, half - 1)[s % 2] for s in range(3 * W - 1, -1, -1)}
+            n = 3 * W
+        else:
+            digit = st.one_of(st.integers(-half, half - 1), st.sampled_from([-half, half - 1, -1, 1]))
+            keys = st.tuples(st.integers(0, 4), st.integers(0, W - 1))
+            F = data.draw(st.dictionaries(keys, digit.filter(bool), max_size=12))
+            F = dict(sorted(F.items(), reverse=True))
+            n = max((i * W + j for i, j in F), default=0) + 1 + data.draw(st.integers(0, 3))
+        got = _unpack(_pack(F, k, W), k, W, n)
+        assert list(got.items()) == list(F.items())
+
+    @pytest.mark.parametrize("k", [8, 16, 24, 32, 40, 64, 72, 128, 200])
+    def test_boundary_digits(self, k):
+        """Runs of -2^(k-1) and of 2^(k-1) - 1, which borrow or carry through
+        every slot, and a digit of 2^(k-1), which does not fit its slot and
+        reads as -2^(k-1) with a carry of one into the next."""
+        half = 1 << (k - 1)
+        for pattern in ([-half] * 7, [half - 1] * 7, [-half, -1, half - 1, 1, -half]):
+            F = {(0, s): c for s, c in zip(range(len(pattern) - 1, -1, -1), pattern)}
+            assert list(_unpack(_pack(F, k, 8), k, 8, 8).items()) == list(F.items())
+        assert _unpack(_pack({(0, 0): half}, k, 8), k, 8, 2) == {(0, 1): 1, (0, 0): -half}
+
+
 class TestMonomialProducts:
     """A product with a one-term factor shifts the keys of the other factor,
     on either side, against the general product (_bimul, then _lex) and the
@@ -899,7 +990,7 @@ def denominators(draw):
     sharing a factor."""
     common = draw(unipolys(min_degree=1, max_degree=2)) if draw(st.booleans()) else ONE
     count = draw(st.integers(2, 4))
-    return [(common * draw(unipolys(max_degree=2))).monic() for _ in range(count)]
+    return [monic(common * draw(unipolys(max_degree=2))) for _ in range(count)]
 
 
 class TestCofactors:
@@ -979,7 +1070,7 @@ class TestCofactors:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @example([ONE, ONE, ONE, ONE])
     @example([T - ONE, T + ONE, T * T - ONE, ONE])
-    @example([UniPoly.of(1, _P0).monic(), (UniPoly.of(1, _P0) * (T + ONE)).monic()])
+    @example([monic(UniPoly.of(1, _P0)), monic(UniPoly.of(1, _P0) * (T + ONE))])
     def test_common_denominator_equals_lcm_fold(self, dens):
         D, cofactors = _common_denominator(dens)
         assert (D, cofactors) == common_denominator_oracle(dens)

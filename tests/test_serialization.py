@@ -309,6 +309,87 @@ class TestDumps:
             ser.dumps(value)
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Term lists [[e, ...], "c"] as the polynomial encoders emit them, with
+# exponent arity 0 to 4, and their near misses: bool exponents, int and str
+# subclasses, int coefficients, and lists that mix arities or hold another
+# value, at several depths.
+_EXPONENT = st.one_of(
+    st.integers(0, 30), st.integers(0, 30), st.integers(-(2**70), 2**70), st.booleans(),
+    st.builds(_Int, st.integers(0, 9)),
+)
+_COEFFICIENT = st.one_of(_TEXT, _TEXT, st.builds(_Str, _TEXT), st.integers(-3, 3))
+
+
+def _terms_of(arity):
+    return st.lists(_EXPONENT, min_size=arity, max_size=arity).flatmap(
+        lambda e: _COEFFICIENT.map(lambda c: [e, c])
+    )
+
+
+_TERM_LISTS = st.one_of(
+    st.integers(0, 4).flatmap(lambda n: st.lists(_terms_of(n), min_size=1, max_size=6)),
+    st.lists(st.integers(0, 4).flatmap(_terms_of), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(0, 4).flatmap(_terms_of), _SCALARS), min_size=1, max_size=4),
+)
+_WITH_TERMS = st.recursive(
+    _TERM_LISTS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=8,
+)
+
+
+def _subclassed(value) -> bool:
+    """True when value holds an int or str subclass, which dumps refuses."""
+    if type(value) is list:
+        return any(map(_subclassed, value))
+    if type(value) is dict:
+        return any(map(_subclassed, value.values()))
+    return type(value) not in (int, str, bool, type(None))
+
+
+class TestDumpsTermLists:
+    """dumps writes a list of [[e, ...], "c"] terms from one template with the
+    bytes of json.dumps(indent=2, sort_keys=True), and any other list as
+    before: a subclass of int or str raises TypeError."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(_WITH_TERMS)
+    @example([[[1, 0, 2], "-1/2"], [[0, 0, 3], "7"]])
+    @example({"components": [[[[2, 0, 0], "1"]], [[[0, 2, 0], "3/4"]], [[[0, 0, 2], "-1"]]]})
+    @example([[[], "a"], [[], "b"]])
+    @example([[[0, 1, 2, 3], "x"], [[4, 5, 6, 7], "\u00e9"]])
+    @example([[[1], "a"], [[1, 2], "b"]])
+    @example([[[True, 0, 1], "a"]])
+    @example([[[1, 0], 5]])
+    @example([[[1, 0], "a"], [[1, 0], "b", "c"]])
+    @example([[[1], "a"], None])
+    @example([[[_Int(1)], "a"]])
+    @example([[[1], _Str("a")]])
+    @example([[[2**70, -(2**70)], "c"]])
+    def test_matches_json(self, value):
+        if _subclassed(value):
+            with pytest.raises(TypeError):
+                ser.dumps(value)
+        else:
+            assert ser.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [[[(1, 2), "a"]], [[[1.5], "a"]], [[[1], b"a"]], [[[1], "a"], [(1,), "b"]], {"t": [[[1], 1.0]]}],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            ser.dumps(value)
+
+
 # Pencil types with empty and large multiplicities, the leaves of values that
 # hold them at the top level, as dict values, in lists of pencil types alone
 # and in lists next to dicts and scalars, at several depths.
