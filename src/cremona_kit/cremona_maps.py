@@ -138,26 +138,6 @@ def make_linear_G(a: RationalLike, b: RationalLike, c: RationalLike) -> CremonaM
     )
 
 
-def linear_G_params(F: CremonaMap) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
-    """Membership test for the ``make_linear_G`` family.
-
-    Returns the (a, b, c) parameters when F is projectively of the form
-    (a x : y + b x : z + c x), else None.
-    """
-    if F.degree != 1:
-        return None
-    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    if F.f0.coeff(y) != 0 or F.f0.coeff(z) != 0:
-        return None
-    if F.f1.coeff(z) != 0 or F.f2.coeff(y) != 0:
-        return None
-    p, q = F.f0.coeff(x), F.f1.coeff(y)
-    # q = 0 fails the last test: else x would divide all three components.
-    if p == 0 or F.f2.coeff(z) != q:
-        return None
-    return (p / q, F.f1.coeff(x) / q, F.f2.coeff(x) / q)
-
-
 def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:
     """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors;
     a unit d, of degree 0, takes no gcd: its cofactor is D, and D stays."""

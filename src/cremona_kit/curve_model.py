@@ -1,14 +1,15 @@
-"""Plane curve data: degree plus ordinary singular points.
+"""Plane curve data: degree plus singular points read as ordinary.
 
 A :class:`PlaneCurveModel` is numerical data first: the degree and a list
 of labelled singular points with multiplicities, assumed ordinary and in
 general position.  Coordinates are optional and only used to verify the
 declared multiplicities against an optional defining polynomial.
 
-Irreducibility is an assertion by the caller, not something this module
-verifies (that would need factorisation over Q); every model is read as
-"an irreducible curve with this numerical behaviour".  Non-ordinary
-singularities are rejected outright.
+Irreducibility and ordinariness are assertions by the caller, not
+something this module verifies (irreducibility would need factorisation
+over Q); every model is read as "an irreducible curve with this numerical
+behaviour".  A point that is not ordinary is read as one all the same, so
+the genus of a curve with such a point comes out too large.
 """
 
 from __future__ import annotations
@@ -42,20 +43,17 @@ class PointSpec(Record):
 
 
 class SingularityData(Record):
-    """An ordinary singular point of the given multiplicity."""
+    """A singular point of the given multiplicity, read as ordinary: nothing
+    here or in ``validate`` certifies that its tangents are distinct."""
 
-    __slots__ = ("point", "multiplicity", "ordinary")
+    __slots__ = ("point", "multiplicity")
 
-    def __init__(self, point: PointSpec, multiplicity: int, ordinary: bool = True) -> None:
+    def __init__(self, point: PointSpec, multiplicity: int) -> None:
         if not isinstance(multiplicity, int) or multiplicity < 2:
             raise InvalidCurveData(
                 f"point {point.label!r}: singular multiplicity must be an integer >= 2"
             )
-        if ordinary is not True:
-            raise InvalidCurveData(
-                f"point {point.label!r}: non-ordinary singularities are not modelled"
-            )
-        self._init(point, multiplicity, ordinary)
+        self._init(point, multiplicity)
 
     @property
     def label(self) -> str:
@@ -74,16 +72,14 @@ class CurveReport(Record):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> Tuple[CurveCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def _genus_value(degree: int, mults: Sequence[int]) -> int:
     return (degree - 1) * (degree - 2) // 2 - sum(m * (m - 1) // 2 for m in mults)
 
 
 class PlaneCurveModel(Record):
-    """Degree-d plane curve with ordinary singularities in general position."""
+    """Degree-d plane curve with singularities read as ordinary and in
+    general position."""
 
     __slots__ = ("degree", "singularities", "defining_poly")
 
@@ -163,7 +159,7 @@ def _structural_checks(
 ) -> List[CurveCheck]:
     """Constructor-level checks (everything except coordinate verification)."""
     checks: List[CurveCheck] = []
-    ok = isinstance(degree, int) and degree >= 1
+    ok = type(degree) is int and degree >= 1  # bool and other int subclasses refused
     checks.append(
         CurveCheck("degree-positive", ok, "" if ok else f"degree {degree} must be >= 1")
     )
@@ -242,9 +238,9 @@ def validate(c: PlaneCurveModel) -> CurveReport:
     return validate_curve_data(c.degree, c.singularities, c.defining_poly)
 
 
-def curve_from_mults(degree: int, mults: Iterable[int], prefix: str = "p") -> PlaneCurveModel:
-    """Convenience: build a model on abstract general-position labels."""
+def curve_from_mults(degree: int, mults: Iterable[int]) -> PlaneCurveModel:
+    """Convenience: build a model on the abstract labels p0, p1, ..."""
     sings = tuple(
-        SingularityData(PointSpec(f"{prefix}{i}"), m) for i, m in enumerate(mults)
+        SingularityData(PointSpec(f"p{i}"), m) for i, m in enumerate(mults)
     )
     return PlaneCurveModel(degree, sings)

@@ -329,12 +329,6 @@ class RatFunc(Record):
         other = RatFunc.of(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: Union["RatFunc", UniPoly, RationalLike]) -> "RatFunc":
-        other = RatFunc.of(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero rational function")
@@ -362,11 +356,16 @@ class TriHomPoly(_Poly, Record):
     _fields = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
+        # bool and float refused: the JSON writer would print them as such.
+        if type(degree) is not int:
+            raise TypeError(f"homogeneous degree must be an int, got {degree!r}")
         if degree < 0:
             raise ValueError("homogeneous degree must be >= 0")
         acc: Dict[Tuple[int, int], Fraction] = {}
         for exps, coeff in terms:
             i, j, k = exps
+            if not type(i) is type(j) is type(k) is int:
+                raise TypeError(f"monomial {exps} has an exponent that is not an int")
             if min(i, j, k) < 0 or i + j + k != degree:
                 raise ValueError(f"monomial {exps} is not homogeneous of degree {degree}")
             c = _frac(coeff)

@@ -83,14 +83,6 @@ class JonqElement(Record):
     def of(cls, h: UniPoly, a1, a2) -> "JonqElement":
         return cls(RatFunc.of(a1), RatFunc.of(a2), h)
 
-    @classmethod
-    def identity(cls, h: UniPoly) -> "JonqElement":
-        return cls.of(h, 1, 0)
-
-    @property
-    def genus(self) -> int:
-        return (self.h.degree - 2) // 2
-
     def det(self) -> RatFunc:
         """a1^2 - h a2^2, computed on each call; only ``invert`` needs it.
         It is never zero, so nothing checks it: for a2 != 0 it would make

@@ -96,9 +96,6 @@ class LinSysData(Record):
     def labels(self) -> Tuple[str, ...]:
         return tuple(l for l, _ in self.mults)
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.mults)
-
     def __str__(self) -> str:
         if not self.mults:
             return f"({self.degree}; -)"
@@ -389,7 +386,7 @@ def quadratic_transform(L: LinSysData, base: Sequence[str]) -> LinSysData:
         raise NegativeDegree(
             f"base {b} is not admissible for {L}: transformed degree {n2} < 0"
         )
-    new = L.as_dict()
+    new = dict(L.mults)
     for i, label in enumerate(b):
         m2 = L.degree - (s - mu[i])
         if m2 < 0:

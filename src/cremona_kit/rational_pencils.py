@@ -154,6 +154,6 @@ def enumerate_pencil_types(
     return tuple(out)
 
 
-def as_linear_system(p: PencilType, prefix: str = "b") -> LinSysData:
+def as_linear_system(p: PencilType) -> LinSysData:
     """Read a pencil type as a linear system on general-position labels."""
-    return LinSysData.of(p.degree, {f"{prefix}{i}": m for i, m in enumerate(p.mults)})
+    return LinSysData.of(p.degree, {f"b{i}": m for i, m in enumerate(p.mults)})

@@ -113,10 +113,6 @@ def decode_rational(v: Any, path: _Path) -> Fraction:
     return Fraction(*_read_rational(v, path))
 
 
-def encode_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _ratio_str(c: int, den: int) -> str:
     """``str(Fraction(c, den))`` for den > 0, without building the Fraction."""
     g = math.gcd(c, den)
@@ -279,7 +275,7 @@ def encode_curve(c: PlaneCurveModel) -> Dict[str, Any]:
     for s in sorted(c.singularities, key=lambda s: s.label):
         coords = None
         if s.point.coords is not None:
-            coords = [encode_rational(v) for v in s.point.coords]
+            coords = [str(v) for v in s.point.coords]
         sings.append({"label": s.label, "mult": s.multiplicity, "coords": coords})
     return {
         "degree": c.degree,

@@ -558,7 +558,7 @@ def order_oracle(trace: RatFunc, det: RatFunc, scalar: bool):
     """The earlier ``jonquieres._order``: (order, lambda) of a matrix from its
     trace, determinant and scalarity, lambda = trace^2 / det computed by
     ``RatFunc`` arithmetic."""
-    lam = (trace * trace) / det
+    lam = trace * trace * det.inverse()
     if not lam.is_constant:
         return PGL_INFINITE, lam
     value = lam.constant_value
@@ -651,7 +651,7 @@ def pgl_order_oracle(*entries):
     det = m[0] * m[3] - m[1] * m[2]
     if det.is_zero:
         raise ValueError("matrix over the function field is singular")
-    lam = (m[0] + m[3]) * (m[0] + m[3]) / det
+    lam = (m[0] + m[3]) * (m[0] + m[3]) * det.inverse()
     return _order(lam, is_scalar_oracle(m)), lam
 
 
@@ -749,7 +749,7 @@ def _removal_loop(
 ) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
     """The earlier removal loop on a dict of multiplicities, zeros kept,
     every system built by the validating ``LinSysData.of``."""
-    n, mults = L.degree, L.as_dict()
+    n, mults = L.degree, dict(L.mults)
     counts: Dict[_Rule, int] = {}
     while True:
         rules = _applicable_rules(n, mults)
@@ -1056,16 +1056,11 @@ class OldPointSpec:
 class OldSingularityData:
     point: PointSpec
     multiplicity: int
-    ordinary: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.multiplicity, int) or self.multiplicity < 2:
             raise InvalidCurveData(
                 f"point {self.point.label!r}: singular multiplicity must be an integer >= 2"
-            )
-        if self.ordinary is not True:
-            raise InvalidCurveData(
-                f"point {self.point.label!r}: non-ordinary singularities are not modelled"
             )
 
 

@@ -70,6 +70,13 @@ class TestConstructorInvariants:
         with pytest.raises(InvalidCurveData):
             curve_from_mults(4, [5])
 
+    def test_bool_degree_rejected(self):
+        # Accepted, True was written by encode_curve as "degree": true.
+        with pytest.raises(InvalidCurveData, match="degree-positive"):
+            PlaneCurveModel(True)
+        (check,) = validate_curve_data(True, ()).checks
+        assert (check.name, check.passed) == ("degree-positive", False)
+
     def test_duplicate_labels_rejected(self):
         sings = (
             SingularityData(PointSpec("p"), 2),
@@ -79,7 +86,8 @@ class TestConstructorInvariants:
             PlaneCurveModel(6, sings)
 
     def test_non_ordinary_rejected(self):
-        with pytest.raises(InvalidCurveData):
+        # Every declared point is read as ordinary: there is no flag to say otherwise.
+        with pytest.raises(TypeError):
             SingularityData(PointSpec("p"), 2, ordinary=False)
 
     def test_multiplicity_below_two_rejected(self):
@@ -298,7 +306,7 @@ class TestValidate:
     def test_multiplicity_exceeds_degree(self):
         report = validate_curve_data(4, (SingularityData(PointSpec("p"), 5),))
         assert not report.passed
-        assert any(c.name == "multiplicity-range" for c in report.failures())
+        assert any(c.name == "multiplicity-range" and not c.passed for c in report.checks)
 
     def test_explicit_sextic_passes(self):
         sings = (
@@ -330,7 +338,7 @@ class TestValidate:
             ),
         }
         for args, (name, detail) in failing.items():
-            (check,) = validate_curve_data(*args).failures()
+            (check,) = [c for c in validate_curve_data(*args).checks if not c.passed]
             assert (check.name, check.detail) == (name, detail)
 
     def test_wrong_declared_multiplicity_fails(self):
@@ -340,13 +348,13 @@ class TestValidate:
         )
         report = validate_curve_data(6, sings, TWO_TRIPLE_SEXTIC)
         assert not report.passed
-        assert any(c.name == "poly-multiplicity-at-p" for c in report.failures())
+        assert any(c.name == "poly-multiplicity-at-p" and not c.passed for c in report.checks)
 
     def test_zero_polynomial_fails_and_ends_the_checks(self):
         report = validate_curve_data(4, (), TriHomPoly.zero(4))
         assert not report.passed
         assert report.checks[-1] == CurveCheck("poly-nonzero", False, "defining polynomial is zero")
-        assert report.failures() == (report.checks[-1],)
+        assert [c for c in report.checks if not c.passed] == [report.checks[-1]]
 
 
 class TestRefusals:

@@ -90,10 +90,11 @@ CASES = {
         ],
     ),
     "SingularityData": (
-        [(PointSpec("p"), 2), (PointSpec("q", (1, 1, 1)), 3, True)],
+        [(PointSpec("p"), 2), (PointSpec("q", (1, 1, 1)), 3)],
         [
             ((PointSpec("p"), 1), InvalidCurveData),
-            ((PointSpec("p"), 2, False), InvalidCurveData),
+            # Every point is read as ordinary: there is no third field.
+            ((PointSpec("p"), 2, True), TypeError),
         ],
     ),
     "CurveCheck": ([("genus", True), ("genus", False, "negative")], []),
