@@ -20,8 +20,11 @@ Exit codes:
   shell reports for a process ended by SIGPIPE; nothing goes to stderr.
 
 The environment variable CREMONA_KIT_MAX_DEGREE (default 24) caps the
-degree of any constructed map; exact coefficients grow quickly under
-composition, so the cap keeps runtimes bounded.
+degree of any constructed map, of each univariate polynomial of a group
+element and of the curve ``poly`` that ``genus``, ``validate``,
+``adjoint-chain`` and ``classify`` read; exact coefficients grow quickly
+under composition and the curve checks grow with the degree, so the cap
+keeps runtimes bounded.
 """
 
 from __future__ import annotations

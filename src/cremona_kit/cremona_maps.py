@@ -30,7 +30,9 @@ divided by the primitive curve polynomial with no Fraction arithmetic.
 that it is birational: only triples coming from the constructors are known
 maps.  Degrees are capped by the environment variable
 CREMONA_KIT_MAX_DEGREE (default 24) to keep exact arithmetic bounded (map
-JSON declaring a larger degree is refused before its components are read).
+JSON declaring a larger degree is refused before its components are read;
+``serialization`` applies the same cap to the polynomials of group elements
+and curves).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._record import Record
 from .errors import DegreeCapExceeded
@@ -243,20 +245,10 @@ def _minor(a: _BiPoly, sa: Tuple[int, int], b: _BiPoly, sb: Tuple[int, int]) -> 
     return _axpy(shifted_a, -1, {(i + bi, j + bj): v for (i, j), v in b.items()})
 
 
-def free_intersection(
-    L: LinSysData,
-    M: LinSysData,
-    shared: Optional[Iterable[Tuple[str, str]]] = None,
-) -> int:
-    """Intersection of general members away from shared base points.
-
-    ``shared`` pairs a label of L with the label of M it coincides with;
-    by default labels with equal names are identified.
-    """
-    if shared is None:
-        common = sorted(set(L.labels()) & set(M.labels()))
-        shared = [(l, l) for l in common]
+def free_intersection(L: LinSysData, M: LinSysData) -> int:
+    """Intersection of general members away from shared base points: the
+    labels that L and M share name the same points."""
     total = L.degree * M.degree
-    for a, b in shared:
-        total -= L.mult(a) * M.mult(b)
+    for label in set(L.labels()) & set(M.labels()):
+        total -= L.mult(label) * M.mult(label)
     return total

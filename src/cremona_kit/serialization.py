@@ -15,7 +15,9 @@ Conventions:
   ``{"degree": n, "mults": [...]}``.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
-of the offending field.
+of the offending field.  Both polynomial decoders read terms with one
+reader, given the arity.  An exponent of a univariate polynomial or a curve
+``poly`` degree above the degree cap is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -122,38 +124,48 @@ def _ratio_str(c: int, den: int) -> str:
 # -- polynomials ---------------------------------------------------------------
 
 
-def _uni_term(item: Any, path: _Path) -> Tuple[int, Any]:
-    """The exponent and the coefficient of a term [[e], c], checked in
-    order, so the first failure names its field."""
-    pair = _as_list(item, path)
-    if len(pair) != 2:
-        _fail(path, "expected [[exponent], coefficient]")
-    exps = _as_list(pair[0], path + (0,))
-    if len(exps) != 1:
-        _fail(path + (0,), "univariate terms have a single exponent")
-    e = _as_int(exps[0], path + (0, 0))
-    if e < 0:
-        _fail(path + (0, 0), "exponents must be >= 0")
-    return e, pair[1]
+# Per arity n: the shape of a term, the count of its exponents, where below
+# the term a negative exponent is named, and the message of a repeated one.
+_ARITY = {
+    1: ("expected [[exponent], coefficient]", "univariate terms have a single exponent",
+        (0, 0), "duplicate exponent %d"),
+    3: ("expected [[i, j, k], coefficient]", "trivariate terms need three exponents",
+        (0,), "duplicate monomial [%d, %d, %d]"),
+}
+_INT = {int}
+
+
+def _read_terms(v: Any, path: _Path, n: int) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """{exponents: (p, q)} of a list of terms [[e1, ..., en], c], n = 1 or 3,
+    checked in order, so that the first failure names its field."""
+    shape, count, negative, duplicate = _ARITY[n]
+    terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    for t, item in enumerate(_as_list(v, path)):
+        # One test passes the shape and exponents of a well-formed term; the
+        # checks that name a field run only for a term that fails it.
+        exps = item[0] if type(item) is list and len(item) == 2 else None
+        ok = type(exps) is list and len(exps) == n and _INT.issuperset(map(type, exps))
+        if not (ok and min(exps) >= 0):
+            at = path + (t,)
+            pair = _as_list(item, at)
+            if len(pair) != 2:
+                _fail(at, shape)
+            exps = _as_list(pair[0], at + (0,))
+            if len(exps) != n:
+                _fail(at + (0,), count)
+            for a, x in enumerate(exps):
+                _as_int(x, at + (0, a))
+            if min(exps) < 0:
+                _fail(at + negative, "exponents must be >= 0")
+        e = tuple(exps)
+        if e in terms:
+            _fail(path + (t,), duplicate % e)
+        terms[e] = _read_rational(item[1], path + (t, 1))
+    return terms
 
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
-    items = _as_list(v, path)
-    terms: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for i, item in enumerate(items):
-        # One test passes a well-formed term, as in decode_trihom; _uni_term
-        # and _read_rational name what is wrong with any other.
-        try:
-            exps, c = item
-            (e,) = exps
-            ok = type(item) is list and type(exps) is list and type(e) is int and e >= 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            e, c = _uni_term(item, path + (i,))
-        if (e, 0) in terms:
-            _fail(path + (i,), f"duplicate exponent {e}")
-        terms[e, 0] = _read_rational(c, path + (i, 1))
+    terms = {(e, 0): r for (e,), r in _read_terms(v, path, 1).items()}
     # Checked before any body is built, zero terms included.
     _check_cap(max(terms, default=(-1, 0))[0], f"the polynomial at {_pstr(path)}")
     return UniPoly._sorted(*UniPoly._integer_form(terms))
@@ -164,40 +176,8 @@ def encode_unipoly(p: UniPoly) -> List[Any]:
     return [[[e], _ratio_str(c, den)] for (e, _), c in reversed(p._body.items())]
 
 
-def _term(item: Any, path: _Path) -> Tuple[Tuple[int, ...], Any]:
-    """The exponents and the coefficient of a term [[i, j, k], c], checked in
-    order, so the first failure names its field."""
-    pair = _as_list(item, path)
-    if len(pair) != 2:
-        _fail(path, "expected [[i, j, k], coefficient]")
-    exps = _as_list(pair[0], path + (0,))
-    if len(exps) != 3:
-        _fail(path + (0,), "trivariate terms need three exponents")
-    e = tuple(_as_int(x, path + (0, a)) for a, x in enumerate(exps))
-    if min(e) < 0:
-        _fail(path + (0,), "exponents must be >= 0")
-    return e, pair[1]
-
-
 def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPoly:
-    items = _as_list(v, path)
-    terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for n, item in enumerate(items):
-        # One test passes a well-formed term; _term and _read_rational name
-        # what is wrong with any other.
-        try:
-            (i, j, k), c = item
-            ok = type(item) is list and type(item[0]) is list
-            ok = ok and type(i) is int and type(j) is int and type(k) is int and min(i, j, k) >= 0
-        except (TypeError, ValueError):
-            ok = False
-        if ok:
-            e = (i, j, k)
-        else:
-            e, c = _term(item, path + (n,))
-        if e in terms:
-            _fail(path + (n,), f"duplicate monomial {list(e)}")
-        terms[e] = _read_rational(c, path + (n, 1))
+    terms = _read_terms(v, path, 3)
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         _fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")
@@ -262,6 +242,9 @@ def decode_curve_parts(
     poly = None
     if obj.get("poly") is not None:
         poly = decode_trihom(obj["poly"], ("poly",), degree if degree >= 0 else None)
+        # Checked before any model is built: the curve checks on a polynomial
+        # grow with its degree, while a model of numbers alone is linear in it.
+        _check_cap(poly.degree, "the polynomial at $.poly")
     return degree, tuple(sings), poly
 
 

@@ -46,7 +46,10 @@ arithmetic of ``UniPoly`` and ``TriHomPoly``, the oracle for their
 arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
 ``encode_trihom_oracle``, which print the Fractions of the ``coeffs`` and
 ``terms`` views, are the oracles for the encoders that print the stored
-integer form.  ``encode_pencil_type_oracle``, the dict that ``pencil-enum``
+integer form.  ``decode_unipoly_oracle`` and ``decode_trihom_oracle``, each
+with its own fast test per term and its own namer of a failing term, are
+the oracles for the one term reader that both decoders share.
+``encode_pencil_type_oracle``, the dict that ``pencil-enum``
 built for each pencil type, is the oracle for the template through which
 ``serialization.dumps`` writes a ``PencilType`` record.
 """
@@ -66,6 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import sympy
 from hypothesis import strategies as st
 
+from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import CremonaMap
 from cremona_kit.curve_model import (
     CurveCheck,
@@ -278,6 +282,91 @@ def encode_trihom_oracle(f: TriHomPoly) -> list:
     """The earlier ``serialization.encode_trihom``: ``str`` of each Fraction
     of the ``terms`` view."""
     return [[list(e), str(c)] for e, c in f.terms]
+
+
+def _uni_term_oracle(item, path):
+    """The exponent and the coefficient of a term [[e], c], checked in
+    order, so the first failure names its field."""
+    pair = ser._as_list(item, path)
+    if len(pair) != 2:
+        ser._fail(path, "expected [[exponent], coefficient]")
+    exps = ser._as_list(pair[0], path + (0,))
+    if len(exps) != 1:
+        ser._fail(path + (0,), "univariate terms have a single exponent")
+    e = ser._as_int(exps[0], path + (0, 0))
+    if e < 0:
+        ser._fail(path + (0, 0), "exponents must be >= 0")
+    return e, pair[1]
+
+
+def decode_unipoly_oracle(v, path) -> UniPoly:
+    """The earlier ``serialization.decode_unipoly``, with its own fast test
+    per term and its own namer of a failing term."""
+    items = ser._as_list(v, path)
+    terms = {}
+    for i, item in enumerate(items):
+        try:
+            exps, c = item
+            (e,) = exps
+            ok = type(item) is list and type(exps) is list and type(e) is int and e >= 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            e, c = _uni_term_oracle(item, path + (i,))
+        if (e, 0) in terms:
+            ser._fail(path + (i,), f"duplicate exponent {e}")
+        terms[e, 0] = ser._read_rational(c, path + (i, 1))
+    ser._check_cap(max(terms, default=(-1, 0))[0], f"the polynomial at {ser._pstr(path)}")
+    return UniPoly._sorted(*UniPoly._integer_form(terms))
+
+
+def _tri_term_oracle(item, path):
+    """The exponents and the coefficient of a term [[i, j, k], c], checked in
+    order, so the first failure names its field."""
+    pair = ser._as_list(item, path)
+    if len(pair) != 2:
+        ser._fail(path, "expected [[i, j, k], coefficient]")
+    exps = ser._as_list(pair[0], path + (0,))
+    if len(exps) != 3:
+        ser._fail(path + (0,), "trivariate terms need three exponents")
+    e = tuple(ser._as_int(x, path + (0, a)) for a, x in enumerate(exps))
+    if min(e) < 0:
+        ser._fail(path + (0,), "exponents must be >= 0")
+    return e, pair[1]
+
+
+def decode_trihom_oracle(v, path, degree: Optional[int] = None) -> TriHomPoly:
+    """The earlier ``serialization.decode_trihom``, with its own fast test
+    per term and its own namer of a failing term."""
+    items = ser._as_list(v, path)
+    terms = {}
+    for n, item in enumerate(items):
+        try:
+            (i, j, k), c = item
+            ok = type(item) is list and type(item[0]) is list
+            ok = ok and type(i) is int and type(j) is int and type(k) is int and min(i, j, k) >= 0
+        except (TypeError, ValueError):
+            ok = False
+        if ok:
+            e = (i, j, k)
+        else:
+            e, c = _tri_term_oracle(item, path + (n,))
+        if e in terms:
+            ser._fail(path + (n,), f"duplicate monomial {list(e)}")
+        terms[e] = ser._read_rational(c, path + (n, 1))
+    degrees = {sum(e) for e in terms}
+    if len(degrees) > 1:
+        ser._fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")
+    if degree is None:
+        if not degrees:
+            ser._fail(path, "cannot infer the degree of a zero polynomial")
+        degree = degrees.pop()
+    elif degrees and degrees != {degree}:
+        ser._fail(path, f"terms have degree {degrees.pop()}, expected {degree}")
+    if degree < 0:
+        raise ValueError("homogeneous degree must be >= 0")
+    body, den = TriHomPoly._integer_form({e[:2]: r for e, r in terms.items()})
+    return TriHomPoly._sorted(degree, body, den)
 
 
 def encode_pencil_type_oracle(p: PencilType) -> dict:

@@ -373,6 +373,52 @@ class TestChains:
         assert first == second
 
 
+def fermat(d):
+    """x^d + y^d, as a curve polynomial with no declared singular point."""
+    return {"degree": d, "singularities": [], "poly": [[[d, 0, 0], "1"], [[0, d, 0], "1"]]}
+
+
+CURVE_COMMANDS = ["genus", "validate", "adjoint-chain", "classify"]
+
+
+class TestCurveDegreeCap:
+    """A curve polynomial above the degree cap is refused before any check
+    runs on it: the coprimality test of ``validate`` on x^d + y^d took 2.1 s
+    at d = 3,200 and 54.5 s at d = 12,800 before the decode-time check."""
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    @pytest.mark.parametrize("d", [25, 12800])
+    def test_poly_above_the_cap_is_refused(self, capsys, command, d):
+        t0 = time.perf_counter()
+        code, payload = run_json(capsys, command, "--inline", json.dumps(fermat(d)))
+        assert time.perf_counter() - t0 < 1
+        assert (code, payload) == (2, {
+            "error": "DegreeCapExceeded",
+            "message": f"the polynomial at $.poly needs degree {d}, above the cap 24 "
+            "(raise CREMONA_KIT_MAX_DEGREE to allow it)",
+        })
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    def test_poly_at_a_raised_cap_runs(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "25")
+        code, payload = run_json(capsys, command, "--inline", json.dumps(fermat(25)))
+        assert code == 0 and "error" not in payload
+
+    def test_a_model_of_numbers_alone_is_not_capped(self, capsys):
+        curve = json.dumps({"degree": 100, "singularities": [], "poly": None})
+        code, payload = run_json(capsys, "classify", "--inline", curve)
+        assert (code, payload["terminal"]["degree"]) == (0, 1)
+
+    def test_the_fixcheck_curve_is_not_capped(self, capsys):
+        payload_in = json.dumps(
+            {"map": ser.encode_map(identity_map()), "curve": fermat(12800)["poly"]}
+        )
+        code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
+        assert (code, payload) == (
+            0, {"curve_degree": 12800, "fixes_pointwise": True, "map_degree": 1}
+        )
+
+
 class TestGoldenOutputs:
     def digest(self, capsys, *argv):
         code, out = run(capsys, *argv)

@@ -397,12 +397,6 @@ class TestFreeIntersection:
         sextic = LinSysData.of(6, {f"p{i}": 2 for i in range(7)})
         assert free_intersection(cubics, sextic) == 4
 
-    def test_explicit_correspondence(self):
-        L = LinSysData.of(3, {"a": 2})
-        M = LinSysData.of(4, {"b": 3})
-        assert free_intersection(L, M, [("a", "b")]) == 12 - 6
-        assert free_intersection(L, M, []) == 12
-
 
 # The baseline workloads of the ROADMAP, built from h1, h2, phi, g and g2.
 H1 = make_H_element(RatFunc(T * T + UniPoly.constant(1)), RatFunc(T * 2 + UniPoly.constant(1)))

@@ -16,12 +16,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
 from cremona_kit.cremona_maps import CremonaMap, identity_map, make_phi
+from cremona_kit.errors import DegreeCapExceeded, SchemaError
 
-from _util import OldTriHomPoly, assert_canonical
+from _util import OldTriHomPoly, assert_canonical, decode_trihom_oracle, decode_unipoly_oracle
 
 PHI = ser.encode_map(make_phi(2, 3))
 IDENTITY = ser.encode_map(identity_map())
@@ -730,3 +733,92 @@ JONQ_RECORDED = {
     "order-ratfunc-missing-den": "1079d7effc7da73ef218c5fc74107bb195f7ef55213a9ee9f747048fb30b83df",
     "order-ratfunc-not-object": "c462aae903920fdecf7944a8d72dd268f943596f38ced213efeb40cad0d16a9f",
 }
+
+
+# -- one term reader -----------------------------------------------------------
+#
+# decode_unipoly and decode_trihom read their terms through one reader that
+# takes the arity.  On term lists built from the catalogues above, from
+# well-formed terms and their repeats and from JSON values nested at random,
+# each decodes as its earlier copy in tests/_util.py: to the same polynomial
+# in the same stored form, or to the same refusal with the same path.
+
+# Values as json.loads builds them, nested at random.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 30)
+    | st.floats()
+    | st.sampled_from(["", "t", "0", "-2/3", "1/0", " 1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["e", "c"]), inner, max_size=2),
+    max_leaves=6,
+)
+COEFFS = st.sampled_from(["1", "-2/3", "0", "6/4", "+007", "-0/5", 3, -1])
+CATALOGUE = [*BAD_TERMS.values(), *BAD_UNI_TERMS.values()]
+KINDS = st.sampled_from(["term", "term", "mutant", "repeat", "catalogue", "nested"])
+
+
+@st.composite
+def term_lists(draw, n):
+    """A list of terms of arity n, one in ten times another JSON value.  One
+    term of arity 3 in four has a degree one above the list's.  A mutant is
+    a term with one part replaced by a random value, or a value appended."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    degree = draw(st.integers(0, 3))
+    terms = []
+    for kind in draw(st.lists(KINDS, max_size=6)):
+        if kind == "catalogue":
+            terms.append(json.loads(json.dumps(draw(st.sampled_from(CATALOGUE)))))
+        elif kind == "nested":
+            terms.append(draw(JSON_VALUES))
+        elif kind == "repeat" and terms:
+            terms.append(json.loads(json.dumps(draw(st.sampled_from(terms)))))
+        elif n == 1:
+            terms.append([[draw(st.integers(0, 26))], draw(COEFFS)])
+        else:
+            d = draw(st.sampled_from([degree, degree, degree, degree + 1]))
+            i = draw(st.integers(0, d))
+            j = draw(st.integers(0, d - i))
+            terms.append([[i, j, d - i - j], draw(COEFFS)])
+        if kind == "mutant":
+            term, value = terms[-1], draw(st.integers(-3, -1) | JSON_VALUES)
+            slot = draw(st.sampled_from(["term", "exps", "coeff", "exp", "extra-exp"]))
+            if slot == "term":
+                term.append(value)
+            elif slot == "exps":
+                term[0] = value
+            elif slot == "coeff":
+                term[1] = value
+            elif slot == "exp":
+                term[0][draw(st.integers(0, n - 1))] = value
+            else:
+                term[0].append(value)
+    return terms
+
+
+def outcome(decode, *args):
+    """The stored form of the decoded polynomial, or the refusal."""
+    try:
+        f = decode(*args)
+    except SchemaError as exc:
+        return "SchemaError", exc.path, exc.message
+    except (DegreeCapExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return f.degree, f._den, list(f._body.items())
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(term_lists(1))
+def test_univariate_terms_read_as_the_earlier_decoder(v):
+    assert outcome(ser.decode_unipoly, v, ("h",)) == outcome(decode_unipoly_oracle, v, ("h",))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(term_lists(3), st.sampled_from([None, 0, 1, 2, 3]))
+def test_trivariate_terms_read_as_the_earlier_decoder(v, degree):
+    path = ("components", 1)
+    assert outcome(ser.decode_trihom, v, path, degree) == outcome(
+        decode_trihom_oracle, v, path, degree
+    )
