@@ -2,8 +2,9 @@
 
 Conventions:
 
-* rationals are exact strings ("3", "-1/2"); JSON integers are accepted,
-  floats are rejected everywhere;
+* rationals are exact strings ("3", "-1/2"): ASCII digits with an optional
+  sign and an optional "/q", and nothing around them; JSON integers are
+  accepted, floats are rejected everywhere;
 * univariate polynomials are sparse ``[[e], "c"]`` lists in ascending
   exponent order;
 * homogeneous trivariate polynomials are sparse ``[[i, j, k], "c"]``
@@ -35,7 +36,7 @@ from .curve_model import (
     PointSpec,
     SingularityData,
 )
-from .cremona_maps import CremonaMap, _check_cap
+from .cremona_maps import CremonaMap, _check_cap, max_degree_cap
 from .errors import SchemaError
 from .exact_algebra import RatFunc, TriHomPoly, UniPoly
 from .jonquieres import JonqElement, OrderReport
@@ -44,7 +45,7 @@ from .rational_pencils import PencilCheckReport, PencilType
 
 _Path = Tuple[Any, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _pstr(path: _Path) -> str:
@@ -58,34 +59,20 @@ def _fail(path: _Path, message: str) -> NoReturn:
     raise SchemaError(_pstr(path), message)
 
 
-def _as_obj(v: Any, path: _Path) -> Dict[str, Any]:
-    if not isinstance(v, dict):
-        _fail(path, f"expected an object, got {type(v).__name__}")
-    return v
+_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
 
 
-def _as_list(v: Any, path: _Path) -> List[Any]:
-    if not isinstance(v, list):
-        _fail(path, f"expected an array, got {type(v).__name__}")
-    return v
+def _as(v: Any, kind: type, path: _Path) -> Any:
+    """v, of ``kind`` (exact type first; a bool is not an integer), or a SchemaError."""
+    if type(v) is kind or isinstance(v, kind) and not (kind is int and isinstance(v, bool)):
+        return v
+    _fail(path, f"expected {_KINDS[kind]}, got {type(v).__name__}")
 
 
-def _as_int(v: Any, path: _Path) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(path, f"expected an integer, got {type(v).__name__}")
-    return v
-
-
-def _as_str(v: Any, path: _Path) -> str:
-    if not isinstance(v, str):
-        _fail(path, f"expected a string, got {type(v).__name__}")
-    return v
-
-
-def _get(obj: Dict[str, Any], key: str, path: _Path) -> Any:
+def _get(obj: Dict[str, Any], key: str, path: _Path, kind: Optional[type] = None) -> Any:
     if key not in obj:
         _fail(path + (key,), "missing required field")
-    return obj[key]
+    return obj[key] if kind is None else _as(obj[key], kind, path + (key,))
 
 
 # -- rationals ----------------------------------------------------------------
@@ -94,7 +81,7 @@ def _get(obj: Dict[str, Any], key: str, path: _Path) -> Any:
 def _read_rational(v: Any, path: _Path) -> Tuple[int, int]:
     """(p, q) with v = p / q and q > 0, not necessarily in lowest terms."""
     if isinstance(v, str):
-        if not _RATIONAL_RE.match(v):
+        if not _RATIONAL_RE.fullmatch(v):
             _fail(path, f"malformed rational {v!r}; expected \"p\" or \"p/q\"")
         # Checked by the pattern, so int() reads each part as Fraction(v) would.
         num, _, den = v.partition("/")
@@ -140,21 +127,21 @@ def _read_terms(v: Any, path: _Path, n: int) -> Dict[Tuple[int, ...], Tuple[int,
     checked in order, so that the first failure names its field."""
     shape, count, negative, duplicate = _ARITY[n]
     terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for t, item in enumerate(_as_list(v, path)):
+    for t, item in enumerate(_as(v, list, path)):
         # One test passes the shape and exponents of a well-formed term; the
         # checks that name a field run only for a term that fails it.
         exps = item[0] if type(item) is list and len(item) == 2 else None
         ok = type(exps) is list and len(exps) == n and _INT.issuperset(map(type, exps))
         if not (ok and min(exps) >= 0):
             at = path + (t,)
-            pair = _as_list(item, at)
+            pair = _as(item, list, at)
             if len(pair) != 2:
                 _fail(at, shape)
-            exps = _as_list(pair[0], at + (0,))
+            exps = _as(pair[0], list, at + (0,))
             if len(exps) != n:
                 _fail(at + (0,), count)
             for a, x in enumerate(exps):
-                _as_int(x, at + (0, a))
+                _as(x, int, at + (0, a))
             if min(exps) < 0:
                 _fail(at + negative, "exponents must be >= 0")
         e = tuple(exps)
@@ -166,8 +153,10 @@ def _read_terms(v: Any, path: _Path, n: int) -> Dict[Tuple[int, ...], Tuple[int,
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     terms = {(e, 0): r for (e,), r in _read_terms(v, path, 1).items()}
-    # Checked before any body is built, zero terms included.
-    _check_cap(max(terms, default=(-1, 0))[0], f"the polynomial at {_pstr(path)}")
+    # Checked before any body is built, zero terms included; the message only if refused.
+    top = max(terms, default=(-1, 0))[0]
+    if top > max_degree_cap():
+        _check_cap(top, f"the polynomial at {_pstr(path)}")
     return UniPoly._sorted(*UniPoly._integer_form(terms))
 
 
@@ -199,7 +188,7 @@ def encode_trihom(f: TriHomPoly) -> List[Any]:
 
 
 def decode_ratfunc(v: Any, path: _Path) -> RatFunc:
-    obj = _as_obj(v, path)
+    obj = _as(v, dict, path)
     num = decode_unipoly(_get(obj, "num", path), path + ("num",))
     den = decode_unipoly(_get(obj, "den", path), path + ("den",))
     if den.is_zero:
@@ -218,19 +207,18 @@ def decode_curve_parts(
     v: Any,
 ) -> Tuple[int, Tuple[SingularityData, ...], Optional[TriHomPoly]]:
     """Decode the curve schema without enforcing model invariants."""
-    path: _Path = ()
-    obj = _as_obj(v, path)
-    degree = _as_int(_get(obj, "degree", path), ("degree",))
-    sing_list = _as_list(_get(obj, "singularities", path), ("singularities",))
+    obj = _as(v, dict, ())
+    degree = _get(obj, "degree", (), int)
+    sing_list = _get(obj, "singularities", (), list)
     sings: List[SingularityData] = []
     for i, raw in enumerate(sing_list):
         spath = ("singularities", i)
-        sobj = _as_obj(raw, spath)
-        label = _as_str(_get(sobj, "label", spath), spath + ("label",))
-        mult = _as_int(_get(sobj, "mult", spath), spath + ("mult",))
+        sobj = _as(raw, dict, spath)
+        label = _get(sobj, "label", spath, str)
+        mult = _get(sobj, "mult", spath, int)
         coords = None
         if sobj.get("coords") is not None:
-            clist = _as_list(sobj["coords"], spath + ("coords",))
+            clist = _as(sobj["coords"], list, spath + ("coords",))
             if len(clist) != 3:
                 _fail(spath + ("coords",), "projective coordinates need three entries")
             coords = tuple(
@@ -280,12 +268,12 @@ def encode_curve_report(r: CurveReport) -> Dict[str, Any]:
 
 
 def decode_linsys(v: Any, path: _Path = ()) -> LinSysData:
-    obj = _as_obj(v, path)
-    degree = _as_int(_get(obj, "degree", path), path + ("degree",))
-    mults_obj = _as_obj(_get(obj, "mults", path), path + ("mults",))
+    obj = _as(v, dict, path)
+    degree = _get(obj, "degree", path, int)
+    mults_obj = _get(obj, "mults", path, dict)
     mults = {}
     for label, m in mults_obj.items():
-        mv = _as_int(m, path + ("mults", label))
+        mv = _as(m, int, path + ("mults", label))
         if mv < 0:
             _fail(path + ("mults", label), f"multiplicity must be >= 0, got {mv}")
         mults[label] = mv
@@ -337,9 +325,9 @@ def encode_chain_report(r: ChainReport) -> Dict[str, Any]:
 
 
 def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
-    obj = _as_obj(v, path)
-    degree = _as_int(_get(obj, "deg", path), path + ("deg",))
-    comps = _as_list(_get(obj, "components", path), path + ("components",))
+    obj = _as(v, dict, path)
+    degree = _get(obj, "deg", path, int)
+    comps = _get(obj, "components", path, list)
     if len(comps) != 3:
         _fail(path + ("components",), "a plane map needs exactly three components")
     if degree < 0:
@@ -363,7 +351,7 @@ def encode_map(F: CremonaMap) -> Dict[str, Any]:
 
 
 def decode_jonq(v: Any, path: _Path = ()) -> JonqElement:
-    obj = _as_obj(v, path)
+    obj = _as(v, dict, path)
     h = decode_unipoly(_get(obj, "h", path), path + ("h",))
     a1 = decode_ratfunc(_get(obj, "a1", path), path + ("a1",))
     a2 = decode_ratfunc(_get(obj, "a2", path), path + ("a2",))

@@ -49,6 +49,10 @@ arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
 integer form.  ``decode_unipoly_oracle`` and ``decode_trihom_oracle``, each
 with its own fast test per term and its own namer of a failing term, are
 the oracles for the one term reader that both decoders share.
+``as_obj_oracle``, ``as_list_oracle``, ``as_int_oracle``, ``as_str_oracle``
+and ``get_oracle``, the four type guards and the field reader that
+``serialization`` had, are the oracles for its one typed reader ``_as`` and
+``_get``, and the decoder oracles check types through them.
 ``encode_pencil_type_oracle``, the dict that ``pencil-enum``
 built for each pencil type, is the oracle for the template through which
 ``serialization.dumps`` writes a ``PencilType`` record.
@@ -284,16 +288,50 @@ def encode_trihom_oracle(f: TriHomPoly) -> list:
     return [[list(e), str(c)] for e, c in f.terms]
 
 
+def as_obj_oracle(v, path) -> dict:
+    if not isinstance(v, dict):
+        ser._fail(path, f"expected an object, got {type(v).__name__}")
+    return v
+
+
+def as_list_oracle(v, path) -> list:
+    if not isinstance(v, list):
+        ser._fail(path, f"expected an array, got {type(v).__name__}")
+    return v
+
+
+def as_int_oracle(v, path) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        ser._fail(path, f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def as_str_oracle(v, path) -> str:
+    if not isinstance(v, str):
+        ser._fail(path, f"expected a string, got {type(v).__name__}")
+    return v
+
+
+def get_oracle(obj, key, path):
+    if key not in obj:
+        ser._fail(path + (key,), "missing required field")
+    return obj[key]
+
+
+# The earlier guard of each JSON type, keyed by the kind ``serialization._as`` takes.
+GUARD_ORACLES = {dict: as_obj_oracle, list: as_list_oracle, int: as_int_oracle, str: as_str_oracle}
+
+
 def _uni_term_oracle(item, path):
     """The exponent and the coefficient of a term [[e], c], checked in
     order, so the first failure names its field."""
-    pair = ser._as_list(item, path)
+    pair = as_list_oracle(item, path)
     if len(pair) != 2:
         ser._fail(path, "expected [[exponent], coefficient]")
-    exps = ser._as_list(pair[0], path + (0,))
+    exps = as_list_oracle(pair[0], path + (0,))
     if len(exps) != 1:
         ser._fail(path + (0,), "univariate terms have a single exponent")
-    e = ser._as_int(exps[0], path + (0, 0))
+    e = as_int_oracle(exps[0], path + (0, 0))
     if e < 0:
         ser._fail(path + (0, 0), "exponents must be >= 0")
     return e, pair[1]
@@ -302,7 +340,7 @@ def _uni_term_oracle(item, path):
 def decode_unipoly_oracle(v, path) -> UniPoly:
     """The earlier ``serialization.decode_unipoly``, with its own fast test
     per term and its own namer of a failing term."""
-    items = ser._as_list(v, path)
+    items = as_list_oracle(v, path)
     terms = {}
     for i, item in enumerate(items):
         try:
@@ -323,13 +361,13 @@ def decode_unipoly_oracle(v, path) -> UniPoly:
 def _tri_term_oracle(item, path):
     """The exponents and the coefficient of a term [[i, j, k], c], checked in
     order, so the first failure names its field."""
-    pair = ser._as_list(item, path)
+    pair = as_list_oracle(item, path)
     if len(pair) != 2:
         ser._fail(path, "expected [[i, j, k], coefficient]")
-    exps = ser._as_list(pair[0], path + (0,))
+    exps = as_list_oracle(pair[0], path + (0,))
     if len(exps) != 3:
         ser._fail(path + (0,), "trivariate terms need three exponents")
-    e = tuple(ser._as_int(x, path + (0, a)) for a, x in enumerate(exps))
+    e = tuple(as_int_oracle(x, path + (0, a)) for a, x in enumerate(exps))
     if min(e) < 0:
         ser._fail(path + (0,), "exponents must be >= 0")
     return e, pair[1]
@@ -338,7 +376,7 @@ def _tri_term_oracle(item, path):
 def decode_trihom_oracle(v, path, degree: Optional[int] = None) -> TriHomPoly:
     """The earlier ``serialization.decode_trihom``, with its own fast test
     per term and its own namer of a failing term."""
-    items = ser._as_list(v, path)
+    items = as_list_oracle(v, path)
     terms = {}
     for n, item in enumerate(items):
         try:

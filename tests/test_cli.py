@@ -685,6 +685,27 @@ class TestSchemaRefusals:
         for payload in ([], "x", {}, {a: 1}, {b: 1}):
             assert run(capsys, command, "--inline", json.dumps(payload)) == (1, want)
 
+    @pytest.mark.parametrize(
+        "num, den, at",
+        [("\u0661", "1", "num"), ("1", "1\n", "den"), ("1/\u0663", "1", "num")],
+    )
+    def test_rational_of_other_than_ascii_digits(self, capsys, num, den, at):
+        element = json.loads(JONQ_ORDER.read_text())
+        element["a1"] = {"num": [[[0], num]], "den": [[[0], den]]}
+        bad = {"num": num, "den": den}[at]
+        want = schema_error(
+            f"$.a1.{at}[0][1]", f"malformed rational {bad!r}; expected \"p\" or \"p/q\""
+        )
+        assert run(capsys, "jonq-order", "--inline", json.dumps(element)) == (1, want)
+
+    def test_curve_coordinate_of_other_than_ascii_digits(self, capsys):
+        sing = {"label": "p", "mult": 2, "coords": ["\u0661", "0", "1"]}
+        curve = json.dumps({"degree": 4, "singularities": [sing], "poly": None})
+        want = schema_error(
+            "$.singularities[0].coords[0]", "malformed rational '\u0661'; expected \"p\" or \"p/q\""
+        )
+        assert run(capsys, "validate", "--inline", curve) == (1, want)
+
     def test_pencil_check_needs_integer_multiplicities(self, capsys):
         want = schema_error("$.mults", "expected comma-separated integers, got '1,x'")
         assert run(capsys, "pencil-check", "--n", "2", "--mults", "1,x") == (1, want)

@@ -17,10 +17,12 @@ from cremona_kit.linear_systems import LinSysData, adjoint_chain
 from cremona_kit.rational_pencils import PencilType, enumerate_pencil_types
 
 from _util import (
+    GUARD_ORACLES,
     H4,
     encode_pencil_type_oracle,
     encode_trihom_oracle,
     encode_unipoly_oracle,
+    get_oracle,
     monomials,
     rand_jonq,
     rand_trihom,
@@ -31,7 +33,9 @@ from _util import (
 class TestRational:
     def test_accepts_ints_and_strings(self):
         assert ser.decode_rational(5, ()) == Fraction(5)
+        assert ser.decode_rational(-5, ()) == Fraction(-5)
         assert ser.decode_rational("-7/3", ()) == Fraction(-7, 3)
+        assert [ser.decode_rational(t, ()) for t in ("+1", "-0/3", "007")] == [1, 0, 7]
 
     def test_rejects_floats(self):
         with pytest.raises(SchemaError):
@@ -60,8 +64,15 @@ class TestRational:
             ser.decode_rational(value, ("c",))
         assert (err.value.path, err.value.message) == ("$.c", message)
 
-    # Digits include a non-ASCII one, which the pattern's \d accepts; the
-    # pattern's $ also lets a trailing newline through.
+    @pytest.mark.parametrize("text", ["\u0661", "1\n", "1/\u0663", "\u0661/2"])
+    def test_only_ascii_digits_and_nothing_around_them(self, text):
+        with pytest.raises(SchemaError) as err:
+            ser.decode_rational(text, ("c",))
+        want = f"malformed rational {text!r}; expected \"p\" or \"p/q\""
+        assert (err.value.path, err.value.message) == ("$.c", want)
+
+    # Digits include a non-ASCII one and a string may end in a newline: both
+    # are refused, although int() and Fraction read them.
     digits = st.text("0123456789\u0663", min_size=1, max_size=8)
 
     @given(
@@ -77,7 +88,9 @@ class TestRational:
     @example("-36/48")
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_strings_read_as_fraction_reads_them(self, text):
-        if not ser._RATIONAL_RE.match(text):
+        body = text[1:] if text[:1] in "+-" else text
+        parts = body.split("/")
+        if len(parts) > 2 or not all(p and set(p) <= set("0123456789") for p in parts):
             with pytest.raises(SchemaError, match="malformed"):
                 ser.decode_rational(text, ())
             return
@@ -88,6 +101,38 @@ class TestRational:
                 ser.decode_rational(text, ())
         else:
             assert ser.decode_rational(text, ()) == expected
+
+
+# JSON values of every type, bools and floats included.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3)
+JSON_VALUES = (
+    _SCALARS | st.lists(_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2)
+)
+KEYS = st.sampled_from(["deg", "mults", ""])
+
+
+def _outcome(read, *args):
+    """The identity of what ``read`` returns, or the path and message it refuses with."""
+    try:
+        return "value", id(read(*args))
+    except SchemaError as err:
+        return err.path, err.message
+
+
+class TestTypedReader:
+    @given(
+        obj=st.dictionaries(KEYS, JSON_VALUES, max_size=3),
+        key=KEYS,
+        path=st.sampled_from([(), ("a1", "num"), ("singularities", 0)]),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_as_and_get_match_the_four_guards(self, obj, key, path):
+        for kind, guard in GUARD_ORACLES.items():
+            for x in (obj, *obj.values()):
+                assert _outcome(ser._as, x, kind, path) == _outcome(guard, x, path)
+            typed = _outcome(lambda: guard(get_oracle(obj, key, path), path + (key,)))
+            assert _outcome(ser._get, obj, key, path, kind) == typed
+        assert _outcome(ser._get, obj, key, path) == _outcome(get_oracle, obj, key, path)
 
 
 class TestPolynomials:
