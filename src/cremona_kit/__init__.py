@@ -39,7 +39,6 @@ from .cremona_maps import (
 )
 from .exact_algebra import (
     RatFunc,
-    Rational,
     TriHomPoly,
     UniPoly,
     is_squarefree,

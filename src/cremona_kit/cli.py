@@ -34,7 +34,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import __version__
 from . import jonquieres as jq
@@ -44,6 +44,10 @@ from .curve_model import genus, validate_curve_data
 from .errors import CremonaKitError, SchemaError
 from .linear_systems import adjoint_chain
 from .rational_pencils import DEFAULT_ENUM_LIMIT, check_rational_pencil, enumerate_pencil_types
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -72,7 +76,7 @@ def _load_payload(args: argparse.Namespace) -> Any:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
-def _load_object(args: argparse.Namespace, a: str, b: str) -> Dict[str, Any]:
+def _load_object(args: argparse.Namespace, a: str, b: str) -> dict[str, Any]:
     """The payload, which must be an object with fields ``a`` and ``b``."""
     obj = _load_payload(args)
     if not isinstance(obj, dict) or a not in obj or b not in obj:
@@ -88,25 +92,25 @@ def _note(args: argparse.Namespace, message: str) -> None:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_genus(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_genus(args) -> tuple[dict[str, Any], int]:
     model = ser.decode_curve(_load_payload(args))
     _note(args, f"curve of degree {model.degree} with {len(model.singularities)} singular points")
     return {"degree": model.degree, "genus": genus(model)}, EXIT_OK
 
 
-def _cmd_validate(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_validate(args) -> tuple[dict[str, Any], int]:
     degree, sings, poly = ser.decode_curve_parts(_load_payload(args))
     report = validate_curve_data(degree, sings, poly)
     return ser.encode_curve_report(report), EXIT_OK if report.passed else EXIT_INVALID
 
 
-def _cmd_adjoint_chain(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_adjoint_chain(args) -> tuple[dict[str, Any], int]:
     model = ser.decode_curve(_load_payload(args))
     report = adjoint_chain(model)
     return ser.encode_chain_report(report), EXIT_OK
 
 
-def _cmd_classify(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_classify(args) -> tuple[dict[str, Any], int]:
     model = ser.decode_curve(_load_payload(args))
     report = adjoint_chain(model)
     return {
@@ -117,14 +121,14 @@ def _cmd_classify(args) -> Tuple[Dict[str, Any], int]:
     }, EXIT_OK
 
 
-def _cmd_map_compose(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_map_compose(args) -> tuple[dict[str, Any], int]:
     obj = _load_object(args, "outer", "inner")
     outer = ser.decode_map(obj["outer"], ("outer",))
     inner = ser.decode_map(obj["inner"], ("inner",))
     return ser.encode_map(compose(outer, inner)), EXIT_OK
 
 
-def _cmd_map_fixcheck(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_map_fixcheck(args) -> tuple[dict[str, Any], int]:
     obj = _load_object(args, "map", "curve")
     F = ser.decode_map(obj["map"], ("map",))
     curve = ser.decode_trihom(obj["curve"], ("curve",))
@@ -141,19 +145,19 @@ def _cmd_map_fixcheck(args) -> Tuple[Dict[str, Any], int]:
     return payload, EXIT_OK if fixed else EXIT_INVALID
 
 
-def _cmd_jonq_order(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_jonq_order(args) -> tuple[dict[str, Any], int]:
     u = ser.decode_jonq(_load_payload(args))
     return ser.encode_order_report(jq.leminv_check(u)), EXIT_OK
 
 
-def _cmd_jonq_mul(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_jonq_mul(args) -> tuple[dict[str, Any], int]:
     obj = _load_object(args, "u", "v")
     u = ser.decode_jonq(obj["u"], ("u",))
     v = ser.decode_jonq(obj["v"], ("v",))
     return ser.encode_jonq(jq.mul(u, v)), EXIT_OK
 
 
-def _cmd_jonq_fix_check(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_jonq_fix_check(args) -> tuple[dict[str, Any], int]:
     u = ser.decode_jonq(_load_payload(args))
     curve = jq._curve_poly(u.h)  # u's constructor has checked h
     F = jq.to_cremona(u)
@@ -166,7 +170,7 @@ def _cmd_jonq_fix_check(args) -> Tuple[Dict[str, Any], int]:
     return payload, EXIT_OK if pointwise else EXIT_INVALID
 
 
-def _cmd_pencil_check(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_pencil_check(args) -> tuple[dict[str, Any], int]:
     try:
         mults = [int(v) for v in args.mults.split(",") if v.strip() != ""]
     except ValueError:
@@ -175,7 +179,7 @@ def _cmd_pencil_check(args) -> Tuple[Dict[str, Any], int]:
     return ser.encode_pencil_check(report), EXIT_OK if report.valid else EXIT_INVALID
 
 
-def _cmd_pencil_enum(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_pencil_enum(args) -> tuple[dict[str, Any], int]:
     types = enumerate_pencil_types(args.max, args.bound)
     return {
         "max_degree": args.max,
@@ -184,7 +188,7 @@ def _cmd_pencil_enum(args) -> Tuple[Dict[str, Any], int]:
     }, EXIT_OK
 
 
-def _cmd_examples(args) -> Tuple[Dict[str, Any], int]:
+def _cmd_examples(args) -> tuple[dict[str, Any], int]:
     from .corpus import corpus_passed, run_corpus  # only this handler pays for the corpus
 
     results = run_corpus()
@@ -274,7 +278,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse with the named subcommand's parser alone when it consumes every argument;
     the full parser takes the rest: usage errors, help, --version."""
     if argv and argv[0] in _COMMANDS:
@@ -286,9 +290,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _render_text(value: Any, indent: int = 0) -> List[str]:
+def _render_text(value: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: List[str] = []
+    lines: list[str] = []
     if isinstance(value, dict):
         for key in sorted(value):
             inner = value[key]
@@ -307,7 +311,7 @@ def _render_text(value: Any, indent: int = 0) -> List[str]:
     return lines
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         payload, code = _COMMANDS[args.command][0](args)

@@ -10,8 +10,8 @@ group with its order classification, and the rational-pencil arithmetic.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, List, Tuple
 
 from . import jonquieres as jq
 from ._record import Record
@@ -49,14 +49,14 @@ class EntryResult(Record):
 
 class _Checker:
     def __init__(self) -> None:
-        self.failures: List[str] = []
+        self.failures: list[str] = []
 
     def expect(self, condition: bool, message: str) -> None:
         if not condition:
             self.failures.append(message)
 
 
-_ENTRIES: List[Tuple[str, str, Callable[[_Checker], None]]] = []
+_ENTRIES: list[tuple[str, str, Callable[[_Checker], None]]] = []
 
 
 def _entry(name: str, description: str):
@@ -326,7 +326,7 @@ def _pencil_arithmetic(c: _Checker) -> None:
     )
 
 
-def run_corpus() -> Tuple[EntryResult, ...]:
+def run_corpus() -> tuple[EntryResult, ...]:
     results = []
     for name, description, fn in _ENTRIES:
         checker = _Checker()
@@ -339,5 +339,5 @@ def run_corpus() -> Tuple[EntryResult, ...]:
     return tuple(results)
 
 
-def corpus_passed(results: Tuple[EntryResult, ...]) -> bool:
+def corpus_passed(results: tuple[EntryResult, ...]) -> bool:
     return all(r.passed for r in results)

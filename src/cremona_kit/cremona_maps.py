@@ -39,14 +39,12 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import DegreeCapExceeded
 from .exact_algebra import (
     RatFunc,
-    RationalLike,
     TRI_X,
     TRI_Y,
     TRI_Z,
@@ -62,6 +60,10 @@ from .exact_algebra import (
     homogenize_uni,
 )
 from .linear_systems import LinSysData
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .exact_algebra import RationalLike
 
 DEFAULT_MAX_DEGREE = 24
 _ENV_MAX_DEGREE = "CREMONA_KIT_MAX_DEGREE"
@@ -115,7 +117,7 @@ class CremonaMap(Record):
         return self.f0.degree
 
     @property
-    def components(self) -> Tuple[TriHomPoly, TriHomPoly, TriHomPoly]:
+    def components(self) -> tuple[TriHomPoly, TriHomPoly, TriHomPoly]:
         return (self.f0, self.f1, self.f2)
 
     @classmethod
@@ -135,12 +137,12 @@ def make_linear_G(a: RationalLike, b: RationalLike, c: RationalLike) -> CremonaM
         raise ValueError("the x-scaling coefficient a must be nonzero")
     return CremonaMap.of(
         TriHomPoly.of({(1, 0, 0): a}),
-        TriHomPoly.of({(0, 1, 0): Fraction(1), (1, 0, 0): b}, degree=1),
-        TriHomPoly.of({(0, 0, 1): Fraction(1), (1, 0, 0): c}, degree=1),
+        TriHomPoly.of({(0, 1, 0): 1, (1, 0, 0): b}, degree=1),
+        TriHomPoly.of({(0, 0, 1): 1, (1, 0, 0): c}, degree=1),
     )
 
 
-def _common_denominator(dens: Sequence[UniPoly]) -> Tuple[UniPoly, List[UniPoly]]:
+def _common_denominator(dens: Sequence[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
     """(D, [D / d for d in dens]), D the lcm of monic dens, by gcd cofactors;
     a unit d, of degree 0, takes no gcd: its cofactor is D, and D stays."""
     D, cofactors = dens[0], [UniPoly.constant(1)]
@@ -238,7 +240,7 @@ def fixes_curve_pointwise(F: CremonaMap, c: TriHomPoly) -> bool:
     )
 
 
-def _minor(a: _BiPoly, sa: Tuple[int, int], b: _BiPoly, sb: Tuple[int, int]) -> _BiPoly:
+def _minor(a: _BiPoly, sa: tuple[int, int], b: _BiPoly, sb: tuple[int, int]) -> _BiPoly:
     """a * x^sa[0] y^sa[1] - b * x^sb[0] y^sb[1], with no zero coefficient."""
     (ai, aj), (bi, bj) = sa, sb
     shifted_a = {(i + ai, j + aj): v for (i, j), v in a.items()}

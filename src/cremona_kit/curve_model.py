@@ -15,12 +15,17 @@ the genus of a curve with such a point comes out too large.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import InvalidCurveData
-from .exact_algebra import TRI_X, TRI_Y, TRI_Z, RationalLike, TriHomPoly, _frac, tri_content_gcd
+from .exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, _frac, tri_content_gcd
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact_algebra import RationalLike
 
 
 class PointSpec(Record):
@@ -29,7 +34,7 @@ class PointSpec(Record):
     __slots__ = ("label", "coords")
 
     def __init__(
-        self, label: str, coords: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+        self, label: str, coords: tuple[Fraction, Fraction, Fraction] | None = None
     ) -> None:
         if not isinstance(label, str) or not label:
             raise InvalidCurveData("point labels must be nonempty strings")
@@ -86,8 +91,8 @@ class PlaneCurveModel(Record):
     def __init__(
         self,
         degree: int,
-        singularities: Tuple[SingularityData, ...] = (),
-        defining_poly: Optional[TriHomPoly] = None,
+        singularities: tuple[SingularityData, ...] = (),
+        defining_poly: TriHomPoly | None = None,
     ) -> None:
         self._init(degree, tuple(singularities), defining_poly)
         failures = [
@@ -99,7 +104,7 @@ class PlaneCurveModel(Record):
             msgs = "; ".join(f"{c.name}: {c.detail}" for c in failures)
             raise InvalidCurveData(msgs)
 
-    def mult_map(self) -> Dict[str, int]:
+    def mult_map(self) -> dict[str, int]:
         return {s.label: s.multiplicity for s in self.singularities}
 
 
@@ -155,10 +160,10 @@ def is_perfect_power(f: TriHomPoly) -> bool:
 def _structural_checks(
     degree: int,
     singularities: Sequence[SingularityData],
-    defining_poly: Optional[TriHomPoly],
-) -> List[CurveCheck]:
+    defining_poly: TriHomPoly | None,
+) -> list[CurveCheck]:
     """Constructor-level checks (everything except coordinate verification)."""
-    checks: List[CurveCheck] = []
+    checks: list[CurveCheck] = []
     ok = type(degree) is int and degree >= 1  # bool and other int subclasses refused
     checks.append(
         CurveCheck("degree-positive", ok, "" if ok else f"degree {degree} must be >= 1")
@@ -209,7 +214,7 @@ def _structural_checks(
 def validate_curve_data(
     degree: int,
     singularities: Sequence[SingularityData],
-    defining_poly: Optional[TriHomPoly] = None,
+    defining_poly: TriHomPoly | None = None,
 ) -> CurveReport:
     """Full report-style validation, including multiplicity verification.
 

@@ -1,24 +1,27 @@
 """Exact arithmetic tower used by every other module.
 
-Four layers, all immutable and exact:
+Three layers over the rationals, all immutable and exact:
 
-* ``Rational``   -- alias of :class:`fractions.Fraction` (arbitrary
-  precision, always reduced, denominator positive).
-* ``UniPoly``    -- univariate polynomials over the rationals.
+* ``UniPoly``    -- univariate polynomials.
 * ``RatFunc``    -- reduced fractions of univariate polynomials with a
   monic denominator.
 * ``TriHomPoly`` -- homogeneous polynomials in x, y, z.
 
-Both polynomial classes store one integer form (``_Poly``), built from
-rationals by ``_Poly._integer_form`` alone: a body over Z and a positive
-denominator prime to its content.  A ``TriHomPoly`` body is F(x, y), for
-F / den homogenised with z; a ``UniPoly`` body is keyed (e, 0), as the GCD
-reads it.  Arithmetic, the substitution kernel and the GCD run on the
-bodies; ``coeffs`` and ``terms`` are views of them, computed on each read.
-Nothing in the package reads those views: a Fraction is built only when a
-caller reads ``coeffs``, ``terms`` or ``coeff()``, hashes a polynomial or
-calls ``tri_divrem``, the Fraction lex division kept as a public name.  No
-division, text form or evaluation is left: ``str()`` prints the ``repr``.
+A coefficient is given as an int, a string "p/q" or a
+:class:`fractions.Fraction`.  Both polynomial classes store one integer
+form (``_Poly``), built from rationals by ``_Poly._integer_form`` alone: a
+body over Z and a positive denominator prime to its content.  A
+``TriHomPoly`` body is F(x, y), for F / den homogenised with z; a
+``UniPoly`` body is keyed (e, 0), as the GCD reads it.  Arithmetic, the
+substitution kernel and the GCD run on the bodies; ``coeffs`` and ``terms``
+are views of them, computed on each read.  Nothing in the package reads
+those views.  A Fraction is built only when a caller reads ``coeffs``,
+``terms`` or ``coeff()``, hashes a polynomial, calls ``tri_divrem`` (the
+Fraction lex division kept as a public name), builds a ``TriHomPoly`` by
+its constructor, ``of`` or ``monomial``, which read every coefficient as a
+Fraction, or gives ``UniPoly`` a coefficient that is not an int.  Only
+those functions import ``fractions``, so a process that builds no Fraction
+never loads it.  No division, text form or evaluation is left: ``str()`` prints the ``repr``.
 
 The substitution kernel, ``_substitute``, evaluates one to three
 polynomials of one degree at one image triple by a Kronecker substitution on
@@ -52,21 +55,27 @@ import itertools
 import math
 import struct
 from bisect import insort
-from fractions import Fraction
+from collections.abc import Iterator, Mapping, Sequence
 from operator import sub
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 
-Rational = Fraction
+# Names for annotations alone, which every module leaves unevaluated; type
+# checkers take TYPE_CHECKING as true.  A function that builds a Fraction
+# imports fractions itself, so a process that builds none never loads it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-Exponents = Tuple[int, int, int]
+    RationalLike = int | str | Fraction
 
-RationalLike = Union[int, str, Fraction]
+Exponents = tuple[int, int, int]
 
 
 def _frac(value: RationalLike) -> Fraction:
     """Coerce to Fraction, refusing floats (exactness is the whole point)."""
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -76,7 +85,7 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _ratio(value: RationalLike) -> Tuple[int, int]:
+def _ratio(value: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of ``_frac(value)``; an int builds no Fraction."""
     if type(value) is int:
         return value, 1
@@ -107,7 +116,7 @@ class _Poly:
         return cls._sorted(body, den)
 
     @staticmethod
-    def _integer_form(terms: Mapping[Tuple[int, int], Tuple[int, int]]) -> Tuple[_BiPoly, int]:
+    def _integer_form(terms: Mapping[tuple[int, int], tuple[int, int]]) -> tuple[_BiPoly, int]:
         """(body, den) with body / den the sum of p / q at each key e of {e: (p, q)},
         q > 0: den is the lcm of the q of nonzero p, and the body is in decreasing
         lex order with no zero coefficient.  ``_store`` divides out their gcd."""
@@ -217,7 +226,7 @@ class UniPoly(_Poly, Record):
     __slots__ = ()
     _fields = ("coeffs",)
 
-    def __init__(self, coeffs: Tuple[Fraction, ...] = ()) -> None:
+    def __init__(self, coeffs: tuple[Fraction, ...] = ()) -> None:
         self._store(*self._integer_form({(e, 0): _ratio(c) for e, c in enumerate(coeffs)}))
 
     @classmethod
@@ -239,7 +248,9 @@ class UniPoly(_Poly, Record):
         return cls._sorted({(1, 0): 1})
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         body, den = self._body, self._den
         return tuple(Fraction(body.get((e, 0), 0), den) for e in range(self.degree + 1))
 
@@ -248,6 +259,8 @@ class UniPoly(_Poly, Record):
         return next(iter(self._body))[0] if self._body else -1
 
     def coeff(self, e: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._body.get((e, 0), 0), self._den)
 
     def derivative(self) -> "UniPoly":
@@ -291,7 +304,7 @@ class RatFunc(Record):
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def of(cls, value: Union["RatFunc", UniPoly, RationalLike]) -> "RatFunc":
+    def of(cls, value: RatFunc | UniPoly | RationalLike) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
         if isinstance(value, UniPoly):
@@ -325,7 +338,7 @@ class RatFunc(Record):
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-RatFunc.of(other))
 
-    def __mul__(self, other: Union["RatFunc", UniPoly, RationalLike]) -> "RatFunc":
+    def __mul__(self, other: RatFunc | UniPoly | RationalLike) -> "RatFunc":
         other = RatFunc.of(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -355,13 +368,13 @@ class TriHomPoly(_Poly, Record):
     __slots__ = ("degree",)
     _fields = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Tuple[Tuple[Exponents, Fraction], ...] = ()) -> None:
+    def __init__(self, degree: int, terms: tuple[tuple[Exponents, Fraction], ...] = ()) -> None:
         # bool and float refused: the JSON writer would print them as such.
         if type(degree) is not int:
             raise TypeError(f"homogeneous degree must be an int, got {degree!r}")
         if degree < 0:
             raise ValueError("homogeneous degree must be >= 0")
-        acc: Dict[Tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Fraction] = {}
         for exps, coeff in terms:
             i, j, k = exps
             if not type(i) is type(j) is type(k) is int:
@@ -388,7 +401,7 @@ class TriHomPoly(_Poly, Record):
     def of(
         cls,
         terms: Mapping[Exponents, RationalLike],
-        degree: Optional[int] = None,
+        degree: int | None = None,
     ) -> "TriHomPoly":
         items = [(tuple(e), _frac(c)) for e, c in terms.items()]
         if degree is None:
@@ -407,11 +420,15 @@ class TriHomPoly(_Poly, Record):
         return cls(sum(exps), ((tuple(exps), _frac(coeff)),))  # type: ignore[arg-type]
 
     @property
-    def terms(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
+        from fractions import Fraction
+
         d, den = self.degree, self._den
         return tuple(((i, j, d - i - j), Fraction(c, den)) for (i, j), c in self._body.items())
 
     def coeff(self, exps: Exponents) -> Fraction:
+        from fractions import Fraction
+
         i, j, k = exps
         return Fraction(self._body.get((i, j), 0) if i + j + k == self.degree else 0, self._den)
 
@@ -438,7 +455,7 @@ class TriHomPoly(_Poly, Record):
         return _substitute((self,), images)[0]
 
 
-def _substitute(polys: Sequence[TriHomPoly], images: Sequence[TriHomPoly]) -> List[TriHomPoly]:
+def _substitute(polys: Sequence[TriHomPoly], images: Sequence[TriHomPoly]) -> list[TriHomPoly]:
     """Each of one to three polynomials of one degree d evaluated at three
     homogeneous images of one common degree.
 
@@ -479,9 +496,9 @@ def _substitute(polys: Sequence[TriHomPoly], images: Sequence[TriHomPoly]) -> Li
 
 
 TriHomPoly._ONE = TriHomPoly._sorted(0, {(0, 0): 1})
-TRI_X = TriHomPoly.monomial((1, 0, 0))
-TRI_Y = TriHomPoly.monomial((0, 1, 0))
-TRI_Z = TriHomPoly.monomial((0, 0, 1))
+TRI_X = TriHomPoly._sorted(1, {(1, 0): 1})
+TRI_Y = TriHomPoly._sorted(1, {(0, 1): 1})
+TRI_Z = TriHomPoly._sorted(1, {(0, 0): 1})
 
 
 def homogenize_uni(p: UniPoly, axis: int, degree: int) -> TriHomPoly:
@@ -498,7 +515,7 @@ def homogenize_uni(p: UniPoly, axis: int, degree: int) -> TriHomPoly:
 # -- lex division and divisibility ------------------------------------------
 
 
-def tri_divrem(f: TriHomPoly, c: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly]:
+def tri_divrem(f: TriHomPoly, c: TriHomPoly) -> tuple[TriHomPoly, TriHomPoly]:
     """Single-divisor division in lex order: f = q*c + r, no term of r
     divisible by the leading monomial of c."""
     if c.is_zero:
@@ -509,8 +526,8 @@ def tri_divrem(f: TriHomPoly, c: TriHomPoly) -> Tuple[TriHomPoly, TriHomPoly]:
     (ce, cc) = c.terms[0]
     cdict = dict(c.terms)
     p = dict(f.terms)
-    q: Dict[Exponents, Fraction] = {}
-    r: Dict[Exponents, Fraction] = {}
+    q: dict[Exponents, Fraction] = {}
+    r: dict[Exponents, Fraction] = {}
     # p holds no zeros, and the popped e strictly decreases, so each m is new.
     while p:
         e = max(p)
@@ -607,7 +624,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_PRIMES: List[int] = []
+_PRIMES: list[int] = []
 
 
 def _primes() -> Iterator[int]:
@@ -626,13 +643,13 @@ def _primes() -> Iterator[int]:
 # no trailing zeros.
 
 
-def _trim(a: List[int]) -> List[int]:
+def _trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _udivmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+def _udivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     r = list(a)
     db = len(b) - 1
     q = [0] * max(len(r) - db, 0)
@@ -646,7 +663,7 @@ def _udivmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
     return q, _trim(r[:db])
 
 
-def _ugcd(a: List[int], b: List[int], p: int) -> List[int]:
+def _ugcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd mod p; the gcd of two zero polynomials is zero."""
     while b:
         a, b = b, _udivmod(a, b, p)[1]
@@ -656,7 +673,7 @@ def _ugcd(a: List[int], b: List[int], p: int) -> List[int]:
     return [c * inv % p for c in a]
 
 
-def _umul(a: List[int], b: List[int], p: int) -> List[int]:
+def _umul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -666,7 +683,7 @@ def _umul(a: List[int], b: List[int], p: int) -> List[int]:
     return [c % p for c in out]
 
 
-def _ueval(a: List[int], t: int, p: int) -> int:
+def _ueval(a: list[int], t: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
         acc = (acc * t + c) % p
@@ -676,7 +693,7 @@ def _ueval(a: List[int], t: int, p: int) -> int:
 # Bivariate polynomials: over Z as {(i, j): coefficient of x^i y^j}; mod p
 # as rows, row i the univariate polynomial in y multiplying x^i.
 
-_BiPoly = Dict[Tuple[int, int], int]
+_BiPoly = dict[tuple[int, int], int]
 
 
 def _bimul(a: _BiPoly, b: _BiPoly) -> _BiPoly:
@@ -720,7 +737,7 @@ def _content_free(F: _BiPoly) -> _BiPoly:
     return F if g == 1 else {e: c // g for e, c in F.items()}
 
 
-def _exact_quotient(F: _BiPoly, C: _BiPoly) -> Optional[_BiPoly]:
+def _exact_quotient(F: _BiPoly, C: _BiPoly) -> _BiPoly | None:
     """F / C for a primitive C, or None when C does not divide F.
 
     Lex division on integers.  By Gauss's lemma a quotient of an integral F
@@ -778,8 +795,8 @@ def _divides(c: TriHomPoly, degree: int, F: _BiPoly) -> bool:
     return _exact_quotient(F, _content_free(C)) is not None
 
 
-def _rows(F: _BiPoly, p: int) -> List[List[int]]:
-    rows: List[List[int]] = [[] for _ in range(max(i for i, _ in F) + 1)]
+def _rows(F: _BiPoly, p: int) -> list[list[int]]:
+    rows: list[list[int]] = [[] for _ in range(max(i for i, _ in F) + 1)]
     for (i, j), c in F.items():
         row = rows[i]
         if len(row) <= j:
@@ -788,9 +805,9 @@ def _rows(F: _BiPoly, p: int) -> List[List[int]]:
     return [_trim(r) for r in rows]
 
 
-def _primitive(rows: List[List[int]], p: int) -> Tuple[List[int], List[List[int]]]:
+def _primitive(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
     """(content, primitive part) in Z_p[y][x]."""
-    content: List[int] = []
+    content: list[int] = []
     for r in rows:
         content = _ugcd(content, r, p)
         if len(content) == 1:
@@ -799,8 +816,8 @@ def _primitive(rows: List[List[int]], p: int) -> Tuple[List[int], List[List[int]
 
 
 def _gcd_mod(
-    A: List[List[int]], B: List[List[int]], p: int, points: Iterator[int]
-) -> List[List[int]]:
+    A: list[list[int]], B: list[list[int]], p: int, points: Iterator[int]
+) -> list[list[int]]:
     """gcd of A and B in Z_p[x, y] with lex-leading coefficient one, or a
     multiple of it if every point taken from ``points`` is unlucky.  Both
     x-leading rows are nonzero."""
@@ -838,7 +855,7 @@ def _gcd_mod(
     return [[c * inv % p for c in r] for r in rows]
 
 
-def _lines(F: _BiPoly, t: int) -> Tuple[List[int], List[int]]:
+def _lines(F: _BiPoly, t: int) -> tuple[list[int], list[int]]:
     """The coefficients of F(x, t) and of F(t, y), constant term first."""
     fx, fy = [0] * (max(F)[0] + 1), [0] * (max(j for _, j in F) + 1)
     powers = [t**e for e in range(max(len(fx), len(fy)))]
@@ -848,14 +865,14 @@ def _lines(F: _BiPoly, t: int) -> Tuple[List[int], List[int]]:
     return fx, fy
 
 
-def _reduced(h: List[int]) -> List[int]:
+def _reduced(h: list[int]) -> list[int]:
     """h in Z[x] without its content, power of x and trailing zeros; [] for 0."""
     g = math.gcd(*h)
     h = _trim([c // g for c in h]) if g else []
     return h[next((e for e, c in enumerate(h) if c), 0) :]
 
 
-def _coprime_lines(f: List[int], g: List[int]) -> bool:
+def _coprime_lines(f: list[int], g: list[int]) -> bool:
     """True only if f and g in Z[x], by their coefficients, share no factor
     of positive degree: not both vanish at 0, and their _reduced forms hold a
     nonzero constant or pass the lemma at xi = 2^s >= 2N + 2, and >= 2^64 if
@@ -880,7 +897,7 @@ def _coprime(F: _BiPoly, G: _BiPoly) -> bool:
 _PACKED_BITS = 250_000  # the largest packed operand; crossover in CHANGES.md
 
 
-def _packed_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
+def _packed_parts(F: _BiPoly, G: _BiPoly) -> tuple[_BiPoly, _BiPoly, _BiPoly] | None:
     """(C, F / C, G / C) from the packed gcd, or None.  The slots fit the lesser
     top coefficient of F and G, and 8 bits more for an integer cofactor: so
     N >= 1, and C, read at every slot up to N's top digit, is nonzero."""
@@ -904,7 +921,7 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
     the last prime; a constant is yielded only when proven by Brown's."""
     lf, lg = F[max(F)], G[max(G)]
     scale = math.gcd(lf, lg)
-    lead: Optional[Tuple[int, int]] = None
+    lead: tuple[int, int] | None = None
     # Each prime takes fresh points, so a point unlucky over Z is used once.
     points = itertools.count(_POINT)
     for p in _primes():
@@ -931,7 +948,7 @@ def _candidates(F: _BiPoly, G: _BiPoly) -> Iterator[_BiPoly]:
         last = lifted
 
 
-def _gcd_parts(F: _BiPoly, G: _BiPoly) -> Optional[Tuple[_BiPoly, _BiPoly, _BiPoly]]:
+def _gcd_parts(F: _BiPoly, G: _BiPoly) -> tuple[_BiPoly, _BiPoly, _BiPoly] | None:
     """(C, F / C, G / C) for nonzero F and G, C their gcd, primitive and keyed
     in decreasing lex order; None when the gcd is proven constant: by a
     constant F or G, or routes 1-3.  The test reads no key order, as _common
@@ -967,7 +984,7 @@ def _axpy(F: _BiPoly, s: int, G: _BiPoly) -> _BiPoly:
 _LAMBDA = 3
 
 
-def _common(Fs: List[_BiPoly]) -> Tuple[Optional[_BiPoly], List[_BiPoly]]:
+def _common(Fs: list[_BiPoly]) -> tuple[_BiPoly | None, list[_BiPoly]]:
     """(C, [F / C for F in Fs]) for one to three nonzero Fs, C their gcd,
     primitive and keyed in decreasing lex order; (None, Fs) when it is 1.
 
@@ -1006,7 +1023,7 @@ def _common(Fs: List[_BiPoly]) -> Tuple[Optional[_BiPoly], List[_BiPoly]]:
 
 def _primitive_parts(
     polys: Sequence[_Poly], normalise: bool = False
-) -> Tuple[_Poly, Tuple[_Poly, ...]]:
+) -> tuple[_Poly, tuple[_Poly, ...]]:
     """(content, parts) of UniPolys or of TriHomPolys, the front end of every
     gcd with cofactors: the lex-normalised (for UniPolys, monic) gcd of the
     nonzero polys (all zero is refused) and each poly divided by it, zero for

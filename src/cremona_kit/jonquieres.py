@@ -34,8 +34,6 @@ when a2 = 0 and 0 when a1 = 0.
 
 from __future__ import annotations
 
-from typing import Union
-
 from ._record import Record
 from .cremona_maps import CremonaMap, _jonquieres_map
 from .errors import GroupMismatch, InvalidElement
@@ -51,7 +49,7 @@ from .exact_algebra import (
 
 PGL_INFINITE = "infinite"
 
-PglOrder = Union[int, str]
+PglOrder = int | str
 
 
 def _check_h(h: UniPoly) -> None:
@@ -125,7 +123,9 @@ def _order(lam: RatFunc, scalar: bool) -> PglOrder:
     """
     if not lam.is_constant:
         return PGL_INFINITE
-    value = lam.constant_value
+    # The constant is body / den in lowest terms: an integer only when den is 1.
+    num = lam.num
+    value = num._body.get((0, 0), 0) if num._den == 1 else None
     if value == 4:
         return 1 if scalar else PGL_INFINITE
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(value, PGL_INFINITE)

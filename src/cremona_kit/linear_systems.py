@@ -32,8 +32,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from operator import itemgetter, mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .curve_model import PlaneCurveModel
@@ -44,7 +44,7 @@ from .errors import (
     NegativeMultiplicity,
 )
 
-Mults = Union[Mapping[str, int], Iterable[Tuple[str, int]]]
+Mults = Mapping[str, int] | Iterable[tuple[str, int]]
 
 
 class LinSysData(Record):
@@ -56,11 +56,11 @@ class LinSysData(Record):
 
     __slots__ = ("degree", "mults", "_sums")
 
-    def __init__(self, degree: int, mults: Tuple[Tuple[str, int], ...] = ()) -> None:
+    def __init__(self, degree: int, mults: tuple[tuple[str, int], ...] = ()) -> None:
         if type(degree) is not int or degree < 0:  # bool and other int subclasses refused
             fault = "negative" if type(degree) is int else "non-integer"
             raise DegenerateSystem(f"linear system with {fault} degree {degree!r}")
-        seen: Dict[str, int] = {}
+        seen: dict[str, int] = {}
         for label, m in mults:
             if type(m) is not int or m < 0:
                 fault = "negative" if type(m) is int else "non-integer"
@@ -73,7 +73,7 @@ class LinSysData(Record):
         object.__setattr__(self, "mults", tuple(sorted(seen.items())))
 
     @classmethod
-    def _sorted(cls, degree: int, mults: Tuple[Tuple[str, int], ...]) -> "LinSysData":
+    def _sorted(cls, degree: int, mults: tuple[tuple[str, int], ...]) -> "LinSysData":
         """Trusted constructor of the form ``__init__`` builds: degree >= 0,
         labels distinct and sorted, every multiplicity >= 1."""
         L = object.__new__(cls)
@@ -93,7 +93,7 @@ class LinSysData(Record):
     def mult(self, label: str) -> int:
         return dict(self.mults).get(label, 0)
 
-    def labels(self) -> Tuple[str, ...]:
+    def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.mults)
 
     def __str__(self) -> str:
@@ -103,7 +103,7 @@ class LinSysData(Record):
         return f"({self.degree}; {inner})"
 
 
-def _sums(L: LinSysData) -> Tuple[int, int]:
+def _sums(L: LinSysData) -> tuple[int, int]:
     """(sum mu, sum mu^2), computed once per system."""
     try:
         return L._sums
@@ -131,13 +131,13 @@ def self_intersection(L: LinSysData) -> int:
     return L.degree**2 - _sums(L)[1]
 
 
-def _numerical_data(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
+def _numerical_data(source: PlaneCurveModel | LinSysData) -> LinSysData:
     if isinstance(source, PlaneCurveModel):
         return LinSysData.of(source.degree, source.mult_map())
     return source
 
 
-def adjoint_raw(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
+def adjoint_raw(source: PlaneCurveModel | LinSysData) -> LinSysData:
     """(d; m_i) -> (d-3; m_i-1), defined only above genus 1.
 
     Accepts a curve model or a linear system; only the numerical data
@@ -152,7 +152,7 @@ def adjoint_raw(source: Union[PlaneCurveModel, LinSysData]) -> LinSysData:
 
 # -- fixed-component removal --------------------------------------------------
 
-_Rule = Tuple[str, Tuple[str, ...]]
+_Rule = tuple[str, tuple[str, ...]]
 
 
 class RemovedComponent(Record):
@@ -162,12 +162,12 @@ class RemovedComponent(Record):
     __slots__ = ("kind", "labels", "count", "system")
 
     @classmethod
-    def single(cls, kind: str, labels: Tuple[str, ...], count: int) -> "RemovedComponent":
+    def single(cls, kind: str, labels: tuple[str, ...], count: int) -> "RemovedComponent":
         degree = 1 if kind == "line" else 2
         return cls(kind, labels, count, LinSysData._sorted(degree, tuple((l, 1) for l in labels)))
 
 
-def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> Optional[_Rule]:
+def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> _Rule | None:
     """The first Bezout rule that applies to the sorted ``labels`` with
     multiplicities ``m`` >= 1, or None.
 
@@ -186,14 +186,14 @@ def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> Optional[_Ru
     top5 = sorted(m, reverse=True)[:5]
     if (k < 2 or top5[0] + top5[1] <= n) and (k < 5 or sum(top5) <= 2 * n):
         return None
-    top: List[Tuple[int, ...]] = [()] * (k + 1)  # top[i]: four largest of m[i:]
+    top: list[tuple[int, ...]] = [()] * (k + 1)  # top[i]: four largest of m[i:]
     for i in range(k - 1, -1, -1):
         top[i] = tuple(sorted(top[i + 1] + (m[i],), reverse=True)[:4])
     for i in range(k - 1):
         if m[i] + top[i + 1][0] > n:
             j = next(j for j in range(i + 1, k) if m[i] + m[j] > n)
             return "line", (labels[i], labels[j])
-    chosen: List[int] = []
+    chosen: list[int] = []
     total = 0
     for left in range(5, 0, -1):  # points still to choose, this one included
         for i in range(chosen[-1] + 1 if chosen else 0, k - left + 1):
@@ -206,7 +206,7 @@ def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> Optional[_Ru
 
 def remove_fixed_components(
     L: LinSysData,
-) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+) -> tuple[LinSysData, tuple[RemovedComponent, ...]]:
     """Subtract forced lines and conics until no Bezout rule applies.
 
     Deterministic order: at each step the first applicable rule is taken,
@@ -223,7 +223,7 @@ def remove_fixed_components(
     negative.  Numerically empty inputs carry no such guarantee.
     """
     n, labels, m = L.degree, list(map(itemgetter(0), L.mults)), list(map(itemgetter(1), L.mults))
-    counts: Dict[_Rule, int] = {}
+    counts: dict[_Rule, int] = {}
     while (rule := _first_rule(n, labels, m)) is not None:
         n -= 1 if rule[0] == "line" else 2
         if n < 0:
@@ -253,7 +253,7 @@ class PencilReduction(Record):
     __slots__ = ("content", "pencil")
 
 
-def pencil_decompose(L: LinSysData) -> Optional[PencilReduction]:
+def pencil_decompose(L: LinSysData) -> PencilReduction | None:
     """Detect a system composed of a rational pencil, numerically.
 
     Returns (c, P) when degree and multiplicities share a content c >= 2
@@ -304,7 +304,7 @@ def adjoint_step(L: LinSysData) -> ChainStep:
     """Adjoint of a system followed by removal and pencil reduction."""
     raw = adjoint_raw(L)
     reduced, removed = remove_fixed_components(raw)
-    warnings: List[str] = []
+    warnings: list[str] = []
     # The reduced system has dimension >= 1 (see the module docstring), and
     # a fixed-part-free one meets itself nonnegatively off the base points;
     # a negative count here means a fixed component beyond lines and conics
@@ -318,7 +318,7 @@ def adjoint_step(L: LinSysData) -> ChainStep:
     return ChainStep(L, raw, removed, reduced, pr, tuple(warnings))
 
 
-def _classify_terminal(g: int, dim: int) -> Tuple[Classification, Optional[str]]:
+def _classify_terminal(g: int, dim: int) -> tuple[Classification, str | None]:
     if g == 0 and dim == 1:
         return Classification.RATIONAL_PENCIL, None
     if g == 1 and dim == 1:
@@ -334,7 +334,7 @@ def _classify_terminal(g: int, dim: int) -> Tuple[Classification, Optional[str]]
     )
 
 
-def adjoint_chain(source: Union[PlaneCurveModel, LinSysData]) -> ChainReport:
+def adjoint_chain(source: PlaneCurveModel | LinSysData) -> ChainReport:
     """Iterate the adjoint until the general member has genus <= 1.
 
     The chain starts from the numerical data of a curve (or system) of
@@ -349,8 +349,8 @@ def adjoint_chain(source: Union[PlaneCurveModel, LinSysData]) -> ChainReport:
     if g <= 1:
         raise AdjointDoesNotExist(f"adjoint chain requires genus > 1, got genus {g}")
     max_steps = current.degree // 3 + 1
-    steps: List[ChainStep] = []
-    warnings: List[str] = []
+    steps: list[ChainStep] = []
+    warnings: list[str] = []
     while g > 1:
         if len(steps) > max_steps:
             raise AssertionError("adjoint chain failed to terminate")

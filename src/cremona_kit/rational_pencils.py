@@ -22,7 +22,7 @@ the two equations are the whole contract.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, List, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import EnumerationBoundExceeded, InvalidAssignment
@@ -36,7 +36,7 @@ class PencilType(Record):
 
     __slots__ = ("degree", "mults")
 
-    def __init__(self, degree: int, mults: Tuple[int, ...] = ()) -> None:
+    def __init__(self, degree: int, mults: tuple[int, ...] = ()) -> None:
         ms = tuple(mults)
         for v in (degree, *ms):
             if type(v) is not int:  # bool and other int subclasses included
@@ -93,7 +93,7 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
     return 6 * p.degree - 2 * sum(ns)
 
 
-def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int, ...]]:
+def _partitions(total: int, square_total: int, max_part: int) -> list[tuple[int, ...]]:
     """Non-increasing tuples of parts >= 1 with the given sum and square sum,
     in decreasing lexicographic order.  With (t, s) left to fill by parts
     <= cap, the parts p that leave a solvable rest are one range:
@@ -101,9 +101,9 @@ def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int,
     the rest is all ones.  Once cap <= 3 it is a 3s, b 2s and c 1s with
     6a + 2b = s - t and 3a + 2b + c = t: one rest per a, from the largest
     down while c >= 0, with a = 0 under cap 2 and none under cap 1."""
-    found: List[Tuple[int, ...]] = []
-    head: List[int] = []  # the part taken at each open level
-    levels: List[List[int]] = []  # per open level: [next part, lowest part, t, s]
+    found: list[tuple[int, ...]] = []
+    head: list[int] = []  # the part taken at each open level
+    levels: list[list[int]] = []  # per open level: [next part, lowest part, t, s]
     t, s, cap = total, square_total, max_part
     while True:
         if s == t and (cap > 0 or t == 0):
@@ -132,7 +132,7 @@ def _partitions(total: int, square_total: int, max_part: int) -> List[Tuple[int,
 
 def enumerate_pencil_types(
     n_max: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> Tuple[PencilType, ...]:
+) -> tuple[PencilType, ...]:
     """All valid pencil types with degree <= n_max, deterministically ordered.
 
     The two equations pin sum(m) = 3n - 2 and sum(m^2) = n^2, so the
@@ -144,7 +144,7 @@ def enumerate_pencil_types(
             f"n_max {n_max} exceeds the enumeration bound {limit}"
         )
     set_degree, set_mults = PencilType._setters
-    out: List[PencilType] = []
+    out: list[PencilType] = []
     for n in range(1, n_max + 1):
         for parts in _partitions(3 * n - 2, n * n, n):
             p = object.__new__(PencilType)  # the walk's parts are sorted and valid

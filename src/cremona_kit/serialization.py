@@ -3,8 +3,9 @@
 Conventions:
 
 * rationals are exact strings ("3", "-1/2"): ASCII digits with an optional
-  sign and an optional "/q", and nothing around them; JSON integers are
-  accepted, floats are rejected everywhere;
+  sign and an optional "/q", and nothing around them, each part within
+  CPython's limit on ``int()`` of a string (4,300 digits by default); JSON
+  integers are accepted, floats are rejected everywhere;
 * univariate polynomials are sparse ``[[e], "c"]`` lists in ascending
   exponent order;
 * homogeneous trivariate polynomials are sparse ``[[i, j, k], "c"]``
@@ -25,10 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 from .curve_model import (
     CurveReport,
@@ -43,7 +42,12 @@ from .jonquieres import JonqElement, OrderReport
 from .linear_systems import ChainReport, ChainStep, LinSysData, RemovedComponent
 from .rational_pencils import PencilCheckReport, PencilType
 
-_Path = Tuple[Any, ...]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Any, NoReturn
+
+_Path = tuple[str | int, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -69,7 +73,7 @@ def _as(v: Any, kind: type, path: _Path) -> Any:
     _fail(path, f"expected {_KINDS[kind]}, got {type(v).__name__}")
 
 
-def _get(obj: Dict[str, Any], key: str, path: _Path, kind: Optional[type] = None) -> Any:
+def _get(obj: dict[str, Any], key: str, path: _Path, kind: type | None = None) -> Any:
     if key not in obj:
         _fail(path + (key,), "missing required field")
     return obj[key] if kind is None else _as(obj[key], kind, path + (key,))
@@ -78,17 +82,22 @@ def _get(obj: Dict[str, Any], key: str, path: _Path, kind: Optional[type] = None
 # -- rationals ----------------------------------------------------------------
 
 
-def _read_rational(v: Any, path: _Path) -> Tuple[int, int]:
+def _read_rational(v: Any, path: _Path) -> tuple[int, int]:
     """(p, q) with v = p / q and q > 0, not necessarily in lowest terms."""
     if isinstance(v, str):
         if not _RATIONAL_RE.fullmatch(v):
             _fail(path, f"malformed rational {v!r}; expected \"p\" or \"p/q\"")
         # Checked by the pattern, so int() reads each part as Fraction(v) would.
         num, _, den = v.partition("/")
-        q = int(den or 1)
-        if not q:
-            _fail(path, f"rational {v!r} has a zero denominator")
-        return int(num), q
+        try:
+            q = int(den or 1)
+            if q:
+                return int(num), q
+        except ValueError:  # CPython's limit on int(str), sys.set_int_max_str_digits
+            digits = max(len(num.lstrip("+-")), len(den))
+            _fail(path, f"rational has a part of {digits} digits, above the limit of "
+                  "integer string conversion")
+        _fail(path, f"rational {v!r} has a zero denominator")
     if isinstance(v, bool):
         _fail(path, "expected a rational, got a boolean")
     if isinstance(v, int):
@@ -99,6 +108,8 @@ def _read_rational(v: Any, path: _Path) -> Tuple[int, int]:
 
 
 def decode_rational(v: Any, path: _Path) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(*_read_rational(v, path))
 
 
@@ -122,11 +133,11 @@ _ARITY = {
 _INT = {int}
 
 
-def _read_terms(v: Any, path: _Path, n: int) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+def _read_terms(v: Any, path: _Path, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """{exponents: (p, q)} of a list of terms [[e1, ..., en], c], n = 1 or 3,
     checked in order, so that the first failure names its field."""
     shape, count, negative, duplicate = _ARITY[n]
-    terms: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    terms: dict[tuple[int, ...], tuple[int, int]] = {}
     for t, item in enumerate(_as(v, list, path)):
         # One test passes the shape and exponents of a well-formed term; the
         # checks that name a field run only for a term that fails it.
@@ -160,12 +171,12 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     return UniPoly._sorted(*UniPoly._integer_form(terms))
 
 
-def encode_unipoly(p: UniPoly) -> List[Any]:
+def encode_unipoly(p: UniPoly) -> list[Any]:
     den = p._den
     return [[[e], _ratio_str(c, den)] for (e, _), c in reversed(p._body.items())]
 
 
-def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPoly:
+def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
     terms = _read_terms(v, path, 3)
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
@@ -182,7 +193,7 @@ def decode_trihom(v: Any, path: _Path, degree: Optional[int] = None) -> TriHomPo
     return TriHomPoly._sorted(degree, body, den)
 
 
-def encode_trihom(f: TriHomPoly) -> List[Any]:
+def encode_trihom(f: TriHomPoly) -> list[Any]:
     d, den = f.degree, f._den
     return [[[i, j, d - i - j], _ratio_str(c, den)] for (i, j), c in f._body.items()]
 
@@ -196,7 +207,7 @@ def decode_ratfunc(v: Any, path: _Path) -> RatFunc:
     return RatFunc(num, den)
 
 
-def encode_ratfunc(r: RatFunc) -> Dict[str, Any]:
+def encode_ratfunc(r: RatFunc) -> dict[str, Any]:
     return {"num": encode_unipoly(r.num), "den": encode_unipoly(r.den)}
 
 
@@ -205,12 +216,12 @@ def encode_ratfunc(r: RatFunc) -> Dict[str, Any]:
 
 def decode_curve_parts(
     v: Any,
-) -> Tuple[int, Tuple[SingularityData, ...], Optional[TriHomPoly]]:
+) -> tuple[int, tuple[SingularityData, ...], TriHomPoly | None]:
     """Decode the curve schema without enforcing model invariants."""
     obj = _as(v, dict, ())
     degree = _get(obj, "degree", (), int)
     sing_list = _get(obj, "singularities", (), list)
-    sings: List[SingularityData] = []
+    sings: list[SingularityData] = []
     for i, raw in enumerate(sing_list):
         spath = ("singularities", i)
         sobj = _as(raw, dict, spath)
@@ -241,7 +252,7 @@ def decode_curve(v: Any) -> PlaneCurveModel:
     return PlaneCurveModel(degree, sings, poly)
 
 
-def encode_curve(c: PlaneCurveModel) -> Dict[str, Any]:
+def encode_curve(c: PlaneCurveModel) -> dict[str, Any]:
     sings = []
     for s in sorted(c.singularities, key=lambda s: s.label):
         coords = None
@@ -255,7 +266,7 @@ def encode_curve(c: PlaneCurveModel) -> Dict[str, Any]:
     }
 
 
-def encode_curve_report(r: CurveReport) -> Dict[str, Any]:
+def encode_curve_report(r: CurveReport) -> dict[str, Any]:
     return {
         "passed": r.passed,
         "checks": [
@@ -282,11 +293,11 @@ def decode_linsys(v: Any, path: _Path = ()) -> LinSysData:
     return LinSysData.of(degree, mults)
 
 
-def encode_linsys(L: LinSysData) -> Dict[str, Any]:
+def encode_linsys(L: LinSysData) -> dict[str, Any]:
     return {"degree": L.degree, "mults": {l: m for l, m in L.mults}}
 
 
-def encode_removed(r: RemovedComponent) -> Dict[str, Any]:
+def encode_removed(r: RemovedComponent) -> dict[str, Any]:
     return {
         "kind": r.kind,
         "labels": list(r.labels),
@@ -295,7 +306,7 @@ def encode_removed(r: RemovedComponent) -> Dict[str, Any]:
     }
 
 
-def encode_chain_step(s: ChainStep) -> Dict[str, Any]:
+def encode_chain_step(s: ChainStep) -> dict[str, Any]:
     pencil = None
     if s.pencil_reduction is not None:
         pencil = {
@@ -312,7 +323,7 @@ def encode_chain_step(s: ChainStep) -> Dict[str, Any]:
     }
 
 
-def encode_chain_report(r: ChainReport) -> Dict[str, Any]:
+def encode_chain_report(r: ChainReport) -> dict[str, Any]:
     return {
         "steps": [encode_chain_step(s) for s in r.steps],
         "terminal": encode_linsys(r.terminal),
@@ -340,7 +351,7 @@ def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
     return CremonaMap.of(*polys)
 
 
-def encode_map(F: CremonaMap) -> Dict[str, Any]:
+def encode_map(F: CremonaMap) -> dict[str, Any]:
     return {
         "deg": F.degree,
         "components": [encode_trihom(c) for c in F.components],
@@ -358,7 +369,7 @@ def decode_jonq(v: Any, path: _Path = ()) -> JonqElement:
     return JonqElement(a1, a2, h)
 
 
-def encode_jonq(u: JonqElement) -> Dict[str, Any]:
+def encode_jonq(u: JonqElement) -> dict[str, Any]:
     return {
         "h": encode_unipoly(u.h),
         "a1": encode_ratfunc(u.a1),
@@ -366,7 +377,7 @@ def encode_jonq(u: JonqElement) -> Dict[str, Any]:
     }
 
 
-def encode_order_report(r: OrderReport) -> Dict[str, Any]:
+def encode_order_report(r: OrderReport) -> dict[str, Any]:
     return {
         "order": r.order,
         "lambda": encode_ratfunc(r.lam),
@@ -379,7 +390,7 @@ def encode_order_report(r: OrderReport) -> Dict[str, Any]:
 # -- pencil reports -----------------------------------------------------------------
 
 
-def encode_pencil_check(r: PencilCheckReport) -> Dict[str, Any]:
+def encode_pencil_check(r: PencilCheckReport) -> dict[str, Any]:
     return {
         "degree": r.degree,
         "mults": list(r.mults),
@@ -447,7 +458,7 @@ def _write(v: Any, newline: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _pencils(records: List[PencilType], newline: str) -> List[str]:
+def _pencils(records: list[PencilType], newline: str) -> list[str]:
     """Each record as {"degree": n, "mults": [...]}, at the indent of ``newline``."""
     inner, sep = newline + "  ", "," + newline + "    "
     full = '{%s"degree": %%r,%s"mults": [%s%%s%s]%s}' % (inner, inner, sep[1:], inner, newline)
@@ -458,7 +469,7 @@ def _pencils(records: List[PencilType], newline: str) -> List[str]:
     ]
 
 
-def _terms(items: List[list], newline: str) -> Optional[List[str]]:
+def _terms(items: list[list], newline: str) -> list[str] | None:
     """Each [[e, ...], "c"] of ``items`` from one template, at the indent of
     ``newline``; None unless every item is such a pair, its exponents exact
     ints of one arity and its coefficient an exact str."""

@@ -698,6 +698,24 @@ class TestSchemaRefusals:
         )
         assert run(capsys, "jonq-order", "--inline", json.dumps(element)) == (1, want)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() of a string has no limit here"
+    )
+    @pytest.mark.parametrize(
+        "num, den, at, digits",
+        [("1" * 5000, "1", "num", 5000), ("-" + "7" * 4301 + "/3", "1", "num", 4301),
+         ("1", "1/" + "3" * 5000, "den", 5000)],
+    )
+    def test_rational_above_the_integer_conversion_limit(self, capsys, num, den, at, digits):
+        # int() refuses a string of more than 4,300 digits by default.
+        element = json.loads(JONQ_ORDER.read_text())
+        element["a1"] = {"num": [[[0], num]], "den": [[[0], den]]}
+        want = schema_error(
+            f"$.a1.{at}[0][1]",
+            f"rational has a part of {digits} digits, above the limit of integer string conversion",
+        )
+        assert run(capsys, "jonq-order", "--inline", json.dumps(element)) == (1, want)
+
     def test_curve_coordinate_of_other_than_ascii_digits(self, capsys):
         sing = {"label": "p", "mult": 2, "coords": ["\u0661", "0", "1"]}
         curve = json.dumps({"degree": 4, "singularities": [sing], "poly": None})

@@ -331,6 +331,17 @@ class TestPglOrder:
             assert order_oracle(RatFunc.of(trace), RatFunc.of(det), False) == (order, lam)
         assert _order(RatFunc(T), True) == PGL_INFINITE
 
+    def test_order_of_every_constant_matches_the_fraction_reading(self):
+        """_order reads a constant lambda off the integer form; reading it as
+        a Fraction, as ``order_oracle`` does on trace 1 and det 1 / lambda,
+        gives the same order."""
+        for p in range(-9, 10):
+            for q in (1, 2, 3, 4, 7):
+                lam = RatFunc.of(Fraction(p, q))
+                for scalar in (True, False):
+                    want = order_oracle(RatFunc.of(1), lam.inverse(), scalar)[0] if p else 2
+                    assert _order(lam, scalar) == want, (p, q, scalar)
+
 
 class TestOrderReport:
     def test_involution_case(self):

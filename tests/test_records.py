@@ -11,6 +11,7 @@ pickle.
 
 import copy
 import dataclasses
+import json
 import pickle
 import subprocess
 import sys
@@ -231,15 +232,75 @@ def test_equal_field_tuples_of_two_classes_stay_unequal():
         assert hash(a) == hash(old_a) and hash(b) == hash(old_b)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+# Modules a CLI process leaves unloaded: fractions, with the decimal and numbers
+# it imports, until a Fraction is built, and typing, which no module imports.
+START_UP_FREE = ("fractions", "decimal", "numbers", "typing")
+
+
+def fresh(code: str, *flags: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter, with src/ first on its path."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); " + code
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_generates_no_code():
-    """A CLI process imports neither dataclasses nor inspect, nor the corpus."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    """A CLI process imports neither dataclasses nor inspect, nor the corpus;
+    without site (-S), which may import typing itself, building the parser
+    loads no module of START_UP_FREE either."""
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import cremona_kit.cli, cremona_kit; "
+        "import cremona_kit.cli, cremona_kit; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'cremona_kit.corpus') "
         "if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    assert fresh(code, "-I") == "[]"
+    code = (
+        "import cremona_kit.cli as cli; cli.build_parser(); "
+        f"print(sorted(m for m in {START_UP_FREE!r} if m in sys.modules))"
     )
-    assert out.stdout.strip() == "[]"
+    assert fresh(code, "-I", "-S") == "[]"
+
+
+# Small inputs of the commands that build no Fraction: (argv, exit code).
+_ELEMENT = (TESTS / "jonq_order.json").read_text()
+# a2 = 0: lambda is the constant 4, which jonq-order reads.
+_SCALAR = json.dumps({**json.loads(_ELEMENT), "a2": {"num": [], "den": [[[0], "1"]]}})
+_MAP = json.dumps({
+    "deg": 2,
+    "components": [[[[1, 1, 0], "-1/2"]], [[[0, 2, 0], "1"], [[1, 0, 1], "3"]], [[[0, 1, 1], "1"]]],
+})
+_COMMANDS = [
+    (["map-compose", "--inline", f'{{"outer": {_MAP}, "inner": {_MAP}}}'], 0),
+    (["map-fixcheck", "--inline", f'{{"map": {_MAP}, "curve": [[[1, 0, 0], "1"]]}}'], 0),
+    (["adjoint-chain", "--inline", '{"degree": 6, "singularities": [], "poly": null}'], 0),
+    (["classify", "--inline", '{"degree": 4, "singularities": [], "poly": null}'], 0),
+    (["pencil-enum", "--max", "6"], 0),
+    (["jonq-mul", (TESTS / "jonq_mul.json").as_posix()], 0),
+    (["jonq-order", "--inline", _ELEMENT], 0),
+    (["jonq-order", "--inline", _SCALAR], 0),
+    (["jonq-fix-check", "--inline", _ELEMENT], 0),
+]
+
+
+def test_commands_that_build_no_fraction_leave_fractions_unloaded():
+    """Each command runs in turn in one fresh process (-I -S); after each, none
+    of START_UP_FREE is loaded, so no command loaded one."""
+    code = (
+        "import io, json; from cremona_kit.cli import main; seen = []\n"
+        f"for argv in {[argv for argv, _ in _COMMANDS]!r}:\n"
+        "    sys.stdout = io.StringIO(); code = main(argv); sys.stdout = sys.__stdout__\n"
+        f"    seen.append([argv[0], code, [m for m in {START_UP_FREE!r} if m in sys.modules]])\n"
+        "print(json.dumps(seen))"
+    )
+    seen = json.loads(fresh(code, "-I", "-S"))
+    assert seen == [[argv[0], want, []] for argv, want in _COMMANDS]
+
+
+def test_views_still_read_as_fractions():
+    """The functions that build a Fraction import it themselves."""
+    assert [type(c) for c in UniPoly.of(1).coeffs] == [Fraction]
+    assert [type(c) for _, c in TRI_X.terms] == [Fraction] == [type(TRI_Z.coeff((0, 0, 1)))]
