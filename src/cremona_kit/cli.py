@@ -74,6 +74,13 @@ def _load_payload(args: argparse.Namespace) -> Any:
     except RecursionError:
         # The decoder recurses once per nesting level; report the input, not the stack.
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() of a JSON integer literal above CPython's limit, sys.set_int_max_str_digits.
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError("$", f"an integer has more than {limit} digits, the limit of "
+                          "integer string conversion") from None
 
 
 def _load_object(args: argparse.Namespace, a: str, b: str) -> dict[str, Any]:
@@ -115,7 +122,7 @@ def _cmd_classify(args) -> tuple[dict[str, Any], int]:
     report = adjoint_chain(model)
     return {
         "class": report.classification.value,
-        "terminal": ser.encode_linsys(report.terminal),
+        "terminal": report.terminal,
         "steps": len(report.steps),
         "warnings": list(report.warnings),
     }, EXIT_OK

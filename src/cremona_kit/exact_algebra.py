@@ -322,12 +322,6 @@ class RatFunc(Record):
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    @property
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("rational function is not constant")
-        return self.num.coeff(0)
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
         other = RatFunc.of(other)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)

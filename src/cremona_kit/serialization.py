@@ -13,8 +13,11 @@ Conventions:
 * emitted JSON always has sorted object keys and two-space indentation,
   so identical inputs produce byte-identical output;
 * ``dumps`` writes a list of ``[[e, ...], "c"]`` terms from one template
-  per indent, and a ``PencilType`` record as
-  ``{"degree": n, "mults": [...]}``.
+  per indent, a ``PencilType`` record as ``{"degree": n, "mults": [...]}``
+  from one template per degree and count of multiplicities, and a
+  ``LinSysData`` record as ``{"degree": n, "mults": {label: m, ...}}``,
+  once per record and indent: the chain encoders hand over the records,
+  which the steps of a chain share.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.  Both polynomial decoders read terms with one
@@ -293,40 +296,30 @@ def decode_linsys(v: Any, path: _Path = ()) -> LinSysData:
     return LinSysData.of(degree, mults)
 
 
-def encode_linsys(L: LinSysData) -> dict[str, Any]:
-    return {"degree": L.degree, "mults": {l: m for l, m in L.mults}}
-
-
 def encode_removed(r: RemovedComponent) -> dict[str, Any]:
-    return {
-        "kind": r.kind,
-        "labels": list(r.labels),
-        "count": r.count,
-        "system": encode_linsys(r.system),
-    }
+    return {"kind": r.kind, "labels": list(r.labels), "count": r.count, "system": r.system}
 
 
 def encode_chain_step(s: ChainStep) -> dict[str, Any]:
     pencil = None
     if s.pencil_reduction is not None:
-        pencil = {
-            "content": s.pencil_reduction.content,
-            "system": encode_linsys(s.pencil_reduction.pencil),
-        }
+        pencil = {"content": s.pencil_reduction.content, "system": s.pencil_reduction.pencil}
     return {
-        "input": encode_linsys(s.input),
-        "raw": encode_linsys(s.raw_adjoint),
+        "input": s.input,
+        "raw": s.raw_adjoint,
         "removed": [encode_removed(r) for r in s.removed_fixed],
         "pencil": pencil,
-        "output": encode_linsys(s.output),
+        "output": s.output,
         "warnings": list(s.warnings),
     }
 
 
 def encode_chain_report(r: ChainReport) -> dict[str, Any]:
+    """The report as ``dumps`` takes it: each system is its ``LinSysData``
+    record, which a chain shares between steps and ``dumps`` writes once."""
     return {
         "steps": [encode_chain_step(s) for s in r.steps],
-        "terminal": encode_linsys(r.terminal),
+        "terminal": r.terminal,
         "class": r.classification.value,
         "warnings": list(r.warnings),
     }
@@ -409,11 +402,12 @@ def dumps(payload: Any) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline, for the values the encoders emit: str, int, bool, None,
-    PencilType records (as {"degree": n, "mults": [...]}), and lists and
-    str-keyed dicts of them.  Anything else (a float, a tuple, a non-str key,
-    a subclass of int, str or PencilType) raises TypeError.
+    PencilType records (as {"degree": n, "mults": [...]}), LinSysData records
+    (as {"degree": n, "mults": {label: m, ...}}), and lists and str-keyed
+    dicts of them.  Anything else (a float, a tuple, a non-str key or label,
+    a subclass of int, str or of a record) raises TypeError.
     """
-    return _write(payload, "\n") + "\n"
+    return _write(payload, "\n", {}) + "\n"
 
 
 # The scalar formatters, keyed by exact type: a list of one scalar type is
@@ -423,12 +417,22 @@ _SCALARS = {str: _encode_str, int: repr, type(None): lambda v: "null"}
 _SCALARS[bool] = ("false", "true").__getitem__
 
 
-def _write(v: Any, newline: str) -> str:
-    """One value; ``newline`` is a line break plus the indent of its line."""
+def _write(v: Any, newline: str, memo: dict[tuple[int, str], str]) -> str:
+    """One value; ``newline`` is a line break plus the indent of its line.
+
+    ``memo`` holds the text of each LinSysData record already written, keyed
+    by its id and indent; the payload keeps every record alive meanwhile.
+    """
     kind = type(v)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         return scalar(v)
+    if kind is LinSysData:
+        key = (id(v), newline)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _linsys(v, newline)
+        return text
     inner = newline + "  "
     if kind is list:
         if not v:
@@ -441,7 +445,7 @@ def _write(v: Any, newline: str) -> str:
         elif kind is list and (terms := _terms(v, inner)) is not None:
             body = terms
         else:
-            body = map(scalar, v) if scalar else [_write(x, inner) for x in v]
+            body = map(scalar, v) if scalar else [_write(x, inner, memo) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if kind is dict:
         if not v:
@@ -451,22 +455,37 @@ def _write(v: Any, newline: str) -> str:
             x = v[k]
             scalar = _SCALARS.get(type(x))
             # _encode_str raises TypeError for a key that is not a str.
-            body.append(_encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner)))
+            body.append(
+                _encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner, memo))
+            )
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     if kind is PencilType:
         return _pencils([v], newline)[0]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _linsys(L: LinSysData, newline: str) -> str:
+    """L as {"degree": n, "mults": {label: m, ...}}, at the indent of ``newline``.
+    The record's labels are distinct and sorted, its numbers exact ints."""
+    inner = newline + "  "
+    mults = "{}"
+    if L.mults:
+        leaf = inner + "  "
+        # _encode_str raises TypeError for a label that is not a str.
+        pairs = ("," + leaf).join([_encode_str(l) + ": %d" % m for l, m in L.mults])
+        mults = "{" + leaf + pairs + inner + "}"
+    return '{%s"degree": %d,%s"mults": %s%s}' % (inner, L.degree, inner, mults, newline)
+
+
 def _pencils(records: list[PencilType], newline: str) -> list[str]:
-    """Each record as {"degree": n, "mults": [...]}, at the indent of ``newline``."""
+    """Each record as {"degree": n, "mults": [...]}, at the indent of ``newline``,
+    from one ``%d`` template per degree and count of multiplicities."""
     inner, sep = newline + "  ", "," + newline + "    "
-    full = '{%s"degree": %%r,%s"mults": [%s%%s%s]%s}' % (inner, inner, sep[1:], inner, newline)
-    empty = '{%s"degree": %%r,%s"mults": []%s}' % (inner, inner, newline)
-    return [
-        full % (p.degree, sep.join(map(repr, p.mults))) if p.mults else empty % p.degree
-        for p in records
-    ]
+    templates = {}
+    for n, k in {(p.degree, len(p.mults)) for p in records}:
+        mults = "[" + sep[1:] + sep.join(["%d"] * k) + inner + "]" if k else "[]"
+        templates[n, k] = '{%s"degree": %d,%s"mults": ' % (inner, n, inner) + mults + newline + "}"
+    return [templates[p.degree, len(p.mults)] % p.mults for p in records]
 
 
 def _terms(items: list[list], newline: str) -> list[str] | None:

@@ -56,6 +56,11 @@ and ``get_oracle``, the four type guards and the field reader that
 ``encode_pencil_type_oracle``, the dict that ``pencil-enum``
 built for each pencil type, is the oracle for the template through which
 ``serialization.dumps`` writes a ``PencilType`` record.
+``encode_linsys_oracle`` and the chain encoders built on it
+(``encode_removed_oracle``, ``encode_chain_step_oracle`` and
+``encode_chain_report_oracle``), which wrote each linear system as a fresh
+dict, are the oracles for the chain reports that hand ``dumps`` the
+``LinSysData`` records themselves.
 """
 
 from __future__ import annotations
@@ -413,6 +418,48 @@ def encode_pencil_type_oracle(p: PencilType) -> dict:
     return {"degree": p.degree, "mults": list(p.mults)}
 
 
+def encode_linsys_oracle(L: LinSysData) -> dict:
+    """The earlier ``serialization.encode_linsys``: the plain dict of a system."""
+    return {"degree": L.degree, "mults": {l: m for l, m in L.mults}}
+
+
+def encode_removed_oracle(r: RemovedComponent) -> dict:
+    return {
+        "kind": r.kind,
+        "labels": list(r.labels),
+        "count": r.count,
+        "system": encode_linsys_oracle(r.system),
+    }
+
+
+def encode_chain_step_oracle(s: ChainStep) -> dict:
+    pencil = None
+    if s.pencil_reduction is not None:
+        pencil = {
+            "content": s.pencil_reduction.content,
+            "system": encode_linsys_oracle(s.pencil_reduction.pencil),
+        }
+    return {
+        "input": encode_linsys_oracle(s.input),
+        "raw": encode_linsys_oracle(s.raw_adjoint),
+        "removed": [encode_removed_oracle(r) for r in s.removed_fixed],
+        "pencil": pencil,
+        "output": encode_linsys_oracle(s.output),
+        "warnings": list(s.warnings),
+    }
+
+
+def encode_chain_report_oracle(r) -> dict:
+    """The earlier ``serialization.encode_chain_report``, each system a fresh
+    dict of ``encode_linsys_oracle``."""
+    return {
+        "steps": [encode_chain_step_oracle(s) for s in r.steps],
+        "terminal": encode_linsys_oracle(r.terminal),
+        "class": r.classification.value,
+        "warnings": list(r.warnings),
+    }
+
+
 def lex_normalized(f: TriHomPoly) -> TriHomPoly:
     """Scale so the lex-leading coefficient (x > y > z) equals one."""
     lc = f.terms[0][1] if f.terms else 1
@@ -688,7 +735,7 @@ def order_oracle(trace: RatFunc, det: RatFunc, scalar: bool):
     lam = trace * trace * det.inverse()
     if not lam.is_constant:
         return PGL_INFINITE, lam
-    value = lam.constant_value
+    value = lam.num.coeff(0)  # the constant: den is 1 once lambda is reduced
     if value == 4:
         return (1 if scalar else PGL_INFINITE), lam
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(value, PGL_INFINITE), lam

@@ -59,6 +59,9 @@ PENCIL_ENUM_6_TEXT_SHA256 = (
 # 13 steps, fixed lines removed, ends in a rational pencil.
 CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
 CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
+# CHAIN_65 as a file, which the examples job of the CI workflow runs; its
+# chain removes a line at each of 10 of its 13 steps.
+CHAIN_65_FILE = Path(__file__).parent / "chain_65.json"
 CLASSIFY_65_SHA256 = "40f62162754c5c651c6806d9bc24b1b6ca1933ccdcc5e50cf02cb75420b7321d"
 # 9 steps, ends exhausted with two warnings.
 CHAIN_55 = (55, [22, 22, 4, 22, 3, 7, 22, 9, 11, 22, 10, 13, 5, 4])
@@ -448,6 +451,9 @@ class TestGoldenOutputs:
     def test_adjoint_chain_reports(self, capsys, system, want):
         assert self.digest(capsys, "adjoint-chain", "--inline", self.curve(*system)) == want
 
+    def test_adjoint_chain_of_the_file(self, capsys):
+        assert self.digest(capsys, "adjoint-chain", str(CHAIN_65_FILE)) == CHAIN_65_SHA256
+
     @pytest.mark.parametrize(
         "system, want",
         [(CHAIN_65, CLASSIFY_65_SHA256), (CHAIN_55, CLASSIFY_55_SHA256)],
@@ -715,6 +721,21 @@ class TestSchemaRefusals:
             f"rational has a part of {digits} digits, above the limit of integer string conversion",
         )
         assert run(capsys, "jonq-order", "--inline", json.dumps(element)) == (1, want)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() of a string has no limit here"
+    )
+    @pytest.mark.parametrize("literal", ["1" * 5000, "-" + "7" * 4301], ids=["5000", "-4301"])
+    def test_json_integer_above_the_integer_conversion_limit(self, capsys, literal):
+        # json.loads reads a number with int(), which raises a ValueError that
+        # is not a JSONDecodeError.
+        text = JONQ_ORDER.read_text().replace('"-1"', literal, 1)
+        assert literal in text
+        limit = sys.get_int_max_str_digits()
+        want = schema_error(
+            "$", f"an integer has more than {limit} digits, the limit of integer string conversion"
+        )
+        assert run(capsys, "jonq-order", "--inline", text) == (1, want)
 
     def test_curve_coordinate_of_other_than_ascii_digits(self, capsys):
         sing = {"label": "p", "mult": 2, "coords": ["\u0661", "0", "1"]}

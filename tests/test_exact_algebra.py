@@ -343,15 +343,7 @@ class TestRatFunc:
 
     def test_constant_detection(self):
         assert RatFunc.of(Fraction(3, 4)).is_constant
-        assert RatFunc.of(Fraction(3, 4)).constant_value == Fraction(3, 4)
         assert not RatFunc(T, ONE).is_constant
-
-    def test_constant_value_of_zero(self):
-        # The zero function has no zero branch: coeff(0) of the zero
-        # numerator, whose body is empty over den 1, is Fraction(0).
-        zero = RatFunc.of(0)
-        assert zero.is_constant
-        assert (type(zero.constant_value), zero.constant_value) == (Fraction, 0)
 
 
 class TestRefusals:
@@ -364,7 +356,6 @@ class TestRefusals:
             (lambda: T**-1, ValueError, "negative power of a polynomial"),
             (lambda: RatFunc.of(0).inverse(), ZeroDivisionError,
              "inverse of the zero rational function"),
-            (lambda: RatFunc(T).constant_value, ValueError, "rational function is not constant"),
             (lambda: TriHomPoly.of({}), ValueError, "degree required for the zero polynomial"),
             (lambda: tri_divrem(TRI_X, TriHomPoly.zero(1)), ZeroDivisionError,
              "division by the zero polynomial"),
@@ -375,7 +366,6 @@ class TestRefusals:
             "trihom-negative-power",
             "unipoly-negative-power",
             "ratfunc-inverse-of-zero",
-            "ratfunc-not-constant",
             "trihom-of-empty-without-degree",
             "tri-divrem-by-zero",
             "tri-divides-by-zero",

@@ -19,6 +19,8 @@ from cremona_kit.rational_pencils import PencilType, enumerate_pencil_types
 from _util import (
     GUARD_ORACLES,
     H4,
+    encode_chain_report_oracle,
+    encode_linsys_oracle,
     encode_pencil_type_oracle,
     encode_trihom_oracle,
     encode_unipoly_oracle,
@@ -251,7 +253,8 @@ class TestCurve:
 class TestSystemsAndReports:
     def test_linsys_roundtrip(self):
         L = LinSysData.of(6, {"a": 2, "b": 3})
-        assert ser.decode_linsys(ser.encode_linsys(L)) == L
+        assert ser.decode_linsys(encode_linsys_oracle(L)) == L
+        assert ser.decode_linsys(json.loads(ser.dumps(L))) == L
 
     @pytest.mark.parametrize(
         "payload, path, message",
@@ -267,10 +270,9 @@ class TestSystemsAndReports:
 
     def test_chain_report_reparses(self):
         report = adjoint_chain(curve_from_mults(9, [3] * 8))
-        encoded = ser.encode_chain_report(report)
-        text = ser.dumps(encoded)
+        text = ser.dumps(ser.encode_chain_report(report))
         again = json.loads(text)
-        assert again == encoded
+        assert again == encode_chain_report_oracle(report)
         assert ser.decode_linsys(again["terminal"]) == report.terminal
         for step in again["steps"]:
             ser.decode_linsys(step["input"])
@@ -435,11 +437,15 @@ class TestDumpsTermLists:
             ser.dumps(value)
 
 
-# Pencil types with empty and large multiplicities, the leaves of values that
-# hold them at the top level, as dict values, in lists of pencil types alone
-# and in lists next to dicts and scalars, at several depths.
+# Pencil types with empty, long and large multiplicities, and degrees and
+# counts that repeat, so that a list writes several from one template; the
+# leaves of values that hold them at the top level, as dict values, in lists
+# of pencil types alone and in lists next to dicts and scalars, at several
+# depths.
 _PENCILS = st.builds(
-    PencilType, st.integers(1, 2**70), st.lists(st.integers(1, 2**70), max_size=4)
+    PencilType,
+    st.one_of(st.integers(1, 4), st.integers(1, 2**70)),
+    st.lists(st.one_of(st.integers(1, 3), st.integers(1, 2**70)), max_size=24),
 )
 _WITH_PENCILS = st.recursive(
     st.one_of(_SCALARS, _PENCILS),
@@ -453,9 +459,12 @@ _WITH_PENCILS = st.recursive(
 
 
 def _plain(value):
-    """``value`` with each pencil type replaced by the dict of the oracle."""
+    """``value`` with each pencil type and linear system replaced by the dict
+    of its oracle."""
     if type(value) is PencilType:
         return encode_pencil_type_oracle(value)
+    if type(value) is LinSysData:
+        return encode_linsys_oracle(value)
     if type(value) is list:
         return [_plain(x) for x in value]
     if type(value) is dict:
@@ -478,6 +487,8 @@ class TestDumpsPencilTypes:
     @example([PencilType(2, (1,)), {"a": PencilType(1)}, 3, [PencilType(4, (3,))], "x"])
     @example([[[{"k": [PencilType(5, (2, 2, 1))]}]], PencilType(1, ())])
     @example({"count": 3, "types": list(enumerate_pencil_types(3))})
+    @example([PencilType(2, (1, 1)), PencilType(3, (1, 1)), PencilType(3, (2, 1)),
+              PencilType(3, (2, 1, 1)), PencilType(2, (1, 1))])
     def test_matches_json_of_oracle(self, value):
         plain = json.dumps(_plain(value), indent=2, sort_keys=True)
         assert ser.dumps(value) == plain + "\n"
@@ -488,6 +499,63 @@ class TestDumpsPencilTypes:
          {"a": _Pencil(1)}, [1, _Pencil(1)], [{"a": _Pencil(1)}]],
     )
     def test_subclass_raises(self, value):
+        with pytest.raises(TypeError):
+            ser.dumps(value)
+
+
+# Linear systems with empty, large and escaped multiplicity labels, drawn
+# from a pool that holds each record and an equal but distinct copy, so that
+# one record appears at several depths and next to its copies.
+_SYSTEMS = st.builds(
+    LinSysData.of,
+    st.integers(0, 2**70),
+    st.dictionaries(_TEXT, st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=6),
+)
+
+
+@st.composite
+def _with_systems(draw):
+    pool = draw(st.lists(_SYSTEMS, min_size=1, max_size=4))
+    pool += [LinSysData(L.degree, L.mults) for L in pool]
+    return draw(st.recursive(
+        st.one_of(_SCALARS, st.sampled_from(pool)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=6), st.dictionaries(_TEXT, inner, max_size=6)
+        ),
+        max_leaves=20,
+    ))
+
+
+_L = LinSysData.of(3, {"p": 2, '"q\n': 1, "\u00e9": 5, "\x00": 2**70})
+
+
+class _System(LinSysData):
+    pass
+
+
+class TestDumpsLinearSystems:
+    """dumps writes a LinSysData as json.dumps writes the oracle's dict, once
+    per record and indent."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_with_systems())
+    @example(LinSysData.of(0))
+    @example([_L, [_L], {"a": _L, "b": [_L, {"c": _L}]}, _L])
+    @example([_L, LinSysData(_L.degree, _L.mults), [LinSysData(_L.degree, _L.mults)]])
+    @example({"x": LinSysData.of(2), "y": [LinSysData.of(2), LinSysData.of(2, {"": 1})]})
+    @example(ser.encode_chain_report(adjoint_chain(curve_from_mults(9, [3] * 8))))
+    @example(ser.encode_chain_report(adjoint_chain(curve_from_mults(
+        65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13]))))
+    def test_matches_json_of_oracle(self, value):
+        plain = json.dumps(_plain(value), indent=2, sort_keys=True)
+        assert ser.dumps(value) == plain + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [LinSysData.of(2, {3: 1}), [LinSysData.of(2, {None: 1})], {"a": LinSysData.of(1, {b"p": 1})},
+         _System(2, (("p", 1),)), [_L, _System(1)], {"a": [_System(1)]}],
+    )
+    def test_non_str_label_or_subclass_raises(self, value):
         with pytest.raises(TypeError):
             ser.dumps(value)
 
