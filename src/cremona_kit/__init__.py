@@ -31,7 +31,6 @@ from .cremona_maps import (
     compose,
     fixes_curve_pointwise,
     free_intersection,
-    identity_map,
     is_identity,
     make_H_element,
     make_linear_G,
@@ -44,7 +43,6 @@ from .exact_algebra import (
     is_squarefree,
     tri_content_gcd,
     tri_divides,
-    tri_gcd,
     uni_gcd,
 )
 from .jonquieres import (

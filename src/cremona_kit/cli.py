@@ -172,7 +172,7 @@ def _cmd_jonq_fix_check(args) -> tuple[dict[str, Any], int]:
     payload = {
         "fixes_pointwise": pointwise,
         "map_degree": F.degree,
-        "curve": ser.encode_trihom(curve),
+        "curve": curve,
     }
     return payload, EXIT_OK if pointwise else EXIT_INVALID
 

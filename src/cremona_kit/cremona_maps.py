@@ -126,10 +126,6 @@ class CremonaMap(Record):
         return cls(f0, f1, f2)
 
 
-def identity_map() -> CremonaMap:
-    return CremonaMap.of(TRI_X, TRI_Y, TRI_Z)
-
-
 def make_linear_G(a: RationalLike, b: RationalLike, c: RationalLike) -> CremonaMap:
     """The linear map (a x : y + b x : z + c x); requires a != 0."""
     a, b, c = _frac(a), _frac(b), _frac(c)

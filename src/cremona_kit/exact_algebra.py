@@ -30,8 +30,8 @@ are built, once for all of them.  ``compose`` runs it once on a map's three
 components, and ``TriHomPoly.substitute`` on one polynomial.
 
 The trivariate layer carries the GCD and exact-divisibility machinery the
-birational-map code depends on.  ``tri_gcd`` strips the common power of z
-and works on the bodies in Z[x, y].  A certificate from integer gcds
+birational-map code depends on.  A GCD strips the common power of z and
+works on the bodies in Z[x, y].  A certificate from integer gcds
 (``_coprime``) proves most pairs coprime; most content GCDs end there.  Then
 the candidate read from the integer gcd of the packed bodies
 (``_packed_parts``) is tried, and Brown's modular algorithm (images modulo
@@ -1050,11 +1050,6 @@ def _primitive_parts(
         else:
             parts.append(first._make(max(p.degree - degree, 0), {}, 1))
     return first._make(degree, C, lc), tuple(parts)
-
-
-def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
-    """GCD of two homogeneous polynomials, lex-normalised; gcd(f, 0) is f."""
-    return _primitive_parts((f, g))[0] if f or g else g
 
 
 def tri_content_gcd(f: TriHomPoly, g: TriHomPoly, k: TriHomPoly) -> TriHomPoly:

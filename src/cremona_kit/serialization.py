@@ -12,12 +12,10 @@ Conventions:
   lists in descending lexicographic order (x > y > z), leading term first;
 * emitted JSON always has sorted object keys and two-space indentation,
   so identical inputs produce byte-identical output;
-* ``dumps`` writes a list of ``[[e, ...], "c"]`` terms from one template
-  per indent, a ``PencilType`` record as ``{"degree": n, "mults": [...]}``
-  from one template per degree and count of multiplicities, and a
-  ``LinSysData`` record as ``{"degree": n, "mults": {label: m, ...}}``,
-  once per record and indent: the chain encoders hand over the records,
-  which the steps of a chain share.
+* the encoders return the payload as ``dumps`` takes it, with the
+  ``UniPoly``, ``TriHomPoly``, ``PencilType`` and ``LinSysData`` records
+  themselves in place of their JSON, which ``dumps`` writes from templates;
+  ``json.loads(dumps(x))`` is the plain JSON form.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.  Both polynomial decoders read terms with one
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .curve_model import (
@@ -174,11 +171,6 @@ def decode_unipoly(v: Any, path: _Path) -> UniPoly:
     return UniPoly._sorted(*UniPoly._integer_form(terms))
 
 
-def encode_unipoly(p: UniPoly) -> list[Any]:
-    den = p._den
-    return [[[e], _ratio_str(c, den)] for (e, _), c in reversed(p._body.items())]
-
-
 def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
     terms = _read_terms(v, path, 3)
     degrees = {sum(e) for e in terms}
@@ -196,11 +188,6 @@ def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
     return TriHomPoly._sorted(degree, body, den)
 
 
-def encode_trihom(f: TriHomPoly) -> list[Any]:
-    d, den = f.degree, f._den
-    return [[[i, j, d - i - j], _ratio_str(c, den)] for (i, j), c in f._body.items()]
-
-
 def decode_ratfunc(v: Any, path: _Path) -> RatFunc:
     obj = _as(v, dict, path)
     num = decode_unipoly(_get(obj, "num", path), path + ("num",))
@@ -211,7 +198,7 @@ def decode_ratfunc(v: Any, path: _Path) -> RatFunc:
 
 
 def encode_ratfunc(r: RatFunc) -> dict[str, Any]:
-    return {"num": encode_unipoly(r.num), "den": encode_unipoly(r.den)}
+    return {"num": r.num, "den": r.den}
 
 
 # -- curves ---------------------------------------------------------------------
@@ -256,17 +243,14 @@ def decode_curve(v: Any) -> PlaneCurveModel:
 
 
 def encode_curve(c: PlaneCurveModel) -> dict[str, Any]:
+    """The model as ``dumps`` takes it, its ``poly`` the record."""
     sings = []
     for s in sorted(c.singularities, key=lambda s: s.label):
         coords = None
         if s.point.coords is not None:
             coords = [str(v) for v in s.point.coords]
         sings.append({"label": s.label, "mult": s.multiplicity, "coords": coords})
-    return {
-        "degree": c.degree,
-        "singularities": sings,
-        "poly": encode_trihom(c.defining_poly) if c.defining_poly is not None else None,
-    }
+    return {"degree": c.degree, "singularities": sings, "poly": c.defining_poly}
 
 
 def encode_curve_report(r: CurveReport) -> dict[str, Any]:
@@ -345,10 +329,8 @@ def decode_map(v: Any, path: _Path = ()) -> CremonaMap:
 
 
 def encode_map(F: CremonaMap) -> dict[str, Any]:
-    return {
-        "deg": F.degree,
-        "components": [encode_trihom(c) for c in F.components],
-    }
+    """The map as ``dumps`` takes it, its components the records."""
+    return {"deg": F.degree, "components": list(F.components)}
 
 
 # -- group elements ----------------------------------------------------------------
@@ -363,11 +345,8 @@ def decode_jonq(v: Any, path: _Path = ()) -> JonqElement:
 
 
 def encode_jonq(u: JonqElement) -> dict[str, Any]:
-    return {
-        "h": encode_unipoly(u.h),
-        "a1": encode_ratfunc(u.a1),
-        "a2": encode_ratfunc(u.a2),
-    }
+    """The element as ``dumps`` takes it, each polynomial the record."""
+    return {"h": u.h, "a1": encode_ratfunc(u.a1), "a2": encode_ratfunc(u.a2)}
 
 
 def encode_order_report(r: OrderReport) -> dict[str, Any]:
@@ -400,12 +379,15 @@ def encode_pencil_check(r: PencilCheckReport) -> dict[str, Any]:
 def dumps(payload: Any) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, newline end.
 
-    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
-    plus a newline, for the values the encoders emit: str, int, bool, None,
-    PencilType records (as {"degree": n, "mults": [...]}), LinSysData records
-    (as {"degree": n, "mults": {label: m, ...}}), and lists and str-keyed
-    dicts of them.  Anything else (a float, a tuple, a non-str key or label,
-    a subclass of int, str or of a record) raises TypeError.
+    The bytes are those of ``json.dumps(plain, indent=2, sort_keys=True)``
+    plus a newline, where ``plain`` is the payload with each record in its
+    JSON form, for the values the encoders emit: str, int, bool, None, the
+    records ``UniPoly`` (as [[[e], "c"], ...], ascending), ``TriHomPoly`` (as
+    [[[i, j, k], "c"], ...], leading term first), ``PencilType`` (as
+    {"degree": n, "mults": [...]}) and ``LinSysData`` (as {"degree": n,
+    "mults": {label: m, ...}}), and lists and str-keyed dicts of them.
+    Anything else (a float, a tuple, a non-str key or label, a subclass of
+    int, str or of a record) raises TypeError.
     """
     return _write(payload, "\n", {}) + "\n"
 
@@ -417,22 +399,21 @@ _SCALARS = {str: _encode_str, int: repr, type(None): lambda v: "null"}
 _SCALARS[bool] = ("false", "true").__getitem__
 
 
-def _write(v: Any, newline: str, memo: dict[tuple[int, str], str]) -> str:
+def _write(v: Any, newline: str, memo: dict[tuple[Any, str], str]) -> str:
     """One value; ``newline`` is a line break plus the indent of its line.
 
-    ``memo`` holds the text of each LinSysData record already written, keyed
-    by its id and indent; the payload keeps every record alive meanwhile.
+    ``memo`` holds what the record writers keep for the call: the text of
+    each LinSysData record already written, keyed by its id and indent (the
+    payload keeps every record alive meanwhile), and the term template of
+    each polynomial class, keyed by the class and indent.
     """
     kind = type(v)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         return scalar(v)
-    if kind is LinSysData:
-        key = (id(v), newline)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _linsys(v, newline)
-        return text
+    record = _RECORDS.get(kind)
+    if record is not None:
+        return record(v, newline, memo)
     inner = newline + "  "
     if kind is list:
         if not v:
@@ -442,8 +423,6 @@ def _write(v: Any, newline: str, memo: dict[tuple[int, str], str]) -> str:
         scalar = _SCALARS.get(kind)
         if kind is PencilType:
             body = _pencils(v, inner)
-        elif kind is list and (terms := _terms(v, inner)) is not None:
-            body = terms
         else:
             body = map(scalar, v) if scalar else [_write(x, inner, memo) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
@@ -459,14 +438,17 @@ def _write(v: Any, newline: str, memo: dict[tuple[int, str], str]) -> str:
                 _encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner, memo))
             )
         return "{" + inner + ("," + inner).join(body) + newline + "}"
-    if kind is PencilType:
-        return _pencils([v], newline)[0]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _linsys(L: LinSysData, newline: str) -> str:
-    """L as {"degree": n, "mults": {label: m, ...}}, at the indent of ``newline``.
-    The record's labels are distinct and sorted, its numbers exact ints."""
+def _linsys(L: LinSysData, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+    """L as {"degree": n, "mults": {label: m, ...}}, at the indent of ``newline``,
+    once per record and indent.  The record's labels are distinct and sorted,
+    its numbers exact ints."""
+    key = (id(L), newline)
+    text = memo.get(key)
+    if text is not None:
+        return text
     inner = newline + "  "
     mults = "{}"
     if L.mults:
@@ -474,7 +456,32 @@ def _linsys(L: LinSysData, newline: str) -> str:
         # _encode_str raises TypeError for a label that is not a str.
         pairs = ("," + leaf).join([_encode_str(l) + ": %d" % m for l, m in L.mults])
         mults = "{" + leaf + pairs + inner + "}"
-    return '{%s"degree": %d,%s"mults": %s%s}' % (inner, L.degree, inner, mults, newline)
+    text = '{%s"degree": %d,%s"mults": %s%s}' % (inner, L.degree, inner, mults, newline)
+    memo[key] = text
+    return text
+
+
+def _poly(f: UniPoly | TriHomPoly, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+    """f as its list of [[e, ...], "c"] terms, at the indent of ``newline``,
+    each term from one template per class and indent: a UniPoly's exponents
+    ascending, a TriHomPoly's terms leading first, in its stored order."""
+    if not f._body:
+        return "[]"
+    kind, inner = type(f), newline + "  "
+    template = memo.get((kind, newline))
+    if template is None:
+        leaf, exp = inner + "  ", inner + "    "
+        exps = ("," + exp).join(["%d"] * (3 if kind is TriHomPoly else 1))
+        # A coefficient from _ratio_str is ASCII digits, "-" and "/": no escape.
+        template = memo[kind, newline] = (
+            "[" + leaf + "[" + exp + exps + leaf + "]," + leaf + '"%s"' + inner + "]")
+    den = f._den
+    if kind is TriHomPoly:
+        d = f.degree
+        terms = [template % (i, j, d - i - j, _ratio_str(c, den)) for (i, j), c in f._body.items()]
+    else:
+        terms = [template % (e, _ratio_str(c, den)) for (e, _), c in reversed(f._body.items())]
+    return "[" + inner + ("," + inner).join(terms) + newline + "]"
 
 
 def _pencils(records: list[PencilType], newline: str) -> list[str]:
@@ -488,22 +495,11 @@ def _pencils(records: list[PencilType], newline: str) -> list[str]:
     return [templates[p.degree, len(p.mults)] % p.mults for p in records]
 
 
-def _terms(items: list[list], newline: str) -> list[str] | None:
-    """Each [[e, ...], "c"] of ``items`` from one template, at the indent of
-    ``newline``; None unless every item is such a pair, its exponents exact
-    ints of one arity and its coefficient an exact str."""
-    if set(map(len, items)) != {2}:
-        return None
-    exps, coeffs = zip(*items)
-    if set(map(type, exps)) != {list} or set(map(type, coeffs)) != {str}:
-        return None
-    arity = set(map(len, exps))
-    if len(arity) != 1:
-        return None
-    (n,) = arity
-    if n and set(map(type, chain.from_iterable(exps))) != {int}:
-        return None
-    inner, leaf = newline + "  ", newline + "    "
-    head = "[" + leaf + ("," + leaf).join(["%r"] * n) + inner + "]" if n else "[]"
-    template = "[" + inner + head + "," + inner + "%s" + newline + "]"
-    return [template % (*e, c) for e, c in zip(exps, map(_encode_str, coeffs))]
+# The record writers, keyed by exact type: a subclass of a record is not
+# written.  A list of PencilType records alone is written in one batch.
+_RECORDS = {
+    LinSysData: _linsys,
+    TriHomPoly: _poly,
+    UniPoly: _poly,
+    PencilType: lambda p, newline, memo: _pencils([p], newline)[0],
+}

@@ -36,6 +36,9 @@ scalar at the top, the one for ``cli._render_text``.
 the oracles for the one builder ``_Poly._integer_form`` that the
 constructors and the JSON decoders share, and ``homogenize_uni_oracle``,
 with its aux axis and ``_lex`` sort, the one for ``homogenize_uni``.
+``tri_gcd``, the content of two polynomials from ``_primitive_parts``, is
+what the package's GCD of a pair was; the GCD tests and the fold oracles
+call it.
 ``primitive_parts_fold_oracle``, the earlier fold of pairwise gcds with the
 1/lead scaling of ``CremonaMap.of``, is the one for the one-gcd content of
 three polynomials.
@@ -45,8 +48,9 @@ they were, the oracle for the ``__slots__`` records that replaced them;
 arithmetic of ``UniPoly`` and ``TriHomPoly``, the oracle for their
 arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
 ``encode_trihom_oracle``, which print the Fractions of the ``coeffs`` and
-``terms`` views, are the oracles for the encoders that print the stored
-integer form.  ``decode_unipoly_oracle`` and ``decode_trihom_oracle``, each
+``terms`` views, are the oracles for the ``dumps`` writer of the
+``UniPoly`` and ``TriHomPoly`` records, which prints the stored integer
+form.  ``decode_unipoly_oracle`` and ``decode_trihom_oracle``, each
 with its own fast test per term and its own namer of a failing term, are
 the oracles for the one term reader that both decoders share.
 ``as_obj_oracle``, ``as_list_oracle``, ``as_int_oracle``, ``as_str_oracle``
@@ -60,13 +64,16 @@ built for each pencil type, is the oracle for the template through which
 (``encode_removed_oracle``, ``encode_chain_step_oracle`` and
 ``encode_chain_report_oracle``), which wrote each linear system as a fresh
 dict, are the oracles for the chain reports that hand ``dumps`` the
-``LinSysData`` records themselves.
+``LinSysData`` records themselves.  ``plain_oracle`` replaces every record
+of a payload by its oracle's plain JSON, and ``json_of`` reads back the
+JSON that ``dumps`` writes of a payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import pickle
 import random
@@ -101,9 +108,9 @@ from cremona_kit.exact_algebra import (
     _bimul,
     _frac,
     _lex,
+    _primitive_parts,
     tri_content_gcd,
     tri_divrem,
-    tri_gcd,
 )
 from cremona_kit.jonquieres import PGL_INFINITE, JonqElement, OrderReport, _check_h, _order
 from cremona_kit.linear_systems import (
@@ -423,6 +430,25 @@ def encode_linsys_oracle(L: LinSysData) -> dict:
     return {"degree": L.degree, "mults": {l: m for l, m in L.mults}}
 
 
+def plain_oracle(value):
+    """``value`` with each record replaced by the plain JSON of its oracle:
+    a pencil type, linear system, univariate or homogeneous polynomial."""
+    encode = _PLAIN_ORACLES.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if type(value) is list:
+        return [plain_oracle(x) for x in value]
+    if type(value) is dict:
+        return {k: plain_oracle(x) for k, x in value.items()}
+    return value
+
+
+def json_of(payload):
+    """The plain JSON of a payload that holds records: ``json.loads`` of the
+    text ``serialization.dumps`` writes."""
+    return json.loads(ser.dumps(payload))
+
+
 def encode_removed_oracle(r: RemovedComponent) -> dict:
     return {
         "kind": r.kind,
@@ -447,6 +473,14 @@ def encode_chain_step_oracle(s: ChainStep) -> dict:
         "output": encode_linsys_oracle(s.output),
         "warnings": list(s.warnings),
     }
+
+
+_PLAIN_ORACLES = {
+    PencilType: encode_pencil_type_oracle,
+    LinSysData: encode_linsys_oracle,
+    UniPoly: encode_unipoly_oracle,
+    TriHomPoly: encode_trihom_oracle,
+}
 
 
 def encode_chain_report_oracle(r) -> dict:
@@ -578,6 +612,12 @@ def fractions_built(fn, *args):
     finally:
         sys.setprofile(None)
     return result, count
+
+
+def tri_gcd(f: TriHomPoly, g: TriHomPoly) -> TriHomPoly:
+    """GCD of two homogeneous polynomials, lex-normalised; gcd(f, 0) is f.
+    The content of the pair, from the package's one GCD front end."""
+    return _primitive_parts((f, g))[0] if f or g else g
 
 
 def primitive_parts_fold_oracle(

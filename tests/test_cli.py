@@ -13,11 +13,11 @@ import pytest
 
 from cremona_kit import serialization as ser
 from cremona_kit.cli import _render_text, main
-from cremona_kit.cremona_maps import CremonaMap, identity_map, make_phi
+from cremona_kit.cremona_maps import CremonaMap, make_phi
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 
-from _util import H4, render_text_oracle
+from _util import H4, encode_trihom_oracle, encode_unipoly_oracle, json_of, render_text_oracle
 
 GEISER_CURVE = json.dumps(
     {
@@ -70,11 +70,13 @@ CLASSIFY_55_SHA256 = "e73be0b7b60a4fbef3f86b6f58bc5ca8f2e77697ef9ebec9cd4377ff5d
 # sha256 of the stdout of `cremona-kit examples`, kept in a file that the
 # examples job of the CI workflow also checks.
 EXAMPLES_SHA256 = (Path(__file__).parent / "examples.sha256").read_text().strip()
+IDENTITY = CremonaMap.of(TRI_X, TRI_Y, TRI_Z)
 
 
 def _curve(degree, poly, points):
     sings = [{"label": label, "mult": m, "coords": list(coords)} for label, m, coords in points]
-    return json.dumps({"degree": degree, "poly": ser.encode_trihom(poly), "singularities": sings})
+    poly = encode_trihom_oracle(poly)
+    return json.dumps({"degree": degree, "poly": poly, "singularities": sings})
 
 
 # Curves for `validate`: an m-fold point at infinity and a tacnode at
@@ -196,8 +198,8 @@ TEXT_OUTPUTS = {
 def text_argv(name):
     """The arguments of the `--format text` run named ``name`` in TEXT_OUTPUTS."""
     curve = TestGoldenOutputs.curve
-    line = ser.encode_trihom(TriHomPoly.monomial((1, 0, 0)))
-    fixcheck = json.dumps({"map": ser.encode_map(make_phi(2, 3)), "curve": line})
+    line = encode_trihom_oracle(TriHomPoly.monomial((1, 0, 0)))
+    fixcheck = json.dumps({"map": json_of(ser.encode_map(make_phi(2, 3))), "curve": line})
     element = json.loads(JONQ_ORDER.read_text())
     return {
         "genus": ["genus", "--inline", GEISER_CURVE],
@@ -414,7 +416,7 @@ class TestCurveDegreeCap:
 
     def test_the_fixcheck_curve_is_not_capped(self, capsys):
         payload_in = json.dumps(
-            {"map": ser.encode_map(identity_map()), "curve": fermat(12800)["poly"]}
+            {"map": json_of(ser.encode_map(IDENTITY)), "curve": fermat(12800)["poly"]}
         )
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert (code, payload) == (
@@ -526,30 +528,30 @@ class TestGoldenOutputs:
 
 class TestMaps:
     def test_compose_involution(self, capsys):
-        phi = ser.encode_map(make_phi(1, 0))
+        phi = json_of(ser.encode_map(make_phi(1, 0)))
         payload_in = json.dumps({"outer": phi, "inner": phi})
         code, payload = run_json(capsys, "map-compose", "--inline", payload_in)
         assert code == 0
-        assert payload == ser.encode_map(identity_map())
+        assert payload == json_of(ser.encode_map(IDENTITY))
 
     def test_fixcheck_true(self, capsys):
-        phi = ser.encode_map(make_phi(2, 3))
-        line = ser.encode_trihom(TriHomPoly.monomial((1, 0, 0)))
+        phi = json_of(ser.encode_map(make_phi(2, 3)))
+        line = encode_trihom_oracle(TriHomPoly.monomial((1, 0, 0)))
         payload_in = json.dumps({"map": phi, "curve": line})
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert code == 0 and payload["fixes_pointwise"] is True
 
     def test_fixcheck_false_exits_two(self, capsys):
-        phi = ser.encode_map(make_phi(2, 3))
-        line = ser.encode_trihom(TriHomPoly.monomial((0, 1, 0)))
+        phi = json_of(ser.encode_map(make_phi(2, 3)))
+        line = encode_trihom_oracle(TriHomPoly.monomial((0, 1, 0)))
         payload_in = json.dumps({"map": phi, "curve": line})
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert code == 2 and payload["fixes_pointwise"] is False
 
     def test_fixcheck_refuses_constant_curve(self, capsys):
         x, y, z = (TriHomPoly.monomial(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        involution = ser.encode_map(CremonaMap.of(y * z, x * z, x * y))
-        constant = ser.encode_trihom(TriHomPoly.monomial((0, 0, 0), 3))
+        involution = json_of(ser.encode_map(CremonaMap.of(y * z, x * z, x * y)))
+        constant = encode_trihom_oracle(TriHomPoly.monomial((0, 0, 0), 3))
         payload_in = json.dumps({"map": involution, "curve": constant})
         code, payload = run_json(capsys, "map-fixcheck", "--inline", payload_in)
         assert code == 1
@@ -562,7 +564,7 @@ class TestMaps:
         E = 10**9
         terms = [[E, 0, 0], [E - 1, 1, 0], [0, 0, E]]
         big = {"deg": E, "components": [[[t, "1"]] for t in terms]}
-        payload_in = json.dumps({"outer": big, "inner": ser.encode_map(identity_map())})
+        payload_in = json.dumps({"outer": big, "inner": json_of(ser.encode_map(IDENTITY))})
         t0 = time.perf_counter()
         code, payload = run_json(capsys, "map-compose", "--inline", payload_in)
         assert time.perf_counter() - t0 < 1
@@ -572,7 +574,7 @@ class TestMaps:
     @pytest.mark.parametrize("command, key", [("map-compose", "outer"), ("map-fixcheck", "map")])
     def test_negative_map_degree_is_a_schema_error(self, capsys, command, key):
         other = {
-            "map-compose": ("inner", ser.encode_map(identity_map())),
+            "map-compose": ("inner", json_of(ser.encode_map(IDENTITY))),
             "map-fixcheck": ("curve", [[[1, 0, 0], "1"]]),
         }[command]
         bad = {"deg": -1, "components": [[], [], []]}
@@ -589,7 +591,7 @@ class TestMaps:
 class TestJonq:
     def element(self, a1_coeffs, a2_coeffs):
         return {
-            "h": ser.encode_unipoly(H4),
+            "h": encode_unipoly_oracle(H4),
             "a1": {"num": [[[e], str(c)] for e, c in a1_coeffs], "den": [[[0], "1"]]},
             "a2": {"num": [[[e], str(c)] for e, c in a2_coeffs], "den": [[[0], "1"]]},
         }
@@ -617,7 +619,7 @@ class TestJonq:
     def test_mismatched_h_exits_two(self, capsys):
         u = self.element([], [(0, 1)])
         v = json.loads(json.dumps(u))
-        v["h"] = ser.encode_unipoly(UniPoly.of(1, 1, 0, 0, 0, 0, 1))
+        v["h"] = encode_unipoly_oracle(UniPoly.of(1, 1, 0, 0, 0, 0, 1))
         code, payload = run_json(capsys, "jonq-mul", "--inline", json.dumps({"u": u, "v": v}))
         assert code == 2
         assert payload["error"] == "GroupMismatch"
@@ -626,7 +628,7 @@ class TestJonq:
     def test_bad_h_exits_two(self, capsys, command):
         for h in (UniPoly.of(-1, 0, 1), T2_T2_PLUS_1):
             element = self.element([(1, 1)], [(0, 1)])
-            element["h"] = ser.encode_unipoly(h)
+            element["h"] = encode_unipoly_oracle(h)
             payload_in = {"u": element, "v": element} if command == "jonq-mul" else element
             code, payload = run_json(capsys, command, "--inline", json.dumps(payload_in))
             assert code == 2

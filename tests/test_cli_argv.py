@@ -18,6 +18,7 @@ from cremona_kit import cli
 from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import make_phi
 
+from _util import json_of
 from test_cli_parser import full_tree_parse, parse_outcome
 
 # Argvs at the edges of the grammar, by kind.
@@ -123,7 +124,7 @@ def test_well_formed_argv_reads_as_in_the_full_tree(argv):
 def _calls(tmp_path):
     """One well-formed call of each argument shape: --inline, --n and --mults,
     --max, and a path."""
-    phi = ser.encode_map(make_phi(1, 0))
+    phi = json_of(ser.encode_map(make_phi(1, 0)))
     curve = tmp_path / "curve.json"
     sings = [{"label": f"p{i}", "mult": 2, "coords": None} for i in range(7)]
     curve.write_text(json.dumps({"degree": 6, "singularities": sings, "poly": None}))

@@ -18,7 +18,6 @@ from cremona_kit.cremona_maps import (
     compose,
     fixes_curve_pointwise,
     free_intersection,
-    identity_map,
     is_identity,
     make_H_element,
     make_linear_G,
@@ -39,8 +38,10 @@ from cremona_kit.linear_systems import LinSysData
 
 from _util import (
     H4,
+    encode_trihom_oracle,
     fixes_curve_pointwise_oracle,
     fractions_built,
+    json_of,
     monomials,
     rand_frac,
     rand_jonq,
@@ -50,6 +51,7 @@ from _util import (
 )
 
 LINE_X = TriHomPoly.monomial((1, 0, 0))
+IDENTITY = CremonaMap.of(TRI_X, TRI_Y, TRI_Z)
 T = UniPoly.variable()
 
 
@@ -126,8 +128,8 @@ class TestComposition:
         rng = random.Random(11)
         for _ in range(5):
             F = rand_phi(rng)
-            assert compose(F, identity_map()) == F
-            assert compose(identity_map(), F) == F
+            assert compose(F, IDENTITY) == F
+            assert compose(IDENTITY, F) == F
 
     def test_phi_involution(self):
         rng = random.Random(22)
@@ -260,7 +262,7 @@ class TestComposeNeverZero:
 
 class TestIsIdentity:
     def test_cases(self):
-        assert is_identity(identity_map())
+        assert is_identity(IDENTITY)
         assert is_identity(CremonaMap.of(TRI_X * 2, TRI_Y * 2, TRI_Z * 2))
         assert not is_identity(CremonaMap.of(TRI_X, TRI_Y, TRI_X + TRI_Z))
         # The constructor itself removes a constant or polynomial content.
@@ -273,7 +275,7 @@ class TestIsIdentity:
     def test_builds_no_map(self, monkeypatch):
         """The verdict reads the stored components: under a degree cap of 0,
         which refuses every map, maps built before it are still judged."""
-        maps = [identity_map(), make_phi(1, 1), make_linear_G(2, 1, 3)]
+        maps = [IDENTITY, make_phi(1, 1), make_linear_G(2, 1, 3)]
         monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "0")
         assert [is_identity(F) for F in maps] == [True, False, False]
 
@@ -311,11 +313,11 @@ class TestFixesCurvePointwise:
 
     def test_zero_curve_rejected(self):
         with pytest.raises(ValueError):
-            fixes_curve_pointwise(identity_map(), TriHomPoly.zero(1))
+            fixes_curve_pointwise(IDENTITY, TriHomPoly.zero(1))
 
     def test_constant_curve_rejected(self):
         with pytest.raises(ValueError):
-            fixes_curve_pointwise(identity_map(), TriHomPoly.monomial((0, 0, 0), 3))
+            fixes_curve_pointwise(IDENTITY, TriHomPoly.monomial((0, 0, 0), 3))
 
 
 def _fixation_maps():
@@ -326,7 +328,7 @@ def _fixation_maps():
     pairs = [compose(rng.choice(singles), rng.choice(singles)) for _ in range(5)]
     elements = [jq.to_cremona(rand_jonq(rng, H4, max_deg=1)) for _ in range(2)]
     moving = CremonaMap(TRI_Y, TRI_Z, TRI_X)
-    return [identity_map(), *singles, *pairs, *elements, moving]
+    return [IDENTITY, *singles, *pairs, *elements, moving]
 
 
 FIXATION_MAPS = _fixation_maps()
@@ -355,7 +357,7 @@ class TestFixationOracle:
     """The integer certificate against the Fraction minors it replaced."""
 
     @given(st.sampled_from(FIXATION_MAPS), fixation_curves())
-    @example(identity_map(), TRI_Y * TRI_Y * Fraction(-6, 5) + TRI_Z * TRI_X * 4)
+    @example(IDENTITY, TRI_Y * TRI_Y * Fraction(-6, 5) + TRI_Z * TRI_X * 4)
     @example(FIXATION_MAPS[-2], CURVE_H4 * Fraction(2, 9))
     @example(FIXATION_MAPS[-3], CURVE_H4 * Fraction(4))
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -462,7 +464,7 @@ def word_cli_digest(gens, run):
     -6/5 x (x - 5/2 y); ``run(argv)`` returns (exit code, stdout)."""
     W, W_inv = word_and_inverse(gens)
     rest = reduce(compose, [g for g, _ in gens[1:]])
-    enc, curve = ser.encode_map, ser.encode_trihom
+    enc, curve = (lambda F: json_of(ser.encode_map(F))), encode_trihom_oracle
     xz = LINE_X * TRI_Z * Fraction(2, 3)
     other = LINE_X * (TRI_X - TRI_Y * Fraction(5, 2)) * Fraction(-6, 5)
     requests = [
@@ -482,7 +484,7 @@ def word_cli_digest(gens, run):
 
 # Maps from the constructors, and each word of WORDS with its inverse.
 _CANONICAL_MAPS = [
-    identity_map(),
+    IDENTITY,
     *(make(random.Random(3)) for make in (rand_G, rand_phi, rand_H)),
     H1,
     PHI,
@@ -508,8 +510,8 @@ class TestCanonicalConstructor:
 class TestRoadmapBaselines:
     def test_map_pipeline_builds_no_fraction(self, capsys):
         """Composition, content removal and the fixation certificate run on
-        the stored integer forms, and so do the decoder, the encoder and a
-        whole map-compose call."""
+        the stored integer forms, and so do the decoder, the encoder with the
+        writer and a whole map-compose call."""
         F, built = fractions_built(compose, D, B)
         assert built == 0
         fixed, built = fractions_built(fixes_curve_pointwise, F, TRI_X)
@@ -518,9 +520,9 @@ class TestRoadmapBaselines:
         decoded, built = fractions_built(ser.decode_map, payload)
         assert decoded == F and built == 0
         fresh = ser.decode_map(payload)
-        encoded, built = fractions_built(ser.encode_map, fresh)
+        encoded, built = fractions_built(lambda m: json_of(ser.encode_map(m)), fresh)
         assert encoded == payload and built == 0
-        maps = {"outer": ser.encode_map(D), "inner": ser.encode_map(B)}
+        maps = {"outer": json_of(ser.encode_map(D)), "inner": json_of(ser.encode_map(B))}
         code, built = fractions_built(main, ["map-compose", "--inline", json.dumps(maps)])
         assert code == 0 and built == 0
         assert json.loads(capsys.readouterr().out) == payload

@@ -39,7 +39,6 @@ from cremona_kit.exact_algebra import (
     tri_content_gcd,
     tri_divides,
     tri_divrem,
-    tri_gcd,
     uni_gcd,
 )
 
@@ -69,6 +68,7 @@ from _util import (
     substitute_oracle,
     sympy_to_tri,
     tri_form_oracle,
+    tri_gcd,
     tri_to_sympy,
     trihoms,
     uni_cofactors_oracle,

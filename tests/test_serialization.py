@@ -1,5 +1,6 @@
 import enum
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from cremona_kit import serialization as ser
 from cremona_kit.curve_model import PlaneCurveModel, PointSpec, SingularityData, curve_from_mults
 from cremona_kit.cremona_maps import make_phi
 from cremona_kit.errors import DegreeCapExceeded, SchemaError
-from cremona_kit.exact_algebra import RatFunc, TriHomPoly, UniPoly
+from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
 from cremona_kit.linear_systems import LinSysData, adjoint_chain
 from cremona_kit.rational_pencils import PencilType, enumerate_pencil_types
@@ -21,14 +22,17 @@ from _util import (
     H4,
     encode_chain_report_oracle,
     encode_linsys_oracle,
-    encode_pencil_type_oracle,
     encode_trihom_oracle,
     encode_unipoly_oracle,
     get_oracle,
+    json_of,
     monomials,
+    plain_oracle,
     rand_jonq,
     rand_trihom,
     rand_unipoly,
+    trihoms,
+    unipolys,
 )
 
 
@@ -142,7 +146,7 @@ class TestPolynomials:
         rng = random.Random(3)
         for _ in range(20):
             p = rand_unipoly(rng, 5)
-            assert ser.decode_unipoly(ser.encode_unipoly(p), ()) == p
+            assert ser.decode_unipoly(json_of(p), ()) == p
 
     def test_unipoly_exponent_cap(self, monkeypatch):
         monkeypatch.setenv("CREMONA_KIT_MAX_DEGREE", "6")
@@ -156,7 +160,7 @@ class TestPolynomials:
             f = rand_trihom(rng, rng.randint(0, 4), nonzero=False)
             if f.is_zero:
                 continue
-            assert ser.decode_trihom(ser.encode_trihom(f), ()) == f
+            assert ser.decode_trihom(json_of(f), ()) == f
 
     def test_trihom_rejects_mixed_degrees(self):
         with pytest.raises(SchemaError):
@@ -176,7 +180,7 @@ class TestPolynomials:
 
     def test_ratfunc_roundtrip(self):
         f = RatFunc(UniPoly.of(1, 2), UniPoly.of(0, 0, 3))
-        assert ser.decode_ratfunc(ser.encode_ratfunc(f), ()) == f
+        assert ser.decode_ratfunc(json_of(ser.encode_ratfunc(f)), ()) == f
 
 
 @st.composite
@@ -190,8 +194,8 @@ def ratios(draw):
 
 
 class TestEncoderOracle:
-    """The encoders print each "p/q" from the stored integer form; the
-    oracles print the Fractions of the ``coeffs`` and ``terms`` views."""
+    """dumps prints each "p/q" of a polynomial from the stored integer form;
+    the oracles print the Fractions of the ``coeffs`` and ``terms`` views."""
 
     @given(ratios(), st.integers(0, 3))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -207,11 +211,11 @@ class TestEncoderOracle:
         f = TriHomPoly(degree, tuple((tuple(e), Fraction(c)) for e, c in tri))
         p = ser.decode_unipoly([[[e], c] for e, c in enumerate(text)], ())
         assert p == UniPoly(tuple(Fraction(c) for c in text))
-        assert ser.encode_unipoly(p) == encode_unipoly_oracle(p)
-        assert ser.encode_trihom(f) == encode_trihom_oracle(f)
+        assert json_of(p) == encode_unipoly_oracle(p)
+        assert json_of(f) == encode_trihom_oracle(f)
         if coeffs and len(monos) >= len(coeffs):
             decoded = ser.decode_trihom(tri, (), degree)
-            assert decoded == f and ser.encode_trihom(decoded) == encode_trihom_oracle(f)
+            assert decoded == f and json_of(decoded) == encode_trihom_oracle(f)
 
 
 class TestCurve:
@@ -227,7 +231,7 @@ class TestCurve:
             ),
             poly,
         )
-        again = ser.decode_curve(ser.encode_curve(model))
+        again = ser.decode_curve(json_of(ser.encode_curve(model)))
         assert again == model
 
     def test_missing_field_path(self):
@@ -458,20 +462,6 @@ _WITH_PENCILS = st.recursive(
 )
 
 
-def _plain(value):
-    """``value`` with each pencil type and linear system replaced by the dict
-    of its oracle."""
-    if type(value) is PencilType:
-        return encode_pencil_type_oracle(value)
-    if type(value) is LinSysData:
-        return encode_linsys_oracle(value)
-    if type(value) is list:
-        return [_plain(x) for x in value]
-    if type(value) is dict:
-        return {k: _plain(x) for k, x in value.items()}
-    return value
-
-
 class _Pencil(PencilType):
     pass
 
@@ -490,7 +480,7 @@ class TestDumpsPencilTypes:
     @example([PencilType(2, (1, 1)), PencilType(3, (1, 1)), PencilType(3, (2, 1)),
               PencilType(3, (2, 1, 1)), PencilType(2, (1, 1))])
     def test_matches_json_of_oracle(self, value):
-        plain = json.dumps(_plain(value), indent=2, sort_keys=True)
+        plain = json.dumps(plain_oracle(value), indent=2, sort_keys=True)
         assert ser.dumps(value) == plain + "\n"
 
     @pytest.mark.parametrize(
@@ -547,7 +537,7 @@ class TestDumpsLinearSystems:
     @example(ser.encode_chain_report(adjoint_chain(curve_from_mults(
         65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13]))))
     def test_matches_json_of_oracle(self, value):
-        plain = json.dumps(_plain(value), indent=2, sort_keys=True)
+        plain = json.dumps(plain_oracle(value), indent=2, sort_keys=True)
         assert ser.dumps(value) == plain + "\n"
 
     @pytest.mark.parametrize(
@@ -560,10 +550,80 @@ class TestDumpsLinearSystems:
             ser.dumps(value)
 
 
+# Polynomials of the trihoms and unipolys strategies times a scale that is
+# zero, a small fraction, or a ratio of integers up to 2**200 of either
+# sign; the leaves of values that hold them at several depths, in lists of
+# polynomials alone and next to other values, drawn from a pool so that one
+# record appears at several depths.
+_POLYS = st.builds(
+    operator.mul,
+    st.one_of(trihoms(max_degree=4), unipolys(max_degree=6)),
+    st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+    ),
+)
+
+
+@st.composite
+def _with_polys(draw):
+    pool = st.sampled_from(draw(st.lists(_POLYS, min_size=1, max_size=4)))
+    return draw(st.recursive(
+        st.one_of(_SCALARS, pool),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=6),
+            st.lists(pool, min_size=1, max_size=3),
+            st.dictionaries(_TEXT, inner, max_size=6),
+        ),
+        max_leaves=20,
+    ))
+
+
+class _Tri(TriHomPoly):
+    __slots__ = ()
+    _fields = TriHomPoly._fields
+
+
+class _Uni(UniPoly):
+    __slots__ = ()
+    _fields = UniPoly._fields
+
+
+_F = TRI_X * TRI_Z * Fraction(-(2**200), 3) + TRI_Y * TRI_Y * 7
+_P = UniPoly.of(Fraction(1, 2), 0, -(2**200), 5)
+
+
+class TestDumpsPolynomials:
+    """dumps writes a UniPoly or TriHomPoly as json.dumps writes the
+    oracle's list of terms."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_with_polys())
+    @example(TriHomPoly.zero(3))
+    @example([UniPoly.of(0), TriHomPoly.monomial((0, 0, 0), Fraction(-1, 3)), UniPoly.of(2**200)])
+    @example([_F, [_F, {"a": _F}], {"b": [[_P]], "c": _P}, _P])
+    @example(ser.encode_map(make_phi(Fraction(1, 2), -3)))
+    @example(ser.encode_jonq(JonqElement.of(H4, UniPoly.of(Fraction(2, 3), 1), Fraction(-1, 5))))
+    @example(ser.encode_order_report(leminv_check(JonqElement.of(H4, UniPoly.of(1, 2), 3))))
+    def test_matches_json_of_oracle(self, value):
+        plain = json.dumps(plain_oracle(value), indent=2, sort_keys=True)
+        assert ser.dumps(value) == plain + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [_Tri(1, (((1, 0, 0), 1),)), _Uni((1, 2)), [_Uni((1,))], [TRI_X, _Tri(1, ())],
+         {"a": _Uni(())}, [{"a": [_P, _Tri(2, (((0, 1, 1), 3),))]}]],
+    )
+    def test_subclass_raises(self, value):
+        with pytest.raises(TypeError):
+            ser.dumps(value)
+
+
 class TestMapAndGroupElements:
     def test_map_roundtrip(self):
         F = make_phi(Fraction(1, 2), -3)
-        again = ser.decode_map(ser.encode_map(F))
+        again = ser.decode_map(json_of(ser.encode_map(F)))
         assert again == F
 
     def test_map_needs_three_components(self):
@@ -574,7 +634,7 @@ class TestMapAndGroupElements:
         rng = random.Random(7)
         for _ in range(10):
             u = rand_jonq(rng, H4)
-            assert ser.decode_jonq(ser.encode_jonq(u)) == u
+            assert ser.decode_jonq(json_of(ser.encode_jonq(u))) == u
 
     def test_order_is_written_as_computed(self):
         # leminv_check's order is an int or the string "infinite", both
