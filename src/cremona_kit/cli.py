@@ -335,7 +335,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CremonaKitError, ValueError, ZeroDivisionError) as exc:
         payload, code = {"error": type(exc).__name__, "message": str(exc)}, EXIT_INVALID
     try:
-        text = ser.dumps(payload)
+        try:
+            text = ser.dumps(payload)
+        except ValueError as exc:  # a coefficient above CPython's limit on int-to-str conversion
+            payload, code = {"error": type(exc).__name__, "message": str(exc)}, EXIT_INVALID
+            text = ser.dumps(payload)
         if getattr(args, "format", "json") == "text":
             text = "\n".join(_render_text(json.loads(text))) + "\n"
         raw = getattr(sys.stdout, "buffer", None)

@@ -557,6 +557,30 @@ class TestMaps:
         assert code == 1
         assert payload["error"] == "schema" and payload["path"] == "$.curve"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() to str has no limit here"
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_composite_above_the_integer_conversion_limit(self, capsys, fmt):
+        # F = (x^2 + c yz : xy : xz) with c of 2,500 digits reads in, but F o F
+        # has a coefficient of more than 4,300 digits, which str() refuses.
+        c = "7" * 2500
+        F = {"deg": 2, "components": [
+            [[[2, 0, 0], "1"], [[0, 1, 1], c]], [[[1, 1, 0], "1"]], [[[1, 0, 1], "1"]],
+        ]}
+        payload_in = json.dumps({"outer": F, "inner": F})
+        code, out = run(capsys, "map-compose", "--inline", payload_in, "--format", fmt)
+        limit = sys.get_int_max_str_digits()
+        message = f"Exceeds the limit ({limit} digits) for integer string conversion"
+        assert code == 2
+        if fmt == "text":
+            assert out.startswith(f"error: ValueError\nmessage: {message}")
+        else:
+            payload = json.loads(out)
+            assert out == ser.dumps(payload)
+            assert set(payload) == {"error", "message"} and payload["error"] == "ValueError"
+            assert payload["message"].startswith(message)
+
 
     def test_map_above_the_cap_is_refused_before_decoding(self, capsys):
         # Components x^E, x^(E-1) y, z^E: before the decode-time check the
