@@ -3,7 +3,8 @@
 Subcommands consume JSON (from a path, ``-`` for stdin, or ``--inline``)
 and emit a JSON report on stdout; ``--format text`` reads that report back
 from the JSON text and renders it as an indented key/value listing (lossy,
-for reading), so both formats show the same data.
+for reading), so both formats show the same data.  A file and stdin are read
+as UTF-8, and the report is written as UTF-8, whatever the locale.
 
 Every argument is described once, in ``_ARGS``. A call is parsed by its subcommand's
 parser alone, built from that table once per process; help, ``--version`` and any argv
@@ -61,12 +62,15 @@ def _load_payload(args: argparse.Namespace) -> Any:
         raise SchemaError("$", "exactly one input source required (path or --inline)")
     if args.inline is not None:
         text = args.inline
-    elif args.input == "-":
-        text = sys.stdin.read()
     else:
         try:
-            with open(args.input, encoding="utf-8") as source:
-                text = source.read()
+            if args.input != "-":
+                with open(args.input, encoding="utf-8") as source:
+                    text = source.read()
+            elif hasattr(sys.stdin, "buffer"):  # the bytes, not the locale's reading of them
+                text = sys.stdin.buffer.read().decode("utf-8")
+            else:  # a text stream, such as io.StringIO
+                text = sys.stdin.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {args.input!r}: {exc}") from exc
     try:
@@ -350,7 +354,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             # An unbuffered stream takes part of a write that the reader's exit cuts
             # short, and its text layer drops the rest: writing it makes the pipe raise.
             sys.stdout.flush()
-            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            # UTF-8, as input is read, whatever the locale; the surrogates that stand for
+            # the bytes of an argument the locale could not decode are written as those bytes.
+            data = memoryview(text.encode("utf-8", "surrogateescape"))
             while data:
                 data = data[raw.write(data) :]
             raw.flush()

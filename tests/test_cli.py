@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from cremona_kit import serialization as ser
-from cremona_kit.cli import _render_text, main
+from cremona_kit.cli import _parse_args, _render_text, main
 from cremona_kit.cremona_maps import CremonaMap, make_phi
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
 
+import golden
 from _util import H4, encode_trihom_oracle, encode_unipoly_oracle, json_of, render_text_oracle
 
 GEISER_CURVE = json.dumps(
@@ -40,36 +42,6 @@ BERTINI_CURVE = json.dumps(
 )
 
 
-# sha256 of the stdout of `pencil-enum --max 16 --bound 16` and of two
-# `adjoint-chain` reports, recorded with json.dumps(indent=2, sort_keys=True)
-# and the recursive partition generator: the writer and the walk that
-# replaced them must reproduce these bytes.  The first is kept in a file
-# that the examples job of the CI workflow also checks.  The `classify`
-# digests of the same two curves were recorded before the adjoint chain
-# derived its systems by the trusted LinSysData._sorted.
-PENCIL_ENUM_16_SHA256 = (Path(__file__).parent / "pencil_enum_16.sha256").read_text().strip()
-# Recorded before the walk wrote rests of parts <= 3 in closed form and the
-# writer formatted scalars through one exact-type table.
-PENCIL_ENUM_20_SHA256 = "f95950e01f41309da0d4c54827b4cd83fc3901282583bc800e6444ad674ce596"
-# `pencil-enum --max 6 --format text`, kept in a file that the examples job of
-# the CI workflow also checks.
-PENCIL_ENUM_6_TEXT_SHA256 = (
-    (Path(__file__).parent / "pencil_enum_6_text.sha256").read_text().strip()
-)
-# 13 steps, fixed lines removed, ends in a rational pencil.
-CHAIN_65 = (65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])
-CHAIN_65_SHA256 = "aa2d5918a694cdfe2548b4bdd4699ce074b3c8074c40eb8a51e8e07b85412824"
-# CHAIN_65 as a file, which the examples job of the CI workflow runs; its
-# chain removes a line at each of 10 of its 13 steps.
-CHAIN_65_FILE = Path(__file__).parent / "chain_65.json"
-CLASSIFY_65_SHA256 = "40f62162754c5c651c6806d9bc24b1b6ca1933ccdcc5e50cf02cb75420b7321d"
-# 9 steps, ends exhausted with two warnings.
-CHAIN_55 = (55, [22, 22, 4, 22, 3, 7, 22, 9, 11, 22, 10, 13, 5, 4])
-CHAIN_55_SHA256 = "5c7a0eb7ac4b277a8db730bda6fcbde638acfc740265ad5d2bea0fed233d669a"
-CLASSIFY_55_SHA256 = "e73be0b7b60a4fbef3f86b6f58bc5ca8f2e77697ef9ebec9cd4377ff5d186e44"
-# sha256 of the stdout of `cremona-kit examples`, kept in a file that the
-# examples job of the CI workflow also checks.
-EXAMPLES_SHA256 = (Path(__file__).parent / "examples.sha256").read_text().strip()
 IDENTITY = CremonaMap.of(TRI_X, TRI_Y, TRI_Z)
 
 
@@ -131,11 +103,6 @@ def field_payloads(kind):
 # now read "detail": "", and no other byte changed.
 VALIDATE_FIELD_SHA256 = "cddd441f281befbd6f65d3deb48a2a11cb7aefb5df3205c26ae4edacfcdfec48"
 VALIDATE_CURVES_SHA256 = "91b4bcfcfd4c48dc6f4f795f3f130d5e1aa397943d2f41387db059f72be9110f"
-# A degree-8 hyperelliptic curve with a 6-fold point at (0:1:0), and the
-# sha256 of its `validate` stdout, which the examples job of the CI
-# workflow also checks.
-HYPERELLIPTIC_8 = Path(__file__).parent / "hyperelliptic_8.json"
-HYPERELLIPTIC_8_SHA256 = (Path(__file__).parent / "hyperelliptic_8.sha256").read_text().strip()
 # sha256 of the exit code and stdout of each group command on its
 # function_field payloads in turn, recorded while every element computed its
 # determinant at construction and lambda = trace^2 / det.
@@ -146,77 +113,13 @@ JONQ_FIELD_SHA256 = {
 }
 # An element over h of degree 6 whose entries have denominators of degree 1
 # and 3 sharing a factor, and numerators sharing a factor, so that lambda is
-# reduced by a gcd of degree 6; the sha256 of its `jonq-order` stdout, which
-# the examples job of the CI workflow also checks, was recorded with
-# lambda = trace^2 / det.
+# reduced by a gcd of degree 6.
 JONQ_ORDER = Path(__file__).parent / "jonq_order.json"
-JONQ_ORDER_SHA256 = (Path(__file__).parent / "jonq_order.sha256").read_text().strip()
-# That element times one whose a1 has a non-monic constant denominator and
-# whose a2 has a denominator sharing a factor with its numerator; the sha256
-# of its `jonq-mul` stdout, which the examples job of the CI workflow also
-# checks, was recorded while RatFunc reduced by its own gcd front end.
-JONQ_MUL = Path(__file__).parent / "jonq_mul.json"
-JONQ_MUL_SHA256 = (Path(__file__).parent / "jonq_mul.sha256").read_text().strip()
 # sha256 of the exit code and stdout of each request of the first block of the
 # benchmark's compose_words workload on seeds 1 to 5 in turn (map-compose,
 # then map-fixcheck on its piped stdout), recorded before the polynomial
 # constructors and decoders shared one builder.
 COMPOSE_WORDS_SHA256 = "a55bb3fcf16e82d20bacd40965c562079afec04002e1224427d15fc703ae08b7"
-# F3 o B of tests/test_cremona_maps.py, of degree 24, the default cap, and
-# the sha256 of its `map-compose` stdout, which the examples job of the CI
-# workflow also checks, recorded at the same time.
-MAP_COMPOSE_24 = Path(__file__).parent / "map_compose_24.json"
-MAP_COMPOSE_24_SHA256 = (Path(__file__).parent / "map_compose_24.sha256").read_text().strip()
-# An H element with rational alpha and beta after a phi o G with large rational
-# parameters: the substitution packs into slots of 224 bits, wider than 8
-# bytes, and the composite of degree 5 has fractional coefficients.  The
-# sha256 of its `map-compose` stdout, which the examples job of the CI
-# workflow also checks, was recorded before the three components shared one
-# substitution.
-MAP_COMPOSE_WIDE = Path(__file__).parent / "map_compose_wide.json"
-MAP_COMPOSE_WIDE_SHA256 = (Path(__file__).parent / "map_compose_wide.sha256").read_text().strip()
-
-# The exit code and the sha256 of the `--format text` stdout of every other
-# subcommand, and of one error report, on inputs used above; recorded while
-# text mode rendered the payload itself rather than the JSON report.
-TEXT_OUTPUTS = {
-    "genus": (0, "2e65747a6c8897e56a87d8314c6c5650c21121d4047b3998db8a1ad44262004b"),
-    "validate": (0, "2b1d0e7f034e2092d3c0e4b3092b3ded9ecb41839d1aa518ad115f45373aa331"),
-    "adjoint-chain": (0, "b7be2be9d363ec24b991917042e20fd38f528a84725a3704a39dcc007d5ab552"),
-    "classify": (0, "df8abc42c450cc7349b34589f96ba2e5c4bcd4784445b5a515ba83f7ea475207"),
-    "map-compose": (0, "f06a984013ba42fe967ae9c077c409c9624362b4c215ffd7de061a0f818e3f95"),
-    "map-fixcheck": (0, "1f01167ef3b348b2f8e14bc3856e677c34f2334a35365f62745334af44957a14"),
-    "jonq-order": (0, "a2163ad6e766dc28586b62d8f28097b93eb52e68beb8017b556e829ff38f554a"),
-    "jonq-mul": (0, "c5a8dc42d16a094cf2b9e1abcd2bb40ef79ae68c983e37848a60df6d8fee015d"),
-    "jonq-fix-check": (0, "816128b033b719ce118f8aa18987e04bd11d3ab66e1f32a02a5aec96ab7d977e"),
-    "pencil-check": (0, "f7a807e5836ef495d086b831f74194df1e6c434ba32fb4b48fce6b556db7d374"),
-    "examples": (0, "e0df2a3a8a6baf2a96c747715a09654b860ac099ca9351f17e7362399ed15556"),
-    "malformed-json": (1, "0ed4160353bfdc885c601d125adad47e96aaf101f5e0660ebf86ebc73d2663d6"),
-}
-
-
-def text_argv(name):
-    """The arguments of the `--format text` run named ``name`` in TEXT_OUTPUTS."""
-    curve = TestGoldenOutputs.curve
-    line = encode_trihom_oracle(TriHomPoly.monomial((1, 0, 0)))
-    fixcheck = json.dumps({"map": json_of(ser.encode_map(make_phi(2, 3))), "curve": line})
-    element = json.loads(JONQ_ORDER.read_text())
-    return {
-        "genus": ["genus", "--inline", GEISER_CURVE],
-        "validate": ["validate", str(HYPERELLIPTIC_8)],
-        "adjoint-chain": ["adjoint-chain", "--inline", curve(*CHAIN_65)],
-        "classify": ["classify", "--inline", curve(*CHAIN_55)],
-        "map-compose": ["map-compose", str(MAP_COMPOSE_24)],
-        "map-fixcheck": ["map-fixcheck", "--inline", fixcheck],
-        "jonq-order": ["jonq-order", str(JONQ_ORDER)],
-        "jonq-mul": ["jonq-mul", "--inline", json.dumps({"u": element, "v": element})],
-        "jonq-fix-check": ["jonq-fix-check", str(JONQ_ORDER)],
-        "pencil-check": ["pencil-check", "--n", "2", "--mults", "1,1,1,1"],
-        "examples": ["examples"],
-        "malformed-json": ["genus", "--inline", "{not json"],
-    }[name]
-
-
 # t^2 (t^2 + 1): even degree 4, not squarefree.
 T2_T2_PLUS_1 = UniPoly.of(0, 0, 1, 0, 1)
 
@@ -249,32 +152,53 @@ class TestGenus:
         assert code == 1
         assert payload["error"] == "schema"
 
-    def test_unreadable_source_is_reported(self, capsys, tmp_path):
-        # A missing file, a directory and a file that is not UTF-8.
+    def test_from_a_text_stream_on_stdin(self, capsys, monkeypatch):
+        # In process, stdin may be a text stream with no binary layer.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(GEISER_CURVE))
+        assert run_json(capsys, "genus", "-") == (0, {"degree": 6, "genus": 3})
+
+    def test_unreadable_source_is_reported(self, capsys, monkeypatch, tmp_path):
+        # A missing file, a directory, and a file and stdin that are not UTF-8;
+        # stdin's text layer, as in the C locale, would read the bytes it cannot
+        # decode as surrogates.
         bad_bytes = tmp_path / "bad-bytes.json"
         bad_bytes.write_bytes(b"\xff" + GEISER_CURVE.encode())
-        for source in (str(tmp_path / "missing.json"), str(tmp_path), str(bad_bytes)):
+        stdin = io.BytesIO(bad_bytes.read_bytes())
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, "utf-8", "surrogateescape"))
+        for source in (str(tmp_path / "missing.json"), str(tmp_path), str(bad_bytes), "-"):
             code, payload = run_json(capsys, "genus", source)
             assert code == 1 and payload["error"] == "schema"
             assert payload["message"].startswith(f"cannot read {source!r}: ")
 
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
-        """A UTF-8 file with labels outside ASCII gives the same exit code
-        and stdout in the C locale without UTF-8 mode as in UTF-8 mode."""
+        """In each format, a UTF-8 curve with labels outside ASCII gives exit
+        code 0 and the same stdout from a file and from stdin, in the C
+        locale without UTF-8 mode as in UTF-8 mode: input is read and text
+        is written as UTF-8."""
         path = tmp_path / "curve.json"
         path.write_bytes(GEISER_CURVE.replace('"label": "p', '"label": "\u00e9').encode())
         assert b"\xc3\xa9" in path.read_bytes()
         src = str(Path(__file__).resolve().parents[1] / "src")
-        runs = [
-            subprocess.run(
-                [sys.executable, "-X", f"utf8={mode}", "-m", "cremona_kit.cli",
-                 "adjoint-chain", str(path)],
-                capture_output=True, env=dict(os.environ, PYTHONPATH=src, LC_ALL="C"), timeout=60,
-            )
-            for mode in (0, 1)
-        ]
-        assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[1].stdout)] * 2
-        assert b'"\\u00e90"' in runs[0].stdout
+
+        def run_in_c_locale(mode, source, fmt):
+            with open(path, "rb") as stdin:
+                return subprocess.run(
+                    [sys.executable, "-X", f"utf8={mode}", "-m", "cremona_kit.cli",
+                     "adjoint-chain", *source, "--format", fmt],
+                    stdin=stdin, capture_output=True, timeout=60,
+                    env=dict(os.environ, PYTHONPATH=src, LC_ALL="C"),
+                )
+
+        for fmt, label in (("json", b'"\\u00e90"'), ("text", "\u00e90: 2".encode())):
+            runs = [
+                run_in_c_locale(mode, source, fmt) for source in ([path], ["-"]) for mode in (0, 1)
+            ]
+            assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[-1].stdout)] * 4
+            assert label in runs[0].stdout
+        # The C locale reads the bytes of an argument it cannot decode as
+        # surrogates, which text writes back as those bytes.
+        inline = run_in_c_locale(0, ["--inline", path.read_bytes()], "text")
+        assert (inline.returncode, inline.stdout) == (0, runs[-1].stdout)
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "curve.json"
@@ -425,52 +349,29 @@ class TestCurveDegreeCap:
 
 
 class TestGoldenOutputs:
-    def digest(self, capsys, *argv):
-        code, out = run(capsys, *argv)
-        assert code == 0
-        return hashlib.sha256(out.encode()).hexdigest()
+    """The pinned outputs of tests/golden.json, run in process, and the
+    digests of streams of generated requests, run in turn."""
 
-    def test_pencil_enum_16(self, capsys):
-        assert self.digest(capsys, "pencil-enum", "--max", "16", "--bound", "16") == (
-            PENCIL_ENUM_16_SHA256
-        )
+    @pytest.mark.parametrize("entry", golden.load(), ids=lambda entry: entry["name"])
+    def test_pinned_output(self, capsys, monkeypatch, entry):
+        def run_in_process(argv):
+            code, out = run(capsys, *argv)
+            return code, out.encode()
 
-    def test_pencil_enum_20(self, capsys):
-        assert self.digest(capsys, "pencil-enum", "--max", "20", "--bound", "20") == (
-            PENCIL_ENUM_20_SHA256
-        )
+        monkeypatch.chdir(golden.ROOT)
+        assert golden.check(entry, run_in_process) == []
 
-    def test_pencil_enum_6_text(self, capsys):
-        assert self.digest(capsys, "pencil-enum", "--max", "6", "--format", "text") == (
-            PENCIL_ENUM_6_TEXT_SHA256
-        )
-
-    @pytest.mark.parametrize(
-        "system, want",
-        [(CHAIN_65, CHAIN_65_SHA256), (CHAIN_55, CHAIN_55_SHA256)],
-        ids=["degree-65", "degree-55"],
-    )
-    def test_adjoint_chain_reports(self, capsys, system, want):
-        assert self.digest(capsys, "adjoint-chain", "--inline", self.curve(*system)) == want
-
-    def test_adjoint_chain_of_the_file(self, capsys):
-        assert self.digest(capsys, "adjoint-chain", str(CHAIN_65_FILE)) == CHAIN_65_SHA256
-
-    @pytest.mark.parametrize(
-        "system, want",
-        [(CHAIN_65, CLASSIFY_65_SHA256), (CHAIN_55, CLASSIFY_55_SHA256)],
-        ids=["degree-65", "degree-55"],
-    )
-    def test_classify_reports(self, capsys, system, want):
-        assert self.digest(capsys, "classify", "--inline", self.curve(*system)) == want
-
-    def test_examples(self, capsys):
-        assert self.digest(capsys, "examples") == EXAMPLES_SHA256
-
-    @pytest.mark.parametrize("name", TEXT_OUTPUTS)
-    def test_text_outputs(self, capsys, name):
-        code, out = run(capsys, *text_argv(name), "--format", "text")
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == TEXT_OUTPUTS[name]
+    def test_manifest(self):
+        """Names are unique, every path an entry names exists, every other
+        JSON file of tests/ is named by an entry, and digests are sha256 hex."""
+        entries = golden.load()
+        names = [entry["name"] for entry in entries]
+        assert len(set(names)) == len(names)
+        paths = {getattr(_parse_args(entry["argv"]), "input", None) for entry in entries} - {None}
+        assert all((golden.ROOT / path).is_file() for path in paths), paths
+        inputs = {f"tests/{p.name}" for p in golden.MANIFEST.parent.glob("*.json")}
+        assert inputs - {"tests/golden.json"} <= paths
+        assert all(re.fullmatch("[0-9a-f]{64}", entry["sha256"]) for entry in entries)
 
     @staticmethod
     def runs_digest(capsys, payloads, command="validate"):
@@ -493,17 +394,8 @@ class TestGoldenOutputs:
         assert len(payloads) == count
         assert self.runs_digest(capsys, payloads, command) == JONQ_FIELD_SHA256[command]
 
-    def test_jonq_order_rational_entries(self, capsys):
-        assert self.digest(capsys, "jonq-order", str(JONQ_ORDER)) == JONQ_ORDER_SHA256
-
-    def test_jonq_mul_rational_entries(self, capsys):
-        assert self.digest(capsys, "jonq-mul", str(JONQ_MUL)) == JONQ_MUL_SHA256
-
     def test_validate_hand_made_curves(self, capsys):
         assert self.runs_digest(capsys, VALIDATE_CURVES) == VALIDATE_CURVES_SHA256
-
-    def test_validate_hyperelliptic_8(self, capsys):
-        assert self.digest(capsys, "validate", str(HYPERELLIPTIC_8)) == HYPERELLIPTIC_8_SHA256
 
     def test_compose_words_stream(self, capsys):
         requests = workload_requests("compose_words", 1)
@@ -513,17 +405,6 @@ class TestGoldenOutputs:
             code, out = run(capsys, *request.command(out))
             digest.update(f"{code}\n{out}".encode())
         assert digest.hexdigest() == COMPOSE_WORDS_SHA256
-
-    def test_map_compose_24(self, capsys):
-        assert self.digest(capsys, "map-compose", str(MAP_COMPOSE_24)) == MAP_COMPOSE_24_SHA256
-
-    def test_map_compose_wide_slots(self, capsys):
-        assert self.digest(capsys, "map-compose", str(MAP_COMPOSE_WIDE)) == MAP_COMPOSE_WIDE_SHA256
-
-    @staticmethod
-    def curve(degree, mults):
-        sings = [{"label": f"p{i:02d}", "mult": m, "coords": None} for i, m in enumerate(mults)]
-        return json.dumps({"degree": degree, "poly": None, "singularities": sings})
 
 
 class TestMaps:
