@@ -30,7 +30,6 @@ from .cremona_maps import (
     CremonaMap,
     compose,
     fixes_curve_pointwise,
-    free_intersection,
     is_identity,
     make_H_element,
     make_linear_G,
@@ -62,6 +61,7 @@ from .linear_systems import (
     adjoint_chain,
     adjoint_raw,
     adjoint_step,
+    free_intersection,
     member_genus,
     pencil_decompose,
     quadratic_transform,

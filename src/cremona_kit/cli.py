@@ -62,6 +62,11 @@ def _load_payload(args: argparse.Namespace) -> Any:
         raise SchemaError("$", "exactly one input source required (path or --inline)")
     if args.inline is not None:
         text = args.inline
+        if not text.isascii():  # the argument's bytes read as UTF-8, as a file is read
+            try:
+                text = os.fsencode(text).decode("utf-8")
+            except UnicodeError:  # not UTF-8, or a str the filesystem encoding cannot encode
+                pass
     else:
         try:
             if args.input != "-":
@@ -354,9 +359,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             # An unbuffered stream takes part of a write that the reader's exit cuts
             # short, and its text layer drops the rest: writing it makes the pipe raise.
             sys.stdout.flush()
-            # UTF-8, as input is read, whatever the locale; the surrogates that stand for
-            # the bytes of an argument the locale could not decode are written as those bytes.
-            data = memoryview(text.encode("utf-8", "surrogateescape"))
+            # UTF-8, as input is read, whatever the locale. A surrogate that stands for an
+            # undecodable argument byte is written as that byte, any other as its \u escape.
+            try:
+                data = memoryview(text.encode("utf-8", "surrogateescape"))
+            except UnicodeEncodeError:
+                data = memoryview("".join(
+                    f"\\u{ord(c):04x}" if "\ud800" <= c < "\udc80" or "\udcff" < c <= "\udfff"
+                    else c for c in text
+                ).encode("utf-8", "surrogateescape"))
             while data:
                 data = data[raw.write(data) :]
             raw.flush()

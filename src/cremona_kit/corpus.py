@@ -18,7 +18,6 @@ from ._record import Record
 from .cremona_maps import (
     compose,
     fixes_curve_pointwise,
-    free_intersection,
     is_identity,
     make_H_element,
     make_linear_G,
@@ -31,6 +30,7 @@ from .linear_systems import (
     Classification,
     LinSysData,
     adjoint_chain,
+    free_intersection,
     member_genus,
     virtual_dim,
 )

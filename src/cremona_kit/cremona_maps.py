@@ -59,7 +59,6 @@ from .exact_algebra import (
     _substitute,
     homogenize_uni,
 )
-from .linear_systems import LinSysData
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -242,11 +241,3 @@ def _minor(a: _BiPoly, sa: tuple[int, int], b: _BiPoly, sb: tuple[int, int]) -> 
     shifted_a = {(i + ai, j + aj): v for (i, j), v in a.items()}
     return _axpy(shifted_a, -1, {(i + bi, j + bj): v for (i, j), v in b.items()})
 
-
-def free_intersection(L: LinSysData, M: LinSysData) -> int:
-    """Intersection of general members away from shared base points: the
-    labels that L and M share name the same points."""
-    total = L.degree * M.degree
-    for label in set(L.labels()) & set(M.labels()):
-        total -= L.mult(label) * M.mult(label)
-    return total

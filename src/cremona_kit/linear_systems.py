@@ -131,6 +131,13 @@ def self_intersection(L: LinSysData) -> int:
     return L.degree**2 - _sums(L)[1]
 
 
+def free_intersection(L: LinSysData, M: LinSysData) -> int:
+    """Intersection of general members away from shared base points: the
+    labels that L and M share name the same points."""
+    m = dict(M.mults)
+    return L.degree * M.degree - sum(mu * m.get(label, 0) for label, mu in L.mults)
+
+
 def _numerical_data(source: PlaneCurveModel | LinSysData) -> LinSysData:
     if isinstance(source, PlaneCurveModel):
         return LinSysData.of(source.degree, source.mult_map())
@@ -318,20 +325,13 @@ def adjoint_step(L: LinSysData) -> ChainStep:
     return ChainStep(L, raw, removed, reduced, pr, tuple(warnings))
 
 
-def _classify_terminal(g: int, dim: int) -> tuple[Classification, str | None]:
-    if g == 0 and dim == 1:
-        return Classification.RATIONAL_PENCIL, None
-    if g == 1 and dim == 1:
-        return Classification.ELLIPTIC_PENCIL, None
-    if g == 1 and dim == 2:
-        return Classification.ELLIPTIC_NET, None
-    if g == 0:  # dim >= 2, as no system of a chain is empty
-        return Classification.RATIONAL_SYSTEM, None
-    return (
-        Classification.EXHAUSTED,
-        f"terminal system with genus {g} and dimension {dim} does not fit the "
-        "rational/elliptic case split",
-    )
+# A terminal's class by (genus, dimension).  Any other of genus 0 is a rational
+# system (dimension >= 2, as no system of a chain is empty), and the rest exhausted.
+_TERMINAL_CLASSES = {
+    (0, 1): Classification.RATIONAL_PENCIL,
+    (1, 1): Classification.ELLIPTIC_PENCIL,
+    (1, 2): Classification.ELLIPTIC_NET,
+}
 
 
 def adjoint_chain(source: PlaneCurveModel | LinSysData) -> ChainReport:
@@ -348,20 +348,20 @@ def adjoint_chain(source: PlaneCurveModel | LinSysData) -> ChainReport:
     g = member_genus(current)
     if g <= 1:
         raise AdjointDoesNotExist(f"adjoint chain requires genus > 1, got genus {g}")
-    max_steps = current.degree // 3 + 1
     steps: list[ChainStep] = []
     warnings: list[str] = []
     while g > 1:
-        if len(steps) > max_steps:
-            raise AssertionError("adjoint chain failed to terminate")
         step = adjoint_step(current)
         steps.append(step)
         warnings.extend(step.warnings)
         current = step.output
         g = member_genus(current)
-    classification, note = _classify_terminal(g, virtual_dim(current))
-    if note:
-        warnings.append(note)
+    dim = virtual_dim(current)
+    other = Classification.RATIONAL_SYSTEM if g == 0 else Classification.EXHAUSTED
+    classification = _TERMINAL_CLASSES.get((g, dim), other)
+    if classification is Classification.EXHAUSTED:
+        warnings.append(f"terminal system with genus {g} and dimension {dim} does not fit "
+                        "the rational/elliptic case split")
     return ChainReport(tuple(steps), current, classification, tuple(warnings))
 
 

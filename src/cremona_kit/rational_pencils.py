@@ -13,7 +13,7 @@ ordinary double points, members of such a pencil meet the sextic in
 6n - 2 sum n_i points away from the base points, where n_i is the pencil
 multiplicity at each node; the linear relation bounds this below by 4.
 ``enumerate_pencil_types`` walks the partitions of 3n - 2 with square sum
-n^2 on an explicit stack, and writes each rest of parts <= 3 in closed form.
+n^2 recursively, and writes each rest of parts <= 3 in closed form.
 
 Proximity inequalities between infinitely-near points are not enforced;
 the two equations are the whole contract.
@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import EnumerationBoundExceeded, InvalidAssignment
-from .linear_systems import LinSysData
+from .linear_systems import LinSysData, member_genus, virtual_dim
 
 DEFAULT_ENUM_LIMIT = 8
 
@@ -58,18 +58,15 @@ class PencilCheckReport(Record):
 
 
 def check_rational_pencil(n: int, mults: Iterable[int]) -> PencilCheckReport:
-    """Evaluate both pencil equations exactly and report the residuals.
-
-    The linear residual 3n - sum(m) - 2 is r_pencil - r_genus, so it is 0
-    whenever both equations hold.  The data is validated, and the
-    multiplicities sorted, by ``PencilType``.
-    """
-    ms = PencilType(n, mults).mults
-    r_genus = (n - 1) * (n - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
-    r_pencil = (n + 1) * (n + 2) // 2 - sum(m * (m + 1) // 2 for m in ms) - 2
-    r_linear = 3 * n - sum(ms) - 2
+    """The residuals of both pencil equations: the member genus, and the
+    virtual dimension minus 1, of the type as a linear system; and their
+    difference 3n - sum(m) - 2, which is 0 whenever both hold.
+    ``PencilType`` validates the data and sorts the multiplicities."""
+    p = PencilType(n, mults)
+    L = as_linear_system(p)
+    r_genus, r_pencil = member_genus(L), virtual_dim(L) - 1
     valid = r_genus == 0 and r_pencil == 0
-    return PencilCheckReport(n, ms, r_genus, r_pencil, r_linear, valid)
+    return PencilCheckReport(n, p.mults, r_genus, r_pencil, r_pencil - r_genus, valid)
 
 
 def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> int:
@@ -80,8 +77,7 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
     not exceed the pencil's total base multiplicity 3n - 2, which gives
     the bound.
     """
-    report = check_rational_pencil(p.degree, p.mults)
-    if not report.valid:
+    if not check_rational_pencil(p.degree, p.mults).valid:
         raise ValueError(f"pencil type {p} does not satisfy the pencil equations")
     ns = tuple(node_mults)
     if any(type(v) is not int or v < 0 for v in ns):  # bool and other int subclasses included
@@ -100,12 +96,13 @@ def _partitions(total: int, square_total: int, max_part: int) -> list[tuple[int,
     ceil(s / t) <= p <= min(cap, t) with p(p - 1) <= s - t.  Once s == t
     the rest is all ones.  Once cap <= 3 it is a 3s, b 2s and c 1s with
     6a + 2b = s - t and 3a + 2b + c = t: one rest per a, from the largest
-    down while c >= 0, with a = 0 under cap 2 and none under cap 1."""
+    down while c >= 0, with a = 0 under cap 2 and none under cap 1.  The
+    walk recurses once per part taken before the rest, over one shared
+    ``head``, about n/2 deep: 10, 17 and 21 calls at n = 16, 32 and 40."""
     found: list[tuple[int, ...]] = []
     head: list[int] = []  # the part taken at each open level
-    levels: list[list[int]] = []  # per open level: [next part, lowest part, t, s]
-    t, s, cap = total, square_total, max_part
-    while True:
+
+    def walk(t: int, s: int, cap: int) -> None:
         if s == t and (cap > 0 or t == 0):
             found.append((*head,) + (1,) * t)
         elif cap < 4:
@@ -117,17 +114,15 @@ def _partitions(total: int, square_total: int, max_part: int) -> list[tuple[int,
                         break
                     found.append((*head,) + (3,) * a + (2,) * (h - 3 * a) + (1,) * c)
         elif 0 < t < s:
-            levels.append([min(cap, t, (isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t), t, s])
             head.append(0)
-        while levels and levels[-1][0] < levels[-1][1]:
-            levels.pop()
+            for p in range(min(cap, t, (isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t) - 1, -1):
+                head[-1] = p
+                walk(t - p, s - p * p, p)
             head.pop()
-        if not levels:
-            return found
-        level = levels[-1]
-        cap = head[-1] = level[0]
-        level[0] -= 1
-        t, s = level[2] - cap, level[3] - cap * cap
+
+    walk(total, square_total, max_part)
+    del walk  # the closure holds itself: break the cycle, leave no garbage
+    return found
 
 
 def enumerate_pencil_types(

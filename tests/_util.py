@@ -7,10 +7,13 @@ Bezout-rule enumerator below is the oracle for the package's direct
 first-rule search, the Fraction ``substitute_oracle`` the one for the
 package's integer substitution, the Fraction Euclid ``uni_gcd_oracle``
 the one for the modular ``uni_gcd``, and the recursive generator
-``partitions_oracle`` and the explicit-stack ``partitions_walk_oracle`` the
-ones for the pencil-type walk with closed-form tails, and
-``fixes_curve_pointwise_oracle`` (Fraction minors, ``tri_divrem``) the one
-for the integer fixation certificate.  ``multiplicity_at_oracle`` (the
+``partitions_oracle``, the explicit-stack ``partitions_walk_oracle`` and
+the explicit-stack ``partitions_stack_oracle`` with closed-form tails the
+ones for the recursive pencil-type walk with closed-form tails,
+``check_rational_pencil_oracle`` (the two closed residual formulas) the
+one for ``check_rational_pencil``, which reads the numbers of a linear
+system, and ``fixes_curve_pointwise_oracle`` (Fraction minors,
+``tri_divrem``) the one for the integer fixation certificate.  ``multiplicity_at_oracle`` (the
 partials at the point) and ``is_perfect_power_oracle`` (one gcd per
 partial) are the ones for the substitution and the one content GCD per
 level of ``curve_model``, ``pgl_order_oracle`` (the order of a matrix
@@ -121,7 +124,7 @@ from cremona_kit.linear_systems import (
     RemovedComponent,
     _Rule,
 )
-from cremona_kit.rational_pencils import PencilType
+from cremona_kit.rational_pencils import PencilCheckReport, PencilType
 
 SX, SY, SZ = sympy.symbols("x y z")
 ST = sympy.Symbol("t")
@@ -912,6 +915,49 @@ def partitions_walk_oracle(total: int, square_total: int, max_part: int):
         cap = head[-1] = level[0]
         level[0] -= 1
         t, s = level[2] - cap, level[3] - cap * cap
+
+
+def partitions_stack_oracle(total: int, square_total: int, max_part: int):
+    """The explicit-stack walk ``rational_pencils._partitions`` had before it
+    recursed: the same closed-form rests of parts <= 3."""
+    found: List[Tuple[int, ...]] = []
+    head: List[int] = []  # the part taken at each open level
+    levels: List[List[int]] = []  # per open level: [next part, lowest part, t, s]
+    t, s, cap = total, square_total, max_part
+    while True:
+        if s == t and (cap > 0 or t == 0):
+            found.append((*head,) + (1,) * t)
+        elif cap < 4:
+            h, odd = divmod(s - t, 2)  # h = 3a + b
+            if cap > 1 and h > 0 and not odd:
+                for a in range(h // 3 if cap == 3 else 0, -1, -1):
+                    c = 2 * t - s + 3 * a
+                    if c < 0:
+                        break
+                    found.append((*head,) + (3,) * a + (2,) * (h - 3 * a) + (1,) * c)
+        elif 0 < t < s:
+            levels.append([min(cap, t, (math.isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t), t, s])
+            head.append(0)
+        while levels and levels[-1][0] < levels[-1][1]:
+            levels.pop()
+            head.pop()
+        if not levels:
+            return found
+        level = levels[-1]
+        cap = head[-1] = level[0]
+        level[0] -= 1
+        t, s = level[2] - cap, level[3] - cap * cap
+
+
+def check_rational_pencil_oracle(n: int, mults: Sequence[int]) -> PencilCheckReport:
+    """``check_rational_pencil`` as it was, with both residuals and the linear
+    one in closed form."""
+    ms = PencilType(n, mults).mults
+    r_genus = (n - 1) * (n - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
+    r_pencil = (n + 1) * (n + 2) // 2 - sum(m * (m + 1) // 2 for m in ms) - 2
+    r_linear = 3 * n - sum(ms) - 2
+    valid = r_genus == 0 and r_pencil == 0
+    return PencilCheckReport(n, ms, r_genus, r_pencil, r_linear, valid)
 
 
 def rand_curve(

@@ -172,9 +172,9 @@ class TestGenus:
 
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         """In each format, a UTF-8 curve with labels outside ASCII gives exit
-        code 0 and the same stdout from a file and from stdin, in the C
-        locale without UTF-8 mode as in UTF-8 mode: input is read and text
-        is written as UTF-8."""
+        code 0 and the same stdout from a file, from stdin and from --inline,
+        in the C locale without UTF-8 mode as in UTF-8 mode: input is read
+        and text is written as UTF-8."""
         path = tmp_path / "curve.json"
         path.write_bytes(GEISER_CURVE.replace('"label": "p', '"label": "\u00e9').encode())
         assert b"\xc3\xa9" in path.read_bytes()
@@ -195,10 +195,10 @@ class TestGenus:
             ]
             assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[-1].stdout)] * 4
             assert label in runs[0].stdout
-        # The C locale reads the bytes of an argument it cannot decode as
-        # surrogates, which text writes back as those bytes.
-        inline = run_in_c_locale(0, ["--inline", path.read_bytes()], "text")
-        assert (inline.returncode, inline.stdout) == (0, runs[-1].stdout)
+            # The C locale reads the bytes of an argument it cannot decode as
+            # surrogates; --inline reads those bytes as UTF-8, as a file is read.
+            inline = run_in_c_locale(0, ["--inline", path.read_bytes()], fmt)
+            assert (inline.returncode, inline.stdout) == (0, runs[-1].stdout)
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "curve.json"

@@ -17,7 +17,6 @@ from cremona_kit.cremona_maps import (
     _jonquieres_map,
     compose,
     fixes_curve_pointwise,
-    free_intersection,
     is_identity,
     make_H_element,
     make_linear_G,
@@ -34,7 +33,7 @@ from cremona_kit.exact_algebra import (
     UniPoly,
     tri_content_gcd,
 )
-from cremona_kit.linear_systems import LinSysData
+from cremona_kit.linear_systems import LinSysData, free_intersection
 
 from _util import (
     H4,

@@ -17,7 +17,12 @@ from cremona_kit.rational_pencils import (
     sextic_free_intersection_bound,
 )
 
-from _util import partitions_oracle, partitions_walk_oracle
+from _util import (
+    check_rational_pencil_oracle,
+    partitions_oracle,
+    partitions_stack_oracle,
+    partitions_walk_oracle,
+)
 
 
 def brute_types(n):
@@ -81,6 +86,18 @@ class TestCheck:
         rep = check_rational_pencil(n, mults)
         assert rep.linear_residual == rep.pencil_residual - rep.genus_residual
         assert rep.valid == (rep.genus_residual == rep.pencil_residual == 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.lists(st.integers(1, 12), max_size=12))
+    def test_matches_the_closed_formulas(self, n, mults):
+        # Valid or not: the residuals read off the linear system are the
+        # closed formulas' numbers.
+        assert check_rational_pencil(n, mults) == check_rational_pencil_oracle(n, mults)
+
+    def test_valid_types_match_the_closed_formulas(self):
+        for p in enumerate_pencil_types(12, limit=12):
+            rep = check_rational_pencil(p.degree, p.mults)
+            assert rep.valid and rep == check_rational_pencil_oracle(p.degree, p.mults)
 
 
 class TestEnumerate:
@@ -149,18 +166,31 @@ class TestEnumerate:
 
 
 class TestWalkOracle:
-    """The walk against the recursive generator and the explicit-stack walk
-    it replaced, around its closed-form rests of parts <= 3."""
+    """The walk against the recursive generator, the explicit-stack walk
+    with closed-form rests of parts <= 3 that it replaced, and the earlier
+    explicit-stack walk that took every part on the stack."""
 
     def test_every_degree_up_to_24(self):
         for n in range(1, 25):
-            assert _partitions(3 * n - 2, n * n, n) == list(partitions_oracle(3 * n - 2, n * n, n))
+            want = list(partitions_oracle(3 * n - 2, n * n, n))
+            assert _partitions(3 * n - 2, n * n, n) == want
+            assert partitions_stack_oracle(3 * n - 2, n * n, n) == want
 
     def test_caps_below_the_degree(self):
         for n in range(1, 17):
             for cap in range(0, n):
                 want = list(partitions_oracle(3 * n - 2, n * n, cap))
                 assert _partitions(3 * n - 2, n * n, cap) == want, (n, cap)
+                assert partitions_stack_oracle(3 * n - 2, n * n, cap) == want, (n, cap)
+
+    def test_stack_walk_box(self):
+        # Every (sum, square sum, cap) in a box around test_small_targets',
+        # negative values included.
+        for total in range(-2, 26):
+            for square_total in range(-2, 90):
+                for cap in range(-1, 14):
+                    got = _partitions(total, square_total, cap)
+                    assert got == partitions_stack_oracle(total, square_total, cap)
 
     def test_small_targets(self):
         # Every (sum, square sum, cap) in a box, solvable or not.
