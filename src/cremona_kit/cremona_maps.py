@@ -103,7 +103,7 @@ class CremonaMap(Record):
         """
         if not (f0.degree == f1.degree == f2.degree):
             raise ValueError("map components must share one degree")
-        if not (f0 or f1 or f2):
+        if not (f0._body or f1._body or f2._body):
             raise ValueError("map components are all zero")
         _, comps = _primitive_parts((f0, f1, f2), normalise=True)
         if comps[0].degree < 1:

@@ -106,9 +106,11 @@ class _Poly:
     subclass says what the keys stand for, and sets ``_ONE``."""
 
     __slots__ = ("_den", "_body")
+    # Whether the class stores its degree (TriHomPoly) or its body states it (UniPoly).
+    _STORES_DEGREE = False
 
     @classmethod
-    def _make(cls, degree: int, body: _BiPoly, den: int) -> "_Poly":
+    def _make(cls, degree: int | None, body: _BiPoly, den: int) -> "_Poly":
         """Trusted constructor of an arithmetic result of ``degree``: body in
         decreasing lex order with no zero coefficient, den a nonzero integer.
         This default drops the degree, which a UniPoly body states, and
@@ -177,10 +179,11 @@ class _Poly:
                 product = {(i + di, j + dj): c * m for (i, j), c in a.items()}
             else:
                 product = _lex(_bimul(a, b))
-            return self._make(self.degree + other.degree, product, self._den * other._den)
+            degree = self.degree + other.degree if self._STORES_DEGREE else None
+            return self._make(degree, product, self._den * other._den)
         p, q = _ratio(other)
         body = {e: c * p for e, c in self._body.items()} if p else {}
-        return self._make(self.degree, body, self._den * q)
+        return self._make(self.degree if self._STORES_DEGREE else None, body, self._den * q)
 
     def __rmul__(self, other: RationalLike):
         return self.__mul__(other)
@@ -361,6 +364,7 @@ class TriHomPoly(_Poly, Record):
 
     __slots__ = ("degree",)
     _fields = ("degree", "terms")
+    _STORES_DEGREE = True
 
     def __init__(self, degree: int, terms: tuple[tuple[Exponents, Fraction], ...] = ()) -> None:
         # bool and float refused: the JSON writer would print them as such.
@@ -571,7 +575,11 @@ def tri_divides(c: TriHomPoly, f: TriHomPoly) -> bool:
 #    divides gamma, exceeds xi - 1 - N >= xi / 2.  The lemma runs on the
 #    lines F(x, t), G(x, t) and F(t, y), G(t, y) at t = _POINT, once
 #    lc_x(F)(t) != 0: then a common factor c keeps its x-degree in c(x, t),
-#    as lc_x(c) divides lc_x(F), or is c(y).  Most content gcds end here.
+#    as lc_x(c) divides lc_x(F), or is c(y).  Most content gcds end here, at
+#    the cost of the lines: the powers of _POINT are kept in _POWERS, both
+#    degrees of a body are read in one pass, a line with one nonzero
+#    coefficient is a constant once reduced and takes no gcd, and _reduced
+#    returns a line with no content, power of x or trailing zero uncopied.
 # 2. The packed candidate (_packed_parts): C, the primitive part of the
 #    integer gcd of F and G packed at (2^(kW), 2^k), read back and moved to
 #    the monomial factor of H (the packings share powers of 2), is kept when
@@ -849,10 +857,18 @@ def _gcd_mod(
     return [[c * inv % p for c in r] for r in rows]
 
 
-def _lines(F: _BiPoly, t: int) -> tuple[list[int], list[int]]:
-    """The coefficients of F(x, t) and of F(t, y), constant term first."""
-    fx, fy = [0] * (max(F)[0] + 1), [0] * (max(j for _, j in F) + 1)
-    powers = [t**e for e in range(max(len(fx), len(fy)))]
+# The powers of _POINT, _POINT ** e at index e, kept for later calls as _PRIMES
+# is: _lines extends the list to the degrees it meets.
+_POWERS = [1]
+
+
+def _lines(F: _BiPoly) -> tuple[list[int], list[int]]:
+    """The coefficients of F(x, _POINT) and of F(_POINT, y), constant term first."""
+    di, dj = map(max, zip(*F))
+    powers = _POWERS
+    while len(powers) <= max(di, dj):
+        powers.append(powers[-1] * _POINT)
+    fx, fy = [0] * (di + 1), [0] * (dj + 1)
     for (i, j), c in F.items():
         fx[i] += c * powers[j]
         fy[j] += c * powers[i]
@@ -860,32 +876,49 @@ def _lines(F: _BiPoly, t: int) -> tuple[list[int], list[int]]:
 
 
 def _reduced(h: list[int]) -> list[int]:
-    """h in Z[x] without its content, power of x and trailing zeros; [] for 0."""
+    """h in Z[x] without its content, power of x and trailing zeros; [] for 0.
+    h itself, not a copy, when it has none of them."""
     g = math.gcd(*h)
+    if g == 1 and h[0] and h[-1]:
+        return h
     h = _trim([c // g for c in h]) if g else []
     return h[next((e for e, c in enumerate(h) if c), 0) :]
 
 
 def _coprime_lines(f: list[int], g: list[int]) -> bool:
     """True only if f and g in Z[x], by their coefficients, share no factor
-    of positive degree: not both vanish at 0, and their _reduced forms hold a
-    nonzero constant or pass the lemma at xi = 2^s >= 2N + 2, and >= 2^64 if
-    N > 0, since a larger xi makes an accidental common factor rarer."""
+    of positive degree: not both vanish at 0, and one has a single nonzero
+    coefficient (so its _reduced form is a nonzero constant), or both are
+    nonzero and their _reduced forms pass the lemma at xi = 2^s >= 2N + 2 and
+    >= 2^64, since a larger xi makes an accidental common factor rarer."""
     if not (f[0] or g[0]):
         return False
-    f, g = _reduced(f), _reduced(g)
-    if len(f) == 1 or len(g) == 1:
+    if len(f) - f.count(0) == 1 or len(g) - g.count(0) == 1:
         return True
-    N = min(max(map(abs, h), default=0) for h in (f, g))
-    s = max((2 * N + 1).bit_length(), 64 if N else 0)
-    gamma = math.gcd(*(sum(c << s * e for e, c in enumerate(h)) for h in (f, g)))
+    f, g = _reduced(f), _reduced(g)
+    if not (f and g):
+        return False
+    N = min(max(max(f), -min(f)), max(max(g), -min(g)))
+    s = max((2 * N + 1).bit_length(), 64)
+    gamma = math.gcd(_at_power_of_two(f, s), _at_power_of_two(g, s))
     return 0 < gamma < 1 << (s - 1)
+
+
+def _at_power_of_two(h: list[int], s: int) -> int:
+    """h(2^s), by Horner's rule on shifts."""
+    v = 0
+    for c in reversed(h):
+        v = (v << s) + c
+    return v
 
 
 def _coprime(F: _BiPoly, G: _BiPoly) -> bool:
     """True only if gcd(F, G) is constant: route 1, with lines at t = _POINT."""
-    (fx, fy), (gx, gy) = _lines(F, _POINT), _lines(G, _POINT)
-    return fx[-1] != 0 and _coprime_lines(fx, gx) and _coprime_lines(fy, gy)
+    fx, fy = _lines(F)
+    if not fx[-1]:
+        return False
+    gx, gy = _lines(G)
+    return _coprime_lines(fx, gx) and _coprime_lines(fy, gy)
 
 
 _PACKED_BITS = 250_000  # the largest packed operand; crossover in CHANGES.md
@@ -1026,15 +1059,15 @@ def _primitive_parts(
     (_common); the parts are built from its quotients, or are the polys
     themselves when the gcd is 1 (and, with ``normalise``, that coefficient
     is already one)."""
-    live = [p for p in polys if p]
+    live = [p for p in polys if p._body]
     if not live:
         raise ValueError("gcd of three zero polynomials")
     C, quotients = _common([p._body for p in live])
     first = live[0]
+    lead = next(iter(first._body))
     # z^m divides every poly; m = 0 when the first leads free of z, as a UniPoly does.
-    z_free = sum(next(iter(first._body))) == first.degree
-    m = 0 if z_free else min(p.degree - max(map(sum, p._body)) for p in live)
-    if C is None and not m and not (normalise and next(iter(first._body.values())) != first._den):
+    m = 0 if sum(lead) == first.degree else min(p.degree - max(map(sum, p._body)) for p in live)
+    if C is None and not m and not (normalise and first._body[lead] != first._den):
         return first._ONE, tuple(polys)
     # f = z^a F / den and the gcd is z^m C / lc, so f / gcd = lc / den * z^(a-m) * F / C,
     # and the part of the first nonzero poly leads with lc / den_0 * lead(F_0 / C).

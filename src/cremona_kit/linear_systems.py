@@ -93,9 +93,6 @@ class LinSysData(Record):
     def mult(self, label: str) -> int:
         return dict(self.mults).get(label, 0)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.mults)
-
     def __str__(self) -> str:
         if not self.mults:
             return f"({self.degree}; -)"

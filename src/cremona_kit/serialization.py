@@ -19,8 +19,14 @@ Conventions:
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.  Both polynomial decoders read terms with one
-reader, given the arity.  An exponent of a univariate polynomial or a curve
-``poly`` degree above the degree cap is refused before anything is built.
+reader, given the arity, in one pass: a well-formed term passes one test of
+its shape and exponents and one of its coefficient, and goes straight into
+the integer form, its coefficient over a denominator kept as the terms go
+by, with the set of total degrees; a path is built, and the field named,
+only for a term that fails.  An exponent of a univariate polynomial or a
+curve ``poly`` degree above the degree cap is refused before anything is
+built.  The writer prints a coefficient of any size, past CPython's limit on
+``str`` of an int as well.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ if TYPE_CHECKING:
 
 _Path = tuple[str | int, ...]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _pstr(path: _Path) -> str:
@@ -114,9 +120,40 @@ def decode_rational(v: Any, path: _Path) -> Fraction:
 
 
 def _ratio_str(c: int, den: int) -> str:
-    """``str(Fraction(c, den))`` for den > 0, without building the Fraction."""
+    """``str(Fraction(c, den))`` for den > 0, without building the Fraction,
+    and for a part above CPython's limit on ``str`` of an int as well."""
     g = math.gcd(c, den)
-    return str(c // g) if g == den else f"{c // g}/{den // g}"
+    try:
+        return str(c // g) if g == den else f"{c // g}/{den // g}"
+    except ValueError:  # sys.set_int_max_str_digits
+        return _int_str(c // g) if g == den else f"{_int_str(c // g)}/{_int_str(den // g)}"
+
+
+def _int_str(n: int) -> str:
+    """``str(n)`` for an int of any size, with no ``str`` call on 640 digits
+    or more, the least limit CPython allows, and no process-global changed.
+
+    Divide and conquer (R. Brent and P. Zimmermann, Modern Computer
+    Arithmetic, CUP 2010, section 1.7): n is split at the powers
+    10^(512 * 2^k), and every low half is padded with zeros to its width.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    powers = [10**512]
+    while (square := powers[-1] * powers[-1]) <= n:
+        powers.append(square)
+
+    def digits(n: int, k: int, pad: bool) -> str:
+        # n < powers[k]^2, or n < powers[0] for k = -1; with ``pad``, written
+        # in all 2 * 512 * 2^k (for k = -1, 512) places.
+        if k < 0:
+            return str(n).zfill(512) if pad else str(n)
+        high, low = divmod(n, powers[k])
+        if not (high or pad):
+            return digits(low, k - 1, False)
+        return digits(high, k - 1, pad) + digits(low, k - 1, True)
+
+    return digits(n, len(powers) - 1, False)
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -130,21 +167,35 @@ _ARITY = {
     3: ("expected [[i, j, k], coefficient]", "trivariate terms need three exponents",
         (0,), "duplicate monomial [%d, %d, %d]"),
 }
-_INT = {int}
+# A rational string this short is below any limit CPython sets on int() of a
+# string (640 digits at least), so the term reader converts it without a guard.
+_SHORT = 640
 
 
-def _read_terms(v: Any, path: _Path, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """{exponents: (p, q)} of a list of terms [[e1, ..., en], c], n = 1 or 3,
-    checked in order, so that the first failure names its field."""
-    shape, count, negative, duplicate = _ARITY[n]
-    terms: dict[tuple[int, ...], tuple[int, int]] = {}
-    for t, item in enumerate(_as(v, list, path)):
-        # One test passes the shape and exponents of a well-formed term; the
-        # checks that name a field run only for a term that fails it.
+def _read_terms(v: Any, path: _Path, n: int) -> tuple[dict[tuple[int, int], int], int, set[int]]:
+    """(body, den, degrees) of a list of terms [[e1, ..., en], c], n = 1 or 3,
+    checked in order, so that the first failure names its field: body / den
+    is their sum, keyed (e, 0) for [[e], c] and (i, j) for [[i, j, k], c], in
+    decreasing lex order with no zero coefficient, den > 0 a multiple of every
+    denominator, and ``degrees`` the set of total degrees of the terms, zero
+    coefficients included."""
+    items = _as(v, list, path)
+    body: dict[tuple[int, int], int] = {}
+    den, degrees, last, rises = 1, set(), (-1, -1), 0
+    for t, item in enumerate(items):
+        # One test passes the shape and exponents of a well-formed term, and
+        # one its coefficient: an int, or a short rational string with a
+        # nonzero denominator.  The checks that name a field run only for a
+        # term that fails them.  A univariate [[e], c] is read as [[e, 0, 0], c].
         exps = item[0] if type(item) is list and len(item) == 2 else None
-        ok = type(exps) is list and len(exps) == n and _INT.issuperset(map(type, exps))
-        if not (ok and min(exps) >= 0):
+        if type(exps) is list and len(exps) == n:
+            i, j, k = exps if n == 3 else (*exps, 0, 0)
+        else:
+            i = None
+        if not (type(i) is int and type(j) is int and type(k) is int and i >= 0 and j >= 0
+                and k >= 0):
             at = path + (t,)
+            shape, count, negative, _ = _ARITY[n]
             pair = _as(item, list, at)
             if len(pair) != 2:
                 _fail(at, shape)
@@ -155,25 +206,50 @@ def _read_terms(v: Any, path: _Path, n: int) -> dict[tuple[int, ...], tuple[int,
                 _as(x, int, at + (0, a))
             if min(exps) < 0:
                 _fail(at + negative, "exponents must be >= 0")
-        e = tuple(exps)
-        if e in terms:
-            _fail(path + (t,), duplicate % e)
-        terms[e] = _read_rational(item[1], path + (t, 1))
-    return terms
+            i, j, k = exps if n == 3 else (*exps, 0, 0)
+        key = i, j
+        degrees.add(i + j + k)
+        # Keys repeat only in a repeated term, or in terms of two degrees,
+        # which the decoder refuses once every term is read.
+        if key in body and tuple(exps) in {tuple(x[0]) for x in items[:t]}:
+            _fail(path + (t,), _ARITY[n][3] % tuple(exps))
+        c = item[1]
+        if type(c) is str and len(c) <= _SHORT and (m := _RATIONAL_RE.fullmatch(c)) and (
+                q := int(m[2] or 1)):
+            p = int(m[1])
+        elif type(c) is int:
+            p, q = c, 1
+        else:
+            p, q = _read_rational(c, path + (t, 1))
+        if p and den % q:
+            s = q // math.gcd(den, q)
+            den *= s
+            for e in body:
+                body[e] *= s
+        body[key] = p * (den // q)
+        if key > last:
+            rises += 1
+        last = key
+    # Terms come leading first (rises == 1), as a TriHomPoly is written, or
+    # trailing first, as a UniPoly is.
+    if rises > 1:
+        body = dict(reversed(body.items()) if rises == len(body) else sorted(body.items(), reverse=True))
+    if 0 in body.values():
+        body = {e: c for e, c in body.items() if c}
+    return body, den, degrees
 
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
-    terms = {(e, 0): r for (e,), r in _read_terms(v, path, 1).items()}
-    # Checked before any body is built, zero terms included; the message only if refused.
-    top = max(terms, default=(-1, 0))[0]
+    body, den, exponents = _read_terms(v, path, 1)
+    # Checked before the polynomial is built, zero terms included; the message only if refused.
+    top = max(exponents, default=-1)
     if top > max_degree_cap():
         _check_cap(top, f"the polynomial at {_pstr(path)}")
-    return UniPoly._sorted(*UniPoly._integer_form(terms))
+    return UniPoly._sorted(body, den)
 
 
 def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
-    terms = _read_terms(v, path, 3)
-    degrees = {sum(e) for e in terms}
+    body, den, degrees = _read_terms(v, path, 3)
     if len(degrees) > 1:
         _fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")
     if degree is None:
@@ -184,7 +260,6 @@ def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
         _fail(path, f"terms have degree {degrees.pop()}, expected {degree}")
     if degree < 0:
         raise ValueError("homogeneous degree must be >= 0")
-    body, den = TriHomPoly._integer_form({e[:2]: r for e, r in terms.items()})
     return TriHomPoly._sorted(degree, body, den)
 
 

@@ -56,6 +56,14 @@ arithmetic on the stored integer form.  ``encode_unipoly_oracle`` and
 form.  ``decode_unipoly_oracle`` and ``decode_trihom_oracle``, each
 with its own fast test per term and its own namer of a failing term, are
 the oracles for the one term reader that both decoders share.
+``read_terms_oracle``, that reader as it was before it read each term in one
+pass (a path and a ``_read_rational`` call per term), and ``read_form_oracle``,
+it with the decoders' later passes (the degree set, the re-key and the sort
+of ``_integer_form``), are the oracles for the one-pass ``_read_terms``.
+``lines_oracle``, ``reduced_oracle``, ``coprime_lines_oracle`` and
+``coprime_oracle``, route 1 of the GCD with the powers of the point built per
+call and every line copied, are the oracles for the route 1 that keeps the
+powers and reads the lines in place.
 ``as_obj_oracle``, ``as_list_oracle``, ``as_int_oracle``, ``as_str_oracle``
 and ``get_oracle``, the four type guards and the field reader that
 ``serialization`` had, are the oracles for its one typed reader ``_as`` and
@@ -88,6 +96,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import sympy
 from hypothesis import strategies as st
 
+from cremona_kit import exact_algebra
 from cremona_kit import serialization as ser
 from cremona_kit.cremona_maps import CremonaMap
 from cremona_kit.curve_model import (
@@ -420,6 +429,109 @@ def decode_trihom_oracle(v, path, degree: Optional[int] = None) -> TriHomPoly:
         raise ValueError("homogeneous degree must be >= 0")
     body, den = TriHomPoly._integer_form({e[:2]: r for e, r in terms.items()})
     return TriHomPoly._sorted(degree, body, den)
+
+
+# The term reader's naming data per arity, as the earlier reader had it.
+_ARITY_ORACLE = {
+    1: ("expected [[exponent], coefficient]", "univariate terms have a single exponent",
+        (0, 0), "duplicate exponent %d"),
+    3: ("expected [[i, j, k], coefficient]", "trivariate terms need three exponents",
+        (0,), "duplicate monomial [%d, %d, %d]"),
+}
+
+
+def read_terms_oracle(v, path, n):
+    """The earlier ``serialization._read_terms``: {exponents: (p, q)} of a
+    list of terms [[e1, ..., en], c], checked in order, each coefficient
+    read by ``_read_rational`` at its own path."""
+    shape, count, negative, duplicate = _ARITY_ORACLE[n]
+    terms = {}
+    for t, item in enumerate(ser._as(v, list, path)):
+        exps = item[0] if type(item) is list and len(item) == 2 else None
+        ok = type(exps) is list and len(exps) == n and {int}.issuperset(map(type, exps))
+        if not (ok and min(exps) >= 0):
+            at = path + (t,)
+            pair = ser._as(item, list, at)
+            if len(pair) != 2:
+                ser._fail(at, shape)
+            exps = ser._as(pair[0], list, at + (0,))
+            if len(exps) != n:
+                ser._fail(at + (0,), count)
+            for a, x in enumerate(exps):
+                ser._as(x, int, at + (0, a))
+            if min(exps) < 0:
+                ser._fail(at + negative, "exponents must be >= 0")
+        e = tuple(exps)
+        if e in terms:
+            ser._fail(path + (t,), duplicate % e)
+        terms[e] = ser._read_rational(item[1], path + (t, 1))
+    return terms
+
+
+def read_form_oracle(v, path, n):
+    """(body, den, degrees) of a list of terms by the earlier reader and the
+    decoders' later passes: the set of total degrees, the re-key of (i, j, k)
+    to (i, j) and of (e,) to (e, 0), and the sort of ``_integer_form``."""
+    terms = read_terms_oracle(v, path, n)
+    degrees = {sum(e) for e in terms}
+    body, den = TriHomPoly._integer_form({(e[0], e[1] if n == 3 else 0): r for e, r in terms.items()})
+    return body, den, degrees
+
+
+# -- the earlier route 1 of the GCD: the certificate of coprimality ----------
+
+
+def lines_oracle(F, t):
+    """The earlier ``exact_algebra._lines``: the coefficients of F(x, t) and
+    of F(t, y), constant term first, with the powers of t built per call."""
+    fx, fy = [0] * (max(F)[0] + 1), [0] * (max(j for _, j in F) + 1)
+    powers = [t**e for e in range(max(len(fx), len(fy)))]
+    for (i, j), c in F.items():
+        fx[i] += c * powers[j]
+        fy[j] += c * powers[i]
+    return fx, fy
+
+
+def reduced_oracle(h):
+    """The earlier ``exact_algebra._reduced``, which always copies."""
+    g = math.gcd(*h)
+    h = [c // g for c in h] if g else []
+    while h and not h[-1]:
+        h.pop()
+    return h[next((e for e, c in enumerate(h) if c), 0):]
+
+
+def coprime_lines_oracle(f, g):
+    """The earlier ``exact_algebra._coprime_lines``: both lines reduced, then
+    a constant, or the lemma with N read from the reduced lines."""
+    if not (f[0] or g[0]):
+        return False
+    f, g = reduced_oracle(f), reduced_oracle(g)
+    if len(f) == 1 or len(g) == 1:
+        return True
+    N = min(max(map(abs, h), default=0) for h in (f, g))
+    s = max((2 * N + 1).bit_length(), 64 if N else 0)
+    gamma = math.gcd(*(sum(c << s * e for e, c in enumerate(h)) for h in (f, g)))
+    return 0 < gamma < 1 << (s - 1)
+
+
+def coprime_oracle(F, G):
+    """The earlier ``exact_algebra._coprime``, route 1 at t = _POINT."""
+    (fx, fy), (gx, gy) = lines_oracle(F, _POINT), lines_oracle(G, _POINT)
+    return fx[-1] != 0 and coprime_lines_oracle(fx, gx) and coprime_lines_oracle(fy, gy)
+
+
+def assert_route_one_as_before(polys):
+    """_coprime, against the earlier route 1, on every ordered pair of the
+    nonzero bodies of ``polys`` and, for three, on the pair F0, F1 + _LAMBDA F2
+    that _common takes."""
+    bodies = [f._body for f in polys if f]
+    pairs = [(F, G) for F in bodies for G in bodies if F is not G]
+    if len(bodies) == 3:
+        pairs.append((bodies[0], exact_algebra._axpy(bodies[1], exact_algebra._LAMBDA, bodies[2])))
+    for F, G in pairs:
+        if G:
+            assert exact_algebra._coprime(F, G) == coprime_oracle(F, G)
 
 
 def encode_pencil_type_oracle(p: PencilType) -> dict:

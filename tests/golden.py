@@ -28,7 +28,10 @@ The input files of ``tests/``:
   degree 24, the default cap;
 - ``map_compose_wide.json``: an H element after a phi o G with large
   rational parameters, so that the substitution packs 224-bit slots and the
-  composite has fractional coefficients.
+  composite has fractional coefficients;
+- ``map_compose_digits.json``: F o F for F = (x^2 + c yz : xy : xz), c of
+  2,500 digits, whose composite has coefficients of more than 4,300 digits,
+  above CPython's default limit on ``str`` of an int.
 """
 
 import hashlib

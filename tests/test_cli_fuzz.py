@@ -71,15 +71,23 @@ def jonq_pairs(draw):
 
 @st.composite
 def curves(draw):
-    degree = draw(st.integers(0, MAX_DEGREE))
-    sings = [
-        {
+    """A curve that the CLI accepts before mutation: each multiplicity from 2
+    to one below the degree, drawn while the genus (d - 1)(d - 2)/2 less
+    the sum of m(m - 1)/2 stays at least 0."""
+    degree = draw(st.integers(1, MAX_DEGREE))
+    genus = (degree - 1) * (degree - 2) // 2
+    sings = []
+    for i in range(draw(st.integers(0, MAX_TERMS))):
+        top = max((m for m in range(2, degree) if m * (m - 1) // 2 <= genus), default=0)
+        if not top:
+            break
+        mult = draw(st.integers(2, top))
+        genus -= mult * (mult - 1) // 2
+        sings.append({
             "label": f"p{i}" + draw(label_ends),
-            "mult": draw(st.integers(2, max(2, degree))),
+            "mult": mult,
             "coords": draw(st.one_of(st.none(), st.lists(rationals, min_size=3, max_size=3))),
-        }
-        for i in range(draw(st.integers(0, MAX_TERMS)))
-    ]
+        })
     poly = draw(st.one_of(st.none(), trihoms(degree)))
     return {"degree": degree, "singularities": sings, "poly": poly}
 

@@ -31,12 +31,14 @@ from cremona_kit.exact_algebra import (
     TRI_Z,
     TriHomPoly,
     UniPoly,
+    _substitute,
     tri_content_gcd,
 )
 from cremona_kit.linear_systems import LinSysData, free_intersection
 
 from _util import (
     H4,
+    assert_route_one_as_before,
     encode_trihom_oracle,
     fixes_curve_pointwise_oracle,
     fractions_built,
@@ -479,6 +481,18 @@ def word_cli_digest(gens, run):
         code, out = run([command, "--inline", json.dumps(payload)])
         digest.update(f"{code}\n{out}".encode())
     return digest.hexdigest()
+
+
+class TestRouteOne:
+    """The content GCD's certificate of coprimality gives its earlier answers
+    on the components of maps and on the triples that compose hands to
+    CremonaMap.of."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(canonical_maps(), canonical_maps())
+    def test_composite_triples_answer_as_before(self, F, G):
+        for triple in (F.components, G.components, _substitute(F.components, G.components)):
+            assert_route_one_as_before(triple)
 
 
 # Maps from the constructors, and each word of WORDS with its inverse.

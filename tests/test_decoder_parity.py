@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona_kit import serialization as ser
@@ -27,6 +27,7 @@ from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z
 
 from _util import (
     OldTriHomPoly, assert_canonical, decode_trihom_oracle, decode_unipoly_oracle, json_of,
+    read_form_oracle,
 )
 
 PHI = json_of(ser.encode_map(make_phi(2, 3)))
@@ -825,3 +826,54 @@ def test_trivariate_terms_read_as_the_earlier_decoder(v, degree):
     assert outcome(ser.decode_trihom, v, path, degree) == outcome(
         decode_trihom_oracle, v, path, degree
     )
+
+
+# -- the one-pass reader -------------------------------------------------------
+#
+# _read_terms checks and reads each term in one pass, with no path and no
+# _read_rational call for a well-formed one.  It gives the earlier reader's
+# body, denominator and degrees (the earlier reader followed by the decoders'
+# later passes), or the same refusal.  Terms of two total degrees, which both
+# decoders refuse by their degrees, are compared by their degrees alone.
+
+
+def reader_outcome(read, v, n):
+    try:
+        body, den, degrees = read(v, ("p",), n)
+    except SchemaError as exc:
+        return "SchemaError", exc.path, exc.message
+    if n == 3 and len(degrees) > 1:
+        return degrees
+    return list(body.items()), den, degrees
+
+
+LONG = "1" * 641
+FRACTIONS = COEFFS | st.sampled_from(["1/3", "-5/6", "7/12", "-9/8", "10/15"])
+
+
+@st.composite
+def well_formed_terms(draw, n):
+    """Distinct well-formed terms of arity n, of one degree for n = 3, in any
+    order, their coefficients integers, fractions, zeros and unreduced."""
+    if n == 1:
+        keys = draw(st.lists(st.integers(0, 26).map(lambda e: [e]), unique_by=tuple, max_size=8))
+    else:
+        d = draw(st.integers(0, 4))
+        monomials = [[i, j, d - i - j] for i in range(d + 1) for j in range(d + 1 - i)]
+        keys = draw(st.lists(st.sampled_from(monomials), unique_by=tuple, max_size=8))
+    return [[e, draw(FRACTIONS)] for e in keys]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda n: st.tuples(st.just(n), term_lists(n) | well_formed_terms(n))))
+@example((3, [[[1, 0, 0], "1/2"], [[0, 1, 0], "-2/3"], [[0, 0, 1], "0/7"]]))
+@example((3, [[[1, 0, 0], LONG], [[0, 1, 0], f"1/{LONG}"], [[0, 0, 2], "1"], [[1, 0, 0], "1"]]))
+@example((3, [[[1, 0, 0], "1"], [[1, 0, 1], "1"], [[1, 0, 1], "1"]]))
+@example((1, [[[2], "3"], [[0], "1/0"]]))
+@example((1, [[[0], "2"], [[3], "1/4"], [[1], "-5/6"], [[3], "x"]]))
+@example((1, [[[1], "7" * 5000]]))
+def test_one_pass_reader_reads_as_the_earlier_reader(case):
+    n, v = case
+    assert reader_outcome(ser._read_terms, v, n) == reader_outcome(read_form_oracle, v, n)
+

@@ -52,7 +52,9 @@ from _util import (
     OldTriHomPoly,
     OldUniPoly,
     assert_canonical,
+    assert_route_one_as_before,
     common_denominator_oracle,
+    coprime_lines_oracle,
     exact_quotient_oracle,
     fractions_built,
     homogenize_uni_oracle,
@@ -1169,6 +1171,20 @@ class TestCoprimeImages:
             F, G = ((TRI_X - TRI_Z * a) * h for h in (TRI_Z, TRI_X + TRI_Z))
             assert not _coprime(F._body, G._body)
             assert _coprime(F._body, (TRI_X - TRI_Z * (a + 1))._body)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(planted_pairs(), st.lists(trihoms(), min_size=2, max_size=2), gcd_inputs()))
+    def test_answers_as_the_earlier_route_one(self, polys):
+        """Route 1 gives the earlier answer on every ordered pair of nonzero
+        bodies, and on the pair of three that _common takes."""
+        assert_route_one_as_before(polys)
+
+    def test_lemma_answers_as_before_at_the_width_boundaries(self):
+        for a in boundary_values():
+            lines = [[-a, 1], [-a, 1 - a, 1], [-a - 1, 1], [0, -a, 1], [a, 0, 0], [0, 0]]
+            for f in lines:
+                for g in lines:
+                    assert _coprime_lines(f, g) == coprime_lines_oracle(f, g)
 
     def test_a_zero_line_shares_every_factor(self):
         """A zero line is never certified against one of positive degree: xi

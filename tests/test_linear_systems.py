@@ -98,7 +98,7 @@ class TestNumericalInvariants:
 
     def test_zero_mults_dropped(self):
         L = sysd(3, {"a": 0, "b": 2})
-        assert L.labels() == ("b",)
+        assert [l for l, _ in L.mults] == ["b"]
         assert L.mult("a") == 0
 
     def test_negative_rejected(self):
@@ -454,7 +454,7 @@ class TestAdjointChain:
 
 class TestQuadraticTransform:
     def test_geiser_class_invariant(self):
-        labels = GEISER.labels()
+        labels = tuple(l for l, _ in GEISER.mults)
         out = quadratic_transform(GEISER, labels[:3])
         assert out == GEISER
 
@@ -488,13 +488,13 @@ class TestQuadraticTransform:
             quadratic_transform(GEISER, ("p0", "p0", "p1"))
 
     def test_covariance_on_geiser(self):
-        for base in combinations(GEISER.labels(), 3):
+        for base in combinations([l for l, _ in GEISER.mults], 3):
             lhs = quadratic_transform(adjoint_step(GEISER).output, base)
             rhs = adjoint_step(quadratic_transform(GEISER, base)).output
             assert lhs == rhs
 
     def test_covariance_on_bertini(self):
-        for base in combinations(BERTINI.labels(), 3):
+        for base in combinations([l for l, _ in BERTINI.mults], 3):
             lhs = quadratic_transform(adjoint_step(BERTINI).output, base)
             rhs = adjoint_step(quadratic_transform(BERTINI, base)).output
             assert lhs == rhs

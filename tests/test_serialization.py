@@ -2,6 +2,7 @@ import enum
 import json
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -439,6 +440,44 @@ class TestDumpsTermLists:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             ser.dumps(value)
+
+
+def _str_with_limit(convert, value, limit):
+    """convert(value) with CPython's limit on int-to-str set to ``limit``
+    (0 for none), the limit restored after."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit)
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() to str has no limit here"
+)
+class TestLongIntegers:
+    """The writer prints an int past CPython's limit on int-to-str, here at its
+    least, 640 digits, as str() prints it with no limit."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(1, 100_000), st.randoms(use_true_random=False), st.booleans())
+    def test_matches_str(self, bits, rng, negative):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        n = -n if negative else n
+        assert _str_with_limit(ser._int_str, n, 640) == _str_with_limit(str, n, 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_powers_of_ten_at_the_splits(self, k):
+        # Low halves of zeros, and a top part of nines, at each split 10^(512 * 2^k).
+        for n in (10 ** (512 << k), 10 ** (512 << k) - 1, 10 ** (1024 << k) + 1, 0):
+            for m in (n, -n):
+                assert _str_with_limit(ser._int_str, m, 640) == _str_with_limit(str, m, 0)
+
+    def test_ratio_past_the_limit(self):
+        c, den = 7**6000 * 12, 5**3000 * 8
+        expected = _str_with_limit(lambda q: str(Fraction(*q)), (c, den), 0)
+        assert _str_with_limit(lambda q: ser._ratio_str(*q), (-c, den), 640) == "-" + expected
 
 
 # Pencil types with empty, long and large multiplicities, and degrees and
