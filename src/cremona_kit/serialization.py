@@ -20,13 +20,14 @@ Conventions:
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.  Both polynomial decoders read terms with one
 reader, given the arity, in one pass: a well-formed term passes one test of
-its shape and exponents and one of its coefficient, and goes straight into
-the integer form, its coefficient over a denominator kept as the terms go
-by, with the set of total degrees; a path is built, and the field named,
-only for a term that fails.  An exponent of a univariate polynomial or a
-curve ``poly`` degree above the degree cap is refused before anything is
-built.  The writer prints a coefficient of any size, past CPython's limit on
-``str`` of an int as well.
+its shape and exponents and one of its coefficient, and its numerator goes
+straight into the body, with the set of total degrees; a path is built, and
+the field named, only for a term that fails.  The terms are put over one
+denominator once the decoder has checked their degrees: an exponent of a
+univariate polynomial or a curve ``poly`` degree above the degree cap, or
+terms of two degrees, are refused before anything is built.  The writer
+prints a coefficient of any size, past CPython's limit on ``str`` of an int
+as well.
 """
 
 from __future__ import annotations
@@ -172,16 +173,24 @@ _ARITY = {
 _SHORT = 640
 
 
-def _read_terms(v: Any, path: _Path, n: int) -> tuple[dict[tuple[int, int], int], int, set[int]]:
-    """(body, den, degrees) of a list of terms [[e1, ..., en], c], n = 1 or 3,
-    checked in order, so that the first failure names its field: body / den
-    is their sum, keyed (e, 0) for [[e], c] and (i, j) for [[i, j, k], c], in
-    decreasing lex order with no zero coefficient, den > 0 a multiple of every
-    denominator, and ``degrees`` the set of total degrees of the terms, zero
-    coefficients included."""
+_Terms = dict[tuple[int, int], int]
+
+
+def _read_terms(v: Any, path: _Path, n: int) -> tuple[_Terms, _Terms, set[int]]:
+    """(nums, dens, degrees) of a list of terms [[e1, ..., en], c], n = 1 or 3,
+    checked in order, so that the first failure names its field: the term
+    p / q is keyed (e, 0) for [[e], c] and (i, j) for [[i, j, k], c], ``nums``
+    holds p at each key in decreasing lex order with no zero, ``dens`` holds
+    q at the keys where q is not 1, and ``degrees`` is the set of total
+    degrees of the terms, zero coefficients included.  ``_over_lcm`` puts
+    the terms over one denominator.  On terms of two total degrees, which
+    the decoders refuse first, nums and dens are not the terms."""
     items = _as(v, list, path)
-    body: dict[tuple[int, int], int] = {}
-    den, degrees, last, rises = 1, set(), (-1, -1), 0
+    nums: _Terms = {}
+    dens: _Terms = {}
+    degrees: set[int] = set()
+    seen = None
+    last, rises = (-1, -1), 0
     for t, item in enumerate(items):
         # One test passes the shape and exponents of a well-formed term, and
         # one its coefficient: an int, or a short rational string with a
@@ -209,10 +218,16 @@ def _read_terms(v: Any, path: _Path, n: int) -> tuple[dict[tuple[int, int], int]
             i, j, k = exps if n == 3 else (*exps, 0, 0)
         key = i, j
         degrees.add(i + j + k)
-        # Keys repeat only in a repeated term, or in terms of two degrees,
-        # which the decoder refuses once every term is read.
-        if key in body and tuple(exps) in {tuple(x[0]) for x in items[:t]}:
-            _fail(path + (t,), _ARITY[n][3] % tuple(exps))
+        # A key repeats in a repeated term, or in terms of two degrees, which
+        # the decoders refuse once every term is read.  From the first repeat
+        # on, ``seen`` holds the exponents of the terms read, to tell them apart.
+        if key in nums or seen is not None:
+            if seen is None:
+                seen = {tuple(x[0]) for x in items[:t]}
+            e = tuple(exps)
+            if e in seen:
+                _fail(path + (t,), _ARITY[n][3] % e)
+            seen.add(e)
         c = item[1]
         if type(c) is str and len(c) <= _SHORT and (m := _RATIONAL_RE.fullmatch(c)) and (
                 q := int(m[2] or 1)):
@@ -221,35 +236,41 @@ def _read_terms(v: Any, path: _Path, n: int) -> tuple[dict[tuple[int, int], int]
             p, q = c, 1
         else:
             p, q = _read_rational(c, path + (t, 1))
-        if p and den % q:
-            s = q // math.gcd(den, q)
-            den *= s
-            for e in body:
-                body[e] *= s
-        body[key] = p * (den // q)
+        nums[key] = p
+        if q != 1 and p:
+            dens[key] = q
         if key > last:
             rises += 1
         last = key
     # Terms come leading first (rises == 1), as a TriHomPoly is written, or
-    # trailing first, as a UniPoly is.
+    # trailing first, as a UniPoly is; sorted() takes either in one pass.
     if rises > 1:
-        body = dict(reversed(body.items()) if rises == len(body) else sorted(body.items(), reverse=True))
-    if 0 in body.values():
-        body = {e: c for e, c in body.items() if c}
-    return body, den, degrees
+        nums = dict(sorted(nums.items(), reverse=True))
+    if 0 in nums.values():
+        nums = {e: p for e, p in nums.items() if p}
+    return nums, dens, degrees
+
+
+def _over_lcm(nums: _Terms, dens: _Terms) -> tuple[_Terms, int]:
+    """(body, den) of the terms ``_read_terms`` read: den the lcm of their
+    denominators, and body / den their sum."""
+    if not dens:
+        return nums, 1
+    den = math.lcm(*dens.values())
+    return {e: p * (den // dens.get(e, 1)) for e, p in nums.items()}, den
 
 
 def decode_unipoly(v: Any, path: _Path) -> UniPoly:
-    body, den, exponents = _read_terms(v, path, 1)
+    nums, dens, exponents = _read_terms(v, path, 1)
     # Checked before the polynomial is built, zero terms included; the message only if refused.
     top = max(exponents, default=-1)
     if top > max_degree_cap():
         _check_cap(top, f"the polynomial at {_pstr(path)}")
-    return UniPoly._sorted(body, den)
+    return UniPoly._sorted(*_over_lcm(nums, dens))
 
 
 def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
-    body, den, degrees = _read_terms(v, path, 3)
+    nums, dens, degrees = _read_terms(v, path, 3)
     if len(degrees) > 1:
         _fail(path, f"terms are not homogeneous: total degrees {sorted(degrees)}")
     if degree is None:
@@ -260,7 +281,7 @@ def decode_trihom(v: Any, path: _Path, degree: int | None = None) -> TriHomPoly:
         _fail(path, f"terms have degree {degrees.pop()}, expected {degree}")
     if degree < 0:
         raise ValueError("homogeneous degree must be >= 0")
-    return TriHomPoly._sorted(degree, body, den)
+    return TriHomPoly._sorted(degree, *_over_lcm(nums, dens))
 
 
 def decode_ratfunc(v: Any, path: _Path) -> RatFunc:

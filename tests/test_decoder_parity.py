@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -831,10 +832,16 @@ def test_trivariate_terms_read_as_the_earlier_decoder(v, degree):
 # -- the one-pass reader -------------------------------------------------------
 #
 # _read_terms checks and reads each term in one pass, with no path and no
-# _read_rational call for a well-formed one.  It gives the earlier reader's
-# body, denominator and degrees (the earlier reader followed by the decoders'
-# later passes), or the same refusal.  Terms of two total degrees, which both
+# _read_rational call for a well-formed one.  With _over_lcm it gives the
+# earlier reader's body, denominator and degrees (the earlier reader followed
+# by the decoders' later passes), or the same refusal.  Terms of two total degrees, which both
 # decoders refuse by their degrees, are compared by their degrees alone.
+
+
+def one_pass_form(v, path, n):
+    """(body, den, degrees) of the one-pass reader and ``_over_lcm``."""
+    nums, dens, degrees = ser._read_terms(v, path, n)
+    return (*ser._over_lcm(nums, dens), degrees)
 
 
 def reader_outcome(read, v, n):
@@ -875,5 +882,57 @@ def well_formed_terms(draw, n):
 @example((1, [[[1], "7" * 5000]]))
 def test_one_pass_reader_reads_as_the_earlier_reader(case):
     n, v = case
-    assert reader_outcome(ser._read_terms, v, n) == reader_outcome(read_form_oracle, v, n)
+    assert reader_outcome(one_pass_form, v, n) == reader_outcome(read_form_oracle, v, n)
 
+
+
+# Input the decoders refuse costs what its terms cost to read: terms that
+# share a key (i, j) are told apart with one set of exponents, and no
+# denominator is multiplied before the degrees are checked.  The earlier
+# reader refused these lists in linear time too; a reader with a quadratic
+# step takes minutes on them.
+
+MANY = 20_000
+
+
+def first_primes(count):
+    limit = 250_000  # above the 20,000th prime, 224,737
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for a in range(2, int(limit**0.5) + 1):
+        if sieve[a]:
+            sieve[a * a::a] = bytes(len(range(a * a, limit, a)))
+    return [a for a in range(limit) if sieve[a]][:count]
+
+
+def timed_outcome(decode, *args):
+    t0 = time.perf_counter()
+    got = outcome(decode, *args)
+    assert time.perf_counter() - t0 < 1
+    return got
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_terms_of_one_key_and_many_degrees_are_refused_quickly(repeat):
+    v = [[[0, 0, k], "1"] for k in range(MANY)] + [[[0, 0, 5], "1"]] * repeat
+    got = timed_outcome(ser.decode_trihom, v, ("p",))
+    assert got == outcome(decode_trihom_oracle, v, ("p",))
+    assert got[2] == ("duplicate monomial [0, 0, 5]" if repeat else
+                      f"terms are not homogeneous: total degrees {list(range(MANY))}")
+
+
+def test_many_prime_denominators_are_refused_before_any_lcm():
+    primes = first_primes(MANY)
+    uni = [[[e], f"1/{p}"] for e, p in enumerate(primes)]
+    tri = [[[e, 0, 0], f"1/{p}"] for e, p in enumerate(primes)]
+    got = timed_outcome(ser.decode_unipoly, uni, ("h",))
+    assert got == outcome(decode_unipoly_oracle, uni, ("h",))
+    assert got[0] == "DegreeCapExceeded"
+    got = timed_outcome(ser.decode_trihom, tri, ("p",))
+    assert got == outcome(decode_trihom_oracle, tri, ("p",))
+    assert got[2].startswith("terms are not homogeneous")
+    # Accepted, the terms go over the lcm of their denominators as before.
+    d = 19
+    tri = [[[i, j, d - i - j], f"{i - j}/{p}"]
+           for (i, j), p in zip([(i, j) for i in range(d + 1) for j in range(d + 1 - i)], primes)]
+    assert outcome(ser.decode_trihom, tri, ("p",)) == outcome(decode_trihom_oracle, tri, ("p",))
