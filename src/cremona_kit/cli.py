@@ -44,7 +44,7 @@ from .cremona_maps import compose, fixes_curve_pointwise
 from .curve_model import genus, validate_curve_data
 from .errors import CremonaKitError, SchemaError
 from .linear_systems import adjoint_chain
-from .rational_pencils import DEFAULT_ENUM_LIMIT, check_rational_pencil, enumerate_pencil_types
+from .rational_pencils import DEFAULT_ENUM_LIMIT, check_rational_pencil
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -196,12 +196,8 @@ def _cmd_pencil_check(args) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_pencil_enum(args) -> tuple[dict[str, Any], int]:
-    types = enumerate_pencil_types(args.max, args.bound)
-    return {
-        "max_degree": args.max,
-        "count": len(types),
-        "types": list(types),
-    }, EXIT_OK
+    count, types = ser.encode_pencil_types(args.max, args.bound)
+    return {"max_degree": args.max, "count": count, "types": types}, EXIT_OK
 
 
 def _cmd_examples(args) -> tuple[dict[str, Any], int]:

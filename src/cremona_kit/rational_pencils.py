@@ -13,7 +13,10 @@ ordinary double points, members of such a pencil meet the sextic in
 6n - 2 sum n_i points away from the base points, where n_i is the pencil
 multiplicity at each node; the linear relation bounds this below by 4.
 ``enumerate_pencil_types`` walks the partitions of 3n - 2 with square sum
-n^2 recursively, and writes each rest of parts <= 3 in closed form.
+n^2 recursively, and writes each rest of parts <= 3 in closed form.  The
+walk is written over part units: given (p,) per part it yields the tuples
+the records hold, and given the JSON text of a part it yields the text of
+each type that ``serialization.encode_pencil_types`` writes.
 
 Proximity inequalities between infinitely-near points are not enforced;
 the two equations are the whole contract.
@@ -89,22 +92,36 @@ def sextic_free_intersection_bound(p: PencilType, node_mults: Sequence[int]) -> 
     return 6 * p.degree - 2 * sum(ns)
 
 
-def _partitions(total: int, square_total: int, max_part: int) -> list[tuple[int, ...]]:
-    """Non-increasing tuples of parts >= 1 with the given sum and square sum,
-    in decreasing lexicographic order.  With (t, s) left to fill by parts
-    <= cap, the parts p that leave a solvable rest are one range:
-    ceil(s / t) <= p <= min(cap, t) with p(p - 1) <= s - t.  Once s == t
-    the rest is all ones.  Once cap <= 3 it is a 3s, b 2s and c 1s with
-    6a + 2b = s - t and 3a + 2b + c = t: one rest per a, from the largest
-    down while c >= 0, with a = 0 under cap 2 and none under cap 1.  The
-    walk recurses once per part taken before the rest, over one shared
-    ``head``, about n/2 deep: 10, 17 and 21 calls at n = 16, 32 and 40."""
-    found: list[tuple[int, ...]] = []
-    head: list[int] = []  # the part taken at each open level
+def _degrees(n_max: int, limit: int) -> range:
+    """The degrees 1..n_max of an enumeration, refused past ``limit``."""
+    if n_max > limit:
+        raise EnumerationBoundExceeded(
+            f"n_max {n_max} exceeds the enumeration bound {limit}"
+        )
+    return range(1, n_max + 1)
 
-    def walk(t: int, s: int, cap: int) -> None:
+
+def _partitions(total: int, square_total: int, max_part: int, unit: Sequence) -> list:
+    """Non-increasing sequences of parts >= 1 with the given sum and square
+    sum, in decreasing lexicographic order, each written as the sum of the
+    units of its parts: ``unit[p]`` stands for a part p (for p up to
+    max(max_part, 3)) and ``unit[0]`` is the empty head every sequence
+    starts from.  ``[(), (1,), (2,), ...]`` gives tuples of parts; strings
+    give a text with no per-part formatting.
+
+    With (t, s) left to fill by parts <= cap, the parts p that leave a
+    solvable rest are one range: ceil(s / t) <= p <= min(cap, t) with
+    p(p - 1) <= s - t.  Once s == t the rest is all ones.  Once cap <= 3 it
+    is a 3s, b 2s and c 1s with 6a + 2b = s - t and 3a + 2b + c = t: one
+    rest per a, from the largest down while c >= 0, with a = 0 under cap 2
+    and none under cap 1.  The walk recurses once per part taken before the
+    rest, the head grown by that part's unit, about n/2 deep: 10, 17 and 21
+    calls at n = 16, 32 and 40.  Each sequence is its head plus its rest."""
+    found = []
+
+    def walk(t: int, s: int, cap: int, head) -> None:
         if s == t and (cap > 0 or t == 0):
-            found.append((*head,) + (1,) * t)
+            found.append(head + unit[1] * t)
         elif cap < 4:
             h, odd = divmod(s - t, 2)  # h = 3a + b
             if cap > 1 and h > 0 and not odd:
@@ -112,15 +129,12 @@ def _partitions(total: int, square_total: int, max_part: int) -> list[tuple[int,
                     c = 2 * t - s + 3 * a
                     if c < 0:
                         break
-                    found.append((*head,) + (3,) * a + (2,) * (h - 3 * a) + (1,) * c)
+                    found.append(head + (unit[3] * a + unit[2] * (h - 3 * a) + unit[1] * c))
         elif 0 < t < s:
-            head.append(0)
             for p in range(min(cap, t, (isqrt(4 * (s - t) + 1) + 1) // 2), -(-s // t) - 1, -1):
-                head[-1] = p
-                walk(t - p, s - p * p, p)
-            head.pop()
+                walk(t - p, s - p * p, p, head + unit[p])
 
-    walk(total, square_total, max_part)
+    walk(total, square_total, max_part, unit[0])
     del walk  # the closure holds itself: break the cycle, leave no garbage
     return found
 
@@ -134,14 +148,13 @@ def enumerate_pencil_types(
     search is an exact bounded partition walk.  ``limit`` guards runtime;
     raise it explicitly for bigger searches.
     """
-    if n_max > limit:
-        raise EnumerationBoundExceeded(
-            f"n_max {n_max} exceeds the enumeration bound {limit}"
-        )
     set_degree, set_mults = PencilType._setters
     out: list[PencilType] = []
-    for n in range(1, n_max + 1):
-        for parts in _partitions(3 * n - 2, n * n, n):
+    unit: list[tuple[int, ...]] = [(), (1,), (2,), (3,)]
+    for n in _degrees(n_max, limit):
+        if n > 3:
+            unit.append((n,))
+        for parts in _partitions(3 * n - 2, n * n, n, unit):
             p = object.__new__(PencilType)  # the walk's parts are sorted and valid
             set_degree(p, n)
             set_mults(p, parts)

@@ -13,9 +13,11 @@ Conventions:
 * emitted JSON always has sorted object keys and two-space indentation,
   so identical inputs produce byte-identical output;
 * the encoders return the payload as ``dumps`` takes it, with the
-  ``UniPoly``, ``TriHomPoly``, ``PencilType`` and ``LinSysData`` records
-  themselves in place of their JSON, which ``dumps`` writes from templates;
-  ``json.loads(dumps(x))`` is the plain JSON form.
+  ``UniPoly``, ``TriHomPoly`` and ``LinSysData`` records themselves in place
+  of their JSON, which ``dumps`` writes from templates;
+  ``json.loads(dumps(x))`` is the plain JSON form;
+* ``encode_pencil_types`` returns the list of pencil types as JSON text,
+  which the partition walk writes itself, with no per-part formatting.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
 of the offending field.  Both polynomial decoders read terms with one
@@ -26,8 +28,8 @@ the field named, only for a term that fails.  The terms are put over one
 denominator once the decoder has checked their degrees: an exponent of a
 univariate polynomial or a curve ``poly`` degree above the degree cap, or
 terms of two degrees, are refused before anything is built.  The writer
-prints a coefficient of any size, past CPython's limit on ``str`` of an int
-as well.
+prints an integer or a coefficient of any size, past CPython's limit on
+``str`` of an int as well.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from .curve_model import (
     PointSpec,
     SingularityData,
 )
+from ._record import Record
 from .cremona_maps import CremonaMap, _check_cap, max_degree_cap
 from .errors import SchemaError
 from .exact_algebra import RatFunc, TriHomPoly, UniPoly
 from .jonquieres import JonqElement, OrderReport
 from .linear_systems import ChainReport, ChainStep, LinSysData, RemovedComponent
-from .rational_pencils import PencilCheckReport, PencilType
+from .rational_pencils import PencilCheckReport, _degrees, _partitions
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -469,6 +472,54 @@ def encode_pencil_check(r: PencilCheckReport) -> dict[str, Any]:
     }
 
 
+class _JSONText(Record):
+    """JSON text that ``dumps`` writes as it stands, laid out for a value on
+    the line that ``newline`` (a line break plus its indent) starts."""
+
+    __slots__ = ("text", "newline")
+
+
+# The text of a pencil type of degree n up to its first part, and of one
+# part, comma first, as the list of a field of the top-level object holds them.
+_PENCIL = '{\n      "degree": %d,\n      "mults": ['
+_PART = ",\n        %d"
+
+
+class _Opening(str):
+    """The text of a pencil type up to its first part, where the walk starts
+    each head: the text of the first part follows it without its comma."""
+
+    __slots__ = ()
+
+    def __add__(self, parts: str) -> str:
+        return str.__add__(self, parts[1:])
+
+
+def encode_pencil_types(n_max: int, limit: int) -> tuple[int, _JSONText]:
+    """(count, types): the number of pencil types of degree <= n_max, and
+    their list as ``dumps`` writes it for a field of the top-level object,
+    each type {"degree": n, "mults": [...]} in the order of
+    ``enumerate_pencil_types``; past ``limit``, EnumerationBoundExceeded.
+
+    The walk writes each type's text whole: its head, the text of its degree
+    and of its first parts, is shared by the types that start alike, and
+    its rest is runs of the texts of 3, 2 and 1.  Each part's text is
+    formatted once, the table growing with the degree.
+    """
+    unit = ["", *(_PART % p for p in (1, 2, 3))]
+    texts: list[str] = []
+    for n in _degrees(n_max, limit):
+        if n > 3:
+            unit.append(_PART % n)
+        unit[0] = _Opening(_PENCIL % n)
+        texts += _partitions(3 * n - 2, n * n, n, unit)
+    count = len(texts)
+    if count:
+        texts[0] = "[\n    " + texts[0]
+        texts[-1] += "\n      ]\n    }\n  ]"
+    return count, _JSONText("\n      ]\n    },\n    ".join(texts) or "[]", "\n  ")
+
+
 # -- top level -----------------------------------------------------------------------
 
 
@@ -479,19 +530,27 @@ def dumps(payload: Any) -> str:
     plus a newline, where ``plain`` is the payload with each record in its
     JSON form, for the values the encoders emit: str, int, bool, None, the
     records ``UniPoly`` (as [[[e], "c"], ...], ascending), ``TriHomPoly`` (as
-    [[[i, j, k], "c"], ...], leading term first), ``PencilType`` (as
-    {"degree": n, "mults": [...]}) and ``LinSysData`` (as {"degree": n,
-    "mults": {label: m, ...}}), and lists and str-keyed dicts of them.
-    Anything else (a float, a tuple, a non-str key or label, a subclass of
-    int, str or of a record) raises TypeError.
+    [[[i, j, k], "c"], ...], leading term first) and ``LinSysData`` (as
+    {"degree": n, "mults": {label: m, ...}}), JSON text from
+    ``encode_pencil_types`` where it was laid out for, and lists and
+    str-keyed dicts of them.  Anything else (a float, a tuple, a non-str key
+    or label, a subclass of int, str or of a record) raises TypeError.
     """
     return _write(payload, "\n", {}) + "\n"
 
 
+def _int_text(n: int) -> str:
+    """repr(n), or past CPython's limit on ``str`` of an int, the converter's."""
+    try:
+        return repr(n)
+    except ValueError:  # sys.set_int_max_str_digits
+        return _int_str(n)
+
+
 # The scalar formatters, keyed by exact type: a list of one scalar type is
-# joined in one map, and a dict writes its scalar values inline.  repr of an
-# exact int is int.__repr__; a bool indexes the pair as 0 or 1.
-_SCALARS = {str: _encode_str, int: repr, type(None): lambda v: "null"}
+# joined in one map, and a dict writes its scalar values inline.  A bool
+# indexes the pair as 0 or 1.
+_SCALARS = {str: _encode_str, int: _int_text, type(None): lambda v: "null"}
 _SCALARS[bool] = ("false", "true").__getitem__
 
 
@@ -517,23 +576,21 @@ def _write(v: Any, newline: str, memo: dict[tuple[Any, str], str]) -> str:
         kinds = set(map(type, v))
         kind = kinds.pop() if len(kinds) == 1 else None
         scalar = _SCALARS.get(kind)
-        if kind is PencilType:
-            body = _pencils(v, inner)
-        else:
-            body = map(scalar, v) if scalar else [_write(x, inner, memo) for x in v]
+        body = map(scalar, v) if scalar else [_write(x, inner, memo) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if kind is dict:
         if not v:
             return "{}"
-        body = []
+        sep = "," + inner
+        parts = []
         for k in sorted(v):
             x = v[k]
             scalar = _SCALARS.get(type(x))
             # _encode_str raises TypeError for a key that is not a str.
-            body.append(
-                _encode_str(k) + ": " + (scalar(x) if scalar else _write(x, inner, memo))
-            )
-        return "{" + inner + ("," + inner).join(body) + newline + "}"
+            parts += sep, _encode_str(k), ": ", scalar(x) if scalar else _write(x, inner, memo)
+        parts[0] = "{" + inner
+        parts.append(newline + "}")
+        return "".join(parts)  # one join: a long value's text is copied once
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -580,22 +637,12 @@ def _poly(f: UniPoly | TriHomPoly, newline: str, memo: dict[tuple[Any, str], str
     return "[" + inner + ("," + inner).join(terms) + newline + "]"
 
 
-def _pencils(records: list[PencilType], newline: str) -> list[str]:
-    """Each record as {"degree": n, "mults": [...]}, at the indent of ``newline``,
-    from one ``%d`` template per degree and count of multiplicities."""
-    inner, sep = newline + "  ", "," + newline + "    "
-    templates = {}
-    for n, k in {(p.degree, len(p.mults)) for p in records}:
-        mults = "[" + sep[1:] + sep.join(["%d"] * k) + inner + "]" if k else "[]"
-        templates[n, k] = '{%s"degree": %d,%s"mults": ' % (inner, n, inner) + mults + newline + "}"
-    return [templates[p.degree, len(p.mults)] % p.mults for p in records]
+def _text(v: _JSONText, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+    if newline != v.newline:
+        raise TypeError("JSON text written at an indent other than its own")
+    return v.text
 
 
 # The record writers, keyed by exact type: a subclass of a record is not
-# written.  A list of PencilType records alone is written in one batch.
-_RECORDS = {
-    LinSysData: _linsys,
-    TriHomPoly: _poly,
-    UniPoly: _poly,
-    PencilType: lambda p, newline, memo: _pencils([p], newline)[0],
-}
+# written.
+_RECORDS = {LinSysData: _linsys, TriHomPoly: _poly, UniPoly: _poly, _JSONText: _text}

@@ -17,9 +17,17 @@ from cremona_kit.cli import _parse_args, _render_text, main
 from cremona_kit.cremona_maps import CremonaMap, make_phi
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement
+from cremona_kit.rational_pencils import enumerate_pencil_types
 
 import golden
-from _util import H4, encode_trihom_oracle, encode_unipoly_oracle, json_of, render_text_oracle
+from _util import (
+    H4,
+    encode_pencil_type_oracle,
+    encode_trihom_oracle,
+    encode_unipoly_oracle,
+    json_of,
+    render_text_oracle,
+)
 
 GEISER_CURVE = json.dumps(
     {
@@ -688,6 +696,15 @@ class TestPencils:
         assert payload["error"] == "EnumerationBoundExceeded"
         code, payload = run_json(capsys, "pencil-enum", "--max", "9", "--bound", "9")
         assert code == 0
+
+    def test_enum_report_is_json_of_the_records(self, capsys):
+        # The report that the walk writes as text is json.dumps of the plain
+        # dicts of enumerate_pencil_types' records.
+        for n_max in range(-1, 17):
+            code, out = run(capsys, "pencil-enum", "--max", str(n_max), "--bound", "16")
+            types = [encode_pencil_type_oracle(p) for p in enumerate_pencil_types(n_max, 16)]
+            report = {"count": len(types), "max_degree": n_max, "types": types}
+            assert code == 0 and out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class TestExamplesAndFormats:

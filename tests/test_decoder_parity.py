@@ -761,46 +761,78 @@ JSON_VALUES = st.recursive(
 )
 COEFFS = st.sampled_from(["1", "-2/3", "0", "6/4", "+007", "-0/5", 3, -1])
 CATALOGUE = [*BAD_TERMS.values(), *BAD_UNI_TERMS.values()]
-KINDS = st.sampled_from(["term", "term", "mutant", "repeat", "catalogue", "nested"])
+FRACTIONS = COEFFS | st.sampled_from(["1/3", "-5/6", "7/12", "-9/8", "10/15"])
+KINDS = st.sampled_from(["well-formed"] * 6 + ["flawed"] * 3 + ["value"])
+FLAWS = st.sampled_from(["mutant", "repeat", "catalogue", "nested", "degree"])
+
+
+@st.composite
+def well_formed_terms(draw, n, min_size=0):
+    """Distinct well-formed terms of arity n, of one degree for n = 3, in any
+    order, their coefficients integers, fractions, zeros and unreduced."""
+    if n == 1:
+        keys = draw(st.lists(st.integers(0, 24).map(lambda e: [e]), unique_by=tuple,
+                             min_size=min_size, max_size=8))
+    else:
+        d = draw(st.integers(0, 4))
+        monomials = [[i, j, d - i - j] for i in range(d + 1) for j in range(d + 1 - i)]
+        keys = draw(st.lists(st.sampled_from(monomials), unique_by=tuple,
+                             min_size=min(min_size, len(monomials)), max_size=8))
+    return [[e, draw(FRACTIONS)] for e in keys]
 
 
 @st.composite
 def term_lists(draw, n):
-    """A list of terms of arity n, one in ten times another JSON value.  One
-    term of arity 3 in four has a degree one above the list's.  A mutant is
-    a term with one part replaced by a random value, or a value appended."""
-    if draw(st.integers(0, 9)) == 0:
+    """A list of terms of arity n: about six in ten well formed, three in ten
+    with one flaw, and one in ten another JSON value.  A flaw is at a random
+    place: a mutant term (one part replaced by a random value, or a value
+    appended), a repeated term, a term of the catalogues, another JSON value
+    in place of a term, or a term of a degree one above the list's (n = 3)
+    or above the degree cap (n = 1)."""
+    kind = draw(KINDS)
+    if kind == "value":
         return draw(JSON_VALUES)
-    degree = draw(st.integers(0, 3))
-    terms = []
-    for kind in draw(st.lists(KINDS, max_size=6)):
-        if kind == "catalogue":
-            terms.append(json.loads(json.dumps(draw(st.sampled_from(CATALOGUE)))))
-        elif kind == "nested":
-            terms.append(draw(JSON_VALUES))
-        elif kind == "repeat" and terms:
-            terms.append(json.loads(json.dumps(draw(st.sampled_from(terms)))))
-        elif n == 1:
-            terms.append([[draw(st.integers(0, 26))], draw(COEFFS)])
+    terms = draw(well_formed_terms(n, min_size=1))
+    if kind == "well-formed":
+        return terms
+    flaw, at = draw(FLAWS), draw(st.integers(0, len(terms)))
+    if flaw == "catalogue":
+        terms.insert(at, json.loads(json.dumps(draw(st.sampled_from(CATALOGUE)))))
+    elif flaw == "nested":
+        terms.insert(at, draw(JSON_VALUES))
+    elif flaw == "repeat":
+        terms.insert(at, json.loads(json.dumps(draw(st.sampled_from(terms)))))
+    elif flaw == "degree" and n == 1:
+        terms.insert(at, [[25], draw(COEFFS)])
+    elif flaw == "degree":
+        d = sum(terms[0][0]) + 1
+        i = draw(st.integers(0, d))
+        j = draw(st.integers(0, d - i))
+        terms.insert(at, [[i, j, d - i - j], draw(COEFFS)])
+    else:
+        term, value = terms[min(at, len(terms) - 1)], draw(st.integers(-3, -1) | JSON_VALUES)
+        slot = draw(st.sampled_from(["term", "exps", "coeff", "exp", "extra-exp"]))
+        if slot == "term":
+            term.append(value)
+        elif slot == "exps":
+            term[0] = value
+        elif slot == "coeff":
+            term[1] = value
+        elif slot == "exp":
+            term[0][draw(st.integers(0, n - 1))] = value
         else:
-            d = draw(st.sampled_from([degree, degree, degree, degree + 1]))
-            i = draw(st.integers(0, d))
-            j = draw(st.integers(0, d - i))
-            terms.append([[i, j, d - i - j], draw(COEFFS)])
-        if kind == "mutant":
-            term, value = terms[-1], draw(st.integers(-3, -1) | JSON_VALUES)
-            slot = draw(st.sampled_from(["term", "exps", "coeff", "exp", "extra-exp"]))
-            if slot == "term":
-                term.append(value)
-            elif slot == "exps":
-                term[0] = value
-            elif slot == "coeff":
-                term[1] = value
-            elif slot == "exp":
-                term[0][draw(st.integers(0, n - 1))] = value
-            else:
-                term[0].append(value)
+            term[0].append(value)
     return terms
+
+
+def degree_of(v):
+    """The total degree of the first term of a list, if its exponents are
+    integers, else 0."""
+    try:
+        d = sum(v[0][0])
+    except (TypeError, IndexError, KeyError):
+        return 0
+    return d if type(d) is int else 0
 
 
 def outcome(decode, *args):
@@ -821,8 +853,10 @@ def test_univariate_terms_read_as_the_earlier_decoder(v):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(term_lists(3), st.sampled_from([None, 0, 1, 2, 3]))
-def test_trivariate_terms_read_as_the_earlier_decoder(v, degree):
+@given(term_lists(3).flatmap(lambda v: st.tuples(
+    st.just(v), st.sampled_from([degree_of(v)] * 4 + [None, None, 0, 1, 2, 3]))))
+def test_trivariate_terms_read_as_the_earlier_decoder(case):
+    v, degree = case
     path = ("components", 1)
     assert outcome(ser.decode_trihom, v, path, degree) == outcome(
         decode_trihom_oracle, v, path, degree
@@ -855,20 +889,6 @@ def reader_outcome(read, v, n):
 
 
 LONG = "1" * 641
-FRACTIONS = COEFFS | st.sampled_from(["1/3", "-5/6", "7/12", "-9/8", "10/15"])
-
-
-@st.composite
-def well_formed_terms(draw, n):
-    """Distinct well-formed terms of arity n, of one degree for n = 3, in any
-    order, their coefficients integers, fractions, zeros and unreduced."""
-    if n == 1:
-        keys = draw(st.lists(st.integers(0, 26).map(lambda e: [e]), unique_by=tuple, max_size=8))
-    else:
-        d = draw(st.integers(0, 4))
-        monomials = [[i, j, d - i - j] for i in range(d + 1) for j in range(d + 1 - i)]
-        keys = draw(st.lists(st.sampled_from(monomials), unique_by=tuple, max_size=8))
-    return [[e, draw(FRACTIONS)] for e in keys]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -25,6 +25,14 @@ from _util import (
 )
 
 
+# The walk over tuples: unit[p] = (p,), from the empty head ().
+TUPLES = [(), *((p,) for p in range(1, 40))]
+
+
+def walk(total, square_total, max_part, partitions=_partitions):
+    return partitions(total, square_total, max_part, TUPLES)
+
+
 def brute_types(n):
     """Independent enumeration via sympy's partition iterator."""
     out = set()
@@ -166,21 +174,22 @@ class TestEnumerate:
 
 
 class TestWalkOracle:
-    """The walk against the recursive generator, the explicit-stack walk
-    with closed-form rests of parts <= 3 that it replaced, and the earlier
-    explicit-stack walk that took every part on the stack."""
+    """The walk over tuples against the recursive generator, the
+    explicit-stack walk with closed-form rests of parts <= 3 that it
+    replaced, and the earlier explicit-stack walk that took every part on
+    the stack; and over strings against the tuples it spells."""
 
     def test_every_degree_up_to_24(self):
         for n in range(1, 25):
             want = list(partitions_oracle(3 * n - 2, n * n, n))
-            assert _partitions(3 * n - 2, n * n, n) == want
+            assert walk(3 * n - 2, n * n, n) == want
             assert partitions_stack_oracle(3 * n - 2, n * n, n) == want
 
     def test_caps_below_the_degree(self):
         for n in range(1, 17):
             for cap in range(0, n):
                 want = list(partitions_oracle(3 * n - 2, n * n, cap))
-                assert _partitions(3 * n - 2, n * n, cap) == want, (n, cap)
+                assert walk(3 * n - 2, n * n, cap) == want, (n, cap)
                 assert partitions_stack_oracle(3 * n - 2, n * n, cap) == want, (n, cap)
 
     def test_stack_walk_box(self):
@@ -189,7 +198,7 @@ class TestWalkOracle:
         for total in range(-2, 26):
             for square_total in range(-2, 90):
                 for cap in range(-1, 14):
-                    got = _partitions(total, square_total, cap)
+                    got = walk(total, square_total, cap)
                     assert got == partitions_stack_oracle(total, square_total, cap)
 
     def test_small_targets(self):
@@ -198,44 +207,54 @@ class TestWalkOracle:
             for square_total in range(0, 40):
                 for cap in range(0, 7):
                     want = list(partitions_oracle(total, square_total, cap))
-                    assert _partitions(total, square_total, cap) == want
+                    assert walk(total, square_total, cap) == want
                     assert partitions_walk_oracle(total, square_total, cap) == want
 
     def test_empty_and_all_ones(self):
-        assert _partitions(0, 0, 0) == [()] == list(partitions_oracle(0, 0, 0))
-        assert _partitions(0, 1, 3) == []
-        assert _partitions(5, 5, 1) == [(1,) * 5]
-        assert _partitions(5, 5, 0) == []
+        assert walk(0, 0, 0) == [()] == list(partitions_oracle(0, 0, 0))
+        assert walk(0, 1, 3) == []
+        assert walk(5, 5, 1) == [(1,) * 5]
+        assert walk(5, 5, 0) == []
 
     @staticmethod
-    def closed_form_mismatch(walk):
+    def closed_form_mismatch(partitions):
         """The first (t, s, cap) with cap <= 4, t < 30 and s < 200 where
-        ``walk`` and the explicit-stack walk differ, or None."""
+        ``partitions`` over tuples and the explicit-stack walk differ, or None."""
         for cap in range(0, 5):
             for t in range(0, 30):
                 for s in range(0, 200):
-                    if walk(t, s, cap) != partitions_walk_oracle(t, s, cap):
+                    if walk(t, s, cap, partitions) != partitions_walk_oracle(t, s, cap):
                         return t, s, cap
         return None
 
     def test_closed_form_box(self):
         assert self.closed_form_mismatch(_partitions) is None
 
+    def test_strings_spell_the_tuples(self):
+        # The same walk over other units: each sequence is unit[0] plus the
+        # unit of each part, in the order of the tuples.
+        unit = ["<", *(f",{p}" for p in range(1, 40))]
+        for total, square_total, cap in [(3 * n - 2, n * n, c) for n in range(1, 17)
+                                         for c in range(0, n + 1)] + [(0, 0, 0), (5, 5, 1)]:
+            want = ["<" + "".join(f",{p}" for p in parts)
+                    for parts in walk(total, square_total, cap)]
+            assert _partitions(total, square_total, cap, unit) == want, (total, square_total, cap)
+
     def test_closed_form_cases(self):
         # Odd s - t: no rest of 3s, 2s and 1s has s - t = 6a + 2b.
-        assert _partitions(4, 9, 3) == _partitions(4, 9, 2) == []
+        assert walk(4, 9, 3) == walk(4, 9, 2) == []
         # Cap 3 from the most 3s down: 6a + 2b = 6, 3a + 2b + c = 8.
-        assert _partitions(8, 14, 3) == [(3, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1)]
+        assert walk(8, 14, 3) == [(3, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1)]
         # c < 0 stops the range: a = 1 would need c = -3.
-        assert _partitions(6, 18, 3) == [(3, 3)]
-        assert _partitions(6, 18, 2) == []
+        assert walk(6, 18, 3) == [(3, 3)]
+        assert walk(6, 18, 2) == []
         # Cap 2 leaves one rest; below cap 2 only s == t has one.
-        assert _partitions(7, 9, 2) == [(2, 1, 1, 1, 1, 1)]
-        assert _partitions(7, 9, 1) == _partitions(7, 9, 0) == []
-        assert _partitions(3, 9, 3) == [(3,)]
-        assert _partitions(0, 6, 3) == _partitions(2, 1, 3) == _partitions(2, 1, 2) == []
+        assert walk(7, 9, 2) == [(2, 1, 1, 1, 1, 1)]
+        assert walk(7, 9, 1) == walk(7, 9, 0) == []
+        assert walk(3, 9, 3) == [(3,)]
+        assert walk(0, 6, 3) == walk(2, 1, 3) == walk(2, 1, 2) == []
         for t, s, cap in ((4, 9, 3), (8, 14, 3), (6, 18, 3), (7, 9, 2), (7, 9, 0), (0, 6, 3)):
-            assert _partitions(t, s, cap) == list(partitions_oracle(t, s, cap))
+            assert walk(t, s, cap) == list(partitions_oracle(t, s, cap))
 
     @pytest.mark.parametrize(
         "old, new",

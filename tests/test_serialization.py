@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from cremona_kit import serialization as ser
 from cremona_kit.curve_model import PlaneCurveModel, PointSpec, SingularityData, curve_from_mults
 from cremona_kit.cremona_maps import make_phi
-from cremona_kit.errors import DegreeCapExceeded, SchemaError
+from cremona_kit.errors import DegreeCapExceeded, EnumerationBoundExceeded, SchemaError
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
 from cremona_kit.linear_systems import LinSysData, adjoint_chain
-from cremona_kit.rational_pencils import PencilType, enumerate_pencil_types
+from cremona_kit.rational_pencils import PencilType
 
 from _util import (
     GUARD_ORACLES,
@@ -354,7 +354,9 @@ class TestDumps:
          # Subclasses of int and str, which a table keyed by isinstance would take.
          _Enum.ONE, _Int(2), _Str("s"), [_Enum.ONE], [_Int(2)], [_Str("s")], [_Int(1), _Int(2)],
          [1, _Int(2)], ["a", _Str("s")], {"a": _Enum.ONE}, {"a": _Int(2)}, {"a": _Str("s")},
-         {"a": [_Int(2)]}],
+         {"a": [_Int(2)]},
+         # A record dumps does not write: pencil-enum's types come as JSON text.
+         PencilType(2, (1, 1, 1, 1))],
     )
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
@@ -474,62 +476,41 @@ class TestLongIntegers:
             for m in (n, -n):
                 assert _str_with_limit(ser._int_str, m, 640) == _str_with_limit(str, m, 0)
 
+    def test_bare_integer_past_the_limit(self):
+        n = 7**6000
+        value = [n, -n, {"genus": n, "small": 3}, [1, n]]
+        written = _str_with_limit(ser.dumps, value, 640)
+        assert written == _str_with_limit(
+            lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value, 0)
+
     def test_ratio_past_the_limit(self):
         c, den = 7**6000 * 12, 5**3000 * 8
         expected = _str_with_limit(lambda q: str(Fraction(*q)), (c, den), 0)
         assert _str_with_limit(lambda q: ser._ratio_str(*q), (-c, den), 640) == "-" + expected
 
 
-# Pencil types with empty, long and large multiplicities, and degrees and
-# counts that repeat, so that a list writes several from one template; the
-# leaves of values that hold them at the top level, as dict values, in lists
-# of pencil types alone and in lists next to dicts and scalars, at several
-# depths.
-_PENCILS = st.builds(
-    PencilType,
-    st.one_of(st.integers(1, 4), st.integers(1, 2**70)),
-    st.lists(st.one_of(st.integers(1, 3), st.integers(1, 2**70)), max_size=24),
-)
-_WITH_PENCILS = st.recursive(
-    st.one_of(_SCALARS, _PENCILS),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.lists(_PENCILS, min_size=1, max_size=6),
-        st.dictionaries(_TEXT, inner, max_size=6),
-    ),
-    max_leaves=20,
-)
+class TestPencilTypes:
+    """encode_pencil_types writes its list of types for the indent of a
+    field of the top-level object, and refuses past its bound as
+    enumerate_pencil_types does."""
 
-
-class _Pencil(PencilType):
-    pass
-
-
-class TestDumpsPencilTypes:
-    """dumps writes a PencilType as json.dumps writes the oracle's dict."""
-
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(_WITH_PENCILS)
-    @example(PencilType(1))
-    @example([PencilType(1), PencilType(2, (1, 1, 1, 1))])
-    @example({"types": [PencilType(3, (2, 1, 1, 1, 1))], "one": PencilType(1, (2**200,))})
-    @example([PencilType(2, (1,)), {"a": PencilType(1)}, 3, [PencilType(4, (3,))], "x"])
-    @example([[[{"k": [PencilType(5, (2, 2, 1))]}]], PencilType(1, ())])
-    @example({"count": 3, "types": list(enumerate_pencil_types(3))})
-    @example([PencilType(2, (1, 1)), PencilType(3, (1, 1)), PencilType(3, (2, 1)),
-              PencilType(3, (2, 1, 1)), PencilType(2, (1, 1))])
-    def test_matches_json_of_oracle(self, value):
-        plain = json.dumps(plain_oracle(value), indent=2, sort_keys=True)
-        assert ser.dumps(value) == plain + "\n"
-
-    @pytest.mark.parametrize(
-        "value",
-        [_Pencil(2, (1, 1, 1, 1)), [_Pencil(1)], [PencilType(1), _Pencil(1)],
-         {"a": _Pencil(1)}, [1, _Pencil(1)], [{"a": _Pencil(1)}]],
-    )
-    def test_subclass_raises(self, value):
+    def test_laid_out_for_its_indent(self):
+        count, types = ser.encode_pencil_types(3, 8)
+        plain = [{"degree": 1, "mults": [1]}, {"degree": 2, "mults": [1, 1, 1, 1]},
+                 {"degree": 3, "mults": [2, 1, 1, 1, 1, 1]}]
+        assert count == 3
+        for value in ({"types": types}, [types]):
+            written = json.dumps(value, default=lambda t: plain, indent=2, sort_keys=True)
+            assert ser.dumps(value) == written + "\n"
         with pytest.raises(TypeError):
-            ser.dumps(value)
+            ser.dumps({"report": {"types": types}})
+        with pytest.raises(TypeError):
+            ser.dumps(types)
+
+    def test_bound(self):
+        with pytest.raises(EnumerationBoundExceeded):
+            ser.encode_pencil_types(9, 8)
+        assert ser.encode_pencil_types(-3, 8)[0] == 0
 
 
 # Linear systems with empty, large and escaped multiplicity labels, drawn
