@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INVALID = 2
 EXIT_BROKEN_PIPE = 141
+# Characters of the report encoded and written at a time, so that its bytes
+# are never held whole next to its text.
+WRITE_SLICE = 1 << 20
 
 
 def _load_payload(args: argparse.Namespace) -> Any:
@@ -121,14 +124,12 @@ def _cmd_validate(args) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_adjoint_chain(args) -> tuple[dict[str, Any], int]:
-    model = ser.decode_curve(_load_payload(args))
-    report = adjoint_chain(model)
+    report = adjoint_chain(ser.decode_curve_numbers(_load_payload(args)))
     return ser.encode_chain_report(report), EXIT_OK
 
 
 def _cmd_classify(args) -> tuple[dict[str, Any], int]:
-    model = ser.decode_curve(_load_payload(args))
-    report = adjoint_chain(model)
+    report = adjoint_chain(ser.decode_curve_numbers(_load_payload(args)))
     return {
         "class": report.classification.value,
         "terminal": report.terminal,
@@ -323,6 +324,18 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
     return lines
 
 
+def _utf8(text: str) -> bytes:
+    """UTF-8, as input is read, whatever the locale.  A surrogate that stands for an
+    undecodable argument byte is written as that byte, any other as its \\u escape."""
+    try:
+        return text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return "".join(
+            f"\\u{ord(c):04x}" if "\ud800" <= c < "\udc80" or "\udcff" < c <= "\udfff" else c
+            for c in text
+        ).encode("utf-8", "surrogateescape")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
@@ -345,6 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:  # a coefficient above CPython's limit on int-to-str conversion
             payload, code = {"error": type(exc).__name__, "message": str(exc)}, EXIT_INVALID
             text = ser.dumps(payload)
+        del payload  # the text alone is kept while it is written
         if getattr(args, "format", "json") == "text":
             text = "\n".join(_render_text(json.loads(text))) + "\n"
         raw = getattr(sys.stdout, "buffer", None)
@@ -355,17 +369,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             # An unbuffered stream takes part of a write that the reader's exit cuts
             # short, and its text layer drops the rest: writing it makes the pipe raise.
             sys.stdout.flush()
-            # UTF-8, as input is read, whatever the locale. A surrogate that stands for an
-            # undecodable argument byte is written as that byte, any other as its \u escape.
-            try:
-                data = memoryview(text.encode("utf-8", "surrogateescape"))
-            except UnicodeEncodeError:
-                data = memoryview("".join(
-                    f"\\u{ord(c):04x}" if "\ud800" <= c < "\udc80" or "\udcff" < c <= "\udfff"
-                    else c for c in text
-                ).encode("utf-8", "surrogateescape"))
-            while data:
-                data = data[raw.write(data) :]
+            for start in range(0, len(text), WRITE_SLICE):
+                data = memoryview(_utf8(text[start : start + WRITE_SLICE]))
+                while data:
+                    data = data[raw.write(data) :]
             raw.flush()
     except BrokenPipeError:
         # The reader has gone.  With stdout on the null device the flush at exit

@@ -171,8 +171,11 @@ def _structural_checks(
     if not ok:
         return checks
 
-    labels = [s.label for s in singularities]
-    dup = sorted({l for l in labels if labels.count(l) > 1})
+    seen: set[str] = set()
+    repeated: set[str] = set()
+    for s in singularities:
+        (repeated if s.label in seen else seen).add(s.label)
+    dup = sorted(repeated)
     checks.append(
         CurveCheck("labels-unique", not dup, f"duplicate labels {dup}" if dup else "")
     )

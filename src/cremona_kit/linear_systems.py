@@ -21,6 +21,15 @@ here is integer arithmetic under the general-position assumption:
   d(d - 3) = (d - 1)(d - 2) - 2, no line or conic rule lowers it, and a
   rational pencil has dimension 1.
 
+A chain and a single step share one step routine, which carries from step
+to step the labels and multiplicities of the current system as two lists
+in label order, and its degree and sums (sum mu, sum mu^2) on the system
+itself: an adjoint of k points takes the sums (s, q) to (s - k, q - 2s + k)
+and each point a removal lowers from mu to mu - 1 takes them to
+(s - 1, q - 2mu + 1), so genus, dimension and self-intersection cost O(1)
+and no system is sorted or validated again.  Removal runs only at the steps
+where one sort of the multiplicities shows that a rule applies.
+
 Line/conic detection suffices for every configuration this package is
 used on; should a higher-degree fixed component survive, the numbers turn
 inconsistent (negative self-intersection) and a warning is attached to
@@ -33,6 +42,7 @@ import enum
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from ._record import Record
@@ -73,12 +83,17 @@ class LinSysData(Record):
         object.__setattr__(self, "mults", tuple(sorted(seen.items())))
 
     @classmethod
-    def _sorted(cls, degree: int, mults: tuple[tuple[str, int], ...]) -> "LinSysData":
+    def _sorted(
+        cls, degree: int, mults: tuple[tuple[str, int], ...], sums: tuple[int, int] | None = None
+    ) -> "LinSysData":
         """Trusted constructor of the form ``__init__`` builds: degree >= 0,
-        labels distinct and sorted, every multiplicity >= 1."""
+        labels distinct and sorted, every multiplicity >= 1; ``sums``, when
+        the caller knows them, are (sum mu, sum mu^2)."""
         L = object.__new__(cls)
         object.__setattr__(L, "degree", degree)
         object.__setattr__(L, "mults", mults)
+        if sums is not None:
+            object.__setattr__(L, "_sums", sums)
         return L
 
     def __getstate__(self):
@@ -141,6 +156,27 @@ def _numerical_data(source: PlaneCurveModel | LinSysData) -> LinSysData:
     return source
 
 
+def _columns(L: LinSysData) -> tuple[list[str], list[int]]:
+    """The labels and the multiplicities of L, as two lists in label order."""
+    return list(map(itemgetter(0), L.mults)), list(map(itemgetter(1), L.mults))
+
+
+def _adjoint(
+    L: LinSysData, labels: list[str], m: list[int]
+) -> tuple[LinSysData, list[str], list[int]]:
+    """(raw, labels, m): the raw adjoint of L, whose columns are ``labels`` and
+    ``m``, with its own.  Each multiplicity drops by 1 and the points it takes
+    to 0 drop out, so for k points the sums (s, q) become (s - k, q - 2s + k)."""
+    s, q = _sums(L)
+    k = len(m)
+    if 1 in m:
+        labels = [l for l, v in zip(labels, m) if v > 1]
+        m = [v - 1 for v in m if v > 1]
+    else:
+        m = [v - 1 for v in m]
+    return LinSysData._sorted(L.degree - 3, tuple(zip(labels, m)), (s - k, q - 2 * s + k)), labels, m
+
+
 def adjoint_raw(source: PlaneCurveModel | LinSysData) -> LinSysData:
     """(d; m_i) -> (d-3; m_i-1), defined only above genus 1.
 
@@ -151,7 +187,7 @@ def adjoint_raw(source: PlaneCurveModel | LinSysData) -> LinSysData:
     g = member_genus(data)
     if g <= 1:
         raise AdjointDoesNotExist(f"adjoint requires genus > 1, got genus {g}")
-    return LinSysData._sorted(data.degree - 3, tuple((l, m - 1) for l, m in data.mults if m > 1))
+    return _adjoint(data, *_columns(data))[0]
 
 
 # -- fixed-component removal --------------------------------------------------
@@ -171,39 +207,53 @@ class RemovedComponent(Record):
         return cls(kind, labels, count, LinSysData._sorted(degree, tuple((l, 1) for l in labels)))
 
 
+def _first_kind(n: int, m: Sequence[int]) -> str | None:
+    """The kind of the first Bezout rule that applies to multiplicities
+    ``m`` >= 1 of degree n, or None.  A line applies iff the two largest m
+    sum to more than n, and a conic iff the five largest exist and sum to
+    more than 2n; lines come first.  One C-level sort settles it."""
+    top = sorted(m, reverse=True)[:5]
+    if len(top) >= 2 and top[0] + top[1] > n:
+        return "line"
+    if len(top) == 5 and sum(top) > 2 * n:
+        return "conic"
+    return None
+
+
 def _first_rule(n: int, labels: Sequence[str], m: Sequence[int]) -> _Rule | None:
     """The first Bezout rule that applies to the sorted ``labels`` with
     multiplicities ``m`` >= 1, or None.
 
     The order is that of listing every line (pair with m_i + m_j > n) and
     then every conic (5-subset with sum > 2n), each lexicographically on
-    the labels.  A line applies iff the two largest m sum to more than n,
-    and a conic iff the five largest exist and sum to more than 2n, so one
-    C-level sort of the k multiplicities settles the common case, None.
-    Otherwise some rule applies.  A prefix of chosen points extends to a
-    rule exactly when its sum plus the largest multiplicities after its
-    last point is large enough, so each pass of the conic loop breaks, and
-    the first rule is found greedily from the top four of each suffix, in
-    O(k log k).
+    the labels; :func:`_first_kind` tells which kind comes first.  The first
+    line is at the first i whose m_i and the largest multiplicity after it
+    sum to more than n, read off one pass of suffix maxima.  For a conic, a
+    prefix of chosen points extends to a rule exactly when its sum plus the
+    largest multiplicities after its last point is large enough, so the
+    first rule is found greedily in one pass over the points, each point
+    taken out of a sorted copy of the multiplicities as the pass leaves it:
+    one sort and a C-level O(k) per point.
     """
-    k = len(m)
-    top5 = sorted(m, reverse=True)[:5]
-    if (k < 2 or top5[0] + top5[1] <= n) and (k < 5 or sum(top5) <= 2 * n):
+    kind = _first_kind(n, m)
+    if kind is None:
         return None
-    top: list[tuple[int, ...]] = [()] * (k + 1)  # top[i]: four largest of m[i:]
-    for i in range(k - 1, -1, -1):
-        top[i] = tuple(sorted(top[i + 1] + (m[i],), reverse=True)[:4])
-    for i in range(k - 1):
-        if m[i] + top[i + 1][0] > n:
-            j = next(j for j in range(i + 1, k) if m[i] + m[j] > n)
-            return "line", (labels[i], labels[j])
+    k = len(m)
+    if kind == "line":
+        after = list(accumulate(reversed(m), max))  # after[k - 1 - i]: the largest of m[i:]
+        i = next(i for i in range(k - 1) if m[i] + after[k - 2 - i] > n)
+        j = next(j for j in range(i + 1, k) if m[i] + m[j] > n)
+        return "line", (labels[i], labels[j])
+    rest = sorted(m, reverse=True)  # m[i + 1:], largest first, at point i
     chosen: list[int] = []
-    total = 0
-    for left in range(5, 0, -1):  # points still to choose, this one included
-        for i in range(chosen[-1] + 1 if chosen else 0, k - left + 1):
-            if total + m[i] + sum(top[i + 1][: left - 1]) > 2 * n:
-                chosen.append(i)
-                total += m[i]
+    need, others = 2 * n, 4  # the sum the points still to choose must exceed; their count less 1
+    for i, v in enumerate(m):
+        rest.remove(v)
+        if v + sum(rest[:others]) > need:
+            chosen.append(i)
+            need -= v
+            others -= 1
+            if others < 0:
                 break
     return "conic", tuple(labels[i] for i in chosen)
 
@@ -216,9 +266,10 @@ def remove_fixed_components(
     Deterministic order: at each step the first applicable rule is taken,
     scanning lines before conics and lexicographically on the sorted
     labels within each kind.  That rule is computed directly from the
-    multiplicities in label order (see :func:`_first_rule`), in O(k log k)
-    per rule applied for k points, and one sort when none applies; the
-    labels are never sorted again.
+    multiplicities in label order (see :func:`_first_rule`), in one sort
+    and one pass over the points per rule applied, and one sort when none
+    applies; the labels are never sorted again, and the sums (sum mu,
+    sum mu^2) are updated per removal.
 
     On usable systems (virtual dimension >= 1) the rewriting is confluent,
     so the order fixes only the trace, never the result: applying a rule
@@ -226,7 +277,7 @@ def remove_fixed_components(
     through a shared point of multiplicity 1, which forces the dimension
     negative.  Numerically empty inputs carry no such guarantee.
     """
-    n, labels, m = L.degree, list(map(itemgetter(0), L.mults)), list(map(itemgetter(1), L.mults))
+    n, (labels, m), (s, q) = L.degree, _columns(L), _sums(L)
     counts: dict[_Rule, int] = {}
     while (rule := _first_rule(n, labels, m)) is not None:
         n -= 1 if rule[0] == "line" else 2
@@ -235,7 +286,9 @@ def remove_fixed_components(
                 "fixed-component removal drove the degree negative; input numerics are inconsistent"
             )
         for l in rule[1]:
-            m[bisect_left(labels, l)] -= 1
+            i = bisect_left(labels, l)
+            v = m[i] = m[i] - 1
+            s, q = s - 1, q - 2 * v - 1
         if 0 in m:  # drop the points that reached multiplicity 0, keeping the order
             labels, m = [l for l, v in zip(labels, m) if v], [v for v in m if v]
         counts[rule] = counts.get(rule, 0) + 1
@@ -245,7 +298,7 @@ def remove_fixed_components(
         RemovedComponent.single(kind, ls, counts[kind, ls])
         for kind, ls in sorted(counts, key=lambda r: (0 if r[0] == "line" else 1, r[1]))
     )
-    return LinSysData._sorted(n, tuple(zip(labels, m))), removed
+    return LinSysData._sorted(n, tuple(zip(labels, m)), (s, q)), removed
 
 
 # -- pencil decomposition ------------------------------------------------------
@@ -269,7 +322,8 @@ def pencil_decompose(L: LinSysData) -> PencilReduction | None:
     c = math.gcd(L.degree, *map(itemgetter(1), L.mults))
     if c < 2:
         return None
-    P = LinSysData._sorted(L.degree // c, tuple((l, m // c) for l, m in L.mults))
+    s, q = _sums(L)
+    P = LinSysData._sorted(L.degree // c, tuple((l, m // c) for l, m in L.mults), (s // c, q // c**2))
     if member_genus(P) == 0 and self_intersection(P) == 0:
         return PencilReduction(c, P)
     return None
@@ -304,22 +358,35 @@ class ChainReport(Record):
     _defaults = ((),)
 
 
-def adjoint_step(L: LinSysData) -> ChainStep:
-    """Adjoint of a system followed by removal and pencil reduction."""
-    raw = adjoint_raw(L)
-    reduced, removed = remove_fixed_components(raw)
-    warnings: list[str] = []
+def _step(L: LinSysData, labels: list[str], m: list[int]) -> tuple[ChainStep, list[str], list[int]]:
+    """(step, labels, m): the adjoint step of L, of genus > 1, whose columns
+    are ``labels`` and ``m`` (see :func:`_columns`), and the columns of the
+    step's reduced system.  Each system is built once and carries its sums;
+    removal runs only when a rule applies."""
+    raw, labels, m = _adjoint(L, labels, m)
+    reduced, removed = raw, ()
+    if _first_kind(raw.degree, m) is not None:
+        reduced, removed = remove_fixed_components(raw)
+        labels, m = _columns(reduced)
+    warnings = ()
     # The reduced system has dimension >= 1 (see the module docstring), and
     # a fixed-part-free one meets itself nonnegatively off the base points;
     # a negative count here means a fixed component beyond lines and conics
     # escaped the Bezout rules.
     if self_intersection(reduced) < 0:
-        warnings.append(
+        warnings = (
             f"system {reduced} has negative self-intersection after removing lines "
-            "and conics; a higher-degree fixed component was probably missed"
+            "and conics; a higher-degree fixed component was probably missed",
         )
-    pr = pencil_decompose(reduced)
-    return ChainStep(L, raw, removed, reduced, pr, tuple(warnings))
+    return ChainStep(L, raw, removed, reduced, pencil_decompose(reduced), warnings), labels, m
+
+
+def adjoint_step(L: LinSysData) -> ChainStep:
+    """Adjoint of a system followed by removal and pencil reduction."""
+    g = member_genus(L)
+    if g <= 1:
+        raise AdjointDoesNotExist(f"adjoint requires genus > 1, got genus {g}")
+    return _step(L, *_columns(L))[0]
 
 
 # A terminal's class by (genus, dimension).  Any other of genus 0 is a rational
@@ -345,12 +412,15 @@ def adjoint_chain(source: PlaneCurveModel | LinSysData) -> ChainReport:
     g = member_genus(current)
     if g <= 1:
         raise AdjointDoesNotExist(f"adjoint chain requires genus > 1, got genus {g}")
+    labels, m = _columns(current)
     steps: list[ChainStep] = []
     warnings: list[str] = []
     while g > 1:
-        step = adjoint_step(current)
+        # After a pencil reduction the output has genus 0, so the columns
+        # of the reduced system are never read again.
+        step, labels, m = _step(current, labels, m)
         steps.append(step)
-        warnings.extend(step.warnings)
+        warnings += step.warnings
         current = step.output
         g = member_genus(current)
     dim = virtual_dim(current)

@@ -13,18 +13,22 @@ Conventions:
 * emitted JSON always has sorted object keys and two-space indentation,
   so identical inputs produce byte-identical output;
 * the encoders return the payload as ``dumps`` takes it, with the
-  ``UniPoly``, ``TriHomPoly`` and ``LinSysData`` records themselves in place
-  of their JSON, which ``dumps`` writes from templates;
+  ``UniPoly``, ``TriHomPoly``, ``LinSysData``, ``ChainStep`` and
+  ``RemovedComponent`` records themselves in place of their JSON, which
+  ``dumps`` writes from templates;
   ``json.loads(dumps(x))`` is the plain JSON form;
 * ``encode_pencil_types`` returns the list of pencil types as JSON text,
   which the partition walk writes itself, with no per-part formatting.
 
 Decoders raise :class:`~cremona_kit.errors.SchemaError` carrying the path
-of the offending field.  Both polynomial decoders read terms with one
-reader, given the arity, in one pass: a well-formed term passes one test of
-its shape and exponents and one of its coefficient, and its numerator goes
-straight into the body, with the set of total degrees; a path is built, and
-the field named, only for a term that fails.  The terms are put over one
+of the offending field.  ``decode_curve_numbers`` reads a curve of numbers
+alone straight into its ``LinSysData``, in one pass, and hands any other
+curve, or one a model would refuse, to ``decode_curve``.  Both polynomial
+decoders read terms with one reader, given the arity, in one pass: a
+well-formed term passes one test of its shape and exponents and one of its
+coefficient, and its numerator goes straight into the body, with the set of
+total degrees; a path is built, and the field named, only for a term that
+fails.  The terms are put over one
 denominator once the decoder has checked their degrees: an exponent of a
 univariate polynomial or a curve ``poly`` degree above the degree cap, or
 terms of two degrees, are refused before anything is built.  The writer
@@ -35,6 +39,7 @@ prints an integer or a coefficient of any size, past CPython's limit on
 from __future__ import annotations
 
 import math
+import operator
 import re
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -49,7 +54,7 @@ from .cremona_maps import CremonaMap, _check_cap, max_degree_cap
 from .errors import SchemaError
 from .exact_algebra import RatFunc, TriHomPoly, UniPoly
 from .jonquieres import JonqElement, OrderReport
-from .linear_systems import ChainReport, ChainStep, LinSysData, RemovedComponent
+from .linear_systems import ChainReport, ChainStep, LinSysData, PencilReduction, RemovedComponent
 from .rational_pencils import PencilCheckReport, _degrees, _partitions
 
 TYPE_CHECKING = False
@@ -341,6 +346,33 @@ def decode_curve(v: Any) -> PlaneCurveModel:
     return PlaneCurveModel(degree, sings, poly)
 
 
+def decode_curve_numbers(v: Any) -> LinSysData | PlaneCurveModel:
+    """The curve as ``adjoint_chain`` reads it.  A curve of numbers alone
+    (``poly`` null, no ``coords``) that a model accepts is read in one pass
+    into its ``LinSysData``, with no point records; any other input goes to
+    ``decode_curve``, which builds the model or raises its error."""
+    if type(v) is dict and v.get("poly") is None:
+        degree, sings = v.get("degree"), v.get("singularities")
+        if type(degree) is int and degree >= 1 and type(sings) is list:
+            mults: dict[str, int] = {}
+            for s in sings:
+                if type(s) is not dict:
+                    break
+                label, m = s.get("label"), s.get("mult")
+                if not (type(label) is str and label and type(m) is int and m >= 2
+                        and s.get("coords") is None):
+                    break
+                mults[label] = m
+            else:
+                ms = list(mults.values())
+                total, squares = sum(ms), sum(map(operator.mul, ms, ms))
+                # Labels distinct, and genus (d-1)(d-2)/2 - sum m(m-1)/2 >= 0,
+                # which no multiplicity above the degree leaves.
+                if len(ms) == len(sings) and (degree - 1) * (degree - 2) >= squares - total:
+                    return LinSysData._sorted(degree, tuple(sorted(mults.items())), (total, squares))
+    return decode_curve(v)
+
+
 def encode_curve(c: PlaneCurveModel) -> dict[str, Any]:
     """The model as ``dumps`` takes it, its ``poly`` the record."""
     sings = []
@@ -379,29 +411,12 @@ def decode_linsys(v: Any, path: _Path = ()) -> LinSysData:
     return LinSysData.of(degree, mults)
 
 
-def encode_removed(r: RemovedComponent) -> dict[str, Any]:
-    return {"kind": r.kind, "labels": list(r.labels), "count": r.count, "system": r.system}
-
-
-def encode_chain_step(s: ChainStep) -> dict[str, Any]:
-    pencil = None
-    if s.pencil_reduction is not None:
-        pencil = {"content": s.pencil_reduction.content, "system": s.pencil_reduction.pencil}
-    return {
-        "input": s.input,
-        "raw": s.raw_adjoint,
-        "removed": [encode_removed(r) for r in s.removed_fixed],
-        "pencil": pencil,
-        "output": s.output,
-        "warnings": list(s.warnings),
-    }
-
-
 def encode_chain_report(r: ChainReport) -> dict[str, Any]:
-    """The report as ``dumps`` takes it: each system is its ``LinSysData``
-    record, which a chain shares between steps and ``dumps`` writes once."""
+    """The report as ``dumps`` takes it: each step is its ``ChainStep``
+    record, which ``dumps`` writes with its ``RemovedComponent`` and
+    ``LinSysData`` records."""
     return {
-        "steps": [encode_chain_step(s) for s in r.steps],
+        "steps": list(r.steps),
         "terminal": r.terminal,
         "class": r.classification.value,
         "warnings": list(r.warnings),
@@ -530,13 +545,21 @@ def dumps(payload: Any) -> str:
     plus a newline, where ``plain`` is the payload with each record in its
     JSON form, for the values the encoders emit: str, int, bool, None, the
     records ``UniPoly`` (as [[[e], "c"], ...], ascending), ``TriHomPoly`` (as
-    [[[i, j, k], "c"], ...], leading term first) and ``LinSysData`` (as
-    {"degree": n, "mults": {label: m, ...}}), JSON text from
-    ``encode_pencil_types`` where it was laid out for, and lists and
-    str-keyed dicts of them.  Anything else (a float, a tuple, a non-str key
-    or label, a subclass of int, str or of a record) raises TypeError.
+    [[[i, j, k], "c"], ...], leading term first), ``LinSysData`` (as
+    {"degree": n, "mults": {label: m, ...}}), ``ChainStep`` (as {"input",
+    "output", "pencil", "raw", "removed", "warnings"}, the pencil null or
+    {"content": c, "system": P}) and ``RemovedComponent`` (as {"count",
+    "kind", "labels", "system"}), JSON text from ``encode_pencil_types``
+    where it was laid out for, and lists and str-keyed dicts of them.
+    Anything else (a float, a tuple, a non-str key or label, a subclass of
+    int, str or of a record) raises TypeError.
     """
-    return _write(payload, "\n", {}) + "\n"
+    memo: dict[Any, str] = {}
+    if type(payload) is dict and payload:
+        # The final newline is joined with the object's parts: the text of a
+        # long report is built once, not once more to add it.
+        return "".join(_members(payload, "\n", memo) + ["\n"])
+    return _write(payload, "\n", memo) + "\n"
 
 
 def _int_text(n: int) -> str:
@@ -554,13 +577,14 @@ _SCALARS = {str: _encode_str, int: _int_text, type(None): lambda v: "null"}
 _SCALARS[bool] = ("false", "true").__getitem__
 
 
-def _write(v: Any, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+def _write(v: Any, newline: str, memo: dict[Any, str]) -> str:
     """One value; ``newline`` is a line break plus the indent of its line.
 
     ``memo`` holds what the record writers keep for the call: the text of
     each LinSysData record already written, keyed by its id and indent (the
-    payload keeps every record alive meanwhile), and the term template of
-    each polynomial class, keyed by the class and indent.
+    payload keeps every record alive meanwhile), the template of each tuple
+    of labels, keyed by the tuple and indent, and the template of each other
+    record class, keyed by the class and indent.
     """
     kind = type(v)
     scalar = _SCALARS.get(kind)
@@ -569,52 +593,117 @@ def _write(v: Any, newline: str, memo: dict[tuple[Any, str], str]) -> str:
     record = _RECORDS.get(kind)
     if record is not None:
         return record(v, newline, memo)
-    inner = newline + "  "
     if kind is list:
         if not v:
             return "[]"
         kinds = set(map(type, v))
         kind = kinds.pop() if len(kinds) == 1 else None
         scalar = _SCALARS.get(kind)
+        inner = newline + "  "
         body = map(scalar, v) if scalar else [_write(x, inner, memo) for x in v]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if kind is dict:
-        if not v:
-            return "{}"
-        sep = "," + inner
-        parts = []
-        for k in sorted(v):
-            x = v[k]
-            scalar = _SCALARS.get(type(x))
-            # _encode_str raises TypeError for a key that is not a str.
-            parts += sep, _encode_str(k), ": ", scalar(x) if scalar else _write(x, inner, memo)
-        parts[0] = "{" + inner
-        parts.append(newline + "}")
-        return "".join(parts)  # one join: a long value's text is copied once
+        return "".join(_members(v, newline, memo)) if v else "{}"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _linsys(L: LinSysData, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+def _members(v: dict[str, Any], newline: str, memo: dict[Any, str]) -> list[str]:
+    """The texts that make up the nonempty object ``v``, to be joined once:
+    a long value's text is copied once."""
+    inner = newline + "  "
+    sep = "," + inner
+    parts: list[str] = []
+    for k in sorted(v):
+        x = v[k]
+        scalar = _SCALARS.get(type(x))
+        # _encode_str raises TypeError for a key that is not a str.
+        parts += sep, _encode_str(k), ": ", scalar(x) if scalar else _write(x, inner, memo)
+    parts[0] = "{" + inner
+    parts.append(newline + "}")
+    return parts
+
+
+def _linsys(L: LinSysData, newline: str, memo: dict[Any, str]) -> str:
     """L as {"degree": n, "mults": {label: m, ...}}, at the indent of ``newline``,
-    once per record and indent.  The record's labels are distinct and sorted,
-    its numbers exact ints."""
+    once per record and indent, from one template per tuple of labels and
+    indent.  The record's labels are distinct and sorted, its numbers exact
+    ints."""
     key = (id(L), newline)
     text = memo.get(key)
     if text is not None:
         return text
-    inner = newline + "  "
-    mults = "{}"
-    if L.mults:
-        leaf = inner + "  "
-        # _encode_str raises TypeError for a label that is not a str.
-        pairs = ("," + leaf).join([_encode_str(l) + ": %d" % m for l, m in L.mults])
-        mults = "{" + leaf + pairs + inner + "}"
-    text = '{%s"degree": %d,%s"mults": %s%s}' % (inner, L.degree, inner, mults, newline)
+    if not L.mults:
+        inner = newline + "  "
+        text = '{%s"degree": %d,%s"mults": {}%s}' % (inner, L.degree, inner, newline)
+    else:
+        labels, mults = zip(*L.mults)
+        template = memo.get((labels, newline))
+        if template is None:
+            inner = newline + "  "
+            leaf = inner + "  "
+            # _encode_str raises TypeError for a label that is not a str; a "%" of
+            # a label is doubled, to stand for itself in the template.
+            pairs = ("," + leaf).join([_encode_str(l).replace("%", "%%") + ": %d" for l in labels])
+            template = memo[labels, newline] = (
+                "{" + inner + '"degree": %d,' + inner + '"mults": {' + leaf + pairs + inner + "}" + newline + "}")
+        text = template % (L.degree, *mults)
     memo[key] = text
     return text
 
 
-def _poly(f: UniPoly | TriHomPoly, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+def _array(texts: list[str], newline: str) -> str:
+    """The JSON array of the values written as ``texts``, at the indent of ``newline``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _object(kind: type, keys: tuple[str, ...], newline: str, memo: dict[Any, str]) -> str:
+    """The template of an object of ``kind`` with the sorted ``keys``, each
+    value a %s, at the indent of ``newline``: built once per kind and indent."""
+    template = memo.get((kind, newline))
+    if template is None:
+        inner = newline + "  "
+        members = ("," + inner).join(['"%s": %%s' % key for key in keys])
+        template = memo[kind, newline] = "{" + inner + members + newline + "}"
+    return template
+
+
+_STEP_KEYS = ("input", "output", "pencil", "raw", "removed", "warnings")
+_PENCIL_KEYS = ("content", "system")
+_REMOVED_KEYS = ("count", "kind", "labels", "system")
+
+
+def _chain_step(s: ChainStep, newline: str, memo: dict[Any, str]) -> str:
+    """s as {"input", "output", "pencil", "raw", "removed", "warnings"}, at the
+    indent of ``newline``: each system a ``LinSysData`` record, the pencil
+    null or {"content": c, "system": P}, each removed component a
+    ``RemovedComponent`` record."""
+    inner = newline + "  "
+    leaf = inner + "  "
+    pr = s.pencil_reduction
+    pencil = "null" if pr is None else _object(PencilReduction, _PENCIL_KEYS, inner, memo) % (
+        "%d" % pr.content, _linsys(pr.pencil, leaf, memo))
+    return _object(ChainStep, _STEP_KEYS, newline, memo) % (
+        _linsys(s.input, inner, memo),
+        _linsys(s.output, inner, memo),
+        pencil,
+        _linsys(s.raw_adjoint, inner, memo),
+        _array([_removed(r, leaf, memo) for r in s.removed_fixed], inner),
+        _array(list(map(_encode_str, s.warnings)), inner),
+    )
+
+
+def _removed(r: RemovedComponent, newline: str, memo: dict[Any, str]) -> str:
+    """r as {"count", "kind", "labels", "system"}, at the indent of ``newline``."""
+    inner = newline + "  "
+    labels = _array(list(map(_encode_str, r.labels)), inner)
+    return _object(RemovedComponent, _REMOVED_KEYS, newline, memo) % (
+        "%d" % r.count, _encode_str(r.kind), labels, _linsys(r.system, inner, memo))
+
+
+def _poly(f: UniPoly | TriHomPoly, newline: str, memo: dict[Any, str]) -> str:
     """f as its list of [[e, ...], "c"] terms, at the indent of ``newline``,
     each term from one template per class and indent: a UniPoly's exponents
     ascending, a TriHomPoly's terms leading first, in its stored order."""
@@ -637,7 +726,7 @@ def _poly(f: UniPoly | TriHomPoly, newline: str, memo: dict[tuple[Any, str], str
     return "[" + inner + ("," + inner).join(terms) + newline + "]"
 
 
-def _text(v: _JSONText, newline: str, memo: dict[tuple[Any, str], str]) -> str:
+def _text(v: _JSONText, newline: str, memo: dict[Any, str]) -> str:
     if newline != v.newline:
         raise TypeError("JSON text written at an indent other than its own")
     return v.text
@@ -645,4 +734,11 @@ def _text(v: _JSONText, newline: str, memo: dict[tuple[Any, str], str]) -> str:
 
 # The record writers, keyed by exact type: a subclass of a record is not
 # written.
-_RECORDS = {LinSysData: _linsys, TriHomPoly: _poly, UniPoly: _poly, _JSONText: _text}
+_RECORDS = {
+    LinSysData: _linsys,
+    ChainStep: _chain_step,
+    RemovedComponent: _removed,
+    TriHomPoly: _poly,
+    UniPoly: _poly,
+    _JSONText: _text,
+}

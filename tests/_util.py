@@ -73,9 +73,14 @@ built for each pencil type, is the oracle for the template through which
 ``serialization.dumps`` writes a ``PencilType`` record.
 ``encode_linsys_oracle`` and the chain encoders built on it
 (``encode_removed_oracle``, ``encode_chain_step_oracle`` and
-``encode_chain_report_oracle``), which wrote each linear system as a fresh
-dict, are the oracles for the chain reports that hand ``dumps`` the
-``LinSysData`` records themselves.  ``plain_oracle`` replaces every record
+``encode_chain_report_oracle``), which wrote each linear system, removed
+component and step as a fresh dict, are the oracles for the chain reports
+that hand ``dumps`` the ``LinSysData``, ``RemovedComponent`` and
+``ChainStep`` records themselves.  ``adjoint_chain_oracle``, the earlier
+chain of ``adjoint_step_oracle`` over ``remove_fixed_components_scan_oracle``
+and ``first_rule_scan_oracle`` (the suffix data of every point built for
+either kind of rule, every system built and summed afresh), is the oracle
+for the chain of one lean step that carries its columns and sums.  ``plain_oracle`` replaces every record
 of a payload by its oracle's plain JSON, and ``json_of`` reads back the
 JSON that ``dumps`` writes of a payload.
 """
@@ -107,7 +112,7 @@ from cremona_kit.curve_model import (
     _structural_checks,
     curve_from_mults,
 )
-from cremona_kit.errors import DegenerateSystem, InvalidCurveData, InvalidElement
+from cremona_kit.errors import AdjointDoesNotExist, DegenerateSystem, InvalidCurveData, InvalidElement
 from cremona_kit.exact_algebra import (
     _P0,
     _POINT,
@@ -126,6 +131,7 @@ from cremona_kit.exact_algebra import (
 )
 from cremona_kit.jonquieres import PGL_INFINITE, JonqElement, OrderReport, _check_h, _order
 from cremona_kit.linear_systems import (
+    ChainReport,
     ChainStep,
     Classification,
     LinSysData,
@@ -547,7 +553,8 @@ def encode_linsys_oracle(L: LinSysData) -> dict:
 
 def plain_oracle(value):
     """``value`` with each record replaced by the plain JSON of its oracle:
-    a pencil type, linear system, univariate or homogeneous polynomial."""
+    a pencil type, linear system, chain step, removed component, univariate
+    or homogeneous polynomial."""
     encode = _PLAIN_ORACLES.get(type(value))
     if encode is not None:
         return encode(value)
@@ -593,6 +600,8 @@ def encode_chain_step_oracle(s: ChainStep) -> dict:
 _PLAIN_ORACLES = {
     PencilType: encode_pencil_type_oracle,
     LinSysData: encode_linsys_oracle,
+    ChainStep: encode_chain_step_oracle,
+    RemovedComponent: encode_removed_oracle,
     UniPoly: encode_unipoly_oracle,
     TriHomPoly: encode_trihom_oracle,
 }
@@ -1169,6 +1178,113 @@ def pencil_decompose_oracle(L: LinSysData) -> Optional[PencilReduction]:
     if genus == 0 and n * n == sum(m * m for m in ms) and dim == 1:
         return PencilReduction(c, P)
     return None
+
+
+def first_rule_scan_oracle(n: int, labels: Sequence[str], m: Sequence[int]) -> Optional[_Rule]:
+    """The earlier ``linear_systems._first_rule``: one sort settles None, and
+    otherwise the top four of every suffix are built before lines and
+    conics are looked for."""
+    k = len(m)
+    top5 = sorted(m, reverse=True)[:5]
+    if (k < 2 or top5[0] + top5[1] <= n) and (k < 5 or sum(top5) <= 2 * n):
+        return None
+    top: List[Tuple[int, ...]] = [()] * (k + 1)  # top[i]: four largest of m[i:]
+    for i in range(k - 1, -1, -1):
+        top[i] = tuple(sorted(top[i + 1] + (m[i],), reverse=True)[:4])
+    for i in range(k - 1):
+        if m[i] + top[i + 1][0] > n:
+            j = next(j for j in range(i + 1, k) if m[i] + m[j] > n)
+            return "line", (labels[i], labels[j])
+    chosen: List[int] = []
+    total = 0
+    for left in range(5, 0, -1):
+        for i in range(chosen[-1] + 1 if chosen else 0, k - left + 1):
+            if total + m[i] + sum(top[i + 1][: left - 1]) > 2 * n:
+                chosen.append(i)
+                total += m[i]
+                break
+    return "conic", tuple(labels[i] for i in chosen)
+
+
+def remove_fixed_components_scan_oracle(
+    L: LinSysData,
+) -> Tuple[LinSysData, Tuple[RemovedComponent, ...]]:
+    """The earlier ``remove_fixed_components``: the first rule of
+    ``first_rule_scan_oracle`` until none applies, with no sums carried."""
+    n, labels, m = L.degree, [l for l, _ in L.mults], [v for _, v in L.mults]
+    counts: Dict[_Rule, int] = {}
+    while (rule := first_rule_scan_oracle(n, labels, m)) is not None:
+        n -= 1 if rule[0] == "line" else 2
+        if n < 0:
+            raise DegenerateSystem(
+                "fixed-component removal drove the degree negative; input numerics are inconsistent"
+            )
+        for l in rule[1]:
+            m[labels.index(l)] -= 1
+        if 0 in m:
+            labels, m = [l for l, v in zip(labels, m) if v], [v for v in m if v]
+        counts[rule] = counts.get(rule, 0) + 1
+    if not counts:
+        return L, ()
+    removed = tuple(
+        RemovedComponent(kind, ls, counts[kind, ls], LinSysData.of(1 if kind == "line" else 2, dict.fromkeys(ls, 1)))
+        for kind, ls in sorted(counts, key=lambda r: (0 if r[0] == "line" else 1, r[1]))
+    )
+    return LinSysData.of(n, dict(zip(labels, m))), removed
+
+
+def adjoint_step_oracle(L: LinSysData) -> ChainStep:
+    """The earlier ``adjoint_step``: the raw adjoint built from the pairs of
+    L, then ``remove_fixed_components_scan_oracle`` and the pencil test, each
+    system built and summed afresh."""
+    n, ms = L.degree, [m for _, m in L.mults]
+    g = (n - 1) * (n - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
+    if g <= 1:
+        raise AdjointDoesNotExist(f"adjoint requires genus > 1, got genus {g}")
+    raw = LinSysData.of(n - 3, {l: m - 1 for l, m in L.mults})
+    reduced, removed = remove_fixed_components_scan_oracle(raw)
+    warnings = []
+    if reduced.degree**2 < sum(m * m for _, m in reduced.mults):
+        warnings.append(
+            f"system {reduced} has negative self-intersection after removing lines "
+            "and conics; a higher-degree fixed component was probably missed"
+        )
+    pr = pencil_decompose_oracle(reduced)
+    return ChainStep(L, raw, removed, reduced, pr, tuple(warnings))
+
+
+_TERMINAL_CLASSES_ORACLE = {
+    (0, 1): Classification.RATIONAL_PENCIL,
+    (1, 1): Classification.ELLIPTIC_PENCIL,
+    (1, 2): Classification.ELLIPTIC_NET,
+}
+
+
+def adjoint_chain_oracle(L: LinSysData) -> ChainReport:
+    """The earlier ``adjoint_chain``: ``adjoint_step_oracle`` while the member
+    genus, computed afresh for each system, is above 1."""
+
+    def genus(S):
+        return (S.degree - 1) * (S.degree - 2) // 2 - sum(m * (m - 1) // 2 for _, m in S.mults)
+
+    current, g = L, genus(L)
+    if g <= 1:
+        raise AdjointDoesNotExist(f"adjoint chain requires genus > 1, got genus {g}")
+    steps, warnings = [], []
+    while g > 1:
+        step = adjoint_step_oracle(current)
+        steps.append(step)
+        warnings.extend(step.warnings)
+        current = step.output
+        g = genus(current)
+    n = current.degree
+    dim = n * (n + 3) // 2 - sum(m * (m + 1) // 2 for _, m in current.mults)
+    other = Classification.RATIONAL_SYSTEM if g == 0 else Classification.EXHAUSTED
+    classification = _TERMINAL_CLASSES_ORACLE.get((g, dim), other)
+    if classification is Classification.EXHAUSTED:
+        warnings.append(f"terminal system with genus {g} and dimension {dim} does not fit "
+                        "the rational/elliptic case split")
+    return ChainReport(tuple(steps), current, classification, tuple(warnings))
 
 
 def render_text_oracle(value, indent: int = 0) -> List[str]:

@@ -18,6 +18,10 @@ The input files of ``tests/``:
 
 - ``chain_65.json``: a curve of numbers alone whose chain of 13 steps removes
   a fixed line at 10 of them and ends in a rational pencil;
+- ``chain_escapes.json``: a curve of numbers alone whose labels hold ``%``,
+  ``"``, a backslash and a non-ASCII letter, and whose chain of 4 steps drops
+  points, removes two lines and a conic at its last step and ends in a pencil
+  reduction;
 - ``hyperelliptic_8.json``: a degree-8 curve y^2 = h(x) with a 6-fold point
   at (0:1:0), found by one substitution;
 - ``jonq_order.json``: an element over h of degree 6 whose entries have

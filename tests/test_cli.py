@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cremona_kit import cli
 from cremona_kit import serialization as ser
 from cremona_kit.cli import _parse_args, _render_text, main
 from cremona_kit.cremona_maps import CremonaMap, make_phi
@@ -282,6 +283,17 @@ class TestValidate:
         assert code == 2
         assert payload["passed"] is False
         assert any(not c["passed"] for c in payload["checks"])
+
+    def test_twenty_thousand_nodes_in_under_a_second(self, capsys):
+        # 1 MB of JSON: the labels are counted in one pass; a count per label
+        # took about 6 s for each command.
+        sings = [{"label": f"n{i}", "mult": 2, "coords": None} for i in range(20_000)]
+        curve = json.dumps({"degree": 300, "singularities": sings, "poly": None})
+        for command, key, value in (("validate", "passed", True), ("genus", "genus", 24_551)):
+            start = time.perf_counter()
+            code, payload = run_json(capsys, command, "--inline", curve)
+            assert time.perf_counter() - start < 1
+            assert (code, payload[key]) == (0, value)
 
 
 class TestChains:
@@ -741,6 +753,31 @@ class TestExamplesAndFormats:
         the closed pipe raises."""
         assert closed_stdout_run(unbuffered=True) == (141, b"")
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141_past_one_write_slice(self, unbuffered):
+        """The 2.25 MB report of --max 20 is encoded and written in three
+        slices; a reader that closes the pipe ends it as it ends one slice."""
+        assert closed_stdout_run(unbuffered, top=20) == (141, b"")
+
+    def test_slices_write_the_bytes_of_the_whole_text(self, monkeypatch):
+        # A lone surrogate goes out as its \u escape, and one that stands for
+        # an undecodable byte as that byte, in slices of any size.
+        sings = [{"label": "p\ud800", "mult": 2, "coords": None},
+                 {"label": "q\udcff", "mult": 2, "coords": None}]
+        curve = json.dumps({"degree": 6, "poly": None, "singularities": sings})
+
+        def written(size):
+            monkeypatch.setattr(cli, "WRITE_SLICE", size)
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(stdout):
+                assert main(["adjoint-chain", "--inline", curve, "--format", "text"]) == 0
+            return stdout.buffer.getvalue()
+
+        whole = written(1 << 20)
+        assert b"p\\ud800:" in whole and b"q\xff:" in whole
+        for size in (1, 2, 7, 100):
+            assert written(size) == whole
+
     def test_a_text_stream_gets_the_bytes_of_the_binary_layer(self, capsys):
         # In process, stdout may be a text stream with no binary layer.
         argv = ["pencil-enum", "--max", "6", "--format", "text"]
@@ -758,15 +795,15 @@ class TestExamplesAndFormats:
             assert _render_text(report) == render_text_oracle(report)
 
 
-def closed_stdout_run(unbuffered):
-    """(status, stderr) of `pencil-enum --max 16 --bound 16` in a subprocess
+def closed_stdout_run(unbuffered, top=16):
+    """(status, stderr) of `pencil-enum --max top --bound top` in a subprocess
     whose reader takes one byte of stdout and closes it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cremona_kit.cli", "pencil-enum", "--max", "16", "--bound", "16"],
+        [sys.executable, "-m", "cremona_kit.cli", "pencil-enum", "--max", str(top), "--bound", str(top)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
     )
     assert len(proc.stdout.read(1)) == 1

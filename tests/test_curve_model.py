@@ -85,6 +85,14 @@ class TestConstructorInvariants:
         with pytest.raises(InvalidCurveData):
             PlaneCurveModel(6, sings)
 
+    def test_duplicate_labels_are_named_once_in_order(self):
+        labels = ["q", "p", "q", "r", "p", "q"]
+        sings = tuple(SingularityData(PointSpec(l), 2) for l in labels)
+        (check,) = [c for c in validate_curve_data(9, sings).checks if not c.passed]
+        assert (check.name, check.detail) == ("labels-unique", "duplicate labels ['p', 'q']")
+        with pytest.raises(InvalidCurveData, match=r"labels-unique: duplicate labels \['p', 'q'\]$"):
+            PlaneCurveModel(9, sings)
+
     def test_non_ordinary_rejected(self):
         # Every declared point is read as ordinary: there is no flag to say otherwise.
         with pytest.raises(TypeError):

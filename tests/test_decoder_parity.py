@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from cremona_kit import serialization as ser
 from cremona_kit.cli import main
 from cremona_kit.cremona_maps import CremonaMap, make_phi
-from cremona_kit.errors import DegreeCapExceeded, SchemaError
+from cremona_kit.errors import DegreeCapExceeded, InvalidCurveData, SchemaError
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z
+from cremona_kit.linear_systems import LinSysData, _numerical_data
 
 from _util import (
     OldTriHomPoly, assert_canonical, decode_trihom_oracle, decode_unipoly_oracle, json_of,
@@ -956,3 +957,82 @@ def test_many_prime_denominators_are_refused_before_any_lcm():
     tri = [[[i, j, d - i - j], f"{i - j}/{p}"]
            for (i, j), p in zip([(i, j) for i in range(d + 1) for j in range(d + 1 - i)], primes)]
     assert outcome(ser.decode_trihom, tri, ("p",)) == outcome(decode_trihom_oracle, tri, ("p",))
+
+
+# Curves of numbers alone, as the chain commands read them, with zero to
+# two fields replaced: the degree, a label or a multiplicity by a value of
+# another type or out of range, a repeated label, coordinates, a ``poly``,
+# an entry or the list itself by something else, a field dropped.
+_ODD = st.sampled_from([None, True, False, 0, 1, -1, 2.0, "", "2", [], {}, 10**6])
+
+
+@st.composite
+def chain_curves(draw):
+    degree = draw(st.integers(1, 12))
+    sings = [
+        {"label": draw(st.sampled_from(["p", "q", "r", "%", "é", "s\"t"])) + str(i),
+         "mult": draw(st.integers(2, max(2, degree // 2)))}
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    for s in sings:
+        if draw(st.booleans()):
+            s["coords"] = None
+    curve = {"degree": degree, "singularities": sings}
+    if draw(st.booleans()):
+        curve["poly"] = None
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from(["degree", "list", "entry", "label", "mult", "coords",
+                                      "poly", "repeat", "drop"]))
+        if where == "degree":
+            curve["degree"] = draw(st.one_of(_ODD, st.integers(-2, 40)))
+        elif where == "list":
+            curve["singularities"] = draw(_ODD)
+        elif where == "poly":
+            curve["poly"] = draw(st.sampled_from([[[[1, 0, 0], "1"]], [], "x"]))
+        elif where == "drop":
+            del curve[draw(st.sampled_from(sorted(curve)))]
+        elif sings:
+            i = draw(st.integers(0, len(sings) - 1))
+            if where == "entry":
+                sings[i] = draw(_ODD)
+            elif type(sings[i]) is not dict:
+                pass
+            elif where == "repeat":
+                sings.append(dict(sings[i]))
+            elif where == "coords":
+                sings[i]["coords"] = draw(st.sampled_from([[1, 0, 0], [0, 0, 0], [1, 2], "x"]))
+            else:
+                sings[i][where] = draw(st.one_of(_ODD, st.integers(-1, 40)))
+    return curve
+
+
+def chain_outcome(decode, v):
+    """The numerical data ``adjoint_chain`` reads from the decoded curve, with
+    its sums, or the error."""
+    try:
+        source = decode(v)
+    except SchemaError as exc:
+        return "schema", exc.path, exc.message
+    except (InvalidCurveData, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    L = source if isinstance(source, LinSysData) else _numerical_data(source)
+    return L, (L.degree, sum(m for _, m in L.mults), sum(m * m for _, m in L.mults))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(chain_curves())
+@example({"degree": 6, "poly": None, "singularities": [
+    {"label": "b", "mult": 2, "coords": None}, {"label": "a", "mult": 3, "coords": None}]})
+@example({"degree": 6, "singularities": [{"label": "a", "mult": 2}, {"label": "a", "mult": 2}]})
+@example({"degree": 2, "singularities": [{"label": "", "mult": 1}, {"label": 5, "mult": 2}]})
+def test_chain_curves_read_as_the_model_reads_them(curve):
+    """decode_curve_numbers reads a curve of numbers alone in one pass, with
+    no point records, and anything else through the model: the data, its
+    sums and every refusal are those of decode_curve and the model."""
+    expected = chain_outcome(ser.decode_curve, curve)
+    assert chain_outcome(ser.decode_curve_numbers, curve) == expected
+    numbers_only = curve.get("poly") is None and type(curve.get("singularities")) is list and all(
+        type(s) is dict and s.get("coords") is None for s in curve["singularities"])
+    if numbers_only and isinstance(expected[0], LinSysData):
+        L = ser.decode_curve_numbers(curve)
+        assert type(L) is LinSysData and L._sums == expected[1][1:]

@@ -1,11 +1,13 @@
+import json
 import pickle
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cremona_kit import serialization as ser
 from cremona_kit.curve_model import curve_from_mults, genus
 from cremona_kit.errors import (
     AdjointDoesNotExist,
@@ -32,6 +34,8 @@ from cremona_kit.rational_pencils import as_linear_system, enumerate_pencil_type
 
 from _util import (
     _applicable_rules,
+    adjoint_chain_oracle,
+    encode_chain_report_oracle,
     pencil_decompose_oracle,
     rand_curve,
     rand_system,
@@ -498,3 +502,90 @@ class TestQuadraticTransform:
             lhs = quadratic_transform(adjoint_step(BERTINI).output, base)
             rhs = adjoint_step(quadratic_transform(BERTINI, base)).output
             assert lhs == rhs
+
+
+@st.composite
+def chain_systems(draw):
+    """(n; m) of genus > 1 with up to 12 points of multiplicity 1 to n/3,
+    some of them set to plant a line (two that sum to n or n + 1) or a conic
+    (five that sum to 2n or 2n + 1), which fires at the first step and, as
+    each adjoint lowers its margin by 1, again at later ones while other
+    rules come before it or not; points of multiplicity 1 to 3 drop out."""
+    n = draw(st.integers(4, 40))
+    size = draw(st.sampled_from([0, 2, 5]))  # no plant, a line or a conic
+    labels = draw(st.lists(
+        st.text("abcd", min_size=1, max_size=2), unique=True, min_size=size, max_size=12))
+    mults = {l: draw(st.integers(1, max(1, n // 3))) for l in labels}
+    if size:
+        chosen = draw(st.permutations(labels))[:size]
+        total = (size // 2) * n + draw(st.integers(0, 1))
+        for i, l in enumerate(chosen):
+            mults[l] = total // size + (i < total % size)
+    L = LinSysData.of(n, mults)
+    assume(member_genus(L) > 1 and max(mults.values(), default=0) <= n)
+    return L
+
+
+# Chains the strategy may miss, each pinned: the escaped labels of
+# tests/chain_escapes.json (points dropped, two lines and a conic removed at
+# one step, a pencil reduction); a warning of negative self-intersection; a
+# step whose first rule is not the rule of the step before, which still
+# applies; and a planted line removed at ten steps of thirteen.
+CHAIN_EXAMPLES = (
+    sysd(23, dict(zip(['a%d', 'b"q', "c\\n", "d\u00e9", "e%%", "f", "g", "h", "i"],
+                      [3, 6, 11, 9, 10, 2, 2, 4, 8]))),
+    sysd(9, {f"p{i}": m for i, m in enumerate([3, 1, 5, 1, 2, 3, 3, 3, 3])}),
+    sysd(10, {"p0": 6, "p1": 3, "p2": 2, "p3": 4}),
+    sysd(65, {f"p{i:02d}": m for i, m in enumerate(
+        [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])}),
+)
+
+
+def _chain_or_error(chain, L):
+    try:
+        return chain(L)
+    except DegenerateSystem as exc:
+        return str(exc)
+
+
+class TestChainAgainstTheEarlierStep:
+    """The chain of one lean step, which carries each system's columns and
+    sums and runs removal only when a rule applies, gives the records and the
+    bytes of the earlier chain: ``adjoint_step`` over the earlier removal
+    loop and first-rule scan (``adjoint_chain_oracle``)."""
+
+    def test_the_examples_cover_every_path(self):
+        seen = set()
+        for L in CHAIN_EXAMPLES:
+            report = adjoint_chain(L)
+            rules = [None]
+            for step in report.steps:
+                seen.add("drop" if len(step.raw_adjoint.mults) < len(step.input.mults) else "")
+                seen.update(r.kind for r in step.removed_fixed)
+                seen.add("pencil" if step.pencil_reduction else "")
+                seen.add("warning" if step.warnings else "")
+                first = step.removed_fixed and step.removed_fixed[0].labels
+                labels = dict(step.raw_adjoint.mults)
+                if rules[-1] and first != rules[-1] and all(l in labels for l in rules[-1]):
+                    bound = (len(rules[-1]) // 2) * step.raw_adjoint.degree
+                    seen.add("switch" if sum(labels[l] for l in rules[-1]) > bound else "")
+                rules.append(first)
+        assert seen - {""} == {"drop", "line", "conic", "pencil", "warning", "switch"}
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(chain_systems())
+    @example(CHAIN_EXAMPLES[0])
+    @example(CHAIN_EXAMPLES[1])
+    @example(CHAIN_EXAMPLES[2])
+    @example(CHAIN_EXAMPLES[3])
+    def test_records_and_bytes_are_the_earlier_chain(self, L):
+        expected = _chain_or_error(adjoint_chain_oracle, L)
+        report = _chain_or_error(adjoint_chain, L)
+        assert report == expected
+        if isinstance(report, str):
+            return
+        plain = encode_chain_report_oracle(expected)
+        assert ser.dumps(ser.encode_chain_report(report)) == json.dumps(
+            plain, indent=2, sort_keys=True) + "\n"
+        for step in report.steps:
+            assert adjoint_step(step.input) == step

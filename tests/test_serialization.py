@@ -15,7 +15,7 @@ from cremona_kit.cremona_maps import make_phi
 from cremona_kit.errors import DegreeCapExceeded, EnumerationBoundExceeded, SchemaError
 from cremona_kit.exact_algebra import TRI_X, TRI_Y, TRI_Z, RatFunc, TriHomPoly, UniPoly
 from cremona_kit.jonquieres import JonqElement, leminv_check
-from cremona_kit.linear_systems import LinSysData, adjoint_chain
+from cremona_kit.linear_systems import ChainStep, LinSysData, adjoint_chain
 from cremona_kit.rational_pencils import PencilType
 
 from _util import (
@@ -568,6 +568,56 @@ class TestDumpsLinearSystems:
     def test_non_str_label_or_subclass_raises(self, value):
         with pytest.raises(TypeError):
             ser.dumps(value)
+
+
+# The steps and removed components of chains whose labels hold "%", quotes,
+# backslashes, control and non-ASCII characters and whose steps drop points,
+# remove lines and conics, one of them twice, reduce to pencils and carry
+# warnings, at several depths and next to linear systems.
+_ESCAPED = ['a%d', 'b"q', "c\\n", "d\u00e9", "e%%", "\x00f", "g\u2028", "h", "i"]
+_CHAINS = [
+    adjoint_chain(LinSysData.of(23, dict(zip(_ESCAPED, [3, 6, 11, 9, 10, 2, 2, 4, 8])))),
+    adjoint_chain(LinSysData.of(9, dict(zip(_ESCAPED, [3, 1, 5, 1, 2, 3, 3, 3, 3])))),
+    adjoint_chain(LinSysData.of(10, dict(zip(_ESCAPED, [5, 4, 6])))),
+    adjoint_chain(curve_from_mults(65, [4, 10, 9, 14, 6, 12, 11, 8, 39, 26, 17, 8, 16, 6, 8, 13])),
+]
+_CHAIN_RECORDS = st.sampled_from(
+    [s for r in _CHAINS for s in r.steps]
+    + [c for r in _CHAINS for s in r.steps for c in s.removed_fixed]
+    + [r.terminal for r in _CHAINS]
+)
+
+
+class _Step(ChainStep):
+    pass
+
+
+class TestDumpsChainRecords:
+    """dumps writes a ChainStep and a RemovedComponent at any indent as
+    json.dumps writes the dicts of the earlier encoders."""
+
+    def test_the_records_cover_every_field(self):
+        steps = [s for r in _CHAINS for s in r.steps]
+        assert any(s.pencil_reduction for s in steps) and any(s.warnings for s in steps)
+        assert {c.kind for s in steps for c in s.removed_fixed} == {"line", "conic"}
+        assert any(c.count > 1 for s in steps for c in s.removed_fixed)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.recursive(
+        st.one_of(_SCALARS, _CHAIN_RECORDS),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)),
+        max_leaves=8,
+    ))
+    @example([ser.encode_chain_report(r) for r in _CHAINS])
+    def test_matches_json_of_oracle(self, value):
+        plain = json.dumps(plain_oracle(value), indent=2, sort_keys=True)
+        assert ser.dumps(value) == plain + "\n"
+
+    def test_subclass_raises(self):
+        step = _CHAINS[0].steps[0]
+        with pytest.raises(TypeError):
+            ser.dumps([_Step(*(getattr(step, f) for f in step._fields))])
 
 
 # Polynomials of the trihoms and unipolys strategies times a scale that is
